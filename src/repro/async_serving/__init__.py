@@ -8,11 +8,6 @@ attestation+DHKE handshake across reconnects.  See
 :mod:`repro.hypervisor.resumption` for the ticket protocol.
 """
 
-from repro.async_serving.bench import (
-    C10kBenchConfig,
-    C10kBenchReport,
-    run_c10k_bench,
-)
 from repro.async_serving.reactor import (
     AsyncioReactorAdapter,
     ReactorHandle,
@@ -33,3 +28,15 @@ from repro.async_serving.tier import (
     SessionClosedError,
     drive_open_loop,
 )
+
+# The bench drives the whole serving stack; loading it lazily (PEP 562)
+# keeps ``import repro.async_serving`` free of it.
+_BENCH_EXPORTS = ("C10kBenchConfig", "C10kBenchReport", "run_c10k_bench")
+
+
+def __getattr__(name: str):
+    if name in _BENCH_EXPORTS:
+        from repro.async_serving import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,41 +28,35 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.device import DeviceConfig
-from repro.core.service import HarDTAPEService
-from repro.core.user import PreExecutionClient
-from repro.faults.policy import RetryPolicy
-from repro.hardware.timing import CostModel
-from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
-from repro.hypervisor.hypervisor import SecurityFeatures
-from repro.hypervisor.resumption import StaleTicketError
-from repro.recovery.bench import wire_hash, world_digest
-from repro.serving.gateway import (
-    FleetModelExecutor,
-    Gateway,
-    GatewayConfig,
-    ServiceExecutor,
-)
-from repro.serving.loadgen import (
-    LoadReport,
-    LoadSession,
-    run_open_loop,
-    synthetic_profiles,
-)
-from repro.serving.metrics import MetricsRegistry
-from repro.serving.router import ShardSessionRouter
-from repro.telemetry.exporters import render_chrome_trace
-from repro.telemetry.tracer import TraceSampler, install_tracer, uninstall_tracer
-from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 from repro.async_serving.reactor import VirtualReactor
-from repro.async_serving.tier import (
-    AsyncServingConfig,
-    AsyncServingTier,
-    ModelHandshakeEngine,
-    drive_open_loop,
+from repro.async_serving.tier import ModelHandshakeEngine
+from repro.bench.tiers import ROUNDS, reactor_open_loop, run_model_tier
+from repro.bench.report import GateReport, identity_verdict
+from repro.bench.stack import (
+    build_evalset,
+    build_service,
+    compare_identity,
+    connect_tenants,
+    identity_hashes,
+    load_sessions,
+    traced,
 )
+from repro.faults.policy import RetryPolicy
+from repro.hypervisor.resumption import StaleTicketError
+from repro.serving.gateway import Gateway, GatewayConfig, ServiceExecutor
+from repro.serving.loadgen import LoadReport, run_open_loop
+from repro.serving.metrics import MetricsRegistry
+from repro.telemetry.tracer import TraceSampler
+
+# The identity scenario's real-pipeline world and offered load.
+IDENTITY_RATE_RPS = 40.0
+# The C10K scenario's model-mode fleet.
+SHARDS = 8
+CORES_PER_SHARD = 64
+OPEN_WINDOW_US = 2_000_000.0
+MAX_RESUMED_COST_SHARE = 0.05   # p99 resumed / p99 full
 
 
 @dataclass
@@ -73,22 +67,8 @@ class C10kBenchConfig:
     # -- identity scenario (real pipeline, small) ----------------------
     identity_tenants: int = 3
     identity_requests: int = 9
-    identity_rate_rps: float = 40.0
-    device_count: int = 2
-    hevms_per_device: int = 2
-    security_level: str = "full"
-    blocks: int = 1
-    txs_per_block: int = 4
-    trace_sample_rate: float = 1.0
     # -- C10K scenario (model mode, sharded fleet) ---------------------
     concurrency_target: int = 10_000
-    rounds: int = 2               # suspend/resume cycles per session
-    shards: int = 8
-    cores_per_shard: int = 64
-    open_window_us: float = 2_000_000.0
-    round_gap_us: float = 1_000_000.0
-    suspend_after_us: float = 200_000.0
-    max_resumed_cost_share: float = 0.05   # p99 resumed / p99 full
     # -- determinism + epoch scenarios (small model runs) --------------
     determinism_sessions: int = 256
     epoch_sessions: int = 64
@@ -101,7 +81,6 @@ class C10kBenchConfig:
             seed=seed,
             identity_tenants=2,
             identity_requests=6,
-            rounds=2,
             determinism_sessions=128,
             epoch_sessions=32,
         )
@@ -111,104 +90,35 @@ class C10kBenchConfig:
 # Scenario 1: identity (reactor off == synchronous baseline)
 # ----------------------------------------------------------------------
 
-@dataclass
-class _IdentityArtifacts:
-    trace_hash: str
-    metrics_hash: str
-    wire_hash: str
-    digest: str
-    load: LoadReport
-
-
-def _run_identity_stack(config: C10kBenchConfig,
-                        reactor_driven: bool) -> _IdentityArtifacts:
-    """One full real-pipeline open-loop run, sync or reactor-driven."""
-    evalset = build_evaluation_set(
-        EvaluationSetConfig(blocks=config.blocks,
-                            txs_per_block=config.txs_per_block)
-    )
-    service = HarDTAPEService(
-        evalset.node,
-        SecurityFeatures.from_level(config.security_level),
-        device_count=config.device_count,
-        device_config=DeviceConfig(hevm_count=config.hevms_per_device),
-        charge_fees=False,
-    )
+def _run_identity_stack(config: C10kBenchConfig, reactor_driven: bool) -> dict:
+    """One full real-pipeline open-loop run, sync or reactor-driven;
+    returns its identity hashes."""
+    evalset = build_evalset()
+    service = build_service(evalset.node)
     metrics = MetricsRegistry()
-    tracer = install_tracer(
-        service.clock, TraceSampler(config.trace_sample_rate, config.seed)
-    )
-    try:
+    with traced(service.clock, TraceSampler(1.0, config.seed)) as tracer:
         gateway = Gateway(
             ServiceExecutor(service), GatewayConfig(),
             metrics=metrics, tracer=tracer,
         )
-        sessions: list[LoadSession] = []
-        transactions = evalset.transactions
-        for tenant in range(config.identity_tenants):
-            client = PreExecutionClient(
-                service.manufacturer.root_public_key,
-                rng_seed=bytes([tenant + 1]) * 32,
-            )
-            home = tenant % config.device_count
-            user = client.connect(service, service.devices[home])
-
-            def make_payload(ordinal: int, offset: int = tenant,
-                             user=user):
-                tx = transactions[(offset + ordinal) % len(transactions)]
-                bundle = TransactionBundle(
-                    transactions=(tx,), block_number=service.synced_height
-                )
-                encoded = encode_bundle(bundle)
-                # Sealed at dispatch time (the gateway invokes the
-                # callable), matching the serving-plane idiom.
-                return lambda: user.channel.seal(encoded)
-
-            sessions.append(
-                LoadSession(
-                    session_id=user.session_id,
-                    make_payload=make_payload,
-                    device_index=home,
-                )
-            )
-
+        sessions = load_sessions(
+            service,
+            connect_tenants(service, config.identity_tenants),
+            evalset.transactions,
+        )
+        offered = dict(
+            rate_rps=IDENTITY_RATE_RPS,
+            total_requests=config.identity_requests,
+            seed=config.seed,
+        )
         if reactor_driven:
-            tier = AsyncServingTier(
+            _, load = reactor_open_loop(
                 VirtualReactor(start_us=gateway.now_us),
-                gateway,
-                engine=None,
-                config=AsyncServingConfig(resumption=False),
-            )
-            for load_session in sessions:
-                tier.adopt_session(
-                    load_session.session_id,
-                    device_index=load_session.device_index,
-                )
-            load = drive_open_loop(
-                tier, sessions,
-                rate_rps=config.identity_rate_rps,
-                total_requests=config.identity_requests,
-                seed=config.seed,
+                gateway, sessions, **offered,
             )
         else:
-            load = run_open_loop(
-                gateway, sessions,
-                rate_rps=config.identity_rate_rps,
-                total_requests=config.identity_requests,
-                seed=config.seed,
-            )
-        trace_json = render_chrome_trace(tracer)
-    finally:
-        uninstall_tracer(service.clock)
-    return _IdentityArtifacts(
-        trace_hash=hashlib.sha256(trace_json.encode()).hexdigest(),
-        metrics_hash=hashlib.sha256(
-            json.dumps(metrics.snapshot(), sort_keys=True).encode()
-        ).hexdigest(),
-        wire_hash=wire_hash([load]),
-        digest=world_digest(service),
-        load=load,
-    )
+            load = run_open_loop(gateway, sessions, **offered)
+        return identity_hashes(tracer, metrics, [load], service)
 
 
 # ----------------------------------------------------------------------
@@ -229,65 +139,19 @@ def _run_model_tier(
     config: C10kBenchConfig,
     *,
     session_count: int,
-    epoch_bump_before_round: int | None = None,
-    open_window_us: float | None = None,
+    open_window_us: float = OPEN_WINDOW_US,
+    before_first_burst=None,
 ) -> _ModelRunResult:
     """One C10K-shaped model run: open, burst, suspend, resume, repeat."""
-    cost = CostModel()
-    engine = ModelHandshakeEngine(cost, seed=config.seed)
-    gateways = {
-        shard: Gateway(
-            FleetModelExecutor(config.cores_per_shard, cost),
-            GatewayConfig(max_queue_depth=session_count * 2,
-                          max_in_flight_per_session=4),
-        )
-        for shard in range(config.shards)
-    }
-    router = ShardSessionRouter(gateways)
-    reactor = VirtualReactor()
-    tier = AsyncServingTier(
-        reactor, router, engine,
-        config=AsyncServingConfig(
-            max_sessions=session_count,
-            suspend_after_us=config.suspend_after_us,
-            resumption=True,
-        ),
+    tier, load = run_model_tier(
+        seed=config.seed,
+        session_count=session_count,
+        shards=SHARDS,
+        cores_per_shard=CORES_PER_SHARD,
+        open_window_us=open_window_us,
+        session_prefix=b"c10k",
+        before_first_burst=before_first_burst,
     )
-    profiles = synthetic_profiles(cost, "mixed", count=16, seed=config.seed)
-
-    def open_and_submit(rid: bytes, ordinal: int) -> None:
-        tier.open_session(rid)
-        tier.submit(rid, profiles[ordinal % len(profiles)])
-
-    def burst(rid: bytes, ordinal: int) -> None:
-        tier.submit(rid, profiles[ordinal % len(profiles)])
-
-    if epoch_bump_before_round is not None:
-        bumped = False
-
-        def maybe_bump() -> None:
-            nonlocal bumped
-            if not bumped:
-                engine.advance_epoch()
-                bumped = True
-
-    if open_window_us is None:
-        open_window_us = config.open_window_us
-    stride = open_window_us / session_count
-    for index in range(session_count):
-        rid = b"c10k-%08d" % index
-        t_open = index * stride
-        reactor.call_at(t_open, open_and_submit, rid, index)
-        for round_no in range(1, config.rounds + 1):
-            at = t_open + round_no * config.round_gap_us
-            if (epoch_bump_before_round is not None
-                    and round_no == epoch_bump_before_round
-                    and index == 0):
-                reactor.call_at(at - 1.0, maybe_bump)
-            reactor.call_at(at, burst, rid, index + round_no)
-    start_us = router.now_us
-    tier.run()
-    load = tier.load_report(start_us)
     snapshot = tier.metrics.snapshot()
     digest = hashlib.sha256(
         json.dumps(
@@ -320,44 +184,19 @@ def _run_model_tier(
 # ----------------------------------------------------------------------
 
 @dataclass
-class C10kBenchReport:
-    seed: int
+class C10kBenchReport(GateReport):
     identity: dict[str, bool]
     c10k: dict
     determinism: dict
     epoch: dict
-    gate_failures: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return not self.gate_failures
+    bench = "c10k"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bench": "c10k",
-                "seed": self.seed,
-                "identity": self.identity,
-                "c10k": self.c10k,
-                "determinism": self.determinism,
-                "epoch": self.epoch,
-                "gate_failures": self.gate_failures,
-                "passed": self.passed,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def summary_lines(self) -> list[str]:
+    def section_lines(self) -> list[str]:
         ratio = self.c10k["resumed_p99_us"] / self.c10k["full_p99_us"]
-        lines = [
+        return [
             "identity (reactor, resumption off vs synchronous baseline): "
-            + (
-                "byte-identical"
-                if all(self.identity.values())
-                else "DIVERGED "
-                + str(sorted(k for k, v in self.identity.items() if not v))
-            ),
+            + identity_verdict(self.identity),
             f"c10k: {self.c10k['peak_live']} concurrent sessions "
             f"(target {self.c10k['target']}), "
             f"{self.c10k['completed']} requests completed, "
@@ -380,42 +219,26 @@ class C10kBenchReport:
             f"fallback handshake(s), "
             f"{self.epoch['completed']} requests completed",
         ]
-        if self.gate_failures:
-            lines.append("gate failures:")
-            lines.extend(f"  - {failure}" for failure in self.gate_failures)
-        else:
-            lines.append("all gates passed")
-        return lines
 
 
 def run_c10k_bench(config: C10kBenchConfig) -> C10kBenchReport:
-    failures: list[str] = []
-
     # 1. Identity.
-    sync_run = _run_identity_stack(config, reactor_driven=False)
-    reactor_run = _run_identity_stack(config, reactor_driven=True)
-    identity = {
-        "trace": sync_run.trace_hash == reactor_run.trace_hash,
-        "metrics": sync_run.metrics_hash == reactor_run.metrics_hash,
-        "wire": sync_run.wire_hash == reactor_run.wire_hash,
-        "digest": sync_run.digest == reactor_run.digest,
-    }
-    for name, equal in identity.items():
-        if not equal:
-            failures.append(
-                f"identity: the reactor-driven run changed the {name} "
-                f"bytes of a resumption-disabled seeded run"
-            )
+    identity, failures = compare_identity(
+        _run_identity_stack(config, reactor_driven=False),
+        _run_identity_stack(config, reactor_driven=True),
+        "identity: the reactor-driven run changed the {name} "
+        "bytes of a resumption-disabled seeded run",
+    )
 
     # 2. C10K.
     c10k = _run_model_tier(config, session_count=config.concurrency_target)
     tm = c10k.tier_metrics
-    expected_resumes = config.concurrency_target * config.rounds
+    expected_resumes = config.concurrency_target * ROUNDS
     c10k_obj = {
         "target": config.concurrency_target,
         "peak_live": c10k.peak_live,
         "live_at_end": c10k.live_at_end,
-        "shards": config.shards,
+        "shards": SHARDS,
         "completed": c10k.load.completed,
         "failed": c10k.load.failed,
         "rejected": c10k.load.rejected,
@@ -448,10 +271,10 @@ def run_c10k_bench(config: C10kBenchConfig) -> C10kBenchReport:
         failures.append("c10k: no full-handshake samples recorded")
     else:
         share = c10k_obj["resumed_p99_us"] / c10k_obj["full_p99_us"]
-        if share > config.max_resumed_cost_share:
+        if share > MAX_RESUMED_COST_SHARE:
             failures.append(
                 f"c10k: p99 resumed handshake is {share:.1%} of the full "
-                f"handshake, cap is {config.max_resumed_cost_share:.0%}"
+                f"handshake, cap is {MAX_RESUMED_COST_SHARE:.0%}"
             )
 
     # 3. Determinism (smaller twin, run twice).
@@ -472,8 +295,8 @@ def run_c10k_bench(config: C10kBenchConfig) -> C10kBenchReport:
     epoch = _run_model_tier(
         config,
         session_count=config.epoch_sessions,
-        epoch_bump_before_round=1,
         open_window_us=50_000.0,
+        before_first_burst=ModelHandshakeEngine.advance_epoch,
     )
     em = epoch.tier_metrics
     epoch_obj = {

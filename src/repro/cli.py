@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench.registry import BENCHES, BenchSpec
 from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
 from repro.workloads import EvaluationSetConfig, build_evaluation_set
 
@@ -189,6 +190,16 @@ def cmd_resources(args) -> int:
     return 0
 
 
+def _bad_seed(seed: int) -> bool:
+    """Reject (and say why; callers then exit 2) a seed the benches cannot
+    turn into eight big-endian bytes of DRBG personalization."""
+    if 0 <= seed < 2**64:
+        return False
+    print(f"invalid --seed {seed}: must be a non-negative 64-bit integer",
+          file=sys.stderr)
+    return True
+
+
 def cmd_serve_bench(args) -> int:
     from repro.hardware.timing import CostModel
     from repro.serving import (
@@ -201,6 +212,8 @@ def cmd_serve_bench(args) -> int:
         synthetic_profiles,
     )
 
+    if _bad_seed(args.seed):
+        return 2
     cost = CostModel(ethernet_rtt_us=args.rtt_us)
     profiles = synthetic_profiles(
         cost, kind=args.workload, seed=args.seed
@@ -270,9 +283,7 @@ def cmd_chaos_bench(args) -> int:
         print(f"invalid --rates {args.rates!r}: fault rates must be in [0, 1]",
               file=sys.stderr)
         return 2
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
+    if _bad_seed(args.seed):
         return 2
     if min(args.devices, args.tenants, args.requests) <= 0:
         print("invalid fleet/load shape: --devices, --tenants and --requests "
@@ -320,8 +331,14 @@ def cmd_chaos_bench(args) -> int:
 def cmd_trace_bench(args) -> int:
     import json
 
-    from repro.telemetry.bench import TraceBenchConfig, run_trace_bench
+    from repro.telemetry.bench import (
+        TOLERANCE_US,
+        TraceBenchConfig,
+        run_trace_bench,
+    )
 
+    if _bad_seed(args.seed):
+        return 2
     if not 0.0 <= args.sample_rate <= 1.0:
         print(f"invalid --sample-rate {args.sample_rate}: must be in [0, 1]",
               file=sys.stderr)
@@ -347,10 +364,10 @@ def cmd_trace_bench(args) -> int:
 
     failures = 0
     for row in report.reconciliation:
-        if abs(row.delta_us) > config.tolerance_us:
+        if abs(row.delta_us) > TOLERANCE_US:
             print(f"RECONCILIATION FAILED: {row.name} traced "
                   f"{row.traced_us} µs vs model {row.model_us} µs "
-                  f"(tolerance {config.tolerance_us} µs)", file=sys.stderr)
+                  f"(tolerance {TOLERANCE_US} µs)", file=sys.stderr)
             failures += 1
 
     # The export must parse back and the run must reproduce byte for byte.
@@ -379,168 +396,30 @@ def cmd_trace_bench(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_perf_bench(args) -> int:
-    from repro.perf.bench import PerfBenchConfig, run_perf_bench
-
+def cmd_registry_bench(args) -> int:
+    """The one handler behind every ``repro.bench.registry`` subcommand."""
+    spec: BenchSpec = args.bench
+    if _bad_seed(args.seed):
+        return 2
+    config_class, run = spec.load()
     if args.smoke:
-        config = PerfBenchConfig.smoke(
-            seed=args.seed, min_speedup=args.min_speedup
-        )
+        config = config_class.smoke(seed=args.seed)
     else:
-        config = PerfBenchConfig(seed=args.seed, min_speedup=args.min_speedup)
-    report = run_perf_bench(config)
+        config = config_class(seed=args.seed)
+    for extra in spec.extra_args:
+        value = getattr(args, extra.dest)
+        if value != extra.default:
+            setattr(config, extra.config_field, value)
+    report = run(config)
     for line in report.summary_lines():
         print(line)
     if args.json_out:
         with open(args.json_out, "w") as handle:
             handle.write(report.to_json())
         print(f"wrote {args.json_out}")
-    if not report.identical:
-        print("PERF-BENCH FAILED: optimized outputs diverge from baseline",
+    if not report.passed:
+        print(spec.failure_banner + "; ".join(report.gate_failures),
               file=sys.stderr)
-        return 1
-    if report.speedup < args.min_speedup:
-        print(f"PERF-BENCH FAILED: speedup {report.speedup:.1f}x below the "
-              f"{args.min_speedup:g}x regression gate", file=sys.stderr)
-        return 1
-    if not report.backends_identical:
-        print("PERF-BENCH FAILED: crypto backends diverge pairwise "
-              f"({', '.join(report.backend_mismatches)})", file=sys.stderr)
-        return 1
-    if report.backends and report.best_backend_speedup < args.min_speedup:
-        print(f"PERF-BENCH FAILED: best backend speedup "
-              f"{report.best_backend_speedup:.1f}x below the "
-              f"{args.min_speedup:g}x gate", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_recovery_bench(args) -> int:
-    from repro.recovery.bench import RecoveryBenchConfig, run_recovery_bench
-
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
-        return 2
-    if args.smoke:
-        config = RecoveryBenchConfig.smoke(seed=args.seed)
-    else:
-        config = RecoveryBenchConfig(seed=args.seed)
-    report = run_recovery_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.passed:
-        print("RECOVERY-BENCH FAILED: "
-              + "; ".join(report.gate_failures), file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_shard_bench(args) -> int:
-    from repro.sharding.bench import ShardBenchConfig, run_shard_bench
-
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
-        return 2
-    if args.smoke:
-        config = ShardBenchConfig.smoke(seed=args.seed)
-    else:
-        config = ShardBenchConfig(seed=args.seed)
-    report = run_shard_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.passed:
-        print("SHARD-BENCH FAILED: "
-              + "; ".join(report.gate_failures), file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_c10k_bench(args) -> int:
-    from repro.async_serving.bench import C10kBenchConfig, run_c10k_bench
-
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
-        return 2
-    if args.smoke:
-        config = C10kBenchConfig.smoke(seed=args.seed)
-    else:
-        config = C10kBenchConfig(seed=args.seed)
-    if args.sessions:
-        config.concurrency_target = args.sessions
-    report = run_c10k_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.passed:
-        print("C10K-BENCH FAILED: "
-              + "; ".join(report.gate_failures), file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_obs_bench(args) -> int:
-    from repro.telemetry.obs_bench import ObsBenchConfig, run_obs_bench
-
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
-        return 2
-    if args.smoke:
-        config = ObsBenchConfig.smoke(seed=args.seed)
-    else:
-        config = ObsBenchConfig(seed=args.seed)
-    report = run_obs_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.passed:
-        print("OBS-BENCH FAILED: "
-              + "; ".join(report.gate_failures), file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_receipt_bench(args) -> int:
-    from repro.faults.receipt_bench import (
-        ReceiptBenchConfig,
-        run_receipt_bench,
-    )
-
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
-        return 2
-    if args.smoke:
-        config = ReceiptBenchConfig.smoke(seed=args.seed)
-    else:
-        config = ReceiptBenchConfig(seed=args.seed)
-    report = run_receipt_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.passed:
-        print("RECEIPT-BENCH FAILED: "
-              + "; ".join(report.gate_failures), file=sys.stderr)
         return 1
     return 0
 
@@ -649,82 +528,17 @@ def build_parser() -> argparse.ArgumentParser:
                              help="skip the byte-identity re-run")
     trace_bench.set_defaults(func=cmd_trace_bench)
 
-    perf_bench = sub.add_parser(
-        "perf-bench",
-        help="before/after speedup of the crypto/ORAM substrate (repro.perf)",
-    )
-    perf_bench.add_argument("--seed", type=int, default=7)
-    perf_bench.add_argument("--smoke", action="store_true",
-                            help="CI-sized workload (same checks, ~10x faster)")
-    perf_bench.add_argument("--min-speedup", type=float, default=3.0,
-                            help="fail below this optimized/baseline ratio")
-    perf_bench.add_argument("--json-out", default="",
-                            help="write the BENCH_perf.json report here")
-    perf_bench.set_defaults(func=cmd_perf_bench)
-
-    recovery_bench = sub.add_parser(
-        "recovery-bench",
-        help="crash/restart chaos + rollback-attack gates (repro.recovery)",
-    )
-    recovery_bench.add_argument("--seed", type=int, default=1)
-    recovery_bench.add_argument("--smoke", action="store_true",
-                                help="CI-sized run (same gates, faster)")
-    recovery_bench.add_argument("--json-out", default="",
-                                help="write the BENCH_recovery.json report here")
-    recovery_bench.set_defaults(func=cmd_recovery_bench)
-
-    shard_bench = sub.add_parser(
-        "shard-bench",
-        help="sharded ORAM fleet: identity, scale-out, per-shard "
-             "distinguisher (repro.sharding)",
-    )
-    shard_bench.add_argument("--seed", type=int, default=1)
-    shard_bench.add_argument("--smoke", action="store_true",
-                             help="CI-sized run (same gates, faster)")
-    shard_bench.add_argument("--json-out", default="",
-                             help="write the BENCH_shard.json report here")
-    shard_bench.set_defaults(func=cmd_shard_bench)
-
-    c10k_bench = sub.add_parser(
-        "c10k-bench",
-        help="async serving tier: 10k concurrent sessions, resumption "
-             "cost + identity gates (repro.async_serving)",
-    )
-    c10k_bench.add_argument("--seed", type=int, default=1)
-    c10k_bench.add_argument("--smoke", action="store_true",
-                            help="CI-sized run (the 10k concurrency gate "
-                                 "stays; side scenarios shrink)")
-    c10k_bench.add_argument("--sessions", type=int, default=0,
-                            help="override the concurrency target")
-    c10k_bench.add_argument("--json-out", default="",
-                            help="write the BENCH_c10k.json report here")
-    c10k_bench.set_defaults(func=cmd_c10k_bench)
-
-    obs_bench = sub.add_parser(
-        "obs-bench",
-        help="observability plane: arming-is-invisible identity, three-way "
-             "trace reconciliation, deterministic fault alerts "
-             "(repro.telemetry)",
-    )
-    obs_bench.add_argument("--seed", type=int, default=1)
-    obs_bench.add_argument("--smoke", action="store_true",
+    for spec in BENCHES:
+        bench = sub.add_parser(spec.command, help=spec.help)
+        bench.add_argument("--seed", type=int, default=spec.default_seed)
+        bench.add_argument("--smoke", action="store_true",
                            help="CI-sized run (same gates, faster)")
-    obs_bench.add_argument("--json-out", default="",
-                           help="write the BENCH_obs.json report here")
-    obs_bench.set_defaults(func=cmd_obs_bench)
-
-    receipt_bench = sub.add_parser(
-        "receipt-bench",
-        help="signed pre-execution receipts: Byzantine detection, "
-             "quarantine healing, receipts-invisible identity, sublinear "
-             "audit cost (repro.faults)",
-    )
-    receipt_bench.add_argument("--seed", type=int, default=1)
-    receipt_bench.add_argument("--smoke", action="store_true",
-                               help="CI-sized run (same gates, faster)")
-    receipt_bench.add_argument("--json-out", default="",
-                               help="write the BENCH_receipt.json report here")
-    receipt_bench.set_defaults(func=cmd_receipt_bench)
+        for extra in spec.extra_args:
+            bench.add_argument(extra.flag, type=extra.type,
+                               default=extra.default, help=extra.help)
+        bench.add_argument("--json-out", default="",
+                           help=f"write the {spec.artifact} report here")
+        bench.set_defaults(func=cmd_registry_bench, bench=spec)
     return parser
 
 

@@ -45,13 +45,6 @@ from repro.faults.errors import (
     SyncError,
     UnknownSessionError,
 )
-from repro.faults.harness import (
-    SERVING_FAULT_KINDS,
-    ChaosConfig,
-    ChaosReport,
-    run_chaos,
-    run_escalation,
-)
 from repro.faults.injector import FaultInjector, FaultyOramServer
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule, InjectionRecord
 from repro.faults.policy import (
@@ -63,6 +56,25 @@ from repro.faults.policy import (
     ResilientServiceExecutor,
     RetryPolicy,
 )
+
+# The chaos harness drives the whole serving stack; loading it lazily
+# (PEP 562) keeps ``import repro.faults`` free of it.
+_HARNESS_EXPORTS = (
+    "SERVING_FAULT_KINDS",
+    "ChaosConfig",
+    "ChaosReport",
+    "run_chaos",
+    "run_escalation",
+)
+
+
+def __getattr__(name: str):
+    if name in _HARNESS_EXPORTS:
+        from repro.faults import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "RECOVERABLE_ERRORS",

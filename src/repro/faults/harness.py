@@ -19,17 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bench.stack import (
+    HEVMS_PER_DEVICE,
+    build_service,
+    connect_tenants,
+    load_sessions,
+    resilient_executor,
+)
 from repro.core.device import DeviceConfig
-from repro.core.service import HarDTAPEService
 from repro.core.user import PreExecutionClient
 from repro.faults.errors import AttestationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
-from repro.faults.policy import FailoverBundle, ResilientServiceExecutor, RetryPolicy
-from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
-from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.faults.policy import FailoverBundle
 from repro.serving.gateway import Gateway, GatewayConfig
-from repro.serving.loadgen import LoadReport, LoadSession, run_closed_loop
+from repro.serving.loadgen import LoadReport, run_closed_loop
 from repro.serving.metrics import MetricsRegistry
 
 # The fault kinds the serving path exercises end to end.  Attestation
@@ -46,6 +50,17 @@ SERVING_FAULT_KINDS = (
 
 _CONNECT_ATTEMPTS = 4
 
+# Rates are per *decision point*, and ORAM path reads are ~25× denser
+# than channel messages (dozens per bundle vs one).  Scaling the ORAM
+# kinds down by the density ratio makes ``fault_rate`` mean roughly
+# "probability one bundle attempt is hit" uniformly across kinds, so
+# escalation curves compare like with like.
+ORAM_RATE_SCALE = 0.04
+# A stall (40 ms) longer than the budget (25 ms) forces the typed
+# OramTimeoutError path rather than silent absorption.
+ORAM_STALL_US = 40_000.0
+ORAM_RESPONSE_BUDGET_US = 25_000.0
+
 
 @dataclass
 class ChaosConfig:
@@ -54,29 +69,10 @@ class ChaosConfig:
     seed: int = 1
     fault_rate: float = 0.0
     kinds: tuple[str, ...] = SERVING_FAULT_KINDS
-    plan: FaultPlan | None = None          # overrides (fault_rate, kinds)
     armed: bool = True                     # False: no injector at all
     device_count: int = 2
-    hevms_per_device: int = 2
     tenants: int = 4
     requests_per_tenant: int = 5
-    security_level: str = "full"
-    max_attempts: int = 4
-    backoff_us: float = 200.0
-    # Breakers must heal within a run (virtual runs last ~hundreds of
-    # ms): trip after 5 straight failures, hold for 50 virtual ms.
-    breaker_threshold: int = 5
-    breaker_reset_us: float = 50_000.0
-    # Rates are per *decision point*, and ORAM path reads are ~25×
-    # denser than channel messages (dozens per bundle vs one).  Scaling
-    # the ORAM kinds down by the density ratio makes ``fault_rate``
-    # mean roughly "probability one bundle attempt is hit" uniformly
-    # across kinds, so escalation curves compare like with like.
-    oram_rate_scale: float = 0.04
-    # A stall (40 ms) longer than the budget (25 ms) forces the typed
-    # OramTimeoutError path rather than silent absorption.
-    oram_stall_us: float = 40_000.0
-    oram_response_budget_us: float = 25_000.0
     # Which CryptoBackend tier the fleet's channels run on.  The fault
     # plane predates the pluggable backends, so the zero-rate identity
     # gate sweeps every tier (bench_fault_recovery) — a backend that
@@ -84,15 +80,12 @@ class ChaosConfig:
     crypto_backend: str | None = None   # None: DeviceConfig's default
 
     def build_plan(self) -> FaultPlan:
-        if self.plan is not None:
-            return self.plan
         oram_kinds = (FaultKind.ORAM_STALL, FaultKind.ORAM_TAG_CORRUPT)
         rules = [
             FaultRule(
                 kind,
-                self.fault_rate
-                * (self.oram_rate_scale if kind in oram_kinds else 1.0),
-                stall_us=self.oram_stall_us,
+                self.fault_rate * (ORAM_RATE_SCALE if kind in oram_kinds else 1.0),
+                stall_us=ORAM_STALL_US,
             )
             for kind in self.kinds
         ]
@@ -140,81 +133,52 @@ class ChaosReport:
         return lines
 
 
-def _connect_tenant(client: PreExecutionClient, service, device):
-    """Attest one device, retrying past injected attestation failures."""
-    retries = 0
-    for attempt in range(_CONNECT_ATTEMPTS):
-        try:
-            return client.connect(service, device), retries
-        except AttestationError:
-            if attempt == _CONNECT_ATTEMPTS - 1:
-                raise
-            retries += 1
-    raise AssertionError("unreachable")
-
-
 def run_chaos(config: ChaosConfig, evalset) -> ChaosReport:
     """One seeded chaos run over ``evalset``'s node and transactions."""
-    service = HarDTAPEService(
+    service = build_service(
         evalset.node,
-        SecurityFeatures.from_level(config.security_level),
         device_count=config.device_count,
         device_config=DeviceConfig(
-            hevm_count=config.hevms_per_device,
-            oram_response_budget_us=config.oram_response_budget_us,
+            hevm_count=HEVMS_PER_DEVICE,
+            oram_response_budget_us=ORAM_RESPONSE_BUDGET_US,
             **(
                 {"crypto_backend": config.crypto_backend}
                 if config.crypto_backend is not None
                 else {}
             ),
         ),
-        charge_fees=False,
     )
     metrics = MetricsRegistry()
     plan = config.build_plan()
     if config.armed:
         FaultInjector(plan, metrics).arm_service(service)
 
+    attestation_retries = 0
+
+    def connect(client: PreExecutionClient, service, device):
+        """Attest one device, retrying past injected attestation failures."""
+        nonlocal attestation_retries
+        for attempt in range(_CONNECT_ATTEMPTS):
+            try:
+                return client.connect(service, device)
+            except AttestationError:
+                if attempt == _CONNECT_ATTEMPTS - 1:
+                    raise
+                attestation_retries += 1
+        raise AssertionError("unreachable")
+
     # Each tenant attests a session on *every* device so bundles can
     # fail over; its home device spreads round-robin over the fleet.
-    sessions: list[LoadSession] = []
-    transactions = evalset.transactions
-    attestation_retries = 0
-    for tenant in range(config.tenants):
-        client = PreExecutionClient(
-            service.manufacturer.root_public_key,
-            rng_seed=bytes([tenant + 1]) * 32,
-        )
-        by_device = {}
-        for index, device in enumerate(service.devices):
-            by_device[index], retries = _connect_tenant(client, service, device)
-            attestation_retries += retries
-        home = tenant % config.device_count
-
-        def make_payload(ordinal: int, offset: int = tenant, devices=by_device):
-            tx = transactions[(offset + ordinal) % len(transactions)]
-            bundle = TransactionBundle(
-                transactions=(tx,), block_number=service.synced_height
-            )
-            return FailoverBundle(devices, encode_bundle(bundle))
-
-        sessions.append(
-            LoadSession(
-                session_id=by_device[home].session_id,
-                make_payload=make_payload,
-                device_index=home,
-            )
-        )
-
-    executor = ResilientServiceExecutor(
+    sessions = load_sessions(
         service,
-        retry=RetryPolicy(
-            max_attempts=config.max_attempts, backoff_us=config.backoff_us
+        connect_tenants(
+            service, config.tenants, every_device=True, connect=connect
         ),
-        metrics=metrics,
-        failure_threshold=config.breaker_threshold,
-        breaker_reset_us=config.breaker_reset_us,
+        evalset.transactions,
+        lambda tenant, encoded: FailoverBundle(tenant.sessions, encoded),
     )
+
+    executor = resilient_executor(service, metrics, max_attempts=4)
     gateway = Gateway(executor, GatewayConfig(), metrics=metrics)
     load = run_closed_loop(
         gateway, sessions, requests_per_session=config.requests_per_tenant

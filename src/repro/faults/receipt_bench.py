@@ -31,15 +31,21 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.core.device import DeviceConfig
-from repro.core.service import HarDTAPEService
+from repro.bench.report import GateReport, identity_verdict
+from repro.bench.stack import (
+    build_evalset,
+    build_service,
+    compare_identity,
+    connect_tenants,
+    identity_hashes,
+    load_sessions,
+    node_ground_truth,
+    traced,
+    world_digest,
+)
 from repro.core.user import PreExecutionClient
-from repro.evm.executor import execute_transaction
-from repro.evm.tracer import StructTracer
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.faults.policy import FailoverBundle, QuarantinePolicy
@@ -55,35 +61,22 @@ from repro.hypervisor.receipts import (
     ReceiptMissingError,
 )
 from repro.node import EthereumNode
-from repro.recovery.bench import wire_hash, world_digest
 from repro.serving.gateway import Gateway, GatewayConfig, ServiceExecutor
-from repro.serving.loadgen import LoadSession, run_closed_loop
+from repro.serving.loadgen import run_closed_loop
 from repro.serving.metrics import MetricsRegistry
 from repro.state import Account, Transaction, to_address
-from repro.state.journal import JournaledState
-from repro.telemetry.exporters import render_chrome_trace
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.tracer import install_tracer, uninstall_tracer
 from repro.telemetry.unified import (
     StepTraceRecord,
     UnifiedStepTrace,
-    from_struct_logs,
     group_for_op,
 )
 from repro.workloads.contracts import erc20
-from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
 # The lies (as opposed to failures) the fault plane can inject: the
 # device misreports instead of crashing.  Every one must be caught by
-# the receipt audit, never by a timeout or a tag check.
-BYZANTINE_FAULT_KINDS = (
-    FaultKind.HEVM_RESULT_TAMPER,
-    FaultKind.RECEIPT_FORGE,
-    FaultKind.RECEIPT_OMIT,
-    FaultKind.SYNC_EQUIVOCATE,
-)
-
-# The first typed check each kind must trip in the auditor.
+# the receipt audit, never by a timeout or a tag check — and by the
+# first typed check named here.
 _EXPECTED_FIELD = {
     FaultKind.HEVM_RESULT_TAMPER: "commitment",
     FaultKind.RECEIPT_FORGE: "signature",
@@ -92,23 +85,19 @@ _EXPECTED_FIELD = {
 }
 
 
+SAMPLES_PER_TX = 2          # step openings the auditor spot-checks
+IDENTITY_TENANTS = 2
+AUDIT_LENGTHS = (64, 512, 4096)
+AUDIT_SAMPLES = 8
+
+
 @dataclass
 class ReceiptBenchConfig:
     """One receipt-bench invocation."""
 
     seed: int = 1
-    device_count: int = 2
-    hevms_per_device: int = 2
-    blocks: int = 1
-    txs_per_block: int = 4
     cheat_rounds: int = 3          # bundles the cheater lies about, per kind
-    samples_per_tx: int = 2        # step openings the auditor spot-checks
-    # -- identity scenario ---------------------------------------------
-    identity_tenants: int = 2
     identity_requests: int = 6     # per tenant, closed loop
-    # -- sublinearity scenario -----------------------------------------
-    audit_lengths: tuple[int, ...] = (64, 512, 4096)
-    audit_samples: int = 8
 
     @classmethod
     def smoke(cls, seed: int = 1) -> "ReceiptBenchConfig":
@@ -120,43 +109,6 @@ def _receipt_features() -> SecurityFeatures:
     features = SecurityFeatures.from_level("full")
     features.receipts = True
     return features
-
-
-def _ground_truth(service, tx):
-    """Offline re-execution on the node's synced state, fees off.
-
-    This is the auditor's trust anchor: the SP/user's own full node
-    (``repro.node``) replaying the transaction it asked the device to
-    pre-execute.
-    """
-    state = JournaledState(
-        service.node.state_at(service.synced_height).copy()
-    )
-    struct = StructTracer(capture_stack=False)
-    result = execute_transaction(
-        state,
-        service.pending_chain_context(),
-        tx,
-        tracer=struct,
-        charge_fees=False,
-    )
-    return result, from_struct_logs(struct.logs)
-
-
-def _audit_bundle(
-    auditor, service, device_index, session, bundle_id, expected_trace
-):
-    """One spot-check of ``device_index``'s receipt for ``bundle_id``."""
-    hypervisor = service.devices[device_index].hypervisor
-    return auditor.audit(
-        bundle_id,
-        hypervisor.receipt_for(bundle_id),
-        [expected_trace],
-        verify_key=session.peer_public,
-        opening=lambda tx_index, step_index: hypervisor.receipt_opening(
-            bundle_id, tx_index, step_index
-        ),
-    )
 
 
 @dataclass
@@ -173,20 +125,108 @@ class _CaseOutcome:
     resyncs: int = 0
     digest: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "fires": self.fires,
-            "detections": self.detections,
-            "fields": self.fields,
-            "heals": self.heals,
-            "heal_results_exact": self.heal_results_exact,
-            "heal_audits_passed": self.heal_audits_passed,
-            "dumps": self.dumps,
-            "audits_failed": self.audits_failed,
-            "resyncs": self.resyncs,
-            "digest": self.digest,
+
+class _CheatCase:
+    """One Byzantine scenario's fixture.
+
+    Only device 0 is armed — the modeled adversary is one Byzantine
+    device in an otherwise honest fleet — so failover targets stay
+    trustworthy.  One user attests every device; a receipt auditor and a
+    quarantine policy must catch and heal each lie.  ``rate=0.0`` is the
+    clean twin: the exact same run with the injector armed but never
+    firing (the zero-false-positive baseline every faulted case's
+    digest is compared against).
+    """
+
+    def __init__(self, config, service, kind: str, rate: float,
+                 client_seed: bytes) -> None:
+        self.service = service
+        self.plan = FaultPlan(config.seed, [FaultRule(kind, rate)])
+        FaultInjector(self.plan).arm_device(service.devices[0])
+        client = PreExecutionClient(
+            service.manufacturer.root_public_key, rng_seed=client_seed
+        )
+        self.sessions = {
+            index: client.connect(service, device)
+            for index, device in enumerate(service.devices)
         }
+        self.flight = FlightRecorder(32)
+        self.quarantine = QuarantinePolicy(
+            service, metrics=MetricsRegistry(), flight=self.flight
+        )
+        self.auditor = ReceiptAuditor(
+            samples_per_tx=SAMPLES_PER_TX, seed=config.seed
+        )
+        self.outcome = _CaseOutcome(kind=kind)
+
+    def _audit(self, device_index: int, bundle_id, expected_trace) -> None:
+        """One spot-check of ``device_index``'s receipt for ``bundle_id``."""
+        hypervisor = self.service.devices[device_index].hypervisor
+        self.auditor.audit(
+            bundle_id,
+            hypervisor.receipt_for(bundle_id),
+            [expected_trace],
+            verify_key=self.sessions[device_index].peer_public,
+            opening=lambda tx_index, step_index: hypervisor.receipt_opening(
+                bundle_id, tx_index, step_index
+            ),
+        )
+
+    def audit_and_heal(self, tx) -> bool:
+        """Pre-execute ``tx`` on the cheater and audit its receipt.
+
+        A caught lie quarantines device 0 and heals the bundle on an
+        honest device, whose result must match ground truth and whose
+        own receipt must audit clean.  Returns whether a lie was caught.
+        """
+        service, sessions, outcome = self.service, self.sessions, self.outcome
+        bundle = TransactionBundle(
+            transactions=(tx,), block_number=service.synced_height
+        )
+        bundle_id = bundle.bundle_id()
+        failover = FailoverBundle(sessions, encode_bundle(bundle))
+        service.submit_bundle(
+            service.devices[0], failover.session_for(0), failover.seal_for(0)
+        )
+        expected_result, expected_trace, _ = node_ground_truth(service, tx)
+        try:
+            self._audit(0, bundle_id, expected_trace)
+            return False
+        except (ReceiptMismatchError, ReceiptMissingError) as error:
+            outcome.detections += 1
+            outcome.fields.append(
+                error.field
+                if isinstance(error, ReceiptMismatchError)
+                else "missing"
+            )
+            session_id = sessions[0].session_id
+            self.quarantine.quarantine(0, error, session_id=session_id)
+            target, sealed_out = self.quarantine.heal(
+                failover, 0, session_id=session_id
+            )
+            outcome.heals += 1
+            healed = decode_trace_report(
+                failover.open_with(target, sealed_out)
+            ).traces[0]
+            if (
+                healed.status == expected_result.status
+                and healed.gas_used == expected_result.gas_used
+            ):
+                outcome.heal_results_exact += 1
+            self._audit(target, bundle_id, expected_trace)
+            outcome.heal_audits_passed += 1
+            return True
+
+    def finish(self) -> _CaseOutcome:
+        outcome = self.outcome
+        outcome.fires = sum(
+            1 for record in self.plan.log if record.kind == outcome.kind
+        )
+        outcome.dumps = len(self.flight.dumps)
+        outcome.audits_failed = self.auditor.audits_failed
+        outcome.resyncs = self.quarantine.resyncs
+        outcome.digest = world_digest(self.service)
+        return outcome
 
 
 # ----------------------------------------------------------------------
@@ -197,43 +237,10 @@ class _CaseOutcome:
 def _run_byzantine_case(
     config: ReceiptBenchConfig, kind: str, *, rate: float
 ) -> _CaseOutcome:
-    """Drive ``config.cheat_rounds`` bundles at a cheating device.
-
-    Only device 0 is armed — the modeled adversary is one Byzantine
-    device in an otherwise honest fleet — so failover targets stay
-    trustworthy.  ``rate=0.0`` is the clean twin: the exact same run
-    with the injector armed but never firing (the zero-false-positive
-    baseline every faulted case's digest is compared against).
-    """
-    evalset = build_evaluation_set(
-        EvaluationSetConfig(
-            blocks=config.blocks, txs_per_block=config.txs_per_block
-        )
-    )
-    service = HarDTAPEService(
-        evalset.node,
-        _receipt_features(),
-        device_count=config.device_count,
-        device_config=DeviceConfig(hevm_count=config.hevms_per_device),
-        charge_fees=False,
-    )
-    plan = FaultPlan(config.seed, [FaultRule(kind, rate)])
-    FaultInjector(plan).arm_device(service.devices[0])
-    client = PreExecutionClient(
-        service.manufacturer.root_public_key, rng_seed=b"\x01" * 32
-    )
-    sessions = {
-        index: client.connect(service, device)
-        for index, device in enumerate(service.devices)
-    }
-    flight = FlightRecorder(32)
-    quarantine = QuarantinePolicy(
-        service, metrics=MetricsRegistry(), flight=flight
-    )
-    auditor = ReceiptAuditor(
-        samples_per_tx=config.samples_per_tx, seed=config.seed
-    )
-    outcome = _CaseOutcome(kind=kind)
+    """Drive ``config.cheat_rounds`` bundles at a cheating device."""
+    evalset = build_evalset()
+    service = build_service(evalset.node, _receipt_features())
+    case = _CheatCase(config, service, kind, rate, b"\x01" * 32)
 
     # Mid-run chain growth so the final world digest is non-trivial.
     evalset.node.add_block([evalset.transactions[-1]])
@@ -241,55 +248,9 @@ def _run_byzantine_case(
 
     for round_no in range(config.cheat_rounds):
         tx = evalset.transactions[round_no % len(evalset.transactions)]
-        bundle = TransactionBundle(
-            transactions=(tx,), block_number=service.synced_height
-        )
-        bundle_id = bundle.bundle_id()
-        failover = FailoverBundle(sessions, encode_bundle(bundle))
-        service.submit_bundle(
-            service.devices[0], failover.session_for(0), failover.seal_for(0)
-        )
-        expected_result, expected_trace = _ground_truth(service, tx)
-        try:
-            _audit_bundle(
-                auditor, service, 0, sessions[0], bundle_id, expected_trace
-            )
-        except (ReceiptMismatchError, ReceiptMissingError) as error:
-            outcome.detections += 1
-            outcome.fields.append(
-                error.field
-                if isinstance(error, ReceiptMismatchError)
-                else "missing"
-            )
-            quarantine.quarantine(
-                0, error, session_id=sessions[0].session_id
-            )
-            target, sealed_out = quarantine.heal(
-                failover, 0, session_id=sessions[0].session_id
-            )
-            outcome.heals += 1
-            report = decode_trace_report(
-                failover.open_with(target, sealed_out)
-            )
-            healed = report.traces[0]
-            if (
-                healed.status == expected_result.status
-                and healed.gas_used == expected_result.gas_used
-            ):
-                outcome.heal_results_exact += 1
-            _audit_bundle(
-                auditor, service, target, sessions[target], bundle_id,
-                expected_trace,
-            )
-            outcome.heal_audits_passed += 1
-            quarantine.release(0)
-
-    outcome.fires = sum(1 for record in plan.log if record.kind == kind)
-    outcome.dumps = len(flight.dumps)
-    outcome.audits_failed = auditor.audits_failed
-    outcome.resyncs = quarantine.resyncs
-    outcome.digest = world_digest(service)
-    return outcome
+        if case.audit_and_heal(tx):
+            case.quarantine.release(0)
+    return case.finish()
 
 
 # ----------------------------------------------------------------------
@@ -320,51 +281,17 @@ def _run_equivocate_case(
         ),
     })
     node.add_block([])
-    service = HarDTAPEService(
-        node,
-        _receipt_features(),
-        device_count=config.device_count,
-        device_config=DeviceConfig(hevm_count=config.hevms_per_device),
-        charge_fees=False,
+    service = build_service(node, _receipt_features())
+    case = _CheatCase(
+        config, service, FaultKind.SYNC_EQUIVOCATE, rate, b"\x02" * 32
     )
-    plan = FaultPlan(
-        config.seed, [FaultRule(FaultKind.SYNC_EQUIVOCATE, rate)]
-    )
-    FaultInjector(plan).arm_device(service.devices[0])
-    client = PreExecutionClient(
-        service.manufacturer.root_public_key, rng_seed=b"\x02" * 32
-    )
-    sessions = {
-        index: client.connect(service, device)
-        for index, device in enumerate(service.devices)
-    }
-    flight = FlightRecorder(32)
-    quarantine = QuarantinePolicy(
-        service, metrics=MetricsRegistry(), flight=flight
-    )
-    auditor = ReceiptAuditor(
-        samples_per_tx=config.samples_per_tx, seed=config.seed
-    )
-    outcome = _CaseOutcome(kind=FaultKind.SYNC_EQUIVOCATE)
-
-    def pre_execute_and_audit(tx) -> tuple:
-        bundle = TransactionBundle(
-            transactions=(tx,), block_number=service.synced_height
-        )
-        failover = FailoverBundle(sessions, encode_bundle(bundle))
-        service.submit_bundle(
-            service.devices[0], failover.session_for(0), failover.seal_for(0)
-        )
-        expected_result, expected_trace = _ground_truth(service, tx)
-        return bundle.bundle_id(), failover, expected_result, expected_trace
 
     # Pre-lie bundle: must audit clean (in-run false-positive guard).
-    bundle_id, _, _, trace = pre_execute_and_audit(
+    case.audit_and_heal(
         Transaction(
             sender=alice, to=token, data=erc20.transfer_calldata(bob, 42)
         )
     )
-    _audit_bundle(auditor, service, 0, sessions[0], bundle_id, trace)
 
     # The withheld block: it alone funds ``poor``.
     node.add_block([
@@ -377,43 +304,12 @@ def _run_equivocate_case(
 
     # The detection bundle: poor's transfer succeeds on the fresh world,
     # reverts on the stale one.
-    bundle_id, failover, expected_result, trace = pre_execute_and_audit(
+    case.audit_and_heal(
         Transaction(
             sender=poor, to=token, data=erc20.transfer_calldata(bob, 5)
         )
     )
-    try:
-        _audit_bundle(auditor, service, 0, sessions[0], bundle_id, trace)
-    except ReceiptMismatchError as error:
-        outcome.detections += 1
-        outcome.fields.append(error.field)
-        quarantine.quarantine(0, error, session_id=sessions[0].session_id)
-        target, sealed_out = quarantine.heal(
-            failover, 0, session_id=sessions[0].session_id
-        )
-        outcome.heals += 1
-        healed = decode_trace_report(
-            failover.open_with(target, sealed_out)
-        ).traces[0]
-        if (
-            healed.status == expected_result.status
-            and healed.gas_used == expected_result.gas_used
-        ):
-            outcome.heal_results_exact += 1
-        _audit_bundle(
-            auditor, service, target, sessions[target], bundle_id, trace
-        )
-        outcome.heal_audits_passed += 1
-
-    outcome.fires = sum(
-        1 for record in plan.log
-        if record.kind == FaultKind.SYNC_EQUIVOCATE
-    )
-    outcome.dumps = len(flight.dumps)
-    outcome.audits_failed = auditor.audits_failed
-    outcome.resyncs = quarantine.resyncs
-    outcome.digest = world_digest(service)
-    return outcome
+    return case.finish()
 
 
 # ----------------------------------------------------------------------
@@ -422,66 +318,29 @@ def _run_equivocate_case(
 
 
 def _identity_run(config: ReceiptBenchConfig, *, receipts: bool) -> dict:
-    """One seeded closed-loop serving run, receipts on or off."""
-    evalset = build_evaluation_set(
-        EvaluationSetConfig(
-            blocks=config.blocks, txs_per_block=config.txs_per_block
-        )
-    )
+    """One seeded closed-loop serving run, receipts on or off: its
+    identity hashes plus completion and receipt counts."""
+    evalset = build_evalset()
     features = SecurityFeatures.from_level("full")
     features.receipts = receipts
-    service = HarDTAPEService(
-        evalset.node,
-        features,
-        device_count=config.device_count,
-        device_config=DeviceConfig(hevm_count=config.hevms_per_device),
-        charge_fees=False,
-    )
+    service = build_service(evalset.node, features)
     metrics = MetricsRegistry()
-    tracer = install_tracer(service.clock)
-    try:
+    with traced(service.clock) as tracer:
         gateway = Gateway(
             ServiceExecutor(service), GatewayConfig(),
             metrics=metrics, tracer=tracer,
         )
-        sessions: list[LoadSession] = []
-        transactions = evalset.transactions
-        for tenant in range(config.identity_tenants):
-            client = PreExecutionClient(
-                service.manufacturer.root_public_key,
-                rng_seed=bytes([tenant + 1]) * 32,
-            )
-            home = tenant % config.device_count
-            user = client.connect(service, service.devices[home])
-
-            def make_payload(ordinal: int, offset: int = tenant, user=user):
-                tx = transactions[(offset + ordinal) % len(transactions)]
-                bundle = TransactionBundle(
-                    transactions=(tx,), block_number=service.synced_height
-                )
-                encoded = encode_bundle(bundle)
-                return lambda: user.channel.seal(encoded)
-
-            sessions.append(
-                LoadSession(
-                    session_id=user.session_id,
-                    make_payload=make_payload,
-                    device_index=home,
-                )
-            )
+        sessions = load_sessions(
+            service,
+            connect_tenants(service, IDENTITY_TENANTS),
+            evalset.transactions,
+        )
         load = run_closed_loop(
             gateway, sessions, requests_per_session=config.identity_requests
         )
-        trace_json = render_chrome_trace(tracer)
-    finally:
-        uninstall_tracer(service.clock)
+        hashes = identity_hashes(tracer, metrics, [load], service)
     return {
-        "trace": hashlib.sha256(trace_json.encode()).hexdigest(),
-        "metrics": hashlib.sha256(
-            json.dumps(metrics.snapshot(), sort_keys=True).encode()
-        ).hexdigest(),
-        "wire": wire_hash([load]),
-        "digest": world_digest(service),
+        "hashes": hashes,
         "completed": load.completed,
         "receipts_stored": sum(
             len(device.hypervisor._receipts) for device in service.devices
@@ -512,13 +371,13 @@ def _synthetic_trace(length: int) -> UnifiedStepTrace:
 
 def _audit_scaling(config: ReceiptBenchConfig) -> list[dict]:
     auditor = ReceiptAuditor(
-        samples_per_tx=config.samples_per_tx, seed=config.seed
+        samples_per_tx=SAMPLES_PER_TX, seed=config.seed
     )
     rows = []
-    for length in config.audit_lengths:
+    for length in AUDIT_LENGTHS:
         trace = _synthetic_trace(length)
         checked, hash_ops = auditor.spot_check(
-            trace, trace.commitment(), config.audit_samples
+            trace, trace.commitment(), AUDIT_SAMPLES
         )
         rows.append(
             {"length": length, "checked": checked, "hash_ops": hash_ops}
@@ -532,33 +391,14 @@ def _audit_scaling(config: ReceiptBenchConfig) -> list[dict]:
 
 
 @dataclass
-class ReceiptBenchReport:
-    seed: int
+class ReceiptBenchReport(GateReport):
     byzantine: list[dict]
     identity: dict
     scaling: list[dict]
-    gate_failures: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return not self.gate_failures
+    bench = "receipt"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bench": "receipt",
-                "seed": self.seed,
-                "byzantine": self.byzantine,
-                "identity": self.identity,
-                "scaling": self.scaling,
-                "gate_failures": self.gate_failures,
-                "passed": self.passed,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def summary_lines(self) -> list[str]:
+    def section_lines(self) -> list[str]:
         lines = []
         for case in self.byzantine:
             lines.append(
@@ -573,14 +413,7 @@ class ReceiptBenchReport:
             )
         lines.append(
             "identity (receipts on vs off): "
-            + (
-                "byte-identical"
-                if all(self.identity["equal"].values())
-                else "DIVERGED " + str(sorted(
-                    name for name, ok in self.identity["equal"].items()
-                    if not ok
-                ))
-            )
+            + identity_verdict(self.identity["equal"])
             + f" ({self.identity['receipts_stored']} receipts signed)"
         )
         lines.append(
@@ -591,11 +424,6 @@ class ReceiptBenchReport:
             )
             + " (sublinear)"
         )
-        if self.gate_failures:
-            lines.append("gate failures:")
-            lines.extend(f"  - {failure}" for failure in self.gate_failures)
-        else:
-            lines.append("all gates passed")
         return lines
 
 
@@ -680,16 +508,13 @@ def run_receipt_bench(config: ReceiptBenchConfig) -> ReceiptBenchReport:
     # 3. Identity: receipts on vs off.
     off = _identity_run(config, receipts=False)
     on = _identity_run(config, receipts=True)
-    equal = {
-        name: off[name] == on[name]
-        for name in ("trace", "metrics", "wire", "digest")
-    }
-    for name, ok in equal.items():
-        if not ok:
-            failures.append(
-                f"identity: enabling receipts changed the {name} bytes of "
-                f"a seeded run"
-            )
+    equal, identity_failures = compare_identity(
+        off["hashes"],
+        on["hashes"],
+        "identity: enabling receipts changed the {name} bytes of "
+        "a seeded run",
+    )
+    failures.extend(identity_failures)
     if on["receipts_stored"] == 0:
         failures.append(
             "identity: receipts-on run signed no receipts (vacuous gate)"
@@ -718,7 +543,7 @@ def run_receipt_bench(config: ReceiptBenchConfig) -> ReceiptBenchReport:
 
     return ReceiptBenchReport(
         seed=config.seed,
-        byzantine=[case.to_dict() for case in cases],
+        byzantine=[asdict(case) for case in cases],
         identity=identity,
         scaling=scaling,
         gate_failures=failures,
@@ -726,7 +551,6 @@ def run_receipt_bench(config: ReceiptBenchConfig) -> ReceiptBenchReport:
 
 
 __all__ = [
-    "BYZANTINE_FAULT_KINDS",
     "ReceiptBenchConfig",
     "ReceiptBenchReport",
     "run_receipt_bench",

@@ -564,6 +564,27 @@ class PathOramClient:
         self._positions = DictPositionMap()
         self._node_versions = {}
 
+    def logical_content(self, server: OramServer) -> dict[BlockKey, bytes]:
+        """Every real block in ``server``'s tree, stash overlaid, by key.
+
+        ``server`` is passed in so a digest can read the raw tree behind
+        a fault wrapper.  Blobs are opened under the pinned per-node
+        versions without going through :meth:`_decrypt_slot`, so client
+        stats — and therefore anything a bench reports — are untouched.
+        """
+        content: dict[BlockKey, bytes] = {}
+        for node, bucket in enumerate(server.snapshot_tree()):
+            aad = self._bucket_aad(node, self._node_versions.get(node, 0))
+            for blob in bucket:
+                plain = self._cipher.decrypt(blob[:12], blob[12:], aad)
+                if plain[0] != _KIND_REAL:
+                    continue
+                key_length = int.from_bytes(plain[1:3], "big")
+                content[plain[3:3 + key_length]] = plain[67:67 + self.block_size]
+        for key, payload in self._stash.items():
+            content[key] = payload.ljust(self.block_size, b"\x00")
+        return content
+
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------

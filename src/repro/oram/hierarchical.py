@@ -407,6 +407,33 @@ class PyramidOramClient:
         self._cache.clear()
         self.rebuilds += 1
 
+    def logical_content(
+        self, server: HierarchicalOramServer
+    ) -> dict[BlockKey, bytes]:
+        """Every live block across ``server``'s levels and the cache, by
+        key (the pyramid twin of ``PathOramClient.logical_content``)."""
+        content: dict[BlockKey, bytes] = {}
+        levels = server.snapshot_levels()
+        # Deep levels first so shallower (fresher) copies overwrite them.
+        for level in sorted(levels, reverse=True):
+            meta = self._levels[level]
+            for bucket_index, blobs in enumerate(levels[level]):
+                aad = self._bucket_aad(level, meta.epoch, bucket_index)
+                for blob in blobs:
+                    plain = self._cipher.decrypt(blob[:12], blob[12:], aad)
+                    key_length = int.from_bytes(plain[1:3], "big")
+                    key = plain[3:3 + key_length]
+                    if plain[0] == _KIND_REAL:
+                        content[key] = plain[67:67 + self.block_size]
+                    elif plain[0] != _KIND_DUMMY:  # negative witness: key known absent
+                        content.pop(key, None)
+        for key, payload in self._cache.items():
+            if payload is None:
+                content.pop(key, None)
+            else:
+                content[key] = payload
+        return content
+
     # -- diagnostics ---------------------------------------------------
 
     @property

@@ -61,16 +61,31 @@ def _layer_for(filename: str) -> str:
     return "other"
 
 
+def _layer_seconds(profile: cProfile.Profile) -> dict[str, float]:
+    """Self time per critical-path layer, by source path."""
+    layer_seconds: dict[str, float] = {}
+    stats = pstats.Stats(profile)
+    for (filename, _line, _name), row in stats.stats.items():  # type: ignore[attr-defined]
+        tottime = row[2]
+        if tottime <= 0.0:
+            continue
+        layer = _layer_for(filename)
+        layer_seconds[layer] = layer_seconds.get(layer, 0.0) + tottime
+    return layer_seconds
+
+
+BLOCK_SIZE = 1024
+MEMO_BLOCKS = 4096
+
+
 @dataclass
 class PerfBenchConfig:
     """Workload shape for perf-bench (defaults run in a few seconds)."""
 
     seed: int = 7
     oram_height: int = 5
-    block_size: int = 1024
     accesses: int = 48
     working_set: int = 24
-    memo_blocks: int = 4096
     min_speedup: float = 3.0
     # Shape of the trie/keccak/ECDSA workload each registered crypto
     # backend replays for the pairwise byte-identity gate.
@@ -145,21 +160,31 @@ class PerfBenchReport:
         return max(self.backend_speedups.values(), default=0.0)
 
     @property
+    def gate_failures(self) -> list[str]:
+        """Why the bench failed: the first tripped gate, or nothing."""
+        gate = self.config.min_speedup
+        if not self.identical:
+            return ["optimized outputs diverge from baseline"]
+        if self.speedup < gate:
+            return [f"speedup {self.speedup:.1f}x below the "
+                    f"{gate:g}x regression gate"]
+        if not self.backends_identical:
+            return ["crypto backends diverge pairwise "
+                    f"({', '.join(self.backend_mismatches)})"]
+        if self.backends and self.best_backend_speedup < gate:
+            return [f"best backend speedup {self.best_backend_speedup:.1f}x "
+                    f"below the {gate:g}x gate"]
+        return []
+
+    @property
     def passed(self) -> bool:
-        gate = self.identical and self.speedup >= self.config.min_speedup
-        if self.backends:
-            gate = (
-                gate
-                and self.backends_identical
-                and self.best_backend_speedup >= self.config.min_speedup
-            )
-        return gate
+        return not self.gate_failures
 
     def summary_lines(self) -> list[str]:
         lines = [
             f"perf-bench: {self.config.accesses} ORAM accesses, "
             f"height {self.config.oram_height}, "
-            f"{self.config.block_size} B blocks, AES-GCM",
+            f"{BLOCK_SIZE} B blocks, AES-GCM",
             f"  baseline  (reference crypto, no memo): "
             f"{self.baseline.wall_s:8.3f} s",
             f"  optimized (batch crypto + memo):       "
@@ -205,7 +230,7 @@ class PerfBenchReport:
         return lines
 
     def to_json(self) -> str:
-        def side(result: SideResult) -> dict:
+        def measured(result: SideResult | BackendSideResult) -> dict:
             return {
                 "wall_s": round(result.wall_s, 4),
                 "layer_seconds": {
@@ -213,6 +238,11 @@ class PerfBenchReport:
                     for layer, seconds in sorted(result.layer_seconds.items())
                 },
                 "digests": result.digests,
+            }
+
+        def side(result: SideResult) -> dict:
+            return {
+                **measured(result),
                 "memo_hits": result.memo_hits,
                 "memo_misses": result.memo_misses,
             }
@@ -220,12 +250,7 @@ class PerfBenchReport:
         def backend_side(result: BackendSideResult) -> dict:
             return {
                 "backend": result.backend,
-                "wall_s": round(result.wall_s, 4),
-                "layer_seconds": {
-                    layer: round(seconds, 4)
-                    for layer, seconds in sorted(result.layer_seconds.items())
-                },
-                "digests": result.digests,
+                **measured(result),
                 "keccak_hits": result.keccak_hits,
                 "keccak_misses": result.keccak_misses,
             }
@@ -236,10 +261,10 @@ class PerfBenchReport:
                 "workload": {
                     "seed": self.config.seed,
                     "oram_height": self.config.oram_height,
-                    "block_size": self.config.block_size,
+                    "block_size": BLOCK_SIZE,
                     "accesses": self.config.accesses,
                     "working_set": self.config.working_set,
-                    "memo_blocks": self.config.memo_blocks,
+                    "memo_blocks": MEMO_BLOCKS,
                     "cipher": "aes-gcm",
                     "trie_keys": self.config.trie_keys,
                     "trie_commit_rounds": self.config.trie_commit_rounds,
@@ -271,7 +296,7 @@ def _workload(config: PerfBenchConfig) -> list[tuple[bytes, bytes | None]]:
     for index in range(config.accesses):
         key = b"blk-%04d" % rng.randint(config.working_set)
         if index % 3 != 2:
-            payload = bytes([rng.randint(256)]) * min(config.block_size, 128)
+            payload = bytes([rng.randint(256)]) * min(BLOCK_SIZE, 128)
             ops.append((key, payload))
         else:
             ops.append((key, None))
@@ -308,9 +333,9 @@ def _run_side(config: PerfBenchConfig, optimized: bool) -> SideResult:
     client = PathOramClient(
         server,
         key,
-        block_size=config.block_size,
+        block_size=BLOCK_SIZE,
         cipher_factory=AesGcmAead if optimized else ReferenceAesGcm,
-        decrypt_memo_blocks=config.memo_blocks if optimized else None,
+        decrypt_memo_blocks=MEMO_BLOCKS if optimized else None,
     )
     ops = _workload(config)
 
@@ -324,19 +349,10 @@ def _run_side(config: PerfBenchConfig, optimized: bool) -> SideResult:
     profile.disable()
     wall_s = time.perf_counter() - started
 
-    layer_seconds: dict[str, float] = {}
-    stats = pstats.Stats(profile)
-    for (filename, _line, _name), row in stats.stats.items():  # type: ignore[attr-defined]
-        tottime = row[2]
-        if tottime <= 0.0:
-            continue
-        layer = _layer_for(filename)
-        layer_seconds[layer] = layer_seconds.get(layer, 0.0) + tottime
-
     return SideResult(
         name="optimized" if optimized else "baseline",
         wall_s=wall_s,
-        layer_seconds=layer_seconds,
+        layer_seconds=_layer_seconds(profile),
         digests={
             "reads": reads.hexdigest(),
             "server_buckets": _digest_server(server),
@@ -427,15 +443,6 @@ def _run_backend_side(config: PerfBenchConfig, name: str) -> BackendSideResult:
         profile.disable()
         wall_s = time.perf_counter() - started
 
-        layer_seconds: dict[str, float] = {}
-        stats = pstats.Stats(profile)
-        for (filename, _line, _name), row in stats.stats.items():  # type: ignore[attr-defined]
-            tottime = row[2]
-            if tottime <= 0.0:
-                continue
-            layer = _layer_for(filename)
-            layer_seconds[layer] = layer_seconds.get(layer, 0.0) + tottime
-
         def digest(chunks: list[bytes]) -> str:
             acc = hashlib.blake2b(digest_size=16)
             for chunk in chunks:
@@ -453,7 +460,7 @@ def _run_backend_side(config: PerfBenchConfig, name: str) -> BackendSideResult:
         return BackendSideResult(
             backend=name,
             wall_s=wall_s,
-            layer_seconds=layer_seconds,
+            layer_seconds=_layer_seconds(profile),
             digests={
                 "trie_roots": digest(roots),
                 "batch_hashes": digest(batch_digests),

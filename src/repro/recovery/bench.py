@@ -32,19 +32,23 @@ change it.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.device import DeviceConfig
-from repro.core.service import HarDTAPEService
-from repro.core.user import PreExecutionClient
+from repro.bench.report import GateReport, identity_verdict
+from repro.bench.stack import (
+    HASH_FIELDS,
+    build_evalset,
+    build_service,
+    compare_identity,
+    connect_tenants,
+    identity_hashes,
+    load_sessions,
+    resilient_executor,
+    traced,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
-from repro.faults.policy import ResilientServiceExecutor, RetryPolicy
-from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
-from repro.hypervisor.hypervisor import SecurityFeatures
-from repro.oram.client import _KIND_REAL, RollbackDetectedError
+from repro.oram.client import RollbackDetectedError
 from repro.recovery.manager import RecoveryIntegrityError, RecoveryManager
 from repro.recovery.store import DurableStore
 from repro.recovery.supervisor import (
@@ -53,37 +57,28 @@ from repro.recovery.supervisor import (
     SessionDirectory,
 )
 from repro.serving.gateway import Gateway, GatewayConfig
-from repro.serving.loadgen import LoadReport, LoadSession, run_closed_loop
+from repro.serving.loadgen import LoadReport, run_closed_loop
 from repro.serving.metrics import MetricsRegistry
-from repro.telemetry.exporters import render_chrome_trace
-from repro.telemetry.tracer import TraceSampler, install_tracer, uninstall_tracer
-from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
+from repro.telemetry.tracer import TraceSampler
 
 # The error types a Hypervisor crash manifests as at the gateway: the
 # crash itself, and the stale-session rejections that follow a restart.
 CRASH_ERROR_TYPES = frozenset({"HypervisorCrashError", "UnknownSessionError"})
 
+CHECKPOINT_INTERVAL = 4
+
 
 @dataclass
 class RecoveryBenchConfig:
-    """One recovery-bench invocation: fleet, load, and crash schedule."""
+    """One recovery-bench invocation: load and crash schedule."""
 
     seed: int = 1
-    device_count: int = 2
-    hevms_per_device: int = 2
     tenants: int = 3
     requests_per_tenant: int = 4   # per phase; two phases around a sync
     crash_rate: float = 0.2        # per crash decision point (2 / bundle)
     min_crashes: int = 3
     max_crashes: int = 4
-    checkpoint_interval: int = 4
     sync_txs: int = 6              # mid-run block size
-    max_attempts: int = 5
-    backoff_us: float = 200.0
-    breaker_threshold: int = 5
-    breaker_reset_us: float = 50_000.0
-    trace_sample_rate: float = 1.0
-    security_level: str = "full"
     blocks: int = 2
     txs_per_block: int = 6
 
@@ -119,62 +114,8 @@ class _RunArtifacts:
     journal_records: int
     store_bytes: int
 
-    @property
-    def completed(self) -> int:
-        return sum(load.completed for load in self.loads)
-
-    @property
-    def failed(self) -> int:
-        return sum(load.failed for load in self.loads)
-
-    @property
-    def rejected(self) -> int:
-        return sum(load.rejected for load in self.loads)
-
-
-def _world_digest(service) -> str:
-    """SHA-256 over the logical ORAM content: tree ∪ stash, by key."""
-    client = service.shared_oram_client
-    digest = hashlib.sha256()
-    if client is None:
-        return digest.hexdigest()
-    content: dict[bytes, bytes] = {}
-    # Read the raw server (not any fault wrapper) and decrypt under the
-    # client's pinned versions — bypassing _decrypt_slot keeps the
-    # client's stats untouched, so digesting perturbs nothing.
-    for node, bucket in enumerate(service.oram_server.snapshot_tree()):
-        aad = client._bucket_aad(node, client._node_versions.get(node, 0))
-        for blob in bucket:
-            plain = client._cipher.decrypt(blob[:12], blob[12:], aad)
-            if plain[0] != _KIND_REAL:
-                continue
-            key_length = int.from_bytes(plain[1:3], "big")
-            content[plain[3:3 + key_length]] = plain[67:67 + client.block_size]
-    for key, payload in client._stash.items():
-        content[key] = payload.ljust(client.block_size, b"\x00")
-    for key in sorted(content):
-        digest.update(len(key).to_bytes(2, "big"))
-        digest.update(key)
-        digest.update(content[key])
-    return digest.hexdigest()
-
-
-def _wire_hash(loads: list[LoadReport]) -> str:
-    """SHA-256 over every completed request's wire bytes, in order."""
-    digest = hashlib.sha256()
-    for load in loads:
-        for request in load.outcomes:
-            if request.failure is not None or request.result is None:
-                continue
-            message = request.result
-            if hasattr(message, "ciphertext"):
-                digest.update(message.nonce)
-                digest.update(message.ciphertext)
-                if message.signature is not None:
-                    digest.update(message.signature.to_bytes())
-            else:
-                digest.update(bytes(message))
-    return digest.hexdigest()
+    def hashes(self) -> dict:
+        return {name: getattr(self, name) for name in HASH_FIELDS}
 
 
 def _affected_requests(loads: list[LoadReport]) -> list:
@@ -201,16 +142,8 @@ def _run_deployment(
     config: RecoveryBenchConfig, *, checkpointing: bool, crash_rate: float
 ) -> _RunArtifacts:
     """One full serving run: load, mid-run block sync, load again."""
-    evalset = build_evaluation_set(
-        EvaluationSetConfig(blocks=config.blocks, txs_per_block=config.txs_per_block)
-    )
-    service = HarDTAPEService(
-        evalset.node,
-        SecurityFeatures.from_level(config.security_level),
-        device_count=config.device_count,
-        device_config=DeviceConfig(hevm_count=config.hevms_per_device),
-        charge_fees=False,
-    )
+    evalset = build_evalset(config.blocks, config.txs_per_block)
+    service = build_service(evalset.node)
     metrics = MetricsRegistry()
     plan = FaultPlan(
         config.seed,
@@ -224,10 +157,7 @@ def _run_deployment(
     )
     injector = FaultInjector(plan, metrics)
     injector.arm_service(service)
-    tracer = install_tracer(
-        service.clock, TraceSampler(config.trace_sample_rate, config.seed)
-    )
-    try:
+    with traced(service.clock, TraceSampler(1.0, config.seed)) as tracer:
         store = DurableStore()
         manager: RecoveryManager | None = None
         supervisor: HypervisorSupervisor | None = None
@@ -235,58 +165,41 @@ def _run_deployment(
             manager = RecoveryManager(
                 service.devices[0],
                 store,
-                checkpoint_interval=config.checkpoint_interval,
+                checkpoint_interval=CHECKPOINT_INTERVAL,
             )
             manager.attach(service)
             supervisor = HypervisorSupervisor(
                 service, manager, store, injector=injector, metrics=metrics
             )
-        executor = ResilientServiceExecutor(
-            service,
-            retry=RetryPolicy(
-                max_attempts=config.max_attempts, backoff_us=config.backoff_us
-            ),
-            metrics=metrics,
-            failure_threshold=config.breaker_threshold,
-            breaker_reset_us=config.breaker_reset_us,
-            supervisor=supervisor,
+        executor = resilient_executor(
+            service, metrics, max_attempts=5, supervisor=supervisor
         )
         gateway = Gateway(executor, GatewayConfig(), metrics=metrics, tracer=tracer)
 
         # Each tenant attests every device through a SessionDirectory, so
         # payloads re-resolve their session after a restart re-join.
-        sessions: list[LoadSession] = []
-        transactions = evalset.transactions
-        for tenant in range(config.tenants):
-            client = PreExecutionClient(
-                service.manufacturer.root_public_key,
-                rng_seed=bytes([tenant + 1]) * 32,
-            )
-            directory = SessionDirectory()
-            for index, device in enumerate(service.devices):
-                directory.set(index, client.connect(service, device))
+        tenants = connect_tenants(service, config.tenants, every_device=True)
+        directories: dict[int, SessionDirectory] = {}
+        for tenant in tenants:
+            directory = directories[tenant.index] = SessionDirectory()
+            for index, session in tenant.sessions.items():
+                directory.set(index, session)
             if supervisor is not None:
 
-                def rejoin(device_index, device, client=client, directory=directory):
+                def rejoin(device_index, device,
+                           client=tenant.client, directory=directory):
                     directory.set(device_index, client.connect(service, device))
 
                 supervisor.rejoin_callbacks.append(rejoin)
-            home = tenant % config.device_count
-
-            def make_payload(ordinal: int, offset: int = tenant, directory=directory):
-                tx = transactions[(offset + ordinal) % len(transactions)]
-                bundle = TransactionBundle(
-                    transactions=(tx,), block_number=service.synced_height
-                )
-                return ReattachableBundle(directory, encode_bundle(bundle))
-
-            sessions.append(
-                LoadSession(
-                    session_id=directory.get(home).session_id,
-                    make_payload=make_payload,
-                    device_index=home,
-                )
-            )
+        transactions = evalset.transactions
+        sessions = load_sessions(
+            service,
+            tenants,
+            transactions,
+            lambda tenant, encoded: ReattachableBundle(
+                directories[tenant.index], encoded
+            ),
+        )
 
         loads: list[LoadReport] = []
         for phase in range(2):
@@ -302,19 +215,12 @@ def _run_deployment(
                 # final digest reflects state a crash could corrupt.
                 evalset.node.add_block(list(transactions[: config.sync_txs]))
                 service.sync_new_blocks()
-        trace_json = render_chrome_trace(tracer)
-    finally:
-        uninstall_tracer(service.clock)
+        hashes = identity_hashes(tracer, metrics, loads, service)
 
     if supervisor is not None and supervisor.manager is not None:
         manager = supervisor.manager  # latest generation, cumulative counters
     return _RunArtifacts(
-        trace_hash=hashlib.sha256(trace_json.encode()).hexdigest(),
-        metrics_hash=hashlib.sha256(
-            json.dumps(metrics.snapshot(), sort_keys=True).encode()
-        ).hexdigest(),
-        wire_hash=_wire_hash(loads),
-        digest=_world_digest(service),
+        **hashes,
         loads=loads,
         crashes_fired=plan.fires(FaultKind.HYPERVISOR_CRASH),
         restarts=supervisor.restarts if supervisor is not None else 0,
@@ -327,19 +233,11 @@ def _run_deployment(
 
 def _run_rollback_attack(config: RecoveryBenchConfig) -> dict:
     """Scripted malicious SP: stale tree after restart, then store rollback."""
-    evalset = build_evaluation_set(
-        EvaluationSetConfig(blocks=config.blocks, txs_per_block=config.txs_per_block)
-    )
-    service = HarDTAPEService(
-        evalset.node,
-        SecurityFeatures.from_level(config.security_level),
-        device_count=config.device_count,
-        device_config=DeviceConfig(hevm_count=config.hevms_per_device),
-        charge_fees=False,
-    )
+    evalset = build_evalset(config.blocks, config.txs_per_block)
+    service = build_service(evalset.node)
     store = DurableStore()
     manager = RecoveryManager(
-        service.devices[0], store, checkpoint_interval=config.checkpoint_interval
+        service.devices[0], store, checkpoint_interval=CHECKPOINT_INTERVAL
     )
     manager.attach(service)
     supervisor = HypervisorSupervisor(service, manager, store)
@@ -407,44 +305,20 @@ def _run_rollback_attack(config: RecoveryBenchConfig) -> dict:
 
 
 @dataclass
-class RecoveryBenchReport:
+class RecoveryBenchReport(GateReport):
     """All three scenarios' artifacts plus the pass/fail gates."""
 
-    seed: int
     identity: dict[str, bool]
     baseline: dict
     crash: dict
     rollback: dict
-    gate_failures: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return not self.gate_failures
+    bench = "recovery"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bench": "recovery",
-                "seed": self.seed,
-                "identity": self.identity,
-                "baseline": self.baseline,
-                "crash": self.crash,
-                "rollback": self.rollback,
-                "gate_failures": self.gate_failures,
-                "passed": self.passed,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def summary_lines(self) -> list[str]:
-        lines = [
+    def section_lines(self) -> list[str]:
+        return [
             "identity (checkpointing off vs on, zero crashes): "
-            + (
-                "byte-identical"
-                if all(self.identity.values())
-                else f"DIVERGED {sorted(k for k, v in self.identity.items() if not v)}"
-            ),
+            + identity_verdict(self.identity),
             f"crash run: {self.crash['crashes_fired']} crash(es), "
             f"{self.crash['restarts']} restart(s), "
             f"{self.crash['completed']} ok / {self.crash['failed']} failed / "
@@ -477,12 +351,6 @@ class RecoveryBenchReport:
                 else "NOT refused"
             ),
         ]
-        if self.gate_failures:
-            lines.append("gate failures:")
-            lines.extend(f"  - {failure}" for failure in self.gate_failures)
-        else:
-            lines.append("all gates passed")
-        return lines
 
 
 def _artifacts_obj(run: _RunArtifacts) -> dict:
@@ -493,13 +361,10 @@ def _artifacts_obj(run: _RunArtifacts) -> dict:
         if r.failure is not None and r.failure.error_type and r.failure.cause_type
     )
     return {
-        "trace_hash": run.trace_hash,
-        "metrics_hash": run.metrics_hash,
-        "wire_hash": run.wire_hash,
-        "digest": run.digest,
-        "completed": run.completed,
-        "failed": run.failed,
-        "rejected": run.rejected,
+        **run.hashes(),
+        "completed": sum(load.completed for load in run.loads),
+        "failed": sum(load.failed for load in run.loads),
+        "rejected": sum(load.rejected for load in run.loads),
         "crashes_fired": run.crashes_fired,
         "restarts": run.restarts,
         "affected_total": len(run.affected),
@@ -520,20 +385,12 @@ def run_recovery_bench(config: RecoveryBenchConfig) -> RecoveryBenchReport:
     )
     rollback = _run_rollback_attack(config)
 
-    identity = {
-        "trace": plain.trace_hash == baseline.trace_hash,
-        "metrics": plain.metrics_hash == baseline.metrics_hash,
-        "wire": plain.wire_hash == baseline.wire_hash,
-        "digest": plain.digest == baseline.digest,
-    }
-
-    failures: list[str] = []
-    for name, equal in identity.items():
-        if not equal:
-            failures.append(
-                f"identity: armed checkpointing changed the {name} bytes "
-                f"of a zero-crash run"
-            )
+    identity, failures = compare_identity(
+        plain.hashes(),
+        baseline.hashes(),
+        "identity: armed checkpointing changed the {name} bytes "
+        "of a zero-crash run",
+    )
     if crash.crashes_fired < config.min_crashes:
         failures.append(
             f"crash run fired {crash.crashes_fired} crash(es), "
@@ -576,16 +433,9 @@ def run_recovery_bench(config: RecoveryBenchConfig) -> RecoveryBenchReport:
     )
 
 
-# Public aliases: other planes' identity gates (async_serving's
-# c10k-bench) hash the same artifacts a recovery run does.
-world_digest = _world_digest
-wire_hash = _wire_hash
-
 __all__ = [
     "CRASH_ERROR_TYPES",
     "RecoveryBenchConfig",
     "RecoveryBenchReport",
     "run_recovery_bench",
-    "wire_hash",
-    "world_digest",
 ]

@@ -33,17 +33,24 @@ the simulated fleet's, not the host's.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.bench.report import GateReport, identity_verdict
+from repro.bench.stack import (
+    compare_identity,
+    content_digest,
+    metrics_hash,
+    trace_hash,
+    traced,
+)
 from repro.crypto.kdf import Drbg
 from repro.hardware.timing import SimClock
 from repro.oram import paging
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
-from repro.oram.hierarchical import HierarchicalOramServer, PyramidOramClient
+from repro.oram.hierarchical import HierarchicalOramServer
 from repro.oram.server import OramServer
 from repro.security.analysis import frequency_attack, path_uniformity_pvalue
 from repro.security.observer import AccessPatternObserver
@@ -59,45 +66,41 @@ from repro.sharding.backend import (
 from repro.sharding.ring import ConsistentHashRing
 from repro.state.account import Account, Address
 from repro.state.backend import CODE_PAGE_SIZE, STORAGE_GROUP_SIZE
-from repro.telemetry.exporters import render_chrome_trace
-from repro.telemetry.tracer import TraceSampler, install_tracer, uninstall_tracer
+from repro.telemetry.tracer import TraceSampler
 
-_KIND_REAL = 1
 _READ_KINDS = ("meta", "storage", "code")
+
+SHARD_COUNTS = (1, 2, 4, 8)
+MAX_SHARDS = max(SHARD_COUNTS)
+STORAGE_GROUPS_PER_ACCOUNT = 2
+SLOTS_PER_GROUP = 4
+CODE_PAGES_PER_ACCOUNT = 2
+# A hot subset keeps the workload honestly skewed (hot contracts), the
+# regime where balance and obliviousness are hardest.
+HOT_ACCOUNTS = 8
+HOT_PERCENT = 30
+ORAM_BUCKET_SIZE = 4
+STASH_LIMIT_BLOCKS = 1024
+DECRYPT_MEMO_BLOCKS = 4096
+QUERY_CPU_US = 25.0
+# 256 vnodes keep the busiest of 8 shards under ~15% of the traffic
+# even with the hot-account skew — the balance the 6x gate rides on.
+VNODES = 256
+READ_COST_US = 60.0  # virtual time the driver charges per read
+MIN_SPEEDUP = 6.0
+MIN_PVALUE = 0.01
+MIXED_SHARD_COUNT = 4
+PYRAMID_CACHE_BLOCKS = 48
 
 
 @dataclass
 class ShardBenchConfig:
-    """One shard-bench invocation: world size, load shape, fleet sizes."""
+    """One shard-bench invocation: world size and load shape."""
 
     seed: int = 1
-    shard_counts: tuple[int, ...] = (1, 2, 4, 8)
     accounts: int = 64
-    storage_groups_per_account: int = 2
-    slots_per_group: int = 4
-    code_pages_per_account: int = 2
     reads: int = 960
-    # A hot subset keeps the workload honestly skewed (hot contracts),
-    # the regime where balance and obliviousness are hardest.
-    hot_accounts: int = 8
-    hot_percent: int = 30
     oram_height: int = 8
-    oram_bucket_size: int = 4
-    stash_limit_blocks: int = 1024
-    decrypt_memo_blocks: int | None = 4096
-    query_cpu_us: float = 25.0
-    # 256 vnodes keep the busiest of 8 shards under ~15% of the traffic
-    # even with the hot-account skew — the balance the 6x gate rides on.
-    vnodes: int = 256
-    read_cost_us: float = 60.0  # virtual time the driver charges per read
-    min_speedup: float = 6.0
-    min_pvalue: float = 0.01
-    mixed_shard_count: int = 4
-    pyramid_cache_blocks: int = 48
-
-    @property
-    def max_shards(self) -> int:
-        return max(self.shard_counts)
 
     @classmethod
     def smoke(cls, seed: int = 1) -> "ShardBenchConfig":
@@ -117,11 +120,11 @@ def _build_accounts(config: ShardBenchConfig) -> dict[Address, Account]:
             b"shardbench-acct-%d" % index, digest_size=20
         ).digest()
         storage: dict[int, int] = {}
-        for group in range(config.storage_groups_per_account):
+        for group in range(STORAGE_GROUPS_PER_ACCOUNT):
             base = group * STORAGE_GROUP_SIZE
-            for slot in range(config.slots_per_group):
+            for slot in range(SLOTS_PER_GROUP):
                 storage[base + slot] = index * 100_000 + group * 1_000 + slot
-        code_len = config.code_pages_per_account * CODE_PAGE_SIZE - 64
+        code_len = CODE_PAGES_PER_ACCOUNT * CODE_PAGE_SIZE - 64
         code = bytes((index + offset) % 251 for offset in range(code_len))
         accounts[address] = Account(
             balance=10**9 + index,
@@ -138,11 +141,11 @@ def _workload_page_keys(
     keys: list[bytes] = []
     for address, account in accounts.items():
         keys.append(paging.account_page_key(address))
-        for group in range(config.storage_groups_per_account):
+        for group in range(STORAGE_GROUPS_PER_ACCOUNT):
             keys.append(
                 paging.storage_page_key(address, group * STORAGE_GROUP_SIZE)
             )
-        for page in range(config.code_pages_per_account):
+        for page in range(CODE_PAGES_PER_ACCOUNT):
             keys.append(paging.code_page_key(address, page))
     return keys
 
@@ -188,62 +191,15 @@ def _fold_ciphertext(hasher, shard_id: int, server) -> None:
 
 
 # ----------------------------------------------------------------------
-# Logical world digest (per backend kind, merged across shards)
+# Logical world digest (merged across shards)
 # ----------------------------------------------------------------------
-
-def _path_content(client: PathOramClient, server: OramServer) -> dict[bytes, bytes]:
-    content: dict[bytes, bytes] = {}
-    for node, bucket in enumerate(server.snapshot_tree()):
-        aad = client._bucket_aad(node, client._node_versions.get(node, 0))
-        for blob in bucket:
-            plain = client._cipher.decrypt(blob[:12], blob[12:], aad)
-            if plain[0] != _KIND_REAL:
-                continue
-            key_length = int.from_bytes(plain[1:3], "big")
-            content[plain[3:3 + key_length]] = plain[67:67 + client.block_size]
-    for key, payload in client._stash.items():
-        content[key] = payload.ljust(client.block_size, b"\x00")
-    return content
-
-
-def _pyramid_content(
-    client: PyramidOramClient, server: HierarchicalOramServer
-) -> dict[bytes, bytes]:
-    content: dict[bytes, bytes] = {}
-    levels = server.snapshot_levels()
-    # Deep levels first so shallower (fresher) copies overwrite them.
-    for level in sorted(levels, reverse=True):
-        meta = client._levels[level]
-        for bucket_index, blobs in enumerate(levels[level]):
-            aad = client._bucket_aad(level, meta.epoch, bucket_index)
-            for blob in blobs:
-                kind, key, payload = client._decrypt_slot(blob, aad)
-                if kind == _KIND_REAL:
-                    content[key] = payload
-                elif kind != 0:  # negative witness: key known absent
-                    content.pop(key, None)
-    for key, payload in client._cache.items():
-        if payload is None:
-            content.pop(key, None)
-        else:
-            content[key] = payload
-    return content
-
 
 def _world_digest(shards: dict[int, tuple]) -> str:
     """SHA-256 over the merged logical content of every shard."""
     content: dict[bytes, bytes] = {}
     for _shard_id, (client, server) in sorted(shards.items()):
-        if isinstance(server, HierarchicalOramServer):
-            content.update(_pyramid_content(client, server))
-        else:
-            content.update(_path_content(client, server))
-    digest = hashlib.sha256()
-    for key in sorted(content):
-        digest.update(len(key).to_bytes(2, "big"))
-        digest.update(key)
-        digest.update(content[key])
-    return digest.hexdigest()
+        content.update(client.logical_content(server))
+    return content_digest(content)
 
 
 # ----------------------------------------------------------------------
@@ -261,10 +217,10 @@ def _drive_reads(
     """Seeded read mix with inline verification; returns mismatches."""
     rng = Drbg(config.seed.to_bytes(8, "big"), personalization=b"shard-bench")
     addresses = sorted(accounts)
-    hot = addresses[: config.hot_accounts]
+    hot = addresses[: HOT_ACCOUNTS]
     mismatches = 0
     for _ in range(config.reads):
-        if rng.randint(100) < config.hot_percent:
+        if rng.randint(100) < HOT_PERCENT:
             address = hot[rng.randint(len(hot))]
         else:
             address = addresses[rng.randint(len(addresses))]
@@ -275,18 +231,18 @@ def _drive_reads(
             if choice == 0:
                 ok = backend.get_meta(address).balance == account.balance
             elif choice == 1:
-                group = rng.randint(config.storage_groups_per_account)
+                group = rng.randint(STORAGE_GROUPS_PER_ACCOUNT)
                 slot = group * STORAGE_GROUP_SIZE + rng.randint(
-                    config.slots_per_group
+                    SLOTS_PER_GROUP
                 )
                 ok = backend.get_storage(address, slot) == account.storage[slot]
             else:
-                page_index = rng.randint(config.code_pages_per_account)
+                page_index = rng.randint(CODE_PAGES_PER_ACCOUNT)
                 expected = account.code[
                     page_index * CODE_PAGE_SIZE:(page_index + 1) * CODE_PAGE_SIZE
                 ].ljust(CODE_PAGE_SIZE, b"\x00")
                 ok = backend.get_code_page(address, page_index) == expected
-            clock.advance_us(config.read_cost_us)
+            clock.advance_us(READ_COST_US)
         registry.counter("shardbench.reads", kind=kind).inc()
         if not ok:
             mismatches += 1
@@ -298,15 +254,11 @@ def _drive_reads(
 class _RunArtifacts:
     """What one run leaves behind for the gates."""
 
-    trace_hash: str
-    metrics_hash: str
-    wire_hash: str
-    digest: str
+    hashes: dict[str, str]
     mismatches: int
     total_queries: int
     makespan_us: float
     per_shard_queries: dict[int, int]
-    per_shard_busy_us: dict[int, float]
     leaves_by_shard: dict[int, list[int]] = field(default_factory=dict)
     page_frequency: Counter = field(default_factory=Counter)
 
@@ -329,47 +281,57 @@ def _server_queries(server) -> int:
     return server.stats.reads
 
 
+def _collect(
+    tracer, registry, wire, shards: dict[int, tuple], mismatches: int, **traces
+) -> _RunArtifacts:
+    """Fold a finished run over ``shards`` (id -> (client, server))."""
+    for shard_id, (_client, server) in sorted(shards.items()):
+        _fold_ciphertext(wire, shard_id, server)
+    queries = {
+        shard_id: _server_queries(server)
+        for shard_id, (_client, server) in sorted(shards.items())
+    }
+    return _RunArtifacts(
+        hashes={
+            "trace_hash": trace_hash(tracer),
+            "metrics_hash": metrics_hash(registry),
+            "wire_hash": wire.hexdigest(),
+            "digest": _world_digest(shards),
+        },
+        mismatches=mismatches,
+        total_queries=sum(queries.values()),
+        makespan_us=max(
+            server.stats.busy_time_us for _client, server in shards.values()
+        ),
+        per_shard_queries=queries,
+        **traces,
+    )
+
+
 def _run_unsharded(config: ShardBenchConfig) -> _RunArtifacts:
     """The baseline: one path tree, shard-0 key, no ring anywhere."""
     clock = SimClock()
     registry = MetricsRegistry()
-    tracer = install_tracer(clock, TraceSampler(1.0, config.seed))
     wire = hashlib.sha256()
-    try:
+    with traced(clock, TraceSampler(1.0, config.seed)) as tracer:
         server = OramServer(
             height=config.oram_height,
-            bucket_size=config.oram_bucket_size,
-            query_cpu_us=config.query_cpu_us,
+            bucket_size=ORAM_BUCKET_SIZE,
+            query_cpu_us=QUERY_CPU_US,
         )
         _tap_server(wire, 0, server)
         client = PathOramClient(
             server,
             shard_key(_master_key(config), 0),
             block_size=paging.PAGE_SIZE,
-            stash_limit=config.stash_limit_blocks,
-            decrypt_memo_blocks=config.decrypt_memo_blocks,
+            stash_limit=STASH_LIMIT_BLOCKS,
+            decrypt_memo_blocks=DECRYPT_MEMO_BLOCKS,
         )
         backend = ObliviousStateBackend(client, clock=lambda: clock.now_us)
         accounts = _build_accounts(config)
         backend.sync_world(accounts)
         mismatches = _drive_reads(backend, accounts, config, clock, tracer, registry)
-        trace_json = render_chrome_trace(tracer)
-    finally:
-        uninstall_tracer(clock)
-    _fold_ciphertext(wire, 0, server)
-    return _RunArtifacts(
-        trace_hash=hashlib.sha256(trace_json.encode()).hexdigest(),
-        metrics_hash=hashlib.sha256(
-            json.dumps(registry.snapshot(), sort_keys=True).encode()
-        ).hexdigest(),
-        wire_hash=wire.hexdigest(),
-        digest=_world_digest({0: (client, server)}),
-        mismatches=mismatches,
-        total_queries=_server_queries(server),
-        makespan_us=server.stats.busy_time_us,
-        per_shard_queries={0: _server_queries(server)},
-        per_shard_busy_us={0: server.stats.busy_time_us},
-    )
+    return _collect(tracer, registry, wire, {0: (client, server)}, mismatches)
 
 
 def _run_fleet(
@@ -380,19 +342,18 @@ def _run_fleet(
     """One sharded run; collects per-shard traces for the gates."""
     clock = SimClock()
     registry = MetricsRegistry()
-    tracer = install_tracer(clock, TraceSampler(1.0, config.seed))
     wire = hashlib.sha256()
-    try:
+    with traced(clock, TraceSampler(1.0, config.seed)) as tracer:
         fleet_config = ShardedOramConfig(
             shard_count=shard_count,
             oram_height=config.oram_height,
-            oram_bucket_size=config.oram_bucket_size,
-            stash_limit_blocks=config.stash_limit_blocks,
-            decrypt_memo_blocks=config.decrypt_memo_blocks,
-            query_cpu_us=config.query_cpu_us,
-            vnodes=config.vnodes,
+            oram_bucket_size=ORAM_BUCKET_SIZE,
+            stash_limit_blocks=STASH_LIMIT_BLOCKS,
+            decrypt_memo_blocks=DECRYPT_MEMO_BLOCKS,
+            query_cpu_us=QUERY_CPU_US,
+            vnodes=VNODES,
             backend_overrides=dict(backend_overrides or {}),
-            pyramid_cache_blocks=config.pyramid_cache_blocks,
+            pyramid_cache_blocks=PYRAMID_CACHE_BLOCKS,
         )
         fleet = ShardedOramFleet(fleet_config, _master_key(config))
         observers: dict[int, AccessPatternObserver] = {}
@@ -409,46 +370,22 @@ def _run_fleet(
             observer.clear()  # the distinguisher attacks the read phase
         read_log_start = len(backend.stats.log)
         mismatches = _drive_reads(backend, accounts, config, clock, tracer, registry)
-        trace_json = render_chrome_trace(tracer)
-    finally:
-        uninstall_tracer(clock)
-    for shard_id, shard in sorted(fleet.shards.items()):
-        _fold_ciphertext(wire, shard_id, shard.server)
-    page_frequency = Counter(
-        record.page_key for record in backend.stats.log[read_log_start:]
-    )
-    return _RunArtifacts(
-        trace_hash=hashlib.sha256(trace_json.encode()).hexdigest(),
-        metrics_hash=hashlib.sha256(
-            json.dumps(registry.snapshot(), sort_keys=True).encode()
-        ).hexdigest(),
-        wire_hash=wire.hexdigest(),
-        digest=_world_digest(
-            {
-                shard_id: (shard.client, shard.server)
-                for shard_id, shard in fleet.shards.items()
-            }
-        ),
-        mismatches=mismatches,
-        total_queries=sum(
-            _server_queries(shard.server) for shard in fleet.shards.values()
-        ),
-        makespan_us=max(
-            shard.server.stats.busy_time_us for shard in fleet.shards.values()
-        ),
-        per_shard_queries={
-            shard_id: _server_queries(shard.server)
-            for shard_id, shard in sorted(fleet.shards.items())
+    return _collect(
+        tracer,
+        registry,
+        wire,
+        {
+            shard_id: (shard.client, shard.server)
+            for shard_id, shard in fleet.shards.items()
         },
-        per_shard_busy_us={
-            shard_id: shard.server.stats.busy_time_us
-            for shard_id, shard in sorted(fleet.shards.items())
-        },
+        mismatches,
         leaves_by_shard={
             shard_id: list(observer.leaves)
             for shard_id, observer in sorted(observers.items())
         },
-        page_frequency=page_frequency,
+        page_frequency=Counter(
+            record.page_key for record in backend.stats.log[read_log_start:]
+        ),
     )
 
 
@@ -469,7 +406,7 @@ def _distinguisher_rows(
     leaf_count = 2 ** config.oram_height
     # Reconstruct shard ownership with the fleet's own (default) ring.
     ring = ConsistentHashRing(
-        range(len(run.per_shard_queries)), vnodes=config.vnodes
+        range(len(run.per_shard_queries)), vnodes=VNODES
     )
     by_shard: dict[int, list[tuple[int, bytes]]] = {
         shard_id: [] for shard_id in run.per_shard_queries
@@ -509,8 +446,7 @@ def _distinguisher_rows(
 # ----------------------------------------------------------------------
 
 @dataclass
-class ShardBenchReport:
-    seed: int
+class ShardBenchReport(GateReport):
     identity: dict[str, bool]
     baseline: dict
     scaleout: list[dict]
@@ -518,39 +454,13 @@ class ShardBenchReport:
     distinguisher: list[dict]
     mixed: dict
     ring: dict
-    gate_failures: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return not self.gate_failures
+    bench = "shard-scaleout"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bench": "shard-scaleout",
-                "seed": self.seed,
-                "identity": self.identity,
-                "baseline": self.baseline,
-                "scaleout": self.scaleout,
-                "speedup": self.speedup,
-                "distinguisher": self.distinguisher,
-                "mixed": self.mixed,
-                "ring": self.ring,
-                "gate_failures": self.gate_failures,
-                "passed": self.passed,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def summary_lines(self) -> list[str]:
+    def section_lines(self) -> list[str]:
         lines = [
             "identity (unsharded vs 1-shard fleet, seeded): "
-            + (
-                "byte-identical"
-                if all(self.identity.values())
-                else f"DIVERGED {sorted(k for k, v in self.identity.items() if not v)}"
-            ),
+            + identity_verdict(self.identity),
         ]
         lines.append("| shards | queries | makespan (ms) | agg. tx/s | max share |")
         lines.append("|-------:|--------:|--------------:|----------:|----------:|")
@@ -583,28 +493,19 @@ class ShardBenchReport:
             f"(~1/{self.ring['shards']} expected), "
             f"digest {self.ring['table_digest'][:12]}"
         )
-        if self.gate_failures:
-            lines.append("gate failures:")
-            lines.extend(f"  - {failure}" for failure in self.gate_failures)
-        else:
-            lines.append("all gates passed")
         return lines
 
 
 def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
-    if 1 not in config.shard_counts:
-        raise ValueError("shard_counts must include 1 (the identity anchor)")
     unsharded = _run_unsharded(config)
-    runs = {
-        count: _run_fleet(config, count) for count in sorted(config.shard_counts)
-    }
-    one = runs[1]
-    identity = {
-        "trace": unsharded.trace_hash == one.trace_hash,
-        "metrics": unsharded.metrics_hash == one.metrics_hash,
-        "wire": unsharded.wire_hash == one.wire_hash,
-        "digest": unsharded.digest == one.digest,
-    }
+    # SHARD_COUNTS starts at 1: the 1-shard fleet is the identity anchor.
+    runs = {count: _run_fleet(config, count) for count in SHARD_COUNTS}
+    identity, failures = compare_identity(
+        unsharded.hashes,
+        runs[1].hashes,
+        "identity: the 1-shard fleet changed the {name} bytes of the "
+        "seeded baseline run",
+    )
 
     scaleout = [
         {
@@ -619,7 +520,7 @@ def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
         }
         for count, run in runs.items()
     ]
-    top = runs[config.max_shards]
+    top = runs[MAX_SHARDS]
     speedup = top.aggregate_tps / runs[1].aggregate_tps if runs[1].aggregate_tps else 0.0
     distinguisher = _distinguisher_rows(top, config)
 
@@ -628,11 +529,11 @@ def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
     # deployment, exercised explicitly here.
     overrides = {
         shard_id: PYRAMID_BACKEND
-        for shard_id in range(1, config.mixed_shard_count, 2)
+        for shard_id in range(1, MIXED_SHARD_COUNT, 2)
     }
-    mixed_run = _run_fleet(config, config.mixed_shard_count, overrides)
+    mixed_run = _run_fleet(config, MIXED_SHARD_COUNT, overrides)
     mixed = {
-        "shards": config.mixed_shard_count,
+        "shards": MIXED_SHARD_COUNT,
         "backends": "+".join(
             sorted({PATH_BACKEND, PYRAMID_BACKEND})
         ),
@@ -645,25 +546,18 @@ def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
     # of the workload's pages and nothing else (measured, not assumed).
     accounts = _build_accounts(config)
     pages = _workload_page_keys(accounts, config)
-    big = ConsistentHashRing(range(config.max_shards), vnodes=config.vnodes)
-    small = big.without_shard(config.max_shards - 1)
+    big = ConsistentHashRing(range(MAX_SHARDS), vnodes=VNODES)
+    small = big.without_shard(MAX_SHARDS - 1)
     moved = sum(1 for key in pages if big.shard_for(key) != small.shard_for(key))
     ring = {
-        "shards": config.max_shards,
-        "vnodes": config.vnodes,
+        "shards": MAX_SHARDS,
+        "vnodes": VNODES,
         "pages": len(pages),
         "remap_fraction": moved / len(pages),
         "table_digest": big.table_digest(),
-        "min_speedup": config.min_speedup,
+        "min_speedup": MIN_SPEEDUP,
     }
 
-    failures: list[str] = []
-    for name, equal in identity.items():
-        if not equal:
-            failures.append(
-                f"identity: the 1-shard fleet changed the {name} bytes of the "
-                f"seeded baseline run"
-            )
     for count, run in runs.items():
         if run.mismatches:
             failures.append(
@@ -671,10 +565,10 @@ def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
             )
     if unsharded.mismatches:
         failures.append(f"{unsharded.mismatches} read mismatch(es) unsharded")
-    if speedup < config.min_speedup:
+    if speedup < MIN_SPEEDUP:
         failures.append(
-            f"aggregate speedup {speedup:.2f}x at {config.max_shards} shards "
-            f"is below the {config.min_speedup}x gate"
+            f"aggregate speedup {speedup:.2f}x at {MAX_SHARDS} shards "
+            f"is below the {MIN_SPEEDUP}x gate"
         )
     for row in distinguisher:
         if row["samples"] < 20:
@@ -688,37 +582,31 @@ def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
                 f"shard {row['shard']}: frequency attack de-anonymized "
                 f"{row['frequency_accuracy']:.0%} of the ranking"
             )
-        if row["uniformity_pvalue"] <= config.min_pvalue:
+        if row["uniformity_pvalue"] <= MIN_PVALUE:
             failures.append(
                 f"shard {row['shard']}: leaf uniformity p-value "
-                f"{row['uniformity_pvalue']:.4f} <= {config.min_pvalue}"
+                f"{row['uniformity_pvalue']:.4f} <= {MIN_PVALUE}"
             )
     if not mixed["ok"]:
         failures.append(
             f"mixed path+pyramid fleet returned {mixed['mismatches']} "
             f"mismatched read(s)"
         )
-    if ring["remap_fraction"] > 2.5 / config.max_shards:
+    if ring["remap_fraction"] > 2.5 / MAX_SHARDS:
         failures.append(
             f"ring remapped {ring['remap_fraction']:.1%} of pages on shard "
-            f"add; bound is ~{1 / config.max_shards:.1%} (2.5x tolerance)"
+            f"add; bound is ~{1 / MAX_SHARDS:.1%} (2.5x tolerance)"
         )
-
-    def _obj(run: _RunArtifacts) -> dict:
-        return {
-            "trace_hash": run.trace_hash,
-            "metrics_hash": run.metrics_hash,
-            "wire_hash": run.wire_hash,
-            "digest": run.digest,
-            "total_queries": run.total_queries,
-            "makespan_us": run.makespan_us,
-            "aggregate_tps": run.aggregate_tps,
-        }
 
     return ShardBenchReport(
         seed=config.seed,
         identity=identity,
-        baseline=_obj(unsharded),
+        baseline={
+            **unsharded.hashes,
+            "total_queries": unsharded.total_queries,
+            "makespan_us": unsharded.makespan_us,
+            "aggregate_tps": unsharded.aggregate_tps,
+        },
         scaleout=scaleout,
         speedup=speedup,
         distinguisher=distinguisher,

@@ -30,14 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bench.stack import (
+    build_service,
+    connect_tenants,
+    load_sessions,
+    traced,
+)
 from repro.core.device import DeviceConfig
 from repro.core.service import HarDTAPEService
 from repro.crypto.keccak import keccak_memo_stats
-from repro.core.user import PreExecutionClient
-from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
-from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.serving.gateway import Gateway, GatewayConfig, ServiceExecutor
-from repro.serving.loadgen import LoadReport, LoadSession, run_closed_loop
+from repro.serving.loadgen import LoadReport, run_closed_loop
 from repro.serving.metrics import MetricsRegistry
 from repro.telemetry.critical_path import (
     aggregate,
@@ -45,7 +48,13 @@ from repro.telemetry.critical_path import (
     attribution_table,
 )
 from repro.telemetry.exporters import render_chrome_trace, render_prometheus
-from repro.telemetry.tracer import TraceSampler, install_tracer, uninstall_tracer
+from repro.telemetry.tracer import TraceSampler
+
+# Bound on |traced - modeled| per reconciliation row.  The two sides sum
+# the same µs-scale charges in different association orders, so the
+# honest disagreement is ~1e-6 µs over a full run; a thousandth of a
+# microsecond of slack catches real drops without false alarms.
+TOLERANCE_US = 1e-3
 
 
 @dataclass
@@ -58,12 +67,6 @@ class TraceBenchConfig:
     hevms_per_device: int = 2
     tenants: int = 3
     requests_per_tenant: int = 4
-    security_level: str = "full"
-    # Bound on |traced - modeled| per reconciliation row.  The two sides
-    # sum the same µs-scale charges in different association orders, so
-    # the honest disagreement is ~1e-6 µs over a full run; a millionth of
-    # a microsecond of slack catches real drops without false alarms.
-    tolerance_us: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -174,67 +177,37 @@ def _reconcile(service: HarDTAPEService, buckets: dict[str, float]):
         "hypervisor": service.cost.bundle_admission_us
         * sum(d.hypervisor.stats.bundles_executed for d in service.devices),
     }
-    traced = {name: buckets.get(name, 0.0) for name in model}
-    traced["encryption+signature"] = buckets.get("encryption", 0.0) + buckets.get(
+    traced_totals = {name: buckets.get(name, 0.0) for name in model}
+    traced_totals["encryption+signature"] = buckets.get("encryption", 0.0) + buckets.get(
         "signature", 0.0
     )
     return [
-        ReconciliationRow(name=name, traced_us=traced[name], model_us=model[name])
+        ReconciliationRow(
+            name=name, traced_us=traced_totals[name], model_us=model[name]
+        )
         for name in model
     ]
 
 
 def run_trace_bench(config: TraceBenchConfig, evalset) -> TraceBenchReport:
     """One seeded, traced serving run over ``evalset``'s transactions."""
-    service = HarDTAPEService(
+    service = build_service(
         evalset.node,
-        SecurityFeatures.from_level(config.security_level),
         device_count=config.device_count,
         device_config=DeviceConfig(hevm_count=config.hevms_per_device),
-        charge_fees=False,
-    )
-    tracer = install_tracer(
-        service.clock, TraceSampler(config.sample_rate, config.seed)
     )
     keccak_before = keccak_memo_stats()
     keccak_hits_before = keccak_before.hits
     keccak_misses_before = keccak_before.misses
-    try:
+    with traced(
+        service.clock, TraceSampler(config.sample_rate, config.seed)
+    ) as tracer:
         metrics = MetricsRegistry()
-        transactions = evalset.transactions
-        sessions: list[LoadSession] = []
-        for tenant in range(config.tenants):
-            client = PreExecutionClient(
-                service.manufacturer.root_public_key,
-                rng_seed=bytes([tenant + 1]) * 32,
-            )
-            home = tenant % config.device_count
-            session = client.connect(service, service.devices[home])
-
-            def make_payload(ordinal: int, offset: int = tenant, session=session):
-                tx = transactions[(offset + ordinal) % len(transactions)]
-                encoded = encode_bundle(
-                    TransactionBundle(
-                        transactions=(tx,), block_number=service.synced_height
-                    )
-                )
-
-                def seal():
-                    # Seal at dispatch so channel nonces stay ordered.
-                    if session.device.hypervisor.features.encryption:
-                        return session.channel.seal(encoded)
-                    return encoded
-
-                return seal
-
-            sessions.append(
-                LoadSession(
-                    session_id=session.session_id,
-                    make_payload=make_payload,
-                    device_index=home,
-                )
-            )
-
+        sessions = load_sessions(
+            service,
+            connect_tenants(service, config.tenants),
+            evalset.transactions,
+        )
         gateway = Gateway(
             ServiceExecutor(service),
             GatewayConfig(),
@@ -275,11 +248,10 @@ def run_trace_bench(config: TraceBenchConfig, evalset) -> TraceBenchReport:
             keccak_hits=keccak_memo_stats().hits - keccak_hits_before,
             keccak_misses=keccak_memo_stats().misses - keccak_misses_before,
         )
-    finally:
-        uninstall_tracer(service.clock)
 
 
 __all__ = [
+    "TOLERANCE_US",
     "ReconciliationRow",
     "TraceBenchConfig",
     "TraceBenchReport",

@@ -37,37 +37,34 @@
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 
-from repro.core.device import DeviceConfig
-from repro.core.service import HarDTAPEService
-from repro.core.user import PreExecutionClient
-from repro.evm.executor import execute_transaction
-from repro.evm.tracer import CountingTracer, MultiTracer, StructTracer
-from repro.hardware.timing import CostModel
-from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
-from repro.hypervisor.hypervisor import SecurityFeatures
-from repro.recovery.bench import wire_hash, world_digest
-from repro.serving.gateway import (
-    FleetModelExecutor,
-    Gateway,
-    GatewayConfig,
-    ServiceExecutor,
+from repro.async_serving.reactor import VirtualReactor
+from repro.async_serving.tier import ModelHandshakeEngine
+from repro.bench.tiers import reactor_open_loop, run_model_tier
+from repro.bench.report import GateReport, identity_verdict
+from repro.bench.stack import (
+    build_evalset,
+    build_service,
+    compare_identity,
+    connect_tenants,
+    identity_hashes,
+    load_sessions,
+    node_ground_truth,
+    traced,
 )
-from repro.serving.loadgen import LoadSession, synthetic_profiles
+from repro.serving.gateway import Gateway, GatewayConfig, ServiceExecutor
 from repro.serving.metrics import MetricsRegistry
-from repro.serving.router import ShardSessionRouter
 from repro.sharding import (
     ShardedObliviousStateBackend,
     ShardedOramConfig,
     ShardedOramFleet,
 )
-from repro.state.journal import JournaledState
-from repro.telemetry.exporters import render_chrome_trace, render_prometheus
+from repro.telemetry.exporters import render_prometheus
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.slo import SloMonitor, default_slo_rules
-from repro.telemetry.tracer import TraceSampler, install_tracer, uninstall_tracer
+from repro.telemetry.tracer import TraceSampler
 from repro.telemetry.unified import (
     counts_from_events,
     counts_from_span,
@@ -76,14 +73,19 @@ from repro.telemetry.unified import (
     reconcile_counts,
     reconcile_step_traces,
 )
-from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
-from repro.async_serving.reactor import VirtualReactor
-from repro.async_serving.tier import (
-    AsyncServingConfig,
-    AsyncServingTier,
-    ModelHandshakeEngine,
-    drive_open_loop,
-)
+
+# The identity / async-leg scenario's real-pipeline world and load.
+IDENTITY_RATE_RPS = 40.0
+FLIGHT_CAPACITY = 32
+# The sharded reconciliation leg's fleet.
+SHARD_COUNT = 2
+SHARD_ORAM_HEIGHT = 9
+# The alert scenario's model-mode fleet and SLO cadence.
+SHARDS = 4
+CORES_PER_SHARD = 32
+OPEN_WINDOW_US = 50_000.0
+OBSERVE_EVERY_US = 250_000.0
+SLO_WINDOW_US = 500_000.0
 
 
 @dataclass
@@ -94,28 +96,10 @@ class ObsBenchConfig:
     # -- identity / async-leg scenario (real pipeline) ------------------
     identity_tenants: int = 3
     identity_requests: int = 9
-    identity_rate_rps: float = 40.0
-    device_count: int = 2
-    hevms_per_device: int = 2
-    security_level: str = "full"
-    blocks: int = 1
-    txs_per_block: int = 4
-    trace_sample_rate: float = 1.0
-    flight_capacity: int = 32
     # -- reconciliation legs -------------------------------------------
     reconcile_txs: int = 3
-    shard_count: int = 2
-    shard_oram_height: int = 9
     # -- alert scenario (model tier, epoch bump) -----------------------
     fault_sessions: int = 48
-    rounds: int = 2
-    shards: int = 4
-    cores_per_shard: int = 32
-    open_window_us: float = 50_000.0
-    round_gap_us: float = 1_000_000.0
-    suspend_after_us: float = 200_000.0
-    observe_every_us: float = 250_000.0
-    slo_window_us: float = 500_000.0
 
     @classmethod
     def smoke(cls, seed: int = 1) -> "ObsBenchConfig":
@@ -135,11 +119,7 @@ class ObsBenchConfig:
 
 @dataclass
 class _StackArtifacts:
-    trace_hash: str
-    metrics_hash: str
-    prometheus_hash: str
-    wire_hash: str
-    digest: str
+    hashes: dict[str, str]   # the four identity hashes + prometheus_hash
     completed: int
     failed: int
     async_span_count: int
@@ -152,84 +132,43 @@ class _StackArtifacts:
 def _run_serving_stack(config: ObsBenchConfig,
                        observability: bool) -> _StackArtifacts:
     """One reactor-driven real-pipeline run, obs stack off or on."""
-    evalset = build_evaluation_set(
-        EvaluationSetConfig(blocks=config.blocks,
-                            txs_per_block=config.txs_per_block)
-    )
-    service = HarDTAPEService(
-        evalset.node,
-        SecurityFeatures.from_level(config.security_level),
-        device_count=config.device_count,
-        device_config=DeviceConfig(hevm_count=config.hevms_per_device),
-        charge_fees=False,
-    )
+    evalset = build_evalset()
+    service = build_service(evalset.node)
     metrics = MetricsRegistry()
-    tracer = install_tracer(
-        service.clock, TraceSampler(config.trace_sample_rate, config.seed)
-    )
-    tier_tracer = None
-    try:
-        flight = (
-            FlightRecorder(config.flight_capacity) if observability else None
-        )
+    with traced(service.clock, TraceSampler(1.0, config.seed)) as tracer:
+        flight = FlightRecorder(FLIGHT_CAPACITY) if observability else None
         gateway = Gateway(
             ServiceExecutor(service), GatewayConfig(),
             metrics=metrics, tracer=tracer, flight=flight,
         )
         reactor = VirtualReactor(start_us=gateway.now_us)
-        monitor = None
-        if observability:
-            # The async plane's spans go to a tracer keyed off the
-            # *reactor*: a separate clock domain, so they cannot land in
-            # (or renumber) the frontend trace the identity gate hashes.
-            tier_tracer = install_tracer(reactor)
-            monitor = SloMonitor(default_slo_rules(
-                window_us=config.slo_window_us
-            ))
-        tier = AsyncServingTier(
-            reactor, gateway, engine=None,
-            config=AsyncServingConfig(resumption=False),
-            flight=flight,
+        monitor = (
+            SloMonitor(default_slo_rules(window_us=SLO_WINDOW_US))
+            if observability else None
         )
-        sessions: list[LoadSession] = []
-        transactions = evalset.transactions
-        for tenant in range(config.identity_tenants):
-            client = PreExecutionClient(
-                service.manufacturer.root_public_key,
-                rng_seed=bytes([tenant + 1]) * 32,
+        # The async plane's spans go to a tracer keyed off the *reactor*:
+        # a separate clock domain, so they cannot land in (or renumber)
+        # the frontend trace the identity gate hashes.
+        with (traced(reactor) if observability else nullcontext()) as tier_tracer:
+            tier, load = reactor_open_loop(
+                reactor,
+                gateway,
+                load_sessions(
+                    service,
+                    connect_tenants(service, config.identity_tenants),
+                    evalset.transactions,
+                ),
+                flight=flight,
+                rate_rps=IDENTITY_RATE_RPS,
+                total_requests=config.identity_requests,
+                seed=config.seed,
             )
-            home = tenant % config.device_count
-            user = client.connect(service, service.devices[home])
-
-            def make_payload(ordinal: int, offset: int = tenant, user=user):
-                tx = transactions[(offset + ordinal) % len(transactions)]
-                bundle = TransactionBundle(
-                    transactions=(tx,), block_number=service.synced_height
-                )
-                encoded = encode_bundle(bundle)
-                return lambda: user.channel.seal(encoded)
-
-            sessions.append(
-                LoadSession(
-                    session_id=user.session_id,
-                    make_payload=make_payload,
-                    device_index=home,
-                )
-            )
-            tier.adopt_session(user.session_id, device_index=home)
-        load = drive_open_loop(
-            tier, sessions,
-            rate_rps=config.identity_rate_rps,
-            total_requests=config.identity_requests,
-            seed=config.seed,
-        )
         alert_count = 0
         if monitor is not None:
             snapshot = dict(tier.metrics.snapshot())
             snapshot.update(gateway.metrics.snapshot())
             monitor.observe(snapshot, gateway.now_us)
             alert_count = len(monitor.alerts)
-        trace_json = render_chrome_trace(tracer)
         # The frontend exposition: rendered WITHOUT planes, exactly as
         # every pre-observability caller renders it.
         prometheus = render_prometheus(metrics)
@@ -239,30 +178,23 @@ def _run_serving_stack(config: ObsBenchConfig,
                 metrics, planes={"async": tier.metrics}
             )
             async_lines = with_planes.count('plane="async"')
-        tx_span_counts = [
-            counts_from_span(span)
-            for span in tracer.spans
-            if span.name == "hevm.tx" and "instructions" in span.attributes
-        ]
-    finally:
-        uninstall_tracer(service.clock)
-        if tier_tracer is not None:
-            uninstall_tracer(reactor)
+        hashes = identity_hashes(tracer, metrics, [load], service)
+        hashes["prometheus_hash"] = hashlib.sha256(
+            prometheus.encode()
+        ).hexdigest()
     return _StackArtifacts(
-        trace_hash=hashlib.sha256(trace_json.encode()).hexdigest(),
-        metrics_hash=hashlib.sha256(
-            json.dumps(metrics.snapshot(), sort_keys=True).encode()
-        ).hexdigest(),
-        prometheus_hash=hashlib.sha256(prometheus.encode()).hexdigest(),
-        wire_hash=wire_hash([load]),
-        digest=world_digest(service),
+        hashes=hashes,
         completed=load.completed,
         failed=load.failed,
         async_span_count=0 if tier_tracer is None else len(tier_tracer.spans),
         async_plane_lines=async_lines,
         dump_count=0 if not observability else len(flight.dumps),
         alert_count=alert_count,
-        tx_span_counts=tx_span_counts,
+        tx_span_counts=[
+            counts_from_span(span)
+            for span in tracer.spans
+            if span.name == "hevm.tx" and "instructions" in span.attributes
+        ],
     )
 
 
@@ -271,38 +203,16 @@ def _run_serving_stack(config: ObsBenchConfig,
 # ----------------------------------------------------------------------
 
 
-def _node_ground_truth(evalset, service, tx):
-    """Offline re-execution on the node's synced state, fees off."""
-    state = JournaledState(evalset.node.state_at(service.synced_height).copy())
-    struct = StructTracer(capture_stack=False)
-    counting = CountingTracer()
-    result = execute_transaction(
-        state,
-        service.pending_chain_context(),
-        tx,
-        tracer=MultiTracer(struct, counting),
-        charge_fees=False,
-    )
-    return result, struct.logs, counting.counts
-
-
 def _reconcile_leg(config: ObsBenchConfig, leg: str) -> dict:
     """One execution leg: node vs HEVM steps vs live span counts."""
-    evalset = build_evaluation_set(
-        EvaluationSetConfig(blocks=config.blocks,
-                            txs_per_block=config.txs_per_block)
-    )
-    service = HarDTAPEService(
-        evalset.node,
-        SecurityFeatures.from_level("full"),
-        charge_fees=False,
-    )
+    evalset = build_evalset()
+    service = build_service(evalset.node, device_count=1)
     device = service.devices[0]
     if leg == "sharded":
         fleet = ShardedOramFleet(
             ShardedOramConfig(
-                shard_count=config.shard_count,
-                oram_height=config.shard_oram_height,
+                shard_count=SHARD_COUNT,
+                oram_height=SHARD_ORAM_HEIGHT,
             ),
             hashlib.sha256(b"obs-bench-shard-%d" % config.seed).digest(),
         )
@@ -312,11 +222,10 @@ def _reconcile_leg(config: ObsBenchConfig, leg: str) -> dict:
         oram_backend.sync_world(service._synced_state.accounts)
     else:
         oram_backend = device.oram_backend
-    tracer = install_tracer(service.clock)
     txs = evalset.transactions[: config.reconcile_txs]
     steps = 0
     commitments: list[str] = []
-    try:
+    with traced(service.clock) as tracer:
         core = device.cores[0]
         for tx in txs:
             before = len(tracer.spans)
@@ -336,10 +245,7 @@ def _reconcile_leg(config: ObsBenchConfig, leg: str) -> dict:
                 if span.name == "hevm.tx"
             ]
             assert len(results) == 1 and len(tx_spans) == 1
-            _, node_logs, node_counts = _node_ground_truth(
-                evalset, service, tx
-            )
-            node_trace = from_struct_logs(node_logs)
+            _, node_trace, node_counts = node_ground_truth(service, tx)
             hevm_trace = from_struct_logs(struct_traces[0])
             root = reconcile_step_traces(
                 node_trace, hevm_trace,
@@ -359,8 +265,6 @@ def _reconcile_leg(config: ObsBenchConfig, leg: str) -> dict:
             )
             steps += node_trace.instructions
             commitments.append(root)
-    finally:
-        uninstall_tracer(service.clock)
     return {
         "leg": leg,
         "transactions": len(txs),
@@ -378,15 +282,8 @@ def _reconcile_async_leg(config: ObsBenchConfig,
     multiset the run executed is recomputable offline; its node-side
     totals must equal the sum of every span's live counts.
     """
-    evalset = build_evaluation_set(
-        EvaluationSetConfig(blocks=config.blocks,
-                            txs_per_block=config.txs_per_block)
-    )
-    service = HarDTAPEService(
-        evalset.node,
-        SecurityFeatures.from_level(config.security_level),
-        charge_fees=False,
-    )
+    evalset = build_evalset()
+    service = build_service(evalset.node, device_count=1)
     transactions = evalset.transactions
     per_tx: dict[int, dict] = {}
     expected = {"instructions": 0, "by_group": {}}
@@ -395,10 +292,8 @@ def _reconcile_async_leg(config: ObsBenchConfig,
         ordinal = index // config.identity_tenants
         tx_index = (tenant + ordinal) % len(transactions)
         if tx_index not in per_tx:
-            _, logs, _ = _node_ground_truth(
-                evalset, service, transactions[tx_index]
-            )
-            per_tx[tx_index] = counts_from_trace(from_struct_logs(logs))
+            _, trace, _ = node_ground_truth(service, transactions[tx_index])
+            per_tx[tx_index] = counts_from_trace(trace)
         counts = per_tx[tx_index]
         expected["instructions"] += counts["instructions"]
         for group, n in counts["by_group"].items():
@@ -440,73 +335,24 @@ def _run_fault_tier(config: ObsBenchConfig, *,
                     epoch_bump: bool) -> _FaultRunResult:
     """A model-tier run with the obs stack armed, bumping the epoch
     mid-flight (or not, for the zero-fault twin)."""
-    cost = CostModel()
-    engine = ModelHandshakeEngine(cost, seed=config.seed)
-    gateways = {
-        shard: Gateway(
-            FleetModelExecutor(config.cores_per_shard, cost),
-            GatewayConfig(max_queue_depth=config.fault_sessions * 2,
-                          max_in_flight_per_session=4),
-        )
-        for shard in range(config.shards)
-    }
-    router = ShardSessionRouter(gateways)
-    reactor = VirtualReactor()
-    flight = FlightRecorder(config.flight_capacity)
-    tier = AsyncServingTier(
-        reactor, router, engine,
-        config=AsyncServingConfig(
-            max_sessions=config.fault_sessions,
-            suspend_after_us=config.suspend_after_us,
-            resumption=True,
-        ),
+    flight = FlightRecorder(FLIGHT_CAPACITY)
+    monitor = SloMonitor(default_slo_rules(window_us=SLO_WINDOW_US))
+    tier, load = run_model_tier(
+        seed=config.seed,
+        session_count=config.fault_sessions,
+        shards=SHARDS,
+        cores_per_shard=CORES_PER_SHARD,
+        open_window_us=OPEN_WINDOW_US,
+        session_prefix=b"obs",
         flight=flight,
+        before_first_burst=(
+            ModelHandshakeEngine.advance_epoch if epoch_bump else None
+        ),
+        observer=lambda tier, now_us: monitor.observe(
+            tier.metrics.snapshot(), now_us
+        ),
+        observe_every_us=OBSERVE_EVERY_US,
     )
-    monitor = SloMonitor(default_slo_rules(window_us=config.slo_window_us))
-    profiles = synthetic_profiles(
-        cost, "mixed", count=16, seed=config.seed
-    )
-
-    def open_and_submit(rid: bytes, ordinal: int) -> None:
-        tier.open_session(rid)
-        tier.submit(rid, profiles[ordinal % len(profiles)])
-
-    def burst(rid: bytes, ordinal: int) -> None:
-        tier.submit(rid, profiles[ordinal % len(profiles)])
-
-    bumped = False
-
-    def maybe_bump() -> None:
-        nonlocal bumped
-        if not bumped:
-            engine.advance_epoch()
-            bumped = True
-
-    def observe() -> None:
-        monitor.observe(tier.metrics.snapshot(), reactor.now_us)
-
-    stride = config.open_window_us / config.fault_sessions
-    for index in range(config.fault_sessions):
-        rid = b"obs-%08d" % index
-        t_open = index * stride
-        reactor.call_at(t_open, open_and_submit, rid, index)
-        for round_no in range(1, config.rounds + 1):
-            at = t_open + round_no * config.round_gap_us
-            if epoch_bump and round_no == 1 and index == 0:
-                reactor.call_at(at - 1.0, maybe_bump)
-            reactor.call_at(at, burst, rid, index + round_no)
-    horizon = (
-        config.open_window_us
-        + config.rounds * config.round_gap_us
-        + config.suspend_after_us
-        + 2 * config.observe_every_us
-    )
-    ticks = int(horizon / config.observe_every_us)
-    for tick in range(1, ticks + 1):
-        reactor.call_at(tick * config.observe_every_us, observe)
-    start_us = router.now_us
-    tier.run()
-    load = tier.load_report(start_us)
     return _FaultRunResult(
         dump_digests=flight.dump_digests(),
         dump_causes=[dump.cause_type for dump in flight.dumps],
@@ -524,43 +370,18 @@ def _run_fault_tier(config: ObsBenchConfig, *,
 # ----------------------------------------------------------------------
 
 @dataclass
-class ObsBenchReport:
-    seed: int
+class ObsBenchReport(GateReport):
     identity: dict[str, bool]
     observability: dict
     reconciliation: dict
     alerts: dict
-    gate_failures: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return not self.gate_failures
+    bench = "obs"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bench": "obs",
-                "seed": self.seed,
-                "identity": self.identity,
-                "observability": self.observability,
-                "reconciliation": self.reconciliation,
-                "alerts": self.alerts,
-                "gate_failures": self.gate_failures,
-                "passed": self.passed,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def summary_lines(self) -> list[str]:
-        lines = [
+    def section_lines(self) -> list[str]:
+        return [
             "identity (observability on vs off, frontend bytes): "
-            + (
-                "byte-identical"
-                if all(self.identity.values())
-                else "DIVERGED "
-                + str(sorted(k for k, v in self.identity.items() if not v))
-            ),
+            + identity_verdict(self.identity),
             f"  async plane recorded {self.observability['async_spans']} "
             f"spans, {self.observability['async_plane_lines']} "
             f"plane=async series, frontend untouched",
@@ -582,33 +403,18 @@ class ObsBenchReport:
             f"  zero-fault twin: {self.alerts['quiet_dumps']} dumps, "
             f"{self.alerts['quiet_alerts']} alerts",
         ]
-        if self.gate_failures:
-            lines.append("gate failures:")
-            lines.extend(f"  - {failure}" for failure in self.gate_failures)
-        else:
-            lines.append("all gates passed")
-        return lines
 
 
 def run_obs_bench(config: ObsBenchConfig) -> ObsBenchReport:
-    failures: list[str] = []
-
     # 1. Identity.
     plain = _run_serving_stack(config, observability=False)
     observed = _run_serving_stack(config, observability=True)
-    identity = {
-        "trace": plain.trace_hash == observed.trace_hash,
-        "metrics": plain.metrics_hash == observed.metrics_hash,
-        "prometheus": plain.prometheus_hash == observed.prometheus_hash,
-        "wire": plain.wire_hash == observed.wire_hash,
-        "digest": plain.digest == observed.digest,
-    }
-    for name, equal in identity.items():
-        if not equal:
-            failures.append(
-                f"identity: arming the observability stack changed the "
-                f"{name} bytes of a seeded run"
-            )
+    identity, failures = compare_identity(
+        plain.hashes,
+        observed.hashes,
+        "identity: arming the observability stack changed the "
+        "{name} bytes of a seeded run",
+    )
     observability = {
         "async_spans": observed.async_span_count,
         "async_plane_lines": observed.async_plane_lines,

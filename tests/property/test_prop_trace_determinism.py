@@ -14,7 +14,11 @@ import json
 
 import pytest
 
-from repro.telemetry.bench import TraceBenchConfig, run_trace_bench
+from repro.telemetry.bench import (
+    TOLERANCE_US,
+    TraceBenchConfig,
+    run_trace_bench,
+)
 
 pytestmark = pytest.mark.telemetry
 
@@ -69,7 +73,7 @@ def test_buckets_sum_exactly_to_each_root_duration(traced_pair):
 def test_telemetry_reconciles_with_cost_model_accounting(traced_pair):
     report, _ = traced_pair
     assert report.reconciliation, "full sampling must produce reconciliation rows"
-    tolerance = TraceBenchConfig().tolerance_us
+    tolerance = TOLERANCE_US
     for row in report.reconciliation:
         assert abs(row.delta_us) <= tolerance, (
             f"{row.name}: traced {row.traced_us} vs model {row.model_us}"

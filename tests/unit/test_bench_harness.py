@@ -1,0 +1,328 @@
+"""repro.bench: the harness every plane's bench is written against.
+
+The benches' own byte-identity gates only mean something if the shared
+pieces are sound: the four identity hashes must each be sensitive to
+the one thing they claim to cover, the tracer must never leak past a
+failed run, reports must serialize canonically, and the ORAM clients'
+``logical_content`` must be exactly the world the writes built.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+
+from repro.bench.registry import BENCHES
+from repro.bench.report import GateReport
+from repro.bench.stack import (
+    HASH_FIELDS,
+    build_evalset,
+    build_service,
+    compare_identity,
+    connect_tenants,
+    content_digest,
+    identity_hashes,
+    load_sessions,
+    traced,
+)
+from repro.cli import build_parser
+from repro.crypto.kdf import Drbg
+from repro.hardware.timing import SimClock
+from repro.oram.client import PathOramClient
+from repro.oram.hierarchical import HierarchicalOramServer, PyramidOramClient
+from repro.oram.server import OramServer
+from repro.serving.gateway import Gateway, GatewayConfig, ServiceExecutor
+from repro.serving.loadgen import run_closed_loop
+from repro.serving.metrics import MetricsRegistry
+from repro.telemetry.tracer import NULL_TRACER, TraceSampler, tracer_for
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+# ----------------------------------------------------------------------
+# identity_hashes: equal across same-seed builds, each field sensitive
+# ----------------------------------------------------------------------
+
+def _serve_once():
+    """A 1-block / 2-tenant stack, one request per tenant."""
+    evalset = build_evalset(1, 4)
+    service = build_service(evalset.node)
+    metrics = MetricsRegistry()
+    with traced(service.clock, TraceSampler(1.0, 1)) as tracer:
+        gateway = Gateway(
+            ServiceExecutor(service), GatewayConfig(),
+            metrics=metrics, tracer=tracer,
+        )
+        sessions = load_sessions(
+            service, connect_tenants(service, 2), evalset.transactions
+        )
+        load = run_closed_loop(gateway, sessions, requests_per_session=1)
+    assert load.completed == 2
+    return tracer, metrics, [load], service
+
+
+@pytest.fixture(scope="module")
+def stack():
+    return _serve_once()
+
+
+@pytest.fixture(scope="module")
+def clean_hashes(stack):
+    return identity_hashes(*stack)
+
+
+def _changed_fields(before: dict, after: dict) -> set[str]:
+    return {name for name in before if before[name] != after[name]}
+
+
+def test_identity_hashes_equal_across_same_seed_builds(clean_hashes):
+    assert tuple(clean_hashes) == HASH_FIELDS
+    assert identity_hashes(*_serve_once()) == clean_hashes
+
+
+def test_each_identity_hash_sees_only_its_own_perturbation(stack, clean_hashes):
+    """Vacuity guard: a span, a metric, one wire byte and one ORAM block
+    each move exactly the hash that covers them."""
+    tracer, metrics, loads, service = stack
+
+    with tracer.span("bench-harness.extra", "other"):
+        pass
+    with_span = identity_hashes(*stack)
+    assert _changed_fields(clean_hashes, with_span) == {"trace_hash"}
+
+    metrics.counter("bench_harness.extra").inc()
+    with_metric = identity_hashes(*stack)
+    assert _changed_fields(with_span, with_metric) == {"metrics_hash"}
+
+    request = loads[0].outcomes[0]
+    sealed = request.result
+    flipped = bytes([sealed.ciphertext[0] ^ 1]) + sealed.ciphertext[1:]
+    request.result = dataclasses.replace(sealed, ciphertext=flipped)
+    with_wire = identity_hashes(*stack)
+    assert _changed_fields(with_metric, with_wire) == {"wire_hash"}
+
+    service.shared_oram_client.access(b"bench-harness/extra", b"block")
+    with_block = identity_hashes(*stack)
+    assert _changed_fields(with_wire, with_block) == {"digest"}
+
+
+def test_compare_identity_names_each_divergence():
+    left = dict.fromkeys(HASH_FIELDS, "a")
+    identity, failures = compare_identity(left, dict(left), "{name} moved")
+    assert identity == {
+        "trace": True, "metrics": True, "wire": True, "digest": True
+    }
+    assert failures == []
+    identity, failures = compare_identity(
+        left, {**left, "wire_hash": "b"}, "{name} moved"
+    )
+    assert identity["wire"] is False and sum(identity.values()) == 3
+    assert failures == ["wire moved"]
+
+
+# ----------------------------------------------------------------------
+# traced
+# ----------------------------------------------------------------------
+
+def test_traced_uninstalls_when_the_body_raises():
+    clock = SimClock()
+    with pytest.raises(RuntimeError, match="mid-run"):
+        with traced(clock) as tracer:
+            assert tracer_for(clock) is tracer
+            raise RuntimeError("mid-run")
+    assert tracer_for(clock) is NULL_TRACER
+
+
+# ----------------------------------------------------------------------
+# GateReport
+# ----------------------------------------------------------------------
+
+@dataclass
+class _DemoReport(GateReport):
+    zeta: dict
+    alpha: list
+
+    bench = "demo"
+
+    def section_lines(self) -> list[str]:
+        return [f"alpha has {len(self.alpha)} rows"]
+
+
+@pytest.mark.parametrize("failures", [[], ["gate one", "gate two"]])
+def test_gate_report_json_is_canonical(failures):
+    report = _DemoReport(
+        seed=5, zeta={"b": 1, "a": 2}, alpha=[3], gate_failures=failures
+    )
+    text = report.to_json()
+    parsed = json.loads(text)
+    assert text == json.dumps(parsed, indent=2, sort_keys=True)
+    assert parsed == {
+        "bench": "demo",
+        "seed": 5,
+        "zeta": {"a": 2, "b": 1},
+        "alpha": [3],
+        "gate_failures": failures,
+        "passed": not failures,
+    }
+    assert report.passed == (not failures)
+    lines = report.summary_lines()
+    assert lines[0] == "alpha has 1 rows"
+    if failures:
+        assert lines[1:] == ["gate failures:", "  - gate one", "  - gate two"]
+    else:
+        assert lines[1:] == ["all gates passed"]
+
+
+# ----------------------------------------------------------------------
+# logical_content on both ORAM clients
+# ----------------------------------------------------------------------
+
+_BLOCK = 64
+# world_digest of _seeded_writes() through a PathOramClient, captured at
+# the commit before repro.bench existed (recovery.bench.world_digest).
+_PARENT_WORLD_DIGEST = (
+    "059522ba45269ea2844d9ced12f589e0a084b2852bd1e2f6ece0ecd42985b323"
+)
+
+
+def _seeded_writes(client) -> dict[bytes, bytes]:
+    """40 seeded writes over 12 keys; returns the plain dict they build."""
+    rng = Drbg(b"bench-harness", personalization=b"world")
+    expected: dict[bytes, bytes] = {}
+    for _ in range(40):
+        key = b"page-%02d" % rng.randint(12)
+        value = bytes([rng.randint(256)]) * (1 + rng.randint(_BLOCK))
+        client.access(key, value)
+        expected[key] = value.ljust(_BLOCK, b"\x00")
+    return expected
+
+
+def _path_world():
+    server = OramServer(height=4)
+    client = PathOramClient(
+        server, hashlib.sha256(b"bench-harness-world").digest(),
+        block_size=_BLOCK,
+    )
+    return client, server
+
+
+def _pyramid_world():
+    server = HierarchicalOramServer()
+    client = PyramidOramClient(
+        server, hashlib.sha256(b"bench-harness-world").digest(),
+        block_size=_BLOCK, cache_limit=4,
+    )
+    return client, server
+
+
+@pytest.mark.parametrize("build", [_path_world, _pyramid_world])
+def test_logical_content_is_the_world_the_writes_built(build):
+    client, server = build()
+    expected = _seeded_writes(client)
+    assert len(expected) > 1 and len(expected) < 40  # overwrites happened
+    decrypted_before = client.stats.blocks_decrypted
+    content = client.logical_content(server)
+    assert content == expected  # last write wins, nothing extra
+    assert b"page-99" not in content
+    assert client.stats.blocks_decrypted == decrypted_before  # read-only
+
+
+def test_pyramid_content_spans_levels_not_just_the_cache():
+    client, server = _pyramid_world()
+    expected = _seeded_writes(client)
+    assert client.rebuilds > 0 and client.cache_blocks < len(expected)
+    assert client.logical_content(server) == expected
+
+
+def test_path_world_digest_matches_the_parent_commit():
+    client, server = _path_world()
+    _seeded_writes(client)
+    assert content_digest(client.logical_content(server)) == _PARENT_WORLD_DIGEST
+
+
+# ----------------------------------------------------------------------
+# Registry == CLI == CI
+# ----------------------------------------------------------------------
+
+def _smoke_bench_commands() -> set[str]:
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if hasattr(action, "choices") and action.choices
+    )
+    return {
+        name for name, sub in subparsers.choices.items()
+        if name.endswith("-bench") and "--smoke" in sub._option_string_actions
+    }
+
+
+def test_registry_is_exactly_the_smoke_bench_subcommands():
+    assert {spec.command for spec in BENCHES} == _smoke_bench_commands()
+    for spec in BENCHES:
+        config_class, run = spec.load()
+        assert callable(run) and hasattr(config_class, "smoke")
+        for extra in spec.extra_args:
+            assert extra.config_field in {
+                f.name for f in dataclasses.fields(config_class)
+            }
+
+
+def test_ci_bench_matrix_follows_the_registry():
+    """Plain-text grep (no YAML dependency): the matrix legs are the
+    registry's virtual-time benches, each leg compares against its
+    committed report, and the markers it selects exist."""
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    legs = re.findall(
+        r'- \{ bench: (\S+), marker: (\S+), config: "([^"]*)" \}', workflow
+    )
+    virtual_time = {spec.name for spec in BENCHES} - {"perf"}
+    assert {bench for bench, _, _ in legs} == virtual_time
+    assert len(legs) == len(virtual_time)
+    assert "cmp regenerated-${{ matrix.bench }}.json BENCH_${{ matrix.bench }}.json" in workflow
+    pyproject = (REPO / "pyproject.toml").read_text()
+    for bench, marker, config in legs:
+        assert (REPO / f"BENCH_{bench}.json").is_file()
+        assert f'"{marker}: ' in pyproject
+        assert config in ("", "--smoke")
+    # perf keeps its own wall-clock job; the e2e ledger has its leg.
+    assert "perf-bench --smoke" in workflow
+    assert "python3 benchmarks/e2e/run.py --smoke" in workflow
+    assert "python -m pytest benchmarks/e2e -q" in workflow
+
+
+def test_committed_reports_carry_their_registry_tag():
+    for spec in BENCHES:
+        report = json.loads((REPO / spec.artifact).read_text())
+        assert report["passed"] is True, spec.name
+        assert report["bench"].startswith(spec.name), spec.name
+
+
+# ----------------------------------------------------------------------
+# Import hygiene
+# ----------------------------------------------------------------------
+
+def test_plane_packages_load_no_bench_module():
+    script = (
+        "import sys\n"
+        "import repro.serving, repro.async_serving, repro.faults\n"
+        "leaked = sorted(m for m in sys.modules\n"
+        "                if m.startswith('repro') and\n"
+        "                ('bench' in m or 'harness' in m))\n"
+        "print(leaked)\n"
+        "from repro.faults import run_chaos, ChaosConfig\n"
+        "from repro.async_serving import run_c10k_bench\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert result.stdout.strip() == "[]", result.stdout

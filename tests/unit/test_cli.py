@@ -62,10 +62,31 @@ def test_disasm_unknown_input(capsys):
     assert main(["disasm", "not-a-contract"]) == 1
 
 
-def test_recovery_bench_rejects_bad_seed(capsys):
-    assert main(["recovery-bench", "--seed", "-1"]) == 2
-    assert main(["recovery-bench", "--seed", str(2**64)]) == 2
-    assert "seed" in capsys.readouterr().err
+def _seeded_bench_commands() -> list[str]:
+    """Every ``*-bench`` subcommand of the real parser that takes --seed."""
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if hasattr(action, "choices") and action.choices
+    )
+    return sorted(
+        name for name, sub in subparsers.choices.items()
+        if name.endswith("-bench") and "--seed" in sub._option_string_actions
+    )
+
+
+def test_every_bench_takes_a_seed():
+    assert len(_seeded_bench_commands()) == 9
+
+
+@pytest.mark.parametrize("command", _seeded_bench_commands())
+def test_bench_rejects_bad_seed(command, capsys):
+    """One typed exit-2 path, not an OverflowError traceback from the
+    first ``seed.to_bytes(8, "big")`` a run happens to reach."""
+    for seed in ("-1", str(2**64)):
+        assert main([command, "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid --seed {seed}" in err
+        assert "non-negative 64-bit integer" in err
 
 
 @pytest.mark.recovery
@@ -80,12 +101,6 @@ def test_recovery_bench_smoke(capsys, tmp_path):
     assert parsed["passed"] is True
     assert parsed["crash"]["crashes_fired"] >= 3
     assert parsed["identity"]["digest"] is True
-
-
-def test_c10k_bench_rejects_bad_seed(capsys):
-    assert main(["c10k-bench", "--seed", "-1"]) == 2
-    assert main(["c10k-bench", "--seed", str(2**64)]) == 2
-    assert "seed" in capsys.readouterr().err
 
 
 @pytest.mark.serving
