@@ -1,18 +1,13 @@
 """repro.async_serving — the event-driven C10K serving plane.
 
-A virtual-time reactor (with an asyncio adapter for the wall-clock
-path) multiplexes thousands of per-session state machines onto the
-existing gateway/router frontends, and resumption tickets amortize the
-attestation+DHKE handshake across reconnects.  See
+Thousands of per-session state machines are multiplexed onto the
+gateway/router frontends as events on the serving pipeline's one
+virtual-time reactor (:mod:`repro.serving.reactor`), and resumption
+tickets amortize the attestation+DHKE handshake across reconnects.  See
 :mod:`repro.async_serving.tier` for the layering and
 :mod:`repro.hypervisor.resumption` for the ticket protocol.
 """
 
-from repro.async_serving.reactor import (
-    AsyncioReactorAdapter,
-    ReactorHandle,
-    VirtualReactor,
-)
 from repro.async_serving.session import (
     AsyncSession,
     InvalidSessionTransition,
@@ -26,7 +21,6 @@ from repro.async_serving.tier import (
     ServiceTenant,
     SessionCapacityError,
     SessionClosedError,
-    drive_open_loop,
 )
 
 # The bench drives the whole serving stack; loading it lazily (PEP 562)

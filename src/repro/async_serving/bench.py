@@ -2,11 +2,11 @@
 
 Four seeded scenarios, every gate deterministic:
 
-1. **Identity** — the same open-loop serving run through the full real
-   pipeline twice: once driven synchronously by
-   :func:`~repro.serving.loadgen.run_open_loop`, once by the reactor
-   tier with resumption disabled.  The tier is pure scheduling — so the
-   two runs must be byte-identical: same Chrome trace JSON, same
+1. **Identity** — the same open-loop serving run
+   (:func:`~repro.serving.loadgen.run_open_loop`) through the full real
+   pipeline twice: once straight at the gateway, once through the async
+   tier with resumption disabled.  The tier is pure pass-through — so
+   the two runs must be byte-identical: same Chrome trace JSON, same
    gateway metrics snapshot, same wire bytes, same world-state digest.
 2. **C10K** — 10,000 concurrent sessions multiplexed by one tier over a
    sharded gateway fleet (model-mode executors, real sealed tickets).
@@ -30,9 +30,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from repro.async_serving.reactor import VirtualReactor
 from repro.async_serving.tier import ModelHandshakeEngine
-from repro.bench.tiers import ROUNDS, reactor_open_loop, run_model_tier
+from repro.bench.tiers import ROUNDS, run_model_tier, tier_open_loop
 from repro.bench.report import GateReport, identity_verdict
 from repro.bench.stack import (
     build_evalset,
@@ -87,12 +86,12 @@ class C10kBenchConfig:
 
 
 # ----------------------------------------------------------------------
-# Scenario 1: identity (reactor off == synchronous baseline)
+# Scenario 1: identity (through the tier == straight at the gateway)
 # ----------------------------------------------------------------------
 
-def _run_identity_stack(config: C10kBenchConfig, reactor_driven: bool) -> dict:
-    """One full real-pipeline open-loop run, sync or reactor-driven;
-    returns its identity hashes."""
+def _run_identity_stack(config: C10kBenchConfig, through_tier: bool) -> dict:
+    """One full real-pipeline open-loop run, at the gateway or through
+    the tier; returns its identity hashes."""
     evalset = build_evalset()
     service = build_service(evalset.node)
     metrics = MetricsRegistry()
@@ -111,11 +110,8 @@ def _run_identity_stack(config: C10kBenchConfig, reactor_driven: bool) -> dict:
             total_requests=config.identity_requests,
             seed=config.seed,
         )
-        if reactor_driven:
-            _, load = reactor_open_loop(
-                VirtualReactor(start_us=gateway.now_us),
-                gateway, sessions, **offered,
-            )
+        if through_tier:
+            _, load = tier_open_loop(gateway, sessions, **offered)
         else:
             load = run_open_loop(gateway, sessions, **offered)
         return identity_hashes(tracer, metrics, [load], service)
@@ -224,9 +220,9 @@ class C10kBenchReport(GateReport):
 def run_c10k_bench(config: C10kBenchConfig) -> C10kBenchReport:
     # 1. Identity.
     identity, failures = compare_identity(
-        _run_identity_stack(config, reactor_driven=False),
-        _run_identity_stack(config, reactor_driven=True),
-        "identity: the reactor-driven run changed the {name} "
+        _run_identity_stack(config, through_tier=False),
+        _run_identity_stack(config, through_tier=True),
+        "identity: the run through the tier changed the {name} "
         "bytes of a resumption-disabled seeded run",
     )
 

@@ -1,10 +1,11 @@
 """The async serving tier: C10K multiplexing over the gateway fleet.
 
-One :class:`AsyncServingTier` owns a reactor, a frontend (a single
+One :class:`AsyncServingTier` sits on a frontend (a single
 :class:`~repro.serving.gateway.Gateway` or a shard-aware
-:class:`~repro.serving.router.ShardSessionRouter`), and a *handshake
-engine* that knows how sessions are established, suspended into
-resumption tickets, and resumed:
+:class:`~repro.serving.router.ShardSessionRouter`), schedules on the
+frontend's reactor, and drives a *handshake engine* that knows how
+sessions are established, suspended into resumption tickets, and
+resumed:
 
 * :class:`ModelHandshakeEngine` — virtual-cost handshakes with *real*
   sealed tickets (mint/redeem through the same
@@ -14,8 +15,9 @@ resumption tickets, and resumed:
   one process in CI time.
 * :class:`ServiceHandshakeEngine` — the full pipeline: per-tenant
   :class:`~repro.core.user.PreExecutionClient` attestation+DHKE,
-  hypervisor-minted tickets, and SessionDirectory updates so
-  ReattachableBundle payloads re-resolve to the resumed session.
+  hypervisor-minted tickets, and in-place updates of the tenant's
+  session mapping so :class:`~repro.faults.policy.FailoverBundle`
+  payloads re-resolve to the resumed session.
 
 Dispatch is cooperative and non-blocking: ``submit`` never waits.  An
 ACTIVE session dispatches straight onto the frontend; a HANDSHAKING or
@@ -25,31 +27,33 @@ refuses as :class:`~repro.hypervisor.resumption.StaleTicketError`
 (restart since mint) falls back to a full handshake — typed, counted,
 never retried as a transient fault.
 
-``run()`` merges the reactor's event heap with the frontend's
-completion heap in time order, mirroring the tie-breaking the
-synchronous gateway already uses (completions due at T run before an
-arrival at T).  With resumption disabled and pure payload factories, a
-seeded reactor-driven open-loop run is byte-identical to
-:func:`repro.serving.loadgen.run_open_loop` — the tier keeps its own
-metrics registry and adds no spans of its own, so the gateway's trace,
-metrics, wire bytes, and the world digest all hash equal (the
-``c10k-bench`` identity gate).
+Tier events (arrivals, handshake completions, idle timers) and the
+frontend's completions are events on one reactor, ordered by its rank
+rule (completions due at T run before an arrival at T), and every
+dispatched request reports back through its ``on_done``; ``run()`` is
+just "run the reactor to idle".  With resumption disabled and pure
+payload factories, a seeded open-loop run *through* the tier is
+byte-identical to the same :func:`repro.serving.loadgen.run_open_loop`
+straight at the gateway — the tier keeps its own metrics registry and
+adds no spans to the frontend's tracer, so the gateway's trace, metrics,
+wire bytes, and the world digest all hash equal (the ``c10k-bench``
+identity gate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.crypto.kdf import Drbg, hkdf_sha256
 from repro.hardware.timing import CostModel
 from repro.hypervisor.resumption import StaleTicketError, TicketSealer, TicketState
 from repro.serving.gateway import Gateway, GatewayRequest, RequestStatus
-from repro.serving.loadgen import LoadReport, LoadSession, arrival_times
+from repro.serving.loadgen import LoadReport, load_report
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.router import ShardSessionRouter
 from repro.telemetry.tracer import tracer_for
-from repro.async_serving.reactor import VirtualReactor
 from repro.async_serving.session import AsyncSession, SessionState
 
 
@@ -131,10 +135,10 @@ class ModelHandshakeEngine:
 
 @dataclass
 class ServiceTenant:
-    """One real tenant: its client, session directory, and home device."""
+    """One real tenant: its client, its live sessions, and home device."""
 
     client: Any                 # PreExecutionClient
-    directory: Any              # repro.recovery.supervisor.SessionDirectory
+    sessions: dict              # device index -> current session
     device_index: int = 0
 
 
@@ -143,9 +147,9 @@ class ServiceHandshakeEngine:
 
     ``open`` performs real attestation+DHKE; ``suspend``/``resume`` go
     through the hypervisor's ticket mint/redeem.  Every establishment
-    and resumption updates the tenant's SessionDirectory, so
-    ReattachableBundle payloads follow the session across suspensions
-    and hypervisor restarts alike.
+    and resumption replaces the entry in the tenant's ``sessions``, so
+    FailoverBundle payloads built over that mapping follow the session
+    across suspensions and hypervisor restarts alike.
     """
 
     def __init__(self, service: Any,
@@ -164,7 +168,7 @@ class ServiceHandshakeEngine:
         device = self.service.devices[tenant.device_index]
         session.live = tenant.client.connect(self.service, device)
         session.device_index = tenant.device_index
-        tenant.directory.set(tenant.device_index, session.live)
+        tenant.sessions[tenant.device_index] = session.live
 
     def suspend(self, session: AsyncSession) -> None:
         tenant = self._tenant(session)
@@ -179,7 +183,7 @@ class ServiceHandshakeEngine:
         tenant = self._tenant(session)
         session.live = tenant.client.resume(session.parked)
         session.parked = None
-        tenant.directory.set(tenant.device_index, session.live)
+        tenant.sessions[tenant.device_index] = session.live
 
     def close(self, session: AsyncSession) -> None:
         session.live = None
@@ -210,15 +214,14 @@ class AsyncServingTier:
 
     def __init__(
         self,
-        reactor: VirtualReactor,
         frontend: Gateway | ShardSessionRouter,
         engine: Any,
         config: AsyncServingConfig | None = None,
         metrics: MetricsRegistry | None = None,
         flight: Any = None,
     ) -> None:
-        self.reactor = reactor
         self.frontend = frontend
+        self.reactor = frontend.reactor
         self.engine = engine
         self.config = config or AsyncServingConfig()
         # Deliberately a *separate* registry from the frontend's: tier
@@ -238,9 +241,9 @@ class AsyncServingTier:
 
     @property
     def _tracer(self):
-        """The tier's own tracer, keyed off the *reactor* — a separate
-        clock domain from the service SimClock, so async-plane spans
-        can never land in (or perturb) the frontend's trace."""
+        """The tier's own tracer, keyed off the *reactor* — not the
+        service SimClock the frontend's tracer is keyed off, so
+        async-plane spans can never land in (or perturb) its trace."""
         return tracer_for(self.reactor)
 
     def _note(self, session: AsyncSession, name: str, **data: object) -> None:
@@ -320,47 +323,90 @@ class AsyncServingTier:
 
     # -- submission -----------------------------------------------------
 
-    def submit(self, routing_id: bytes, payload: Any, *,
-               priority: int = 0, deadline_us: float | None = None) -> None:
-        """Non-blocking: dispatch, queue on the session, or start a resume."""
+    def submit(
+        self,
+        routing_id: bytes,
+        payload: Any,
+        *,
+        priority: int = 0,
+        deadline_us: float | None = None,
+        device_index: int | None = None,
+        on_done: Callable[[GatewayRequest], None] | None = None,
+    ) -> None:
+        """Non-blocking: dispatch, queue on the session, or start a resume.
+
+        The frontend's ``submit`` minus ``at_us`` (the tier only ever
+        submits "now"); ``device_index``, when given, re-homes the
+        session.  ``on_done`` fires after the tier's own bookkeeping.
+        """
         session = self.sessions.get(routing_id)
         if session is None or session.state == SessionState.CLOSED:
             raise SessionClosedError(
                 f"no live session {routing_id.hex()[:16]}"
             )
+        if device_index is not None:
+            session.device_index = device_index
         session.submitted += 1
         session.last_activity_us = self.reactor.now_us
         self._cancel_suspend(session)
         if session.state == SessionState.ACTIVE:
-            self._dispatch(session, payload, priority, deadline_us)
-        elif session.state == SessionState.SUSPENDED:
-            session.backlog.append((payload, priority, deadline_us))
+            self._dispatch(session, payload, priority, deadline_us, on_done)
+            return
+        # Not ACTIVE: queue on the session.  HANDSHAKING or RESUMED has a
+        # handshake in flight already; SUSPENDED starts its resume.
+        session.backlog.append((payload, priority, deadline_us, on_done))
+        if session.state == SessionState.SUSPENDED:
             self._begin_resume(session)
-        else:  # HANDSHAKING or RESUMED: a handshake is already in flight
-            session.backlog.append((payload, priority, deadline_us))
 
-    def _dispatch(self, session: AsyncSession, payload: Any,
-                  priority: int, deadline_us: float | None) -> None:
+    def _dispatch(self, session: AsyncSession, payload: Any, priority: int,
+                  deadline_us: float | None, on_done) -> None:
+        session.in_flight += 1
         request = self.frontend.submit(
             session.routing_id,
             payload,
-            at_us=self.reactor.now_us,
             priority=priority,
             deadline_us=deadline_us,
             device_index=session.device_index,
+            on_done=partial(self._absorb, on_done),
         )
+        if request.status != RequestStatus.REJECTED:
+            self._note(
+                session, "tier.dispatch", request_id=request.request_id
+            )
+
+    def _absorb(self, on_done, request: GatewayRequest) -> None:
+        """A dispatched request left the frontend (shed at its door
+        included): account it, and re-arm idle eviction if that left
+        the session with nothing queued or in flight."""
+        self.outcomes.append(request)
+        session = self.sessions[request.session_id]
+        finished_us = request.finished_at_us
         if request.status == RequestStatus.REJECTED:
-            self.outcomes.append(request)
             self._note(
                 session, "tier.dispatch_rejected",
                 request_id=request.request_id,
                 reason=request.reject_reason,
             )
-        else:
-            session.in_flight += 1
-            self._note(
-                session, "tier.dispatch", request_id=request.request_id
+        elif request.status == RequestStatus.FAILED and self.flight is not None:
+            self.flight.note(
+                request.session_id, "event", "tier.request_failed",
+                finished_us,
+                request_id=request.request_id,
+                cause=request.failure.cause_type,
             )
+            self.flight.seal_if_triggered(
+                request.session_id,
+                request.failure.cause_type,
+                request.failure.message,
+                finished_us,
+            )
+        session.in_flight -= 1
+        session.last_activity_us = max(session.last_activity_us, finished_us)
+        if (session.state == SessionState.ACTIVE
+                and not session.in_flight and not session.backlog):
+            self._arm_suspend(session, session.last_activity_us)
+        if on_done is not None:
+            on_done(request)
 
     # -- handshakes -----------------------------------------------------
 
@@ -455,8 +501,8 @@ class AsyncServingTier:
             )
         self._note(session, "tier.handshake_done", kind=kind,
                    backlog=len(backlog))
-        for payload, priority, deadline_us in backlog:
-            self._dispatch(session, payload, priority, deadline_us)
+        for entry in backlog:
+            self._dispatch(session, *entry)
         if not backlog:
             self._arm_suspend(session, self.reactor.now_us)
 
@@ -520,161 +566,26 @@ class AsyncServingTier:
     def rebind_frontend(self, frontend: Gateway | ShardSessionRouter) -> None:
         """Swap the frontend (topology change).  Callers drain first:
         in-flight requests on the old frontend are not migrated."""
+        if frontend.reactor is not self.reactor:
+            raise ValueError("the new frontend must share the tier's reactor")
         self.frontend = frontend
         self._router = (
             frontend if isinstance(frontend, ShardSessionRouter) else None
         )
 
-    # -- the merged event loop -----------------------------------------
+    # -- running and reporting -----------------------------------------
 
     def run(self) -> None:
-        """Drive reactor events and frontend completions to quiescence.
+        """Run the reactor to idle: tier events and frontend completions
+        are the same heap, so this is all of quiescence."""
+        self.reactor.run_until_idle()
 
-        Two event sources, one time order: completions due at or before
-        the next reactor event are absorbed first (matching the
-        synchronous gateway, whose ``submit(at_us=T)`` runs every event
-        with ``finish <= T`` before enqueuing the arrival).
-        """
-        while True:
-            next_event = self.reactor.peek_next_us()
-            next_done = self.frontend.next_completion_us()
-            if next_done is not None and (
-                next_event is None or next_done <= next_event
-            ):
-                self._absorb(self.frontend.advance_until(next_done))
-            elif next_event is not None:
-                self.reactor.run_until(next_event)
-            else:
-                break
-        self._absorb(self.frontend.drain())
-
-    def _absorb(self, terminal: list[GatewayRequest]) -> None:
-        for request in terminal:
-            self.outcomes.append(request)
-            if (self.flight is not None
-                    and request.status == RequestStatus.FAILED
-                    and request.failure is not None):
-                at = request.finished_at_us
-                self.flight.note(
-                    request.session_id, "event", "tier.request_failed",
-                    self.reactor.now_us if at is None else at,
-                    request_id=request.request_id,
-                    cause=request.failure.cause_type,
-                )
-                self.flight.seal_if_triggered(
-                    request.session_id,
-                    request.failure.cause_type,
-                    request.failure.message,
-                    self.reactor.now_us if at is None else at,
-                )
-            session = self.sessions.get(request.session_id)
-            if session is None:
-                continue
-            session.in_flight -= 1
-            finished = request.finished_at_us
-            if finished is not None:
-                session.last_activity_us = max(
-                    session.last_activity_us, finished
-                )
-            if (session.state == SessionState.ACTIVE
-                    and not session.in_flight and not session.backlog):
-                self._arm_suspend(session, session.last_activity_us)
-
-    # -- reporting ------------------------------------------------------
+    def load_metrics(self) -> dict[str, float]:
+        return self.frontend.load_metrics()
 
     def load_report(self, start_us: float) -> LoadReport:
-        """The same shape ``run_open_loop`` returns, from tier outcomes."""
-        metrics = (
-            self.frontend.metrics.snapshot()
-            if isinstance(self.frontend, Gateway)
-            else self._merged_frontend_metrics()
-        )
-        rejected: dict[str, int] = {}
-        failed_by_reason: dict[str, int] = {}
-        completed = expired = failed = 0
-        for request in self.outcomes:
-            if request.status == RequestStatus.COMPLETED:
-                completed += 1
-            elif request.status == RequestStatus.EXPIRED:
-                expired += 1
-            elif request.status == RequestStatus.FAILED:
-                failed += 1
-                reason = request.failure.cause_type
-                failed_by_reason[reason] = failed_by_reason.get(reason, 0) + 1
-            elif request.status == RequestStatus.REJECTED:
-                rejected[request.reject_reason] = (
-                    rejected.get(request.reject_reason, 0) + 1
-                )
-        return LoadReport(
-            submitted=len(self.outcomes),
-            completed=completed,
-            expired=expired,
-            rejected_by_reason=rejected,
-            duration_us=self.frontend.now_us - start_us,
-            outcomes=list(self.outcomes),
-            metrics=metrics,
-            failed=failed,
-            failed_by_reason=failed_by_reason,
-        )
-
-    def _merged_frontend_metrics(self) -> dict[str, float]:
-        assert self._router is not None
-        if self._router.metrics is not None:
-            return self._router.metrics.snapshot()
-        merged: dict[str, float] = {}
-        for shard_id in self._router.shard_ids:
-            gateway = self._router.gateway_of_shard(shard_id)
-            for key, value in gateway.metrics.snapshot().items():
-                merged[f"shard{shard_id}.{key}"] = value
-        return merged
-
-
-# ----------------------------------------------------------------------
-# Open-loop driver (the reactor twin of loadgen.run_open_loop)
-# ----------------------------------------------------------------------
-
-def drive_open_loop(
-    tier: AsyncServingTier,
-    sessions: list[LoadSession],
-    *,
-    rate_rps: float,
-    total_requests: int,
-    seed: int = 1,
-    pattern: str = "poisson",
-    deadline_us: float | None = None,
-) -> LoadReport:
-    """Schedule the exact ``run_open_loop`` arrival sequence on the reactor.
-
-    Same DRBG personalization, same arrival draws, same round-robin and
-    per-session ordinals — so with resumption disabled, adopted (pre-
-    attested) sessions, and side-effect-free payload factories, the
-    frontend observes a byte-identical submission sequence and the
-    identity gate holds.  Payload factories are invoked inside the
-    arrival event (not at scheduling time), preserving creation order
-    relative to dispatches.
-    """
-    rng = Drbg(seed.to_bytes(8, "big"), personalization=b"loadgen-open")
-    start_us = tier.frontend.now_us
-
-    def arrive(session: LoadSession, ordinal: int) -> None:
-        tier.submit(
-            session.session_id,
-            session.make_payload(ordinal),
-            priority=session.priority,
-            deadline_us=deadline_us,
-        )
-
-    ordinals = [0] * len(sessions)
-    for index, at_us in enumerate(
-        arrival_times(rate_rps, total_requests, rng, pattern)
-    ):
-        session = sessions[index % len(sessions)]
-        tier.reactor.call_at(
-            start_us + at_us, arrive, session, ordinals[index % len(sessions)]
-        )
-        ordinals[index % len(sessions)] += 1
-    tier.run()
-    return tier.load_report(start_us)
+        """Every outcome so far, in the shape ``run_open_loop`` returns."""
+        return load_report(list(self.outcomes), self.load_metrics(), start_us)
 
 
 __all__ = [
@@ -685,5 +596,4 @@ __all__ = [
     "ServiceTenant",
     "SessionCapacityError",
     "SessionClosedError",
-    "drive_open_loop",
 ]

@@ -19,9 +19,10 @@ from repro.core.service import HarDTAPEService
 from repro.core.user import PreExecutionClient
 from repro.evm.executor import execute_transaction
 from repro.evm.tracer import CountingTracer, MultiTracer, StructTracer
-from repro.faults.policy import ResilientServiceExecutor, RetryPolicy
+from repro.faults.policy import RetryPolicy
 from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
 from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.serving.gateway import ServiceExecutor
 from repro.serving.loadgen import LoadReport, LoadSession
 from repro.state.journal import JournaledState
 from repro.telemetry.exporters import render_chrome_trace
@@ -63,11 +64,10 @@ def resilient_executor(service, metrics, *, max_attempts: int, supervisor=None):
     Breakers must heal within a run (virtual runs last ~hundreds of ms):
     trip after 5 straight failures, hold for 50 virtual ms.
     """
-    return ResilientServiceExecutor(
+    return ServiceExecutor(
         service,
-        retry=RetryPolicy(max_attempts=max_attempts, backoff_us=200.0),
+        RetryPolicy(max_attempts=max_attempts, backoff_us=200.0),
         metrics=metrics,
-        failure_threshold=5,
         breaker_reset_us=50_000.0,
         supervisor=supervisor,
     )

@@ -1,7 +1,7 @@
 """The async serving tier, driven the two ways the benches drive it.
 
-* :func:`reactor_open_loop` — the real pipeline behind a resumption-off
-  tier: pure scheduling, which is what the identity gates rely on.
+* :func:`tier_open_loop` — the real pipeline behind a resumption-off
+  tier: pure pass-through, which is what the identity gates rely on.
 * :func:`run_model_tier` — the model-mode schedule, open → burst →
   suspend → resume: ``session_count`` sessions open across
   ``open_window_us`` over a sharded model-executor fleet and burst once
@@ -13,16 +13,15 @@
 
 from __future__ import annotations
 
-from repro.async_serving.reactor import VirtualReactor
 from repro.async_serving.tier import (
     AsyncServingConfig,
     AsyncServingTier,
     ModelHandshakeEngine,
-    drive_open_loop,
 )
 from repro.hardware.timing import CostModel
 from repro.serving.gateway import FleetModelExecutor, Gateway, GatewayConfig
-from repro.serving.loadgen import synthetic_profiles
+from repro.serving.loadgen import run_open_loop, synthetic_profiles
+from repro.serving.reactor import VirtualReactor
 from repro.serving.router import ShardSessionRouter
 
 ROUNDS = 2  # suspend/resume cycles per session
@@ -30,18 +29,18 @@ ROUND_GAP_US = 1_000_000.0
 SUSPEND_AFTER_US = 200_000.0
 
 
-def reactor_open_loop(reactor, gateway, sessions, *, flight=None, **offered):
+def tier_open_loop(gateway, sessions, *, flight=None, **offered):
     """Open-loop load through a tier that adopts the already-attested
     ``sessions`` (no handshakes, no resumption); returns ``(tier, load)``.
-    ``offered`` is :func:`drive_open_loop`'s rate/total/seed."""
+    ``offered`` is :func:`run_open_loop`'s rate/total/seed."""
     tier = AsyncServingTier(
-        reactor, gateway, engine=None,
+        gateway, engine=None,
         config=AsyncServingConfig(resumption=False),
         flight=flight,
     )
     for session in sessions:
-        tier.adopt_session(session.session_id, device_index=session.device_index)
-    return tier, drive_open_loop(tier, sessions, **offered)
+        tier.adopt_session(session.session_id)
+    return tier, run_open_loop(tier, sessions, **offered)
 
 
 def run_model_tier(
@@ -66,18 +65,19 @@ def run_model_tier(
     """
     cost = CostModel()
     engine = ModelHandshakeEngine(cost, seed=seed)
+    reactor = VirtualReactor()
     gateways = {
         shard: Gateway(
             FleetModelExecutor(cores_per_shard, cost),
             GatewayConfig(max_queue_depth=session_count * 2,
                           max_in_flight_per_session=4),
+            reactor=reactor,
         )
         for shard in range(shards)
     }
     router = ShardSessionRouter(gateways)
-    reactor = VirtualReactor()
     tier = AsyncServingTier(
-        reactor, router, engine,
+        router, engine,
         config=AsyncServingConfig(
             max_sessions=session_count,
             suspend_after_us=SUSPEND_AFTER_US,
@@ -117,6 +117,6 @@ def run_model_tier(
         )
         for tick in range(1, int(horizon / observe_every_us) + 1):
             reactor.call_at(tick * observe_every_us, observe)
-    start_us = router.now_us
+    start_us = reactor.now_us
     tier.run()
     return tier, tier.load_report(start_us)

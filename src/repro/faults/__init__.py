@@ -13,9 +13,10 @@ purpose and reproducibly:
   :class:`FaultInjector` arms a plan onto the substrate seams (channel
   receive, ORAM path reads, HEVM transaction starts, attestation
   reports, sync roots);
-* :mod:`~repro.faults.policy` — *how it recovers*: retry with backoff,
-  per-device circuit breakers, and gateway-level failover
-  (:class:`ResilientServiceExecutor`), all typed end to end;
+* :mod:`~repro.faults.policy` — *how it recovers*: the retry, circuit
+  breaker, failover-payload and quarantine policies that
+  :class:`~repro.serving.gateway.ServiceExecutor` applies, all typed
+  end to end;
 * :mod:`~repro.faults.harness` — the chaos harness driving serving-layer
   load under escalating fault rates (:func:`run_chaos`).
 
@@ -53,7 +54,6 @@ from repro.faults.policy import (
     FailoverBundle,
     QuarantinePolicy,
     RecoveryOutcome,
-    ResilientServiceExecutor,
     RetryPolicy,
 )
 
@@ -108,7 +108,6 @@ __all__ = [
     "ReceiptMissingError",
     "RecoveryOutcome",
     "RollbackDetectedError",
-    "ResilientServiceExecutor",
     "RetryPolicy",
     "SyncError",
     "UnknownSessionError",

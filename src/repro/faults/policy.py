@@ -1,6 +1,9 @@
 """Typed, composable recovery policies over the fault plane's errors.
 
-Three building blocks, each deterministic in virtual time:
+The building blocks, each deterministic in virtual time, that
+:class:`~repro.serving.gateway.ServiceExecutor` applies in its one
+attempt loop (quarantine → breaker → attempt → retryable? else
+supervisor → backoff → failover):
 
 * :class:`RetryPolicy` — how many attempts a bundle gets and how long
   (virtual µs, exponential) to back off between them.  Retrying is safe
@@ -10,15 +13,11 @@ Three building blocks, each deterministic in virtual time:
 * :class:`CircuitBreaker` — per-device failure counting; a device that
   keeps failing is held *open* for a cool-down window so retries go
   elsewhere instead of hammering a sick component.
-* :class:`ResilientServiceExecutor` — the gateway executor that puts
-  them together: retry with backoff, circuit-break per device, and
-  **fail over** a bundle to another device with an idle HEVM (via the
-  service's ``try_pick_device`` routing) when its home device keeps
-  failing.  A rescue by failover is recorded as a typed
-  :class:`~repro.faults.errors.FailedOverError` outcome in the metrics;
-  exhausted recovery surfaces as
-  :class:`~repro.faults.errors.BundleFailedError` carrying the virtual
-  time the attempts consumed.
+* :class:`FailoverBundle` — the payload that lets a bundle **fail
+  over** to another device the tenant holds a session on, or follow a
+  session that was re-joined after a restart.
+* :class:`QuarantinePolicy` — isolate a provably lying device, repair
+  shared trust state, heal the victim bundle elsewhere.
 
 Every error the policies recover from is typed (see
 :mod:`repro.faults.errors`); anything untyped propagates loudly — an
@@ -27,12 +26,11 @@ unexpected exception is a bug, not a fault to absorb.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.crypto.gcm import AuthenticationError
 from repro.faults.errors import (
-    BundleFailedError,
     ChannelError,
     CircuitOpenError,
     DmaDropError,
@@ -41,7 +39,6 @@ from repro.faults.errors import (
     OramTimeoutError,
     QuarantinedDeviceError,
 )
-from repro.telemetry.tracer import tracer_for
 
 # The transient, retry-safe failures.  Deliberate-tamper signals that
 # retrying cannot fix (SyncError from a forged proof chain,
@@ -66,7 +63,6 @@ class RetryPolicy:
     max_attempts: int = 3
     backoff_us: float = 200.0
     multiplier: float = 2.0
-    recoverable: tuple[type[Exception], ...] = RECOVERABLE_ERRORS
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -75,7 +71,7 @@ class RetryPolicy:
             raise ValueError("backoff must be non-negative, multiplier >= 1")
 
     def is_recoverable(self, error: Exception) -> bool:
-        return isinstance(error, self.recoverable)
+        return isinstance(error, RECOVERABLE_ERRORS)
 
     def backoff_for(self, failures: int) -> float:
         """Backoff after the ``failures``-th failure (1-based)."""
@@ -140,16 +136,6 @@ class CircuitBreaker:
         self._half_open = False
         self._current_reset_us = self.reset_after_us
 
-    def force_open(self, until_us: float = math.inf) -> None:
-        """Open the breaker by decree, bypassing the failure count.
-
-        The quarantine policy's lever: an audit verdict is proof of a
-        lying device, so the breaker opens immediately and — by default —
-        indefinitely; only an explicit quarantine release closes it.
-        """
-        self._half_open = False
-        self._open_until_us = until_us
-
     def record_failure(self, now_us: float) -> None:
         if self._half_open:
             # The trial call failed: re-open immediately with a doubled
@@ -189,12 +175,19 @@ class FailoverBundle:
     A tenant that attested sessions on several devices wraps them here;
     ``seal_for`` seals the encoded bundle late (at attempt time) so the
     per-channel nonces stay strictly increasing across retries.
+
+    ``sessions`` (device index → session) is read live, never copied:
+    a tenant that re-joins after a Hypervisor restart, or resumes from
+    a ticket, replaces its entry in place, and the next attempt seals
+    for the session the device actually knows.
     """
 
-    def __init__(self, sessions: dict[int, object], encoded_bundle: bytes) -> None:
+    def __init__(
+        self, sessions: Mapping[int, object], encoded_bundle: bytes
+    ) -> None:
         if not sessions:
             raise ValueError("need at least one device session")
-        self._sessions = dict(sessions)
+        self._sessions = sessions
         self._encoded = encoded_bundle
 
     @property
@@ -223,8 +216,8 @@ class QuarantinePolicy:
 
     A failed receipt audit is not a transient fault — it is evidence.
     The policy's response, in order: **quarantine** the device (set
-    membership, metrics, indefinite ``force_open`` on every bound
-    executor's breaker, flight-recorder seal), **repair** shared trust
+    membership, metrics, flight-recorder seal — the gateway and the
+    service executor it was handed to consult the set), **repair** shared trust
     state if the lie was an equivocated sync (full update replay via
     ``service.repair_sync``), and **heal** the victim bundle by
     re-executing it on a healthy device the tenant holds a session on.
@@ -232,7 +225,7 @@ class QuarantinePolicy:
     slots are skipped and overflow sheds with a typed
     ``quarantined-capacity`` reason instead of queueing forever.
 
-    Deterministic and metrics-only on the happy path: a bound policy
+    Deterministic and metrics-only on the happy path: a policy
     with nothing quarantined touches neither clock nor randomness, so
     clean runs stay byte-identical.
     """
@@ -242,19 +235,10 @@ class QuarantinePolicy:
         self._metrics = metrics
         self._flight = flight
         self.quarantined: set[int] = set()
-        self._executors: list = []
         self.quarantines = 0
         self.releases = 0
         self.heals = 0
         self.resyncs = 0
-
-    # -- wiring ---------------------------------------------------------
-
-    def bind(self, executor) -> "QuarantinePolicy":
-        """Attach to an executor: its breakers become our enforcement."""
-        executor.quarantine = self
-        self._executors.append(executor)
-        return self
 
     # -- predicates -----------------------------------------------------
 
@@ -298,8 +282,6 @@ class QuarantinePolicy:
                 cause=cause_name,
             ).inc()
         self._set_gauge()
-        for executor in self._executors:
-            executor.breakers[device_index].force_open()
         if self._flight is not None and session_id is not None:
             self._flight.note(
                 session_id, "event", "quarantine.quarantined", now_us,
@@ -321,8 +303,6 @@ class QuarantinePolicy:
                 "quarantine.released", device=str(device_index)
             ).inc()
         self._set_gauge()
-        for executor in self._executors:
-            executor.breakers[device_index].record_success()
         return True
 
     # -- healing --------------------------------------------------------
@@ -401,195 +381,11 @@ class QuarantinePolicy:
         return target, sealed_out
 
 
-class ResilientServiceExecutor:
-    """A drop-in for :class:`~repro.serving.gateway.ServiceExecutor`
-    that retries, circuit-breaks, and fails over.
-
-    On the happy path it is byte-identical to the plain executor: one
-    ``submit_bundle`` call, service time measured as the SimClock delta,
-    no metrics touched — which is why an armed-but-zero-rate chaos run
-    reproduces the baseline bit-for-bit.  Failures consume virtual time
-    (the failed attempts plus backoff), so a recovered bundle's service
-    time honestly includes its recovery cost.
-    """
-
-    def __init__(
-        self,
-        service,
-        retry: RetryPolicy | None = None,
-        metrics=None,
-        failure_threshold: int = 5,
-        breaker_reset_us: float = 1_000_000.0,
-        supervisor=None,
-    ) -> None:
-        self.service = service
-        self.retry = retry or RetryPolicy()
-        self._metrics = metrics
-        # Recovery-plane escalation (``repro.recovery``): when an error
-        # is not retryable in place (HypervisorCrashError,
-        # RollbackDetectedError), the supervisor may repair the world —
-        # cold-restart the Hypervisor, re-sync the ORAM — and report the
-        # error as now-retryable.  ``None`` keeps the historical
-        # behaviour: unrecoverable errors propagate immediately.
-        self._supervisor = supervisor
-        self.breakers = {
-            index: CircuitBreaker(
-                f"device{index}", failure_threshold, breaker_reset_us
-            )
-            for index in range(len(service.devices))
-        }
-        self.slots: list[int | None] = []
-        for index, device in enumerate(service.devices):
-            self.slots.extend([index] * device.config.hevm_count)
-        # Set by QuarantinePolicy.bind(); None keeps the historical
-        # behaviour (and the byte-identity of unquarantined runs).
-        self.quarantine: QuarantinePolicy | None = None
-
-    # -- one attempt ----------------------------------------------------
-
-    def _run_once(self, request, device_index: int):
-        payload = request.payload
-        if hasattr(payload, "seal_for"):
-            session_id = payload.session_for(device_index)
-            sealed = payload.seal_for(device_index)
-        elif callable(payload):
-            session_id, sealed = request.session_id, payload()
-        else:
-            session_id, sealed = request.session_id, payload
-        device = self.service.devices[device_index]
-        sealed_out, _, _, _ = self.service.submit_bundle(
-            device, session_id, sealed
-        )
-        return sealed_out
-
-    # -- failover routing -----------------------------------------------
-
-    def _failover_target(self, from_index: int, payload) -> int | None:
-        """Another device with an idle HEVM the payload can run on."""
-        if not hasattr(payload, "seal_for"):
-            return None  # single-session payload: nowhere else to go
-        allowed = set(payload.device_indices)
-        if self.quarantine is not None:
-            allowed -= self.quarantine.quarantined
-        picked = self.service.try_pick_device()
-        if picked is not None:
-            index = self.service.devices.index(picked)
-            if index != from_index and index in allowed:
-                return index
-        for index, device in enumerate(self.service.devices):
-            if index != from_index and index in allowed and device.idle_hevms > 0:
-                return index
-        return None
-
-    # -- the executor protocol ------------------------------------------
-
-    def execute(self, request, start_us: float):
-        if request.device_index is None:
-            raise ValueError("service-path requests are session/device bound")
-        clock = self.service.clock
-        tracer = tracer_for(clock)
-        # Bridge gateway time onto the device clock for every span the
-        # attempts (and backoffs) below record.
-        with tracer.shifted(start_us - clock.now_us):
-            return self._execute_traced(request, tracer)
-
-    def _execute_traced(self, request, tracer):
-        clock = self.service.clock
-        attempt_start = clock.now_us
-        outcome = RecoveryOutcome()
-        current = request.device_index
-        last_error: Exception | None = None
-
-        while outcome.attempts < self.retry.max_attempts:
-            outcome.attempts += 1
-            breaker = self.breakers[current]
-            try:
-                breaker.allow(clock.now_us)
-                result = self._run_once(request, current)
-            except CircuitOpenError as error:
-                last_error = error  # not a new device failure: no count
-            except Exception as error:
-                recoverable = self.retry.is_recoverable(error)
-                if not recoverable and self._supervisor is not None:
-                    recoverable = self._supervisor.intervene(error, current)
-                if not recoverable:
-                    # Untyped/unrepairable: a bug, not a fault — but the
-                    # attempts still consumed virtual slot time, so hand
-                    # the accounting to the gateway before propagating.
-                    request.recovery = outcome
-                    try:
-                        error.service_us = clock.now_us - attempt_start
-                    except AttributeError:  # pragma: no cover - frozen exc
-                        pass
-                    raise
-                last_error = error
-                breaker.record_failure(clock.now_us)
-                outcome.recovered_errors.append(type(error).__name__)
-                name = type(error).__name__
-                if self._metrics is not None:
-                    self._metrics.counter("recovery.errors").inc()
-                    self._metrics.counter("recovery.errors", error=name).inc()
-                active = tracer.active
-                if active is not None:
-                    # The active span is gateway-domain (shift 0); the
-                    # event is timed on the device clock, so pre-shift.
-                    active.event(
-                        "fault",
-                        clock.now_us + tracer.shift_us,
-                        error=name,
-                        attempt=outcome.attempts,
-                        device=current,
-                    )
-            else:
-                breaker.record_success()
-                request.recovery = outcome
-                if outcome.recovered and self._metrics is not None:
-                    self._metrics.counter("recovery.recovered").inc()
-                return clock.now_us - attempt_start, result
-
-            if outcome.attempts >= self.retry.max_attempts:
-                break
-            backoff = self.retry.backoff_for(outcome.attempts)
-            tracer.record(
-                "recovery.backoff", "recovery", backoff, attempt=outcome.attempts
-            )
-            clock.advance_us(backoff)
-            outcome.backoff_us += backoff
-            outcome.retries += 1
-            if self._metrics is not None:
-                self._metrics.counter("recovery.retries").inc()
-            target = self._failover_target(current, request.payload)
-            if target is not None:
-                assert last_error is not None
-                outcome.failover = FailedOverError(current, target, last_error)
-                if self._metrics is not None:
-                    self._metrics.counter("gateway.failover").inc()
-                    self._metrics.counter(
-                        "faults.outcome", outcome="FailedOverError"
-                    ).inc()
-                active = tracer.active
-                if active is not None:
-                    active.event(
-                        "failover",
-                        clock.now_us + tracer.shift_us,
-                        from_device=current,
-                        to_device=target,
-                    )
-                current = target
-
-        assert last_error is not None
-        request.recovery = outcome
-        raise BundleFailedError(
-            outcome.attempts, last_error, clock.now_us - attempt_start
-        )
-
-
 __all__ = [
     "RECOVERABLE_ERRORS",
     "CircuitBreaker",
     "FailoverBundle",
     "QuarantinePolicy",
     "RecoveryOutcome",
-    "ResilientServiceExecutor",
     "RetryPolicy",
 ]

@@ -19,19 +19,13 @@ from repro.recovery.store import DurableStore
 from repro.recovery.state import SessionRecord, TrustedState
 from repro.recovery import journal
 from repro.recovery.manager import RecoveryIntegrityError, RecoveryManager
-from repro.recovery.supervisor import (
-    HypervisorSupervisor,
-    ReattachableBundle,
-    SessionDirectory,
-)
+from repro.recovery.supervisor import HypervisorSupervisor
 
 __all__ = [
     "DurableStore",
     "HypervisorSupervisor",
-    "ReattachableBundle",
     "RecoveryIntegrityError",
     "RecoveryManager",
-    "SessionDirectory",
     "SessionRecord",
     "TrustedState",
     "journal",

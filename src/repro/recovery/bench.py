@@ -48,14 +48,11 @@ from repro.bench.stack import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
+from repro.faults.policy import FailoverBundle
 from repro.oram.client import RollbackDetectedError
 from repro.recovery.manager import RecoveryIntegrityError, RecoveryManager
 from repro.recovery.store import DurableStore
-from repro.recovery.supervisor import (
-    HypervisorSupervisor,
-    ReattachableBundle,
-    SessionDirectory,
-)
+from repro.recovery.supervisor import HypervisorSupervisor
 from repro.serving.gateway import Gateway, GatewayConfig
 from repro.serving.loadgen import LoadReport, run_closed_loop
 from repro.serving.metrics import MetricsRegistry
@@ -176,19 +173,16 @@ def _run_deployment(
         )
         gateway = Gateway(executor, GatewayConfig(), metrics=metrics, tracer=tracer)
 
-        # Each tenant attests every device through a SessionDirectory, so
-        # payloads re-resolve their session after a restart re-join.
+        # Each tenant attests every device; a restart re-join replaces
+        # the entry in ``tenant.sessions``, which its payloads read live.
         tenants = connect_tenants(service, config.tenants, every_device=True)
-        directories: dict[int, SessionDirectory] = {}
-        for tenant in tenants:
-            directory = directories[tenant.index] = SessionDirectory()
-            for index, session in tenant.sessions.items():
-                directory.set(index, session)
-            if supervisor is not None:
+        if supervisor is not None:
+            for tenant in tenants:
 
-                def rejoin(device_index, device,
-                           client=tenant.client, directory=directory):
-                    directory.set(device_index, client.connect(service, device))
+                def rejoin(device_index, device, tenant=tenant):
+                    tenant.sessions[device_index] = tenant.client.connect(
+                        service, device
+                    )
 
                 supervisor.rejoin_callbacks.append(rejoin)
         transactions = evalset.transactions
@@ -196,9 +190,7 @@ def _run_deployment(
             service,
             tenants,
             transactions,
-            lambda tenant, encoded: ReattachableBundle(
-                directories[tenant.index], encoded
-            ),
+            lambda tenant, encoded: FailoverBundle(tenant.sessions, encoded),
         )
 
         loads: list[LoadReport] = []

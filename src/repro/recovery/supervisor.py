@@ -1,9 +1,9 @@
 """Restart orchestration: from typed crash to re-joined deployment.
 
-:class:`HypervisorSupervisor` plugs into
-:class:`~repro.faults.policy.ResilientServiceExecutor` (its
-``supervisor`` seam) and turns the two non-retryable recovery-plane
-errors into retryable situations by *repairing the world first*:
+:class:`HypervisorSupervisor` is the ``supervisor`` policy of
+:class:`~repro.serving.gateway.ServiceExecutor`: it turns the two
+non-retryable recovery-plane errors into retryable situations by
+*repairing the world first*:
 
 * :class:`~repro.hypervisor.hypervisor.HypervisorCrashError` →
   :meth:`restart`: charge the cold-boot cost, recover trusted state from
@@ -17,10 +17,11 @@ errors into retryable situations by *repairing the world first*:
   state (the paper's block-sync path), keeping the nonce counter
   monotone.
 
-In-flight work is *re-admitted* when its payload can re-resolve a live
-session (:class:`ReattachableBundle`), and terminates as a typed FAILED
-otherwise — either way under the gateway's existing deadline/slot
-accounting, never silently.
+In-flight work is *re-admitted* when its payload re-resolves a live
+session (:class:`~repro.faults.policy.FailoverBundle` reads the
+tenant's session mapping at seal time, and re-join replaces the entry
+in place), and terminates as a typed FAILED otherwise — either way
+under the gateway's existing deadline/slot accounting, never silently.
 """
 
 from __future__ import annotations
@@ -30,63 +31,6 @@ from repro.oram.client import RollbackDetectedError
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.store import DurableStore
 from repro.telemetry.tracer import tracer_for
-
-
-class SessionDirectory:
-    """device index → the tenant's *current* session on that device.
-
-    Re-join replaces entries in place, so payloads resolving through the
-    directory always seal for a session the (possibly restarted)
-    Hypervisor actually knows.
-    """
-
-    def __init__(self) -> None:
-        self._sessions: dict[int, object] = {}
-
-    def set(self, device_index: int, session) -> None:
-        self._sessions[device_index] = session
-
-    def get(self, device_index: int):
-        return self._sessions[device_index]
-
-    @property
-    def device_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._sessions))
-
-
-class ReattachableBundle:
-    """A failover payload that re-resolves its session at seal time.
-
-    The plain :class:`~repro.faults.policy.FailoverBundle` binds session
-    objects at construction; after a Hypervisor restart those are dead
-    and every re-seal lands as ``UnknownSessionError``.  Resolving
-    through a :class:`SessionDirectory` instead means a retried attempt
-    automatically picks up the re-joined session — the "re-admit
-    in-flight gateway work" half of the recovery contract.
-    """
-
-    def __init__(self, directory: SessionDirectory, encoded_bundle: bytes) -> None:
-        self._directory = directory
-        self._encoded = encoded_bundle
-
-    @property
-    def device_indices(self) -> tuple[int, ...]:
-        return self._directory.device_indices
-
-    def session_for(self, device_index: int) -> bytes:
-        return self._directory.get(device_index).session_id
-
-    def seal_for(self, device_index: int):
-        session = self._directory.get(device_index)
-        if session.device.hypervisor.features.encryption:
-            return session.channel.seal(self._encoded)
-        return self._encoded
-
-    def open_with(self, device_index: int, sealed_out):
-        session = self._directory.get(device_index)
-        if session.device.hypervisor.features.encryption:
-            return session.channel.open(sealed_out)
-        return sealed_out
 
 
 class HypervisorSupervisor:
@@ -106,8 +50,8 @@ class HypervisorSupervisor:
         self._injector = injector
         self._metrics = metrics
         # Tenant-side re-join hooks: callables ``(device_index, device)``
-        # that re-run attestation + DHKE and update the tenant's
-        # SessionDirectory.  Registered per tenant at setup.
+        # that re-run attestation + DHKE and replace the tenant's entry
+        # in its session mapping.  Registered per tenant at setup.
         self.rejoin_callbacks: list = []
         self.restarts = 0
         self.resyncs = 0
@@ -126,8 +70,8 @@ class HypervisorSupervisor:
             return True
         if isinstance(error, UnknownSessionError):
             # Stale session id after a restart this supervisor performed:
-            # the retry re-seals, and payloads resolving through a
-            # SessionDirectory pick up the re-joined session.  Without a
+            # the retry re-seals, and a FailoverBundle over the tenant's
+            # live session mapping picks up the re-joined session.  Without a
             # prior restart it is a routing bug — propagate.
             return self.restarts > 0
         return False
@@ -242,4 +186,4 @@ class HypervisorSupervisor:
             self._metrics.counter("recovery.resyncs").inc()
 
 
-__all__ = ["HypervisorSupervisor", "ReattachableBundle", "SessionDirectory"]
+__all__ = ["HypervisorSupervisor"]

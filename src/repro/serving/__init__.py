@@ -3,7 +3,8 @@
 Sits above ``repro.core``; observes ``hardware``/``hypervisor`` stats;
 is never imported by the substrates.  See ``gateway`` for the request
 lifecycle, ``admission`` for overload policy, ``loadgen`` for the
-closed/open-loop harness, and ``metrics`` for the registry everything
+closed/open-loop harness, ``reactor`` for the one virtual-time event
+loop all of it runs on, and ``metrics`` for the registry everything
 reports into.
 """
 
@@ -29,12 +30,14 @@ from repro.serving.loadgen import (
     LoadReport,
     LoadSession,
     arrival_times,
+    load_report,
     model_sessions,
     run_closed_loop,
     run_open_loop,
     synthetic_profiles,
 )
 from repro.serving.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.serving.reactor import VirtualReactor
 from repro.serving.router import SESSION_RING_SEED, ShardSessionRouter
 
 __all__ = [
@@ -60,7 +63,9 @@ __all__ = [
     "ServiceExecutor",
     "ShardSessionRouter",
     "TokenBucketPolicy",
+    "VirtualReactor",
     "arrival_times",
+    "load_report",
     "model_sessions",
     "run_closed_loop",
     "run_open_loop",

@@ -8,14 +8,19 @@ many sessions submit concurrently, a bounded priority/FIFO queue
 absorbs bursts, admission control sheds overload with typed reasons,
 and per-request deadlines give timeout + cancellation semantics.
 
-Concurrency is modeled in *virtual time*: the gateway owns a virtual
-clock (microseconds, same unit as :class:`~repro.hardware.timing.SimClock`),
-an event heap of in-flight completions, and one capacity slot per HEVM.
-Execution itself is pluggable:
+Concurrency is modeled in *virtual time*: every in-flight completion is
+an event on a :class:`~repro.serving.reactor.VirtualReactor`
+(microseconds, same unit as :class:`~repro.hardware.timing.SimClock`),
+and there is one capacity slot per HEVM.  A gateway built on its own
+gets a private reactor, and ``submit(at_us=)`` / ``advance_until`` /
+``drain`` run it — the synchronous mode; gateways handed a shared
+reactor are driven by whoever runs that.  Execution itself is pluggable:
 
 * :class:`ServiceExecutor` drives the real functional pipeline through
   ``HarDTAPEService.submit_bundle`` — results are bit-identical to the
-  direct path, and the measured SimClock delta is the service time;
+  direct path, and the measured SimClock delta is the service time; its
+  optional policies retry, circuit-break, fail over and escalate to the
+  recovery plane in one fixed order;
 * :class:`FleetModelExecutor` prices synthetic
   :class:`~repro.hardware.fleet.TxProfile` load against the shared
   :class:`~repro.hardware.fleet.OramServerTimeline`, reproducing the
@@ -29,12 +34,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
+from repro.faults.errors import (
+    BundleFailedError,
+    CircuitOpenError,
+    FailedOverError,
+    QuarantinedDeviceError,
+)
+from repro.faults.policy import CircuitBreaker, RecoveryOutcome, RetryPolicy
 from repro.hardware.fleet import OramServerLedger, profile_finish_us
 from repro.hardware.timing import CostModel
 from repro.serving.admission import AdmissionPolicy, RejectReason
 from repro.serving.metrics import MetricsRegistry
+from repro.serving.reactor import COMPLETION, VirtualReactor
 from repro.telemetry.tracer import NULL_TRACER, TraceContext, Tracer, tracer_for
 
 
@@ -94,12 +107,16 @@ class GatewayRequest:
     service_us: float | None = None
     result: Any = None
     failure: ExecutionFailure | None = None
-    # Set by recovering executors (``repro.faults.policy``): what retry/
-    # failover did for this request, ``None`` when nothing was needed.
+    # The :class:`~repro.faults.policy.RecoveryOutcome` of the service
+    # path: what retry/failover did for this request.
     recovery: Any = None
     # Per-request span handles; ``None`` when tracing is off or the
     # request was not sampled.
     trace: TraceContext | None = None
+    # Called once with this record when it completes, fails, expires or
+    # is shed at the door (not when its submitter cancels it).  Without
+    # one, the next ``advance_until`` / ``drain`` hands the record back.
+    on_done: Callable[["GatewayRequest"], None] | None = None
 
     @property
     def queue_wait_us(self) -> float | None:
@@ -131,50 +148,207 @@ class BundleExecutor(Protocol):
         ...  # pragma: no cover - protocol
 
 
+# Consecutive failures that trip a device's breaker.
+BREAKER_FAILURE_THRESHOLD = 5
+
+
 class ServiceExecutor:
     """Run bundles through the real functional pipeline.
 
-    Service time is the SimClock delta measured by
-    ``HarDTAPEService.submit_bundle``, so the gateway's virtual timeline
-    stays calibrated to the same cost model as every other experiment.
-    Note the channel-ordering contract: trace reports are sealed at
-    dispatch, so a session opening its reports must do so in completion
-    order — sessions wanting strict ordering should keep one request in
-    flight (``GatewayConfig.max_in_flight_per_session = 1``).
+    Service time is the SimClock delta across the attempts, so the
+    gateway's virtual timeline stays calibrated to the same cost model
+    as every other experiment.  Note the channel-ordering contract:
+    trace reports are sealed at dispatch, so a session opening its
+    reports must do so in completion order — sessions wanting strict
+    ordering should keep one request in flight
+    (``GatewayConfig.max_in_flight_per_session = 1``).
+
+    With no policies this is one ``submit_bundle`` call: no metric is
+    touched and a failure propagates as the raw typed error.  Policies
+    join one attempt loop in one fixed order:
+
+    1. ``quarantine`` — a quarantined device is refused outright;
+    2. the device's circuit breaker — an open one is refused likewise;
+    3. the attempt;
+    4. on error: retryable under ``retry``?  If not, ``supervisor`` may
+       repair the world (cold-restart the Hypervisor, re-sync the ORAM)
+       and declare it retryable; otherwise the error propagates;
+    5. backoff in virtual time;
+    6. failover to another device the payload holds a session on, with
+       an idle HEVM, that is not quarantined.
+
+    Failures consume virtual time (the failed attempts plus backoff), so
+    a recovered bundle's service time honestly includes its recovery
+    cost, and every propagated error carries the elapsed ``service_us``
+    for the gateway's slot accounting.  Exhausted recovery surfaces as
+    :class:`~repro.faults.errors.BundleFailedError`; a rescue by
+    failover is recorded as a typed
+    :class:`~repro.faults.errors.FailedOverError` outcome.
     """
 
-    def __init__(self, service) -> None:
+    def __init__(
+        self,
+        service,
+        retry: RetryPolicy | None = None,
+        *,
+        metrics: MetricsRegistry | None = None,
+        breaker_reset_us: float = 1_000_000.0,
+        supervisor=None,
+        quarantine=None,
+    ) -> None:
         self.service = service
+        self.retry = retry
+        self._metrics = metrics
+        # ``repro.recovery.supervisor.HypervisorSupervisor`` or None.
+        self._supervisor = supervisor
+        # ``repro.faults.policy.QuarantinePolicy`` or None.
+        self.quarantine = quarantine
+        self.breakers = {
+            index: CircuitBreaker(
+                f"device{index}", BREAKER_FAILURE_THRESHOLD, breaker_reset_us
+            )
+            for index in range(len(service.devices))
+        }
         self.slots: list[int | None] = []
         for index, device in enumerate(service.devices):
             self.slots.extend([index] * device.config.hevm_count)
+
+    def _run_once(self, request: GatewayRequest, device_index: int):
+        payload = request.payload
+        # Re-sealable payloads (FailoverBundle) seal late for whichever
+        # device the attempt lands on — failover and the quarantine
+        # re-route in ``Gateway.submit`` both rely on this.
+        if hasattr(payload, "seal_for"):
+            session_id = payload.session_for(device_index)
+            sealed = payload.seal_for(device_index)
+        else:
+            session_id = request.session_id
+            sealed = payload() if callable(payload) else payload
+        sealed_out, _, _, _ = self.service.submit_bundle(
+            self.service.devices[device_index], session_id, sealed
+        )
+        return sealed_out
+
+    def _failover_target(self, from_index: int, payload) -> int | None:
+        """Another device with an idle HEVM the payload can run on."""
+        if not hasattr(payload, "seal_for"):
+            return None  # single-session payload: nowhere else to go
+        allowed = set(payload.device_indices)
+        if self.quarantine is not None:
+            allowed -= self.quarantine.quarantined
+        picked = self.service.try_pick_device()
+        if picked is not None:
+            index = self.service.devices.index(picked)
+            if index != from_index and index in allowed:
+                return index
+        for index, device in enumerate(self.service.devices):
+            if index != from_index and index in allowed and device.idle_hevms > 0:
+                return index
+        return None
 
     def execute(
         self, request: GatewayRequest, start_us: float
     ) -> tuple[float, Any]:
         if request.device_index is None:
             raise ValueError("service-path requests are session/device bound")
-        # Re-sealable payloads (FailoverBundle) seal late for whichever
-        # device the request ended up on — the quarantine re-route in
-        # ``Gateway.submit`` relies on this.
-        if hasattr(request.payload, "seal_for"):
-            session_id = request.payload.session_for(request.device_index)
-            payload = request.payload.seal_for(request.device_index)
-        else:
-            session_id = request.session_id
-            payload = (
-                request.payload() if callable(request.payload)
-                else request.payload
+        clock = self.service.clock
+        tracer = tracer_for(clock)
+        # Bridge clock domains: spans recorded on the device SimClock
+        # (attempts and backoffs alike) are shifted so they render inside
+        # this request's gateway interval.
+        with tracer.shifted(start_us - clock.now_us):
+            return self._attempt_loop(request, tracer)
+
+    def _attempt_loop(self, request: GatewayRequest, tracer) -> tuple[float, Any]:
+        clock = self.service.clock
+        started_us = clock.now_us
+        max_attempts = 1 if self.retry is None else self.retry.max_attempts
+        outcome = request.recovery = RecoveryOutcome()
+        quarantine = self.quarantine
+        current = request.device_index
+        last_error: Exception | None = None
+
+        while True:
+            outcome.attempts += 1
+            breaker = self.breakers[current]
+            try:
+                if quarantine is not None and quarantine.is_quarantined(current):
+                    raise QuarantinedDeviceError(
+                        current, tuple(quarantine.quarantined)
+                    )
+                breaker.allow(clock.now_us)
+                result = self._run_once(request, current)
+            except (QuarantinedDeviceError, CircuitOpenError) as error:
+                last_error = error  # refused, not a new device failure
+            except Exception as error:
+                recoverable = (
+                    self.retry is not None and self.retry.is_recoverable(error)
+                )
+                if not recoverable and self._supervisor is not None:
+                    recoverable = self._supervisor.intervene(error, current)
+                if not recoverable:
+                    # Untyped/unrepairable: a bug, not a fault — but the
+                    # attempts still consumed virtual slot time, so hand
+                    # the accounting to the gateway before propagating.
+                    try:
+                        error.service_us = clock.now_us - started_us
+                    except AttributeError:  # pragma: no cover - frozen exc
+                        pass
+                    raise
+                last_error = error
+                breaker.record_failure(clock.now_us)
+                name = type(error).__name__
+                outcome.recovered_errors.append(name)
+                if self._metrics is not None:
+                    self._metrics.counter("recovery.errors").inc()
+                    self._metrics.counter("recovery.errors", error=name).inc()
+                active = tracer.active
+                if active is not None:
+                    # The active span is gateway-domain (shift 0); the
+                    # event is timed on the device clock, so pre-shift.
+                    active.event(
+                        "fault",
+                        clock.now_us + tracer.shift_us,
+                        error=name,
+                        attempt=outcome.attempts,
+                        device=current,
+                    )
+            else:
+                breaker.record_success()
+                if outcome.recovered and self._metrics is not None:
+                    self._metrics.counter("recovery.recovered").inc()
+                return clock.now_us - started_us, result
+
+            if outcome.attempts >= max_attempts:
+                raise BundleFailedError(
+                    outcome.attempts, last_error, clock.now_us - started_us
+                )
+            backoff = self.retry.backoff_for(outcome.attempts)
+            tracer.record(
+                "recovery.backoff", "recovery", backoff, attempt=outcome.attempts
             )
-        device = self.service.devices[request.device_index]
-        # Bridge clock domains: spans recorded on the device SimClock are
-        # shifted so they render inside this request's gateway interval.
-        tracer = tracer_for(self.service.clock)
-        with tracer.shifted(start_us - self.service.clock.now_us):
-            sealed_out, elapsed, _breakdowns, _run_stats = self.service.submit_bundle(
-                device, session_id, payload
-            )
-        return elapsed, sealed_out
+            clock.advance_us(backoff)
+            outcome.backoff_us += backoff
+            outcome.retries += 1
+            if self._metrics is not None:
+                self._metrics.counter("recovery.retries").inc()
+            target = self._failover_target(current, request.payload)
+            if target is not None:
+                outcome.failover = FailedOverError(current, target, last_error)
+                if self._metrics is not None:
+                    self._metrics.counter("gateway.failover").inc()
+                    self._metrics.counter(
+                        "faults.outcome", outcome="FailedOverError"
+                    ).inc()
+                active = tracer.active
+                if active is not None:
+                    active.event(
+                        "failover",
+                        clock.now_us + tracer.shift_us,
+                        from_device=current,
+                        to_device=target,
+                    )
+                current = target
 
 
 class FleetModelExecutor:
@@ -213,7 +387,6 @@ class GatewayConfig:
     max_queue_depth: int = 64
     max_in_flight_per_session: int = 4   # queued + running, per session
     default_deadline_us: float | None = None
-    default_priority: int = 0
 
 
 class Gateway:
@@ -228,6 +401,7 @@ class Gateway:
         tracer: Tracer | None = None,
         flight: Any = None,
         quarantine: Any = None,
+        reactor: VirtualReactor | None = None,
     ) -> None:
         self.executor = executor
         self.config = config or GatewayConfig()
@@ -243,13 +417,13 @@ class Gateway:
         # capacity) and overflow sheds with a typed reason.  ``None``
         # preserves the historical behaviour bit-for-bit.
         self.quarantine = quarantine
-        self._now_us = 0.0
+        # Where completions are scheduled.  A private reactor is the
+        # synchronous mode; gateways behind one router share theirs.
+        self.reactor = VirtualReactor() if reactor is None else reactor
         self._sequence = 0
         # (priority, sequence, request): FIFO within a priority level.
         self._queue: list[tuple[int, int, GatewayRequest]] = []
         self._queued_count = 0
-        # (finish_us, sequence, slot, request)
-        self._events: list[tuple[float, int, int, GatewayRequest]] = []
         self._free_slots: list[int] = list(range(len(executor.slots)))
         self._in_flight = 0
         self._session_outstanding: dict[bytes, int] = {}
@@ -262,7 +436,7 @@ class Gateway:
 
     @property
     def now_us(self) -> float:
-        return self._now_us
+        return self.reactor.now_us
 
     @property
     def capacity(self) -> int:
@@ -279,14 +453,15 @@ class Gateway:
     def session_load(self, session_id: bytes) -> int:
         return self._session_outstanding.get(session_id, 0)
 
-    def next_completion_us(self) -> float | None:
-        return self._events[0][0] if self._events else None
+    def load_metrics(self) -> dict[str, float]:
+        """The metrics snapshot a load report over this frontend carries."""
+        return self.metrics.snapshot()
 
     def utilization(self) -> float:
         """Mean fraction of virtual time the HEVM slots spent busy."""
-        if self._now_us <= 0:
+        if self.now_us <= 0:
             return 0.0
-        return sum(self._slot_busy_us) / (self._now_us * len(self._slot_busy_us))
+        return sum(self._slot_busy_us) / (self.now_us * len(self._slot_busy_us))
 
     # ------------------------------------------------------------------
     # Front door
@@ -298,21 +473,25 @@ class Gateway:
         payload: Any,
         *,
         at_us: float | None = None,
-        priority: int | None = None,
+        priority: int = 0,
         deadline_us: float | None = None,
         device_index: int | None = None,
+        on_done: Callable[[GatewayRequest], None] | None = None,
     ) -> GatewayRequest:
         """Submit one bundle; returns its (live) lifecycle record.
 
-        A rejected request comes back with ``status == "rejected"`` and a
-        typed ``reject_reason``; an admitted one completes (or expires)
-        during a later :meth:`advance_until` / :meth:`drain`.
+        ``at_us`` is the synchronous mode: the reactor first runs every
+        event due by then (so never pass it from inside a reactor
+        event); ``None`` means now.  A rejected request comes back with
+        ``status == "rejected"`` and a typed ``reject_reason``; an
+        admitted one completes (or expires) as the reactor runs.  Either
+        way ``on_done``, when given, is called with the record once.
         """
-        now = self._now_us if at_us is None else at_us
-        if now < self._now_us:
-            raise ValueError("submissions must move forward in virtual time")
-        self._run_events(now)
-        self._now_us = now
+        if at_us is not None:
+            if at_us < self.now_us:
+                raise ValueError("submissions must move forward in virtual time")
+            self.reactor.run_until(at_us)
+        now = self.now_us
 
         self._sequence += 1
         if deadline_us is None and self.config.default_deadline_us is not None:
@@ -321,10 +500,11 @@ class Gateway:
             request_id=self._sequence,
             session_id=session_id,
             submitted_at_us=now,
-            priority=self.config.default_priority if priority is None else priority,
+            priority=priority,
             deadline_us=deadline_us,
             device_index=device_index,
             payload=payload,
+            on_done=on_done,
         )
         self.metrics.counter("gateway.submitted").inc()
         # One sampling draw per submission, in submission order, so the
@@ -367,6 +547,8 @@ class Gateway:
             if request.trace is not None:
                 request.trace.root.set(status=request.status, reject_reason=reason)
                 self.tracer.end_span(request.trace.root, now)
+            if on_done is not None:
+                on_done(request)
             return request
 
         self.metrics.counter("gateway.admitted").inc()
@@ -390,7 +572,7 @@ class Gateway:
         if request.status != RequestStatus.QUEUED:
             return False
         request.status = RequestStatus.CANCELLED
-        request.finished_at_us = self._now_us
+        request.finished_at_us = self.now_us
         self._queued_count -= 1
         self._release_session(request.session_id)
         self.metrics.counter("gateway.cancelled").inc()
@@ -428,74 +610,77 @@ class Gateway:
     def advance_until(self, until_us: float) -> list[GatewayRequest]:
         """Process completions/expiries up to ``until_us`` of virtual time.
 
-        Returns every request that reached a terminal state since the
-        last call, in the order it got there.
+        Returns every request without an ``on_done`` that reached a
+        terminal state since the last call, in the order it got there.
         """
-        self._run_events(until_us)
-        self._now_us = max(self._now_us, until_us)
+        self.reactor.run_until(until_us)
         self._expire_queued()
-        terminal, self._terminal = self._terminal, []
-        return terminal
+        return self._take_terminal()
 
     def drain(self) -> list[GatewayRequest]:
         """Run until nothing is queued or in flight."""
-        while self._events:
-            self._run_events(self._events[0][0])
+        self.reactor.run_until_idle()
+        return self._take_terminal()
+
+    def _take_terminal(self) -> list[GatewayRequest]:
         terminal, self._terminal = self._terminal, []
         return terminal
 
-    def _run_events(self, until_us: float) -> None:
-        while self._events and self._events[0][0] <= until_us:
-            finish_us, _, slot, request = heapq.heappop(self._events)
-            self._now_us = max(self._now_us, finish_us)
-            request.finished_at_us = finish_us
-            self._free_slots.append(slot)
-            self._in_flight -= 1
-            self._release_session(request.session_id)
-            if request.failure is not None:
-                request.status = RequestStatus.FAILED
-                self.metrics.counter("gateway.failed").inc()
-                self.metrics.counter(
-                    "gateway.failed", cause=request.failure.cause_type
-                ).inc()
-                if self.flight is not None:
-                    self.flight.note(
-                        request.session_id, "event", "gateway.failed",
-                        finish_us,
-                        request_id=request.request_id,
-                        cause=request.failure.cause_type,
-                        attempts=request.failure.attempts,
-                    )
-                    self.flight.seal_if_triggered(
-                        request.session_id,
-                        request.failure.cause_type,
-                        request.failure.message,
-                        finish_us,
-                    )
-            else:
-                request.status = RequestStatus.COMPLETED
-                self.metrics.counter("gateway.completed").inc()
-                self.metrics.histogram("gateway.service_us").observe(
-                    request.service_us
-                )
-                self.metrics.histogram("gateway.latency_us").observe(
-                    request.latency_us
-                )
-            self._close_trace(request)
+    def _leave(self, request: GatewayRequest) -> None:
+        if request.on_done is not None:
+            request.on_done(request)
+        else:
             self._terminal.append(request)
-            self._dispatch()
+
+    def _complete(self, slot: int, request: GatewayRequest) -> None:
+        """The reactor event at a dispatched request's finish time."""
+        finish_us = self.now_us
+        request.finished_at_us = finish_us
+        self._free_slots.append(slot)
+        self._in_flight -= 1
+        self._release_session(request.session_id)
+        if request.failure is not None:
+            request.status = RequestStatus.FAILED
+            self.metrics.counter("gateway.failed").inc()
+            self.metrics.counter(
+                "gateway.failed", cause=request.failure.cause_type
+            ).inc()
+            if self.flight is not None:
+                self.flight.note(
+                    request.session_id, "event", "gateway.failed",
+                    finish_us,
+                    request_id=request.request_id,
+                    cause=request.failure.cause_type,
+                    attempts=request.failure.attempts,
+                )
+                self.flight.seal_if_triggered(
+                    request.session_id,
+                    request.failure.cause_type,
+                    request.failure.message,
+                    finish_us,
+                )
+        else:
+            request.status = RequestStatus.COMPLETED
+            self.metrics.counter("gateway.completed").inc()
+            self.metrics.histogram("gateway.service_us").observe(
+                request.service_us
+            )
+            self.metrics.histogram("gateway.latency_us").observe(
+                request.latency_us
+            )
+        self._close_trace(request)
+        self._leave(request)
+        self._dispatch()
 
     def _dispatch(self) -> None:
         """Move queued requests onto free slots, oldest eligible first."""
+        now = self.now_us
         deferred: list[tuple[int, int, GatewayRequest]] = []
         while self._queue and self._free_slots:
             priority, sequence, request = heapq.heappop(self._queue)
             if request.status != RequestStatus.QUEUED:
                 continue  # cancelled while queued; already accounted
-            if (
-                request.deadline_us is not None
-                and self._now_us > request.deadline_us
-            ):
+            if request.deadline_us is not None and now > request.deadline_us:
                 self._expire(request)
                 continue
             slot = self._take_slot(request.device_index)
@@ -504,15 +689,15 @@ class Gateway:
                 continue
             self._queued_count -= 1
             request.status = RequestStatus.RUNNING
-            request.started_at_us = self._now_us
+            request.started_at_us = now
             trace = request.trace
             if trace is not None:
-                self.tracer.end_span(trace.queue, self._now_us)
+                self.tracer.end_span(trace.queue, now)
                 trace.queue.set(wait_us=request.queue_wait_us)
                 trace.execute = self.tracer.start_span(
                     "gateway.execute",
                     "service",
-                    start_us=self._now_us,
+                    start_us=now,
                     parent=trace.root,
                     attributes={"slot": slot},
                 )
@@ -523,10 +708,10 @@ class Gateway:
                 context = self.tracer.suppressed()
             try:
                 with context:
-                    service_us, result = self.executor.execute(request, self._now_us)
+                    service_us, result = self.executor.execute(request, now)
             except Exception as exc:
                 # Typed failure: the slot was genuinely occupied for as
-                # long as the attempts took (recovering executors carry
+                # long as the attempts took (the service executor carries
                 # that on the error), and the request terminates FAILED
                 # at its event time — accounted, never silently dropped.
                 service_us = float(getattr(exc, "service_us", 0.0))
@@ -541,7 +726,7 @@ class Gateway:
             request.service_us = service_us
             request.result = result
             if trace is not None:
-                self.tracer.end_span(trace.execute, self._now_us + service_us)
+                self.tracer.end_span(trace.execute, now + service_us)
                 if request.failure is not None:
                     trace.execute.set(
                         error=request.failure.error_type,
@@ -552,9 +737,8 @@ class Gateway:
             self.metrics.histogram("gateway.queue_wait_us").observe(
                 request.queue_wait_us
             )
-            heapq.heappush(
-                self._events,
-                (self._now_us + service_us, sequence, slot, request),
+            self.reactor.call_at(
+                now + service_us, self._complete, slot, request, rank=COMPLETION
             )
         for entry in deferred:
             heapq.heappush(self._queue, entry)
@@ -582,19 +766,19 @@ class Gateway:
             if (
                 request.status == RequestStatus.QUEUED
                 and request.deadline_us is not None
-                and self._now_us > request.deadline_us
+                and self.now_us > request.deadline_us
             ):
                 self._expire(request)
 
     def _expire(self, request: GatewayRequest) -> None:
         request.status = RequestStatus.EXPIRED
         request.reject_reason = RejectReason.DEADLINE_EXPIRED
-        request.finished_at_us = self._now_us
+        request.finished_at_us = self.now_us
         self._queued_count -= 1
         self._release_session(request.session_id)
         self.metrics.counter("gateway.expired").inc()
         self._close_trace(request)
-        self._terminal.append(request)
+        self._leave(request)
 
     def _close_trace(self, request: GatewayRequest) -> None:
         """Terminate a sampled request's open spans at its finish time."""
@@ -604,7 +788,7 @@ class Gateway:
         end = (
             request.finished_at_us
             if request.finished_at_us is not None
-            else self._now_us
+            else self.now_us
         )
         if trace.queue is not None and trace.queue.end_us is None:
             self.tracer.end_span(trace.queue, end)

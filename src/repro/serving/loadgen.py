@@ -14,8 +14,8 @@ earlier requests are still queued.  Two canonical drivers:
   stretch, and admission control earns its keep.
 
 All randomness flows from a seeded :class:`~repro.crypto.kdf.Drbg`, and
-all time is the gateway's virtual clock — identically seeded runs
-produce identical per-request latencies and metrics snapshots.
+all time is the frontend's reactor — identically seeded runs produce
+identical per-request latencies and metrics snapshots.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def arrival_times(
 # ----------------------------------------------------------------------
 
 def run_open_loop(
-    gateway: Gateway,
+    frontend,
     sessions: list[LoadSession],
     *,
     rate_rps: float,
@@ -164,28 +164,38 @@ def run_open_loop(
     pattern: str = "poisson",
     deadline_us: float | None = None,
 ) -> LoadReport:
-    """Fire arrivals at their scheduled times, round-robin over sessions."""
+    """Fire arrivals at their scheduled times, round-robin over sessions.
+
+    ``frontend`` is a gateway, a shard router, or an async tier over
+    either.  Each arrival is an event on the frontend's reactor, so
+    completions due by an arrival's instant run before it; the payload
+    factory is invoked inside the arrival, preserving creation order
+    relative to dispatches.  Runs the reactor to idle.
+    """
     rng = Drbg(seed.to_bytes(8, "big"), personalization=b"loadgen-open")
-    start_us = gateway.now_us
+    reactor = frontend.reactor
+    start_us = reactor.now_us
     outcomes: list[GatewayRequest] = []
+
+    def arrive(session: LoadSession, ordinal: int) -> None:
+        frontend.submit(
+            session.session_id,
+            session.make_payload(ordinal),
+            priority=session.priority,
+            deadline_us=deadline_us,
+            device_index=session.device_index,
+            on_done=outcomes.append,
+        )
+
     ordinals = [0] * len(sessions)
     for index, at_us in enumerate(
         arrival_times(rate_rps, total_requests, rng, pattern)
     ):
-        session = sessions[index % len(sessions)]
-        request = gateway.submit(
-            session.session_id,
-            session.make_payload(ordinals[index % len(sessions)]),
-            at_us=start_us + at_us,
-            priority=session.priority,
-            deadline_us=deadline_us,
-            device_index=session.device_index,
-        )
-        ordinals[index % len(sessions)] += 1
-        if request.status == RequestStatus.REJECTED:
-            outcomes.append(request)
-    outcomes.extend(gateway.drain())
-    return _report(gateway, outcomes, start_us)
+        slot = index % len(sessions)
+        reactor.call_at(start_us + at_us, arrive, sessions[slot], ordinals[slot])
+        ordinals[slot] += 1
+    reactor.run_until_idle()
+    return load_report(outcomes, frontend.load_metrics(), start_us)
 
 
 def run_closed_loop(
@@ -231,7 +241,7 @@ def run_closed_loop(
             issue(session, start_us)
 
     while True:
-        next_at = gateway.next_completion_us()
+        next_at = gateway.reactor.peek_next_us()
         terminal = (
             gateway.advance_until(next_at)
             if next_at is not None
@@ -242,13 +252,13 @@ def run_closed_loop(
             reissue(by_session[request.session_id], request.finished_at_us)
         if next_at is None and not terminal and not gateway.in_flight:
             break  # idle, or queued-but-undispatchable: nothing will finish
-    return _report(gateway, outcomes, start_us)
+    return load_report(outcomes, gateway.load_metrics(), start_us)
 
 
-def _report(
-    gateway: Gateway, outcomes: list[GatewayRequest], start_us: float
+def load_report(
+    outcomes: list[GatewayRequest], metrics: dict[str, float], start_us: float
 ) -> LoadReport:
-    snapshot = gateway.metrics.snapshot()
+    """Aggregate a run's outcomes; it lasted until the last one left."""
     rejected: dict[str, int] = {}
     failed_by_reason: dict[str, int] = {}
     completed = expired = failed = 0
@@ -270,9 +280,12 @@ def _report(
         completed=completed,
         expired=expired,
         rejected_by_reason=rejected,
-        duration_us=gateway.now_us - start_us,
+        duration_us=max(
+            (request.finished_at_us - start_us for request in outcomes),
+            default=0.0,
+        ),
         outcomes=outcomes,
-        metrics=snapshot,
+        metrics=metrics,
         failed=failed,
         failed_by_reason=failed_by_reason,
     )

@@ -9,40 +9,47 @@ device fleet, and its working set warms one shard's ORAM stash — so
 the router never migrates a session except on explicit topology change
 (a new ring), exactly like page keys.
 
-The router is deliberately thin: it owns no queue of its own — each
-gateway keeps its bounded queue, admission policy, and virtual clock —
-so per-shard behaviour under load is *identical* to a single-gateway
-deployment, and fleet-level views (queue depths, completions) are just
-deterministic merges in shard order.
+The router is deliberately thin: it owns no queue and no event loop of
+its own — each gateway keeps its bounded queue and admission policy,
+and all of them schedule completions on the one reactor they share
+(``router.reactor``; run *that* to advance the fleet) — so per-shard
+behaviour under load is *identical* to a single-gateway deployment.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.serving.gateway import Gateway, GatewayRequest
 from repro.serving.metrics import MetricsRegistry
 from repro.sharding.ring import ConsistentHashRing
 
 SESSION_RING_SEED = b"hardtape-session-ring"
+SESSION_RING_VNODES = 64
 
 
 class ShardSessionRouter:
-    """Maps session ids to shards and fans gateway ops across the fleet."""
+    """Maps session ids to shards; submits to the owning gateway."""
 
     def __init__(
         self,
         gateways: dict[int, Gateway],
         *,
-        vnodes: int = 64,
-        ring_seed: bytes = SESSION_RING_SEED,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if not gateways:
             raise ValueError("a router needs at least one gateway")
         self._gateways = dict(sorted(gateways.items()))
+        self.reactor = next(iter(self._gateways.values())).reactor
+        if any(g.reactor is not self.reactor for g in self._gateways.values()):
+            raise ValueError(
+                "a router's gateways must share one reactor "
+                "(build each with Gateway(..., reactor=shared))"
+            )
         self.ring = ConsistentHashRing(
-            self._gateways.keys(), vnodes=vnodes, seed=ring_seed
+            self._gateways.keys(),
+            vnodes=SESSION_RING_VNODES,
+            seed=SESSION_RING_SEED,
         )
         self.metrics = metrics
         self._sessions_by_shard: dict[int, set[bytes]] = {
@@ -51,18 +58,11 @@ class ShardSessionRouter:
 
     # -- placement -----------------------------------------------------
 
-    @property
-    def shard_ids(self) -> tuple[int, ...]:
-        return tuple(self._gateways)
-
     def shard_for_session(self, session_id: bytes) -> int:
         return self.ring.shard_for(session_id)
 
     def gateway_for(self, session_id: bytes) -> Gateway:
         return self._gateways[self.shard_for_session(session_id)]
-
-    def gateway_of_shard(self, shard_id: int) -> Gateway:
-        return self._gateways[shard_id]
 
     def partition_sessions(self, sessions: Iterable) -> dict[int, list]:
         """Split ``LoadSession``s by owning shard (loadgen per-shard runs)."""
@@ -77,11 +77,14 @@ class ShardSessionRouter:
         self,
         session_id: bytes,
         payload: Any,
-        at_us: float = 0.0,
+        *,
+        at_us: float | None = None,
         priority: int = 0,
         deadline_us: float | None = None,
         device_index: int | None = None,
+        on_done: Callable[[GatewayRequest], None] | None = None,
     ) -> GatewayRequest:
+        """``Gateway.submit`` on the session's shard."""
         shard_id = self.shard_for_session(session_id)
         self._sessions_by_shard[shard_id].add(session_id)
         request = self._gateways[shard_id].submit(
@@ -91,44 +94,32 @@ class ShardSessionRouter:
             priority=priority,
             deadline_us=deadline_us,
             device_index=device_index,
+            on_done=on_done,
         )
         if self.metrics is not None:
             self.metrics.counter("router.submitted", shard=shard_id).inc()
         return request
 
-    def advance_until(self, deadline_us: float) -> list[GatewayRequest]:
-        """Advance every shard's gateway; merge terminals in shard order."""
-        terminal: list[GatewayRequest] = []
-        for shard_id in sorted(self._gateways):
-            terminal.extend(self._gateways[shard_id].advance_until(deadline_us))
-        return terminal
-
-    def drain(self) -> list[GatewayRequest]:
-        terminal: list[GatewayRequest] = []
-        for shard_id in sorted(self._gateways):
-            terminal.extend(self._gateways[shard_id].drain())
-        return terminal
-
-    def next_completion_us(self) -> float | None:
-        """Earliest in-flight completion across the fleet (event merging)."""
-        times = [
-            t for t in (
-                gateway.next_completion_us()
-                for gateway in self._gateways.values()
-            )
-            if t is not None
-        ]
-        return min(times) if times else None
-
     # -- fleet views ---------------------------------------------------
 
     @property
     def now_us(self) -> float:
-        return max(gateway.now_us for gateway in self._gateways.values())
+        return self.reactor.now_us
 
     @property
     def in_flight(self) -> int:
         return sum(gateway.in_flight for gateway in self._gateways.values())
+
+    def load_metrics(self) -> dict[str, float]:
+        """The snapshot a load report carries: the router's own registry
+        when it has one, else every gateway's under a ``shard<N>.`` prefix."""
+        if self.metrics is not None:
+            return self.metrics.snapshot()
+        return {
+            f"shard{shard_id}.{key}": value
+            for shard_id, gateway in self._gateways.items()
+            for key, value in gateway.metrics.snapshot().items()
+        }
 
     def queue_depths(self) -> dict[int, int]:
         return {

@@ -1,11 +1,11 @@
 """The observability benchmark (``obs-bench``): three seeded gates.
 
-1. **Identity** — the real-pipeline reactor-driven serving run from the
-   c10k identity scenario, executed twice: observability stack *off*
+1. **Identity** — the real-pipeline serving run through the async tier
+   from the c10k identity scenario, executed twice: observability stack *off*
    (no async tracer, no flight recorder, no SLO monitor) and *on* (all
    three armed).  The frontend's Chrome trace, metrics snapshot,
    Prometheus text, wire bytes, and world digest must be byte-identical
-   — the async plane's own tracer lives on the *reactor* clock domain,
+   — the async plane's own tracer is keyed off the *reactor*,
    the flight recorder is pure bookkeeping, and the monitor only reads
    snapshots, so observing the system must not change it.
 2. **Reconciliation** — a mixed workload exercises all three trace
@@ -40,9 +40,8 @@ import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from repro.async_serving.reactor import VirtualReactor
 from repro.async_serving.tier import ModelHandshakeEngine
-from repro.bench.tiers import reactor_open_loop, run_model_tier
+from repro.bench.tiers import run_model_tier, tier_open_loop
 from repro.bench.report import GateReport, identity_verdict
 from repro.bench.stack import (
     build_evalset,
@@ -131,7 +130,7 @@ class _StackArtifacts:
 
 def _run_serving_stack(config: ObsBenchConfig,
                        observability: bool) -> _StackArtifacts:
-    """One reactor-driven real-pipeline run, obs stack off or on."""
+    """One real-pipeline run through the tier, obs stack off or on."""
     evalset = build_evalset()
     service = build_service(evalset.node)
     metrics = MetricsRegistry()
@@ -141,17 +140,17 @@ def _run_serving_stack(config: ObsBenchConfig,
             ServiceExecutor(service), GatewayConfig(),
             metrics=metrics, tracer=tracer, flight=flight,
         )
-        reactor = VirtualReactor(start_us=gateway.now_us)
         monitor = (
             SloMonitor(default_slo_rules(window_us=SLO_WINDOW_US))
             if observability else None
         )
-        # The async plane's spans go to a tracer keyed off the *reactor*:
-        # a separate clock domain, so they cannot land in (or renumber)
-        # the frontend trace the identity gate hashes.
-        with (traced(reactor) if observability else nullcontext()) as tier_tracer:
-            tier, load = reactor_open_loop(
-                reactor,
+        # The async plane's spans go to a tracer keyed off the *reactor*,
+        # not the service clock the frontend tracer is keyed off, so they
+        # cannot land in (or renumber) the trace the identity gate hashes.
+        with (
+            traced(gateway.reactor) if observability else nullcontext()
+        ) as tier_tracer:
+            tier, load = tier_open_loop(
                 gateway,
                 load_sessions(
                     service,

@@ -1,5 +1,5 @@
 """Session resumption end to end: real hypervisor tickets, crash epochs,
-and SessionDirectory/ReattachableBundle re-join through the shard router.
+and FailoverBundle re-join through the shard router.
 
 Covers the two resumption-specific acceptance criteria:
 
@@ -17,21 +17,18 @@ from repro.core import (
     PreExecutionClient,
     SecurityFeatures,
 )
-from repro.faults.policy import RetryPolicy
+from repro.faults.policy import FailoverBundle, RetryPolicy
 from repro.hardware.timing import CostModel
 from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
 from repro.hypervisor.hypervisor import UnknownSessionError
 from repro.hypervisor.resumption import StaleTicketError
-from repro.recovery.supervisor import (
-    HypervisorSupervisor,
-    ReattachableBundle,
-    SessionDirectory,
-)
+from repro.recovery.supervisor import HypervisorSupervisor
 from repro.serving import (
     FleetModelExecutor,
     Gateway,
     GatewayConfig,
     ShardSessionRouter,
+    VirtualReactor,
     synthetic_profiles,
 )
 from repro.async_serving import (
@@ -41,7 +38,6 @@ from repro.async_serving import (
     ServiceHandshakeEngine,
     ServiceTenant,
     SessionState,
-    VirtualReactor,
 )
 
 pytestmark = pytest.mark.serving
@@ -162,9 +158,12 @@ def test_pre_crash_ticket_refused_typed_after_restart(evalset):
 # Shard affinity across suspend/resume (satellite: router re-join)
 # ---------------------------------------------------------------------
 
-def _model_router(shards):
+def _model_router(shards, reactor=None):
+    reactor = reactor or VirtualReactor()
     gateways = {
-        shard: Gateway(FleetModelExecutor(2, COST), GatewayConfig())
+        shard: Gateway(
+            FleetModelExecutor(2, COST), GatewayConfig(), reactor=reactor
+        )
         for shard in range(shards)
     }
     return ShardSessionRouter(gateways)
@@ -173,7 +172,7 @@ def _model_router(shards):
 def test_resumed_session_keeps_shard_affinity():
     router = _model_router(4)
     tier = AsyncServingTier(
-        VirtualReactor(), router, ModelHandshakeEngine(COST, seed=3),
+        router, ModelHandshakeEngine(COST, seed=3),
         config=AsyncServingConfig(suspend_after_us=1000.0),
     )
     profiles = synthetic_profiles(COST, "mixed", count=4, seed=3)
@@ -194,7 +193,7 @@ def test_resumed_session_keeps_shard_affinity():
 
 def test_affinity_rederived_after_ring_change():
     tier = AsyncServingTier(
-        VirtualReactor(), _model_router(2), ModelHandshakeEngine(COST, seed=3),
+        _model_router(2), ModelHandshakeEngine(COST, seed=3),
         config=AsyncServingConfig(suspend_after_us=1000.0),
     )
     profiles = synthetic_profiles(COST, "mixed", count=4, seed=3)
@@ -205,7 +204,9 @@ def test_affinity_rederived_after_ring_change():
 
     # Topology change while suspended: a bigger ring with a different
     # table digest.  The resume must re-derive, not trust the ticket.
-    bigger = _model_router(8)
+    with pytest.raises(ValueError, match="share the tier's reactor"):
+        tier.rebind_frontend(_model_router(8))
+    bigger = _model_router(8, reactor=tier.reactor)
     tier.rebind_frontend(bigger)
     tier.submit(b"migrating-user", profiles[1])
     tier.run()
@@ -217,17 +218,19 @@ def test_affinity_rederived_after_ring_change():
 
 
 # ---------------------------------------------------------------------
-# SessionDirectory / ReattachableBundle re-join (real pipeline)
+# FailoverBundle re-join over the tenant's live sessions (real pipeline)
 # ---------------------------------------------------------------------
 
 def test_reattachable_bundle_follows_resumed_session(service, evalset):
     client = _client(service, seed=b"\x0d")
-    directory = SessionDirectory()
+    directory: dict = {}  # device index -> the tenant's current session
     tenants = {b"tenant-0": ServiceTenant(client, directory, device_index=0)}
     engine = ServiceHandshakeEngine(service, tenants)
     tier = AsyncServingTier(
-        VirtualReactor(start_us=service.clock.now_us),
-        Gateway(FleetModelExecutor(2, COST), GatewayConfig()),
+        Gateway(
+            FleetModelExecutor(2, COST), GatewayConfig(),
+            reactor=VirtualReactor(start_us=service.clock.now_us),
+        ),
         engine,
         config=AsyncServingConfig(suspend_after_us=1000.0),
     )
@@ -236,13 +239,13 @@ def test_reattachable_bundle_follows_resumed_session(service, evalset):
     before = device.hypervisor.session_count
     session = tier.open_session(b"tenant-0")
     assert device.hypervisor.session_count == before + 1
-    first_id = directory.get(0).session_id
+    first_id = directory[0].session_id
 
     bundle = TransactionBundle(
         transactions=(evalset.transactions[0],),
         block_number=service.synced_height,
     )
-    payload = ReattachableBundle(directory, encode_bundle(bundle))
+    payload = FailoverBundle(directory, encode_bundle(bundle))
 
     # Drain to quiescence: the handshake completes, the session idles
     # past the suspend threshold, and the engine parks it via a real
@@ -259,7 +262,7 @@ def test_reattachable_bundle_follows_resumed_session(service, evalset):
     tier.submit(b"tenant-0", synthetic_profiles(COST, "mixed")[0])
     tier.run()
     assert session.state == SessionState.ACTIVE
-    resumed_id = directory.get(0).session_id
+    resumed_id = directory[0].session_id
     assert resumed_id != first_id
     assert payload.session_for(0) == resumed_id
 

@@ -18,6 +18,7 @@ from repro.serving import (
     Gateway,
     GatewayConfig,
     ShardSessionRouter,
+    VirtualReactor,
     synthetic_profiles,
 )
 from repro.serving.metrics import MetricsRegistry
@@ -29,7 +30,6 @@ from repro.async_serving import (
     AsyncServingTier,
     ModelHandshakeEngine,
     SessionState,
-    VirtualReactor,
 )
 
 pytestmark = pytest.mark.observability
@@ -50,15 +50,17 @@ def service(evalset):
 
 
 def _model_tier(*, shards=2, flight=None, seed=3, suspend_after_us=1000.0):
+    reactor = VirtualReactor()
     gateways = {
-        shard: Gateway(FleetModelExecutor(2, COST), GatewayConfig())
+        shard: Gateway(
+            FleetModelExecutor(2, COST), GatewayConfig(), reactor=reactor
+        )
         for shard in range(shards)
     }
     router = ShardSessionRouter(gateways)
-    reactor = VirtualReactor()
     engine = ModelHandshakeEngine(COST, seed=seed)
     tier = AsyncServingTier(
-        reactor, router, engine,
+        router, engine,
         config=AsyncServingConfig(suspend_after_us=suspend_after_us),
         flight=flight,
     )

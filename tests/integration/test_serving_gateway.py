@@ -17,7 +17,6 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultRule,
-    ResilientServiceExecutor,
     RetryPolicy,
 )
 from repro.hypervisor.bundle_codec import (
@@ -232,7 +231,7 @@ def test_failover_redispatches_crashed_bundle_to_other_device(tiny_evalset):
     FaultInjector(plan, metrics).arm_service(service)
 
     gateway = Gateway(
-        ResilientServiceExecutor(service, metrics=metrics),
+        ServiceExecutor(service, RetryPolicy(), metrics=metrics),
         GatewayConfig(max_in_flight_per_session=1),
         metrics=metrics,
     )
@@ -266,33 +265,44 @@ def test_failover_redispatches_crashed_bundle_to_other_device(tiny_evalset):
 
 
 def test_exhausted_recovery_surfaces_typed_gateway_failure(tiny_evalset):
-    service = _service(tiny_evalset)  # one device: nowhere to fail over
-    _, session = _connect(service)
-    metrics = MetricsRegistry()
-    plan = FaultPlan(6, [FaultRule(FaultKind.HEVM_CRASH, rate=1.0)])
-    FaultInjector(plan, metrics).arm_service(service)
-    gateway = Gateway(
-        ResilientServiceExecutor(
-            service,
-            retry=RetryPolicy(max_attempts=2, backoff_us=50.0),
+    # With a retry policy the attempts are wrapped; without any policy
+    # the one attempt's raw typed error reaches the gateway.  Either way
+    # the slot was occupied for as long as the attempts took.
+    for retry, error_type, attempts in (
+        (RetryPolicy(max_attempts=2, backoff_us=50.0), "BundleFailedError", 2),
+        (None, "HevmCrashError", 1),
+    ):
+        service = _service(tiny_evalset)  # one device: nowhere to fail over
+        _, session = _connect(service)
+        metrics = MetricsRegistry()
+        plan = FaultPlan(6, [FaultRule(FaultKind.HEVM_CRASH, rate=1.0)])
+        FaultInjector(plan, metrics).arm_service(service)
+        gateway = Gateway(
+            ServiceExecutor(service, retry, metrics=metrics),
+            GatewayConfig(max_in_flight_per_session=1),
             metrics=metrics,
-        ),
-        GatewayConfig(max_in_flight_per_session=1),
-        metrics=metrics,
-    )
-    _, seal = _sealed_payload(service, session, [tiny_evalset.transactions[0]])
-    request = gateway.submit(session.session_id, seal, device_index=0)
-    gateway.drain()
+        )
+        _, seal = _sealed_payload(
+            service, session, [tiny_evalset.transactions[0]]
+        )
+        before_us = service.clock.now_us
+        request = gateway.submit(session.session_id, seal, device_index=0)
+        gateway.drain()
 
-    assert request.status == RequestStatus.FAILED
-    assert request.failure is not None
-    assert request.failure.error_type == "BundleFailedError"
-    assert request.failure.cause_type == "HevmCrashError"
-    assert request.recovery.attempts == 2
-    snapshot = metrics.snapshot()
-    assert snapshot["gateway.failed"] == 1.0
-    assert snapshot["gateway.failed{cause=HevmCrashError}"] == 1.0
-    assert snapshot.get("gateway.completed", 0.0) == 0.0
+        assert request.status == RequestStatus.FAILED
+        assert request.failure is not None
+        assert request.failure.error_type == error_type
+        assert request.failure.cause_type == "HevmCrashError"
+        assert request.failure.attempts == attempts
+        assert request.recovery.attempts == attempts
+        assert request.service_us == service.clock.now_us - before_us > 0
+        assert request.finished_at_us == request.started_at_us + request.service_us
+        assert gateway.utilization() > 0
+        snapshot = metrics.snapshot()
+        assert snapshot["gateway.failed"] == 1.0
+        assert snapshot["gateway.failed{cause=HevmCrashError}"] == 1.0
+        assert snapshot.get("gateway.completed", 0.0) == 0.0
+        assert ("recovery.errors" in snapshot) == (retry is not None)
 
 
 def test_queue_depths_reflect_scheduler_state(tiny_evalset):

@@ -7,20 +7,22 @@ from repro.serving import (
     FleetModelExecutor,
     Gateway,
     GatewayConfig,
+    RejectReason,
+    RequestStatus,
     ShardSessionRouter,
+    VirtualReactor,
     synthetic_profiles,
 )
+from repro.serving.reactor import COMPLETION
 from repro.async_serving import (
     AsyncServingConfig,
     AsyncServingTier,
-    AsyncioReactorAdapter,
     AsyncSession,
     InvalidSessionTransition,
     ModelHandshakeEngine,
     SessionCapacityError,
     SessionClosedError,
     SessionState,
-    VirtualReactor,
 )
 
 pytestmark = pytest.mark.serving
@@ -67,12 +69,15 @@ def test_reactor_cancel_is_idempotent_and_skipped():
     reactor = VirtualReactor()
     fired = []
     handle = reactor.call_at(5.0, fired.append, "cancelled")
-    reactor.call_at(6.0, fired.append, "kept")
+    kept = reactor.call_at(6.0, fired.append, "kept")
     handle.cancel()
     handle.cancel()
     assert reactor.pending == 1
     assert reactor.run_until_idle() == 1
     assert fired == ["kept"]
+    # Once the event has fired, cancel() is a no-op too.
+    kept.cancel()
+    assert reactor.pending == 0
 
 
 def test_reactor_callbacks_can_schedule_same_instant():
@@ -88,20 +93,47 @@ def test_reactor_callbacks_can_schedule_same_instant():
     assert fired == ["first", "second"]
 
 
-def test_asyncio_adapter_runs_and_cancels():
-    # A tiny time_scale compresses virtual microseconds to ~nothing of
-    # wall clock, keeping this test instant.
-    adapter = AsyncioReactorAdapter(time_scale=1e-9)
-    try:
-        fired = []
-        adapter.call_later(1000.0, fired.append, "ran")
-        cancelled = adapter.call_later(2000.0, fired.append, "never")
-        cancelled.cancel()
-        adapter.run_until_idle()
-        assert fired == ["ran"]
-        assert adapter.pending == 0
-    finally:
-        adapter.close()
+def test_same_instant_completions_fire_before_arrivals():
+    """The rank rule, on one reactor shared by a gateway and its driver:
+    at T a due completion runs before an arrival, and a zero-service
+    completion the arrival creates at T runs before the next arrival."""
+
+    class ScriptedExecutor:
+        slots = [None]
+
+        def execute(self, request, start_us):
+            return request.payload, None  # the payload is the service time
+
+    reactor = VirtualReactor()
+    gateway = Gateway(ScriptedExecutor(), GatewayConfig(), reactor=reactor)
+    order = []
+
+    def done(request):
+        order.append(("done", request.session_id, reactor.now_us))
+
+    def arrive(session_id, service_us):
+        order.append(("arrive", session_id, reactor.now_us))
+        gateway.submit(session_id, service_us, on_done=done)
+
+    # Scheduled first, yet the completion due at 10 overtakes both.
+    reactor.call_at(10.0, arrive, b"zero", 0.0)
+    reactor.call_at(10.0, arrive, b"late", 5.0)
+    reactor.call_at(0.0, arrive, b"first", 10.0)
+    reactor.run_until_idle()
+    assert order == [
+        ("arrive", b"first", 0.0),
+        ("done", b"first", 10.0),     # completion at T before arrivals at T
+        ("arrive", b"zero", 10.0),
+        ("done", b"zero", 10.0),      # created at T, still ahead of "late"
+        ("arrive", b"late", 10.0),
+        ("done", b"late", 15.0),
+    ]
+    # The rule is the heap key, for any caller.
+    fired = []
+    reactor.call_at(20.0, fired.append, "arrival")
+    reactor.call_at(20.0, fired.append, "completion", rank=COMPLETION)
+    reactor.run_until_idle()
+    assert fired == ["completion", "arrival"]
 
 
 # ---------------------------------------------------------------------
@@ -148,7 +180,6 @@ def _tier(max_sessions=64, suspend_after_us=1000.0, cores=4):
         GatewayConfig(max_queue_depth=256, max_in_flight_per_session=4),
     )
     tier = AsyncServingTier(
-        VirtualReactor(),
         gateway,
         ModelHandshakeEngine(COST, seed=7),
         config=AsyncServingConfig(
@@ -258,15 +289,34 @@ def test_tier_seeded_run_is_deterministic():
     assert run_once() == run_once()
 
 
+def test_tier_rearms_idle_eviction_after_a_shed_dispatch():
+    gateway = Gateway(
+        FleetModelExecutor(1, COST), GatewayConfig(max_queue_depth=0)
+    )
+    tier = AsyncServingTier(
+        gateway, engine=ModelHandshakeEngine(COST, seed=7),
+        config=AsyncServingConfig(suspend_after_us=1000.0),
+    )
+    session = tier.adopt_session(b"a")
+    tier.submit(b"a", synthetic_profiles(COST, "mixed", count=1, seed=7)[0])
+    (shed,) = tier.outcomes
+    assert shed.status == RequestStatus.REJECTED
+    assert shed.reject_reason == RejectReason.QUEUE_FULL
+    assert session.in_flight == 0 and session.suspend_timer is not None
+    tier.run()
+    assert session.state == SessionState.SUSPENDED
+
+
 def test_tier_derives_shard_affinity_from_router():
+    reactor = VirtualReactor()
     gateways = {
-        shard: Gateway(FleetModelExecutor(2, COST), GatewayConfig())
+        shard: Gateway(
+            FleetModelExecutor(2, COST), GatewayConfig(), reactor=reactor
+        )
         for shard in range(4)
     }
     router = ShardSessionRouter(gateways)
-    tier = AsyncServingTier(
-        VirtualReactor(), router, ModelHandshakeEngine(COST, seed=7),
-    )
+    tier = AsyncServingTier(router, ModelHandshakeEngine(COST, seed=7))
     session = tier.open_session(b"pinned")
     assert session.shard_affinity == router.shard_for_session(b"pinned")
     assert session.ring_digest == router.ring.table_digest()

@@ -326,3 +326,47 @@ def test_plane_packages_load_no_bench_module():
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
     assert result.stdout.strip() == "[]", result.stdout
+
+
+# ----------------------------------------------------------------------
+# One request pipeline: the deleted copies stay deleted
+# ----------------------------------------------------------------------
+
+def test_one_event_loop_and_no_deleted_copy_grows_back():
+    """Plain-text grep, like the CI matrix check above.  Event
+    scheduling on a heap lives in ``serving/reactor.py`` alone (the
+    gateway's priority *queue* is not an event loop and keeps its heap),
+    and the names the one-pipeline refactor deleted appear nowhere."""
+    heap_users = {
+        path.relative_to(REPO / "src" / "repro").as_posix(): [
+            line.strip() for line in path.read_text().splitlines()
+            if "heapq.heap" in line
+        ]
+        for plane in ("serving", "async_serving")
+        for path in sorted((REPO / "src" / "repro" / plane).glob("*.py"))
+        if "heapq" in path.read_text()
+    }
+    assert set(heap_users) == {"serving/reactor.py", "serving/gateway.py"}
+    assert all("self._queue" in line for line in heap_users["serving/gateway.py"])
+
+    deleted = re.compile(
+        r"ResilientServiceExecutor|ReattachableBundle|SessionDirectory"
+        r"|AsyncioReactorAdapter|drive_open_loop|\.bind\("
+    )
+    sources = [
+        path
+        for tree in ("src", "tests", "benchmarks", "examples")
+        for path in (REPO / tree).rglob("*")
+        if path.suffix in (".py", ".md")
+    ] + [
+        path for path in REPO.glob("*.md")
+        if path.name not in ("CHANGES.md", "ISSUE.md")
+    ]
+    offenders = [
+        f"{path.relative_to(REPO)}:{number}"
+        for path in sources
+        if path != Path(__file__).resolve()
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if deleted.search(line)
+    ]
+    assert offenders == []

@@ -1,4 +1,5 @@
-"""Recovery policies in isolation: retry, breaker, failover payloads."""
+"""Recovery policies in isolation: retry, breaker, failover payloads,
+and the order the service executor applies them in."""
 
 import pytest
 
@@ -7,10 +8,15 @@ from repro.faults import (
     CircuitOpenError,
     DmaDropError,
     FailoverBundle,
+    HypervisorCrashError,
+    QuarantinePolicy,
     RecoveryOutcome,
     RetryPolicy,
     SyncError,
 )
+from repro.hardware.timing import SimClock
+from repro.serving.gateway import GatewayRequest, ServiceExecutor
+from repro.serving.metrics import MetricsRegistry
 
 
 def test_retry_policy_validation():
@@ -114,3 +120,106 @@ def test_failover_bundle_validation_and_indexing():
     assert bundle.device_indices == (0, 2)
     assert bundle.session_for(2) == b"b"
     assert bundle.session_for(0) == b"a"
+
+
+# -- the executor's one attempt loop ---------------------------------------------
+
+
+class _ScriptedDevice:
+    idle_hevms = 1
+
+    class config:
+        hevm_count = 1
+
+
+class _ScriptedService:
+    """Three one-HEVM devices whose ``submit_bundle`` follows a script."""
+
+    def __init__(self, script, log):
+        self.clock = SimClock()
+        self.devices = [_ScriptedDevice() for _ in range(3)]
+        self._script = iter(script)
+        self._log = log
+
+    def try_pick_device(self):
+        return None
+
+    def submit_bundle(self, device, session_id, sealed):
+        self._log.append(("attempt", self.devices.index(device)))
+        self.clock.advance_us(10.0)
+        step = next(self._script)
+        if isinstance(step, Exception):
+            raise step
+        return step, 10.0, [], None
+
+
+class _ScriptedSupervisor:
+    def __init__(self, log):
+        self._log = log
+
+    def intervene(self, error, device_index):
+        self._log.append(("supervisor", type(error).__name__, device_index))
+        return True
+
+
+def test_executor_applies_its_policies_in_one_fixed_order():
+    """One request through retry → open breaker → failover → quarantined-
+    target exclusion → supervisor intervention, in that order."""
+    log = []
+    service = _ScriptedService(
+        [
+            DmaDropError("lost in transit"),      # retryable in place
+            HypervisorCrashError(b"dev2", "run"),  # needs the supervisor
+            "sealed-report",
+        ],
+        log,
+    )
+    metrics = MetricsRegistry()
+    quarantine = QuarantinePolicy(service)
+    quarantine.quarantine(1, RuntimeError("audit verdict"))
+    executor = ServiceExecutor(
+        service,
+        RetryPolicy(max_attempts=6, backoff_us=100.0),
+        metrics=metrics,
+        supervisor=_ScriptedSupervisor(log),
+        quarantine=quarantine,
+    )
+    for _ in range(4):  # device 0 is one failure short of tripping
+        executor.breakers[0].record_failure(0.0)
+    payload = FailoverBundle(
+        {index: _FakeSession(b"s%d" % index) for index in range(3)}, b"bundle"
+    )
+    payload.seal_for = lambda device_index: b"sealed"
+    request = GatewayRequest(
+        request_id=1, session_id=b"s0", submitted_at_us=0.0,
+        device_index=0, payload=payload,
+    )
+
+    service_us, result = executor.execute(request, 0.0)
+
+    assert result == "sealed-report"
+    assert log == [
+        # 1: retryable, and the failure that opens device 0's breaker;
+        #    failover skips quarantined device 1 for device 2.
+        ("attempt", 0),
+        # 2: not retryable — only now is the supervisor asked; it repairs,
+        #    and the bundle fails over back to device 0...
+        ("attempt", 2),
+        ("supervisor", "HypervisorCrashError", 2),
+        # 3: ...whose open breaker refuses without touching the device,
+        # 4: so the retry lands on device 2 again, and succeeds.
+        ("attempt", 2),
+    ]
+    outcome = request.recovery
+    assert (outcome.attempts, outcome.retries) == (4, 3)
+    assert outcome.recovered_errors == ["DmaDropError", "HypervisorCrashError"]
+    assert outcome.backoff_us == 100.0 + 200.0 + 400.0
+    assert (outcome.failover.from_device, outcome.failover.to_device) == (0, 2)
+    assert isinstance(outcome.failover.cause, CircuitOpenError)
+    assert service_us == 3 * 10.0 + outcome.backoff_us
+    snapshot = metrics.snapshot()
+    assert snapshot["recovery.errors"] == 2      # refusals are not failures
+    assert snapshot["recovery.retries"] == 3
+    assert snapshot["gateway.failover"] == 3
+    assert snapshot["recovery.recovered"] == 1
+    assert executor.breakers[0].is_open and not executor.breakers[2].is_open

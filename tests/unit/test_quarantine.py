@@ -1,4 +1,4 @@
-"""Quarantine-driven degraded serving: policy, breakers, gateway shed."""
+"""Quarantine-driven degraded serving: policy, executor refusal, gateway shed."""
 
 import pytest
 
@@ -6,12 +6,11 @@ from repro.core.device import DeviceConfig
 from repro.core.service import HarDTAPEService
 from repro.core.user import PreExecutionClient
 from repro.faults import (
-    CircuitOpenError,
+    BundleFailedError,
     FailoverBundle,
     QuarantinePolicy,
     QuarantinedDeviceError,
     ReceiptMismatchError,
-    ResilientServiceExecutor,
 )
 from repro.hypervisor.bundle_codec import (
     TransactionBundle,
@@ -20,7 +19,12 @@ from repro.hypervisor.bundle_codec import (
 )
 from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.serving.admission import RejectReason
-from repro.serving.gateway import Gateway, GatewayConfig, ServiceExecutor
+from repro.serving.gateway import (
+    Gateway,
+    GatewayConfig,
+    GatewayRequest,
+    ServiceExecutor,
+)
 from repro.serving.metrics import MetricsRegistry
 from repro.telemetry.flight import FlightRecorder
 from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
@@ -87,27 +91,48 @@ class TestPolicyState:
         assert not policy.any_quarantined
         assert metrics.snapshot()["quarantine.devices"] == 0.0
 
-    def test_bound_executor_breaker_force_opens(self, fleet):
-        service, _ = fleet
-        executor = ResilientServiceExecutor(service)
-        policy = QuarantinePolicy(service).bind(executor)
-        assert executor.quarantine is policy
+    def test_executor_refuses_quarantined_device_until_release(self, fleet, evalset):
+        """An executor given the policy refuses attempts on a quarantined
+        device — indefinitely, whatever its breaker thinks — and resumes
+        after ``release``."""
+        service, sessions = fleet
+        policy = QuarantinePolicy(service)
+        executor = ServiceExecutor(service, quarantine=policy)
+        bundle = TransactionBundle(
+            transactions=(evalset.transactions[0],),
+            block_number=service.synced_height,
+        )
+
+        def attempt():
+            request = GatewayRequest(
+                request_id=1,
+                session_id=sessions[1].session_id,
+                submitted_at_us=0.0,
+                device_index=1,
+                payload=lambda: sessions[1].channel.seal(encode_bundle(bundle)),
+            )
+            return executor.execute(request, service.clock.now_us)
 
         policy.quarantine(1, _cause())
-        assert executor.breakers[1].is_open
-        # Time passing does not heal a quarantine: the open is indefinite.
+        served = service.stats.bundles_served
+        # Time passing does not heal a quarantine.
         service.clock.advance_us(10**9)
-        with pytest.raises(CircuitOpenError):
-            executor.breakers[1].allow(service.clock.now_us)
+        with pytest.raises(BundleFailedError) as excinfo:
+            attempt()
+        assert isinstance(excinfo.value.last_error, QuarantinedDeviceError)
+        assert excinfo.value.service_us == 0.0
+        assert service.stats.bundles_served == served  # never reached it
+        assert not executor.breakers[1].is_open  # a refusal is no failure
         policy.release(1)
-        assert not executor.breakers[1].is_open
+        service_us, sealed_out = attempt()
+        assert service_us > 0 and sessions[1].channel.open(sealed_out)
 
     def test_failover_target_skips_quarantined_devices(
         self, fleet, evalset
     ):
         service, sessions = fleet
-        executor = ResilientServiceExecutor(service)
-        policy = QuarantinePolicy(service).bind(executor)
+        policy = QuarantinePolicy(service)
+        executor = ServiceExecutor(service, quarantine=policy)
         payload = _failover_bundle(service, sessions, evalset)
         assert executor._failover_target(0, payload) == 1
         policy.quarantine(1, _cause())

@@ -272,7 +272,7 @@ def test_utilization_and_load_view():
     gateway.submit(b"s", None)
     assert gateway.capacity == 2
     assert gateway.in_flight == 1
-    assert gateway.next_completion_us() == pytest.approx(100.0)
+    assert gateway.reactor.peek_next_us() == pytest.approx(100.0)
     gateway.drain()
     assert gateway.utilization() == pytest.approx(0.5)  # 1 of 2 slots busy
 

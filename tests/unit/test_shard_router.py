@@ -8,6 +8,7 @@ from repro.serving import (
     MetricsRegistry,
     RequestStatus,
     ShardSessionRouter,
+    VirtualReactor,
 )
 
 pytestmark = [pytest.mark.sharding, pytest.mark.serving]
@@ -27,8 +28,11 @@ class StubExecutor:
 
 
 def _router(shard_count=4, metrics=None):
+    reactor = VirtualReactor()
     gateways = {
-        sid: Gateway(StubExecutor(), GatewayConfig(max_queue_depth=64))
+        sid: Gateway(
+            StubExecutor(), GatewayConfig(max_queue_depth=64), reactor=reactor
+        )
         for sid in range(shard_count)
     }
     return ShardSessionRouter(gateways, metrics=metrics), gateways
@@ -64,8 +68,12 @@ def test_session_and_page_rings_are_independent_domains():
 def test_submit_routes_to_owning_gateway_and_counts():
     registry = MetricsRegistry()
     router, gateways = _router(metrics=registry)
-    requests = [router.submit(s, payload=i) for i, s in enumerate(_sessions(12))]
-    done = router.drain()
+    done = []
+    requests = [
+        router.submit(s, payload=i, on_done=done.append)
+        for i, s in enumerate(_sessions(12))
+    ]
+    router.reactor.run_until_idle()
     assert len(done) == len(requests)
     assert all(r.status is RequestStatus.COMPLETED for r in done)
     executed = {
@@ -88,9 +96,23 @@ def test_fleet_views_merge_in_shard_order():
     assert router.in_flight == sum(
         gateway.in_flight for gateway in gateways.values()
     )
-    router.drain()
+    router.reactor.run_until_idle()
     assert router.in_flight == 0
     assert router.now_us == max(g.now_us for g in gateways.values())
+
+
+def test_submit_has_the_gateway_signature():
+    router, _ = _router(2)
+    (session,) = _sessions(1)
+    first = router.submit(session, payload=0, at_us=250.0)
+    # ``at_us=None`` means now: a later submission needs no timestamp...
+    second = router.submit(session, payload=1)
+    assert second.submitted_at_us == first.submitted_at_us == 250.0
+    # ...and everything after the payload is keyword-only, as on Gateway.
+    with pytest.raises(TypeError):
+        router.submit(session, 2, 300.0)
+    with pytest.raises(ValueError, match="forward in virtual time"):
+        router.submit(session, payload=2, at_us=100.0)
 
 
 def test_observe_queue_depths_publishes_labelled_gauges():
@@ -105,3 +127,9 @@ def test_observe_queue_depths_publishes_labelled_gauges():
 def test_router_requires_gateways():
     with pytest.raises(ValueError):
         ShardSessionRouter({})
+
+
+def test_router_refuses_gateways_on_separate_reactors():
+    gateways = {sid: Gateway(StubExecutor()) for sid in range(2)}
+    with pytest.raises(ValueError, match="share one reactor"):
+        ShardSessionRouter(gateways)
