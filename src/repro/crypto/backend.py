@@ -10,17 +10,22 @@ AES-GCM (secure channel, ORAM sealing), and ECDSA verification
 
 Three tiers register at import time:
 
-* ``reference`` — the pure-Python sponge/T-table/double-and-add code
-  the repo shipped with; the ground truth every other tier is gated
-  against.
+* ``reference`` — the pure-Python sponge, T-table AES-GCM and
+  table-free ECDSA verification; the ground truth every other tier is
+  gated against.
 * ``numpy`` — lane-wise batch Keccak-f[1600]
   (:mod:`repro.crypto.keccak_numpy`), the vectorized T-table AES-GCM
-  from PR 4, and shared-precomputation windowed ECDSA.
+  from PR 4, and ECDSA verification from per-key window tables.
 * ``hashlib`` — the stdlib/OpenSSL-accelerated tier: AES-GCM through
   the ``cryptography`` package when present and ECDSA verification via
   OpenSSL's secp256k1; hashing rides the vector engine.  Every
   acceleration is *gated*: a container without ``cryptography`` still
   registers this tier, falling back to the numpy implementations.
+
+Every pure-Python ECDSA/ECDH path, in every tier, shares the one
+Jacobian group law of :mod:`repro.crypto.ecc`; the verifier tiers
+differ only in how ``u2 * Q`` is obtained (window walk per verify,
+per-key table, OpenSSL).
 
 The contract every backend must honour — and perf-bench's pairwise
 identity gate enforces — is **byte identity**: same wire bytes, same
@@ -68,7 +73,7 @@ class CryptoBackend:
     """
 
     name = "reference"
-    description = "pure-Python sponge, T-table AES, double-and-add ECDSA"
+    description = "pure-Python sponge, T-table AES, table-free ECDSA verify"
 
     def keccak_engine(self):
         """The Keccak engine this backend installs process-wide."""
@@ -91,7 +96,7 @@ class CryptoBackend:
 
 
 class _ReferenceVerifier:
-    """Sequential verification against one key, no precomputation."""
+    """Sequential verification against one key, no per-key table."""
 
     def __init__(self, public_key: PublicKey) -> None:
         self.public_key = public_key
@@ -105,12 +110,12 @@ class _ReferenceVerifier:
 
 
 class NumpyBackend(CryptoBackend):
-    """Vectorized tier: batch keccak lanes, T-table AES, windowed ECDSA."""
+    """Vectorized tier: batch keccak lanes, T-table AES, per-key ECDSA tables."""
 
     name = "numpy"
     description = (
         "lane-wise batch Keccak-f[1600], vectorized T-table AES-GCM, "
-        "shared-precomputation windowed ECDSA"
+        "per-key window-table ECDSA verify"
     )
 
     def keccak_engine(self):

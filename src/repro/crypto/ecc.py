@@ -7,6 +7,11 @@ secp256k1, so one curve serves both roles.
 
 Signatures here are deterministic (RFC 6979 style, using HMAC-SHA256) so
 that simulation runs are reproducible.
+
+All point arithmetic goes through one Jacobian group law (below); affine
+:class:`Point` values exist only at the module boundary — keys, wire
+encodings, table entries — and each result crossing it costs exactly one
+field inversion.  ``k * G`` always reads the global fixed-window G table.
 """
 
 from __future__ import annotations
@@ -43,89 +48,195 @@ INFINITY = Point(None, None)
 G = Point(GX, GY)
 
 
-def _point_add(p: Point, q: Point) -> Point:
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    assert p.x is not None and p.y is not None
-    assert q.x is not None and q.y is not None
-    if p.x == q.x:
-        if (p.y + q.y) % P == 0:
-            return INFINITY
-        # Doubling.
-        slope = (3 * p.x * p.x) * pow(2 * p.y, -1, P) % P
-    else:
-        slope = (q.y - p.y) * pow(q.x - p.x, -1, P) % P
-    x = (slope * slope - p.x - q.x) % P
-    y = (slope * (p.x - x) - p.y) % P
-    return Point(x, y)
-
-
-def _scalar_mul(k: int, point: Point) -> Point:
-    """Double-and-add scalar multiplication."""
-    if k % N == 0 or point.is_infinity:
-        return INFINITY
-    k %= N
-    result = INFINITY
-    addend = point
-    while k:
-        if k & 1:
-            result = _point_add(result, addend)
-        addend = _point_add(addend, addend)
-        k >>= 1
-    return result
-
-
 # ---------------------------------------------------------------------------
-# Shared-precomputation scalar multiplication (repro.crypto.backend tiers).
+# The group law: one Jacobian implementation for every caller.
 #
-# ECDSA verification is two scalar multiplications: u1*G + u2*Q.  Both
-# scalars are ~256 bits, so double-and-add costs ~256 doublings + ~128
-# additions per multiplication.  With 4-bit fixed windows the doublings
-# disappear entirely: table[i][j] = (j << 4i) * P for i in 0..63,
-# j in 0..15, and k*P is the sum of at most 64 table entries.  The G
-# table is global (built once per process); per-public-key tables are
-# what :class:`PrecomputedVerifier` and :func:`batch_verify` share
-# across the many verifies a channel or a bundle performs against the
-# same key.  The math is exact — every accelerated path returns the
-# same points, so accept/reject decisions are identical to the
-# reference :meth:`PublicKey.verify` (property-tested).
+# A Jacobian triple (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3);
+# Z == 0 is the point at infinity.  Additions and doublings are pure
+# multiplications mod P — the ~27 us modular inversion an affine law pays
+# per operation is paid once, by :func:`_to_affine` (or once per table, by
+# :func:`_batch_to_affine`), when a result leaves the module.  The math is
+# exact: every path returns the same affine points the textbook affine
+# double-and-add does (``tests/oracles.py`` keeps that code as the oracle),
+# so nonces, signatures, public keys, ECDH secrets and accept/reject
+# decisions are bit-for-bit unchanged.
 # ---------------------------------------------------------------------------
+
+_Jacobian = tuple[int, int, int]
+_JAC_INFINITY: _Jacobian = (1, 1, 0)
+
+
+def _jac_double(p: _Jacobian) -> _Jacobian:
+    """``2 * p`` on y^2 = x^3 + 7 (a = 0); infinity doubles to infinity."""
+    x1, y1, z1 = p
+    a = x1 * x1 % P
+    b = y1 * y1 % P
+    c = b * b % P
+    t = x1 + b
+    d = 2 * (t * t - a - c) % P
+    e = 3 * a
+    x3 = (e * e - 2 * d) % P
+    # Z3 = 2*Y1*Z1 is zero exactly when p is infinity (the curve has no
+    # point with y = 0), so the Z == 0 encoding propagates by itself.
+    return x3, (e * (d - x3) - 8 * c) % P, 2 * y1 * z1 % P
+
+
+def _jac_add_affine(p: _Jacobian, q: Point) -> _Jacobian:
+    """Mixed addition ``p + q`` for an affine ``q`` (a table entry)."""
+    x1, y1, z1 = p
+    x2, y2 = q.x, q.y
+    if x2 is None or y2 is None:
+        return p
+    if not z1:
+        return x2, y2, 1
+    z1z1 = z1 * z1 % P
+    h = (x2 * z1z1 - x1) % P
+    r = (y2 * z1 * z1z1 - y1) % P
+    if not h:
+        # Same x: the operands are equal (double) or opposite (infinity).
+        return _jac_double(p) if not r else _JAC_INFINITY
+    hh = h * h % P
+    hhh = h * hh % P
+    v = x1 * hh % P
+    x3 = (r * r - hhh - 2 * v) % P
+    return x3, (r * (v - x3) - y1 * hhh) % P, z1 * h % P
+
+
+def _jac_add(p: _Jacobian, q: _Jacobian) -> _Jacobian:
+    """Full Jacobian addition ``p + q``."""
+    x1, y1, z1 = p
+    x2, y2, z2 = q
+    if not z1:
+        return q
+    if not z2:
+        return p
+    z1z1 = z1 * z1 % P
+    z2z2 = z2 * z2 % P
+    u1 = x1 * z2z2 % P
+    s1 = y1 * z2 * z2z2 % P
+    h = (x2 * z1z1 - u1) % P
+    r = (y2 * z1 * z1z1 - s1) % P
+    if not h:
+        return _jac_double(p) if not r else _JAC_INFINITY
+    hh = h * h % P
+    hhh = h * hh % P
+    v = u1 * hh % P
+    x3 = (r * r - hhh - 2 * v) % P
+    return x3, (r * (v - x3) - s1 * hhh) % P, z1 * z2 * h % P
+
+
+def _to_affine(p: _Jacobian) -> Point:
+    """Leave Jacobian coordinates: the one field inversion of a result."""
+    x, y, z = p
+    if not z:
+        return INFINITY
+    z_inv = pow(z, -1, P)
+    z_inv2 = z_inv * z_inv % P
+    return Point(x * z_inv2 % P, y * z_inv2 * z_inv % P)
+
+
+def _batch_to_affine(points: list[_Jacobian]) -> list[Point]:
+    """Normalise many points with one inversion (Montgomery's trick)."""
+    prefix: list[int] = []
+    product = 1
+    for _x, _y, z in points:
+        prefix.append(product)
+        if z:
+            product = product * z % P
+    inverse = pow(product, -1, P)
+    out = [INFINITY] * len(points)
+    for index in range(len(points) - 1, -1, -1):
+        x, y, z = points[index]
+        if not z:
+            continue
+        z_inv = inverse * prefix[index] % P
+        inverse = inverse * z % P
+        z_inv2 = z_inv * z_inv % P
+        out[index] = Point(x * z_inv2 % P, y * z_inv2 * z_inv % P)
+    return out
+
 
 _WINDOW_BITS = 4
 _WINDOWS = 256 // _WINDOW_BITS  # 64 windows cover any scalar < 2**256
 
 
+def _small_multiples(base: _Jacobian) -> list[_Jacobian]:
+    """``[0, 1, .. 15] * base``: evens by doubling, odds by one addition."""
+    row = [_JAC_INFINITY, base]
+    for j in range(2, 1 << _WINDOW_BITS):
+        row.append(_jac_add(row[j - 1], base) if j & 1 else _jac_double(row[j >> 1]))
+    return row
+
+
+def _jac_mul(k: int, point: Point) -> _Jacobian:
+    """``k * point``, left-to-right 4-bit window, no inversion."""
+    k %= N
+    x, y = point.x, point.y
+    if not k or x is None or y is None:
+        return _JAC_INFINITY
+    multiples = _small_multiples((x, y, 1))
+    top = (k.bit_length() - 1) // _WINDOW_BITS * _WINDOW_BITS
+    acc = multiples[k >> top]  # the leading nibble, never zero
+    for shift in range(top - _WINDOW_BITS, -1, -_WINDOW_BITS):
+        acc = _jac_double(_jac_double(_jac_double(_jac_double(acc))))
+        nibble = (k >> shift) & 0xF
+        if nibble:
+            acc = _jac_add(acc, multiples[nibble])
+    return acc
+
+
+def _scalar_mul(k: int, point: Point) -> Point:
+    """``k * point`` for an arbitrary point (ECDH, table-free verify)."""
+    return _to_affine(_jac_mul(k, point))
+
+
+# ---------------------------------------------------------------------------
+# Fixed-window tables.
+#
+# ECDSA verification is two scalar multiplications: u1*G + u2*Q.  With
+# 4-bit fixed windows the doublings disappear: table[i][j] = (j << 4i) * Q
+# for i in 0..63, j in 0..15, and k*Q is the sum of at most 64 table
+# entries.  Tables hold *affine* points, so every lookup is a mixed
+# addition; they are built in Jacobian coordinates and normalised with
+# one batch inversion.  The G table is global (built once per process) and
+# serves signing, key generation and every verify; per-public-key tables
+# are what :class:`PrecomputedVerifier` and :func:`batch_verify` share
+# across the many verifies a channel or a bundle performs against the
+# same key — kept because the e2e ledger shows them ahead of table-free
+# verification on both the bundle and the session-churn workloads.
+# ---------------------------------------------------------------------------
+
+
 def _window_table(point: Point) -> list[list[Point]]:
     """Precompute ``table[i][j] = (j << 4i) * point`` for fixed windows."""
-    table: list[list[Point]] = []
-    base = point
+    x, y = point.x, point.y
+    if x is None or y is None:
+        raise ValueError("cannot build a window table for infinity")
+    entries: list[_Jacobian] = []
+    base: _Jacobian = (x, y, 1)
     for _ in range(_WINDOWS):
-        row = [INFINITY]
-        acc = INFINITY
-        for _ in range(1, 1 << _WINDOW_BITS):
-            acc = _point_add(acc, base)
-            row.append(acc)
-        table.append(row)
-        # Shift the base by one window: base <<= 4 (four doublings).
-        for _ in range(_WINDOW_BITS):
-            base = _point_add(base, base)
-    return table
+        row = _small_multiples(base)
+        entries.extend(row)
+        # Shift the base by one window: 16 * base = 2 * (8 * base).
+        base = _jac_double(row[8])
+    width = 1 << _WINDOW_BITS
+    affine = _batch_to_affine(entries)
+    return [affine[start:start + width] for start in range(0, len(affine), width)]
 
 
-def _windowed_mul(table: list[list[Point]], k: int) -> Point:
-    """Scalar multiplication from a precomputed fixed-window table."""
+def _windowed_mul(
+    table: list[list[Point]], k: int, acc: _Jacobian = _JAC_INFINITY
+) -> _Jacobian:
+    """``acc + k * Q`` from Q's fixed-window table (mixed additions only)."""
     k %= N
-    result = INFINITY
     window = 0
     while k:
         nibble = k & 0xF
         if nibble:
-            result = _point_add(result, table[window][nibble])
+            acc = _jac_add_affine(acc, table[window][nibble])
         k >>= _WINDOW_BITS
         window += 1
-    return result
+    return acc
 
 
 _G_TABLE: list[list[Point]] | None = None
@@ -139,26 +250,31 @@ def _g_table() -> list[list[Point]]:
 
 
 def fixed_base_mul(k: int) -> Point:
-    """``k * G`` via the global fixed-window table (exact, just faster)."""
-    if k % N == 0:
-        return INFINITY
-    return _windowed_mul(_g_table(), k)
+    """``k * G`` via the global fixed-window table."""
+    return _to_affine(_windowed_mul(_g_table(), k))
 
 
 def point_on_curve(point: Point) -> bool:
-    """Check that ``point`` satisfies y^2 = x^3 + 7 (mod p)."""
-    if point.is_infinity:
-        return True
-    assert point.x is not None and point.y is not None
-    return (point.y * point.y - point.x**3 - 7) % P == 0
+    """Check ``point`` is infinity or a canonical solution of y^2 = x^3 + 7.
+
+    Canonical means ``0 <= x, y < p``: an unreduced coordinate would
+    satisfy the equation mod p too, giving one key two wire encodings and
+    two identities, and would break the group law's ``x1 == x2`` tests.
+    """
+    x, y = point.x, point.y
+    if x is None or y is None:
+        return x is None and y is None
+    if not (0 <= x < P and 0 <= y < P):
+        return False
+    return (y * y - x * x * x - 7) % P == 0
 
 
 def encode_point(point: Point) -> bytes:
     """Serialize a point as uncompressed SEC1 (65 bytes)."""
-    if point.is_infinity:
+    x, y = point.x, point.y
+    if x is None or y is None:
         raise ValueError("cannot encode the point at infinity")
-    assert point.x is not None and point.y is not None
-    return b"\x04" + point.x.to_bytes(32, "big") + point.y.to_bytes(32, "big")
+    return b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
 
 
 def decode_point(data: bytes) -> Point:
@@ -189,7 +305,7 @@ class PrivateKey:
         return cls(value)
 
     def public_key(self) -> "PublicKey":
-        return PublicKey(_scalar_mul(self.secret, G))
+        return PublicKey(fixed_base_mul(self.secret))
 
     def _rfc6979_nonce(self, digest: bytes) -> int:
         """Deterministic per-message nonce (RFC 6979, HMAC-SHA256)."""
@@ -215,9 +331,8 @@ class PrivateKey:
         z = int.from_bytes(message_hash, "big")
         while True:
             k = self._rfc6979_nonce(message_hash)
-            point = _scalar_mul(k, G)
-            assert point.x is not None
-            r = point.x % N
+            x = fixed_base_mul(k).x
+            r = 0 if x is None else x % N
             if r == 0:
                 message_hash = hashlib.sha256(message_hash).digest()
                 continue
@@ -231,11 +346,10 @@ class PrivateKey:
 
     def ecdh(self, peer: "PublicKey") -> bytes:
         """Raw ECDH shared secret (x-coordinate, 32 bytes)."""
-        shared = _scalar_mul(self.secret, peer.point)
-        if shared.is_infinity:
+        x = _scalar_mul(self.secret, peer.point).x
+        if x is None:
             raise ValueError("ECDH produced the point at infinity")
-        assert shared.x is not None
-        return shared.x.to_bytes(32, "big")
+        return x.to_bytes(32, "big")
 
 
 @dataclass(frozen=True)
@@ -257,21 +371,8 @@ class PublicKey:
 
     def verify(self, message_hash: bytes, signature: "Signature") -> None:
         """Verify; raises :class:`InvalidSignature` on failure."""
-        if len(message_hash) != 32:
-            raise ValueError("message hash must be 32 bytes")
-        r, s = signature.r, signature.s
-        if not (1 <= r < N and 1 <= s < N):
-            raise InvalidSignature("signature scalars out of range")
-        z = int.from_bytes(message_hash, "big")
-        s_inv = pow(s, -1, N)
-        u1 = z * s_inv % N
-        u2 = r * s_inv % N
-        point = _point_add(_scalar_mul(u1, G), _scalar_mul(u2, self.point))
-        if point.is_infinity:
-            raise InvalidSignature("verification produced infinity")
-        assert point.x is not None
-        if point.x % N != r:
-            raise InvalidSignature("r mismatch")
+        u1, u2 = _verification_scalars(message_hash, signature)
+        _check_r(_windowed_mul(_g_table(), u1, _jac_mul(u2, self.point)), signature.r)
 
 
 @dataclass(frozen=True)
@@ -291,6 +392,26 @@ class Signature:
         return cls(int.from_bytes(data[:32], "big"), int.from_bytes(data[32:], "big"))
 
 
+def _verification_scalars(message_hash: bytes, signature: Signature) -> tuple[int, int]:
+    """Range-check one ``(digest, signature)`` pair; return ``(u1, u2)``."""
+    if len(message_hash) != 32:
+        raise ValueError("message hash must be 32 bytes")
+    r, s = signature.r, signature.s
+    if not (1 <= r < N and 1 <= s < N):
+        raise InvalidSignature("signature scalars out of range")
+    s_inv = pow(s, -1, N)
+    return int.from_bytes(message_hash, "big") * s_inv % N, r * s_inv % N
+
+
+def _check_r(point: _Jacobian, r: int) -> None:
+    """Accept iff ``point = u1*G + u2*Q`` is finite with ``x mod N == r``."""
+    x = _to_affine(point).x
+    if x is None:
+        raise InvalidSignature("verification produced infinity")
+    if x % N != r:
+        raise InvalidSignature("r mismatch")
+
+
 class PrecomputedVerifier:
     """ECDSA verification against one public key, tables built once.
 
@@ -299,7 +420,8 @@ class PrecomputedVerifier:
     table amortizes after a handful of messages.  Accept/reject
     behaviour — including the exceptions raised — matches
     :meth:`PublicKey.verify` exactly; only the scalar-multiplication
-    strategy differs, and the group law is exact either way.
+    strategy for ``u2 * Q`` differs (64 table lookups instead of a
+    256-doubling window walk), under the same group law.
     """
 
     def __init__(self, public_key: PublicKey) -> None:
@@ -308,23 +430,11 @@ class PrecomputedVerifier:
 
     def verify(self, message_hash: bytes, signature: Signature) -> None:
         """Verify; raises :class:`InvalidSignature` on failure."""
-        if len(message_hash) != 32:
-            raise ValueError("message hash must be 32 bytes")
-        r, s = signature.r, signature.s
-        if not (1 <= r < N and 1 <= s < N):
-            raise InvalidSignature("signature scalars out of range")
-        z = int.from_bytes(message_hash, "big")
-        s_inv = pow(s, -1, N)
-        u1 = z * s_inv % N
-        u2 = r * s_inv % N
-        point = _point_add(
-            _windowed_mul(_g_table(), u1), _windowed_mul(self._key_table, u2)
+        u1, u2 = _verification_scalars(message_hash, signature)
+        _check_r(
+            _windowed_mul(self._key_table, u2, _windowed_mul(_g_table(), u1)),
+            signature.r,
         )
-        if point.is_infinity:
-            raise InvalidSignature("verification produced infinity")
-        assert point.x is not None
-        if point.x % N != r:
-            raise InvalidSignature("r mismatch")
 
     def verify_many(
         self, items: list[tuple[bytes, Signature]]

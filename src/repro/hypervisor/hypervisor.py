@@ -32,7 +32,7 @@ from repro.hypervisor.bundle_codec import (
     trace_from_result,
 )
 from repro.crypto.backend import get_backend
-from repro.hypervisor.channel import SealedMessage, SecureChannel
+from repro.hypervisor.channel import ChannelError, SealedMessage, SecureChannel
 from repro.hypervisor.resumption import TicketSealer, TicketState, ticket_header
 from repro.hypervisor.scheduler import HevmScheduler
 from repro.hypervisor.sync import BlockSynchronizer
@@ -709,8 +709,8 @@ class Hypervisor:
         own_dh = PrivateKey.from_bytes(self._rng.random_bytes(32))
         peer_dh = PrivateKey.from_bytes(other._rng.random_bytes(32))
         shared = own_dh.ecdh(peer_dh.public_key())
-        shared_check = peer_dh.ecdh(own_dh.public_key())
-        assert shared == shared_check
+        if peer_dh.ecdh(own_dh.public_key()) != shared:
+            raise ChannelError("ORAM key hand-off: the two ECDH sides disagree")
         wrap_key = hkdf_sha256(shared, info=b"oram-key-wrap")
         from repro.crypto.suite import AesGcmAead
 

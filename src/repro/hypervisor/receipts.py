@@ -33,6 +33,7 @@ from repro.crypto.ecc import (
     PrivateKey,
     PublicKey,
     Signature,
+    precomputed_verifier,
 )
 from repro.crypto.kdf import Drbg
 from repro.telemetry.unified import (
@@ -129,8 +130,12 @@ class SignedReceipt:
         return receipt_signing_hash(self.bundle_id, self.commitments)
 
     def verify(self, verify_key: PublicKey) -> None:
-        """Raises :class:`~repro.crypto.ecc.InvalidSignature` on forgery."""
-        verify_key.verify(self.signing_hash(), self.signature)
+        """Raises :class:`~repro.crypto.ecc.InvalidSignature` on forgery.
+
+        ``verify_key`` is the attested session key, for which the user's
+        channel has already built (and cached) a window table — reuse it.
+        """
+        precomputed_verifier(verify_key).verify(self.signing_hash(), self.signature)
 
 
 def make_receipt(

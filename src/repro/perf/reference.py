@@ -9,7 +9,9 @@ exist for two jobs:
 * ``perf-bench`` runs its workload against this baseline to report an
   honest before/after wall-clock comparison against the pre-PR code;
 * the equivalence tests assert the optimized paths are byte-for-byte
-  identical to these references on every input shape.
+  identical to these references on every input shape — including the
+  bit-serial :func:`gf_mul` that *defines* the GHASH byte tables
+  :func:`repro.crypto.gcm._ghash_table` now builds by linearity.
 
 They are **not** wired into any production path.
 """
@@ -18,6 +20,31 @@ from __future__ import annotations
 
 from repro.crypto.aes import AES
 from repro.crypto.gcm import AuthenticationError, _ghash_table
+
+
+def gf_mul(x: int, y: int) -> int:
+    """Bit-serial GF(2^128) product, GCM polynomial, bits reflected.
+
+    The definition :func:`repro.crypto.gcm._ghash_table` must equal
+    entry by entry; the production table is built by linearity instead.
+    """
+    result = 0
+    for i in range(127, -1, -1):
+        if (y >> i) & 1:
+            result ^= x
+        if x & 1:
+            x = (x >> 1) ^ (0xE1 << 120)
+        else:
+            x >>= 1
+    return result
+
+
+def reference_ghash_table(h: int) -> list[list[int]]:
+    """The GHASH byte tables, one bit-serial :func:`gf_mul` per entry."""
+    return [
+        [gf_mul(value << (8 * (15 - byte_index)), h) for value in range(256)]
+        for byte_index in range(16)
+    ]
 
 
 class ReferenceGhash:

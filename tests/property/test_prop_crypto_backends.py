@@ -2,9 +2,10 @@
 
 Every accelerated path must be an *exact rewrite* of the reference one:
 batch keccak equals a loop of scalar sponges, batched ECDSA equals a
-loop of single verifies (including which failures it raises), the
-precomputed scalar multiplication equals the textbook double-and-add,
-and ``SecureChannel.open_batch`` equals a sequential ``open`` loop.
+loop of single verifies (including which failures it raises), every
+Jacobian scalar multiplication and table entry equals the textbook
+affine double-and-add (``tests/oracles.py``), and
+``SecureChannel.open_batch`` equals a sequential ``open`` loop.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.crypto.backend import available_backends, get_backend
 from repro.crypto.ecc import InvalidSignature, PrivateKey, Signature
 from repro.crypto.keccak import Keccak256, keccak256, keccak256_many
 from repro.hypervisor.channel import ChannelError, SecureChannel
+from tests.oracles import affine_add, affine_scalar_mul
 
 settings.register_profile("crypto_backends", deadline=None)
 settings.load_profile("crypto_backends")
@@ -42,10 +44,58 @@ def test_every_engine_matches_scalar_sponge(data):
         assert get_backend(name).keccak_engine().hash_one(data) == expected
 
 
+# Window seams, the group order's neighbourhood, and the 256-bit ceiling.
+_EDGE_SCALARS = [
+    1, 2, 15, 16, 17, ecc.N - 2, ecc.N - 1, ecc.N, ecc.N + 1, 2**255, 2**256 - 1,
+]
+_scalars = st.one_of(
+    st.sampled_from(_EDGE_SCALARS), st.integers(min_value=0, max_value=2**256 - 1)
+)
+_points = st.integers(min_value=1, max_value=ecc.N - 1).map(
+    lambda d: affine_scalar_mul(d, ecc.G)
+)
+
+
+@pytest.mark.parametrize("k", _EDGE_SCALARS)
+def test_fixed_base_mul_equals_double_and_add_on_edge_scalars(k):
+    assert ecc.fixed_base_mul(k) == affine_scalar_mul(k, ecc.G)
+    assert ecc._scalar_mul(k, ecc.G) == affine_scalar_mul(k, ecc.G)
+
+
 @settings(max_examples=15)
-@given(st.integers(min_value=1, max_value=ecc.N - 1))
+@given(_scalars)
 def test_fixed_base_mul_equals_double_and_add(k):
-    assert ecc.fixed_base_mul(k) == ecc._scalar_mul(k, ecc.G)
+    assert ecc.fixed_base_mul(k) == affine_scalar_mul(k, ecc.G)
+
+
+@settings(max_examples=15)
+@given(_scalars, _points)
+def test_scalar_mul_equals_double_and_add(k, point):
+    assert ecc._scalar_mul(k, point) == affine_scalar_mul(k, point)
+
+
+@settings(max_examples=15)
+@given(st.integers(min_value=1, max_value=ecc.N - 1), _points)
+def test_ecdh_equals_double_and_add(secret, point):
+    shared = PrivateKey(secret).ecdh(ecc.PublicKey(point))
+    assert shared == affine_scalar_mul(secret, point).x.to_bytes(32, "big")
+
+
+@settings(max_examples=3)
+@given(_points)
+def test_every_window_table_entry_equals_double_and_add(point):
+    table = ecc._window_table(point)
+    assert len(table) == 64
+    base = point
+    for row in table:
+        # row[j] = j * base, checked by the oracle's own running sum.
+        assert len(row) == 16
+        expected = ecc.INFINITY
+        assert row[0] == expected
+        for entry in row[1:]:
+            expected = affine_add(expected, base)
+            assert entry == expected
+        base = affine_add(expected, base)  # 16 * base
 
 
 @settings(max_examples=6)

@@ -5,6 +5,8 @@ paths must be byte-identical to the frozen pre-optimization references
 in :mod:`repro.perf.reference` on every input shape.
 """
 
+import time
+
 import pytest
 
 from repro.crypto.aes import AES
@@ -14,6 +16,7 @@ from repro.perf.reference import (
     ReferenceAesGcm,
     ReferenceGhash,
     reference_ctr_keystream,
+    reference_ghash_table,
 )
 
 
@@ -203,6 +206,36 @@ def test_ctr_keystream_many_matches_per_message():
     many = cipher.ctr_keystream_many(counter_blocks, lengths)
     for block, length, stream in zip(counter_blocks, lengths, many):
         assert stream == cipher.ctr_keystream(block, length)
+
+
+def test_ghash_table_equals_the_bit_serial_definition():
+    # The table is built by linearity; it must equal one bit-serial
+    # GF(2^128) product per entry, the definition it replaced.
+    rng = Drbg(b"ghash-table")
+    subkeys = [0, 1, 1 << 127, 2**128 - 1] + [
+        int.from_bytes(rng.random_bytes(16), "big") for _ in range(3)
+    ]
+    for h in subkeys:
+        assert _ghash_table(h) == reference_ghash_table(h)
+
+
+@pytest.mark.perf
+def test_ghash_table_build_is_linear_not_bit_serial():
+    # A ratio within one run, so it holds on a noisy runner: ~0.5 ms
+    # against ~80 ms when written, gated at 20x.
+    h = int.from_bytes(AES(b"g" * 16).encrypt_block(bytes(16)), "big")
+
+    def best_of(build, runs):
+        times = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            build(h)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    slow = best_of(reference_ghash_table, 2)
+    fast = best_of(_ghash_table, 10)
+    assert slow >= 20 * fast, f"bit-serial {slow * 1e3:.2f} ms vs linear {fast * 1e3:.2f} ms"
 
 
 def test_ghash_matches_reference():
