@@ -62,12 +62,9 @@ class BenchSpec:
 BENCHES: tuple[BenchSpec, ...] = (
     BenchSpec(
         "perf", "repro.perf.bench", "PerfBenchConfig", "run_perf_bench",
-        "before/after speedup of the crypto/ORAM substrate (repro.perf)",
+        "byte oracle for the crypto/ORAM substrate: ORAM digests + pairwise "
+        "CryptoBackend tier identity (repro.perf)",
         default_seed=7,
-        extra_args=(
-            ExtraArg("--min-speedup", "min_speedup", float, 3.0,
-                     "fail below this optimized/baseline ratio"),
-        ),
     ),
     BenchSpec(
         "recovery", "repro.recovery.bench", "RecoveryBenchConfig",

@@ -10,7 +10,7 @@
     python -m repro.cli serve-bench         # gateway saturation sweep (§VI-D)
     python -m repro.cli chaos-bench         # fault injection + recovery sweep
     python -m repro.cli trace-bench         # traced run + critical-path table
-    python -m repro.cli perf-bench          # crypto/ORAM before/after speedup
+    python -m repro.cli perf-bench          # crypto/ORAM byte oracle: digests + tier identity
     python -m repro.cli recovery-bench      # crash recovery + rollback gates
     python -m repro.cli shard-bench         # sharded-fleet scale-out gates
     python -m repro.cli c10k-bench          # 10k-session async tier + resumption gates
@@ -271,7 +271,8 @@ def cmd_serve_bench(args) -> int:
 
 
 def cmd_chaos_bench(args) -> int:
-    from repro.faults import ChaosConfig, run_chaos
+    from repro.perf.parallel import run_parallel
+    from repro.perf.workers import chaos_rate_row
 
     try:
         rates = [float(token) for token in args.rates.split(",")]
@@ -293,37 +294,15 @@ def cmd_chaos_bench(args) -> int:
     print(f"chaos sweep: seed={args.seed}, {args.devices} device(s), "
           f"{args.tenants} tenant(s) x {args.requests} request(s)"
           + (f", {args.workers} workers" if args.workers > 1 else ""))
-    if args.workers > 1:
-        from repro.perf.parallel import run_parallel
-        from repro.perf.workers import chaos_rate_row
-
-        reports = run_parallel(
-            chaos_rate_row,
-            [(rate, args.seed, args.devices, args.tenants, args.requests,
-              args.blocks, args.txs_per_block) for rate in rates],
-            workers=args.workers,
-        )
-        for lines in reports:
-            print()
-            for line in lines:
-                print(line)
-        return 0
-    evalset = build_evaluation_set(EvaluationSetConfig(
-        blocks=args.blocks, txs_per_block=args.txs_per_block,
-    ))
-    for rate in rates:
-        report = run_chaos(
-            ChaosConfig(
-                seed=args.seed,
-                fault_rate=rate,
-                device_count=args.devices,
-                tenants=args.tenants,
-                requests_per_tenant=args.requests,
-            ),
-            evalset,
-        )
+    reports = run_parallel(
+        chaos_rate_row,
+        [(rate, args.seed, args.devices, args.tenants, args.requests,
+          args.blocks, args.txs_per_block) for rate in rates],
+        workers=args.workers,
+    )
+    for lines in reports:
         print()
-        for line in report.summary_lines():
+        for line in lines:
             print(line)
     return 0
 

@@ -20,7 +20,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.crypto.kdf import Drbg
-from repro.crypto.suite import Blake2Aead, open_blocks, seal_blocks
 
 PAGE_BYTES = 1024
 DEFAULT_L2_BYTES = 1024 * 1024  # 1 MB per HEVM
@@ -248,72 +247,6 @@ class Layer2CallStack:
         self._frame_pages.clear()
         self._frame_resident.clear()
         self._frame_spilled_pages.clear()
-
-
-class L3PageVault:
-    """Layer-3 page protection with real AEAD bytes (optional).
-
-    :class:`Layer2CallStack` tracks swap *counts* only — enough for the
-    timing and obliviousness analyses.  This vault gives the layer-3
-    boundary actual ciphertext traffic: pages swapped out are sealed in
-    one batched AEAD pass (:func:`~repro.crypto.suite.seal_blocks`
-    shares a single CTR keystream computation across the whole swap
-    under AES-GCM), pages swapped in are verified-and-opened the same
-    way, with AAD binding ``page_index || epoch`` so a replayed page
-    fails authentication.  Not wired into the call stack by default;
-    ``perf-bench`` and the L3 tests attach one explicitly.
-    """
-
-    def __init__(
-        self,
-        key: bytes,
-        cipher_factory=Blake2Aead,
-        decrypt_memo_blocks: int | None = None,
-    ) -> None:
-        self._cipher = cipher_factory(key)
-        self.memo = None
-        if decrypt_memo_blocks:
-            from repro.perf.memo import MemoizedAead
-
-            self.memo = MemoizedAead(self._cipher, decrypt_memo_blocks)
-            self._cipher = self.memo
-        self._nonce = 0
-        self.pages_sealed = 0
-        self.pages_opened = 0
-
-    @staticmethod
-    def _page_aad(page_index: int, epoch: int) -> bytes:
-        return page_index.to_bytes(8, "big") + epoch.to_bytes(8, "big")
-
-    def seal_pages(
-        self, pages: list[bytes], epoch: int = 0, first_index: int = 0
-    ) -> list[bytes]:
-        """Seal a swap-out: one blob (``nonce || ciphertext || tag``) per page."""
-        items = []
-        for offset, page in enumerate(pages):
-            if len(page) > PAGE_BYTES:
-                raise ValueError(f"page is {len(page)} bytes, limit {PAGE_BYTES}")
-            self._nonce += 1
-            items.append((
-                self._nonce.to_bytes(12, "big"),
-                page.ljust(PAGE_BYTES, b"\x00"),
-                self._page_aad(first_index + offset, epoch),
-            ))
-        sealed = seal_blocks(self._cipher, items)
-        self.pages_sealed += len(items)
-        return [nonce + blob for (nonce, _, _), blob in zip(items, sealed)]
-
-    def open_pages(
-        self, blobs: list[bytes], epoch: int = 0, first_index: int = 0
-    ) -> list[bytes]:
-        """Open a swap-in; raises before returning anything on any bad tag."""
-        items = [
-            (blob[:12], blob[12:], self._page_aad(first_index + index, epoch))
-            for index, blob in enumerate(blobs)
-        ]
-        pages = open_blocks(self._cipher, items)
-        self.pages_opened += len(items)
-        return pages
 
 
 class WorldStateCache:

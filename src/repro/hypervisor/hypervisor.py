@@ -89,7 +89,9 @@ class SecurityFeatures:
 
 
 class BundleRejected(Exception):
-    """Bundle refused at admission (gas policy, §IV-B DoS protection)."""
+    """Bundle refused at admission, before any core is assigned: over the
+    SP's gas cap (§IV-B DoS protection), or the wrong message shape for
+    the device's security level."""
 
 
 class HypervisorCrashError(Exception):
@@ -491,8 +493,14 @@ class Hypervisor:
             self.faults.on_bundle_admission(self, self.clock.now_us)
 
         # Admit the message: decrypt/verify (or accept plaintext in -raw).
+        # Its shape is host-supplied, so a mismatch is refused, not asserted.
+        expected = SealedMessage if self.features.encryption else (bytes, bytearray)
+        if not isinstance(sealed_bundle, expected):
+            raise BundleRejected(
+                f"{'an encrypting' if self.features.encryption else 'a -raw'} "
+                f"device cannot admit a {type(sealed_bundle).__name__} bundle"
+            )
         if self.features.encryption:
-            assert isinstance(sealed_bundle, SealedMessage)
             if self.faults is not None:
                 # The wire between A.E.DMA endpoints: drops surface here,
                 # corruption downstream at the tag/signature check.
@@ -511,7 +519,6 @@ class Hypervisor:
                 channel=session.channel,
             )
         else:
-            assert isinstance(sealed_bundle, (bytes, bytearray))
             payload = bytes(sealed_bundle)
         bundle = decode_bundle(payload)
         active = tracer.active

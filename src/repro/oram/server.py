@@ -14,7 +14,7 @@ CPU cost per query so the 25 µs/query capacity bound can be measured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 
 class OramServerStall(Exception):
@@ -41,13 +41,6 @@ class PathAccessEvent:
     leaf: int
     node_indices: tuple[int, ...]
     sim_time_us: float
-
-
-class ServerObserver(Protocol):
-    """The adversary's tap on the ORAM server."""
-
-    def on_access(self, event: PathAccessEvent) -> None:
-        ...
 
 
 @dataclass

@@ -10,14 +10,14 @@ simulated byte:
   client itself sealed;
 * :mod:`repro.perf.parallel` — deterministic multiprocessing fan-out
   for benchmark sweeps, with seed-ordered reduction;
-* :mod:`repro.perf.bench` — the ``perf-bench`` CLI's engine: a
-  cProfile-attributed before/after comparison against the frozen
-  pre-optimization crypto in :mod:`repro.perf.reference`, gated on
-  byte-identical outputs.
+* :mod:`repro.perf.bench` — the ``perf-bench`` CLI's engine: the byte
+  oracle for the substrate (ORAM digests, pairwise-identical
+  ``CryptoBackend`` tiers); :mod:`repro.perf.reference` keeps the
+  pre-optimization crypto as the tests' oracle.
 """
 
 from repro.perf.memo import MemoizedAead, MemoStats
-from repro.perf.parallel import default_worker_count, run_parallel
+from repro.perf.parallel import run_parallel
 from repro.perf.reference import ReferenceAesGcm
 
 # bench imports the ORAM client, which imports repro.perf.memo; loading
@@ -39,7 +39,6 @@ __all__ = [
     "PerfBenchConfig",
     "PerfBenchReport",
     "ReferenceAesGcm",
-    "default_worker_count",
     "run_parallel",
     "run_perf_bench",
 ]

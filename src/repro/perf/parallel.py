@@ -16,16 +16,10 @@ platform cannot fork/spawn workers at all.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Sequence, TypeVar
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
-
-
-def default_worker_count() -> int:
-    """A conservative worker default: physical parallelism minus one."""
-    return max(1, (os.cpu_count() or 2) - 1)
 
 
 def run_parallel(

@@ -1,17 +1,13 @@
-"""Frozen pre-optimization crypto: the perf-bench baseline.
+"""Frozen pre-optimization crypto: the tests' oracle.
 
 These classes preserve, verbatim, the block-at-a-time algorithms the
 repo shipped before the ``repro.perf`` pass — per-block ``bytes``
 concatenation in the CTR loop, a padded copy per GHASH chunk, per-byte
 generator XOR — on top of the same (correct) AES block transform.  They
-exist for two jobs:
-
-* ``perf-bench`` runs its workload against this baseline to report an
-  honest before/after wall-clock comparison against the pre-PR code;
-* the equivalence tests assert the optimized paths are byte-for-byte
-  identical to these references on every input shape — including the
-  bit-serial :func:`gf_mul` that *defines* the GHASH byte tables
-  :func:`repro.crypto.gcm._ghash_table` now builds by linearity.
+exist for one job: the equivalence tests assert the optimized paths are
+byte-for-byte identical to these references on every input shape —
+including the bit-serial :func:`gf_mul` that *defines* the GHASH byte
+tables :func:`repro.crypto.gcm._ghash_table` now builds by linearity.
 
 They are **not** wired into any production path.
 """

@@ -8,12 +8,11 @@ from repro.security.analysis import (
     repeated_access_correlation,
     size_leakage,
 )
-from repro.security.observer import AccessPatternObserver, SwapBusObserver
+from repro.security.observer import AccessPatternObserver
 
 __all__ = [
     "AccessPatternObserver",
     "QueryTypeClassifier",
-    "SwapBusObserver",
     "frequency_attack",
     "mutual_information",
     "path_uniformity_pvalue",

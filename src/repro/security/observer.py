@@ -1,17 +1,17 @@
 """Adversary observers: exactly what the SP can see, and nothing more.
 
 The threat model gives the SP the ORAM server's physical access trace
-(A7), the layer-3 swap bus (A5), and message timing.  These observers
-collect those views so the statistical attacks in
-:mod:`repro.security.analysis` can be run against real traces produced
-by the system — the empirical counterpart of the paper's §V arguments.
+(A7), the layer-3 swap bus (A5), and message timing.  The observer
+here collects the first; the swap-bus view is the call stack's own
+``stats.swap_events`` list.  The statistical attacks in
+:mod:`repro.security.analysis` run against these real traces — the
+empirical counterpart of the paper's §V arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.hardware.memory_layers import SwapEvent
 from repro.oram.server import OramServer, PathAccessEvent
 
 
@@ -39,24 +39,3 @@ class AccessPatternObserver:
 
     def clear(self) -> None:
         self.events.clear()
-
-
-@dataclass
-class SwapBusObserver:
-    """Collects the adversary-visible layer-3 swap events.
-
-    Only ``direction``, ``page_count`` (noise included) and time are
-    readable; ``real_pages`` is ground truth used by the analysis to
-    quantify what the adversary could NOT recover.
-    """
-
-    events: list[SwapEvent] = field(default_factory=list)
-
-    def ingest(self, events: list[SwapEvent]) -> None:
-        self.events.extend(events)
-
-    def observed_sizes(self) -> list[int]:
-        return [event.page_count for event in self.events]
-
-    def true_sizes(self) -> list[int]:
-        return [event.real_pages for event in self.events]

@@ -111,3 +111,33 @@ def test_gas_cap_rejects_dos_bundles(evalset):
     report, _, _ = client.pre_execute(service, session, [modest])
     assert report.traces[0].status == 1
     assert service.devices[0].idle_hevms == service.devices[0].config.hevm_count
+
+
+@pytest.mark.parametrize("level", ["full", "raw"])
+def test_wrong_message_shape_is_rejected_before_any_core_is_assigned(
+    evalset, level
+):
+    """The host chooses what it hands `submit_bundle`: raw bytes to an
+    encrypting device, or a sealed message to a -raw one, is a typed
+    refusal (not an `assert`, which `python -O` strips)."""
+    from repro.hypervisor import BundleRejected
+    from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
+
+    service = HarDTAPEService(
+        evalset.node, SecurityFeatures.from_level(level), charge_fees=False
+    )
+    device = service.devices[0]
+    client, session = _session(service)
+    payload = encode_bundle(TransactionBundle(
+        transactions=(evalset.transactions[0],),
+        block_number=service.synced_height,
+    ))
+    wrong_shape = payload if level == "full" else session.channel.seal(payload)
+    with pytest.raises(BundleRejected, match=type(wrong_shape).__name__):
+        service.submit_bundle(device, session.session_id, wrong_shape)
+    scheduler = device.hypervisor.scheduler
+    assert scheduler.queue_depth == 0
+    assert scheduler.idle_count == device.config.hevm_count
+    # Nothing leaked and no nonce was consumed: the right shape still runs.
+    report, _, _ = client.pre_execute(service, session, [evalset.transactions[0]])
+    assert report.traces[0].status == 1

@@ -277,23 +277,30 @@ def test_registry_is_exactly_the_smoke_bench_subcommands():
 
 def test_ci_bench_matrix_follows_the_registry():
     """Plain-text grep (no YAML dependency): the matrix legs are the
-    registry's virtual-time benches, each leg compares against its
-    committed report, and the markers it selects exist."""
+    registry's benches, each leg regenerates at the bench's default
+    seed and compares against its committed report, and the markers it
+    selects exist."""
     workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     legs = re.findall(
         r'- \{ bench: (\S+), marker: (\S+), config: "([^"]*)" \}', workflow
     )
-    virtual_time = {spec.name for spec in BENCHES} - {"perf"}
-    assert {bench for bench, _, _ in legs} == virtual_time
-    assert len(legs) == len(virtual_time)
+    assert sorted(bench for bench, _, _ in legs) == sorted(
+        spec.name for spec in BENCHES
+    )
+    assert (
+        "python -m repro.cli ${{ matrix.bench }}-bench ${{ matrix.config }} \\\n"
+        "            --json-out regenerated-${{ matrix.bench }}.json"
+    ) in workflow
     assert "cmp regenerated-${{ matrix.bench }}.json BENCH_${{ matrix.bench }}.json" in workflow
     pyproject = (REPO / "pyproject.toml").read_text()
     for bench, marker, config in legs:
         assert (REPO / f"BENCH_{bench}.json").is_file()
         assert f'"{marker}: ' in pyproject
         assert config in ("", "--smoke")
-    # perf keeps its own wall-clock job; the e2e ledger has its leg.
-    assert "perf-bench --smoke" in workflow
+    # The perf job is the marker run alone, no inline Python over a
+    # report; the e2e ledger has its leg.
+    perf_job = workflow.split("\n  perf:\n")[1].split("\n  bench:\n")[0]
+    assert "python -m pytest -q -m perf" in perf_job and "<<" not in perf_job
     assert "python3 benchmarks/e2e/run.py --smoke" in workflow
     assert "python -m pytest benchmarks/e2e -q" in workflow
 
@@ -352,7 +359,12 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
     deleted = re.compile(
         r"ResilientServiceExecutor|ReattachableBundle|SessionDirectory"
         r"|AsyncioReactorAdapter|drive_open_loop|\.bind\("
+        # the byte-oracle perf-bench: the second stopwatch and dead symbols
+        r"|cProfile|pstats|min[-_]speedup"
+        r"|L3PageVault|SwapBusObserver|ServerObserver|default_worker_count"
     )
+    # shard-bench's ring gate keeps its own ``min_speedup`` report key.
+    shard_bench = REPO / "src" / "repro" / "sharding" / "bench.py"
     sources = [
         path
         for tree in ("src", "tests", "benchmarks", "examples")
@@ -365,7 +377,7 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
     offenders = [
         f"{path.relative_to(REPO)}:{number}"
         for path in sources
-        if path != Path(__file__).resolve()
+        if path not in (Path(__file__).resolve(), shard_bench)
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if deleted.search(line)
     ]

@@ -143,3 +143,22 @@ def test_serve_bench_without_overload(capsys):
     out = capsys.readouterr().out
     assert "mixed workload" in out
     assert "open-loop" not in out
+
+
+@pytest.mark.faults
+def test_chaos_bench_output_does_not_depend_on_the_worker_count(capsys):
+    """One code path: ``--workers`` only moves rows across processes.
+    The header names the worker count; every byte after it is equal."""
+    outputs = []
+    for workers in ("1", "2"):
+        assert main([
+            "chaos-bench", "--rates", "0,0.02", "--tenants", "2",
+            "--requests", "3", "--workers", workers,
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    (serial_header, serial_rows), (parallel_header, parallel_rows) = (
+        out.split("\n", 1) for out in outputs
+    )
+    assert parallel_header == serial_header + ", 2 workers"
+    assert serial_rows == parallel_rows
+    assert serial_rows.count("fault rate") == 2

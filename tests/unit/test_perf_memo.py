@@ -6,6 +6,7 @@ from repro.crypto.suite import AesGcmAead, AuthenticationError, Blake2Aead
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
 from repro.perf.memo import MemoizedAead
+from repro.perf.reference import ReferenceAesGcm
 
 KEY = b"m" * 32
 
@@ -93,16 +94,17 @@ def test_open_blocks_bad_tag_raises_before_returning():
         ])
 
 
-def _run_oram(memo_blocks, cipher_factory=Blake2Aead):
+def _run_oram(memo_blocks, cipher_factory=Blake2Aead, block_size=64,
+              accesses=60):
     server = OramServer(height=4)
     events = []
     server.add_observer(events.append)
     client = PathOramClient(
-        server, KEY, block_size=64, cipher_factory=cipher_factory,
+        server, KEY, block_size=block_size, cipher_factory=cipher_factory,
         decrypt_memo_blocks=memo_blocks,
     )
     reads = []
-    for i in range(60):
+    for i in range(accesses):
         key = b"blk-%d" % (i % 11)
         if i % 4 == 0:
             client.write(key, b"v%d" % i)
@@ -112,13 +114,27 @@ def _run_oram(memo_blocks, cipher_factory=Blake2Aead):
     return reads, events, buckets, client
 
 
-@pytest.mark.parametrize("cipher_factory", [Blake2Aead, AesGcmAead])
-def test_memoized_oram_is_observer_equivalent(cipher_factory):
+@pytest.mark.parametrize("plain_factory, memo_factory, shape", [
+    pytest.param(Blake2Aead, Blake2Aead, {}, id="Blake2Aead"),
+    pytest.param(AesGcmAead, AesGcmAead, {}, id="AesGcmAead"),
+    # The pre-optimization substrate against today's, at the page size
+    # perf-bench digests: frozen block-at-a-time AES-GCM without a memo
+    # vs the batch AES-GCM behind one.
+    pytest.param(
+        ReferenceAesGcm, AesGcmAead, {"block_size": 1024, "accesses": 24},
+        id="ReferenceAesGcm-vs-AesGcmAead-1KB",
+    ),
+])
+def test_memoized_oram_is_observer_equivalent(plain_factory, memo_factory, shape):
     """The property the docs promise: with and without memoization, the
     client returns identical plaintexts AND the SP observes an identical
     PathAccessEvent stream and identical ciphertext tree."""
-    reads_off, events_off, buckets_off, _ = _run_oram(None, cipher_factory)
-    reads_on, events_on, buckets_on, client = _run_oram(4096, cipher_factory)
+    reads_off, events_off, buckets_off, _ = _run_oram(
+        None, plain_factory, **shape
+    )
+    reads_on, events_on, buckets_on, client = _run_oram(
+        4096, memo_factory, **shape
+    )
     assert reads_on == reads_off
     assert events_on == events_off  # slots dataclass, field-wise equality
     assert buckets_on == buckets_off

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.parallel import default_worker_count, run_parallel
+from repro.perf.parallel import run_parallel
 
 
 def _square(x):
@@ -46,7 +46,3 @@ def test_worker_exception_propagates():
         run_parallel(_fail_on_three, [1, 2, 3, 4], workers=2)
     with pytest.raises(ValueError):
         run_parallel(_fail_on_three, [1, 2, 3, 4], workers=1)
-
-
-def test_default_worker_count_positive():
-    assert default_worker_count() >= 1
