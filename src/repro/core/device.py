@@ -25,8 +25,8 @@ from repro.hardware.timing import CostModel, SimClock
 from repro.hypervisor.hypervisor import Hypervisor, SecurityFeatures
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
-from repro.oram.hierarchical import PyramidOramClient
 from repro.oram.server import OramServer
+from repro.oram.store import build_client, check_backend
 from repro.state.backend import StateBackend
 
 # The shipping firmware image; its measurement is pinned by users.
@@ -44,23 +44,19 @@ class DeviceConfig:
     hevm_count: int = 3  # the XCZU15EV LUT budget allows three
     l2_bytes: int = 1024 * 1024
     oram_height: int = 12
-    oram_bucket_size: int = 4
-    stash_limit_blocks: int = 1024  # ~1 MB of on-chip stash
     # Which ORAM protocol backs the world state: "path" (the paper's
     # prototype) or "pyramid" (hierarchical layout; wins at small
     # working sets — see repro.oram.hierarchical.backend_for_working_set).
+    # The names, and the geometry every deployment shares, live in
+    # repro.oram.store.
     oram_backend: str = "path"
     # On-chip top-cache bound for the pyramid backend (blocks); the
-    # hierarchical analogue of stash_limit_blocks.
+    # hierarchical analogue of the path stash limit.
     pyramid_cache_blocks: int = 32
     # Virtual-time budget for one ORAM path read; a server stalling past
     # it surfaces as a typed OramTimeoutError instead of a hang.  None
     # absorbs any finite stall (the pre-fault-plane behaviour).
     oram_response_budget_us: float | None = None
-    # Bound on the ORAM decrypt-memo cache (repro.perf); 0/None disables
-    # memoization and restores the pre-memo wall-clock behaviour.  The
-    # cache is host-process memory, invisible to the simulated protocol.
-    oram_decrypt_memo_blocks: int | None = 4096
     # §II-C recursion: store the position map in a smaller ORAM instead
     # of fully on-chip (needed at real world-state scale; off by default
     # because the flat map is faster at simulation scale).
@@ -75,20 +71,15 @@ class DeviceConfig:
     # the knob trades wall clock only.
     crypto_backend: str = DEFAULT_BACKEND
 
-    # Backend names are validated here, at construction, so a typo'd
-    # deployment dies with a typed error instead of failing deep in
-    # device setup.
-    KNOWN_ORAM_BACKENDS = ("path", "pyramid")
-
     def __post_init__(self) -> None:
+        # Backend names are validated here, at construction, so a typo'd
+        # deployment dies with a typed error instead of failing deep in
+        # device setup.
         if self.crypto_backend not in available_backends():
             raise UnknownBackendError(
                 "crypto", self.crypto_backend, available_backends()
             )
-        if self.oram_backend not in self.KNOWN_ORAM_BACKENDS:
-            raise UnknownBackendError(
-                "oram", self.oram_backend, self.KNOWN_ORAM_BACKENDS
-            )
+        check_backend(self.oram_backend)
 
 
 class HarDTAPEDevice:
@@ -156,36 +147,19 @@ class HarDTAPEDevice:
                 # others' AAD checks still expect old, and remapped
                 # blocks vanish from stale position maps.
                 client = oram_client
-            elif self.config.oram_backend == "pyramid":
-                if self.config.recursive_position_map:
-                    raise ValueError(
-                        "recursive position maps apply to the path backend only"
-                    )
-                client = PyramidOramClient(
-                    oram_server,
-                    key=oram_key,
-                    block_size=1024,
-                    cache_limit=self.config.pyramid_cache_blocks,
-                    rng=rng.fork(b"oram"),
-                )
             else:
-                position_map = None
-                if self.config.recursive_position_map:
-                    from repro.oram.recursive import DirectoryPositionMap
-
-                    position_map = DirectoryPositionMap(
-                        capacity=oram_server.capacity_blocks(),
-                        key=puf.derive_key(b"posmap-key"),
-                    )
-                client = PathOramClient(
+                client = build_client(
+                    self.config.oram_backend,
                     oram_server,
-                    key=oram_key,
-                    block_size=1024,
-                    stash_limit=self.config.stash_limit_blocks,
+                    oram_key,
                     rng=rng.fork(b"oram"),
-                    position_map=position_map,
                     response_budget_us=self.config.oram_response_budget_us,
-                    decrypt_memo_blocks=self.config.oram_decrypt_memo_blocks,
+                    posmap_key=(
+                        puf.derive_key(b"posmap-key")
+                        if self.config.recursive_position_map
+                        else None
+                    ),
+                    pyramid_cache_blocks=self.config.pyramid_cache_blocks,
                 )
             self.oram_backend = ObliviousStateBackend(
                 client, clock=lambda: self.clock.now_us

@@ -17,8 +17,9 @@ from repro.hardware.timing import CostModel, SimClock, TimeBreakdown
 from repro.hypervisor.hypervisor import SecurityFeatures, UnknownSessionError
 from repro.hypervisor.sync import SyncError
 from repro.node.node import EthereumNode
-from repro.oram.hierarchical import HierarchicalOramServer, build_oram_server
+from repro.oram.hierarchical import HierarchicalOramServer
 from repro.oram.server import OramServer
+from repro.oram.store import build_server
 from repro.telemetry.tracer import tracer_for
 from repro.core.device import DeviceConfig, HarDTAPEDevice
 from repro.state.blocks import BlockHeader
@@ -71,10 +72,9 @@ class HarDTAPEService:
 
         need_oram = features.oram_storage or features.oram_code
         self.oram_server: OramServer | HierarchicalOramServer | None = (
-            build_oram_server(
+            build_server(
                 device_config.oram_backend,
                 height=device_config.oram_height,
-                bucket_size=device_config.oram_bucket_size,
                 query_cpu_us=self.cost.oram_server_cpu_us,
             )
             if need_oram
@@ -106,7 +106,7 @@ class HarDTAPEService:
             if shared_oram_key is None:
                 shared_oram_key = device.hypervisor.oram_key
             if shared_oram_client is None and device.oram_backend is not None:
-                shared_oram_client = device.oram_backend._client
+                shared_oram_client = device.oram_backend.client
             self.devices.append(device)
         self.synced_height = node.height
         self.stats = ServiceStats()

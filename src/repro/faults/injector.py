@@ -2,8 +2,8 @@
 
 The injector is the glue between the plan (the seeded decision oracle)
 and the substrate seams the components expose (``hypervisor.faults``,
-``core.fault_hook``, ``synchronizer.faults``, ``store.fault_hook``, and
-a wrapping :class:`FaultyOramServer` in front of the ORAM client).  Each
+``core.fault_hook``, ``synchronizer.faults``, and a wrapping
+:class:`FaultyOramServer` in front of the ORAM client).  Each
 hook asks the plan whether its kind fires *at this decision point*; when
 it does, the injector perturbs the data exactly the way the modeled
 adversary/failure would — flip ciphertext bits, lose a DMA message,
@@ -123,7 +123,7 @@ class FaultInjector:
         if device.hypervisor.synchronizer is not None:
             device.hypervisor.synchronizer.faults = self
         if device.oram_backend is not None:
-            client = device.oram_backend._client
+            client = device.oram_backend.client
             if isinstance(client.server, FaultyOramServer):
                 # Already armed (e.g. re-arming after a Hypervisor
                 # restart re-installed the shared client): wrapping
@@ -133,11 +133,6 @@ class FaultInjector:
                 if faulty_server is None:
                     faulty_server = FaultyOramServer(client.server, self)
                 client.server = faulty_server
-        return self
-
-    def arm_store(self, store) -> "FaultInjector":
-        """Arm an :class:`~repro.oram.encrypted_store.EncryptedKvStore`."""
-        store.fault_hook = self.on_store_read
         return self
 
     # -- channel (authenticated DMA) hooks ------------------------------
@@ -325,21 +320,6 @@ class FaultInjector:
             )
             return True
         return False
-
-    # -- encrypted-store hook -------------------------------------------
-
-    def on_store_read(self, blob: bytes, now_us: float) -> bytes:
-        """Called with every blob the encrypted K-V store is about to
-        decrypt; corruption lands in the AES-GCM tag region."""
-        if self.plan.decide(FaultKind.ORAM_TAG_CORRUPT, now_us):
-            self._fired(
-                FaultKind.ORAM_TAG_CORRUPT,
-                "oram.encrypted_store.get",
-                now_us,
-                "flipped one tag bit",
-            )
-            return _flip_low_bit(blob)
-        return blob
 
 
 __all__ = ["FaultInjector", "FaultyOramServer"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.hardware.timing import CostModel
+from repro.hardware.timing import PAPER_ORAM_SHAPE, CostModel
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,7 @@ def profiles_from_breakdowns(breakdowns, run_stats_queries: int | None = None):
     consistent with the end-to-end pipeline.
     """
     cost = CostModel()
-    access_us = cost.oram_access_us(12, 4, 1.0)
+    access_us = cost.oram_access_us(*PAPER_ORAM_SHAPE)
     profiles = []
     for breakdown in breakdowns:
         oram_us = breakdown.oram_storage_us + breakdown.oram_code_us

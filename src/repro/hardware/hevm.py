@@ -44,7 +44,12 @@ from repro.hardware.memory_layers import (
     MemoryOverflowError,
     WorldStateCache,
 )
-from repro.hardware.timing import CostModel, SimClock, TimeBreakdown
+from repro.hardware.timing import (
+    PAPER_ORAM_SHAPE,
+    CostModel,
+    SimClock,
+    TimeBreakdown,
+)
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.prefetch import CodePrefetcher
 from repro.state.account import AccountMeta, Address
@@ -121,19 +126,12 @@ class HardwareBackend(StateBackend):
             self._clock.advance_us(float(dt))
             self._breakdown.other_us += float(dt)
 
-    def _oram_cost_us(self) -> float:
-        assert self._oram is not None
-        server = self._oram._client.server
-        return self._cost.oram_access_us(
-            server.height, server.bucket_size, self._oram._client.block_size / 1024.0
-        )
-
     def _charge_oram(self, kind: str) -> None:
-        cost = self._cost.exception_handling_us + self._oram_cost_us()
+        cost = self._cost.exception_handling_us + self._oram.access_cost_us(self._cost)
         layer = "oram_code" if kind == "code" else "oram_storage"
         span = self._tracer.record("oram.access", layer, cost, kind=kind)
         if self._tracer.enabled and self._oram is not None:
-            last = self._oram._client.last_access
+            last = self._oram.client.last_access
             span.set(
                 stalls=last.stalls_absorbed,
                 stall_us=last.stall_us,
@@ -176,7 +174,7 @@ class HardwareBackend(StateBackend):
         self._clock.advance_to(entry.fire_time_us)
         self._pace()
         self._oram.prefetch_code_page(entry.address, entry.page_index)
-        cost = self._oram_cost_us()
+        cost = self._oram.access_cost_us(self._cost)
         self._tracer.record(
             "oram.access",
             "oram_code",
@@ -462,7 +460,9 @@ class HevmCore:
                 else:
                     state = _rebind_journal(state, backend)
                 spill_cost = (
-                    self.cost.oram_access_us(12, 4, 1.0) if self.l3_oram else None
+                    self.cost.oram_access_us(*PAPER_ORAM_SHAPE)
+                    if self.l3_oram
+                    else None
                 )
                 hw_tracer = HardwareTracer(
                     self.clock, self.cost, self.l2, breakdown,
@@ -534,11 +534,7 @@ class HevmCore:
                 pad_breakdown = breakdowns[-1] if breakdowns else TimeBreakdown()
                 while stats.oram_queries < target:
                     oram_backend.dummy_query()
-                    cost_us = self.cost.oram_access_us(
-                        oram_backend._client.server.height,
-                        oram_backend._client.server.bucket_size,
-                        oram_backend._client.block_size / 1024.0,
-                    )
+                    cost_us = oram_backend.access_cost_us(self.cost)
                     span_tracer.record("oram.pad", "other", cost_us, kind="padding")
                     self.clock.advance_us(cost_us)
                     pad_breakdown.other_us += cost_us

@@ -19,6 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# ``oram_access_us`` arguments of the paper prototype's store (height-12
+# tree, Z = 4, 1 KB blocks), for the model-only callers that price an
+# access with no live store to ask.
+PAPER_ORAM_SHAPE = (12, 4, 1.0)
+
 
 class SimClock:
     """A monotonically advancing simulated clock (microseconds)."""

@@ -34,7 +34,7 @@ from repro.hypervisor.bundle_codec import (
 from repro.crypto.backend import get_backend
 from repro.hypervisor.channel import ChannelError, SealedMessage, SecureChannel
 from repro.hypervisor.resumption import TicketSealer, TicketState, ticket_header
-from repro.hypervisor.scheduler import HevmScheduler
+from repro.hypervisor.scheduler import HevmScheduler, SchedulingError
 from repro.hypervisor.sync import BlockSynchronizer
 from repro.hypervisor.receipts import (
     ReceiptMissingError,
@@ -536,11 +536,12 @@ class Hypervisor:
                     f"SP cap is {self.max_bundle_gas}"
                 )
 
-        # Step 3: exclusive assignment of an idle core.
+        # Step 3: exclusive assignment of an idle core.  Callers submit
+        # serially, so a busy pool is refused before anything is queued.
+        if self.scheduler.idle_count == 0:
+            raise SchedulingError("HEVM pool exhausted: every core is assigned")
         self.scheduler.submit(session_id, self.clock.now_us)
-        assigned = self.scheduler.try_assign(self.clock.now_us)
-        assert assigned is not None, "pool exhausted (callers submit serially)"
-        assignment, _ = assigned
+        assignment, _ = self.scheduler.try_assign(self.clock.now_us)
         core = assignment.core
 
         # Steps 4–8: run on the dedicated hardware set.  Exception

@@ -92,12 +92,7 @@ class BlockSynchronizer:
                 self._charge(12.0 * max(proof_nodes, 1))
             written = self._oram.sync_account(update.address, update.account)
             if self._cost is not None:
-                server = self._oram._client.server
-                access = self._cost.oram_access_us(
-                    server.height, server.bucket_size,
-                    self._oram._client.block_size / 1024.0,
-                )
-                self._charge(access * written)
+                self._charge(self._oram.access_cost_us(self._cost) * written)
             pages += written
             self.stats.accounts_verified += 1
         self.stats.blocks_synced += 1

@@ -15,12 +15,15 @@ logical query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.oram import paging
 from repro.oram.client import PathOramClient
 from repro.state.account import Account, AccountMeta, Address
-from repro.state.backend import CODE_PAGE_SIZE, STORAGE_GROUP_SIZE
+from repro.state.backend import CODE_PAGE_SIZE
+
+if TYPE_CHECKING:  # hardware imports this module; CostModel is typing only
+    from repro.hardware.timing import CostModel
 
 
 @dataclass
@@ -89,6 +92,22 @@ class ObliviousStateBackend:
             )
         self._client = client
 
+    def access_cost_us(self, cost: CostModel) -> float:
+        """The modelled price of one page access against this store."""
+        return self._client_cost_us(self._client, cost)
+
+    @staticmethod
+    def _client_cost_us(client, cost: CostModel) -> float:
+        """The only place a store's geometry meets the cost model.
+
+        Read per call, not cached: a pyramid store's ``height`` is its
+        active level count, which grows as levels are built.
+        """
+        server = client.server
+        return cost.oram_access_us(
+            server.height, server.bucket_size, client.block_size / 1024.0
+        )
+
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
@@ -153,36 +172,18 @@ class ObliviousStateBackend:
 
     def sync_account(self, address: Address, account: Account) -> int:
         """Write one account's pages into the ORAM; returns page count."""
+        return self._write_pages(
+            address, len(account.code), paging.account_pages(address, account)
+        )
+
+    def _write_pages(
+        self, address: Address, code_size: int, pages: list[tuple[bytes, bytes]]
+    ) -> int:
         now = self._clock()
-        pages_written = 0
-        meta = AccountMeta(
-            account.balance, account.nonce, account.code_hash, len(account.code)
-        )
-        self._client.write(
-            paging.account_page_key(address),
-            paging.encode_account_page(meta),
-            sim_time_us=now,
-        )
-        pages_written += 1
-        groups = {key // STORAGE_GROUP_SIZE for key in account.storage}
-        for group in sorted(groups):
-            self._client.write(
-                paging.storage_page_key(address, group * STORAGE_GROUP_SIZE),
-                paging.encode_storage_page(account.storage, group),
-                sim_time_us=now,
-            )
-            pages_written += 1
-        code = account.code
-        for page_index in range((len(code) + CODE_PAGE_SIZE - 1) // CODE_PAGE_SIZE):
-            chunk = code[page_index * CODE_PAGE_SIZE:(page_index + 1) * CODE_PAGE_SIZE]
-            self._client.write(
-                paging.code_page_key(address, page_index),
-                chunk.ljust(CODE_PAGE_SIZE, b"\x00"),
-                sim_time_us=now,
-            )
-            pages_written += 1
-        self._code_sizes[address] = len(code)
-        return pages_written
+        for page_key, page in pages:
+            self._client.write(page_key, page, sim_time_us=now)
+        self._code_sizes[address] = code_size
+        return len(pages)
 
     def sync_world(self, accounts: dict[Address, Account]) -> int:
         """Bulk-load a whole committed world state; returns page count."""

@@ -9,9 +9,9 @@ across accesses.
 
 Block wire format (all slots the same size)::
 
-    nonce (12) || AEAD( kind (1) || key_len (2) || key || payload , pad to slot )
+    nonce (12) || AEAD( slot body )
 
-Dummies carry kind=0 and random padding; real blocks carry kind=1.
+with the slot body laid out by :mod:`repro.oram.slot`.
 
 **Rollback protection** (hardening beyond the paper's §V-A6 claim):
 every bucket is authenticated against AAD ``node_index || version``,
@@ -29,14 +29,12 @@ from repro.crypto.gcm import AuthenticationError
 from repro.crypto.kdf import Drbg
 from repro.crypto.keccak import keccak_memo_stats
 from repro.crypto.suite import AeadCipher, Blake2Aead, open_blocks, seal_blocks
+from repro.oram import slot
 from repro.oram.server import OramServer, OramServerStall
 from repro.perf.memo import MemoizedAead
 from repro.telemetry.tracer import tracer_for
 
 BlockKey = bytes
-
-_KIND_DUMMY = 0
-_KIND_REAL = 1
 
 # Hard bound on consecutive absorbed stalls per access: even with no
 # response budget configured the client never loops forever against a
@@ -194,9 +192,6 @@ class PathOramClient:
         )
         self.stats = ClientStats()
         self.last_access = AccessSummary()
-        # Pre-fill the tree with dummies so the shape is uniform from
-        # the first access.
-        self._initialize_tree()
 
     # ------------------------------------------------------------------
     # Wire format
@@ -206,49 +201,11 @@ class PathOramClient:
     def _bucket_aad(node: int, version: int) -> bytes:
         return node.to_bytes(8, "big") + version.to_bytes(8, "big")
 
-    def _slot_body(self, kind: int, key: BlockKey, payload: bytes) -> bytes:
-        if len(key) > 64:
-            raise ValueError("block key too long")
-        body = bytearray()
-        body.append(kind)
-        body.extend(len(key).to_bytes(2, "big"))
-        body.extend(key.ljust(64, b"\x00"))
-        body.extend(payload.ljust(self.block_size, b"\x00"))
-        return bytes(body)
-
     def _next_nonce(self) -> bytes:
         # A monotonic counter guarantees nonce freshness; the ciphertext
         # is still re-randomized on every write-back.
         self._nonce_counter += 1
         return self._nonce_counter.to_bytes(12, "big")
-
-    def _encrypt_slot(
-        self, kind: int, key: BlockKey, payload: bytes, aad: bytes = b""
-    ) -> bytes:
-        body = self._slot_body(kind, key, payload)
-        nonce = self._next_nonce()
-        self.stats.blocks_encrypted += 1
-        return nonce + self._cipher.encrypt(nonce, body, aad)
-
-    def _decrypt_slot(
-        self, blob: bytes, aad: bytes = b""
-    ) -> tuple[int, BlockKey, bytes]:
-        nonce, data = blob[:12], blob[12:]
-        plain = self._cipher.decrypt(nonce, data, aad)
-        self.stats.blocks_decrypted += 1
-        kind = plain[0]
-        key_length = int.from_bytes(plain[1:3], "big")
-        key = plain[3:3 + key_length]
-        payload = plain[67:67 + self.block_size]
-        return kind, key, payload
-
-    def _dummy_slot(self, aad: bytes = b"") -> bytes:
-        return self._encrypt_slot(_KIND_DUMMY, b"", b"", aad)
-
-    def _initialize_tree(self) -> None:
-        """Buckets fill lazily: an unwritten bucket reads as empty, and
-        every write-back emits exactly ``bucket_size`` slots, so after
-        the first access each touched bucket is shape-uniform."""
 
     # ------------------------------------------------------------------
     # The access protocol
@@ -324,12 +281,11 @@ class PathOramClient:
         block_size = self.block_size
         stash = self._stash
         for plain in plains:
-            if plain[0] != _KIND_REAL:
+            if plain[0] != slot.KIND_REAL:
                 continue
-            key_length = int.from_bytes(plain[1:3], "big")
-            block_key = plain[3:3 + key_length]
+            _kind, block_key, payload = slot.decode(plain, block_size)
             if block_key not in stash:
-                stash[block_key] = plain[67:67 + block_size]
+                stash[block_key] = payload
 
         result = self._stash.get(key)
         if write_data is not None:
@@ -465,6 +421,7 @@ class PathOramClient:
         # ciphertexts on the wire.
         slot_nodes: list[int] = []
         items: list[tuple[bytes, bytes, bytes]] = []
+        dummy = slot.encode(slot.KIND_DUMMY, b"", b"", self.block_size)
         for depth in range(len(path) - 1, -1, -1):
             node = path[depth]
             version = self._node_versions.get(node, 0) + 1
@@ -482,18 +439,16 @@ class PathOramClient:
                 if self._node_on_path(node, depth, block_leaf):
                     items.append((
                         self._next_nonce(),
-                        self._slot_body(_KIND_REAL, block_key, payload),
+                        slot.encode(
+                            slot.KIND_REAL, block_key, payload, self.block_size
+                        ),
                         aad,
                     ))
                     slot_nodes.append(node)
                     placed.add(block_key)
                     filled += 1
             while filled < z:
-                items.append((
-                    self._next_nonce(),
-                    self._slot_body(_KIND_DUMMY, b"", b""),
-                    aad,
-                ))
+                items.append((self._next_nonce(), dummy, aad))
                 slot_nodes.append(node)
                 filled += 1
         sealed = seal_blocks(self._cipher, items)
@@ -569,18 +524,19 @@ class PathOramClient:
 
         ``server`` is passed in so a digest can read the raw tree behind
         a fault wrapper.  Blobs are opened under the pinned per-node
-        versions without going through :meth:`_decrypt_slot`, so client
-        stats — and therefore anything a bench reports — are untouched.
+        versions without counting in client stats, so anything a bench
+        reports is untouched.
         """
         content: dict[BlockKey, bytes] = {}
         for node, bucket in enumerate(server.snapshot_tree()):
             aad = self._bucket_aad(node, self._node_versions.get(node, 0))
             for blob in bucket:
-                plain = self._cipher.decrypt(blob[:12], blob[12:], aad)
-                if plain[0] != _KIND_REAL:
-                    continue
-                key_length = int.from_bytes(plain[1:3], "big")
-                content[plain[3:3 + key_length]] = plain[67:67 + self.block_size]
+                kind, key, payload = slot.decode(
+                    self._cipher.decrypt(blob[:12], blob[12:], aad),
+                    self.block_size,
+                )
+                if kind == slot.KIND_REAL:
+                    content[key] = payload
         for key, payload in self._stash.items():
             content[key] = payload.ljust(self.block_size, b"\x00")
         return content

@@ -35,26 +35,13 @@ class EncryptedStoreTrace:
 class EncryptedKvStore:
     """Encrypted values, deterministic handles, no access-pattern hiding."""
 
-    def __init__(self, key: bytes, decrypt_memo_blocks: int | None = None) -> None:
+    def __init__(self, key: bytes) -> None:
         self._handle_key = hashlib.blake2b(key, digest_size=32, person=b"handlederiv").digest()
         self._cipher = Blake2Aead(key)
-        # Optional decrypt memoization (repro.perf), off by default for
-        # the strawman.  A tampered blob (fault_hook) changes the cache
-        # key, misses, and fails real authentication as before.
-        self.memo = None
-        if decrypt_memo_blocks:
-            from repro.perf.memo import MemoizedAead
-
-            self.memo = MemoizedAead(self._cipher, decrypt_memo_blocks)
-            self._cipher = self.memo
         self._data: dict[bytes, bytes] = {}
         self._nonce = 0
         self.trace = EncryptedStoreTrace()
         self._op_index = 0
-        # Fault-injection seam (``repro.faults``): transforms the stored
-        # blob on the read path (e.g. AES-GCM tag corruption), so reads
-        # fail authentication exactly as a tampering SP would cause.
-        self.fault_hook = None
 
     def _handle(self, plain_key: bytes) -> bytes:
         return hashlib.blake2b(plain_key, key=self._handle_key, digest_size=16).digest()
@@ -76,6 +63,4 @@ class EncryptedKvStore:
         blob = self._data.get(handle)
         if blob is None:
             return None
-        if self.fault_hook is not None:
-            blob = self.fault_hook(blob, sim_time_us)
         return self._cipher.decrypt(blob[:12], blob[12:])

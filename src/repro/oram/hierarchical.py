@@ -36,19 +36,15 @@ authentication instead of leaking stale state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import hashlib
 
 from repro.crypto.kdf import Drbg
 from repro.crypto.suite import AeadCipher, Blake2Aead
+from repro.oram import slot
 from repro.oram.client import AccessSummary, BlockKey, ClientStats
-from repro.oram.server import OramServer
-
-_KIND_DUMMY = 0
-_KIND_REAL = 1
-_KIND_NEGATIVE = 2  # a cached "this key is absent" witness
 
 _MISSING = object()
 
@@ -229,7 +225,7 @@ class PyramidOramClient:
     def _capacity(self, level: int) -> int:
         return 2 * self._buckets_at(level)
 
-    # -- wire format (path-client slot shape, hierarchical AAD) --------
+    # -- wire format (the shared slot body, hierarchical AAD) ----------
 
     @staticmethod
     def _bucket_aad(level: int, epoch: int, bucket: int) -> bytes:
@@ -246,27 +242,18 @@ class PyramidOramClient:
     def _encrypt_slot(
         self, kind: int, key: BlockKey, payload: bytes, aad: bytes
     ) -> bytes:
-        if len(key) > 64:
-            raise ValueError("block key too long")
-        body = bytearray()
-        body.append(kind)
-        body.extend(len(key).to_bytes(2, "big"))
-        body.extend(key.ljust(64, b"\x00"))
-        body.extend(payload.ljust(self.block_size, b"\x00"))
+        body = slot.encode(kind, key, payload, self.block_size)
         nonce = self._next_nonce()
         self.stats.blocks_encrypted += 1
-        return nonce + self._cipher.encrypt(nonce, bytes(body), aad)
+        return nonce + self._cipher.encrypt(nonce, body, aad)
 
     def _decrypt_slot(self, blob: bytes, aad: bytes) -> tuple[int, BlockKey, bytes]:
-        nonce, data = blob[:12], blob[12:]
-        plain = self._cipher.decrypt(nonce, data, aad)
+        plain = self._cipher.decrypt(blob[:12], blob[12:], aad)
         self.stats.blocks_decrypted += 1
-        kind = plain[0]
-        key_length = int.from_bytes(plain[1:3], "big")
-        return kind, plain[3:3 + key_length], plain[67:67 + self.block_size]
+        return slot.decode(plain, self.block_size)
 
     def _dummy_slot(self, aad: bytes) -> bytes:
-        return self._encrypt_slot(_KIND_DUMMY, b"", b"", aad)
+        return self._encrypt_slot(slot.KIND_DUMMY, b"", b"", aad)
 
     def _prf_bucket(self, meta: _LevelMeta, key: BlockKey) -> int:
         digest = hashlib.blake2b(key, digest_size=8, key=meta.seed).digest()
@@ -296,8 +283,8 @@ class PyramidOramClient:
             aad = self._bucket_aad(level, meta.epoch, bucket)
             for blob in self.server.read_bucket(level, bucket, sim_time_us):
                 kind, blob_key, payload = self._decrypt_slot(blob, aad)
-                if found is _MISSING and kind != _KIND_DUMMY and blob_key == key:
-                    found = payload if kind == _KIND_REAL else None
+                if found is _MISSING and kind != slot.KIND_DUMMY and blob_key == key:
+                    found = payload if kind == slot.KIND_REAL else None
         result: bytes | None = None if found is _MISSING else found  # type: ignore[assignment]
         if write_data is not None:
             result = write_data.ljust(self.block_size, b"\x00")
@@ -329,7 +316,7 @@ class PyramidOramClient:
             aad = self._bucket_aad(level, meta.epoch, bucket)
             for blob in blobs:
                 kind, key, payload = self._decrypt_slot(blob, aad)
-                if kind != _KIND_DUMMY and key not in merged:
+                if kind != slot.KIND_DUMMY and key not in merged:
                     merged[key] = (kind, payload)
 
     def _rebuild(self) -> None:
@@ -342,9 +329,9 @@ class PyramidOramClient:
         merged: dict[BlockKey, tuple[int, bytes]] = {}
         for key, payload in self._cache.items():
             if payload is None:
-                merged[key] = (_KIND_NEGATIVE, b"")
+                merged[key] = (slot.KIND_NEGATIVE, b"")
             else:
-                merged[key] = (_KIND_REAL, payload)
+                merged[key] = (slot.KIND_REAL, payload)
         active = sorted(self._levels)
         target = 1
         folded: set[int] = set()
@@ -362,7 +349,7 @@ class PyramidOramClient:
             merged = {
                 key: entry
                 for key, entry in merged.items()
-                if entry[0] != _KIND_NEGATIVE
+                if entry[0] != slot.KIND_NEGATIVE
             }
         buckets = self._buckets_at(target)
         slots = self._slots_at(target)
@@ -420,12 +407,13 @@ class PyramidOramClient:
             for bucket_index, blobs in enumerate(levels[level]):
                 aad = self._bucket_aad(level, meta.epoch, bucket_index)
                 for blob in blobs:
-                    plain = self._cipher.decrypt(blob[:12], blob[12:], aad)
-                    key_length = int.from_bytes(plain[1:3], "big")
-                    key = plain[3:3 + key_length]
-                    if plain[0] == _KIND_REAL:
-                        content[key] = plain[67:67 + self.block_size]
-                    elif plain[0] != _KIND_DUMMY:  # negative witness: key known absent
+                    kind, key, payload = slot.decode(
+                        self._cipher.decrypt(blob[:12], blob[12:], aad),
+                        self.block_size,
+                    )
+                    if kind == slot.KIND_REAL:
+                        content[key] = payload
+                    elif kind != slot.KIND_DUMMY:  # negative witness: key known absent
                         content.pop(key, None)
         for key, payload in self._cache.items():
             if payload is None:
@@ -446,29 +434,6 @@ class PyramidOramClient:
             level: (meta.buckets, meta.slots)
             for level, meta in sorted(self._levels.items())
         }
-
-
-def build_oram_server(
-    backend: str,
-    *,
-    height: int,
-    bucket_size: int = 4,
-    query_cpu_us: float = 25.0,
-) -> "OramServer | HierarchicalOramServer":
-    """Construct the untrusted store for the selected ORAM backend.
-
-    ``height`` sizes the path tree; the hierarchical store grows its
-    levels on demand, so the parameter only applies to ``"path"``.
-    """
-    if backend == "path":
-        return OramServer(
-            height=height, bucket_size=bucket_size, query_cpu_us=query_cpu_us
-        )
-    if backend == "pyramid":
-        return HierarchicalOramServer(
-            bucket_size=bucket_size, query_cpu_us=query_cpu_us
-        )
-    raise ValueError(f"unknown ORAM backend {backend!r}")
 
 
 def backend_for_working_set(pages: int, threshold: int = 4096) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.state.account import AccountMeta, Address, EMPTY_CODE_HASH
+from repro.state.account import Account, AccountMeta, Address, EMPTY_CODE_HASH
 from repro.state.backend import CODE_PAGE_SIZE, STORAGE_GROUP_SIZE
 
 PAGE_SIZE = CODE_PAGE_SIZE  # 1 KB everywhere, per the paper
@@ -78,6 +78,31 @@ def decode_storage_record(page: bytes | None, key: int) -> int:
         return 0
     slot = key % STORAGE_GROUP_SIZE
     return int.from_bytes(page[slot * 32:(slot + 1) * 32], "big")
+
+
+def account_pages(address: Address, account: Account) -> list[tuple[bytes, bytes]]:
+    """The one account -> pages walk: ``(page_key, page)`` in write order.
+
+    The account page first, then one storage page per touched group in
+    ascending group order, then the code pages in order — the sequence
+    block sync writes and the sharded fleet pins before writing.
+    """
+    meta = AccountMeta(
+        account.balance, account.nonce, account.code_hash, len(account.code)
+    )
+    pages = [(account_page_key(address), encode_account_page(meta))]
+    for group in sorted({key // STORAGE_GROUP_SIZE for key in account.storage}):
+        pages.append((
+            storage_page_key(address, group * STORAGE_GROUP_SIZE),
+            encode_storage_page(account.storage, group),
+        ))
+    code = account.code
+    for start in range(0, len(code), CODE_PAGE_SIZE):
+        pages.append((
+            code_page_key(address, start // CODE_PAGE_SIZE),
+            code[start:start + CODE_PAGE_SIZE].ljust(CODE_PAGE_SIZE, b"\x00"),
+        ))
+    return pages
 
 
 @dataclass

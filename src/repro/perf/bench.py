@@ -72,7 +72,8 @@ class PerfBenchReport(GateReport):
     workload: dict
     oram: dict
     backends: list[dict]
-    # Host seconds per tier for the stdout line below; not a section.
+    # Host seconds per tier, keyed "tier (resolved AEAD, verifier)", for
+    # the stdout line below; not a section.
     tier_wall_s: dict[str, float] = field(default_factory=dict)
 
     bench = "perf"
@@ -180,16 +181,17 @@ def _run_oram(config: PerfBenchConfig) -> dict:
     }
 
 
-def _run_backend(config: PerfBenchConfig, name: str) -> tuple[dict, float]:
+def _run_backend(config: PerfBenchConfig, name: str) -> tuple[dict, float, str]:
     """Replay the seeded trie/keccak/ECDSA workload under one backend.
 
-    Returns the tier's report section and the host seconds of what the
+    Returns the tier's report section, the host seconds of what the
     tiers actually accelerate — trie commits, batch hashing, and
-    signature-checked channel opens.  Signing and sealing sit outside
-    that region: RFC 6979 signing is the same deterministic pure-Python
-    code under every tier.
+    signature-checked channel opens — and the AEAD and verifier classes
+    the tier resolved to.  Signing and sealing sit outside the timed
+    region: RFC 6979 signing is the same deterministic pure-Python code
+    under every tier.
     """
-    from repro.crypto.backend import activate, active_backend
+    from repro.crypto.backend import activate, active_backend, get_backend
     from repro.crypto.ecc import PrivateKey
     from repro.crypto.keccak import (
         keccak256_many,
@@ -280,7 +282,17 @@ def _run_backend(config: PerfBenchConfig, name: str) -> tuple[dict, float]:
             "keccak_hits": memo.hits,
             "keccak_misses": memo.misses,
         }
-        return section, wall_s
+        # What the tier resolved to on this host: without `cryptography`
+        # the hashlib tier is the numpy one, and the stdout line says so.
+        tier = get_backend(name)
+        resolved = ", ".join(
+            type(made).__name__
+            for made in (
+                tier.aead_factory(session_key),
+                tier.verifier(sealer_key.public_key()),
+            )
+        )
+        return section, wall_s, resolved
     finally:
         activate(previous)
 
@@ -305,8 +317,9 @@ def run_perf_bench(config: PerfBenchConfig | None = None) -> PerfBenchReport:
     backends: list[dict] = []
     tier_wall_s: dict[str, float] = {}
     for name in available_backends():
-        section, tier_wall_s[name] = _run_backend(config, name)
+        section, wall_s, resolved = _run_backend(config, name)
         backends.append(section)
+        tier_wall_s[f"{name} ({resolved})"] = wall_s
     mismatches = _pairwise_mismatches(backends)
     return PerfBenchReport(
         seed=seed,

@@ -32,6 +32,7 @@ from __future__ import annotations
 from repro.crypto.kdf import Drbg, hkdf_sha256
 from repro.crypto.suite import CounterNonceSealer
 from repro.oram.client import PathOramClient
+from repro.oram.store import build_client
 from repro.recovery import journal
 from repro.recovery.state import SessionRecord, TrustedState
 from repro.recovery.store import DurableStore
@@ -121,8 +122,21 @@ class RecoveryManager:
 
     @staticmethod
     def _composite(epoch: int, seq: int) -> int:
-        assert seq < (1 << _SEQ_BITS)
+        if not 0 <= seq < (1 << _SEQ_BITS):
+            # A wider sequence would alias into the epoch bits and could
+            # impersonate a newer record against the NVRAM pin.
+            raise RecoveryIntegrityError(
+                f"sequence {seq} does not fit {_SEQ_BITS} bits"
+            )
         return (epoch << _SEQ_BITS) | seq
+
+    @staticmethod
+    def _key_counter(key: str) -> int:
+        """The trailing counter of an SP-controlled store key name."""
+        digits = key.rsplit("/", 1)[-1]
+        if not (digits.isascii() and digits.isdigit()):
+            raise RecoveryIntegrityError(f"malformed durable-store key {key!r}")
+        return int(digits)
 
     @staticmethod
     def _checkpoint_aad(epoch: int) -> bytes:
@@ -301,11 +315,9 @@ class RecoveryManager:
         checkpoints = store.keys("checkpoint/")
         if not checkpoints:
             raise RecoveryIntegrityError("durable store holds no checkpoint")
-        epoch = int(checkpoints[-1].rsplit("/", 1)[1])
+        epoch = cls._key_counter(checkpoints[-1])
         journal_keys = store.keys(f"journal/{epoch:012d}/")
-        last_seq = (
-            int(journal_keys[-1].rsplit("/", 1)[1]) if journal_keys else 0
-        )
+        last_seq = cls._key_counter(journal_keys[-1]) if journal_keys else 0
         newest = cls._composite(epoch, last_seq)
         pinned = device.nvram.value
         if newest != pinned:
@@ -315,7 +327,11 @@ class RecoveryManager:
                 f"device monotonic counter pins {pinned}"
             )
         blob = store.get(cls._checkpoint_key(epoch))
-        assert blob is not None
+        if blob is None:
+            # The key that named the epoch was not in canonical form.
+            raise RecoveryIntegrityError(
+                f"checkpoint epoch {epoch} is missing from the store"
+            )
         try:
             plain = manager._checkpoint_sealer.open(
                 cls._composite(epoch, 0), blob, aad=cls._checkpoint_aad(epoch)
@@ -354,27 +370,30 @@ class RecoveryManager:
         return manager, state, len(records)
 
     def rebuild_client(
-        self, state: TrustedState, server, generation: int
+        self,
+        state: TrustedState,
+        server,
+        generation: int,
+        response_budget_us: float | None = None,
     ) -> PathOramClient:
         """Build the successor ORAM client from a recovered state.
 
-        The client RNG is salted by ``generation`` so the successor
-        never replays the eviction-randomness stream its predecessor
-        already consumed against the same adversary-visible tree.
+        Only the path protocol journals per access, so the successor is
+        a path client.  Its RNG is salted by ``generation`` so it never
+        replays the eviction-randomness stream its predecessor already
+        consumed against the same adversary-visible tree.
         """
-        config = self._device.config
-        client = PathOramClient(
+        client = build_client(
+            "path",
             server,
-            key=state.oram_key,
+            state.oram_key,
             block_size=state.block_size,
-            stash_limit=config.stash_limit_blocks,
             rng=Drbg(
                 self._device.csu.derive_sealing_key(
                     b"oram-rng-gen%d" % generation
                 )
             ),
-            response_budget_us=config.oram_response_budget_us,
-            decrypt_memo_blocks=config.oram_decrypt_memo_blocks,
+            response_budget_us=response_budget_us,
         )
         client.restore_trusted_state(
             {

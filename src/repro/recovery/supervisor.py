@@ -131,7 +131,10 @@ class HypervisorSupervisor:
             manager.checkpoints_written += self.manager.checkpoints_written
             manager.records_written += self.manager.records_written
         client = manager.rebuild_client(
-            state, service.oram_server, generation=device.restarts + 1
+            state,
+            service.oram_server,
+            generation=device.restarts + 1,
+            response_budget_us=anchor.config.oram_response_budget_us,
         )
         device.restart_hypervisor(client, oram_key=state.oram_key)
         service.install_oram_client(client)

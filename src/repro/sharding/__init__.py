@@ -10,8 +10,6 @@ series the fleet emits carries a ``shard=<id>`` label (``metrics``).
 
 from repro.sharding.backend import (
     OramShard,
-    PATH_BACKEND,
-    PYRAMID_BACKEND,
     ShardedObliviousStateBackend,
     ShardedOramConfig,
     ShardedOramFleet,
@@ -39,8 +37,6 @@ __all__ = [
     "ConsistentHashRing",
     "DEFAULT_RING_SEED",
     "OramShard",
-    "PATH_BACKEND",
-    "PYRAMID_BACKEND",
     "PinStats",
     "PinTicket",
     "RingConfigurationError",

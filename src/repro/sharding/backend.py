@@ -33,17 +33,15 @@ from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
 from repro.oram.hierarchical import HierarchicalOramServer, PyramidOramClient
 from repro.oram.server import OramServer
+from repro.oram.store import build_client, build_server
 from repro.sharding.coordinator import PinTicket, SyncRootCoordinator
 from repro.sharding.errors import (
     ShardPinnedError,
     ShardUnavailableError,
     UnpinnedShardAccessError,
 )
-from repro.sharding.ring import DEFAULT_RING_SEED, ConsistentHashRing
+from repro.sharding.ring import ConsistentHashRing
 from repro.state.account import Account, Address
-
-PATH_BACKEND = "path"
-PYRAMID_BACKEND = "pyramid"
 
 
 def shard_key(master_key: bytes, shard_id: int) -> bytes:
@@ -62,31 +60,18 @@ def shard_key(master_key: bytes, shard_id: int) -> bytes:
 class ShardedOramConfig:
     """Fleet geometry: one ORAM store per shard, all identically sized.
 
-    ``default_backend`` picks the ORAM protocol for every shard;
-    ``backend_overrides`` re-points individual shards (e.g. a shard
-    whose working set is small enough that the hierarchical layout
-    wins — see :func:`repro.oram.hierarchical.backend_for_working_set`).
+    Every shard runs the path protocol unless ``backend_overrides``
+    re-points it (e.g. a shard whose working set is small enough that
+    the hierarchical layout wins — see
+    :func:`repro.oram.hierarchical.backend_for_working_set`).
     """
 
     shard_count: int = 4
     oram_height: int = 9
-    oram_bucket_size: int = 4
     block_size: int = paging.PAGE_SIZE
-    stash_limit_blocks: int | None = 1024
-    response_budget_us: float | None = None
-    decrypt_memo_blocks: int | None = 4096
-    query_cpu_us: float = 25.0
     vnodes: int = 128
-    ring_seed: bytes = DEFAULT_RING_SEED
-    default_backend: str = PATH_BACKEND
     backend_overrides: dict[int, str] = field(default_factory=dict)
     pyramid_cache_blocks: int = 32
-
-    def backend_for(self, shard_id: int) -> str:
-        backend = self.backend_overrides.get(shard_id, self.default_backend)
-        if backend not in (PATH_BACKEND, PYRAMID_BACKEND):
-            raise ValueError(f"unknown ORAM backend {backend!r} for shard {shard_id}")
-        return backend
 
 
 @dataclass
@@ -120,7 +105,7 @@ class ShardedOramFleet:
             raise ValueError("a fleet needs at least one shard")
         self.config = config
         self.ring = ConsistentHashRing(
-            range(config.shard_count), vnodes=config.vnodes, seed=config.ring_seed
+            range(config.shard_count), vnodes=config.vnodes
         )
         self._clock = clock
         self.shards: dict[int, OramShard] = {
@@ -130,34 +115,16 @@ class ShardedOramFleet:
 
     def _build_shard(self, shard_id: int, master_key: bytes) -> OramShard:
         key = shard_key(master_key, shard_id)
-        backend = self.config.backend_for(shard_id)
-        if backend == PATH_BACKEND:
-            server = OramServer(
-                height=self.config.oram_height,
-                bucket_size=self.config.oram_bucket_size,
-                query_cpu_us=self.config.query_cpu_us,
-            )
-            client = PathOramClient(
-                server,
-                key,
-                block_size=self.config.block_size,
-                stash_limit=self.config.stash_limit_blocks,
-                response_budget_us=self.config.response_budget_us,
-                decrypt_memo_blocks=self.config.decrypt_memo_blocks,
-                clock=self._clock,
-            )
-        else:
-            server = HierarchicalOramServer(
-                bucket_size=self.config.oram_bucket_size,
-                query_cpu_us=self.config.query_cpu_us,
-            )
-            client = PyramidOramClient(
-                server,
-                key,
-                block_size=self.config.block_size,
-                cache_limit=self.config.pyramid_cache_blocks,
-                clock=self._clock,
-            )
+        backend = self.config.backend_overrides.get(shard_id, "path")
+        server = build_server(backend, height=self.config.oram_height)
+        client = build_client(
+            backend,
+            server,
+            key,
+            block_size=self.config.block_size,
+            clock=self._clock,
+            pyramid_cache_blocks=self.config.pyramid_cache_blocks,
+        )
         return OramShard(shard_id, backend, server, client, key)
 
     @property
@@ -174,26 +141,6 @@ class ShardedOramFleet:
         if client.block_size != shard.client.block_size:
             raise ValueError("recovered client has a different block size")
         shard.client = client
-
-
-class _FleetServerView:
-    """Cost-model facade: the fleet seen as one server.
-
-    The Hypervisor charges ORAM accesses from ``client.server.height``
-    and ``.bucket_size``; per-access cost in a homogeneous fleet is one
-    shard's cost, so the view reports the maximum across shards.
-    """
-
-    def __init__(self, fleet: ShardedOramFleet) -> None:
-        self._fleet = fleet
-
-    @property
-    def height(self) -> int:
-        return max(shard.server.height for shard in self._fleet.shards.values())
-
-    @property
-    def bucket_size(self) -> int:
-        return max(shard.server.bucket_size for shard in self._fleet.shards.values())
 
 
 class ShardRoutingClient:
@@ -214,11 +161,12 @@ class ShardRoutingClient:
         self._fleet = fleet
         self.coordinator = coordinator or SyncRootCoordinator(fleet.shard_ids)
         self.block_size = fleet.block_size
-        self.server = _FleetServerView(fleet)
         self.recovery = None  # journaling arms per-shard clients, not the router
         self.memo = None
         self._crashed: dict[int, str] = {}
         self._active_ticket: PinTicket | None = None
+        # Telemetry only: the shard that served the last routed access.
+        self._last_shard: OramShard = fleet.shards[0]
 
     # -- routing -------------------------------------------------------
 
@@ -232,7 +180,8 @@ class ShardRoutingClient:
         ticket = self._active_ticket
         if ticket is not None and shard_id not in ticket.shard_ids:
             raise UnpinnedShardAccessError(shard_id, ticket.ticket_id)
-        return self._fleet.shards[shard_id]
+        self._last_shard = self._fleet.shards[shard_id]
+        return self._last_shard
 
     def access(
         self, key: bytes, write_data: bytes | None = None, sim_time_us: float = 0.0
@@ -252,14 +201,7 @@ class ShardRoutingClient:
         Shard clients stamp their own summaries; the router reports the
         one belonging to the shard that served the last routed access.
         """
-        return self._last_summary_source.last_access
-
-    # The router keeps no per-access state of its own beyond this.
-    @property
-    def _last_summary_source(self):
-        shards = self._fleet.shards
-        best = max(shards.values(), key=lambda s: s.client.stats.accesses)
-        return best.client
+        return self._last_shard.client.last_access
 
     # -- crash discipline ----------------------------------------------
 
@@ -270,9 +212,6 @@ class ShardRoutingClient:
 
     def mark_recovered(self, shard_id: int) -> None:
         self._crashed.pop(shard_id, None)
-
-    def crashed_shards(self) -> tuple[int, ...]:
-        return tuple(sorted(self._crashed))
 
     # -- pin scope -----------------------------------------------------
 
@@ -326,7 +265,7 @@ class ShardedObliviousStateBackend(ObliviousStateBackend):
 
     @property
     def router(self) -> ShardRoutingClient:
-        return self._client  # type: ignore[return-value]
+        return self.client  # type: ignore[return-value]
 
     @property
     def coordinator(self) -> SyncRootCoordinator:
@@ -363,27 +302,23 @@ class ShardedObliviousStateBackend(ObliviousStateBackend):
 
     # -- sync plane ----------------------------------------------------
 
-    def _account_page_keys(self, address: Address, account: Account) -> list[bytes]:
-        from repro.state.backend import CODE_PAGE_SIZE, STORAGE_GROUP_SIZE
-
-        keys = [paging.account_page_key(address)]
-        for group in sorted({key // STORAGE_GROUP_SIZE for key in account.storage}):
-            keys.append(paging.storage_page_key(address, group * STORAGE_GROUP_SIZE))
-        code_pages = (len(account.code) + CODE_PAGE_SIZE - 1) // CODE_PAGE_SIZE
-        for page_index in range(code_pages):
-            keys.append(paging.code_page_key(address, page_index))
-        return keys
+    def access_cost_us(self, cost) -> float:
+        """One access costs what its shard charges; in a homogeneous
+        fleet that is any shard's price, so report the dearest."""
+        return max(
+            self._client_cost_us(shard.client, cost)
+            for shard in self.fleet.shards.values()
+        )
 
     def sync_account(self, address: Address, account: Account) -> int:
-        touched = self.fleet.ring.shards_for(
-            self._account_page_keys(address, account)
-        )
+        pages = paging.account_pages(address, account)
+        touched = self.fleet.ring.shards_for(page_key for page_key, _ in pages)
         for sid in touched:
             if self.coordinator.is_pinned(sid):
                 holders = self.coordinator._pins[sid]
                 self.coordinator.stats.sync_conflicts += 1
                 raise ShardPinnedError(sid, holders[0])
-        return super().sync_account(address, account)
+        return self._write_pages(address, len(account.code), pages)
 
     def sync_world(
         self, accounts: dict[Address, Account], state_root: bytes | None = None

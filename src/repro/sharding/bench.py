@@ -49,15 +49,12 @@ from repro.crypto.kdf import Drbg
 from repro.hardware.timing import SimClock
 from repro.oram import paging
 from repro.oram.adapter import ObliviousStateBackend
-from repro.oram.client import PathOramClient
 from repro.oram.hierarchical import HierarchicalOramServer
-from repro.oram.server import OramServer
+from repro.oram.store import build_client, build_server
 from repro.security.analysis import frequency_attack, path_uniformity_pvalue
 from repro.security.observer import AccessPatternObserver
 from repro.serving.metrics import MetricsRegistry
 from repro.sharding.backend import (
-    PATH_BACKEND,
-    PYRAMID_BACKEND,
     ShardedObliviousStateBackend,
     ShardedOramConfig,
     ShardedOramFleet,
@@ -79,10 +76,6 @@ CODE_PAGES_PER_ACCOUNT = 2
 # regime where balance and obliviousness are hardest.
 HOT_ACCOUNTS = 8
 HOT_PERCENT = 30
-ORAM_BUCKET_SIZE = 4
-STASH_LIMIT_BLOCKS = 1024
-DECRYPT_MEMO_BLOCKS = 4096
-QUERY_CPU_US = 25.0
 # 256 vnodes keep the busiest of 8 shards under ~15% of the traffic
 # even with the hot-account skew — the balance the 6x gate rides on.
 VNODES = 256
@@ -314,19 +307,9 @@ def _run_unsharded(config: ShardBenchConfig) -> _RunArtifacts:
     registry = MetricsRegistry()
     wire = hashlib.sha256()
     with traced(clock, TraceSampler(1.0, config.seed)) as tracer:
-        server = OramServer(
-            height=config.oram_height,
-            bucket_size=ORAM_BUCKET_SIZE,
-            query_cpu_us=QUERY_CPU_US,
-        )
+        server = build_server("path", height=config.oram_height)
         _tap_server(wire, 0, server)
-        client = PathOramClient(
-            server,
-            shard_key(_master_key(config), 0),
-            block_size=paging.PAGE_SIZE,
-            stash_limit=STASH_LIMIT_BLOCKS,
-            decrypt_memo_blocks=DECRYPT_MEMO_BLOCKS,
-        )
+        client = build_client("path", server, shard_key(_master_key(config), 0))
         backend = ObliviousStateBackend(client, clock=lambda: clock.now_us)
         accounts = _build_accounts(config)
         backend.sync_world(accounts)
@@ -347,10 +330,6 @@ def _run_fleet(
         fleet_config = ShardedOramConfig(
             shard_count=shard_count,
             oram_height=config.oram_height,
-            oram_bucket_size=ORAM_BUCKET_SIZE,
-            stash_limit_blocks=STASH_LIMIT_BLOCKS,
-            decrypt_memo_blocks=DECRYPT_MEMO_BLOCKS,
-            query_cpu_us=QUERY_CPU_US,
             vnodes=VNODES,
             backend_overrides=dict(backend_overrides or {}),
             pyramid_cache_blocks=PYRAMID_CACHE_BLOCKS,
@@ -359,7 +338,7 @@ def _run_fleet(
         observers: dict[int, AccessPatternObserver] = {}
         for shard_id, shard in sorted(fleet.shards.items()):
             _tap_server(wire, shard_id, shard.server)
-            if shard.backend == PATH_BACKEND:
+            if shard.backend == "path":
                 observers[shard_id] = AccessPatternObserver().attach(shard.server)
         backend = ShardedObliviousStateBackend(
             fleet, clock=lambda: clock.now_us
@@ -528,15 +507,13 @@ def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
     # the per-shard selection backend_for_working_set drives in a real
     # deployment, exercised explicitly here.
     overrides = {
-        shard_id: PYRAMID_BACKEND
+        shard_id: "pyramid"
         for shard_id in range(1, MIXED_SHARD_COUNT, 2)
     }
     mixed_run = _run_fleet(config, MIXED_SHARD_COUNT, overrides)
     mixed = {
         "shards": MIXED_SHARD_COUNT,
-        "backends": "+".join(
-            sorted({PATH_BACKEND, PYRAMID_BACKEND})
-        ),
+        "backends": "path+pyramid",
         "pyramid_shards": sorted(overrides),
         "mismatches": mixed_run.mismatches,
         "ok": mixed_run.mismatches == 0,

@@ -21,13 +21,11 @@ typed :class:`~repro.sharding.errors.UnsupportedShardBackendError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.crypto.kdf import hkdf_sha256
 from repro.hardware.csu import MonotonicCounter
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.store import DurableStore
-from repro.sharding.backend import PATH_BACKEND, ShardedObliviousStateBackend
+from repro.sharding.backend import ShardedObliviousStateBackend
 from repro.sharding.errors import UnsupportedShardBackendError
 
 
@@ -59,15 +57,6 @@ class _ShardScopedCsu:
         return self._authority.derive_sealing_key(self._prefix + label)
 
 
-@dataclass
-class _AnchorConfig:
-    """The slice of ``DeviceConfig`` ``rebuild_client`` reads."""
-
-    stash_limit_blocks: int | None
-    oram_response_budget_us: float | None
-    oram_decrypt_memo_blocks: int | None
-
-
 class ShardAnchor:
     """The per-shard 'device' a :class:`RecoveryManager` anchors to.
 
@@ -76,10 +65,9 @@ class ShardAnchor:
     advances (or constrains) another's rollback pin.
     """
 
-    def __init__(self, csu, config: _AnchorConfig) -> None:
+    def __init__(self, csu) -> None:
         self.csu = csu
         self.nvram = MonotonicCounter()
-        self.config = config
 
 
 class ShardRecoveryCoordinator:
@@ -104,24 +92,14 @@ class ShardRecoveryCoordinator:
 
     # -- arming --------------------------------------------------------
 
-    def _anchor_config(self) -> _AnchorConfig:
-        config = self._fleet.config
-        return _AnchorConfig(
-            stash_limit_blocks=config.stash_limit_blocks,
-            oram_response_budget_us=config.response_budget_us,
-            oram_decrypt_memo_blocks=config.decrypt_memo_blocks,
-        )
-
     def arm(self) -> None:
         """Checkpoint every shard and arm its per-access journal."""
         for shard_id, shard in sorted(self._fleet.shards.items()):
-            if shard.backend != PATH_BACKEND:
+            if shard.backend != "path":
                 raise UnsupportedShardBackendError(
                     shard_id, shard.backend, "per-access journaling"
                 )
-            anchor = ShardAnchor(
-                _ShardScopedCsu(self._authority, shard_id), self._anchor_config()
-            )
+            anchor = ShardAnchor(_ShardScopedCsu(self._authority, shard_id))
             store = DurableStore()
             manager = RecoveryManager(
                 anchor,

@@ -141,3 +141,25 @@ def test_wrong_message_shape_is_rejected_before_any_core_is_assigned(
     # Nothing leaked and no nonce was consumed: the right shape still runs.
     report, _, _ = client.pre_execute(service, session, [evalset.transactions[0]])
     assert report.traces[0].status == 1
+
+
+def test_exhausted_core_pool_is_a_typed_refusal(evalset):
+    """Every core assigned elsewhere: `submit_bundle` raises the typed
+    `SchedulingError` (an `assert` before — a `TypeError` under
+    `python -O`) and queues nothing it would later mis-assign."""
+    from repro.hypervisor import SchedulingError
+
+    service = _service(evalset)
+    device = service.devices[0]
+    client, session = _session(service)
+    scheduler = device.hypervisor.scheduler
+    held = []
+    for _ in range(device.config.hevm_count):
+        scheduler.submit(b"other-session", 0.0)
+        held.append(scheduler.try_assign(0.0)[0].core)
+    with pytest.raises(SchedulingError, match="exhausted"):
+        client.pre_execute(service, session, [evalset.transactions[0]])
+    assert scheduler.queue_depth == 0
+    for core in held:
+        scheduler.release(core)
+    assert scheduler.idle_count == device.config.hevm_count

@@ -22,7 +22,6 @@ from repro.faults.errors import BundleFailedError
 from repro.oram import paging
 from repro.serving import MetricsRegistry
 from repro.sharding import (
-    PYRAMID_BACKEND,
     ShardedObliviousStateBackend,
     ShardedOramConfig,
     ShardedOramFleet,
@@ -113,7 +112,7 @@ def test_arming_a_pyramid_shard_is_a_typed_refusal():
     fleet = ShardedOramFleet(
         ShardedOramConfig(
             shard_count=2, oram_height=7,
-            backend_overrides={1: PYRAMID_BACKEND},
+            backend_overrides={1: "pyramid"},
         ),
         MASTER,
     )
@@ -122,7 +121,7 @@ def test_arming_a_pyramid_shard_is_a_typed_refusal():
     with pytest.raises(UnsupportedShardBackendError) as err:
         recovery.arm()
     assert err.value.shard_id == 1
-    assert err.value.backend == PYRAMID_BACKEND
+    assert err.value.backend == "pyramid"
 
 
 def test_shard_metrics_export_with_labels():

@@ -301,6 +301,12 @@ def test_ci_bench_matrix_follows_the_registry():
     # report; the e2e ledger has its leg.
     perf_job = workflow.split("\n  perf:\n")[1].split("\n  bench:\n")[0]
     assert "python -m pytest -q -m perf" in perf_job and "<<" not in perf_job
+    # Both perf legs run the hashlib tier on OpenSSL (the `accel` extra),
+    # and tier-1 also runs with asserts compiled out.
+    assert 'accel = [\n    "cryptography",\n]' in pyproject
+    assert 'pip install -e ".[dev,accel]"' in perf_job
+    assert "matrix.bench == 'perf' && ',accel'" in workflow
+    assert "run: python -O -m pytest -x -q" in workflow
     assert "python3 benchmarks/e2e/run.py --smoke" in workflow
     assert "python -m pytest benchmarks/e2e -q" in workflow
 
@@ -382,3 +388,65 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
         if deleted.search(line)
     ]
     assert offenders == []
+
+
+# ----------------------------------------------------------------------
+# One ORAM store: each decision keeps its single home
+# ----------------------------------------------------------------------
+
+def test_one_oram_store_and_no_deleted_seam_grows_back():
+    """Plain-text grep over ``src/repro``.  Outside ``repro/oram`` nothing
+    reaches into an adapter's private client, prices an access itself or
+    constructs a store; the names the one-store refactor deleted appear
+    nowhere, ``repro/oram`` included."""
+    root = REPO / "src" / "repro"
+    rules = {
+        # recovery/manager.py's own ``self._client`` field is not an adapter's
+        "private client reach-in": (
+            re.compile(r"\._client\b"), {"recovery/manager.py"}),
+        # the adapter's method is the price; the two model-only callers
+        # name the paper-shape constant
+        "access priced outside the adapter": (
+            re.compile(r"oram_access_us\((?!\*PAPER_ORAM_SHAPE\))"),
+            {"hardware/timing.py"}),
+        # FaultyOramServer( wraps a store, it does not build one;
+        # perf/bench.py is the one caller of ``cipher_factory``
+        "store built outside repro.oram.store": (
+            re.compile(r"\b(PathOramClient|PyramidOramClient|OramServer"
+                       r"|HierarchicalOramServer)\("),
+            {"perf/bench.py"}),
+    }
+    deleted = re.compile(
+        r"build_oram_server|KNOWN_ORAM_BACKENDS|PATH_BACKEND|PYRAMID_BACKEND"
+        r"|_AnchorConfig|_anchor_config|_FleetServerView|_account_page_keys"
+        r"|_last_summary_source|arm_store|on_store_read|backend_for\("
+        r"|_slot_body|_initialize_tree|oram_bucket_size|stash_limit_blocks"
+        r"|oram_decrypt_memo_blocks|default_backend|ring_seed="
+    )
+    offenders = []
+    paper_shape_users = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if deleted.search(line):
+                offenders.append(f"{name}:{number}: deleted name")
+            if "(*PAPER_ORAM_SHAPE)" in line:
+                paper_shape_users.append(name)
+            if name.startswith("oram/"):
+                continue
+            for rule, (pattern, allowed) in rules.items():
+                if name not in allowed and pattern.search(line):
+                    offenders.append(f"{name}:{number}: {rule}")
+    assert offenders == []
+    assert paper_shape_users == ["hardware/fleet.py", "hardware/hevm.py"]
+    manager = (root / "recovery" / "manager.py").read_text()
+    assert not re.search(r"(?<!self)\._client\b", manager)
+    # Path's dead slot helpers are gone; Pyramid's live ones use the codec.
+    client = (root / "oram" / "client.py").read_text()
+    assert not re.search(r"_encrypt_slot|_decrypt_slot|_dummy_slot", client)
+    # ...and the slot layout is spelled in ``oram/slot.py`` alone.
+    for path in sorted((root / "oram").glob("*.py")):
+        if path.name != "slot.py":
+            assert not re.search(
+                r"plain\[(1:3|3:|67)|ljust\(64", path.read_text()
+            ), path.name

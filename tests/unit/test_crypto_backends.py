@@ -87,6 +87,32 @@ def test_activate_roundtrip():
     assert active_backend().name == before
 
 
+def test_hashlib_tier_is_openssl_exactly_when_cryptography_imports():
+    """The tier falls back silently, so say out loud which one this
+    interpreter got: OpenSSL iff ``cryptography`` imports (CI's perf
+    legs install the ``accel`` extra so the pairwise gate compares two
+    different implementations, not numpy with itself)."""
+    import importlib.util
+
+    from repro.crypto.ecc import PrivateKey
+
+    have = importlib.util.find_spec("cryptography") is not None
+    tier = get_backend("hashlib")
+    key = PrivateKey.from_bytes(b"\x07" * 32).public_key()
+    resolved = (
+        type(tier.aead_factory(bytes(32))).__name__,
+        type(tier.verifier(key)).__name__,
+    )
+    numpy_tier = get_backend("numpy")
+    fallback = (
+        type(numpy_tier.aead_factory(bytes(32))).__name__,
+        type(numpy_tier.verifier(key)).__name__,
+    )
+    expected = ("AcceleratedAesGcmAead", "_OpensslVerifier") if have else fallback
+    assert resolved == expected
+    assert fallback == ("AesGcmAead", "PrecomputedVerifier")
+
+
 def test_default_backend_is_registered():
     assert DEFAULT_BACKEND in available_backends()
 

@@ -2,15 +2,17 @@
 
 import pytest
 
+from repro.crypto.backend import UnknownBackendError
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.kdf import Drbg
+from repro.oram.client import PathOramClient
 from repro.oram.hierarchical import (
     HierarchicalOramServer,
     PyramidOramClient,
     backend_for_working_set,
-    build_oram_server,
 )
 from repro.oram.server import OramServer
+from repro.oram.store import BACKENDS, build_client, build_server
 
 pytestmark = pytest.mark.sharding
 
@@ -103,12 +105,24 @@ def test_cache_limit_validation():
 
 
 def test_build_oram_server_factory():
-    path = build_oram_server("path", height=5)
+    """One name table builds both halves of a store, or refuses typed."""
+    assert set(BACKENDS) == {"path", "pyramid"}
+    path = build_server("path", height=5)
     assert isinstance(path, OramServer) and path.height == 5
-    pyramid = build_oram_server("pyramid", height=5)
+    assert isinstance(build_client("path", path, KEY), PathOramClient)
+    pyramid = build_server("pyramid", height=5)
     assert isinstance(pyramid, HierarchicalOramServer)
+    client = build_client("pyramid", pyramid, KEY, pyramid_cache_blocks=8)
+    assert isinstance(client, PyramidOramClient) and client.cache_limit == 8
     with pytest.raises(ValueError):
-        build_oram_server("cuckoo", height=5)
+        build_client("pyramid", pyramid, KEY, posmap_key=KEY)
+    for build in (
+        lambda: build_server("cuckoo", height=5),
+        lambda: build_client("cuckoo", path, KEY),
+    ):
+        with pytest.raises(UnknownBackendError) as excinfo:
+            build()
+        assert excinfo.value.kind == "oram" and "pyramid" in str(excinfo.value)
 
 
 def test_backend_for_working_set_crossover():

@@ -70,6 +70,51 @@ def test_page_directory_densifies():
     assert len(directory) == 2
 
 
+def test_account_pages_walk_is_the_sync_write_sequence(backend):
+    """Keys, bytes and order of the one account -> pages walk, spelled
+    out the way ``sync_account`` wrote them before the walk existed;
+    both backends write exactly this list."""
+    from repro.sharding.backend import (
+        ShardedObliviousStateBackend,
+        ShardedOramConfig,
+        ShardedOramFleet,
+    )
+
+    address = to_address(0xABC)
+    code = bytes(range(256)) * 5  # 1280 B: one full page, one padded
+    account = Account(
+        balance=7, nonce=3, code=code, storage={40: 2, 3: 1, 33: 9}
+    )
+    meta = AccountMeta(7, 3, account.code_hash, len(code))
+    expected = [
+        (paging.account_page_key(address), paging.encode_account_page(meta)),
+        (paging.storage_page_key(address, 0),
+         paging.encode_storage_page(account.storage, 0)),
+        (paging.storage_page_key(address, 32),
+         paging.encode_storage_page(account.storage, 1)),
+        (paging.code_page_key(address, 0), code[:1024]),
+        (paging.code_page_key(address, 1), code[1024:].ljust(1024, b"\x00")),
+    ]
+    assert paging.account_pages(address, account) == expected
+    assert paging.account_pages(address, Account()) == [
+        (paging.account_page_key(address),
+         paging.encode_account_page(AccountMeta(0, 0, EMPTY_CODE_HASH, 0))),
+    ]
+
+    sharded = ShardedObliviousStateBackend(
+        ShardedOramFleet(ShardedOramConfig(shard_count=2, oram_height=4), b"m" * 32)
+    )
+    for target in (backend, sharded):
+        written = []
+        real_write = target.client.write
+        target.client.write = lambda key, data, sim_time_us=0.0: (
+            written.append((key, data)), real_write(key, data, sim_time_us)
+        )
+        assert target.sync_account(address, account) == len(expected)
+        assert written == expected
+        assert target.get_code(address) == code
+
+
 # -- oblivious backend -----------------------------------------------------------
 
 

@@ -59,6 +59,9 @@ def test_perf_bench_summary_mentions_the_gate(report):
     (tier_line,) = [line for line in lines if "tier wall seconds" in line]
     assert "not in the JSON" in tier_line
     assert all(side["backend"] in tier_line for side in report.backends)
+    # ...with what each tier resolved to on this host, on stdout only.
+    assert "reference (AesGcmAead, _ReferenceVerifier)" in tier_line
+    assert "Verifier" not in report.to_json()
 
 
 class _OffByOneBitEngine(SpongeKeccakEngine):

@@ -147,6 +147,41 @@ def test_tampered_journal_record_refused():
         RecoveryManager.recover(device, store)
 
 
+def _plant_alias(store, epoch, seq):
+    # bit 40 of the sequence lands on the (odd) epoch's low bit, so
+    # unchecked it composes to exactly the pinned (epoch, seq)
+    assert epoch & 1
+    store.put(f"journal/{epoch:012d}/{(1 << 40) + seq}", b"x")
+
+
+def _swap_checkpoint_name(store, epoch, seq):
+    canonical = f"checkpoint/{epoch:012d}"
+    store.put(f"checkpoint/{epoch}", store.get(canonical))
+    store.delete(canonical)
+
+
+@pytest.mark.parametrize("plant, message", [
+    (lambda store, epoch, seq: store.put("checkpoint/zzz", b"x"), "malformed"),
+    (lambda store, epoch, seq: store.put("checkpoint/\u0661", b"x"), "malformed"),
+    (lambda store, epoch, seq: store.put(
+        f"journal/{epoch:012d}/not-a-seq", b"x"), "malformed"),
+    (_plant_alias, "does not fit 40 bits"),
+    (_swap_checkpoint_name, "missing from the store"),
+], ids=[
+    "checkpoint-not-a-number", "checkpoint-unicode-digit", "journal-not-a-seq",
+    "journal-seq-aliases-the-pin", "checkpoint-name-not-canonical",
+])
+def test_hostile_key_names_refuse_boot_typed(plant, message):
+    """The store's key *names* are SP-controlled too: a planted name is a
+    refused boot, never a ValueError/AssertionError — and never, with
+    asserts compiled out, a sequence aliasing onto the NVRAM pin."""
+    server, client, device, store, manager = _deployment()
+    client.access(b"key", b"v")
+    plant(store, manager.epoch, manager.seq)
+    with pytest.raises(RecoveryIntegrityError, match=message):
+        RecoveryManager.recover(device, store)
+
+
 def test_empty_store_refused():
     with pytest.raises(RecoveryIntegrityError, match="no checkpoint"):
         RecoveryManager.recover(_device(), DurableStore())

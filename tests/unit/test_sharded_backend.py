@@ -7,8 +7,6 @@ import pytest
 from repro.oram import paging
 from repro.security.observer import AccessPatternObserver
 from repro.sharding import (
-    PATH_BACKEND,
-    PYRAMID_BACKEND,
     ShardedObliviousStateBackend,
     ShardedOramConfig,
     ShardedOramFleet,
@@ -60,12 +58,12 @@ def test_fleet_builds_one_store_per_shard():
 
 
 def test_backend_overrides_select_pyramid_per_shard():
-    fleet = _fleet(4, backend_overrides={2: PYRAMID_BACKEND})
+    fleet = _fleet(4, backend_overrides={2: "pyramid"})
     assert [fleet.shards[sid].backend for sid in range(4)] == [
-        PATH_BACKEND, PATH_BACKEND, PYRAMID_BACKEND, PATH_BACKEND
+        "path", "path", "pyramid", "path"
     ]
     with pytest.raises(ValueError):
-        ShardedOramConfig(backend_overrides={0: "cuckoo"}).backend_for(0)
+        _fleet(1, backend_overrides={0: "cuckoo"})
 
 
 def test_accesses_route_by_ring_and_round_trip():
@@ -102,8 +100,7 @@ def test_single_shard_fleet_matches_unsharded_wire():
     unsharded_observer = AccessPatternObserver().attach(server)
     client = PathOramClient(
         server, shard_key(MASTER, 0), block_size=paging.PAGE_SIZE,
-        stash_limit=config.stash_limit_blocks,
-        decrypt_memo_blocks=config.decrypt_memo_blocks,
+        stash_limit=1024, decrypt_memo_blocks=4096,
     )
     from repro.oram.adapter import ObliviousStateBackend
 
@@ -197,7 +194,7 @@ def test_sync_world_notes_roots_fleet_wide():
 
 
 def test_mixed_backend_fleet_round_trips():
-    fleet = _fleet(4, backend_overrides={1: PYRAMID_BACKEND, 3: PYRAMID_BACKEND})
+    fleet = _fleet(4, backend_overrides={1: "pyramid", 3: "pyramid"})
     backend = ShardedObliviousStateBackend(fleet)
     accounts = _accounts(10)
     backend.sync_world(accounts)
@@ -206,3 +203,26 @@ def test_mixed_backend_fleet_round_trips():
         assert backend.get_storage(address, 0) == account.storage[0]
     stash = backend.router.per_shard_stash_blocks()
     assert set(stash) == {0, 1, 2, 3}
+
+
+def test_last_access_is_the_last_routed_shards_summary():
+    """The router reports the shard that served the *last* access, not
+    the busiest one: five writes to one shard, then one to another."""
+    fleet = _fleet(2)
+    router = ShardedObliviousStateBackend(fleet).router
+    keys = {0: [], 1: []}
+    for index in range(64):
+        key = b"page-%d" % index
+        keys[router.shard_for(key)].append(key)
+    for key in keys[0][:5]:
+        router.write(key, b"busy")
+    router.write(keys[1][0], b"last")
+    assert router.per_shard_accesses() == {0: 5, 1: 1}
+    assert router.last_access is fleet.shards[1].client.last_access
+    router.read(keys[0][0])
+    assert router.last_access is fleet.shards[0].client.last_access
+    # A refused access is not a served one.
+    router.mark_crashed(1, "test")
+    with pytest.raises(ShardUnavailableError):
+        router.read(keys[1][0])
+    assert router.last_access is fleet.shards[0].client.last_access
