@@ -88,7 +88,7 @@ def test_fault_recovery_escalation(benchmark, evalset):
     # ...and every miss is accounted under a typed reason.
     load = corrupt.load
     assert (
-        load.completed + load.failed + load.rejected + load.expired
+        load.completed + load.failed + load.rejected
         == load.submitted
     )
     assert sum(load.failed_by_reason.values()) == load.failed

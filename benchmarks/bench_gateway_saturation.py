@@ -140,7 +140,6 @@ def test_gateway_overload_sheds_typed(benchmark):
         assert request.status in (
             RequestStatus.COMPLETED,
             RequestStatus.REJECTED,
-            RequestStatus.EXPIRED,
         )
         if request.status == RequestStatus.REJECTED:
             assert request.reject_reason in RejectReason.ALL

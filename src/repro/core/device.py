@@ -46,7 +46,7 @@ class DeviceConfig:
     oram_height: int = 12
     # Which ORAM protocol backs the world state: "path" (the paper's
     # prototype) or "pyramid" (hierarchical layout; wins at small
-    # working sets — see repro.oram.hierarchical.backend_for_working_set).
+    # working sets).
     # The names, and the geometry every deployment shares, live in
     # repro.oram.store.
     oram_backend: str = "path"

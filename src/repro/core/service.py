@@ -233,35 +233,12 @@ class HarDTAPEService:
         return device
 
     def try_pick_device(self) -> HarDTAPEDevice | None:
-        """Queue-aware routing: the idle device with the shallowest queue.
-
-        Among devices with an idle HEVM, prefer the one whose scheduler
-        queue is shallowest (most headroom); ``None`` when saturated.
-        """
+        """The first device with the most idle HEVMs; ``None`` when
+        every core is busy."""
         candidates = [d for d in self.devices if d.idle_hevms > 0]
         if not candidates:
             return None
-        return min(
-            candidates,
-            key=lambda d: (d.hypervisor.scheduler.queue_depth, -d.idle_hevms),
-        )
-
-    def least_loaded_device(self) -> HarDTAPEDevice:
-        """The best device to bind a new session to, busy or not.
-
-        Unlike :meth:`pick_device` this never raises: under saturation it
-        returns the device with the most idle cores, breaking ties on the
-        shallowest scheduler queue — the gateway binds sessions here and
-        lets its own queue absorb the wait.
-        """
-        return min(
-            self.devices,
-            key=lambda d: (-d.idle_hevms, d.hypervisor.scheduler.queue_depth),
-        )
-
-    def queue_depths(self) -> list[int]:
-        """Per-device scheduler queue depths (serving-layer observability)."""
-        return [d.hypervisor.scheduler.queue_depth for d in self.devices]
+        return max(candidates, key=lambda d: d.idle_hevms)
 
     def pending_chain_context(self) -> ChainContext:
         """Simulate against a pending header on top of the synced tip."""

@@ -1,8 +1,9 @@
 """Pure-Python AES-128/192/256 block cipher (FIPS 197).
 
-Encryption uses precomputed T-tables for speed; decryption uses the
-equivalent inverse tables.  This module provides only the raw block
-transform — authenticated modes live in :mod:`repro.crypto.gcm`.
+Encryption uses precomputed T-tables for speed; there is no inverse
+cipher, because GCM (the only mode built on this, in
+:mod:`repro.crypto.gcm`) runs the block transform forward in both
+directions.
 
 The implementation is for the HarDTAPE *functional* simulation: it is
 byte-for-byte compatible with standard AES (checked against FIPS test
@@ -45,7 +46,7 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox() -> tuple[list[int], list[int]]:
+def _build_sbox() -> list[int]:
     # Multiplicative inverses via exp/log tables over generator 3.
     exp = [0] * 256
     log = [0] * 256
@@ -62,7 +63,6 @@ def _build_sbox() -> tuple[list[int], list[int]]:
         return exp[255 - log[v]]
 
     sbox = [0] * 256
-    inv_sbox = [0] * 256
     for value in range(256):
         inv = inverse(value)
         # Affine transform.
@@ -78,11 +78,10 @@ def _build_sbox() -> tuple[list[int], list[int]]:
             ) & 1
             transformed |= b << bit
         sbox[value] = transformed
-        inv_sbox[transformed] = value
-    return sbox, inv_sbox
+    return sbox
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 
 # T-tables: each maps a state byte to a 32-bit column contribution.
 _T0 = [0] * 256
@@ -222,65 +221,6 @@ class AES:
             ) ^ rk[k + i]
             out[4 * i:4 * i + 4] = word.to_bytes(4, "big")
         return bytes(out)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block (straightforward inverse rounds)."""
-        if len(block) != 16:
-            raise ValueError("AES block must be 16 bytes")
-        rk = self._round_keys
-        state = [
-            int.from_bytes(block[4 * i:4 * i + 4], "big")
-            ^ rk[4 * self._rounds + i]
-            for i in range(4)
-        ]
-        state_bytes = bytearray(16)
-        for i in range(4):
-            state_bytes[4 * i:4 * i + 4] = state[i].to_bytes(4, "big")
-
-        def inv_shift_rows(b: bytearray) -> bytearray:
-            out = bytearray(16)
-            for col in range(4):
-                for row in range(4):
-                    out[4 * ((col + row) % 4) + row] = b[4 * col + row]
-            return out
-
-        def inv_mix_columns(b: bytearray) -> bytearray:
-            out = bytearray(16)
-            for col in range(4):
-                c = b[4 * col:4 * col + 4]
-                out[4 * col + 0] = (
-                    _gf_mul(c[0], 14) ^ _gf_mul(c[1], 11)
-                    ^ _gf_mul(c[2], 13) ^ _gf_mul(c[3], 9)
-                )
-                out[4 * col + 1] = (
-                    _gf_mul(c[0], 9) ^ _gf_mul(c[1], 14)
-                    ^ _gf_mul(c[2], 11) ^ _gf_mul(c[3], 13)
-                )
-                out[4 * col + 2] = (
-                    _gf_mul(c[0], 13) ^ _gf_mul(c[1], 9)
-                    ^ _gf_mul(c[2], 14) ^ _gf_mul(c[3], 11)
-                )
-                out[4 * col + 3] = (
-                    _gf_mul(c[0], 11) ^ _gf_mul(c[1], 13)
-                    ^ _gf_mul(c[2], 9) ^ _gf_mul(c[3], 14)
-                )
-            return out
-
-        for round_index in range(self._rounds - 1, 0, -1):
-            state_bytes = inv_shift_rows(state_bytes)
-            state_bytes = bytearray(_INV_SBOX[b] for b in state_bytes)
-            for i in range(4):
-                word = int.from_bytes(state_bytes[4 * i:4 * i + 4], "big")
-                word ^= rk[4 * round_index + i]
-                state_bytes[4 * i:4 * i + 4] = word.to_bytes(4, "big")
-            state_bytes = inv_mix_columns(state_bytes)
-        state_bytes = inv_shift_rows(state_bytes)
-        state_bytes = bytearray(_INV_SBOX[b] for b in state_bytes)
-        for i in range(4):
-            word = int.from_bytes(state_bytes[4 * i:4 * i + 4], "big")
-            word ^= rk[i]
-            state_bytes[4 * i:4 * i + 4] = word.to_bytes(4, "big")
-        return bytes(state_bytes)
 
     def ctr_keystream(self, counter_block: bytes, length: int) -> bytes:
         """Generate ``length`` keystream bytes in CTR mode.

@@ -191,15 +191,6 @@ class KeccakMemoStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
 
 # Small inputs (trie nodes, addresses, opcodes) share a deep cache; big
 # inputs (contract bytecode re-hashed on every state commit) get a

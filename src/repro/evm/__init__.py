@@ -7,9 +7,8 @@ tracers.  This is the functional core behind the paper's HEVM, the Geth
 baseline, and the simulated full node.
 """
 
-from repro.evm import abi, disassembler, opcodes
+from repro.evm import disassembler, opcodes
 from repro.evm.exceptions import (
-    CallDepthExceeded,
     EvmError,
     FrameError,
     InvalidJump,
@@ -35,7 +34,6 @@ from repro.evm.tracer import (
 )
 
 __all__ = [
-    "CallDepthExceeded",
     "CallRecord",
     "CallTracer",
     "ChainContext",
@@ -62,7 +60,6 @@ __all__ = [
     "Tracer",
     "TransactionResult",
     "WriteProtection",
-    "abi",
     "disassembler",
     "execute_transaction",
     "opcodes",

@@ -1,8 +1,8 @@
 """EVM bytecode disassembler.
 
 The inverse of :mod:`repro.workloads.asm`: turns bytecode back into an
-instruction listing with resolved PUSH immediates, jump-destination
-annotations, and basic-block boundaries.  Used by the CLI's ``disasm``
+instruction listing with resolved PUSH immediates and jump-destination
+annotations.  Used by the CLI's ``disasm``
 command and by tests as an assembler round-trip oracle.
 """
 
@@ -56,38 +56,6 @@ def disassemble(code: bytes) -> list[Instruction]:
         out.append(Instruction(pc, opcode, mnemonic))
         pc += 1
     return out
-
-
-def basic_blocks(code: bytes) -> list[tuple[int, int]]:
-    """(start, end) offsets of basic blocks.
-
-    A block starts at offset 0 and at every JUMPDEST; it ends after any
-    control-transfer or halting instruction (JUMP/JUMPI/STOP/RETURN/
-    REVERT/INVALID/SELFDESTRUCT) or at the next block's start.
-    """
-    instructions = disassemble(code)
-    if not instructions:
-        return []
-    enders = {
-        opcodes.JUMP, opcodes.JUMPI, opcodes.STOP, opcodes.RETURN,
-        opcodes.REVERT, opcodes.INVALID, opcodes.SELFDESTRUCT,
-    }
-    blocks: list[tuple[int, int]] = []
-    start = 0
-    previous_end = 0
-    for instruction in instructions:
-        if instruction.opcode == opcodes.JUMPDEST and instruction.offset != start:
-            blocks.append((start, instruction.offset))
-            start = instruction.offset
-        previous_end = instruction.offset + 1 + (
-            opcodes.push_size(instruction.opcode)
-        )
-        if instruction.opcode in enders:
-            blocks.append((start, previous_end))
-            start = previous_end
-    if start < previous_end:
-        blocks.append((start, previous_end))
-    return [block for block in blocks if block[0] < block[1]]
 
 
 def format_listing(code: bytes, annotate_jumpdests: bool = True) -> str:

@@ -46,10 +46,6 @@ class ReturnDataOutOfBounds(FrameError):
     pass
 
 
-class CallDepthExceeded(FrameError):
-    """Call stack exceeded 1024 frames."""
-
-
 class Revert(FrameError):
     """Explicit REVERT: remaining gas is returned, data propagated."""
 

@@ -107,6 +107,8 @@ class Interpreter:
             try:
                 cost, output = precompile(message.data)
             except Exception:
+                # Broad on purpose: calldata is attacker-chosen, and any
+                # precompile error is a failed call that burns the gas.
                 self.state.revert(snapshot)
                 return FrameResult(False, b"", 0, "precompile failure")
             if cost > message.gas:

@@ -66,7 +66,3 @@ PRECOMPILES: dict[Address, Precompile] = {
     to_address(3): _ripemd160,
     to_address(4): _identity,
 }
-
-
-def is_precompile(address: Address) -> bool:
-    return address in PRECOMPILES

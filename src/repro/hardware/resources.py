@@ -29,11 +29,6 @@ class ResourceVector:
             self.bram_bytes + other.bram_bytes,
         )
 
-    def scaled(self, factor: int) -> "ResourceVector":
-        return ResourceVector(
-            self.luts * factor, self.ffs * factor, self.bram_bytes * factor
-        )
-
 
 # Per-component estimates for one HEVM (calibrated to the paper's totals).
 HEVM_COMPONENTS: dict[str, ResourceVector] = {

@@ -70,6 +70,53 @@ def trace_from_result(result: TransactionResult) -> TransactionTrace:
 # ---------------------------------------------------------------------------
 # RLP encoding
 # ---------------------------------------------------------------------------
+#
+# Both decoders are total over bytes a session holder can send: the
+# result is a value that re-encodes to exactly the input, or
+# ``rlp.DecodingError`` — wrong shapes, non-canonical flags, bad UTF-8
+# and out-of-order map entries included.
+
+
+def _list(item: rlp.RlpItem, what: str, length: int | None = None) -> list:
+    if not isinstance(item, list) or length not in (None, len(item)):
+        expected = "a list" if length is None else f"a list of {length}"
+        raise rlp.DecodingError(f"{what}: expected {expected}")
+    return item
+
+
+def _records(item: rlp.RlpItem, what: str, width: int) -> list[list]:
+    """``item`` as a list of ``width``-field records."""
+    return [_list(entry, what, width) for entry in _list(item, what)]
+
+
+def _bytes(item: rlp.RlpItem, what: str) -> bytes:
+    if not isinstance(item, bytes):
+        raise rlp.DecodingError(f"{what}: expected a byte string, got a list")
+    return item
+
+
+def _uint(item: rlp.RlpItem, what: str) -> int:
+    return rlp.decode_uint(_bytes(item, what))
+
+
+def _flag(item: rlp.RlpItem, what: str) -> bool:
+    if item not in (b"", b"\x01"):
+        raise rlp.DecodingError(f"{what}: expected an empty or 0x01 flag")
+    return item == b"\x01"
+
+
+def _text(item: rlp.RlpItem, what: str) -> str | None:
+    try:
+        return _bytes(item, what).decode() or None
+    except UnicodeDecodeError as error:
+        raise rlp.DecodingError(f"{what}: {error}") from error
+
+
+def _sorted_map(pairs: list[tuple], what: str) -> dict:
+    """``pairs`` as a dict, refusing any order ``sorted()`` would not emit."""
+    if any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
+        raise rlp.DecodingError(f"{what}: entries out of order or repeated")
+    return dict(pairs)
 
 
 def encode_bundle(bundle: TransactionBundle) -> bytes:
@@ -93,24 +140,28 @@ def encode_bundle(bundle: TransactionBundle) -> bytes:
 
 
 def decode_bundle(data: bytes) -> TransactionBundle:
-    block_number_raw, tx_items = rlp.decode(data)  # type: ignore[misc]
+    block_number, tx_items = _list(rlp.decode(data), "bundle", 2)
     transactions = []
-    for item in tx_items:  # type: ignore[union-attr]
-        sender, to, value, tx_data, gas_limit, gas_price, nonce, has_nonce = item
+    for sender, to, value, tx_data, gas_limit, gas_price, nonce, has_nonce in (
+        _records(tx_items, "transaction", 8)
+    ):
+        with_nonce = _flag(has_nonce, "nonce flag")
+        if not with_nonce and nonce != b"":
+            raise rlp.DecodingError("transaction: a nonce without its flag")
         transactions.append(
             Transaction(
-                sender=bytes(sender),
-                to=bytes(to) if to != b"" else None,
-                value=rlp.decode_uint(bytes(value)),
-                data=bytes(tx_data),
-                gas_limit=rlp.decode_uint(bytes(gas_limit)),
-                gas_price=rlp.decode_uint(bytes(gas_price)),
-                nonce=rlp.decode_uint(bytes(nonce)) if has_nonce == b"\x01" else None,
+                sender=_bytes(sender, "sender"),
+                to=_bytes(to, "to") or None,
+                value=_uint(value, "value"),
+                data=_bytes(tx_data, "data"),
+                gas_limit=_uint(gas_limit, "gas limit"),
+                gas_price=_uint(gas_price, "gas price"),
+                nonce=_uint(nonce, "nonce") if with_nonce else None,
             )
         )
     return TransactionBundle(
         transactions=tuple(transactions),
-        block_number=rlp.decode_uint(bytes(block_number_raw)),
+        block_number=_uint(block_number, "block number"),
     )
 
 
@@ -145,39 +196,53 @@ def encode_trace_report(report: TraceReport) -> bytes:
 
 
 def decode_trace_report(data: bytes) -> TraceReport:
-    bundle_id, aborted, abort_reason, trace_items = rlp.decode(data)  # type: ignore[misc]
+    bundle_id, aborted, abort_reason, trace_items = _list(
+        rlp.decode(data), "trace report", 4
+    )
     traces = []
-    for item in trace_items:  # type: ignore[union-attr]
-        status, gas_used, return_data, error, balances, storages, logs = item
+    for status, gas_used, return_data, error, balances, storages, logs in (
+        _records(trace_items, "trace", 7)
+    ):
         traces.append(
             TransactionTrace(
-                status=rlp.decode_uint(bytes(status)),
-                gas_used=rlp.decode_uint(bytes(gas_used)),
-                return_data=bytes(return_data),
-                error=bytes(error).decode() or None,
-                balance_changes={
-                    bytes(address): rlp.decode_uint(bytes(balance))
-                    for address, balance in balances
-                },
-                storage_changes={
-                    (bytes(address), rlp.decode_uint(bytes(key))): rlp.decode_uint(
-                        bytes(value)
-                    )
-                    for address, key, value in storages
-                },
+                status=_uint(status, "status"),
+                gas_used=_uint(gas_used, "gas used"),
+                return_data=_bytes(return_data, "return data"),
+                error=_text(error, "error"),
+                balance_changes=_sorted_map(
+                    [
+                        (_bytes(address, "address"), _uint(balance, "balance"))
+                        for address, balance in _records(
+                            balances, "balance change", 2
+                        )
+                    ],
+                    "balance changes",
+                ),
+                storage_changes=_sorted_map(
+                    [
+                        (
+                            (_bytes(address, "address"), _uint(key, "storage key")),
+                            _uint(value, "storage value"),
+                        )
+                        for address, key, value in _records(
+                            storages, "storage change", 3
+                        )
+                    ],
+                    "storage changes",
+                ),
                 logs=[
                     (
-                        bytes(address),
-                        [rlp.decode_uint(bytes(t)) for t in topics],
-                        bytes(log_data),
+                        _bytes(address, "log address"),
+                        [_uint(t, "topic") for t in _list(topics, "topics")],
+                        _bytes(log_data, "log data"),
                     )
-                    for address, topics, log_data in logs
+                    for address, topics, log_data in _records(logs, "log", 3)
                 ],
             )
         )
     return TraceReport(
-        bundle_id=bytes(bundle_id),
+        bundle_id=_bytes(bundle_id, "bundle id"),
         traces=traces,
-        aborted=aborted == b"\x01",
-        abort_reason=bytes(abort_reason).decode() or None,
+        aborted=_flag(aborted, "aborted flag"),
+        abort_reason=_text(abort_reason, "abort reason"),
     )

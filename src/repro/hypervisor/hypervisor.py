@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro import rlp
 from repro.crypto.ecc import PrivateKey, PublicKey
 from repro.crypto.kdf import Drbg, hkdf_sha256
 from repro.evm.interpreter import ChainContext
@@ -34,7 +35,7 @@ from repro.hypervisor.bundle_codec import (
 from repro.crypto.backend import get_backend
 from repro.hypervisor.channel import ChannelError, SealedMessage, SecureChannel
 from repro.hypervisor.resumption import TicketSealer, TicketState, ticket_header
-from repro.hypervisor.scheduler import HevmScheduler, SchedulingError
+from repro.hypervisor.scheduler import HevmScheduler
 from repro.hypervisor.sync import BlockSynchronizer
 from repro.hypervisor.receipts import (
     ReceiptMissingError,
@@ -90,15 +91,15 @@ class SecurityFeatures:
 
 class BundleRejected(Exception):
     """Bundle refused at admission, before any core is assigned: over the
-    SP's gas cap (§IV-B DoS protection), or the wrong message shape for
-    the device's security level."""
+    SP's gas cap (§IV-B DoS protection), the wrong message shape for the
+    device's security level, or bytes that are not a bundle."""
 
 
 class HypervisorCrashError(Exception):
     """The Hypervisor died (power loss, firmware panic, watchdog reset).
 
     All volatile trusted state — live sessions, the in-memory ORAM
-    client, scheduler queues — is gone.  Defined here (not in
+    client, core assignments — is gone.  Defined here (not in
     ``repro.faults``) because the crash is a property of the substrate;
     the injector merely decides *when* it happens.  Recovery is a cold
     restart through ``repro.recovery``: unseal checkpoint, replay
@@ -520,7 +521,10 @@ class Hypervisor:
             )
         else:
             payload = bytes(sealed_bundle)
-        bundle = decode_bundle(payload)
+        try:
+            bundle = decode_bundle(payload)
+        except rlp.DecodingError as error:
+            raise BundleRejected(f"malformed bundle: {error}") from error
         active = tracer.active
         if active is not None:
             active.set(
@@ -536,13 +540,9 @@ class Hypervisor:
                     f"SP cap is {self.max_bundle_gas}"
                 )
 
-        # Step 3: exclusive assignment of an idle core.  Callers submit
-        # serially, so a busy pool is refused before anything is queued.
-        if self.scheduler.idle_count == 0:
-            raise SchedulingError("HEVM pool exhausted: every core is assigned")
-        self.scheduler.submit(session_id, self.clock.now_us)
-        assignment, _ = self.scheduler.try_assign(self.clock.now_us)
-        core = assignment.core
+        # Step 3: exclusive assignment of an idle core; a busy pool is
+        # refused with a typed SchedulingError.
+        core = self.scheduler.acquire(session_id, self.clock.now_us).core
 
         # Steps 4–8: run on the dedicated hardware set.  Exception
         # handling is this firmware's job: a fault mid-bundle (HEVM
@@ -577,7 +577,9 @@ class Hypervisor:
                 # Inside the ``try`` so the scrub below runs.
                 self.faults.on_bundle_sealing(self, self.clock.now_us)
         except Exception:
-            self.scheduler.release(core)  # resets (scrubs) the core too
+            # Broad on purpose: whatever failed, the core is scrubbed and
+            # returned; nothing is swallowed, the error re-raises as is.
+            self.scheduler.release(core)
             raise
 
         report = TraceReport(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+from repro.crypto.gcm import AuthenticationError
 from repro.crypto.suite import CounterNonceSealer
 
 TICKET_MAGIC = b"HTK1"
@@ -120,16 +121,26 @@ class TicketState:
 
     @classmethod
     def decode(cls, data: bytes) -> "TicketState":
-        send, recv, affinity, minted = struct.unpack_from(">qqqd", data, 0)
-        offset = struct.calcsize(">qqqd")
-        blobs = []
-        for _ in range(5):
-            (length,) = struct.unpack_from(">H", data, offset)
-            offset += 2
-            blobs.append(data[offset:offset + length])
-            offset += length
+        """Inverse of :meth:`encode`; anything else is a
+        :class:`TicketIntegrityError`, never a ``struct.error``."""
+        try:
+            send, recv, affinity, minted = struct.unpack_from(">qqqd", data, 0)
+            offset = struct.calcsize(">qqqd")
+            blobs = []
+            for _ in range(5):
+                (length,) = struct.unpack_from(">H", data, offset)
+                offset += 2
+                blobs.append(data[offset:offset + length])
+                offset += length
+            ring_digest = blobs[4].decode()
+        except (struct.error, UnicodeDecodeError) as error:
+            raise TicketIntegrityError(
+                f"malformed ticket state: {error}"
+            ) from error
         if offset != len(data):
-            raise TicketIntegrityError("ticket state has trailing bytes")
+            raise TicketIntegrityError(
+                "ticket state length fields disagree with its size"
+            )
         return cls(
             session_id=blobs[0],
             user_public=blobs[1],
@@ -138,7 +149,7 @@ class TicketState:
             send_watermark=send,
             recv_watermark=recv,
             shard_affinity=affinity,
-            ring_digest=blobs[4].decode(),
+            ring_digest=ring_digest,
             minted_at_us=minted,
         )
 
@@ -202,12 +213,13 @@ class TicketSealer:
         try:
             plain = self._sealer.open(composite, ticket[_HEADER.size:],
                                       aad=self._aad(epoch, seq))
-        except TicketIntegrityError:
-            raise
-        except Exception as exc:
-            # Re-typed on purpose: a raw AuthenticationError is in the
-            # fault plane's RECOVERABLE_ERRORS (wire corruption is
-            # transient); a forged ticket is not transient.
+        except (AuthenticationError, ValueError) as exc:
+            # All the sealer can raise here: ``epoch`` equals this
+            # hypervisor's own generation, so the composite fits the
+            # 96-bit nonce and ``to_bytes`` cannot overflow.  Re-typed on
+            # purpose: a raw AuthenticationError is in the fault plane's
+            # RECOVERABLE_ERRORS (wire corruption is transient); a forged
+            # ticket is not transient.
             raise TicketIntegrityError("ticket failed authentication") from exc
         self._spent.add((epoch, seq))
         self.redeemed += 1

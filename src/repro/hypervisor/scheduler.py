@@ -1,7 +1,8 @@
 """HEVM scheduling (workflow step 3).
 
-Bundles queue until an HEVM is idle; the Hypervisor then *exclusively*
-assigns the idle core to the session and activates it.  No context
+The Hypervisor *exclusively* assigns an idle core to the session and
+activates it; with no idle core the bundle is refused (waiting happens
+in front of the device, in the serving gateway's queue).  No context
 switches happen during a bundle's lifecycle — a core runs one bundle to
 completion, then is reset (all on-chip memories cleared) and returned to
 the pool.  That no-sharing discipline is the root-cause fix for attack
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
 
 from repro.hardware.hevm import HevmCore
 from repro.telemetry.tracer import tracer_for
@@ -28,33 +28,20 @@ class Assignment:
 
     core: HevmCore
     session_id: bytes
-    queued_at_us: float
     started_at_us: float
 
 
 @dataclass
 class SchedulerStats:
-    bundles_queued: int = 0
     bundles_started: int = 0
     bundles_completed: int = 0
-    total_queue_wait_us: float = 0.0
-    max_queue_wait_us: float = 0.0
-    peak_queue_depth: int = 0
-
-    @property
-    def mean_queue_wait_us(self) -> float:
-        if self.bundles_started == 0:
-            return 0.0
-        return self.total_queue_wait_us / self.bundles_started
 
 
 class HevmScheduler:
-    """FIFO queue over a fixed pool of dedicated cores."""
+    """A fixed pool of dedicated cores, handed out one bundle at a time."""
 
     def __init__(self, cores: list[HevmCore], clock=None) -> None:
-        self._cores = cores
         self._idle: deque[HevmCore] = deque(cores)
-        self._queue: deque[tuple[bytes, float, Any]] = deque()
         self._assignments: dict[int, Assignment] = {}
         self.stats = SchedulerStats()
         # Dispatch decisions cost no virtual time; the clock is only for
@@ -65,53 +52,31 @@ class HevmScheduler:
     def idle_count(self) -> int:
         return len(self._idle)
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    def submit(self, session_id: bytes, now_us: float, payload: Any = None) -> None:
-        """Queue a bundle for the session."""
-        self._queue.append((session_id, now_us, payload))
-        self.stats.bundles_queued += 1
-        self.stats.peak_queue_depth = max(
-            self.stats.peak_queue_depth, len(self._queue)
-        )
-
-    def queued_waits_us(self, now_us: float) -> list[float]:
-        """How long each still-queued bundle has waited, in FIFO order.
-
-        The serving gateway polls this to expose head-of-line wait as a
-        backpressure signal without popping anything.
-        """
-        return [now_us - queued_at for _, queued_at, _ in self._queue]
-
-    def try_assign(self, now_us: float) -> tuple[Assignment, Any] | None:
-        """Pop the next queued bundle onto an idle core, if any."""
-        if not self._queue or not self._idle:
-            return None
-        session_id, queued_at, payload = self._queue.popleft()
+    def acquire(self, session_id: bytes, now_us: float) -> Assignment:
+        """Bind the next idle core to the session, exclusively."""
+        if not self._idle:
+            raise SchedulingError("HEVM pool exhausted: every core is assigned")
         core = self._idle.popleft()
         if core.busy:
             raise SchedulingError(
                 f"core {core.core_id} was in the idle pool but marked busy"
             )
         core.busy = True
-        assignment = Assignment(core, session_id, queued_at, now_us)
+        assignment = Assignment(core, session_id, now_us)
         self._assignments[core.core_id] = assignment
         self.stats.bundles_started += 1
-        wait = now_us - queued_at
-        self.stats.total_queue_wait_us += wait
-        self.stats.max_queue_wait_us = max(self.stats.max_queue_wait_us, wait)
         tracer_for(self._clock).record(
             "scheduler.assign",
             "hypervisor",
             0.0,
             start_us=now_us,
             core=core.core_id,
-            queue_wait_us=wait,
-            queue_depth=len(self._queue),
+            # Nothing waits inside the device; the attributes stay so
+            # trace exports keep their shape.
+            queue_wait_us=0.0,
+            queue_depth=0,
         )
-        return assignment, payload
+        return assignment
 
     def release(self, core: HevmCore) -> None:
         """Workflow step 10: reset the core and return it to the pool."""
@@ -123,7 +88,3 @@ class HevmScheduler:
         core.reset()  # clears L1/L2 caches — nothing leaks across users
         self._idle.append(core)
         self.stats.bundles_completed += 1
-
-    def owner_of(self, core: HevmCore) -> bytes | None:
-        assignment = self._assignments.get(core.core_id)
-        return assignment.session_id if assignment else None

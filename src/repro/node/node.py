@@ -21,7 +21,6 @@ from repro.evm.executor import TransactionResult, execute_transaction
 from repro.evm.interpreter import ChainContext
 from repro.evm.tracer import StructLog, StructTracer
 from repro.hypervisor.sync import AccountUpdate
-from repro.state.receipts import Receipt, block_bloom, find_logs, receipts_root
 from repro.state.account import Account, Address, to_address
 from repro.state.blocks import Block, BlockHeader, Transaction
 from repro.state.journal import JournaledState
@@ -37,10 +36,6 @@ class ExecutedBlock:
     pre_state: WorldState
     post_state: WorldState
     touched_accounts: set[Address] = field(default_factory=set)
-    receipts: list[Receipt] = field(default_factory=list)
-
-    def receipts_root(self) -> bytes:
-        return receipts_root(self.receipts)
 
 
 class EthereumNode:
@@ -99,9 +94,6 @@ class EthereumNode:
             raise KeyError(f"unknown block {number}")
         return self._blocks[number]
 
-    def _block(self, number: int) -> ExecutedBlock:
-        return self.block_at(number)
-
     def chain_context(self, header: BlockHeader) -> ChainContext:
         return ChainContext(header, dict(self._block_hashes))
 
@@ -120,17 +112,11 @@ class EthereumNode:
         working = parent.post_state.copy()
         chain = self.chain_context(header)
         results: list[TransactionResult] = []
-        receipts: list[Receipt] = []
-        cumulative_gas = 0
         touched: set[Address] = set()
         for tx in transactions:
             journal = JournaledState(working)
             result = execute_transaction(journal, chain, tx)
             results.append(result)
-            cumulative_gas += result.gas_used
-            receipts.append(
-                Receipt(result.status, cumulative_gas, list(result.logs))
-            )
             write_set = result.write_set
             assert write_set is not None
             working.apply_writes(
@@ -162,7 +148,6 @@ class EthereumNode:
             pre_state=pre_state,
             post_state=working,
             touched_accounts=touched,
-            receipts=receipts,
         )
         self._blocks.append(executed)
         self._block_hashes[sealed_header.number] = sealed_header.block_hash()
@@ -180,7 +165,7 @@ class EthereumNode:
         This is the quicknode ``debug_traceTransaction`` stand-in used
         as the §VI-B correctness ground truth.
         """
-        executed = self._block(block_number)
+        executed = self.block_at(block_number)
         if not 0 <= tx_index < len(executed.block.transactions):
             raise KeyError(f"block {block_number} has no tx {tx_index}")
         working = executed.pre_state.copy()
@@ -220,32 +205,6 @@ class EthereumNode:
         )
         return from_struct_logs(logs)
 
-    def get_logs(
-        self,
-        from_block: int,
-        to_block: int,
-        address: Address | None = None,
-        topic: int | None = None,
-    ) -> list[tuple[int, int, "object"]]:
-        """eth_getLogs: (block, tx index, log) tuples in the range.
-
-        Block-level blooms prune non-matching blocks before receipts are
-        examined, exactly as a real node serves log filters.
-        """
-        matches = []
-        for number in range(from_block, min(to_block, self.height) + 1):
-            executed = self._block(number)
-            bloom = block_bloom(executed.receipts)
-            if address is not None and not bloom.might_contain(address):
-                continue
-            if topic is not None and not bloom.might_contain(
-                topic.to_bytes(32, "big")
-            ):
-                continue
-            for tx_index, log in find_logs(executed.receipts, address, topic):
-                matches.append((number, tx_index, log))
-        return matches
-
     def get_proof(
         self, address: Address, storage_keys: list[int], block_number: int
     ) -> AccountUpdate:
@@ -263,7 +222,7 @@ class EthereumNode:
 
     def sync_updates_for(self, block_number: int) -> list[AccountUpdate]:
         """Everything a synchronizer needs to ingest ``block_number``."""
-        executed = self._block(block_number)
+        executed = self.block_at(block_number)
         updates = []
         for address in sorted(executed.touched_accounts):
             account = executed.post_state.accounts.get(address, Account()).copy()

@@ -12,7 +12,6 @@ from repro.oram.hierarchical import (
     HierarchicalOramServer,
     PyramidOramClient,
     SlotAccessEvent,
-    backend_for_working_set,
 )
 from repro.oram.pancake import (
     FrequencySmoothedStore,
@@ -54,7 +53,6 @@ __all__ = [
     "ServerStats",
     "SlotAccessEvent",
     "StashOverflow",
-    "backend_for_working_set",
     "rate_deviation_attack",
     "account_page_key",
     "code_page_key",

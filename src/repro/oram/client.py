@@ -551,10 +551,6 @@ class PathOramClient:
     def write(self, key: BlockKey, data: bytes, sim_time_us: float = 0.0) -> None:
         self.access(key, data, sim_time_us)
 
-    @property
-    def stash_bytes(self) -> int:
-        return len(self._stash) * self.block_size
-
 
 class DictPositionMap:
     """Plain on-chip position map (fine for simulation-scale states)."""

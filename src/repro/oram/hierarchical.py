@@ -6,8 +6,8 @@ layout (Goldreich–Ostrovsky, as revisited by the Pyramid Scheme paper)
 reads **one bucket per level** per access and keeps only a small top
 cache on chip — at the price of periodic *rebuilds* that re-shuffle a
 whole level.  For small working sets the levels stay shallow and the
-amortized bandwidth undercuts a tall path tree, which is why shards
-may select this backend per working-set size (`backend_for_working_set`).
+amortized bandwidth undercuts a tall path tree, which is why a shard
+may be pointed at this backend (``ShardedOramConfig.backend_overrides``).
 
 Layout and protocol, concretely:
 
@@ -104,12 +104,6 @@ class HierarchicalOramServer:
     def height(self) -> int:
         return max(1, len(self._levels))
 
-    def capacity_blocks(self) -> int:
-        return sum(
-            len(buckets) * len(buckets[0]) if buckets else 0
-            for buckets in self._levels.values()
-        )
-
     # -- the probe path ------------------------------------------------
 
     def read_bucket(
@@ -141,21 +135,12 @@ class HierarchicalOramServer:
     def clear_level(self, level: int) -> None:
         self._levels.pop(level, None)
 
-    def active_levels(self) -> list[int]:
-        return sorted(self._levels)
-
-    # -- adversarial snapshot/rollback (test harness parity) -----------
+    # -- adversarial snapshot (test harness parity) --------------------
 
     def snapshot_levels(self) -> dict[int, list[list[bytes]]]:
         return {
             level: [list(bucket) for bucket in buckets]
             for level, buckets in self._levels.items()
-        }
-
-    def restore_levels(self, snapshot: dict[int, list[list[bytes]]]) -> None:
-        self._levels = {
-            level: [list(bucket) for bucket in buckets]
-            for level, buckets in snapshot.items()
         }
 
 
@@ -421,31 +406,3 @@ class PyramidOramClient:
             else:
                 content[key] = payload
         return content
-
-    # -- diagnostics ---------------------------------------------------
-
-    @property
-    def cache_blocks(self) -> int:
-        return len(self._cache)
-
-    def level_geometry(self) -> dict[int, tuple[int, int]]:
-        """level -> (buckets, slots), for benches and docs."""
-        return {
-            level: (meta.buckets, meta.slots)
-            for level, meta in sorted(self._levels.items())
-        }
-
-
-def backend_for_working_set(pages: int, threshold: int = 4096) -> str:
-    """Pick an ORAM backend for a shard's expected working set.
-
-    Small working sets favour the hierarchical layout: few levels, one
-    bucket per level per access, tiny on-chip cache.  Past the
-    threshold the rebuild bandwidth (each level re-shuffled at every
-    epoch) overtakes Path ORAM's steady ``Z·log N`` per access, and the
-    path tree wins.  The crossover default is deliberately coarse — the
-    bench, not this constant, is the authority for a given deployment.
-    """
-    if pages < 0:
-        raise ValueError("working-set size must be non-negative")
-    return "pyramid" if pages <= threshold else "path"

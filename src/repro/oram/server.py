@@ -140,10 +140,6 @@ class OramServer:
             self.stats.bytes_moved += sum(len(blob) for blob in bucket)
             self._buckets[node] = list(bucket)
 
-    @property
-    def total_queries(self) -> int:
-        return self.stats.reads
-
     def capacity_blocks(self) -> int:
         """Total real-block capacity of the tree."""
         return (2 * self.leaf_count - 1) * self.bucket_size

@@ -38,15 +38,6 @@ class MemoStats:
     inserts: int = 0
     evictions: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
 
 class MemoizedAead:
     """An :class:`AeadCipher` wrapper with a bounded decrypt memo.

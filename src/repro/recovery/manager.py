@@ -30,6 +30,7 @@ caught later, at first access, by the restored version pins
 from __future__ import annotations
 
 from repro.crypto.kdf import Drbg, hkdf_sha256
+from repro.crypto.gcm import AuthenticationError
 from repro.crypto.suite import CounterNonceSealer
 from repro.oram.client import PathOramClient
 from repro.oram.store import build_client
@@ -239,14 +240,6 @@ class RecoveryManager:
         self._sync_root = state_root
         self._append(journal.ROOT, journal.root_payload(state_root))
 
-    # Seam aliases the Hypervisor-side sink uses directly when the
-    # manager itself is installed (single-device deployments in tests).
-    def on_session(self, session) -> None:
-        self.note_session(session, 0)
-
-    def on_sync_root(self, state_root: bytes) -> None:
-        self.note_sync_root(state_root)
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -332,11 +325,14 @@ class RecoveryManager:
             raise RecoveryIntegrityError(
                 f"checkpoint epoch {epoch} is missing from the store"
             )
+        # Both unseals below catch all a sealer can raise: the composite
+        # was just matched against the device's own monotonic counter, so
+        # it fits the 96-bit nonce and ``to_bytes`` cannot overflow.
         try:
             plain = manager._checkpoint_sealer.open(
                 cls._composite(epoch, 0), blob, aad=cls._checkpoint_aad(epoch)
             )
-        except Exception as error:
+        except (AuthenticationError, ValueError) as error:
             raise RecoveryIntegrityError(
                 f"checkpoint epoch {epoch} failed to unseal: {error}"
             ) from error
@@ -354,7 +350,7 @@ class RecoveryManager:
                     blob,
                     aad=cls._journal_aad(epoch, seq),
                 )
-            except Exception as error:
+            except (AuthenticationError, ValueError) as error:
                 raise RecoveryIntegrityError(
                     f"journal record epoch {epoch} seq {seq} failed to "
                     f"unseal: {error}"

@@ -111,8 +111,5 @@ class TrustedState:
             ),
         )
 
-    def copy(self) -> "TrustedState":
-        return TrustedState.decode(self.encode())
-
 
 __all__ = ["SessionRecord", "TrustedState"]

@@ -30,9 +30,6 @@ class DurableStore:
     def keys(self, prefix: str = "") -> list[str]:
         return sorted(k for k in self._blobs if k.startswith(prefix))
 
-    def __len__(self) -> int:
-        return len(self._blobs)
-
     def total_bytes(self) -> int:
         return sum(len(blob) for blob in self._blobs.values())
 

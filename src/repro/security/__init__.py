@@ -5,7 +5,6 @@ from repro.security.analysis import (
     frequency_attack,
     mutual_information,
     path_uniformity_pvalue,
-    repeated_access_correlation,
     size_leakage,
 )
 from repro.security.observer import AccessPatternObserver
@@ -16,6 +15,5 @@ __all__ = [
     "frequency_attack",
     "mutual_information",
     "path_uniformity_pvalue",
-    "repeated_access_correlation",
     "size_leakage",
 ]

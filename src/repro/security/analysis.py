@@ -9,8 +9,6 @@ Implements the adversary's toolbox and the defender's acceptance tests:
   access is a fresh uniform path).
 * :func:`path_uniformity_pvalue` — chi-square test that the ORAM's
   physical leaf sequence is uniform.
-* :func:`repeated_access_correlation` — do repeated accesses to the
-  same logical key hit correlated paths?  (They must not.)
 * :func:`QueryTypeClassifier` — the §IV-D adversary that tries to tell
   code queries from storage queries using inter-arrival gaps; prefetch
   smoothing should push its accuracy to chance.
@@ -66,22 +64,6 @@ def path_uniformity_pvalue(leaves: list[int], leaf_count: int, bins: int = 16) -
     for leaf in leaves:
         counts[leaf * bins // leaf_count] += 1
     return float(chisquare(counts).pvalue)
-
-
-def repeated_access_correlation(leaf_pairs: list[tuple[int, int]], leaf_count: int) -> float:
-    """P(same leaf twice) for repeated accesses to one logical key.
-
-    For an oblivious store this equals 1/leaf_count in expectation; a
-    broken store (e.g. no remap) returns ~1.0.  Returns the observed
-    collision rate normalized by the chance rate (≈1.0 is good, ≫1 bad).
-    """
-    if not leaf_pairs:
-        return 0.0
-    collisions = sum(1 for a, b in leaf_pairs if a == b)
-    chance = len(leaf_pairs) / leaf_count
-    if chance == 0:
-        return float("inf")
-    return collisions / chance
 
 
 @dataclass

@@ -29,13 +29,5 @@ class AccessPatternObserver:
     def leaves(self) -> list[int]:
         return [event.leaf for event in self.events]
 
-    @property
-    def times_us(self) -> list[float]:
-        return [event.sim_time_us for event in self.events]
-
-    def inter_arrival_us(self) -> list[float]:
-        times = self.times_us
-        return [b - a for a, b in zip(times, times[1:])]
-
     def clear(self) -> None:
         self.events.clear()

@@ -10,11 +10,8 @@ reports into.
 
 from repro.serving.admission import (
     AdmissionPolicy,
-    CompositeAdmission,
-    GlobalConcurrencyPolicy,
     QueueDepthShedPolicy,
     RejectReason,
-    TokenBucketPolicy,
 )
 from repro.serving.gateway import (
     BundleExecutor,
@@ -43,7 +40,6 @@ from repro.serving.router import SESSION_RING_SEED, ShardSessionRouter
 __all__ = [
     "AdmissionPolicy",
     "BundleExecutor",
-    "CompositeAdmission",
     "Counter",
     "ExecutionFailure",
     "FleetModelExecutor",
@@ -51,7 +47,6 @@ __all__ = [
     "Gateway",
     "GatewayConfig",
     "GatewayRequest",
-    "GlobalConcurrencyPolicy",
     "Histogram",
     "LoadReport",
     "LoadSession",
@@ -62,7 +57,6 @@ __all__ = [
     "SESSION_RING_SEED",
     "ServiceExecutor",
     "ShardSessionRouter",
-    "TokenBucketPolicy",
     "VirtualReactor",
     "arrival_times",
     "load_report",

@@ -1,17 +1,15 @@
 """Pluggable admission control for the gateway front door.
 
 Overload must degrade gracefully: instead of the pre-serving behaviour
-(`pick_device` raising on a full fleet), every submission passes an
-admission pipeline that either admits it into the bounded queue or
-rejects it with a *typed reason* the client can act on — back off
-(rate limited), retry elsewhere (queue full), or reduce concurrency
-(in-flight cap).  Policies are small, composable, and driven entirely
-by virtual time, so admission decisions are deterministic.
+(`pick_device` raising on a full fleet), every submission is either
+admitted into the bounded queue or rejected with a *typed reason* the
+client can act on — retry elsewhere (queue full, shed) or reduce
+concurrency (in-flight cap).  The gateway's own bounds come first; one
+optional policy sees the request after them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Protocol, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -23,79 +21,27 @@ class RejectReason:
 
     QUEUE_FULL = "queue-full"                   # the gateway's bounded queue
     SESSION_LIMIT = "session-in-flight-limit"   # per-session outstanding cap
-    RATE_LIMITED = "rate-limited"               # token bucket empty
-    CONCURRENCY_LIMIT = "concurrency-limit"     # global outstanding cap
     SHED_QUEUE_DEPTH = "shed-queue-depth"       # load shedding threshold
-    DEADLINE_EXPIRED = "deadline-expired"       # timed out while queued
     QUARANTINED_CAPACITY = "quarantined-capacity"  # shed: devices quarantined
 
     ALL = (
         QUEUE_FULL,
         SESSION_LIMIT,
-        RATE_LIMITED,
-        CONCURRENCY_LIMIT,
         SHED_QUEUE_DEPTH,
-        DEADLINE_EXPIRED,
         QUARANTINED_CAPACITY,
     )
 
 
 class AdmissionPolicy(Protocol):
-    """One stage of the admission pipeline.
+    """The gateway's optional admission stage.
 
     Returns ``None`` to admit or a :class:`RejectReason` constant to
-    reject.  Policies may keep per-session state keyed by the request's
-    ``session_id`` and may consult the gateway's load view
-    (``queue_depth``, ``in_flight``, ``session_load``, ``now_us``).
+    reject; it may consult the gateway's load view (``queue_depth``,
+    ``in_flight``, ``session_load``, ``now_us``).
     """
 
     def admit(self, request: "GatewayRequest", gateway: "Gateway") -> str | None:
         ...  # pragma: no cover - protocol
-
-
-@dataclass
-class _Bucket:
-    tokens: float
-    last_refill_us: float
-
-
-class TokenBucketPolicy:
-    """Per-session token bucket: ``rate_per_s`` sustained, ``burst`` peak."""
-
-    def __init__(self, rate_per_s: float, burst: float) -> None:
-        if rate_per_s <= 0 or burst < 1:
-            raise ValueError("need a positive rate and burst >= 1")
-        self.rate_per_s = rate_per_s
-        self.burst = float(burst)
-        self._buckets: dict[bytes, _Bucket] = {}
-
-    def admit(self, request: "GatewayRequest", gateway: "Gateway") -> str | None:
-        now = request.submitted_at_us
-        bucket = self._buckets.get(request.session_id)
-        if bucket is None:
-            bucket = _Bucket(tokens=self.burst, last_refill_us=now)
-            self._buckets[request.session_id] = bucket
-        refill = (now - bucket.last_refill_us) * self.rate_per_s / 1e6
-        bucket.tokens = min(self.burst, bucket.tokens + refill)
-        bucket.last_refill_us = now
-        if bucket.tokens < 1.0:
-            return RejectReason.RATE_LIMITED
-        bucket.tokens -= 1.0
-        return None
-
-
-class GlobalConcurrencyPolicy:
-    """Cap total outstanding work (queued + running) across all sessions."""
-
-    def __init__(self, max_outstanding: int) -> None:
-        if max_outstanding < 1:
-            raise ValueError("need max_outstanding >= 1")
-        self.max_outstanding = max_outstanding
-
-    def admit(self, request: "GatewayRequest", gateway: "Gateway") -> str | None:
-        if gateway.queue_depth + gateway.in_flight >= self.max_outstanding:
-            return RejectReason.CONCURRENCY_LIMIT
-        return None
 
 
 class QueueDepthShedPolicy:
@@ -114,18 +60,4 @@ class QueueDepthShedPolicy:
     def admit(self, request: "GatewayRequest", gateway: "Gateway") -> str | None:
         if gateway.queue_depth >= self.shed_depth:
             return RejectReason.SHED_QUEUE_DEPTH
-        return None
-
-
-@dataclass
-class CompositeAdmission:
-    """Run policies in order; the first rejection wins."""
-
-    policies: list[AdmissionPolicy] = field(default_factory=list)
-
-    def admit(self, request: "GatewayRequest", gateway: "Gateway") -> str | None:
-        for policy in self.policies:
-            reason = policy.admit(request, gateway)
-            if reason is not None:
-                return reason
         return None

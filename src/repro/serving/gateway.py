@@ -5,8 +5,7 @@ an HEVM is idle" and throughput scales with HEVM count until the ORAM
 server bottlenecks (§VI-D).  This module turns the one-shot
 :class:`~repro.core.service.HarDTAPEService` into that shared service:
 many sessions submit concurrently, a bounded priority/FIFO queue
-absorbs bursts, admission control sheds overload with typed reasons,
-and per-request deadlines give timeout + cancellation semantics.
+absorbs bursts, and admission control sheds overload with typed reasons.
 
 Concurrency is modeled in *virtual time*: every in-flight completion is
 an event on a :class:`~repro.serving.reactor.VirtualReactor`
@@ -58,8 +57,6 @@ class RequestStatus:
     RUNNING = "running"
     COMPLETED = "completed"
     REJECTED = "rejected"
-    EXPIRED = "expired"
-    CANCELLED = "cancelled"
     FAILED = "failed"      # dispatched, but execution (incl. recovery) failed
 
 
@@ -97,7 +94,6 @@ class GatewayRequest:
     session_id: bytes
     submitted_at_us: float
     priority: int = 0              # lower dispatches first; FIFO within a level
-    deadline_us: float | None = None
     device_index: int | None = None
     payload: Any = None
     status: str = RequestStatus.QUEUED
@@ -113,9 +109,9 @@ class GatewayRequest:
     # Per-request span handles; ``None`` when tracing is off or the
     # request was not sampled.
     trace: TraceContext | None = None
-    # Called once with this record when it completes, fails, expires or
-    # is shed at the door (not when its submitter cancels it).  Without
-    # one, the next ``advance_until`` / ``drain`` hands the record back.
+    # Called once with this record when it completes, fails or is shed
+    # at the door.  Without one, the next ``advance_until`` / ``drain``
+    # hands the record back.
     on_done: Callable[["GatewayRequest"], None] | None = None
 
     @property
@@ -281,6 +277,8 @@ class ServiceExecutor:
             except (QuarantinedDeviceError, CircuitOpenError) as error:
                 last_error = error  # refused, not a new device failure
             except Exception as error:
+                # Broad on purpose: the retry policy and the supervisor
+                # classify by type; what neither claims re-raises below.
                 recoverable = (
                     self.retry is not None and self.retry.is_recoverable(error)
                 )
@@ -386,11 +384,10 @@ class GatewayConfig:
 
     max_queue_depth: int = 64
     max_in_flight_per_session: int = 4   # queued + running, per session
-    default_deadline_us: float | None = None
 
 
 class Gateway:
-    """Bounded queue + admission control + deadline-aware dispatch."""
+    """Bounded queue + admission control + per-device slot dispatch."""
 
     def __init__(
         self,
@@ -423,11 +420,9 @@ class Gateway:
         self._sequence = 0
         # (priority, sequence, request): FIFO within a priority level.
         self._queue: list[tuple[int, int, GatewayRequest]] = []
-        self._queued_count = 0
         self._free_slots: list[int] = list(range(len(executor.slots)))
         self._in_flight = 0
         self._session_outstanding: dict[bytes, int] = {}
-        self._slot_busy_us: list[float] = [0.0] * len(executor.slots)
         self._terminal: list[GatewayRequest] = []
 
     # ------------------------------------------------------------------
@@ -439,12 +434,8 @@ class Gateway:
         return self.reactor.now_us
 
     @property
-    def capacity(self) -> int:
-        return len(self.executor.slots)
-
-    @property
     def queue_depth(self) -> int:
-        return self._queued_count
+        return len(self._queue)
 
     @property
     def in_flight(self) -> int:
@@ -457,12 +448,6 @@ class Gateway:
         """The metrics snapshot a load report over this frontend carries."""
         return self.metrics.snapshot()
 
-    def utilization(self) -> float:
-        """Mean fraction of virtual time the HEVM slots spent busy."""
-        if self.now_us <= 0:
-            return 0.0
-        return sum(self._slot_busy_us) / (self.now_us * len(self._slot_busy_us))
-
     # ------------------------------------------------------------------
     # Front door
     # ------------------------------------------------------------------
@@ -474,7 +459,6 @@ class Gateway:
         *,
         at_us: float | None = None,
         priority: int = 0,
-        deadline_us: float | None = None,
         device_index: int | None = None,
         on_done: Callable[[GatewayRequest], None] | None = None,
     ) -> GatewayRequest:
@@ -484,8 +468,8 @@ class Gateway:
         event due by then (so never pass it from inside a reactor
         event); ``None`` means now.  A rejected request comes back with
         ``status == "rejected"`` and a typed ``reject_reason``; an
-        admitted one completes (or expires) as the reactor runs.  Either
-        way ``on_done``, when given, is called with the record once.
+        admitted one completes as the reactor runs.  Either way
+        ``on_done``, when given, is called with the record once.
         """
         if at_us is not None:
             if at_us < self.now_us:
@@ -494,14 +478,11 @@ class Gateway:
         now = self.now_us
 
         self._sequence += 1
-        if deadline_us is None and self.config.default_deadline_us is not None:
-            deadline_us = now + self.config.default_deadline_us
         request = GatewayRequest(
             request_id=self._sequence,
             session_id=session_id,
             submitted_at_us=now,
             priority=priority,
-            deadline_us=deadline_us,
             device_index=device_index,
             payload=payload,
             on_done=on_done,
@@ -560,28 +541,14 @@ class Gateway:
                 parent=request.trace.root,
             )
         heapq.heappush(self._queue, (request.priority, self._sequence, request))
-        self._queued_count += 1
         self._session_outstanding[session_id] = self.session_load(session_id) + 1
-        self.metrics.gauge("gateway.queue_depth").set(self._queued_count)
+        self.metrics.gauge("gateway.queue_depth").set(len(self._queue))
         self._dispatch()
         return request
 
-    def cancel(self, request: GatewayRequest) -> bool:
-        """Cancel a still-queued request; running work is never preempted
-        (a dedicated core runs its bundle to completion — §IV isolation)."""
-        if request.status != RequestStatus.QUEUED:
-            return False
-        request.status = RequestStatus.CANCELLED
-        request.finished_at_us = self.now_us
-        self._queued_count -= 1
-        self._release_session(request.session_id)
-        self.metrics.counter("gateway.cancelled").inc()
-        self._close_trace(request)
-        return True
-
     def _admission_reason(self, request: GatewayRequest) -> str | None:
         degraded = self.quarantine is not None and self.quarantine.any_quarantined
-        if self._queued_count >= self.config.max_queue_depth:
+        if len(self._queue) >= self.config.max_queue_depth:
             # Under quarantine the queue backs up *because* capacity
             # shrank — name the real cause so clients distinguish
             # degraded mode from ordinary overload.
@@ -608,13 +575,12 @@ class Gateway:
     # ------------------------------------------------------------------
 
     def advance_until(self, until_us: float) -> list[GatewayRequest]:
-        """Process completions/expiries up to ``until_us`` of virtual time.
+        """Process completions up to ``until_us`` of virtual time.
 
         Returns every request without an ``on_done`` that reached a
         terminal state since the last call, in the order it got there.
         """
         self.reactor.run_until(until_us)
-        self._expire_queued()
         return self._take_terminal()
 
     def drain(self) -> list[GatewayRequest]:
@@ -678,16 +644,10 @@ class Gateway:
         deferred: list[tuple[int, int, GatewayRequest]] = []
         while self._queue and self._free_slots:
             priority, sequence, request = heapq.heappop(self._queue)
-            if request.status != RequestStatus.QUEUED:
-                continue  # cancelled while queued; already accounted
-            if request.deadline_us is not None and now > request.deadline_us:
-                self._expire(request)
-                continue
             slot = self._take_slot(request.device_index)
             if slot is None:
                 deferred.append((priority, sequence, request))
                 continue
-            self._queued_count -= 1
             request.status = RequestStatus.RUNNING
             request.started_at_us = now
             trace = request.trace
@@ -710,10 +670,12 @@ class Gateway:
                 with context:
                     service_us, result = self.executor.execute(request, now)
             except Exception as exc:
-                # Typed failure: the slot was genuinely occupied for as
-                # long as the attempts took (the service executor carries
-                # that on the error), and the request terminates FAILED
-                # at its event time — accounted, never silently dropped.
+                # Broad on purpose: the front door must keep serving, so
+                # any executor error becomes this request's FAILED record.
+                # The slot was genuinely occupied for as long as the
+                # attempts took (the service executor carries that on the
+                # error), and the request terminates FAILED at its event
+                # time — accounted, never silently dropped.
                 service_us = float(getattr(exc, "service_us", 0.0))
                 cause = getattr(exc, "last_error", exc)
                 request.failure = ExecutionFailure(
@@ -732,7 +694,6 @@ class Gateway:
                         error=request.failure.error_type,
                         cause=request.failure.cause_type,
                     )
-            self._slot_busy_us[slot] += service_us
             self._in_flight += 1
             self.metrics.histogram("gateway.queue_wait_us").observe(
                 request.queue_wait_us
@@ -742,7 +703,7 @@ class Gateway:
             )
         for entry in deferred:
             heapq.heappush(self._queue, entry)
-        self.metrics.gauge("gateway.queue_depth").set(self._queued_count)
+        self.metrics.gauge("gateway.queue_depth").set(len(self._queue))
 
     def _take_slot(self, device_index: int | None) -> int | None:
         for position, slot in enumerate(self._free_slots):
@@ -761,46 +722,19 @@ class Gateway:
                 return self._free_slots.pop(position)
         return None
 
-    def _expire_queued(self) -> None:
-        for _, _, request in list(self._queue):
-            if (
-                request.status == RequestStatus.QUEUED
-                and request.deadline_us is not None
-                and self.now_us > request.deadline_us
-            ):
-                self._expire(request)
-
-    def _expire(self, request: GatewayRequest) -> None:
-        request.status = RequestStatus.EXPIRED
-        request.reject_reason = RejectReason.DEADLINE_EXPIRED
-        request.finished_at_us = self.now_us
-        self._queued_count -= 1
-        self._release_session(request.session_id)
-        self.metrics.counter("gateway.expired").inc()
-        self._close_trace(request)
-        self._leave(request)
-
     def _close_trace(self, request: GatewayRequest) -> None:
-        """Terminate a sampled request's open spans at its finish time."""
+        """End a sampled request's root span at its finish time (it was
+        dispatched, so its queue span ended then)."""
         trace = request.trace
         if trace is None:
             return
-        end = (
-            request.finished_at_us
-            if request.finished_at_us is not None
-            else self.now_us
-        )
-        if trace.queue is not None and trace.queue.end_us is None:
-            self.tracer.end_span(trace.queue, end)
         trace.root.set(status=request.status)
-        if request.reject_reason is not None:
-            trace.root.set(reject_reason=request.reject_reason)
         if request.failure is not None:
             trace.root.set(
                 error=request.failure.error_type,
                 cause=request.failure.cause_type,
             )
-        self.tracer.end_span(trace.root, end)
+        self.tracer.end_span(trace.root, request.finished_at_us)
 
     def _release_session(self, session_id: bytes) -> None:
         remaining = self._session_outstanding.get(session_id, 0) - 1

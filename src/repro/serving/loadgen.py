@@ -46,7 +46,6 @@ class LoadReport:
 
     submitted: int
     completed: int
-    expired: int
     rejected_by_reason: dict[str, int]
     duration_us: float
     outcomes: list[GatewayRequest]
@@ -70,10 +69,10 @@ class LoadReport:
 
     @property
     def shed_rate(self) -> float:
-        """Fraction of submissions that never ran (rejected or expired)."""
+        """Fraction of submissions that never ran (rejected at the door)."""
         if self.submitted == 0:
             return 0.0
-        return (self.rejected + self.expired) / self.submitted
+        return self.rejected / self.submitted
 
     @property
     def throughput_tps(self) -> float:
@@ -92,8 +91,8 @@ class LoadReport:
         lats = [self.latency_percentile_us(p) for p in (50, 95, 99)]
         lines = [
             f"submitted {self.submitted}, completed {self.completed}, "
-            f"failed {self.failed}, rejected {self.rejected}, "
-            f"expired {self.expired} (shed rate {self.shed_rate:.1%})",
+            f"failed {self.failed}, rejected {self.rejected} "
+            f"(shed rate {self.shed_rate:.1%})",
             f"throughput {self.throughput_tps:.1f} tx/s over "
             f"{self.duration_us / 1e6:.2f} s (virtual)",
             "queue wait p50/p95/p99: "
@@ -162,7 +161,6 @@ def run_open_loop(
     total_requests: int,
     seed: int = 1,
     pattern: str = "poisson",
-    deadline_us: float | None = None,
 ) -> LoadReport:
     """Fire arrivals at their scheduled times, round-robin over sessions.
 
@@ -182,7 +180,6 @@ def run_open_loop(
             session.session_id,
             session.make_payload(ordinal),
             priority=session.priority,
-            deadline_us=deadline_us,
             device_index=session.device_index,
             on_done=outcomes.append,
         )
@@ -205,7 +202,6 @@ def run_closed_loop(
     requests_per_session: int,
     concurrency_per_session: int = 1,
     think_time_us: float = 0.0,
-    deadline_us: float | None = None,
 ) -> LoadReport:
     """Each session keeps ``concurrency_per_session`` requests in flight.
 
@@ -225,7 +221,6 @@ def run_closed_loop(
             session.make_payload(ordinal),
             at_us=max(at_us, gateway.now_us),
             priority=session.priority,
-            deadline_us=deadline_us,
             device_index=session.device_index,
         )
         if request.status == RequestStatus.REJECTED:
@@ -261,12 +256,10 @@ def load_report(
     """Aggregate a run's outcomes; it lasted until the last one left."""
     rejected: dict[str, int] = {}
     failed_by_reason: dict[str, int] = {}
-    completed = expired = failed = 0
+    completed = failed = 0
     for request in outcomes:
         if request.status == RequestStatus.COMPLETED:
             completed += 1
-        elif request.status == RequestStatus.EXPIRED:
-            expired += 1
         elif request.status == RequestStatus.FAILED:
             failed += 1
             reason = request.failure.cause_type
@@ -278,7 +271,6 @@ def load_report(
     return LoadReport(
         submitted=len(outcomes),
         completed=completed,
-        expired=expired,
         rejected_by_reason=rejected,
         duration_us=max(
             (request.finished_at_us - start_us for request in outcomes),

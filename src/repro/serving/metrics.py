@@ -138,12 +138,6 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: object) -> Histogram:
         return self._histograms.setdefault(self._key(name, labels), Histogram())
 
-    def reset(self) -> None:
-        """Drop every metric: a fresh registry without re-threading it."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
     # -- structured iteration (the Prometheus exporter's interface) ----
 
     def iter_counters(self):
@@ -182,13 +176,3 @@ class MetricsRegistry:
             out[f"{flat}.p99"] = hist.percentile(99)
             out[f"{flat}.max"] = hist.max
         return out
-
-    def render(self) -> str:
-        """A human-readable table of the snapshot (for CLI output)."""
-        lines = []
-        for name, value in self.snapshot().items():
-            if value == int(value):
-                lines.append(f"{name:<44} {int(value):>12}")
-            else:
-                lines.append(f"{name:<44} {value:>12.1f}")
-        return "\n".join(lines)

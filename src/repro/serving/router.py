@@ -18,7 +18,7 @@ behaviour under load is *identical* to a single-gateway deployment.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.serving.gateway import Gateway, GatewayRequest
 from repro.serving.metrics import MetricsRegistry
@@ -52,24 +52,11 @@ class ShardSessionRouter:
             seed=SESSION_RING_SEED,
         )
         self.metrics = metrics
-        self._sessions_by_shard: dict[int, set[bytes]] = {
-            sid: set() for sid in self._gateways
-        }
 
     # -- placement -----------------------------------------------------
 
     def shard_for_session(self, session_id: bytes) -> int:
         return self.ring.shard_for(session_id)
-
-    def gateway_for(self, session_id: bytes) -> Gateway:
-        return self._gateways[self.shard_for_session(session_id)]
-
-    def partition_sessions(self, sessions: Iterable) -> dict[int, list]:
-        """Split ``LoadSession``s by owning shard (loadgen per-shard runs)."""
-        by_shard: dict[int, list] = {sid: [] for sid in self._gateways}
-        for session in sessions:
-            by_shard[self.shard_for_session(session.session_id)].append(session)
-        return by_shard
 
     # -- the gateway surface, fleet-wide -------------------------------
 
@@ -80,35 +67,22 @@ class ShardSessionRouter:
         *,
         at_us: float | None = None,
         priority: int = 0,
-        deadline_us: float | None = None,
         device_index: int | None = None,
         on_done: Callable[[GatewayRequest], None] | None = None,
     ) -> GatewayRequest:
         """``Gateway.submit`` on the session's shard."""
         shard_id = self.shard_for_session(session_id)
-        self._sessions_by_shard[shard_id].add(session_id)
         request = self._gateways[shard_id].submit(
             session_id,
             payload,
             at_us=at_us,
             priority=priority,
-            deadline_us=deadline_us,
             device_index=device_index,
             on_done=on_done,
         )
         if self.metrics is not None:
             self.metrics.counter("router.submitted", shard=shard_id).inc()
         return request
-
-    # -- fleet views ---------------------------------------------------
-
-    @property
-    def now_us(self) -> float:
-        return self.reactor.now_us
-
-    @property
-    def in_flight(self) -> int:
-        return sum(gateway.in_flight for gateway in self._gateways.values())
 
     def load_metrics(self) -> dict[str, float]:
         """The snapshot a load report carries: the router's own registry
@@ -120,22 +94,3 @@ class ShardSessionRouter:
             for shard_id, gateway in self._gateways.items()
             for key, value in gateway.metrics.snapshot().items()
         }
-
-    def queue_depths(self) -> dict[int, int]:
-        return {
-            shard_id: gateway.queue_depth
-            for shard_id, gateway in sorted(self._gateways.items())
-        }
-
-    def session_counts(self) -> dict[int, int]:
-        return {
-            shard_id: len(sessions)
-            for shard_id, sessions in sorted(self._sessions_by_shard.items())
-        }
-
-    def observe_queue_depths(self) -> None:
-        """Publish per-shard queue depths as labelled gauges."""
-        if self.metrics is None:
-            return
-        for shard_id, depth in self.queue_depths().items():
-            self.metrics.gauge("router.queue_depth", shard=shard_id).set(depth)

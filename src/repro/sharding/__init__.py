@@ -3,9 +3,8 @@
 Sits beside ``repro.serving`` above the substrates: a consistent-hash
 ring places page keys on shards (``ring``), a routing client presents
 the fleet behind the ``oram.adapter`` seam (``backend``), cross-shard
-transactions pin sync roots two-phase (``coordinator``), each shard
-checkpoints into its own durable store (``recovery``), and every
-series the fleet emits carries a ``shard=<id>`` label (``metrics``).
+transactions pin sync roots two-phase (``coordinator``), and each
+shard checkpoints into its own durable store (``recovery``).
 """
 
 from repro.sharding.backend import (
@@ -25,7 +24,6 @@ from repro.sharding.errors import (
     UnpinnedShardAccessError,
     UnsupportedShardBackendError,
 )
-from repro.sharding.metrics import ShardMetricsExporter
 from repro.sharding.recovery import (
     ShardAnchor,
     ShardRecoveryCoordinator,
@@ -41,7 +39,6 @@ __all__ = [
     "PinTicket",
     "RingConfigurationError",
     "ShardAnchor",
-    "ShardMetricsExporter",
     "ShardPinnedError",
     "ShardRecoveryCoordinator",
     "ShardRoutingClient",

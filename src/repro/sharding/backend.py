@@ -62,8 +62,7 @@ class ShardedOramConfig:
 
     Every shard runs the path protocol unless ``backend_overrides``
     re-points it (e.g. a shard whose working set is small enough that
-    the hierarchical layout wins — see
-    :func:`repro.oram.hierarchical.backend_for_working_set`).
+    the hierarchical layout wins).
     """
 
     shard_count: int = 4
@@ -83,13 +82,6 @@ class OramShard:
     server: OramServer | HierarchicalOramServer
     client: PathOramClient | PyramidOramClient
     key: bytes
-
-    @property
-    def stash_blocks(self) -> int:
-        """On-chip occupancy: path stash or pyramid top cache."""
-        if isinstance(self.client, PyramidOramClient):
-            return self.client.cache_blocks
-        return self.client.stash_bytes // self.client.block_size
 
 
 class ShardedOramFleet:
@@ -230,12 +222,6 @@ class ShardRoutingClient:
     def per_shard_accesses(self) -> dict[int, int]:
         return {
             sid: shard.client.stats.accesses
-            for sid, shard in sorted(self._fleet.shards.items())
-        }
-
-    def per_shard_stash_blocks(self) -> dict[int, int]:
-        return {
-            sid: shard.stash_blocks
             for sid, shard in sorted(self._fleet.shards.items())
         }
 

@@ -14,17 +14,9 @@ from repro.state.backend import (
     DictBackend,
     STORAGE_GROUP_SIZE,
     StateBackend,
-    assemble_code,
 )
 from repro.state.blocks import Block, BlockHeader, Transaction
 from repro.state.journal import JournaledState, WriteSet
-from repro.state.receipts import (
-    Bloom,
-    Receipt,
-    block_bloom,
-    find_logs,
-    receipts_root,
-)
 from repro.state.world import ProvenAccount, WorldState
 
 __all__ = [
@@ -32,7 +24,6 @@ __all__ = [
     "AccountMeta",
     "Address",
     "Block",
-    "Bloom",
     "BlockHeader",
     "CODE_PAGE_SIZE",
     "DictBackend",
@@ -42,14 +33,9 @@ __all__ = [
     "STORAGE_GROUP_SIZE",
     "StateBackend",
     "ProvenAccount",
-    "Receipt",
     "Transaction",
     "WORD",
     "WorldState",
     "WriteSet",
-    "block_bloom",
-    "assemble_code",
-    "find_logs",
-    "receipts_root",
     "to_address",
 ]

@@ -45,17 +45,6 @@ class StateBackend(Protocol):
         ...
 
 
-def assemble_code(backend: StateBackend, address: Address) -> bytes:
-    """Reconstruct full bytecode from paged reads."""
-    size = backend.get_meta(address).code_size
-    if size == 0:
-        return b""
-    pages = []
-    for page_index in range((size + CODE_PAGE_SIZE - 1) // CODE_PAGE_SIZE):
-        pages.append(backend.get_code_page(address, page_index))
-    return b"".join(pages)[:size]
-
-
 class DictBackend:
     """Committed state held in a plain dict of :class:`Account`."""
 

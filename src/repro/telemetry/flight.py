@@ -1,11 +1,11 @@
 """Per-session flight recorder: bounded rings, sealed dumps on failure.
 
 An aircraft-style black box for the serving planes: every session gets a
-bounded ring buffer of its most recent observability entries (spans laid
-down by the tier, point events, metric deltas).  Recording is pure
-bookkeeping — no clock access, no metric mutation — so an armed recorder
-is byte-invisible to the simulation; the obs-bench identity gate hashes
-exactly that.
+bounded ring buffer of its most recent observability entries (point
+events from the tier, the gateway and the quarantine policy).  Recording
+is pure bookkeeping — no clock access, no metric mutation — so an armed
+recorder is byte-invisible to the simulation; the obs-bench identity
+gate hashes exactly that.
 
 When a request terminates with one of the typed failures the planes
 treat as terminal (:class:`~repro.faults.errors.BundleFailedError`,
@@ -44,9 +44,9 @@ SEAL_CAUSES = frozenset(
 
 @dataclass(frozen=True, slots=True)
 class FlightEntry:
-    """One ring slot: a span, a point event, or a metric delta."""
+    """One ring slot; every plane writes ``kind="event"`` today."""
 
-    kind: str              # "span" | "event" | "metric"
+    kind: str
     name: str
     at_us: float
     data: tuple[tuple[str, object], ...] = ()
@@ -150,15 +150,6 @@ class FlightRecorder:
                 data=tuple(sorted(data.items())),
             )
         )
-
-    def note_span(self, session_id: object, name: str, start_us: float,
-                  duration_us: float, **attrs: object) -> None:
-        self.note(session_id, "span", name, start_us,
-                  duration_us=duration_us, **attrs)
-
-    def note_metric(self, session_id: object, name: str, at_us: float,
-                    delta: float) -> None:
-        self.note(session_id, "metric", name, at_us, delta=delta)
 
     # -- sealing --------------------------------------------------------
 

@@ -8,7 +8,7 @@ here reads a wall clock or mutates a metric — the monitor is a pure
 fold over snapshots, so identically seeded runs fire byte-identical
 alert sequences (the obs-bench alert gate).
 
-Four rule kinds cover the serving planes' health signals:
+Three rule kinds cover the serving planes' health signals:
 
 * ``burn_rate`` — windowed counter-delta ratio (shed rate, stale-ticket
   rate).  Fires when ``Δnum / Δden`` over the window exceeds the
@@ -18,8 +18,6 @@ Four rule kinds cover the serving planes' health signals:
   handshake cost).
 * ``ratio`` — one snapshot value over another (resumed/full handshake
   cost share).
-* ``gauge_max`` — the max across a labelled gauge family (per-shard
-  ORAM stash occupancy, ``shard.oram.stash_blocks{shard=...}``).
 
 Each rule re-arms only after ``window_us`` of virtual time (cooldown),
 so a sustained breach produces a bounded, deterministic alert train.
@@ -31,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-_KINDS = ("burn_rate", "level", "ratio", "gauge_max")
+_KINDS = ("burn_rate", "level", "ratio")
 
 
 @dataclass(frozen=True)
@@ -87,15 +85,6 @@ def _sum_family(snapshot: Mapping[str, float], name: str) -> float:
     return total
 
 
-def _max_family(snapshot: Mapping[str, float], name: str) -> float:
-    best = snapshot.get(name, 0.0)
-    prefix = name + "{"
-    for key, value in snapshot.items():
-        if key.startswith(prefix) and value > best:
-            best = value
-    return best
-
-
 @dataclass
 class _RuleState:
     history: deque = field(default_factory=deque)  # (at_us, num, den)
@@ -148,8 +137,6 @@ class SloMonitor:
     ) -> float | None:
         if rule.kind == "level":
             return snapshot.get(rule.metrics[0])
-        if rule.kind == "gauge_max":
-            return _max_family(snapshot, rule.metrics[0])
         if rule.kind == "ratio":
             numerator = snapshot.get(rule.metrics[0])
             denominator = snapshot.get(rule.denominators[0])
@@ -184,7 +171,6 @@ def default_slo_rules(
     max_resumed_share: float = 0.05,
     max_shed_rate: float = 0.01,
     max_stale_rate: float = 0.01,
-    max_stash_blocks: float = 400.0,
     window_us: float = 1_000_000.0,
 ) -> list[SloRule]:
     """The serving planes' stock health rules (obs-bench's rule set)."""
@@ -223,14 +209,6 @@ def default_slo_rules(
             objective=max_stale_rate,
             window_us=window_us,
             description="resume attempts refused as stale (restart burn)",
-        ),
-        SloRule(
-            name="shard-stash-occupancy",
-            kind="gauge_max",
-            metrics=("shard.oram.stash_blocks",),
-            objective=max_stash_blocks,
-            window_us=window_us,
-            description="worst per-shard ORAM stash occupancy",
         ),
     ]
 

@@ -306,17 +306,11 @@ class Tracer:
         finally:
             self._shift_us = previous
 
-    # -- sampling & lifecycle ------------------------------------------
+    # -- sampling ------------------------------------------------------
 
     def sample(self) -> bool:
         """Draw one per-request sampling decision (True without a sampler)."""
         return True if self.sampler is None else self.sampler.should_sample()
-
-    def reset(self) -> None:
-        """Discard collected spans; sampler stream position is kept."""
-        self.spans.clear()
-        self._next_id = 1
-        self._stack.clear()
 
 
 class _NullTracer(Tracer):

@@ -99,15 +99,6 @@ class StepTraceRecord:
             )
         ).encode()
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "depth": self.depth,
-            "pc": self.pc,
-            "op": self.op,
-            "group": self.group,
-            "gas": self.gas,
-        }
 
 
 def _merkle_root(leaves: list[bytes]) -> str:

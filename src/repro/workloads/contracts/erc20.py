@@ -172,23 +172,6 @@ def approve_calldata(spender: bytes, amount: int) -> bytes:
     )
 
 
-def allowance_calldata(owner: bytes, spender: bytes) -> bytes:
-    return (
-        SEL_ALLOWANCE.to_bytes(4, "big")
-        + owner.rjust(32, b"\x00")
-        + spender.rjust(32, b"\x00")
-    )
-
-
-def transfer_from_calldata(source: bytes, to: bytes, amount: int) -> bytes:
-    return (
-        SEL_TRANSFER_FROM.to_bytes(4, "big")
-        + source.rjust(32, b"\x00")
-        + to.rjust(32, b"\x00")
-        + amount.to_bytes(32, "big")
-    )
-
-
 def total_supply_calldata() -> bytes:
     return SEL_TOTAL_SUPPLY.to_bytes(4, "big")
 

@@ -50,7 +50,7 @@ def test_dma_corruption_mostly_recovered_and_fully_accounted(tiny_evalset):
     load = report.load
     # Closed accounting: every submission ends in exactly one typed bin.
     assert (
-        load.completed + load.failed + load.rejected + load.expired
+        load.completed + load.failed + load.rejected
         == load.submitted
     )
     assert sum(load.failed_by_reason.values()) == load.failed

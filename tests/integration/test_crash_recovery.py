@@ -57,7 +57,7 @@ def test_every_affected_request_is_accounted(crashed):
             assert request.result is not None
     for load in crashed.loads:
         assert (
-            load.completed + load.failed + load.rejected + load.expired
+            load.completed + load.failed + load.rejected
             == load.submitted
         )
 

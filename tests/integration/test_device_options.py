@@ -136,9 +136,42 @@ def test_wrong_message_shape_is_rejected_before_any_core_is_assigned(
     with pytest.raises(BundleRejected, match=type(wrong_shape).__name__):
         service.submit_bundle(device, session.session_id, wrong_shape)
     scheduler = device.hypervisor.scheduler
-    assert scheduler.queue_depth == 0
     assert scheduler.idle_count == device.config.hevm_count
     # Nothing leaked and no nonce was consumed: the right shape still runs.
+    report, _, _ = client.pre_execute(service, session, [evalset.transactions[0]])
+    assert report.traces[0].status == 1
+
+
+@pytest.mark.parametrize("level", ["full", "raw"])
+@pytest.mark.parametrize(
+    "item",
+    [b"abc", [b"\x01"], [b"\x01", [[b"a", b"b"]]]],
+    ids=["a-string", "one-field", "short-transaction"],
+)
+def test_malformed_bundle_is_rejected_before_any_core_is_assigned(
+    evalset, level, item
+):
+    """A session holder chooses the bytes inside the channel: RLP of the
+    wrong shape is a typed, non-retryable `BundleRejected` (a bare
+    `ValueError: not enough values to unpack` before)."""
+    from repro import rlp
+    from repro.faults.policy import RetryPolicy
+    from repro.hypervisor import BundleRejected
+
+    service = HarDTAPEService(
+        evalset.node, SecurityFeatures.from_level(level), charge_fees=False
+    )
+    device = service.devices[0]
+    client, session = _session(service)
+    payload = rlp.encode(item)
+    message = session.channel.seal(payload) if level == "full" else payload
+    with pytest.raises(BundleRejected, match="malformed bundle") as refusal:
+        service.submit_bundle(device, session.session_id, message)
+    assert not RetryPolicy().is_recoverable(refusal.value)
+    scheduler = device.hypervisor.scheduler
+    assert scheduler.stats.bundles_started == 0
+    assert scheduler.idle_count == device.config.hevm_count
+    # The session survives its own bad bundle.
     report, _, _ = client.pre_execute(service, session, [evalset.transactions[0]])
     assert report.traces[0].status == 1
 
@@ -146,20 +179,19 @@ def test_wrong_message_shape_is_rejected_before_any_core_is_assigned(
 def test_exhausted_core_pool_is_a_typed_refusal(evalset):
     """Every core assigned elsewhere: `submit_bundle` raises the typed
     `SchedulingError` (an `assert` before — a `TypeError` under
-    `python -O`) and queues nothing it would later mis-assign."""
+    `python -O`) and takes nothing from the pool."""
     from repro.hypervisor import SchedulingError
 
     service = _service(evalset)
     device = service.devices[0]
     client, session = _session(service)
     scheduler = device.hypervisor.scheduler
-    held = []
-    for _ in range(device.config.hevm_count):
-        scheduler.submit(b"other-session", 0.0)
-        held.append(scheduler.try_assign(0.0)[0].core)
+    held = [
+        scheduler.acquire(b"other-session", 0.0).core
+        for _ in range(device.config.hevm_count)
+    ]
     with pytest.raises(SchedulingError, match="exhausted"):
         client.pre_execute(service, session, [evalset.transactions[0]])
-    assert scheduler.queue_depth == 0
     for core in held:
         scheduler.release(core)
     assert scheduler.idle_count == device.config.hevm_count

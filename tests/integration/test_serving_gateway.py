@@ -87,7 +87,7 @@ def test_gateway_results_match_direct_path(tiny_evalset):
 
     # Gateway path: a separate but identically configured service.
     gw_service = _service(tiny_evalset)
-    device = gw_service.least_loaded_device()
+    device = gw_service.pick_device()
     device_index = gw_service.devices.index(device)
     _, gw_session = _connect(gw_service, device)
     gateway = Gateway(
@@ -187,9 +187,7 @@ def test_pick_device_raises_typed_error_when_saturated(tiny_evalset):
     scheduler = service.devices[0].hypervisor.scheduler
     held = []
     while service.devices[0].idle_hevms:
-        scheduler.submit(b"hog", 0.0)
-        assignment, _ = scheduler.try_assign(0.0)
-        held.append(assignment)
+        held.append(scheduler.acquire(b"hog", 0.0))
     assert service.try_pick_device() is None
     with pytest.raises(NoIdleHevmError):
         service.pick_device()
@@ -297,21 +295,8 @@ def test_exhausted_recovery_surfaces_typed_gateway_failure(tiny_evalset):
         assert request.recovery.attempts == attempts
         assert request.service_us == service.clock.now_us - before_us > 0
         assert request.finished_at_us == request.started_at_us + request.service_us
-        assert gateway.utilization() > 0
         snapshot = metrics.snapshot()
         assert snapshot["gateway.failed"] == 1.0
         assert snapshot["gateway.failed{cause=HevmCrashError}"] == 1.0
         assert snapshot.get("gateway.completed", 0.0) == 0.0
         assert ("recovery.errors" in snapshot) == (retry is not None)
-
-
-def test_queue_depths_reflect_scheduler_state(tiny_evalset):
-    service = _service(tiny_evalset)
-    assert service.queue_depths() == [0]
-    scheduler = service.devices[0].hypervisor.scheduler
-    for _ in range(service.devices[0].config.hevm_count):
-        scheduler.submit(b"hog", 0.0)
-        scheduler.try_assign(0.0)
-    scheduler.submit(b"waiting", 5.0)
-    assert service.queue_depths() == [1]
-    assert scheduler.queued_waits_us(15.0) == [10.0]

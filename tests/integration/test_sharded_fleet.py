@@ -20,19 +20,16 @@ from repro.core import (
 )
 from repro.faults.errors import BundleFailedError
 from repro.oram import paging
-from repro.serving import MetricsRegistry
 from repro.sharding import (
     ShardedObliviousStateBackend,
     ShardedOramConfig,
     ShardedOramFleet,
-    ShardMetricsExporter,
     ShardRecoveryCoordinator,
     ShardUnavailableError,
     SoftwareSealingAuthority,
     UnsupportedShardBackendError,
 )
 from repro.state.account import Account
-from repro.telemetry.exporters import render_prometheus
 
 pytestmark = pytest.mark.sharding
 
@@ -122,34 +119,6 @@ def test_arming_a_pyramid_shard_is_a_typed_refusal():
         recovery.arm()
     assert err.value.shard_id == 1
     assert err.value.backend == "pyramid"
-
-
-def test_shard_metrics_export_with_labels():
-    backend, _ = _armed_backend()
-    accounts = _accounts(8)
-    backend.sync_world(accounts)
-    for address in accounts:
-        backend.get_meta(address)
-    registry = MetricsRegistry()
-    exporter = ShardMetricsExporter(registry)
-    exporter.collect(backend.fleet)
-    snapshot = registry.snapshot()
-    total = sum(
-        value for name, value in snapshot.items()
-        if name.startswith("shard.oram.accesses{")
-    )
-    per_shard = backend.router.per_shard_accesses()
-    assert total == sum(per_shard.values())
-    # Collect is delta-based: a second pass with no traffic adds nothing.
-    exporter.collect(backend.fleet)
-    assert sum(
-        value for name, value in registry.snapshot().items()
-        if name.startswith("shard.oram.accesses{")
-    ) == total
-    rendered = render_prometheus(registry)
-    assert 'shard="0"' in rendered
-    assert 'backend="path"' in rendered
-    assert "shard_oram_stash_blocks" in rendered
 
 
 def test_pyramid_device_config_end_to_end(evalset):

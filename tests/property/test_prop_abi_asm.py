@@ -1,58 +1,9 @@
-"""Property tests: ABI codec and assembler/disassembler round trips."""
+"""Property tests: assembler/disassembler round trips."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.evm.abi import decode, encode
 from repro.evm.disassembler import disassemble
 from repro.workloads.asm import assemble
-
-# -- ABI ----------------------------------------------------------------------
-
-_uint = st.integers(min_value=0, max_value=2**256 - 1)
-_int = st.integers(min_value=-(2**255), max_value=2**255 - 1)
-_address = st.binary(min_size=20, max_size=20)
-_bytes = st.binary(max_size=100)
-_bool = st.booleans()
-
-_static_cases = st.one_of(
-    st.tuples(st.just("uint256"), _uint),
-    st.tuples(st.just("int256"), _int),
-    st.tuples(st.just("address"), _address),
-    st.tuples(st.just("bool"), _bool),
-    st.tuples(st.just("bytes32"), st.binary(min_size=32, max_size=32)),
-)
-
-_dynamic_cases = st.one_of(
-    st.tuples(st.just("bytes"), _bytes),
-    st.tuples(
-        st.just("string"),
-        st.text(max_size=40).filter(lambda s: "\x00" not in s),
-    ),
-    st.tuples(st.just("uint256[]"), st.lists(_uint, max_size=6)),
-    st.tuples(st.just("address[]"), st.lists(_address, max_size=4)),
-)
-
-_args = st.lists(st.one_of(_static_cases, _dynamic_cases), min_size=1, max_size=6)
-
-
-@given(_args)
-@settings(max_examples=120, deadline=None)
-def test_abi_roundtrip(cases):
-    types = [t for t, _ in cases]
-    values = [v for _, v in cases]
-    decoded = decode(types, encode(types, values))
-    assert decoded == values
-
-
-@given(_args)
-@settings(max_examples=60, deadline=None)
-def test_abi_head_is_word_aligned(cases):
-    types = [t for t, _ in cases]
-    values = [v for _, v in cases]
-    encoded = encode(types, values)
-    assert len(encoded) % 32 == 0
-    assert len(encoded) >= 32 * len(types)
-
 
 # -- assembler / disassembler -----------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.aes import AES
 from repro.crypto.gcm import AesGcm
 from repro.crypto.keccak import Keccak256, keccak256
 from repro.crypto.suite import Blake2Aead, xor_bytes
@@ -24,12 +23,6 @@ def test_keccak_incremental_equals_oneshot(data):
 def test_keccak_injective_in_practice(a, b):
     if a != b:
         assert keccak256(a) != keccak256(b)
-
-
-@given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
-def test_aes_roundtrip(key, block):
-    cipher = AES(key)
-    assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
 
 
 @given(

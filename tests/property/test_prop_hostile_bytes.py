@@ -1,0 +1,66 @@
+"""Hostile bytes: every listed decoder is total (ROADMAP item 1).
+
+A session holder controls the bytes inside the secure channel (a
+bundle, and on the user side a trace report) and holds its resumption
+ticket; whatever they send, the decoder returns a value that re-encodes
+to the input or raises its typed error — never ``ValueError``,
+``TypeError``, ``IndexError``, ``struct.error`` or
+``UnicodeDecodeError``.  The six remaining decoders of ROADMAP item 1
+join by adding a row to ``DECODERS``.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import rlp
+from repro.hypervisor.bundle_codec import (
+    decode_bundle,
+    decode_trace_report,
+    encode_bundle,
+    encode_trace_report,
+)
+from repro.hypervisor.resumption import TicketIntegrityError, TicketState
+from tests.hostile import assert_total, mutated
+from tests.property.test_prop_codecs import bundles, reports
+
+ticket_states = st.builds(
+    TicketState,
+    session_id=st.binary(max_size=16),
+    user_public=st.binary(max_size=33),
+    hv_signing_secret=st.binary(max_size=32),
+    resumption_secret=st.binary(max_size=32),
+    send_watermark=st.integers(min_value=0, max_value=2**40),
+    recv_watermark=st.integers(min_value=0, max_value=2**40),
+    shard_affinity=st.integers(min_value=-1, max_value=64),
+    ring_digest=st.text(max_size=12),
+    minted_at_us=st.floats(min_value=0.0, max_value=1e12),
+)
+
+# name -> (valid values, encode, decode, typed errors)
+DECODERS = {
+    "bundle": (bundles, encode_bundle, decode_bundle, rlp.DecodingError),
+    "trace_report": (
+        reports, encode_trace_report, decode_trace_report, rlp.DecodingError
+    ),
+    "ticket_state": (
+        ticket_states, TicketState.encode, TicketState.decode,
+        TicketIntegrityError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_decoder_is_total_on_mutated_encodings(name, data):
+    valid, encode, decode, typed_errors = DECODERS[name]
+    hostile = data.draw(mutated(valid.map(encode)))
+    assert_total(decode, encode, hostile, typed_errors)
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+@given(hostile=st.binary(max_size=96))
+@settings(max_examples=200, deadline=None)
+def test_decoder_is_total_on_arbitrary_bytes(name, hostile):
+    _, encode, decode, typed_errors = DECODERS[name]
+    assert_total(decode, encode, hostile, typed_errors)

@@ -1,5 +1,7 @@
 """The repro CLI."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -162,3 +164,24 @@ def test_chaos_bench_output_does_not_depend_on_the_worker_count(capsys):
     assert parallel_header == serial_header + ", 2 workers"
     assert serial_rows == parallel_rows
     assert serial_rows.count("fault rate") == 2
+
+
+# The two stdout oracles every refactor since PR 13 compared to its
+# parent by hand (seeded virtual time only, so every byte is stable).
+# To regenerate: ``PYTHONPATH=src python -m repro.cli <args> | sha256sum``.
+_STDOUT_SHA256 = {
+    # python -m repro.cli serve-bench
+    ("serve-bench",):
+        "2634d5a6ed2fd1020a6911a07f07ce308bfb96de8ce78719dab53b508bae48fc",
+    # python -m repro.cli chaos-bench --rates 0,0.02 --seed 1 --tenants 2 --requests 3
+    ("chaos-bench", "--rates", "0,0.02", "--seed", "1", "--tenants", "2",
+     "--requests", "3"):
+        "f369ef7f24fb3f6d496cdff8d74121a6cd76012b74f39833e8944020ea33a463",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_STDOUT_SHA256), ids=lambda argv: argv[0])
+def test_bench_stdout_is_byte_identical_to_the_pinned_run(argv, capsys):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[argv], out

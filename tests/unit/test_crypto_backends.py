@@ -181,8 +181,6 @@ def test_keccak_memo_counters_track_hits_and_misses():
     stats = keccak_memo_stats()
     assert stats.misses == 1
     assert stats.hits == 1
-    assert stats.lookups == 2
-    assert stats.hit_rate == pytest.approx(0.5)
 
 
 def test_keccak256_many_dedupes_within_a_batch():

@@ -1,7 +1,6 @@
-"""Disassembler: decoding, round trips, blocks, selector extraction."""
+"""Disassembler: decoding, round trips, selector extraction."""
 
 from repro.evm.disassembler import (
-    basic_blocks,
     disassemble,
     format_listing,
     selector_candidates,
@@ -54,21 +53,6 @@ def test_roundtrip_through_assembler():
     assert assemble(rebuilt_items) == code
 
 
-def test_basic_blocks_split_on_jumpdest_and_halts():
-    code = assemble(
-        push(1)
-        + [push_label("target"), "JUMPI", "STOP"]
-        + [label("target"), "JUMPDEST", "PUSH0", "PUSH0", "RETURN"]
-    )
-    blocks = basic_blocks(code)
-    assert len(blocks) == 3  # prologue+jumpi | stop | jumpdest..return
-    # Blocks tile the code without overlap.
-    for (start_a, end_a), (start_b, _) in zip(blocks, blocks[1:]):
-        assert end_a == start_b
-    assert blocks[0][0] == 0
-    assert blocks[-1][1] == len(code)
-
-
 def test_format_listing_annotates_jump_targets():
     code = assemble(
         [push_label("x"), "JUMP", label("x"), "JUMPDEST", "STOP"]
@@ -88,4 +72,3 @@ def test_selector_extraction_from_erc20():
 
 def test_empty_code():
     assert disassemble(b"") == []
-    assert basic_blocks(b"") == []

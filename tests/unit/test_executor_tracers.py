@@ -9,7 +9,6 @@ from repro.evm import (
     StructTracer,
     execute_transaction,
 )
-from repro.evm.precompiles import is_precompile
 from repro.state import JournaledState, Transaction, to_address
 from repro.workloads.asm import assemble, push
 
@@ -148,12 +147,6 @@ def test_write_set_reported(backend, chain):
 
 
 # -- precompiles -------------------------------------------------------------
-
-
-def test_is_precompile():
-    assert is_precompile(to_address(1))
-    assert is_precompile(to_address(4))
-    assert not is_precompile(to_address(100))
 
 
 def test_sha256_precompile(backend, chain):

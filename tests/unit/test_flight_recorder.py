@@ -53,13 +53,6 @@ class TestRing:
         entry = recorder.ring_of(b"s")[0]
         assert dict(entry.data) == {"kind": "full", "name": "x"}
 
-    def test_note_span_and_metric_kinds(self):
-        recorder = FlightRecorder()
-        recorder.note_span(b"s", "tier.handshake", 1.0, 42.0, shard=3)
-        recorder.note_metric(b"s", "tier.live", 2.0, delta=1.0)
-        kinds = [entry.kind for entry in recorder.ring_of(b"s")]
-        assert kinds == ["span", "metric"]
-
 
 class TestSealing:
     def test_seal_causes_are_the_typed_failures(self):

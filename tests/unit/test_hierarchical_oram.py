@@ -9,7 +9,6 @@ from repro.oram.client import PathOramClient
 from repro.oram.hierarchical import (
     HierarchicalOramServer,
     PyramidOramClient,
-    backend_for_working_set,
 )
 from repro.oram.server import OramServer
 from repro.oram.store import BACKENDS, build_client, build_server
@@ -26,7 +25,7 @@ def _client(cache_limit=8, **kwargs):
 
 
 def test_read_write_matches_reference_model():
-    client, _server = _client(cache_limit=8)
+    client, server = _client(cache_limit=8)
     reference: dict[bytes, bytes] = {}
     rng = Drbg(b"pyramid-test")
     keys = [b"key-%02d" % i for i in range(24)]
@@ -41,7 +40,7 @@ def test_read_write_matches_reference_model():
             expected = reference.get(key)
             assert got == expected, (step, key)
     assert client.rebuilds > 0  # the cache spilled and levels exist
-    assert client.level_geometry()
+    assert server.snapshot_levels()
 
 
 def test_absent_keys_read_none_repeatedly():
@@ -59,7 +58,7 @@ def test_every_access_probes_every_active_level():
     client, server = _client(cache_limit=4)
     for i in range(12):
         client.write(b"k%d" % i, b"v")  # force several rebuilds
-    active = len(server.active_levels())
+    active = len(server.snapshot_levels())
     assert active >= 1
     before = server.stats.bucket_reads
     client.read(b"k0")
@@ -90,7 +89,8 @@ def test_level_rollback_fails_authentication():
     for i in range(4):
         client.write(b"k%d" % i, b"w")  # rebuild #2: same level, epoch 2
     assert client.rebuilds == 2
-    server.restore_levels(stale)  # the SP replays the epoch-1 level
+    for level, buckets in stale.items():
+        server.install_level(level, buckets)  # the SP replays the epoch-1 level
     with pytest.raises(AuthenticationError):
         client.read(b"k0")
 
@@ -123,11 +123,3 @@ def test_build_oram_server_factory():
         with pytest.raises(UnknownBackendError) as excinfo:
             build()
         assert excinfo.value.kind == "oram" and "pyramid" in str(excinfo.value)
-
-
-def test_backend_for_working_set_crossover():
-    assert backend_for_working_set(0) == "pyramid"
-    assert backend_for_working_set(4096) == "pyramid"
-    assert backend_for_working_set(4097) == "path"
-    with pytest.raises(ValueError):
-        backend_for_working_set(-1)

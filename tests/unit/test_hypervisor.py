@@ -243,32 +243,19 @@ def _cores(n):
 def test_scheduler_exclusive_assignment():
     cores = _cores(2)
     scheduler = HevmScheduler(cores)
-    scheduler.submit(b"s1", 0.0)
-    scheduler.submit(b"s2", 0.0)
-    a1, _ = scheduler.try_assign(1.0)
-    a2, _ = scheduler.try_assign(1.0)
+    a1 = scheduler.acquire(b"s1", 1.0)
+    a2 = scheduler.acquire(b"s2", 1.0)
     assert a1.core is not a2.core
+    assert (a1.session_id, a2.session_id) == (b"s1", b"s2")
     assert scheduler.idle_count == 0
-    assert scheduler.owner_of(a1.core) == b"s1"
-
-
-def test_scheduler_queues_when_busy():
-    scheduler = HevmScheduler(_cores(1))
-    scheduler.submit(b"s1", 0.0)
-    scheduler.submit(b"s2", 0.0)
-    first, _ = scheduler.try_assign(0.0)
-    assert scheduler.try_assign(0.0) is None
-    assert scheduler.queue_depth == 1
-    scheduler.release(first.core)
-    second, _ = scheduler.try_assign(5.0)
-    assert second.session_id == b"s2"
-    assert scheduler.stats.total_queue_wait_us == 5.0
+    # No queue inside the device: a busy pool refuses, typed.
+    with pytest.raises(SchedulingError, match="exhausted"):
+        scheduler.acquire(b"s3", 1.0)
 
 
 def test_release_resets_core():
     scheduler = HevmScheduler(_cores(1))
-    scheduler.submit(b"s1", 0.0)
-    assignment, _ = scheduler.try_assign(0.0)
+    assignment = scheduler.acquire(b"s1", 0.0)
     assignment.core.ws_cache.put(("secret",), 42)
     assignment.core.l2.push_frame(1024)
     scheduler.release(assignment.core)
@@ -279,8 +266,7 @@ def test_release_resets_core():
 
 def test_double_release_rejected():
     scheduler = HevmScheduler(_cores(1))
-    scheduler.submit(b"s1", 0.0)
-    assignment, _ = scheduler.try_assign(0.0)
+    assignment = scheduler.acquire(b"s1", 0.0)
     scheduler.release(assignment.core)
     with pytest.raises(SchedulingError):
         scheduler.release(assignment.core)
@@ -288,76 +274,22 @@ def test_double_release_rejected():
 
 def test_scheduler_stats_track_full_lifecycle():
     scheduler = HevmScheduler(_cores(1))
-    scheduler.submit(b"s1", 0.0)
-    scheduler.submit(b"s2", 10.0)
     stats = scheduler.stats
-    assert stats.bundles_queued == 2
-    assert stats.peak_queue_depth == 2
     assert stats.bundles_started == 0
 
-    first, _ = scheduler.try_assign(20.0)      # s1 waited 20
+    first = scheduler.acquire(b"s1", 20.0)
     assert stats.bundles_started == 1
     assert stats.bundles_completed == 0
     scheduler.release(first.core)
     assert stats.bundles_completed == 1
 
-    second, _ = scheduler.try_assign(40.0)     # s2 waited 30
+    # The released core is the one the next session gets.
+    second = scheduler.acquire(b"s2", 40.0)
+    assert second.core is first.core
+    assert second.started_at_us == 40.0
     scheduler.release(second.core)
-    assert stats.bundles_queued == 2
     assert stats.bundles_started == 2
     assert stats.bundles_completed == 2
-    assert stats.total_queue_wait_us == 50.0
-    assert stats.max_queue_wait_us == 30.0
-    assert stats.mean_queue_wait_us == 25.0
-
-
-def test_scheduler_fifo_under_contention():
-    scheduler = HevmScheduler(_cores(1))
-    for index, session in enumerate([b"s1", b"s2", b"s3"]):
-        scheduler.submit(session, float(index))
-    served = []
-    now = 10.0
-    while scheduler.queue_depth or scheduler.idle_count == 0:
-        assigned = scheduler.try_assign(now)
-        if assigned is None:
-            break
-        assignment, _ = assigned
-        served.append(assignment.session_id)
-        scheduler.release(assignment.core)
-        now += 10.0
-    assert served == [b"s1", b"s2", b"s3"]     # strict submit order
-    # Waits shrink by less than the submit spacing as the line drains:
-    # 10-0, 20-1, 30-2.
-    assert scheduler.stats.total_queue_wait_us == 10.0 + 19.0 + 28.0
-    assert scheduler.stats.max_queue_wait_us == 28.0
-
-
-def test_release_lets_queued_bundle_start():
-    scheduler = HevmScheduler(_cores(1))
-    scheduler.submit(b"s1", 0.0)
-    scheduler.submit(b"s2", 0.0)
-    running, _ = scheduler.try_assign(0.0)
-    assert scheduler.try_assign(1.0) is None   # no idle core yet
-    scheduler.release(running.core)
-    unblocked = scheduler.try_assign(2.0)
-    assert unblocked is not None
-    assignment, _ = unblocked
-    assert assignment.session_id == b"s2"
-    assert assignment.queued_at_us == 0.0
-    assert assignment.started_at_us == 2.0
-
-
-def test_queued_waits_exposed_without_popping():
-    scheduler = HevmScheduler(_cores(1))
-    scheduler.submit(b"s1", 0.0)
-    occupying, _ = scheduler.try_assign(0.0)
-    scheduler.submit(b"s2", 5.0)
-    scheduler.submit(b"s3", 8.0)
-    assert scheduler.queued_waits_us(10.0) == [5.0, 2.0]
-    assert scheduler.queue_depth == 2          # nothing was popped
-    assert scheduler.stats.peak_queue_depth == 2
-    scheduler.release(occupying.core)
-    assert scheduler.queued_waits_us(10.0) == [5.0, 2.0]
 
 
 # -- block synchronization -----------------------------------------------------------

@@ -147,6 +147,33 @@ def test_tampered_journal_record_refused():
         RecoveryManager.recover(device, store)
 
 
+@pytest.mark.parametrize("write_journal", [False, True],
+                         ids=["checkpoint", "journal"])
+def test_a_cipher_bug_at_boot_is_not_retyped_as_tampering(
+    monkeypatch, write_journal
+):
+    """Both unseal sites re-type what a sealer can raise
+    (`AuthenticationError`, `ValueError`) and nothing else."""
+    from repro.crypto.suite import Blake2Aead
+
+    server, client, device, store, manager = _deployment()
+    if write_journal:
+        client.access(b"key", b"v")
+    calls = []
+
+    def broken(self, nonce, data, aad=b""):
+        calls.append(aad)
+        if write_journal and len(calls) == 1:
+            return original(self, nonce, data, aad)  # the checkpoint opens
+        raise TypeError("stub cipher bug")
+
+    original = Blake2Aead.decrypt
+    monkeypatch.setattr(Blake2Aead, "decrypt", broken)
+    with pytest.raises(TypeError, match="stub cipher bug"):
+        RecoveryManager.recover(device, store)
+    assert calls[-1].startswith(b"journal|" if write_journal else b"checkpoint|")
+
+
 def _plant_alias(store, epoch, seq):
     # bit 40 of the sequence lands on the (odd) epoch's low bit, so
     # unchecked it composes to exactly the pinned (epoch, seq)

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro.crypto.kdf import hkdf_sha256
+from repro.crypto.suite import Blake2Aead
 from repro.hypervisor.channel import ChannelError, SecureChannel
 from repro.hypervisor.resumption import (
     TICKET_MAGIC,
@@ -117,6 +118,40 @@ def test_forged_epoch_header_fails_aad_binding():
     forged = struct.pack(">4sQQ", TICKET_MAGIC, 1, seq) + ticket[20:]
     with pytest.raises(TicketIntegrityError):
         sealer.redeem(forged, current_epoch=1)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"\x00" * 8,                                  # shorter than the fixed part
+        _state().encode()[:-3],                       # last blob cut short
+        _state().encode()[:32] + b"\xff\xff",          # a length past the end
+        _state(ring_digest="").encode()[:-2] + b"\x00\x01\xff",  # not UTF-8
+    ],
+    ids=["short", "truncated", "length-lie", "non-utf8-ring"],
+)
+def test_sealed_but_malformed_state_is_an_integrity_error(body):
+    """Authentic seal, hostile body: still `TicketIntegrityError`, not a
+    `struct.error` / `UnicodeDecodeError` out of the decoder."""
+    sealer = TicketSealer(KEY)
+    header = sealer.mint(_state(), epoch=0)[:20]   # epoch 0, seq 0
+    forged = header + sealer._sealer.seal(0, body, aad=sealer._aad(0, 0))
+    with pytest.raises(TicketIntegrityError):
+        sealer.redeem(forged, current_epoch=0)
+
+
+def test_a_cipher_bug_is_not_retyped_as_tampering(monkeypatch):
+    """Only what unsealing can raise (`AuthenticationError`, `ValueError`)
+    is tamper evidence; anything else propagates as itself."""
+    sealer = TicketSealer(KEY)
+    ticket = sealer.mint(_state(), epoch=0)
+
+    def broken(self, nonce, data, aad=b""):
+        raise TypeError("stub cipher bug")
+
+    monkeypatch.setattr(Blake2Aead, "decrypt", broken)
+    with pytest.raises(TypeError, match="stub cipher bug"):
+        sealer.redeem(ticket, current_epoch=0)
 
 
 def test_wrong_key_fails_integrity():

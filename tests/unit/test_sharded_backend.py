@@ -201,8 +201,7 @@ def test_mixed_backend_fleet_round_trips():
     for address, account in accounts.items():
         assert backend.get_meta(address).nonce == account.nonce
         assert backend.get_storage(address, 0) == account.storage[0]
-    stash = backend.router.per_shard_stash_blocks()
-    assert set(stash) == {0, 1, 2, 3}
+    assert set(backend.router.per_shard_accesses()) == {0, 1, 2, 3}
 
 
 def test_last_access_is_the_last_routed_shards_summary():

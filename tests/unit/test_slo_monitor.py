@@ -36,10 +36,9 @@ class TestRules:
         rules = {rule.name: rule for rule in default_slo_rules()}
         assert set(rules) == {
             "handshake-p99-cost", "shed-rate", "resumed-cost-share",
-            "stale-ticket-rate", "shard-stash-occupancy",
+            "stale-ticket-rate",
         }
         assert rules["shed-rate"].kind == "burn_rate"
-        assert rules["shard-stash-occupancy"].kind == "gauge_max"
         SloMonitor(list(rules.values()))  # all constructible together
 
 
@@ -54,12 +53,6 @@ class TestLevelAndGauge:
     def test_missing_metric_is_silent(self):
         monitor = SloMonitor([_rule()])
         assert monitor.observe({}, 0.0) == []
-
-    def test_gauge_max_spans_the_label_family(self):
-        monitor = SloMonitor([_rule(kind="gauge_max", metrics=("g",))])
-        snapshot = {'g{shard=0}': 3.0, 'g{shard=1}': 12.0}
-        fired = monitor.observe(snapshot, 0.0)
-        assert fired and fired[0].value == 12.0
 
     def test_cooldown_bounds_the_alert_train(self):
         monitor = SloMonitor([_rule()])

@@ -9,7 +9,6 @@ from repro.state import (
     DictBackend,
     EMPTY_CODE_HASH,
     WorldState,
-    assemble_code,
     to_address,
 )
 from repro.trie import EMPTY_ROOT, ProofError
@@ -68,7 +67,6 @@ def test_dict_backend_code_pages():
     assert page0 == code[:1024]
     assert page1[: 1280 - 1024] == code[1024:]
     assert page1[1280 - 1024:] == b"\x00" * (2048 - 1280)
-    assert assemble_code(backend, address) == code
 
 
 def test_apply_writes_and_delete():

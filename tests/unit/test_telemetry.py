@@ -390,12 +390,3 @@ class TestRegistryLabels:
         assert "x{a=1,b=2}" in registry.snapshot()
         assert flatten_name("x", (("a", "1"), ("b", "2"))) == "x{a=1,b=2}"
         assert flatten_name("x", ()) == "x"
-
-    def test_reset_clears_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.gauge("g").set(5)
-        registry.histogram("h").observe(1.0)
-        registry.reset()
-        assert registry.snapshot() == {}
-        assert registry.counter("c").value == 0.0

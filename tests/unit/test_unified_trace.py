@@ -47,11 +47,6 @@ class TestSchema:
         trace = from_struct_logs(_logs())
         assert trace.group_counts() == {"arithmetic": 1, "halt": 1, "stack": 2}
 
-    def test_record_to_dict_is_json_ready(self):
-        record = from_struct_logs(_logs()).records[0]
-        d = record.to_dict()
-        assert d["op"] == "PUSH1" and d["group"] == "stack"
-
 
 class TestCommitment:
     def test_commitment_is_stable_and_order_sensitive(self):

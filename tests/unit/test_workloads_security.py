@@ -8,7 +8,6 @@ from repro.security.analysis import (
     frequency_attack,
     mutual_information,
     path_uniformity_pvalue,
-    repeated_access_correlation,
     size_leakage,
 )
 from repro.workloads.distributions import (
@@ -125,16 +124,6 @@ def test_path_uniformity_rejects_biased():
 def test_path_uniformity_needs_samples():
     with pytest.raises(ValueError):
         path_uniformity_pvalue([1, 2, 3], 1024)
-
-
-def test_repeated_access_correlation():
-    # Broken store: leaf never changes.
-    broken = [(5, 5)] * 100
-    assert repeated_access_correlation(broken, 64) > 10
-    # Oblivious store: independent uniform leaves.
-    rng = Drbg(b"c")
-    good = [(rng.randint(64), rng.randint(64)) for _ in range(300)]
-    assert repeated_access_correlation(good, 64) < 3.0
 
 
 def test_query_type_classifier_separable():
