@@ -103,12 +103,23 @@ while len(_RCON) < 14:
     _RCON.append(_gf_mul(_RCON[-1], 2))
 
 
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings via big-int arithmetic.
+# From this length up one numpy XOR over the buffers beats the big-int
+# round trip (1.0 vs 1.0 µs at 256 B, 1.2 vs 3.2 at 1 KB, 4.4 vs 132 at
+# the 52 KB of a joined ORAM path); below it numpy's dispatch dominates.
+_VECTOR_XOR_MIN_BYTES = 256
 
-    Orders of magnitude faster than a per-byte generator for the 1 KB
-    payloads the ORAM and layer-3 paths move.
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """XOR two equal-length byte strings.
+
+    One vector operation for the payloads the ORAM and layer-3 paths
+    move — a 1 KB block, or a whole path's blocks joined — and big-int
+    arithmetic for short strings (tags, headers) or without numpy.
     """
+    if _np is not None and len(a) >= _VECTOR_XOR_MIN_BYTES:
+        return (
+            _np.frombuffer(a, dtype=_np.uint8) ^ _np.frombuffer(b, dtype=_np.uint8)
+        ).tobytes()
     return (
         int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
     ).to_bytes(len(a), "little")

@@ -26,7 +26,7 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.crypto.suite import AeadCipher, AeadItem
+from repro.crypto.suite import AeadCipher, AeadItem, open_blocks, seal_blocks
 
 
 @dataclass
@@ -59,10 +59,9 @@ class MemoizedAead:
 
     @staticmethod
     def _key(nonce: bytes, data: bytes, aad: bytes) -> bytes:
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(len(aad).to_bytes(4, "big"))
-        digest.update(aad)
-        digest.update(nonce)
+        digest = hashlib.blake2b(
+            len(aad).to_bytes(4, "big") + aad + nonce, digest_size=16
+        )
         digest.update(data)
         return digest.digest()
 
@@ -100,11 +99,10 @@ class MemoizedAead:
     # -- batch paths -----------------------------------------------------
 
     def seal_blocks(self, items: list[AeadItem]) -> list[bytes]:
-        from repro.crypto.suite import seal_blocks
-
         sealed = seal_blocks(self.inner, items)
+        key, put = self._key, self._put
         for (nonce, plaintext, aad), blob in zip(items, sealed):
-            self._put(self._key(nonce, blob, aad), plaintext)
+            put(key(nonce, blob, aad), plaintext)
         return sealed
 
     def open_blocks(self, items: list[AeadItem]) -> list[bytes]:
@@ -114,28 +112,25 @@ class MemoizedAead:
         misses raises from the inner batch open before any plaintext is
         returned, and cached entries are by construction authentic.
         """
-        from repro.crypto.suite import open_blocks
-
-        keys = [self._key(n, d, a) for n, d, a in items]
-        cache = self._cache
+        cache, key_of = self._cache, self._key
         out: list[bytes | None] = []
         misses: list[AeadItem] = []
-        miss_slots: list[int] = []
-        for index, key in enumerate(keys):
+        miss_slots: list[tuple[int, bytes]] = []
+        for item in items:
+            key = key_of(item[0], item[1], item[2])
             cached = cache.get(key)
             if cached is not None:
                 cache.move_to_end(key)
-                self.stats.hits += 1
-                out.append(cached)
             else:
-                self.stats.misses += 1
-                out.append(None)
-                misses.append(items[index])
-                miss_slots.append(index)
+                misses.append(item)
+                miss_slots.append((len(out), key))
+            out.append(cached)
+        self.stats.hits += len(items) - len(misses)
+        self.stats.misses += len(misses)
         if misses:
             opened = open_blocks(self.inner, misses)
-            for slot, plaintext in zip(miss_slots, opened):
-                self._put(keys[slot], plaintext)
+            for (slot, key), plaintext in zip(miss_slots, opened):
+                self._put(key, plaintext)
                 out[slot] = plaintext
         return out  # type: ignore[return-value]
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from repro import rlp
 from repro.crypto.keccak import keccak256
+from repro.trie import MerklePatriciaTrie
 
 # keccak256(b"") — the code hash of every non-contract account.
 EMPTY_CODE_HASH = keccak256(b"")
@@ -51,10 +52,8 @@ class Account:
     def copy(self) -> "Account":
         return Account(self.balance, self.nonce, self.code, dict(self.storage))
 
-    def storage_root(self) -> bytes:
-        """Compute the storage trie root (secure trie: hashed keys)."""
-        from repro.trie import MerklePatriciaTrie
-
+    def storage_trie(self) -> MerklePatriciaTrie:
+        """Build the storage trie (secure trie: hashed keys, no zero slots)."""
         trie = MerklePatriciaTrie()
         for key, value in self.storage.items():
             if value:
@@ -62,7 +61,11 @@ class Account:
                     keccak256(key.to_bytes(32, "big")),
                     rlp.encode(rlp.encode_uint(value)),
                 )
-        return trie.root_hash()
+        return trie
+
+    def storage_root(self) -> bytes:
+        """Compute the storage trie root."""
+        return self.storage_trie().root_hash()
 
     def rlp_encode(self) -> bytes:
         """RLP account record: [nonce, balance, storage_root, code_hash]."""

@@ -31,12 +31,16 @@ class WorldState(DictBackend):
         super().__init__(accounts)
         self._committed_root: bytes | None = None
         self._account_trie: MerklePatriciaTrie | None = None
+        # Storage tries of the accounts proven since the last mutation:
+        # one build serves every slot proof of that account.
+        self._storage_tries: dict[Address, MerklePatriciaTrie] = {}
 
     # -- commitment ----------------------------------------------------
 
     def _invalidate(self) -> None:
         self._committed_root = None
         self._account_trie = None
+        self._storage_tries = {}
 
     def ensure(self, address: Address) -> Account:
         self._invalidate()
@@ -69,14 +73,10 @@ class WorldState(DictBackend):
 
     def prove_storage(self, address: Address, key: int) -> list[bytes]:
         """Merkle proof for one storage slot under the account's root."""
-        account = self.accounts.get(address, Account())
-        trie = MerklePatriciaTrie()
-        for slot_key, value in account.storage.items():
-            if value:
-                trie.put(
-                    keccak256(slot_key.to_bytes(32, "big")),
-                    rlp.encode(rlp.encode_uint(value)),
-                )
+        trie = self._storage_tries.get(address)
+        if trie is None:
+            account = self.accounts.get(address, Account())
+            trie = self._storage_tries[address] = account.storage_trie()
         return trie.prove(keccak256(key.to_bytes(32, "big")))
 
     @staticmethod

@@ -17,6 +17,13 @@ A *ref* is the node itself when its RLP is shorter than 32 bytes,
 otherwise the Keccak-256 hash of its RLP.  Hashed nodes live in a
 node store so proofs (the list of RLP nodes on the lookup path) can be
 served for any committed root.
+
+The trie remembers its last *commitment* — the root hash, with every
+hashed node's RLP in the store under it — until the next ``put`` or
+``delete``.  ``root_hash`` on an unchanged trie is a lookup, and
+``prove`` reads a proof straight out of the commitment (hash by hash
+down the lookup path, exactly as :func:`verify_proof` will read it
+back), so N proofs cost one commit, not N.
 """
 
 from __future__ import annotations
@@ -54,6 +61,9 @@ class MerklePatriciaTrie:
     def __init__(self) -> None:
         self._root: Node = _BLANK
         self._store: dict[bytes, bytes] = {}
+        # Root of the last commit while ``_root`` is still the tree it
+        # committed; ``None`` from any put/delete to the next commit.
+        self._committed_root: bytes | None = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -68,10 +78,12 @@ class MerklePatriciaTrie:
         if value == b"":
             self.delete(key)
             return
+        self._committed_root = None
         self._root = self._put(self._root, bytes_to_nibbles(key), value)
 
     def delete(self, key: bytes) -> None:
         """Remove ``key`` if present."""
+        self._committed_root = None
         self._root = self._delete(self._root, bytes_to_nibbles(key))
 
     def root_hash(self) -> bytes:
@@ -82,14 +94,21 @@ class MerklePatriciaTrie:
         :func:`~repro.crypto.keccak.keccak256_many` call, so the active
         crypto backend can run many Keccak sponges per permutation sweep
         (the trie/sync-root hot path).  Byte-identical to hashing node
-        by node — same digests, same node store.
+        by node — same digests, same node store.  An unchanged trie
+        answers from its last commitment.
         """
-        if self._root == _BLANK:
-            return EMPTY_ROOT
-        encoded = self._commit_batched(self._root)
-        if len(encoded) < 32:
-            return keccak256(encoded)
-        return encoded  # already a 32-byte digest
+        if self._committed_root is None:
+            if self._root == _BLANK:
+                self._committed_root = EMPTY_ROOT
+            else:
+                root = self._commit_batched(self._root)
+                if len(root) < 32:
+                    # Too short to be hashed as a child, but a root is
+                    # always referred to by hash and a proof starts there.
+                    encoded, root = root, keccak256(root)
+                    self._store[root] = encoded
+                self._committed_root = root
+        return self._committed_root
 
     def _commit_batched(self, root: Node) -> bytes:
         """Encode and hash the in-memory tree level by level.
@@ -178,11 +197,34 @@ class MerklePatriciaTrie:
 
         The proof is the list of RLP-encoded nodes on the lookup path,
         root first.  Works for both membership and non-membership.
+
+        Read from the commitment, not the in-memory tree: each hashed
+        node's RLP is in the store under the ref its parent embeds, so
+        the walk is the one :func:`verify_proof` repeats.  A blank or
+        embedded (list) child is part of the element already emitted;
+        only a 32-byte ref leads to a further proof node.
         """
-        self.root_hash()  # ensure the store holds the committed nodes
         proof: list[bytes] = []
-        self._prove(self._root, bytes_to_nibbles(key), proof)
-        return proof
+        if self._root == _BLANK:
+            return proof
+        ref = self.root_hash()
+        path = bytes_to_nibbles(key)
+        while True:
+            encoded = self._store[ref]
+            proof.append(encoded)
+            node = rlp.decode(encoded)
+            if len(node) == 17:
+                if not path:
+                    return proof
+                child, path = node[path[0]], path[1:]
+            else:
+                node_path, is_leaf = hp_decode(node[0])
+                if is_leaf or path[:len(node_path)] != node_path:
+                    return proof
+                child, path = node[1], path[len(node_path):]
+            if not isinstance(child, bytes) or len(child) != 32:
+                return proof
+            ref = child
 
     # ------------------------------------------------------------------
     # Lookup
@@ -327,33 +369,6 @@ class MerklePatriciaTrie:
             return bytes(item)
         return list(item)
 
-    def _encode_node(self, node: Node) -> bytes:
-        """Return the ref for ``node``: inline RLP if short, else hash."""
-        encoded = rlp.encode(self._node_to_rlp(node))
-        if len(encoded) < 32:
-            return encoded
-        digest = keccak256(encoded)
-        self._store[digest] = encoded
-        return digest
-
-    def _node_to_rlp(self, node: Node) -> rlp.codec.RlpItem:
-        if node == _BLANK:
-            return b""
-        if len(node) == 17:
-            return [self._ref_to_rlp(node[i]) for i in range(16)] + [node[16]]
-        path, is_leaf = hp_decode(node[0])
-        if is_leaf:
-            return [node[0], node[1]]
-        return [node[0], self._ref_to_rlp(node[1])]
-
-    def _ref_to_rlp(self, ref: Node) -> rlp.codec.RlpItem:
-        if isinstance(ref, (bytes, bytearray)):
-            return bytes(ref)
-        encoded = self._encode_node(ref)
-        if len(encoded) < 32:
-            return rlp.decode(encoded)  # embed the node structurally
-        return encoded
-
     def _iter_node(
         self, node: Node, prefix: tuple[int, ...]
     ) -> Iterator[tuple[bytes, bytes]]:
@@ -378,41 +393,6 @@ class MerklePatriciaTrie:
         from repro.trie.nibbles import nibbles_to_bytes
 
         return nibbles_to_bytes(nibbles)
-
-    # ------------------------------------------------------------------
-    # Proofs
-    # ------------------------------------------------------------------
-
-    def _prove(self, node: Node, path: tuple[int, ...], proof: list[bytes]) -> None:
-        if node == _BLANK:
-            return
-        node = self._resolve(node)
-        proof.append(rlp.encode(self._node_to_rlp(node)))
-        if len(node) == 17:
-            if path:
-                child = node[path[0]]
-                if child != _BLANK:
-                    # Only descend into hashed children; embedded short
-                    # nodes are already part of this proof element.
-                    if isinstance(child, (bytes, bytearray)) and len(child) == 32:
-                        self._prove(child, path[1:], proof)
-                    elif not isinstance(child, (bytes, bytearray)):
-                        encoded = rlp.encode(self._node_to_rlp(child))
-                        if len(encoded) >= 32:
-                            self._prove(child, path[1:], proof)
-            return
-        node_path, is_leaf = hp_decode(node[0])
-        if is_leaf:
-            return
-        prefix = common_prefix_length(node_path, path)
-        if prefix == len(node_path):
-            child = node[1]
-            if isinstance(child, (bytes, bytearray)) and len(child) == 32:
-                self._prove(child, path[prefix:], proof)
-            elif not isinstance(child, (bytes, bytearray)):
-                encoded = rlp.encode(self._node_to_rlp(child))
-                if len(encoded) >= 32:
-                    self._prove(child, path[prefix:], proof)
 
 
 def verify_proof(root: bytes, key: bytes, proof: list[bytes]) -> bytes | None:
