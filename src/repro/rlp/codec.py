@@ -16,6 +16,17 @@ class DecodingError(Exception):
     """Raised for malformed RLP input."""
 
 
+# Decoding recurses once per list level and the bytes come from outside
+# (a session holder's bundle, the Node's proofs), so the depth is bounded
+# here, not by the interpreter's recursion limit: 60 KB of nested list
+# prefixes would otherwise end in RecursionError, not DecodingError.
+# Deepest honest encodings, measured over the served traffic (e2e smoke,
+# recovery-/receipt-/trace-/chaos-bench, evalset, demo): trace report 6,
+# bundle 3, trie node 1 (4 at most: a branch embedding an extension
+# embedding a branch of short leaves); the journal does not use RLP.
+MAX_NESTING_DEPTH = 32
+
+
 def encode_uint(value: int) -> bytes:
     """Encode a non-negative integer as the minimal big-endian bytes.
 
@@ -55,7 +66,7 @@ def encode(item: RlpItem) -> bytes:
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
 
 
-def _decode_at(data: bytes, pos: int) -> tuple[RlpItem, int]:
+def _decode_at(data: bytes, pos: int, depth: int) -> tuple[RlpItem, int]:
     if pos >= len(data):
         raise DecodingError("unexpected end of input")
     prefix = data[pos]
@@ -87,7 +98,7 @@ def _decode_at(data: bytes, pos: int) -> tuple[RlpItem, int]:
         end = pos + 1 + length
         if end > len(data):
             raise DecodingError("list extends past end of input")
-        return _decode_list(data, pos + 1, end), end
+        return _decode_list(data, pos + 1, end, depth + 1), end
     # long list
     length_size = prefix - 0xF7
     length_end = pos + 1 + length_size
@@ -99,14 +110,16 @@ def _decode_at(data: bytes, pos: int) -> tuple[RlpItem, int]:
     end = length_end + length
     if end > len(data):
         raise DecodingError("list extends past end of input")
-    return _decode_list(data, length_end, end), end
+    return _decode_list(data, length_end, end, depth + 1), end
 
 
-def _decode_list(data: bytes, start: int, end: int) -> list[RlpItem]:
+def _decode_list(data: bytes, start: int, end: int, depth: int) -> list[RlpItem]:
+    if depth > MAX_NESTING_DEPTH:
+        raise DecodingError(f"lists nested deeper than {MAX_NESTING_DEPTH}")
     items: list[RlpItem] = []
     pos = start
     while pos < end:
-        item, pos = _decode_at(data, pos)
+        item, pos = _decode_at(data, pos, depth)
         items.append(item)
     if pos != end:
         raise DecodingError("list payload length mismatch")
@@ -115,7 +128,7 @@ def _decode_list(data: bytes, start: int, end: int) -> list[RlpItem]:
 
 def decode(data: bytes) -> RlpItem:
     """Decode a single RLP item; rejects trailing bytes."""
-    item, end = _decode_at(bytes(data), 0)
+    item, end = _decode_at(bytes(data), 0, 0)
     if end != len(data):
         raise DecodingError("trailing bytes after RLP item")
     return item

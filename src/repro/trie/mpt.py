@@ -97,18 +97,19 @@ class MerklePatriciaTrie:
         by node — same digests, same node store.  An unchanged trie
         answers from its last commitment.
         """
-        if self._committed_root is None:
-            if self._root == _BLANK:
-                self._committed_root = EMPTY_ROOT
-            else:
-                root = self._commit_batched(self._root)
-                if len(root) < 32:
-                    # Too short to be hashed as a child, but a root is
-                    # always referred to by hash and a proof starts there.
-                    encoded, root = root, keccak256(root)
-                    self._store[root] = encoded
-                self._committed_root = root
-        return self._committed_root
+        if self._committed_root is not None:
+            return self._committed_root
+        if self._root == _BLANK:
+            root = EMPTY_ROOT
+        else:
+            root = self._commit_batched(self._root)
+            if len(root) < 32:
+                # Too short to be hashed as a child, but a root is
+                # always referred to by hash and a proof starts there.
+                encoded, root = root, keccak256(root)
+                self._store[root] = encoded
+        self._committed_root = root
+        return root
 
     def _commit_batched(self, root: Node) -> bytes:
         """Encode and hash the in-memory tree level by level.
@@ -200,31 +201,12 @@ class MerklePatriciaTrie:
 
         Read from the commitment, not the in-memory tree: each hashed
         node's RLP is in the store under the ref its parent embeds, so
-        the walk is the one :func:`verify_proof` repeats.  A blank or
-        embedded (list) child is part of the element already emitted;
-        only a 32-byte ref leads to a further proof node.
+        the proof is what one lookup reads from the store — the very
+        walk :func:`verify_proof` repeats over the proof alone.
         """
-        proof: list[bytes] = []
         if self._root == _BLANK:
-            return proof
-        ref = self.root_hash()
-        path = bytes_to_nibbles(key)
-        while True:
-            encoded = self._store[ref]
-            proof.append(encoded)
-            node = rlp.decode(encoded)
-            if len(node) == 17:
-                if not path:
-                    return proof
-                child, path = node[path[0]], path[1:]
-            else:
-                node_path, is_leaf = hp_decode(node[0])
-                if is_leaf or path[:len(node_path)] != node_path:
-                    return proof
-                child, path = node[1], path[len(node_path):]
-            if not isinstance(child, bytes) or len(child) != 32:
-                return proof
-            ref = child
+            return []
+        return _lookup(self._store, self.root_hash(), key)[1]
 
     # ------------------------------------------------------------------
     # Lookup
@@ -405,13 +387,28 @@ def verify_proof(root: bytes, key: bytes, proof: list[bytes]) -> bytes | None:
     if root == EMPTY_ROOT and not proof:
         return None
     store = {keccak256(encoded): encoded for encoded in proof}
+    return _lookup(store, root, key)[0]
+
+
+def _lookup(
+    store: dict[bytes, bytes], root: bytes, key: bytes
+) -> tuple[bytes | None, list[bytes]]:
+    """Look ``key`` up from ``root`` through the hashed nodes in ``store``.
+
+    Returns the value (``None`` when the trie does not hold the key) and
+    the RLP of every node read from the store on the way, root first —
+    which is the key's Merkle proof.  ``store`` may be hostile (a proof
+    from the Node): whatever does not authenticate is a
+    :class:`ProofError`.
+    """
     path = bytes_to_nibbles(key)
     expected: rlp.codec.RlpItem = root
+    read: list[bytes] = []
 
     while True:
         if isinstance(expected, (bytes, bytearray)):
             if expected == b"":
-                return None
+                return None, read
             if len(expected) != 32:
                 raise ProofError("malformed node reference")
             encoded = store.get(bytes(expected))
@@ -420,9 +417,14 @@ def verify_proof(root: bytes, key: bytes, proof: list[bytes]) -> bytes | None:
                 # only when the divergence was shown by a previous node;
                 # a dangling hashed ref on the lookup path is invalid.
                 raise ProofError("proof is missing a node on the path")
-            node = rlp.decode(encoded)
+            read.append(encoded)
+            try:
+                node = rlp.decode(encoded)
+            except rlp.DecodingError as exc:
+                # Hashing to the expected ref does not make bytes RLP.
+                raise ProofError(f"trie node is not canonical RLP: {exc}") from exc
         else:
-            node = expected
+            node = expected  # embedded in the node that referred to it
         if not isinstance(node, list):
             raise ProofError("trie node must be a list")
         if len(node) == 17:
@@ -430,10 +432,10 @@ def verify_proof(root: bytes, key: bytes, proof: list[bytes]) -> bytes | None:
                 value = node[16]
                 if not isinstance(value, (bytes, bytearray)):
                     raise ProofError("branch value must be bytes")
-                return bytes(value) if value != b"" else None
+                return (bytes(value) if value != b"" else None), read
             child = node[path[0]]
             if child == b"":
-                return None
+                return None, read
             path = path[1:]
             expected = child
             continue
@@ -451,10 +453,10 @@ def verify_proof(root: bytes, key: bytes, proof: list[bytes]) -> bytes | None:
                 value = node[1]
                 if not isinstance(value, (bytes, bytearray)):
                     raise ProofError("leaf value must be bytes")
-                return bytes(value)
-            return None
+                return bytes(value), read
+            return None, read
         prefix = common_prefix_length(node_path, path)
         if prefix != len(node_path):
-            return None
+            return None, read
         path = path[prefix:]
         expected = node[1]

@@ -36,6 +36,20 @@ def _splice(data: bytes, other: bytes, cut: int, other_cut: int) -> bytes:
     return data[: cut % (len(data) + 1)] + other[other_cut % (len(other) + 1):]
 
 
+def nested_lists(levels: int) -> bytes:
+    """Canonical RLP of ``levels`` lists, each holding only the next, built
+    without recursion: 20,000 levels are 60 KB of list prefixes."""
+    from repro.rlp.codec import _encode_length
+
+    headers = []
+    length = 0
+    for _ in range(levels):
+        header = _encode_length(length, 0xC0)
+        headers.append(header)
+        length += len(header)
+    return b"".join(reversed(headers))
+
+
 def mutated(valid: st.SearchStrategy[bytes]) -> st.SearchStrategy[bytes]:
     """Truncations, bit flips, length lies and two-message splices of
     the encodings ``valid`` draws."""

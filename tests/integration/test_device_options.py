@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import rlp
 from repro.core import (
     DeviceConfig,
     HarDTAPEService,
@@ -10,6 +11,7 @@ from repro.core import (
 )
 from repro.state import Transaction
 from repro.workloads.contracts import erc20, rollup
+from tests.hostile import nested_lists
 
 
 @pytest.fixture(scope="module")
@@ -144,17 +146,24 @@ def test_wrong_message_shape_is_rejected_before_any_core_is_assigned(
 
 @pytest.mark.parametrize("level", ["full", "raw"])
 @pytest.mark.parametrize(
-    "item",
-    [b"abc", [b"\x01"], [b"\x01", [[b"a", b"b"]]]],
-    ids=["a-string", "one-field", "short-transaction"],
+    "payload",
+    [
+        rlp.encode(b"abc"),
+        rlp.encode([b"\x01"]),
+        rlp.encode([b"\x01", [[b"a", b"b"]]]),
+        # 60 KB of list prefixes: no size cap stops it (honest rollup
+        # bundles are 39 KB), only the codec's depth bound.
+        nested_lists(20_000),
+    ],
+    ids=["a-string", "one-field", "short-transaction", "nested-20000-deep"],
 )
 def test_malformed_bundle_is_rejected_before_any_core_is_assigned(
-    evalset, level, item
+    evalset, level, payload
 ):
     """A session holder chooses the bytes inside the channel: RLP of the
     wrong shape is a typed, non-retryable `BundleRejected` (a bare
-    `ValueError: not enough values to unpack` before)."""
-    from repro import rlp
+    `ValueError: not enough values to unpack` before; for the deep one
+    a `RecursionError`)."""
     from repro.faults.policy import RetryPolicy
     from repro.hypervisor import BundleRejected
 
@@ -163,7 +172,6 @@ def test_malformed_bundle_is_rejected_before_any_core_is_assigned(
     )
     device = service.devices[0]
     client, session = _session(service)
-    payload = rlp.encode(item)
     message = session.channel.seal(payload) if level == "full" else payload
     with pytest.raises(BundleRejected, match="malformed bundle") as refusal:
         service.submit_bundle(device, session.session_id, message)

@@ -7,11 +7,27 @@ operation and shares nothing with the production law beyond the curve
 constants, which is what makes it an oracle: every production result
 (scalar multiples, table entries, ECDH secrets, verify verdicts) must
 equal what this code computes.
+
+``looped_keccak_f1600`` is the Keccak-f[1600] permutation as the
+reference specification writes it — theta, rho + pi, chi, iota as
+nested loops over a rotation table — the code ``repro.crypto.keccak``
+shipped before its rounds were written out straight-line.  It shares
+the round constants and the rotation table with production and nothing
+else: the folded rotation amounts and lane moves there must reproduce
+what these loops compute from the table.
+
+``blake2_aead_seal`` is ``Blake2Aead``'s wire format written out from
+its definition, one fresh hash object per message and a byte-wise XOR:
+what every sealing path (single, batch, pre-keyed, vector XOR) must put
+on the wire.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.crypto.ecc import G, INFINITY, N, P, InvalidSignature, Point, Signature
+from repro.crypto.keccak import _MASK64, _ROTATION, _ROUND_CONSTANTS
 
 
 def affine_add(p: Point, q: Point) -> Point:
@@ -54,3 +70,95 @@ def affine_verify(point: Point, message_hash: bytes, signature: Signature) -> No
         raise InvalidSignature("verification produced infinity")
     if total.x % N != r:
         raise InvalidSignature("r mismatch")
+
+
+def _rol(value: int, shift: int) -> int:
+    """Rotate a 64-bit lane left by ``shift`` bits."""
+    shift %= 64
+    if shift == 0:
+        return value
+    return ((value << shift) | (value >> (64 - shift))) & _MASK64
+
+
+def looped_keccak_f1600(lanes: list[int]) -> None:
+    """Apply Keccak-f[1600] to 25 lanes (``lanes[x + 5 * y]``) in place."""
+    for round_constant in _ROUND_CONSTANTS:
+        # theta
+        parity = [
+            lanes[x] ^ lanes[x + 5] ^ lanes[x + 10] ^ lanes[x + 15] ^ lanes[x + 20]
+            for x in range(5)
+        ]
+        for x in range(5):
+            d = parity[(x - 1) % 5] ^ _rol(parity[(x + 1) % 5], 1)
+            for y in range(0, 25, 5):
+                lanes[x + y] ^= d
+        # rho + pi
+        moved = [0] * 25
+        for x in range(5):
+            for y in range(5):
+                moved[y + 5 * ((2 * x + 3 * y) % 5)] = _rol(
+                    lanes[x + 5 * y], _ROTATION[x][y]
+                )
+        # chi
+        for y in range(0, 25, 5):
+            row = moved[y:y + 5]
+            for x in range(5):
+                lanes[x + y] = row[x] ^ ((~row[(x + 1) % 5]) & row[(x + 2) % 5])
+        # iota
+        lanes[0] ^= round_constant
+
+
+def in_memory_proof(trie, key: bytes) -> list[bytes]:
+    """The Merkle proof for ``key``, derived from the in-memory nodes.
+
+    The prover ``MerklePatriciaTrie.prove`` shipped before it read
+    proofs out of the trie's commitment: walk the in-memory tree and
+    re-encode the whole subtree under every node on the path.  It never
+    looks at the commitment, so it cannot be misled by a stale one.
+    """
+    from repro import rlp
+    from repro.crypto.keccak import keccak256
+    from repro.trie.nibbles import bytes_to_nibbles, common_prefix_length, hp_decode
+
+    def to_rlp(node):
+        if len(node) == 17:
+            return [ref(child) for child in node[:16]] + [node[16]]
+        _path, is_leaf = hp_decode(node[0])
+        return [node[0], node[1] if is_leaf else ref(node[1])]
+
+    def ref(child):
+        if isinstance(child, bytes):
+            return child
+        encoded = rlp.encode(to_rlp(child))
+        return keccak256(encoded) if len(encoded) >= 32 else to_rlp(child)
+
+    proof: list[bytes] = []
+    node, path = trie._root, bytes_to_nibbles(key)
+    while node != b"":
+        proof.append(rlp.encode(to_rlp(node)))
+        if len(node) == 17:
+            if not path:
+                break
+            child, path = node[path[0]], path[1:]
+        else:
+            node_path, is_leaf = hp_decode(node[0])
+            if is_leaf or common_prefix_length(node_path, path) != len(node_path):
+                break
+            child, path = node[1], path[len(node_path):]
+        # An embedded child is already inside the element just emitted.
+        if child == b"" or len(rlp.encode(to_rlp(child))) < 32:
+            break
+        node = child
+    return proof
+
+
+def blake2_aead_seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    """``ciphertext || tag`` of ``repro.crypto.suite.Blake2Aead``."""
+    enc_key = hashlib.blake2b(key, digest_size=32, person=b"enc-key-deriv").digest()
+    mac_key = hashlib.blake2b(key, digest_size=32, person=b"mac-key-deriv").digest()
+    keystream = hashlib.shake_256(enc_key + nonce).digest(len(plaintext))
+    ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
+    mac = hashlib.blake2b(key=mac_key, digest_size=16)
+    for part in (len(aad).to_bytes(8, "big"), aad, nonce, ciphertext):
+        mac.update(part)
+    return ciphertext + mac.digest()

@@ -5,14 +5,16 @@ bundle, and on the user side a trace report) and holds its resumption
 ticket; whatever they send, the decoder returns a value that re-encodes
 to the input or raises its typed error — never ``ValueError``,
 ``TypeError``, ``IndexError``, ``struct.error`` or
-``UnicodeDecodeError``.  The six remaining decoders of ROADMAP item 1
-join by adding a row to ``DECODERS``.
+``UnicodeDecodeError``.  The Node controls every byte of a Merkle proof
+and everything else that reaches ``rlp.decode``.  The remaining
+decoders of ROADMAP item 1 join by adding a row to ``DECODERS``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import rlp
+from repro.crypto.keccak import keccak256
 from repro.hypervisor.bundle_codec import (
     decode_bundle,
     decode_trace_report,
@@ -20,8 +22,10 @@ from repro.hypervisor.bundle_codec import (
     encode_trace_report,
 )
 from repro.hypervisor.resumption import TicketIntegrityError, TicketState
+from repro.trie import MerklePatriciaTrie, ProofError, verify_proof
 from tests.hostile import assert_total, mutated
 from tests.property.test_prop_codecs import bundles, reports
+from tests.property.test_prop_rlp_trie import rlp_items
 
 ticket_states = st.builds(
     TicketState,
@@ -39,6 +43,7 @@ ticket_states = st.builds(
 # name -> (valid values, encode, decode, typed errors)
 DECODERS = {
     "bundle": (bundles, encode_bundle, decode_bundle, rlp.DecodingError),
+    "rlp": (rlp_items, rlp.encode, rlp.decode, rlp.DecodingError),
     "trace_report": (
         reports, encode_trace_report, decode_trace_report, rlp.DecodingError
     ),
@@ -64,3 +69,40 @@ def test_decoder_is_total_on_mutated_encodings(name, data):
 def test_decoder_is_total_on_arbitrary_bytes(name, hostile):
     _, encode, decode, typed_errors = DECODERS[name]
     assert_total(decode, encode, hostile, typed_errors)
+
+
+@given(
+    contents=st.dictionaries(
+        st.binary(min_size=1, max_size=3), st.binary(min_size=1, max_size=40),
+        min_size=1, max_size=24,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_verify_proof_is_total_on_a_mutated_node(contents, data):
+    """``verify_proof`` promises ``ProofError`` for anything that does
+    not authenticate.  One node of a valid proof is mutated and the
+    proof re-rooted over it (every ancestor refers to its child by the
+    new hash, the root is the new first node's hash), so the mutant is
+    *reached*: the verdict is a value or ``ProofError``, never the
+    ``DecodingError`` / ``IndexError`` / ``TypeError`` of a node that
+    hashes right and parses wrong."""
+    trie = MerklePatriciaTrie()
+    for key, value in contents.items():
+        trie.put(key, value)
+    key = data.draw(
+        st.one_of(st.sampled_from(sorted(contents)), st.binary(min_size=1, max_size=3)),
+        label="key",
+    )
+    proof = trie.prove(key)
+    index = data.draw(st.integers(0, len(proof) - 1), label="node")
+    mutant = data.draw(mutated(st.just(proof[index])), label="mutant")
+    for level in range(index, -1, -1):
+        proof[level], replaced = mutant, proof[level]
+        if level:
+            mutant = proof[level - 1].replace(keccak256(replaced), keccak256(mutant))
+    try:
+        value = verify_proof(keccak256(proof[0]), key, proof)
+    except ProofError:
+        return
+    assert value is None or isinstance(value, bytes)

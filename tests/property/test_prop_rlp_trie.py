@@ -1,9 +1,12 @@
 """Property-based tests for RLP and the Merkle Patricia Trie."""
 
+import copy
+
 from hypothesis import given, settings, strategies as st
 
 from repro import rlp
 from repro.trie import MerklePatriciaTrie, verify_proof
+from tests.oracles import in_memory_proof
 
 rlp_items = st.recursive(
     st.binary(max_size=70),
@@ -89,3 +92,57 @@ def test_trie_proofs_always_verify(operations, probe_key):
     root = trie.root_hash()
     proof = trie.prove(probe_key)
     assert verify_proof(root, probe_key, proof) == model.get(probe_key)
+
+
+interleaved_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.binary(min_size=1, max_size=4),
+            # Long values force hashed nodes, short ones embedded nodes.
+            st.binary(min_size=1, max_size=40),
+        ),
+        st.tuples(st.just("delete"), st.binary(min_size=1, max_size=4), st.just(b"")),
+        st.tuples(st.just("root_hash"), st.just(b""), st.just(b"")),
+        st.tuples(st.just("prove"), st.binary(min_size=1, max_size=4), st.just(b"")),
+    ),
+    max_size=50,
+)
+
+
+@given(interleaved_ops)
+@settings(max_examples=120, deadline=None)
+def test_commitment_never_outlives_the_tree_it_committed(operations):
+    """Roots and proofs read from the remembered commitment equal those
+    of a trie freshly built from the same contents, at every point of
+    an interleaved put / delete / root_hash / prove history — including
+    prove -> put -> prove — and equal what the in-memory prover the
+    commitment replaced derives without it."""
+    trie = MerklePatriciaTrie()
+    model: dict[bytes, bytes] = {}
+
+    def fresh() -> MerklePatriciaTrie:
+        rebuilt = MerklePatriciaTrie()
+        for key, value in model.items():
+            rebuilt.put(key, value)
+        return rebuilt
+
+    for op, key, value in operations:
+        if op == "put":
+            trie.put(key, value)
+            model[key] = value
+        elif op == "delete":
+            trie.delete(key)
+            model.pop(key, None)
+        elif op == "root_hash":
+            assert trie.root_hash() == fresh().root_hash()
+        else:
+            proof = trie.prove(key)
+            assert proof == fresh().prove(key) == in_memory_proof(trie, key)
+            assert verify_proof(trie.root_hash(), key, proof) == model.get(key)
+    # A deep copy takes the commitment with it (the e2e sync workload
+    # copies its node, tries and all, once per repetition).
+    twin = copy.deepcopy(trie)
+    for key in list(model) + [b"\x00absent"]:
+        assert trie.prove(key) == twin.prove(key) == in_memory_proof(trie, key)
+        assert verify_proof(trie.root_hash(), key, trie.prove(key)) == model.get(key)

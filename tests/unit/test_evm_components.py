@@ -175,6 +175,41 @@ def test_jumpdest_analysis_skips_push_immediates():
     assert valid == {3}
 
 
+def _scan_with_push_size(code: bytes) -> set[int]:
+    """The scan as it ran before the skip table: ``push_size`` per opcode."""
+    valid, pc = set(), 0
+    while pc < len(code):
+        if code[pc] == opcodes.JUMPDEST:
+            valid.add(pc)
+        pc += 1 + opcodes.push_size(code[pc])
+    return valid
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        b"",
+        assemble(["PUSH2", 0x5B5B, "JUMPDEST", "STOP"]),  # immediates hide 0x5b
+        b"\x5b\x7f\x5b\x5b",  # PUSH32 with two bytes of immediate left
+        b"\x5b\x60",  # PUSH1 with none
+        b"\x5b" * 40,
+        bytes(range(256)) * 3,  # every opcode, every PUSH width
+        bytes(reversed(range(256))) * 3,
+    ],
+    ids=["empty", "hidden", "truncated-push32", "truncated-push1", "all-jumpdest",
+         "every-opcode", "every-opcode-reversed"],
+)
+def test_jumpdest_analysis_cached_equals_uncached(code):
+    analyze_jumpdests.cache_clear()
+    scanned = analyze_jumpdests(code)
+    # An equal but distinct bytes object is the same code: a hit.
+    answered = analyze_jumpdests(bytes(bytearray(code)))
+    assert scanned == answered == analyze_jumpdests.__wrapped__(code)
+    assert scanned == _scan_with_push_size(code)
+    info = analyze_jumpdests.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 # -- assembler ---------------------------------------------------------------------
 
 

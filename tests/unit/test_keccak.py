@@ -1,10 +1,12 @@
 """Keccak-256 against published Ethereum test vectors."""
 
 import hashlib
+import random
 
 import pytest
 
-from repro.crypto.keccak import Keccak256, keccak256
+from repro.crypto.keccak import _MASK64, Keccak256, _keccak_f1600, keccak256
+from tests.oracles import looped_keccak_f1600
 
 
 KNOWN_VECTORS = [
@@ -24,6 +26,30 @@ KNOWN_VECTORS = [
 @pytest.mark.parametrize("message,expected", KNOWN_VECTORS)
 def test_known_vectors(message, expected):
     assert keccak256(message).hex() == expected
+
+
+@pytest.mark.parametrize("message,expected", KNOWN_VECTORS)
+def test_known_vectors_through_the_scalar_sponge(message, expected):
+    # keccak256() hashes with whichever engine is installed; this is the
+    # scalar permutation, whatever the active crypto backend.
+    assert Keccak256(message).hexdigest() == expected
+
+
+def test_straight_line_permutation_equals_the_looped_oracle():
+    rng = random.Random(1600)
+    states = [[0] * 25, [_MASK64] * 25, [1 << (i % 64) for i in range(25)]] + [
+        [rng.getrandbits(64) for _ in range(25)] for _ in range(100)
+    ]
+    for state in states:
+        expected, actual = list(state), list(state)
+        looped_keccak_f1600(expected)
+        _keccak_f1600(actual)
+        assert actual == expected
+        # Iterated: an error that needs a particular lane pattern to
+        # show has 24 more rounds of diffusion to meet it.
+        looped_keccak_f1600(expected)
+        _keccak_f1600(actual)
+        assert actual == expected
 
 
 def test_differs_from_nist_sha3():

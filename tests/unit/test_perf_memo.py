@@ -151,3 +151,37 @@ def test_access_summary_reports_memo_deltas():
     _, _, _, plain_client = _run_oram(None)
     assert plain_client.last_access.memo_hits == 0
     assert plain_client.last_access.memo_misses == 0
+
+
+# Pinned at the commit before the batch paths were fused (PR 19): the
+# perf-bench access sequence under perf-bench's key.  4096 entries is
+# BENCH_perf.json's configuration (its 936 hits / 0 misses); 64 entries
+# makes the LRU evict, so order and eviction counts are exercised too.
+# The last field digests the cache keys in LRU order.
+@pytest.mark.parametrize(
+    "capacity,expected",
+    [
+        (4096, (936, 0, 1152, 0, "392950dec22648c2")),
+        (64, (476, 460, 1612, 1548, "2abdb31952ad7086")),
+    ],
+)
+def test_replayed_access_sequence_has_the_pinned_memo_behaviour(capacity, expected):
+    import hashlib
+
+    from repro.perf.bench import PerfBenchConfig, _digest_server, _workload
+
+    config = PerfBenchConfig()
+    key = hashlib.blake2b(
+        config.seed.to_bytes(8, "big"), digest_size=32, person=b"perf-key"
+    ).digest()
+    server = OramServer(height=config.oram_height)
+    client = PathOramClient(server, key, decrypt_memo_blocks=capacity)
+    for access_key, payload in _workload(config):
+        client.access(access_key, payload)
+    stats = client.memo.stats
+    lru_order = hashlib.sha256(b"".join(client.memo._cache)).hexdigest()[:16]
+    assert (
+        stats.hits, stats.misses, stats.inserts, stats.evictions, lru_order
+    ) == expected
+    # The memo is invisible on the wire: same ciphertext tree either way.
+    assert _digest_server(server) == "9adc75e48911f1616c67d35a20c44d37"

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import rlp
-from repro.rlp.codec import DecodingError
+from repro.rlp.codec import MAX_NESTING_DEPTH, DecodingError
+from tests.hostile import nested_lists
 
 
 @pytest.mark.parametrize(
@@ -99,3 +100,17 @@ def test_deep_nesting_roundtrip():
     for _ in range(30):
         item = [item]
     assert rlp.decode(rlp.encode(item)) == item
+
+
+def test_nesting_is_bounded_by_a_typed_error():
+    """Depth is the one thing a short input can make large: at the bound
+    it decodes, past it the error is typed — never the interpreter's
+    RecursionError, however high the recursion limit has been raised."""
+    item: list = []
+    for _ in range(MAX_NESTING_DEPTH - 1):
+        item = [item]
+    assert rlp.encode(item) == nested_lists(MAX_NESTING_DEPTH)
+    assert rlp.decode(nested_lists(MAX_NESTING_DEPTH)) == item
+    for levels in (MAX_NESTING_DEPTH + 1, 20_000):
+        with pytest.raises(DecodingError, match="nested deeper"):
+            rlp.decode(nested_lists(levels))

@@ -154,3 +154,37 @@ def test_world_state_copy_isolated():
     clone = ws.copy()
     clone.ensure(to_address(1)).balance = 99
     assert ws.accounts[to_address(1)].balance == 5
+
+
+def test_proofs_follow_a_world_state_mutated_after_proving():
+    """The account trie and the storage tries a state has proven from
+    are dropped by the next mutation: proofs verify against the *new*
+    root, and a copy taken in between shares no trie."""
+    ws = WorldState()
+    address = to_address(0xAB)
+    ws.ensure(address).balance = 1
+    ws.ensure(address).storage.update({3: 42, 99: 7})
+    old_root = ws.commit()
+    ws.prove_account(address)
+    ws.prove_storage(address, 3)  # every cache is warm now
+    clone = ws.copy()
+
+    ws.apply_writes({}, {}, {(address, 3): 43, (address, 5): 1}, {})
+    ws.ensure(address).storage[99] = 8
+    new_root = ws.commit()
+    assert new_root != old_root
+    proven = WorldState.verify_account_proof(
+        new_root, address, ws.prove_account(address)
+    )
+    assert proven.storage_root == ws.storage_root_of(address)
+    for key, value in {3: 43, 5: 1, 99: 8, 1000: 0}.items():
+        proof = ws.prove_storage(address, key)
+        assert WorldState.verify_storage_proof(proven.storage_root, key, proof) == value
+
+    assert clone.commit() == old_root
+    proven = WorldState.verify_account_proof(
+        old_root, address, clone.prove_account(address)
+    )
+    for key, value in {3: 42, 5: 0, 99: 7}.items():
+        proof = clone.prove_storage(address, key)
+        assert WorldState.verify_storage_proof(proven.storage_root, key, proof) == value
