@@ -8,14 +8,11 @@ tickets amortize the attestation+DHKE handshake across reconnects.  See
 :mod:`repro.hypervisor.resumption` for the ticket protocol.
 """
 
-from repro.async_serving.session import (
-    AsyncSession,
-    InvalidSessionTransition,
-    SessionState,
-)
+from repro.hypervisor.lifecycle import InvalidSessionTransition, SessionState
 from repro.async_serving.tier import (
     AsyncServingConfig,
     AsyncServingTier,
+    AsyncSession,
     ModelHandshakeEngine,
     ServiceHandshakeEngine,
     ServiceTenant,

@@ -165,12 +165,8 @@ def _run_model_tier(
         tier_metrics=snapshot,
         load=load,
         peak_live=tier.peak_live,
-        live_at_end=sum(
-            1 for s in tier.sessions.values() if s.is_live
-        ),
-        stale_fallbacks=sum(
-            s.stale_fallbacks for s in tier.sessions.values()
-        ),
+        live_at_end=tier.live_sessions,
+        stale_fallbacks=int(snapshot.get("tier.stale_tickets", 0)),
         digest=digest,
     )
 

@@ -31,7 +31,7 @@ Tier events (arrivals, handshake completions, idle timers) and the
 frontend's completions are events on one reactor, ordered by its rank
 rule (completions due at T run before an arrival at T), and every
 dispatched request reports back through its ``on_done``; ``run()`` is
-just "run the reactor to idle".  With resumption disabled and pure
+just "run the reactor to idle".  With idle eviction off and pure
 payload factories, a seeded open-loop run *through* the tier is
 byte-identical to the same :func:`repro.serving.loadgen.run_open_loop`
 straight at the gateway — the tier keeps its own metrics registry and
@@ -42,7 +42,7 @@ identity gate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
@@ -54,7 +54,43 @@ from repro.serving.loadgen import LoadReport, load_report
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.router import ShardSessionRouter
 from repro.telemetry.tracer import tracer_for
-from repro.async_serving.session import AsyncSession, SessionState
+from repro.hypervisor.lifecycle import (
+    EDGES,
+    InvalidSessionTransition,
+    SessionState,
+    device_holds,
+)
+
+
+@dataclass
+class AsyncSession:
+    """One multiplexed session's bookkeeping: a record of a few hundred
+    bytes — never a thread, nor a channel object while suspended —
+    walking the lifecycle :mod:`repro.hypervisor.lifecycle` declares."""
+
+    routing_id: bytes               # stable id: shard routing + gateway accounting
+    state: str = SessionState.HANDSHAKING
+    last_activity_us: float = 0.0
+    device_index: int | None = None
+    shard_affinity: int = -1
+    ring_digest: str = ""
+    # Engine-specific handles: the live client session while the device
+    # holds one, the suspended (ticket) state while SUSPENDED.
+    live: Any = None
+    parked: Any = None
+    # Payloads that arrived mid-handshake/mid-resume, flushed on ACTIVE.
+    backlog: list[Any] = field(default_factory=list)
+    in_flight: int = 0
+    suspend_timer: Any = None
+    # The open ``tier.handshake`` span while a handshake is in flight.
+    handshake_span: Any = None
+    suspends: int = 0
+
+    def transition(self, dst: str, at_us: float) -> None:
+        if dst not in EDGES[self.state]:
+            raise InvalidSessionTransition(self.routing_id, self.state, dst)
+        self.state = dst
+        self.last_activity_us = at_us
 
 
 class SessionCapacityError(Exception):
@@ -87,20 +123,14 @@ class ModelHandshakeEngine:
 
     def __init__(self, cost: CostModel | None = None, seed: int = 1) -> None:
         self.cost = cost or CostModel()
+        self.full_handshake_us = self.cost.attestation_us + self.cost.dhke_us
+        self.resume_us = self.cost.ticket_resume_us
         self.epoch = 0
         self._sealer = TicketSealer(
             hkdf_sha256(seed.to_bytes(8, "big"), info=b"c10k-model-ticket")
         )
         self._rng = Drbg(seed.to_bytes(8, "big"),
                          personalization=b"c10k-handshake")
-
-    @property
-    def full_handshake_us(self) -> float:
-        return self.cost.attestation_us + self.cost.dhke_us
-
-    @property
-    def resume_us(self) -> float:
-        return self.cost.ticket_resume_us
 
     def open(self, session: AsyncSession) -> None:
         session.live = session.routing_id
@@ -126,7 +156,6 @@ class ModelHandshakeEngine:
 
     def close(self, session: AsyncSession) -> None:
         session.live = None
-        session.parked = None
 
     def advance_epoch(self) -> None:
         """Model a hypervisor restart: outstanding tickets go stale."""
@@ -146,10 +175,11 @@ class ServiceHandshakeEngine:
     """The full-pipeline engine for integration runs.
 
     ``open`` performs real attestation+DHKE; ``suspend``/``resume`` go
-    through the hypervisor's ticket mint/redeem.  Every establishment
-    and resumption replaces the entry in the tenant's ``sessions``, so
-    FailoverBundle payloads built over that mapping follow the session
-    across suspensions and hypervisor restarts alike.
+    through the hypervisor's ticket mint/redeem; ``close`` ends the
+    device's session.  Every establishment and resumption replaces the
+    entry in the tenant's ``sessions``, so FailoverBundle payloads built
+    over that mapping follow the session across suspensions and
+    hypervisor restarts alike.
     """
 
     def __init__(self, service: Any,
@@ -186,8 +216,8 @@ class ServiceHandshakeEngine:
         tenant.sessions[tenant.device_index] = session.live
 
     def close(self, session: AsyncSession) -> None:
-        session.live = None
-        session.parked = None
+        live, session.live = session.live, None
+        self._tenant(session).client.close(live)
 
 
 # ----------------------------------------------------------------------
@@ -202,11 +232,9 @@ class AsyncServingConfig:
     # this raise a typed SessionCapacityError instead of queueing.
     max_sessions: int = 16_384
     # Idle eviction: an ACTIVE session with nothing queued or in flight
-    # for this long is suspended into a ticket.  ``None`` disables.
+    # for this long is suspended into a ticket.  ``None`` disables it,
+    # which is what the identity gate runs with.
     suspend_after_us: float | None = 2_000_000.0
-    # Master switch; False also disables idle eviction, which is what
-    # the identity gate runs with.
-    resumption: bool = True
 
 
 class AsyncServingTier:
@@ -217,7 +245,6 @@ class AsyncServingTier:
         frontend: Gateway | ShardSessionRouter,
         engine: Any,
         config: AsyncServingConfig | None = None,
-        metrics: MetricsRegistry | None = None,
         flight: Any = None,
     ) -> None:
         self.frontend = frontend
@@ -227,17 +254,24 @@ class AsyncServingTier:
         # Deliberately a *separate* registry from the frontend's: tier
         # bookkeeping must not perturb the gateway metrics the identity
         # gate hashes.
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         # Optional repro.telemetry.flight.FlightRecorder: lifecycle
         # entries ring per session, typed failures seal dumps.
         self.flight = flight
-        self._router = frontend if isinstance(frontend, ShardSessionRouter) else None
         self.sessions: dict[bytes, AsyncSession] = {}
-        self.live_sessions = 0
         self.peak_live = 0
         self.outcomes: list[GatewayRequest] = []
-        # Open handshake spans by routing id (ended in _finish_handshake).
-        self._handshake_spans: dict[bytes, Any] = {}
+
+    @property
+    def live_sessions(self) -> int:
+        """What counts against ``max_sessions``: every record the tier
+        holds (a CLOSED one is dropped on the spot)."""
+        return len(self.sessions)
+
+    @property
+    def _router(self) -> ShardSessionRouter | None:
+        frontend = self.frontend
+        return frontend if isinstance(frontend, ShardSessionRouter) else None
 
     @property
     def _tracer(self):
@@ -252,12 +286,17 @@ class AsyncServingTier:
                 session.routing_id, "event", name, self.reactor.now_us, **data
             )
 
+    def _seal(self, session: AsyncSession, cause: str, message: str) -> None:
+        """A typed failure: seal the session's ring if ``cause`` triggers."""
+        if self.flight is not None:
+            self.flight.seal_if_triggered(
+                session.routing_id, cause, message, self.reactor.now_us
+            )
+
     # -- admission ------------------------------------------------------
 
-    def _admit(self, routing_id: bytes,
-               device_index: int | None) -> AsyncSession:
-        existing = self.sessions.get(routing_id)
-        if existing is not None and existing.is_live:
+    def _admit(self, routing_id: bytes) -> AsyncSession:
+        if routing_id in self.sessions:
             raise ValueError(
                 f"session {routing_id.hex()[:16]} is already live"
             )
@@ -265,15 +304,9 @@ class AsyncServingTier:
             self.metrics.counter("tier.sessions_rejected").inc()
             raise SessionCapacityError(self.config.max_sessions)
         now = self.reactor.now_us
-        session = AsyncSession(
-            routing_id=routing_id,
-            opened_at_us=now,
-            last_activity_us=now,
-            device_index=device_index,
-        )
-        self._derive_affinity(session)
+        session = AsyncSession(routing_id=routing_id, last_activity_us=now)
+        self._pin_to_ring(session)
         self.sessions[routing_id] = session
-        self.live_sessions += 1
         self.peak_live = max(self.peak_live, self.live_sessions)
         self.metrics.gauge("tier.live_sessions").set(self.live_sessions)
         self._tracer.record(
@@ -285,37 +318,38 @@ class AsyncServingTier:
         self._note(session, "tier.admit", shard=session.shard_affinity)
         return session
 
-    def open_session(self, routing_id: bytes,
-                     device_index: int | None = None) -> AsyncSession:
+    def open_session(self, routing_id: bytes) -> AsyncSession:
         """Admit and start the full handshake; returns HANDSHAKING."""
-        session = self._admit(routing_id, device_index)
+        session = self._admit(routing_id)
         self._begin_full_handshake(session)
         return session
 
-    def adopt_session(self, routing_id: bytes,
-                      live: Any = None,
-                      device_index: int | None = None) -> AsyncSession:
+    def adopt_session(self, routing_id: bytes) -> AsyncSession:
         """Admit an already-attested session directly as ACTIVE.
 
         The identity gate uses this: the synchronous baseline also
         establishes its sessions before driving load, so the reactor run
         must not charge a handshake the baseline didn't.
         """
-        session = self._admit(routing_id, device_index)
-        session.live = live
+        session = self._admit(routing_id)
         session.transition(SessionState.ACTIVE, self.reactor.now_us)
         return session
 
     def close_session(self, routing_id: bytes) -> None:
-        session = self.sessions[routing_id]
-        if session.state == SessionState.CLOSED:
+        """End a session in any state; a no-op for one already gone.
+        The record goes at once — requests in flight report back through
+        the record itself, payloads queued on it are dropped with it —
+        and the device is told if the lifecycle says it holds the
+        session (a SUSPENDED session's ticket is the user's to discard)."""
+        session = self.sessions.pop(routing_id, None)
+        if session is None:
             return
+        held = device_holds(session.state)
         self._cancel_suspend(session)
         session.transition(SessionState.CLOSED, self.reactor.now_us)
-        if self.engine is not None:
-            self.engine.close(session)
-        self.live_sessions -= 1
         self.metrics.gauge("tier.live_sessions").set(self.live_sessions)
+        if held and self.engine is not None:
+            self.engine.close(session)
 
     def close_all(self) -> None:
         for routing_id in list(self.sessions):
@@ -339,13 +373,12 @@ class AsyncServingTier:
         session.  ``on_done`` fires after the tier's own bookkeeping.
         """
         session = self.sessions.get(routing_id)
-        if session is None or session.state == SessionState.CLOSED:
+        if session is None:
             raise SessionClosedError(
                 f"no live session {routing_id.hex()[:16]}"
             )
         if device_index is not None:
             session.device_index = device_index
-        session.submitted += 1
         session.last_activity_us = self.reactor.now_us
         self._cancel_suspend(session)
         if session.state == SessionState.ACTIVE:
@@ -365,40 +398,34 @@ class AsyncServingTier:
             payload,
             priority=priority,
             device_index=session.device_index,
-            on_done=partial(self._absorb, on_done),
+            on_done=partial(self._absorb, session, on_done),
         )
         if request.status != RequestStatus.REJECTED:
             self._note(
                 session, "tier.dispatch", request_id=request.request_id
             )
 
-    def _absorb(self, on_done, request: GatewayRequest) -> None:
+    def _absorb(self, session: AsyncSession, on_done,
+                request: GatewayRequest) -> None:
         """A dispatched request left the frontend (shed at its door
         included): account it, and re-arm idle eviction if that left
         the session with nothing queued or in flight."""
         self.outcomes.append(request)
-        session = self.sessions[request.session_id]
-        finished_us = request.finished_at_us
         if request.status == RequestStatus.REJECTED:
             self._note(
                 session, "tier.dispatch_rejected",
                 request_id=request.request_id,
                 reason=request.reject_reason,
             )
-        elif request.status == RequestStatus.FAILED and self.flight is not None:
-            self.flight.note(
-                request.session_id, "event", "tier.request_failed",
-                finished_us,
-                request_id=request.request_id,
-                cause=request.failure.cause_type,
+        elif request.status == RequestStatus.FAILED:
+            failure = request.failure
+            self._note(
+                session, "tier.request_failed",
+                request_id=request.request_id, cause=failure.cause_type,
             )
-            self.flight.seal_if_triggered(
-                request.session_id,
-                request.failure.cause_type,
-                request.failure.message,
-                finished_us,
-            )
+            self._seal(session, failure.cause_type, failure.message)
         session.in_flight -= 1
+        finished_us = request.finished_at_us
         session.last_activity_us = max(session.last_activity_us, finished_us)
         if (session.state == SessionState.ACTIVE
                 and not session.in_flight and not session.backlog):
@@ -410,88 +437,70 @@ class AsyncServingTier:
 
     def _begin_full_handshake(self, session: AsyncSession) -> None:
         self.engine.open(session)
-        session.full_handshakes += 1
+        self._handshake_in_flight(session, "full", self.engine.full_handshake_us)
+
+    def _handshake_in_flight(self, session: AsyncSession, kind: str,
+                             delay_us: float, **attributes: object) -> None:
+        """The engine has run the handshake; it lands in ``delay_us``."""
         tracer = self._tracer
         if tracer.enabled:
-            self._handshake_spans[session.routing_id] = tracer.start_span(
+            session.handshake_span = tracer.start_span(
                 "tier.handshake", "async",
                 attributes={
                     "session": session.routing_id.hex()[:16],
-                    "kind": "full",
+                    "kind": kind,
+                    **attributes,
                 },
             )
-        self._note(session, "tier.handshake_begin", kind="full")
+        self._note(session, "tier.handshake_begin", kind=kind, **attributes)
         self.reactor.call_later(
-            self.engine.full_handshake_us, self._finish_handshake,
-            session, "full",
+            delay_us, self._finish_handshake, session, kind, delay_us
         )
 
     def _begin_resume(self, session: AsyncSession) -> None:
+        if self._pin_to_ring(session):
+            self.metrics.counter("tier.affinity_rederived").inc()
         try:
             self.engine.resume(session)
         except StaleTicketError as stale:
             # The hypervisor restarted since the mint.  Typed, counted,
             # and resolved by a fresh full handshake — never retried as
             # a transient fault (the sealed secrets are gone for good).
+            session.parked = None
             self.metrics.counter("tier.stale_tickets").inc()
-            session.stale_fallbacks += 1
             self._tracer.record(
                 "tier.stale_fallback", "async", 0.0,
                 session=session.routing_id.hex()[:16],
                 minted_epoch=stale.minted_epoch,
                 current_epoch=stale.current_epoch,
             )
-            if self.flight is not None:
-                self._note(
-                    session, "tier.stale_fallback",
-                    minted_epoch=stale.minted_epoch,
-                    current_epoch=stale.current_epoch,
-                )
-                self.flight.seal_if_triggered(
-                    session.routing_id,
-                    type(stale).__name__,
-                    str(stale),
-                    self.reactor.now_us,
-                )
+            self._note(
+                session, "tier.stale_fallback",
+                minted_epoch=stale.minted_epoch,
+                current_epoch=stale.current_epoch,
+            )
+            self._seal(session, type(stale).__name__, str(stale))
             session.transition(SessionState.HANDSHAKING, self.reactor.now_us)
             self._begin_full_handshake(session)
             return
         session.transition(SessionState.RESUMED, self.reactor.now_us)
-        self._refresh_affinity(session)
-        session.resumes += 1
-        tracer = self._tracer
-        if tracer.enabled:
-            self._handshake_spans[session.routing_id] = tracer.start_span(
-                "tier.handshake", "async",
-                attributes={
-                    "session": session.routing_id.hex()[:16],
-                    "kind": "resumed",
-                    "shard": session.shard_affinity,
-                },
-            )
-        self._note(session, "tier.handshake_begin", kind="resumed",
-                   shard=session.shard_affinity)
-        self.reactor.call_later(
-            self.engine.resume_us, self._finish_handshake, session, "resumed"
+        self._handshake_in_flight(
+            session, "resumed", self.engine.resume_us,
+            shard=session.shard_affinity,
         )
 
-    def _finish_handshake(self, session: AsyncSession, kind: str) -> None:
-        open_span = self._handshake_spans.pop(session.routing_id, None)
+    def _finish_handshake(self, session: AsyncSession, kind: str,
+                          took_us: float) -> None:
+        open_span, session.handshake_span = session.handshake_span, None
         if session.state == SessionState.CLOSED:
             if open_span is not None:
                 self._tracer.end_span(open_span.set(outcome="closed"))
             return
         session.transition(SessionState.ACTIVE, self.reactor.now_us)
-        if kind == "full":
-            self.metrics.counter("tier.full_handshakes").inc()
-            self.metrics.histogram("tier.handshake_full_us").observe(
-                self.engine.full_handshake_us
-            )
-        else:
-            self.metrics.counter("tier.resumed").inc()
-            self.metrics.histogram("tier.handshake_resumed_us").observe(
-                self.engine.resume_us
-            )
+        self.metrics.counter(
+            "tier.full_handshakes" if kind == "full" else "tier.resumed"
+        ).inc()
+        self.metrics.histogram(f"tier.handshake_{kind}_us").observe(took_us)
         backlog, session.backlog = session.backlog, []
         if open_span is not None:
             self._tracer.end_span(
@@ -512,7 +521,7 @@ class AsyncServingTier:
             session.suspend_timer = None
 
     def _arm_suspend(self, session: AsyncSession, base_us: float) -> None:
-        if not self.config.resumption or self.config.suspend_after_us is None:
+        if self.config.suspend_after_us is None:
             return
         if session.state != SessionState.ACTIVE or session.in_flight:
             return
@@ -541,25 +550,19 @@ class AsyncServingTier:
 
     # -- shard affinity -------------------------------------------------
 
-    def _derive_affinity(self, session: AsyncSession) -> None:
-        if self._router is None:
-            return
-        session.shard_affinity = self._router.shard_for_session(
-            session.routing_id
-        )
-        session.ring_digest = self._router.ring.table_digest()
-
-    def _refresh_affinity(self, session: AsyncSession) -> None:
-        """On resume: keep the sticky pin unless the ring changed."""
-        if self._router is None:
-            return
-        current = self._router.ring.table_digest()
-        if session.ring_digest != current:
-            session.shard_affinity = self._router.shard_for_session(
-                session.routing_id
-            )
-            session.ring_digest = current
-            self.metrics.counter("tier.affinity_rederived").inc()
+    def _pin_to_ring(self, session: AsyncSession) -> bool:
+        """At admission and at every wake-up (resume or stale-ticket
+        fallback): the pin is sticky unless the ring it was derived on
+        changed.  True when it was (re-)derived."""
+        router = self._router
+        if router is None:
+            return False
+        current = router.ring.table_digest()
+        if session.ring_digest == current:
+            return False
+        session.shard_affinity = router.shard_for_session(session.routing_id)
+        session.ring_digest = current
+        return True
 
     def rebind_frontend(self, frontend: Gateway | ShardSessionRouter) -> None:
         """Swap the frontend (topology change).  Callers drain first:
@@ -567,9 +570,6 @@ class AsyncServingTier:
         if frontend.reactor is not self.reactor:
             raise ValueError("the new frontend must share the tier's reactor")
         self.frontend = frontend
-        self._router = (
-            frontend if isinstance(frontend, ShardSessionRouter) else None
-        )
 
     # -- running and reporting -----------------------------------------
 
@@ -589,6 +589,7 @@ class AsyncServingTier:
 __all__ = [
     "AsyncServingConfig",
     "AsyncServingTier",
+    "AsyncSession",
     "ModelHandshakeEngine",
     "ServiceHandshakeEngine",
     "ServiceTenant",

@@ -1,7 +1,7 @@
 """The async serving tier, driven the two ways the benches drive it.
 
-* :func:`tier_open_loop` — the real pipeline behind a resumption-off
-  tier: pure pass-through, which is what the identity gates rely on.
+* :func:`tier_open_loop` — the real pipeline behind a tier that never
+  suspends: pure pass-through, which is what the identity gates rely on.
 * :func:`run_model_tier` — the model-mode schedule, open → burst →
   suspend → resume: ``session_count`` sessions open across
   ``open_window_us`` over a sharded model-executor fleet and burst once
@@ -35,7 +35,7 @@ def tier_open_loop(gateway, sessions, *, flight=None, **offered):
     ``offered`` is :func:`run_open_loop`'s rate/total/seed."""
     tier = AsyncServingTier(
         gateway, engine=None,
-        config=AsyncServingConfig(resumption=False),
+        config=AsyncServingConfig(suspend_after_us=None),
         flight=flight,
     )
     for session in sessions:
@@ -81,7 +81,6 @@ def run_model_tier(
         config=AsyncServingConfig(
             max_sessions=session_count,
             suspend_after_us=SUSPEND_AFTER_US,
-            resumption=True,
         ),
         flight=flight,
     )

@@ -111,7 +111,10 @@ class HarDTAPEService:
         self.synced_height = node.height
         self.stats = ServiceStats()
         if need_oram:
-            self._initial_oram_load()
+            # Bootstrap: bulk-load the synced state into the ORAM, the
+            # paper's setup where the evaluation-set data is "synchronized
+            # to the ORAM server" before measurements start.
+            self.devices[0].oram_backend.sync_world(self._synced_state.accounts)
 
     # ------------------------------------------------------------------
     # Shared ORAM trust state (recovery plane)
@@ -140,16 +143,6 @@ class HarDTAPEService:
     # ------------------------------------------------------------------
     # Block synchronization (workflow step 11)
     # ------------------------------------------------------------------
-
-    def _initial_oram_load(self) -> None:
-        """Bootstrap: bulk-load the synced state into the ORAM.
-
-        Matches the paper's setup where the evaluation-set data is
-        "synchronized to the ORAM server" before measurements start.
-        """
-        device = self.devices[0]
-        assert device.oram_backend is not None
-        device.oram_backend.sync_world(self._synced_state.accounts)
 
     # A stale/forked header from a flaky Node is transient: re-fetching
     # the canonical block almost always clears it.  Deliberate tampering

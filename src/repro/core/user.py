@@ -37,8 +37,8 @@ class UserSession:
     # Retained for suspend/resume: the user's session signing key and
     # the hypervisor's attested session verify key, so a resumed channel
     # re-binds the same identities without re-attesting.
-    signing_key: PrivateKey | None = None
-    peer_public: PublicKey | None = None
+    signing_key: PrivateKey
+    peer_public: PublicKey
 
 
 @dataclass
@@ -59,7 +59,6 @@ class SuspendedSession:
     peer_public: PublicKey
     send_watermark: int         # user-side channel counters at suspend
     recv_watermark: int
-    shard_affinity: int = -1
 
 
 class PreExecutionClient:
@@ -149,8 +148,6 @@ class PreExecutionClient:
     ) -> SuspendedSession:
         """Park a session: the hypervisor seals it into a ticket and
         evicts it; the client keeps the ticket and resumption secret."""
-        if session.signing_key is None or session.peer_public is None:
-            raise ValueError("session predates resumption support")
         hypervisor = session.device.hypervisor
         ticket, sealed_secret = hypervisor.mint_resumption_ticket(
             session.session_id,
@@ -171,27 +168,18 @@ class PreExecutionClient:
             peer_public=session.peer_public,
             send_watermark=sent,
             recv_watermark=received,
-            shard_affinity=shard_affinity,
         )
 
-    def resume(
-        self,
-        suspended: SuspendedSession,
-        device: HarDTAPEDevice | None = None,
-    ) -> UserSession:
-        """Redeem a ticket for a live session in one round-trip.
-
-        Must target the device that minted the ticket (the sealing key
-        is PUF-bound).  Raises
+    def resume(self, suspended: SuspendedSession) -> UserSession:
+        """Redeem a ticket for a live session in one round-trip, on the
+        device that minted it (the sealing key is PUF-bound).  Raises
         :class:`~repro.hypervisor.resumption.StaleTicketError` if the
         hypervisor restarted since the mint — reconnect with
         :meth:`connect` instead.
         """
         from repro.crypto.kdf import hkdf_sha256
 
-        device = device or suspended.device
-        if device is not suspended.device:
-            raise ValueError("resumption tickets are bound to their device")
+        device = suspended.device
         nonce = self._fresh_key().secret.to_bytes(32, "big")
         session_id = device.hypervisor.resume_session(suspended.ticket, nonce)
         aes_key = hkdf_sha256(
@@ -216,6 +204,11 @@ class PreExecutionClient:
             signing_key=suspended.signing_key,
             peer_public=suspended.peer_public,
         )
+
+    def close(self, session: UserSession) -> None:
+        """End a session: the hypervisor scrubs it (workflow step 10).
+        A suspended one needs no close — the device holds nothing."""
+        session.device.hypervisor.close_session(session.session_id)
 
     def pre_execute(
         self,

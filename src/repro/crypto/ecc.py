@@ -32,6 +32,12 @@ class InvalidSignature(Exception):
     """Raised when an ECDSA signature fails verification."""
 
 
+class EccDecodingError(ValueError):
+    """Bytes that are not the SEC1 point or 64-byte signature they claim
+    to be.  A ``ValueError``, so ``ecrecover`` and every caller that
+    already treats malformed key material as a failed check keep doing so."""
+
+
 @dataclass(frozen=True)
 class Point:
     """An affine point on secp256k1; ``None`` coordinates encode infinity."""
@@ -280,12 +286,12 @@ def encode_point(point: Point) -> bytes:
 def decode_point(data: bytes) -> Point:
     """Parse an uncompressed SEC1 point and validate curve membership."""
     if len(data) != 65 or data[0] != 0x04:
-        raise ValueError("expected 65-byte uncompressed SEC1 point")
+        raise EccDecodingError("expected 65-byte uncompressed SEC1 point")
     point = Point(
         int.from_bytes(data[1:33], "big"), int.from_bytes(data[33:], "big")
     )
     if not point_on_curve(point):
-        raise ValueError("point is not on secp256k1")
+        raise EccDecodingError("point is not on secp256k1")
     return point
 
 
@@ -388,7 +394,7 @@ class Signature:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Signature":
         if len(data) != 64:
-            raise ValueError("signature must be 64 bytes")
+            raise EccDecodingError("signature must be 64 bytes")
         return cls(int.from_bytes(data[:32], "big"), int.from_bytes(data[32:], "big"))
 
 

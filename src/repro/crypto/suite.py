@@ -113,7 +113,7 @@ class AcceleratedAesGcmAead:
     tag_size = 16
 
     def __init__(self, key: bytes) -> None:
-        if not HAVE_OPENSSL_AESGCM:  # pragma: no cover - gated at registry
+        if not HAVE_OPENSSL_AESGCM:  # the backend registry gates on it too
             raise RuntimeError("cryptography package not available")
         self._aead = _OpensslAesGcm(key)
 

@@ -32,7 +32,7 @@ class TransactionResult:
     return_data: bytes
     error: str | None = None
     logs: list[Log] = field(default_factory=list)
-    write_set: WriteSet | None = None
+    write_set: WriteSet = field(default_factory=WriteSet)
     created_address: Address | None = None
 
     @property

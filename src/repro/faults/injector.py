@@ -59,15 +59,14 @@ class FaultyOramServer:
     def read_path(self, leaf: int, sim_time_us: float = 0.0):
         plan = self._injector.plan
         if plan.decide(FaultKind.ORAM_STALL, sim_time_us):
-            rule = plan.rule(FaultKind.ORAM_STALL)
-            assert rule is not None
+            stall_us = plan.rule(FaultKind.ORAM_STALL).stall_us
             self._injector._fired(
                 FaultKind.ORAM_STALL,
                 "oram.server.read_path",
                 sim_time_us,
-                f"stalled {rule.stall_us:.0f} µs on leaf {leaf}",
+                f"stalled {stall_us:.0f} µs on leaf {leaf}",
             )
-            raise OramServerStall(rule.stall_us)
+            raise OramServerStall(stall_us)
         buckets = self._inner.read_path(leaf, sim_time_us)
         if plan.decide(FaultKind.ORAM_TAG_CORRUPT, sim_time_us):
             for node in sorted(buckets):
@@ -184,7 +183,7 @@ class FaultInjector:
                     self._metrics.counter(
                         "faults.absorbed", kind=FaultKind.DMA_DUPLICATE
                     ).inc()
-            else:  # pragma: no cover - would be a replay-protection hole
+            else:  # a replay-protection hole: crash the run
                 raise AssertionError(
                     "duplicated channel message was accepted twice"
                 )

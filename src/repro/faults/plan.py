@@ -140,8 +140,9 @@ class FaultPlan:
         """Arm every ``kinds`` entry at the same ``rate``."""
         return cls(seed, [FaultRule(kind, rate, **rule_kwargs) for kind in kinds])
 
-    def rule(self, kind: str) -> FaultRule | None:
-        return self._rules.get(kind)
+    def rule(self, kind: str) -> FaultRule:
+        """The armed rule for ``kind`` (``KeyError`` if none is)."""
+        return self._rules[kind]
 
     def fires(self, kind: str) -> int:
         """How many times ``kind`` has fired so far."""

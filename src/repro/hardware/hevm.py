@@ -100,8 +100,9 @@ class HardwareBackend(StateBackend):
         self._cost = cost
         self._oram = oram_backend
         self._direct = direct_backend
-        self._storage_via_oram = storage_via_oram and oram_backend is not None
-        self._code_via_oram = code_via_oram and oram_backend is not None
+        # Where each kind of miss goes; ``None`` is the direct path.
+        self._storage_oram = oram_backend if storage_via_oram else None
+        self._code_oram = oram_backend if code_via_oram else None
         self._prefetcher = prefetcher
         self._breakdown = breakdown
         self._ws_cache = ws_cache
@@ -157,14 +158,14 @@ class HardwareBackend(StateBackend):
 
     def _pump_prefetch(self) -> None:
         """Issue any code-page prefetches whose timers expired."""
-        if self._prefetcher is None or self._oram is None:
+        oram = self._code_oram
+        if self._prefetcher is None or oram is None:
             return
         self._prefetcher.on_query(self._clock.now_us)
         for entry in self._prefetcher.due(self._clock.now_us):
-            self._issue_prefetch(entry)
+            self._issue_prefetch(oram, entry)
 
-    def _issue_prefetch(self, entry) -> None:
-        assert self._oram is not None
+    def _issue_prefetch(self, oram: ObliviousStateBackend, entry) -> None:
         # The wait until the entry's randomized fire time is dead time,
         # not an ORAM cost: it gets its own "idle" span so the execution
         # bucket still reconciles exactly with the breakdown.
@@ -173,8 +174,8 @@ class HardwareBackend(StateBackend):
             self._tracer.record("prefetch.wait", "idle", stall)
         self._clock.advance_to(entry.fire_time_us)
         self._pace()
-        self._oram.prefetch_code_page(entry.address, entry.page_index)
-        cost = self._oram.access_cost_us(self._cost)
+        oram.prefetch_code_page(entry.address, entry.page_index)
+        cost = oram.access_cost_us(self._cost)
         self._tracer.record(
             "oram.access",
             "oram_code",
@@ -190,10 +191,11 @@ class HardwareBackend(StateBackend):
 
     def drain_prefetches(self) -> None:
         """Flush queued code pages (bundle finishing / frame done)."""
-        if self._prefetcher is None or self._oram is None:
+        oram = self._code_oram
+        if self._prefetcher is None or oram is None:
             return
         for entry in self._prefetcher.drain(self._clock.now_us):
-            self._issue_prefetch(entry)
+            self._issue_prefetch(oram, entry)
 
     # -- StateBackend ------------------------------------------------------
 
@@ -203,10 +205,10 @@ class HardwareBackend(StateBackend):
             self._stats.l1_ws_hits += 1
             return cached  # type: ignore[return-value]
         self._stats.l1_ws_misses += 1
-        if self._storage_via_oram:
-            assert self._oram is not None
+        oram = self._storage_oram
+        if oram is not None:
             self._pace()
-            meta = self._oram.get_meta(address)
+            meta = oram.get_meta(address)
             self._charge_oram("account")
         else:
             meta = self._direct.get_meta(address)
@@ -220,10 +222,10 @@ class HardwareBackend(StateBackend):
             self._stats.l1_ws_hits += 1
             return cached  # type: ignore[return-value]
         self._stats.l1_ws_misses += 1
-        if self._storage_via_oram:
-            assert self._oram is not None
+        oram = self._storage_oram
+        if oram is not None:
             self._pace()
-            value = self._oram.get_storage(address, key)
+            value = oram.get_storage(address, key)
             self._charge_oram("storage")
         else:
             value = self._direct.get_storage(address, key)
@@ -235,10 +237,10 @@ class HardwareBackend(StateBackend):
         cached = self._code_cache.get(address, page_index)
         if cached is not None:
             return cached
-        if self._code_via_oram:
-            assert self._oram is not None
+        oram = self._code_oram
+        if oram is not None:
             self._pace()
-            page = self._oram.get_code_page(address, page_index)
+            page = oram.get_code_page(address, page_index)
             self._charge_oram("code")
         else:
             page = self._direct.get_code_page(address, page_index)
@@ -251,7 +253,8 @@ class HardwareBackend(StateBackend):
         if size == 0:
             return b""
         page_count = (size + CODE_PAGE_SIZE - 1) // CODE_PAGE_SIZE
-        if not self._code_via_oram or self._prefetcher is None:
+        oram = self._code_oram
+        if oram is None or self._prefetcher is None:
             pages = [
                 self.get_code_page(address, index) for index in range(page_count)
             ]
@@ -265,7 +268,7 @@ class HardwareBackend(StateBackend):
                 break
         if first_missing is not None:
             self._pace()
-            page = self._oram.get_code_page(address, first_missing)
+            page = oram.get_code_page(address, first_missing)
             self._charge_oram("code")
             self._code_cache.put(address, first_missing, page)
             if first_missing + 1 < page_count:

@@ -75,14 +75,15 @@ class SecureChannel:
         if cipher_factory is None:
             cipher_factory = self._backend.aead_factory
         self._cipher = cipher_factory(session_key)
-        self._own_signing_key = own_signing_key
+        # Held only when this endpoint signs.
+        self._signing_key = own_signing_key if sign_messages else None
         self._peer_verify_key = peer_verify_key
         self._peer_verifier = (
             self._backend.verifier(peer_verify_key)
             if peer_verify_key is not None
             else None
         )
-        self.sign_messages = sign_messages and own_signing_key is not None
+        self.sign_messages = self._signing_key is not None
         self._send_counter = 0
         # Replay protection: counter-based nonces must arrive strictly
         # increasing.  AES-GCM authenticates contents but not freshness;
@@ -117,9 +118,8 @@ class SecureChannel:
         nonce = self._send_counter.to_bytes(12, "big")
         ciphertext = self._cipher.encrypt(nonce, plaintext, aad)
         signature = None
-        if self.sign_messages:
-            assert self._own_signing_key is not None
-            signature = self._own_signing_key.sign(keccak256(nonce + ciphertext))
+        if self._signing_key is not None:
+            signature = self._signing_key.sign(keccak256(nonce + ciphertext))
         sealed = SealedMessage(nonce, ciphertext, signature)
         self.stats.messages_sealed += 1
         self.stats.bytes_sealed += sealed.wire_size

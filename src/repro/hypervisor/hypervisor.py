@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro import rlp
 from repro.crypto.ecc import PrivateKey, PublicKey
@@ -38,6 +39,7 @@ from repro.hypervisor.resumption import TicketSealer, TicketState, ticket_header
 from repro.hypervisor.scheduler import HevmScheduler
 from repro.hypervisor.sync import BlockSynchronizer
 from repro.hypervisor.receipts import (
+    ReceiptIndexError,
     ReceiptMissingError,
     SignedReceipt,
     make_receipt,
@@ -128,32 +130,22 @@ class UnknownSessionError(KeyError):
 
 @dataclass
 class Session:
-    """One attested user session."""
+    """One attested user session — volatile, never checkpointed."""
 
     session_id: bytes
     channel: SecureChannel
     user_public: PublicKey
     established_at_us: float
-    bundles_run: int = 0
-    # The hypervisor-side session signing key, retained so the session
-    # can be sealed into a resumption ticket (the resumed channel signs
-    # under the same attested identity).  ``None`` only for sessions
-    # restored from pre-resumption checkpoints.
-    signing_key: PrivateKey | None = None
-    # Set on sessions created via ticket redemption: the session id this
-    # one resumed from (telemetry and directory re-join use it).
-    resumed_from: bytes | None = None
+    # The hypervisor-side session signing key: signs receipts, and is
+    # sealed into a resumption ticket so the resumed channel signs under
+    # the same attested identity.
+    signing_key: PrivateKey
 
 
 @dataclass
 class HypervisorStats:
-    sessions_established: int = 0
     bundles_executed: int = 0
-    transactions_executed: int = 0
     crypto_time_us: float = 0.0
-    tickets_minted: int = 0
-    sessions_suspended: int = 0
-    sessions_resumed: int = 0
 
 
 class Hypervisor:
@@ -207,12 +199,6 @@ class Hypervisor:
         )
         self._rng: Drbg = csu.secure_rng(rng_label)
         self._sessions: dict[bytes, Session] = {}
-        # Resumption-ticket sealer (repro.async_serving): built lazily so
-        # deployments that never suspend a session derive no extra key.
-        # The key is PUF-bound — a restarted hypervisor re-derives the
-        # *same* key, and the epoch (= generation) binding is what
-        # refuses pre-crash tickets.
-        self._ticket_sealer: TicketSealer | None = None
         self.stats = HypervisorStats()
         # Crash modelling (``repro.faults`` HYPERVISOR_CRASH): a crashed
         # instance refuses all work; the device builds a *new* instance
@@ -255,7 +241,8 @@ class Hypervisor:
         recovery builds a successor at ``generation + 1``.
         """
         self.crashed = True
-        self._sessions.clear()
+        for session_id in list(self._sessions):
+            self._leave(session_id, ended=False)
         return HypervisorCrashError(self.boot_receipt.serial, phase)
 
     def _require_alive(self) -> None:
@@ -302,42 +289,79 @@ class Hypervisor:
         aes_key = derive_session_key(dh_key, user_dh_public, transcript)
         tracer_for(self.clock).record("session.dhke", "session", self.cost.dhke_us)
         self.clock.advance_us(self.cost.dhke_us)
-        session_id = hashlib.sha256(b"session" + transcript).digest()[:16]
-        self._sessions[session_id] = Session(
-            session_id=session_id,
-            channel=SecureChannel(
-                aes_key,
-                own_signing_key=session_key,
-                peer_verify_key=user_session_public,
-                sign_messages=self.features.signatures,
-                backend=self.crypto_backend,
-            ),
-            user_public=user_session_public,
-            established_at_us=self.clock.now_us,
-            signing_key=session_key,
+        return self._enter(
+            hashlib.sha256(b"session" + transcript).digest()[:16],
+            aes_key, session_key, user_session_public,
         )
-        self.stats.sessions_established += 1
-        if self.recovery is not None:
-            self.recovery.on_session(self._sessions[session_id])
-        return session_id
 
     # ------------------------------------------------------------------
-    # Session resumption (repro.async_serving): suspend to a sealed
-    # ticket, resume in one round-trip without re-attesting.
+    # The session table (repro.hypervisor.lifecycle): one way in, one
+    # way out, and the recovery record set follows both.
     # ------------------------------------------------------------------
+
+    def _enter(
+        self,
+        session_id: bytes,
+        aes_key: bytes,
+        signing_key: PrivateKey,
+        user_public: PublicKey,
+        watermark: tuple[int, int] | None = None,
+    ) -> bytes:
+        """A session enters the device (full handshake or redemption)."""
+        channel = SecureChannel(
+            aes_key,
+            own_signing_key=signing_key,
+            peer_verify_key=user_public,
+            sign_messages=self.features.signatures,
+            backend=self.crypto_backend,
+        )
+        if watermark is not None:
+            channel.restore_nonce_watermark(*watermark)
+        session = self._sessions[session_id] = Session(
+            session_id, channel, user_public, self.clock.now_us, signing_key
+        )
+        if self.recovery is not None:
+            self.recovery.on_session(session)
+        return session_id
+
+    def _leave(self, session_id: bytes, *, ended: bool = True) -> None:
+        """A session leaves the device.  Suspend and close also end its
+        recovery record; a crash (``ended=False``) journals nothing —
+        the records it leaves are who the restart must re-join."""
+        if self._sessions.pop(session_id, None) is None:
+            raise UnknownSessionError(session_id)
+        if ended and self.recovery is not None:
+            self.recovery.on_session_end(session_id)
+
+    def _session(self, session_id: bytes) -> Session:
+        session = self._sessions.get(session_id)
+        if session is None:
+            raise UnknownSessionError(session_id)
+        return session
 
     @property
     def session_count(self) -> int:
         """Live (non-suspended) sessions held in hypervisor memory."""
         return len(self._sessions)
 
-    @property
+    def close_session(self, session_id: bytes) -> None:
+        """The user is done (workflow step 10): scrub the session's keys
+        and end its recovery record."""
+        self._require_alive()
+        self._leave(session_id)
+
+    # ------------------------------------------------------------------
+    # Session resumption (repro.async_serving): suspend to a sealed
+    # ticket, resume in one round-trip without re-attesting.
+    # ------------------------------------------------------------------
+
+    @cached_property
     def ticket_sealer(self) -> TicketSealer:
-        if self._ticket_sealer is None:
-            self._ticket_sealer = TicketSealer(
-                self._csu.derive_sealing_key(b"resumption-ticket")
-            )
-        return self._ticket_sealer
+        """Built on first use, so deployments that never suspend a
+        session derive no extra key.  The key is PUF-bound — a restarted
+        hypervisor re-derives the *same* key, and the epoch
+        (= generation) binding is what refuses pre-crash tickets."""
+        return TicketSealer(self._csu.derive_sealing_key(b"resumption-ticket"))
 
     def mint_resumption_ticket(
         self,
@@ -345,26 +369,18 @@ class Hypervisor:
         *,
         shard_affinity: int = -1,
         ring_digest: str = "",
-        evict: bool = True,
     ) -> tuple[bytes, SealedMessage | bytes]:
         """Seal a session into a ticket; returns ``(ticket, sealed_secret)``.
 
         The resumption secret travels to the user over the *existing*
         secure channel (the last message it will ever carry); the ticket
         itself is opaque to the user and bound to this generation as an
-        anti-rollback epoch.  With ``evict`` (the default) the session
-        leaves hypervisor memory — the C10K property: suspended users
-        cost the hypervisor zero bytes of volatile state.
+        anti-rollback epoch.  The session then leaves the device — the
+        C10K property: suspended users cost the hypervisor zero bytes,
+        volatile or durable.
         """
         self._require_alive()
-        session = self._sessions.get(session_id)
-        if session is None:
-            raise UnknownSessionError(session_id)
-        if session.signing_key is None:
-            raise ValueError(
-                f"session {session_id.hex()[:16]} predates resumption "
-                f"support; cannot mint a ticket"
-            )
+        session = self._session(session_id)
         secret = self._rng.random_bytes(32)
         # Session/tenant/shard metadata on the span makes suspended
         # sessions distinguishable in the Chrome-trace timeline; the
@@ -397,10 +413,7 @@ class Hypervisor:
         ticket = self.ticket_sealer.mint(state, epoch=self.generation)
         epoch, seq = ticket_header(ticket)
         mint_span.set(epoch=epoch, seq=seq)
-        self.stats.tickets_minted += 1
-        if evict:
-            del self._sessions[session_id]
-            self.stats.sessions_suspended += 1
+        self._leave(session_id)
         return ticket, sealed_secret
 
     def resume_session(self, ticket: bytes, user_nonce: bytes) -> bytes:
@@ -428,39 +441,21 @@ class Hypervisor:
             seq=seq,
         )
         self.clock.advance_us(self.cost.ticket_resume_us)
-        session_id = hashlib.sha256(
-            b"hardtape-resume" + state.session_id + user_nonce
-        ).digest()[:16]
-        aes_key = hkdf_sha256(
-            state.resumption_secret,
-            salt=b"hardtape-resume",
-            info=user_nonce + state.session_id,
+        return self._enter(
+            hashlib.sha256(
+                b"hardtape-resume" + state.session_id + user_nonce
+            ).digest()[:16],
+            hkdf_sha256(
+                state.resumption_secret,
+                salt=b"hardtape-resume",
+                info=user_nonce + state.session_id,
+            ),
+            # Not PrivateKey.from_bytes: that maps arbitrary bytes into the
+            # scalar range, but this is an exact stored scalar round-trip.
+            PrivateKey(int.from_bytes(state.hv_signing_secret, "big")),
+            PublicKey.from_bytes(state.user_public),
+            watermark=(state.send_watermark, state.recv_watermark),
         )
-        # Not PrivateKey.from_bytes: that maps arbitrary bytes into the
-        # scalar range, but this is an exact stored scalar round-trip.
-        signing_key = PrivateKey(int.from_bytes(state.hv_signing_secret, "big"))
-        user_public = PublicKey.from_bytes(state.user_public)
-        channel = SecureChannel(
-            aes_key,
-            own_signing_key=signing_key,
-            peer_verify_key=user_public,
-            sign_messages=self.features.signatures,
-            backend=self.crypto_backend,
-        )
-        channel.restore_nonce_watermark(state.send_watermark,
-                                        state.recv_watermark)
-        self._sessions[session_id] = Session(
-            session_id=session_id,
-            channel=channel,
-            user_public=user_public,
-            established_at_us=self.clock.now_us,
-            signing_key=signing_key,
-            resumed_from=state.session_id,
-        )
-        self.stats.sessions_resumed += 1
-        if self.recovery is not None:
-            self.recovery.on_session(self._sessions[session_id])
-        return session_id
 
     # ------------------------------------------------------------------
     # Steps 3–10: bundle execution
@@ -479,9 +474,7 @@ class Hypervisor:
         stats so benchmarks can decompose Figure 4 without re-running.
         """
         self._require_alive()
-        session = self._sessions.get(session_id)
-        if session is None:
-            raise UnknownSessionError(session_id)
+        session = self._session(session_id)
         tracer = tracer_for(self.clock)
 
         # Fixed per-bundle path: interrupt, header check, DMA programming,
@@ -513,12 +506,7 @@ class Hypervisor:
                 self.faults.after_channel_open(
                     session.channel, sealed_bundle, self.clock.now_us
                 )
-            self._charge_channel_crypto(
-                len(payload),
-                signed=self.features.signatures,
-                direction="open",
-                channel=session.channel,
-            )
+            self._charge_channel_crypto(len(payload), "open", session.channel)
         else:
             payload = bytes(sealed_bundle)
         try:
@@ -594,7 +582,7 @@ class Hypervisor:
         # RFC 6979 signing draws no randomness and the receipt travels
         # out of band (not channel-sealed), so nonce counters, clock,
         # spans, and metrics are untouched — byte-identity preserved.
-        if self.features.receipts and session.signing_key is not None:
+        if self.features.receipts:
             unified = tuple(from_struct_logs(logs) for logs in struct_logs)
             receipt = make_receipt(
                 bundle.bundle_id(), unified, session.signing_key
@@ -607,20 +595,13 @@ class Hypervisor:
         # Step 9: seal and send the trace.
         if self.features.encryption:
             sealed_out: SealedMessage | bytes = session.channel.seal(encoded)
-            self._charge_channel_crypto(
-                len(encoded),
-                signed=self.features.signatures,
-                direction="seal",
-                channel=session.channel,
-            )
+            self._charge_channel_crypto(len(encoded), "seal", session.channel)
         else:
             sealed_out = encoded
 
         # Step 10: release and scrub the core.
         self.scheduler.release(core)
-        session.bundles_run += 1
         self.stats.bundles_executed += 1
-        self.stats.transactions_executed += len(results)
         return sealed_out, breakdowns, run_stats
 
     # ------------------------------------------------------------------
@@ -658,11 +639,19 @@ class Hypervisor:
         traces = self._receipt_traces.get(bundle_id)
         if traces is None:
             raise ReceiptMissingError(bundle_id)
+        # Auditor-chosen indices: a negative one must not wrap around to
+        # the last transaction, an overlong one must not be IndexError.
+        if not (0 <= tx_index < len(traces)
+                and 0 <= step_index < traces[tx_index].instructions):
+            raise ReceiptIndexError(
+                f"bundle {bundle_id.hex()[:16]} has no step {step_index} "
+                f"of transaction {tx_index} to open"
+            )
         trace = traces[tx_index]
         return trace.records[step_index], trace.open_step(step_index)
 
     def _charge_channel_crypto(
-        self, size_bytes: int, signed: bool, direction: str = "seal", channel=None
+        self, size_bytes: int, direction: str, channel: SecureChannel
     ) -> None:
         # AEAD and signature are charged as separate advances so each
         # gets its own span on its own attribution layer; the split is
@@ -672,7 +661,7 @@ class Hypervisor:
         span = tracer.record(
             f"channel.{direction}", "encryption", seal_us, bytes=size_bytes
         )
-        if channel is not None and tracer.enabled:
+        if tracer.enabled:
             opened = direction == "open"
             span.set(
                 session_messages=(
@@ -686,7 +675,7 @@ class Hypervisor:
             )
         self.clock.advance_us(seal_us)
         dt = seal_us
-        if signed:
+        if self.features.signatures:
             # One sign or one verify per direction per bundle.
             name = "channel.verify" if direction == "open" else "channel.sign"
             tracer.record(name, "signature", self.cost.ecdsa_sign_us)

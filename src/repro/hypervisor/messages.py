@@ -15,7 +15,6 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
-HEADER_SIZE = 32
 MAX_BODY_SIZE = 4 * 1024 * 1024
 
 
@@ -32,7 +31,9 @@ class MessageError(Exception):
     """Malformed header: the message is dropped before any copy."""
 
 
-_HEADER_FORMAT = ">IIIIQII"  # magic, type, length, target, sequence, crc, pad
+# magic, type, length, target, sequence, crc, reserved (zero)
+_HEADER = struct.Struct(">IIIIQII")
+HEADER_SIZE = _HEADER.size  # the paper's fixed 32 bytes
 _MAGIC = 0x48445450  # "HDTP"
 
 
@@ -46,8 +47,7 @@ class MessageHeader:
     sequence: int
 
     def pack(self) -> bytes:
-        header = struct.pack(
-            _HEADER_FORMAT,
+        return _HEADER.pack(
             _MAGIC,
             int(self.msg_type),
             self.body_length,
@@ -56,8 +56,6 @@ class MessageHeader:
             self._checksum(),
             0,
         )
-        assert len(header) == HEADER_SIZE
-        return header
 
     def _checksum(self) -> int:
         return (
@@ -70,11 +68,15 @@ class MessageHeader:
     def unpack(cls, data: bytes) -> "MessageHeader":
         if len(data) < HEADER_SIZE:
             raise MessageError("short header")
-        magic, raw_type, length, target, sequence, checksum, _pad = struct.unpack(
-            _HEADER_FORMAT, data[:HEADER_SIZE]
+        magic, raw_type, length, target, sequence, checksum, reserved = (
+            _HEADER.unpack_from(data)
         )
         if magic != _MAGIC:
             raise MessageError("bad magic")
+        if reserved:
+            # Outside the checksum: accepted, two byte strings would
+            # name one header.
+            raise MessageError("reserved header bytes are not zero")
         try:
             msg_type = MessageType(raw_type)
         except ValueError as exc:

@@ -66,6 +66,11 @@ class ReceiptMissingError(ReceiptError):
         self.bundle_id = bundle_id
 
 
+class ReceiptIndexError(ReceiptError):
+    """An auditor asked the device to open a transaction or step the
+    bundle's retained trace does not have."""
+
+
 class ReceiptMismatchError(ReceiptError):
     """A receipt failed verification against ground truth.
 
@@ -134,8 +139,18 @@ class SignedReceipt:
 
         ``verify_key`` is the attested session key, for which the user's
         channel has already built (and cached) a window table — reuse it.
+        Every field is the device's to choose: roots that are not hex
+        or a signature that is not an ``(r, s)`` pair are forgeries too.
         """
-        precomputed_verifier(verify_key).verify(self.signing_hash(), self.signature)
+        signature = self.signature
+        try:
+            if not (isinstance(signature, Signature)
+                    and isinstance(signature.r, int) and isinstance(signature.s, int)):
+                raise TypeError("signature is not an (r, s) integer pair")
+            digest = self.signing_hash()
+        except (TypeError, ValueError) as error:
+            raise InvalidSignature(f"malformed receipt: {error}") from error
+        precomputed_verifier(verify_key).verify(digest, signature)
 
 
 def make_receipt(
@@ -237,7 +252,7 @@ class ReceiptAuditor:
             raise ReceiptMismatchError(
                 bundle_id,
                 "bundle_id",
-                f"receipt names bundle {receipt.bundle_id.hex()[:16]}",
+                f"receipt names bundle {receipt.bundle_id!r:.40}",
             )
         try:
             receipt.verify(verify_key)
@@ -336,6 +351,7 @@ __all__ = [
     "RECEIPT_DOMAIN",
     "ReceiptAuditor",
     "ReceiptError",
+    "ReceiptIndexError",
     "ReceiptMismatchError",
     "ReceiptMissingError",
     "SignedReceipt",

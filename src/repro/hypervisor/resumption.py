@@ -166,7 +166,6 @@ class TicketSealer:
 
     key: bytes
     minted: int = 0
-    redeemed: int = 0
     _sealer: CounterNonceSealer = field(init=False, repr=False)
     _spent: set[tuple[int, int]] = field(init=False, repr=False,
                                          default_factory=set)
@@ -196,11 +195,7 @@ class TicketSealer:
         generic authentication failure — which the fault policies would
         happily retry.
         """
-        if len(ticket) < _HEADER.size:
-            raise TicketIntegrityError("ticket too short")
-        magic, epoch, seq = _HEADER.unpack_from(ticket)
-        if magic != TICKET_MAGIC:
-            raise TicketIntegrityError("bad ticket magic")
+        epoch, seq = ticket_header(ticket)
         if epoch > current_epoch:
             raise TicketIntegrityError(
                 f"ticket claims future epoch {epoch} (current {current_epoch})"
@@ -222,7 +217,6 @@ class TicketSealer:
             # ticket is not transient.
             raise TicketIntegrityError("ticket failed authentication") from exc
         self._spent.add((epoch, seq))
-        self.redeemed += 1
         return TicketState.decode(plain)
 
 

@@ -118,7 +118,6 @@ class EthereumNode:
             result = execute_transaction(journal, chain, tx)
             results.append(result)
             write_set = result.write_set
-            assert write_set is not None
             working.apply_writes(
                 write_set.balances,
                 write_set.nonces,
@@ -170,27 +169,23 @@ class EthereumNode:
             raise KeyError(f"block {block_number} has no tx {tx_index}")
         working = executed.pre_state.copy()
         chain = self.chain_context(executed.block.header)
-        result: TransactionResult | None = None
-        logs: list[StructLog] = []
-        for index, tx in enumerate(executed.block.transactions[:tx_index + 1]):
-            journal = JournaledState(working)
-            if index == tx_index:
-                tracer = StructTracer(capture_stack=capture_stack)
-                result = execute_transaction(journal, chain, tx, tracer=tracer)
-                logs = tracer.logs
-            else:
-                result_prev = execute_transaction(journal, chain, tx)
-                write_set = result_prev.write_set
-                assert write_set is not None
-                working.apply_writes(
-                    write_set.balances,
-                    write_set.nonces,
-                    write_set.storage,
-                    write_set.codes,
-                    write_set.deleted,
-                )
-        assert result is not None
-        return logs, result
+        transactions = executed.block.transactions
+        for tx in transactions[:tx_index]:
+            write_set = execute_transaction(
+                JournaledState(working), chain, tx
+            ).write_set
+            working.apply_writes(
+                write_set.balances,
+                write_set.nonces,
+                write_set.storage,
+                write_set.codes,
+                write_set.deleted,
+            )
+        tracer = StructTracer(capture_stack=capture_stack)
+        result = execute_transaction(
+            JournaledState(working), chain, transactions[tx_index], tracer=tracer
+        )
+        return tracer.logs, result
 
     def unified_trace(self, block_number: int, tx_index: int):
         """The committed :class:`~repro.telemetry.unified.UnifiedStepTrace`

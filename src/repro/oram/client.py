@@ -234,7 +234,7 @@ class PathOramClient:
         leaf_count = self.server.leaf_count
 
         sink = self.recovery
-        keys_before: set[BlockKey] | None = None
+        keys_before: set[BlockKey] = set()
         if sink is not None:
             # Write-ahead nonce lease: reserve (durably) every nonce this
             # access could possibly consume *before* any ciphertext hits
@@ -305,7 +305,6 @@ class PathOramClient:
             # touched can have changed: absorbed/placed stash keys (the
             # symmetric difference) plus the accessed key itself, and the
             # versions of the path just rewritten.
-            assert keys_before is not None
             changed = set(self._stash) ^ keys_before
             changed.add(key)
             sink.record_access(

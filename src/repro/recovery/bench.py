@@ -233,8 +233,7 @@ def _run_rollback_attack(config: RecoveryBenchConfig) -> dict:
     )
     manager.attach(service)
     supervisor = HypervisorSupervisor(service, manager, store)
-    client = service.shared_oram_client
-    assert client is not None
+    client = service.shared_oram_client  # attach() checked there is one
 
     probe_key = b"recovery-bench/probe"
     client.access(probe_key, b"value-before-snapshot")

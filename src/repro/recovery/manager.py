@@ -9,8 +9,9 @@ mirrors every trusted-state change into sealed records in an untrusted
 * a **checkpoint** per epoch: the full
   :class:`~repro.recovery.state.TrustedState`, sealed;
 * a **write-ahead nonce lease** before the client touches the wire;
-* one **journal record** per completed ORAM access / session / sync
-  root, sealed with the epoch+sequence bound into nonce and AAD.
+* one **journal record** per completed ORAM access / session entering
+  or leaving a device / sync root, sealed with the epoch+sequence bound
+  into nonce and AAD.
 
 Everything the armed hooks do is host-process work: no DRBG draws, no
 clock advances, no tracer records — which is why a zero-crash run with
@@ -29,42 +30,25 @@ caught later, at first access, by the restored version pins
 
 from __future__ import annotations
 
+from functools import partial
+from types import SimpleNamespace
+
 from repro.crypto.kdf import Drbg, hkdf_sha256
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.suite import CounterNonceSealer
 from repro.oram.client import PathOramClient
 from repro.oram.store import build_client
 from repro.recovery import journal
-from repro.recovery.state import SessionRecord, TrustedState
+from repro.recovery.state import (
+    RecoveryIntegrityError,
+    SessionRecord,
+    TrustedState,
+)
 from repro.recovery.store import DurableStore
 
 # Sequence numbers get 40 bits per epoch; the composite (epoch << 40 | seq)
 # is the sealer nonce, the NVRAM pin, and the total order over records.
 _SEQ_BITS = 40
-
-
-class RecoveryIntegrityError(Exception):
-    """The durable store failed recovery-time verification.
-
-    Missing checkpoint, a journal gap, an unsealable record, or — the
-    attack this plane exists for — a store whose newest record is older
-    than the device's hardware monotonic counter (the SP rolled back
-    checkpoint and journal together).
-    """
-
-
-class _DeviceRecoverySink:
-    """Per-device adapter so session records carry their device index."""
-
-    def __init__(self, manager: "RecoveryManager", device_index: int) -> None:
-        self._manager = manager
-        self._device_index = device_index
-
-    def on_session(self, session) -> None:
-        self._manager.note_session(session, self._device_index)
-
-    def on_sync_root(self, state_root: bytes) -> None:
-        self._manager.note_sync_root(state_root)
 
 
 class RecoveryManager:
@@ -98,7 +82,6 @@ class RecoveryManager:
         self._sessions: dict[str, SessionRecord] = {}
         self._sync_root: bytes | None = None
         self._client: PathOramClient | None = None
-        self._service = None
         self._oram_key = oram_key
         # Observability (host-side counters, never simulated time).
         self.checkpoints_written = 0
@@ -156,14 +139,11 @@ class RecoveryManager:
         client = service.shared_oram_client
         if client is None:
             raise ValueError("recovery requires an ORAM-enabled deployment")
-        self._service = service
-        self._client = client
+        if any(device.hypervisor.session_count for device in service.devices):
+            # One already inside would never get its re-join record.
+            raise ValueError("arm recovery before the first session is established")
         self._oram_key = service.devices[0].hypervisor.oram_key
-        client.recovery = self
-        for index, device in enumerate(service.devices):
-            device.hypervisor.recovery = _DeviceRecoverySink(self, index)
-            for session in device.hypervisor._sessions.values():
-                self.note_session(session, index, journal_it=False)
+        self.reattach(service, client)
         self.checkpoint()
 
     def attach_client(self, client: PathOramClient) -> None:
@@ -178,11 +158,14 @@ class RecoveryManager:
 
     def reattach(self, service, client: PathOramClient) -> None:
         """Re-arm the seams after a restart (same epoch, same journal)."""
-        self._service = service
-        self._client = client
-        client.recovery = self
+        self.attach_client(client)
         for index, device in enumerate(service.devices):
-            device.hypervisor.recovery = _DeviceRecoverySink(self, index)
+            # Session records carry the index of the device they are on.
+            device.hypervisor.recovery = SimpleNamespace(
+                on_session=partial(self.note_session, device_index=index),
+                on_session_end=self.note_session_end,
+                on_sync_root=self.note_sync_root,
+            )
 
     # ------------------------------------------------------------------
     # Journal sinks (called from the armed seams)
@@ -225,7 +208,7 @@ class RecoveryManager:
         if self._accesses_since_checkpoint >= self.checkpoint_interval:
             self.checkpoint()
 
-    def note_session(self, session, device_index: int, journal_it: bool = True) -> None:
+    def note_session(self, session, device_index: int) -> None:
         record = SessionRecord(
             session_id=session.session_id,
             user_public=session.user_public.to_bytes(),
@@ -233,8 +216,14 @@ class RecoveryManager:
             established_at_us=session.established_at_us,
         )
         self._sessions[record.session_id.hex()] = record
-        if journal_it:
-            self._append(journal.SESSION, journal.session_payload(record))
+        self._append(journal.SESSION, journal.session_payload(record))
+
+    def note_session_end(self, session_id: bytes) -> None:
+        """Suspend or close: the record leaves every later checkpoint."""
+        self._sessions.pop(session_id.hex(), None)
+        self._append(
+            journal.SESSION_END, journal.session_end_payload(session_id)
+        )
 
     def note_sync_root(self, state_root: bytes) -> None:
         self._sync_root = state_root
@@ -245,7 +234,8 @@ class RecoveryManager:
     # ------------------------------------------------------------------
 
     def current_state(self) -> TrustedState:
-        assert self._client is not None
+        if self._client is None:
+            raise ValueError("no ORAM client armed: attach the manager first")
         snapshot = self._client.snapshot_trusted_state()
         return TrustedState(
             stash=snapshot["stash"],

@@ -9,18 +9,49 @@ key, session *metadata*, and the last Merkle root block sync verified.
 Session metadata deliberately excludes channel AES keys: the channels
 are forward-secret (fresh DHKE per session), so a checkpoint that could
 resurrect them would be the vulnerability, not the feature.  Recovery
-re-runs attestation + DHKE instead; the metadata records who must be
-re-joined.
+re-runs attestation + DHKE instead; the metadata records who the devices
+held — a suspended or closed session has no record, so the state is
+O(live sessions), not O(sessions ever opened).
 
 Encoding is deterministic JSON (sorted keys, fixed separators, bytes as
 hex) so identical states seal to identical plaintexts — the property the
-journal-replay idempotence tests assert on.
+journal-replay idempotence tests assert on — and the only form decoded.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+
+class RecoveryIntegrityError(Exception):
+    """The durable store failed recovery-time verification.
+
+    Missing checkpoint, a journal gap, a record that does not unseal or
+    is not one, or — the attack this plane exists for — a store whose
+    newest record is older than the device's hardware monotonic counter
+    (the SP rolled back checkpoint and journal together).
+    """
+
+
+# What walking hostile JSON as if it were a well-formed record can raise.
+MALFORMED = (
+    ValueError, TypeError, LookupError, AttributeError, ArithmeticError, RecursionError
+)
+
+
+def decode_canonical(data: bytes, what: str, from_obj, encode):
+    """``from_obj(json.loads(data))`` when ``data`` is exactly ``encode``
+    of it; :class:`RecoveryIntegrityError` for anything else — not JSON,
+    a missing or mistyped field, a second spelling of a valid value."""
+    try:
+        value = from_obj(json.loads(data.decode()))
+        if encode(value) == data:
+            return value
+        problem = "is not in canonical form"
+    except MALFORMED as error:
+        problem = f"does not decode: {error!r}"
+    raise RecoveryIntegrityError(f"{what} {problem}")
 
 
 def _hex_map(mapping: dict[bytes, bytes]) -> dict[str, str]:
@@ -41,7 +72,7 @@ class SessionRecord:
             "session_id": self.session_id.hex(),
             "user_public": self.user_public.hex(),
             "device_index": self.device_index,
-            "established_at_us": self.established_at_us,
+            "established_at_us": float(self.established_at_us),
         }
 
     @classmethod
@@ -86,7 +117,11 @@ class TrustedState:
 
     @classmethod
     def decode(cls, data: bytes) -> "TrustedState":
-        obj = json.loads(data.decode())
+        """Inverse of :meth:`encode`, and of nothing else."""
+        return decode_canonical(data, "checkpoint", cls._from_obj, cls.encode)
+
+    @classmethod
+    def _from_obj(cls, obj: dict) -> "TrustedState":
         return cls(
             stash={
                 bytes.fromhex(k): bytes.fromhex(v)
@@ -112,4 +147,7 @@ class TrustedState:
         )
 
 
-__all__ = ["SessionRecord", "TrustedState"]
+__all__ = [
+    "MALFORMED", "RecoveryIntegrityError", "SessionRecord", "TrustedState",
+    "decode_canonical",
+]

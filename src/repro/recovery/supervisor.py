@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.hypervisor.hypervisor import HypervisorCrashError, UnknownSessionError
 from repro.oram.client import RollbackDetectedError
-from repro.recovery.manager import RecoveryManager
+from repro.recovery.manager import RecoveryIntegrityError, RecoveryManager
 from repro.recovery.store import DurableStore
 from repro.telemetry.tracer import tracer_for
 
@@ -39,7 +39,7 @@ class HypervisorSupervisor:
     def __init__(
         self,
         service,
-        manager: RecoveryManager | None,
+        manager: RecoveryManager,
         store: DurableStore,
         injector=None,
         metrics=None,
@@ -104,16 +104,11 @@ class HypervisorSupervisor:
         # deployment's *anchor* device — the one the manager was built
         # on — so recovery always verifies against that anchor, whatever
         # device's hypervisor actually died.
-        anchor = (
-            self.manager.device if self.manager is not None
-            else service.devices[0]
-        )
+        anchor = self.manager.device
         manager, state, replayed = RecoveryManager.recover(
             anchor,
             self.store,
-            checkpoint_interval=(
-                self.manager.checkpoint_interval if self.manager else 8
-            ),
+            checkpoint_interval=self.manager.checkpoint_interval,
         )
         restore_us = (
             cost.checkpoint_restore_us
@@ -125,11 +120,10 @@ class HypervisorSupervisor:
         )
         clock.advance_us(restore_us)
 
-        if self.manager is not None:
-            # Carry the deployment-cumulative observability counters
-            # across generations.
-            manager.checkpoints_written += self.manager.checkpoints_written
-            manager.records_written += self.manager.records_written
+        # Carry the deployment-cumulative observability counters across
+        # generations.
+        manager.checkpoints_written += self.manager.checkpoints_written
+        manager.records_written += self.manager.records_written
         client = manager.rebuild_client(
             state,
             service.oram_server,
@@ -170,20 +164,20 @@ class HypervisorSupervisor:
         checkpoint so the stale journal epoch can never resurface.
         """
         service = self.service
-        client = service.shared_oram_client
-        device = service.devices[device_index]
-        assert client is not None and device.oram_backend is not None
+        backend = service.devices[device_index].oram_backend
+        if backend is None:
+            raise RecoveryIntegrityError(
+                f"device {device_index} has no oblivious backend to re-sync"
+            )
+        client = backend.client  # the deployment's one shared client
         with tracer_for(service.clock).span(
             "recovery.resync", "recovery", device=device_index
         ) as span:
             client.server.reset_tree()
             client.forget_tree_state()
-            pages = device.oram_backend.sync_world(
-                service._synced_state.accounts
-            )
+            pages = backend.sync_world(service._synced_state.accounts)
             span.set(pages=pages)
-        if self.manager is not None:
-            self.manager.checkpoint()
+        self.manager.checkpoint()
         self.resyncs += 1
         if self._metrics is not None:
             self._metrics.counter("recovery.resyncs").inc()

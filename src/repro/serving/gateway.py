@@ -288,10 +288,7 @@ class ServiceExecutor:
                     # Untyped/unrepairable: a bug, not a fault — but the
                     # attempts still consumed virtual slot time, so hand
                     # the accounting to the gateway before propagating.
-                    try:
-                        error.service_us = clock.now_us - started_us
-                    except AttributeError:  # pragma: no cover - frozen exc
-                        pass
+                    error.service_us = clock.now_us - started_us
                     raise
                 last_error = error
                 breaker.record_failure(clock.now_us)

@@ -241,7 +241,7 @@ class JournaledState:
                 self._warm_addresses.discard(key)
             elif kind == "warm_slot":
                 self._warm_slots.discard(key)
-            else:  # pragma: no cover - defensive
+            else:
                 raise AssertionError(f"unknown journal entry {kind}")
 
     @staticmethod

@@ -29,7 +29,7 @@ class WorldState(DictBackend):
 
     def __init__(self, accounts: dict[Address, Account] | None = None) -> None:
         super().__init__(accounts)
-        self._committed_root: bytes | None = None
+        # Built on demand; the trie keeps its own root commitment.
         self._account_trie: MerklePatriciaTrie | None = None
         # Storage tries of the accounts proven since the last mutation:
         # one build serves every slot proof of that account.
@@ -38,7 +38,6 @@ class WorldState(DictBackend):
     # -- commitment ----------------------------------------------------
 
     def _invalidate(self) -> None:
-        self._committed_root = None
         self._account_trie = None
         self._storage_tries = {}
 
@@ -50,26 +49,25 @@ class WorldState(DictBackend):
         self._invalidate()
         super().apply_writes(*args, **kwargs)
 
+    def _committed_trie(self) -> MerklePatriciaTrie:
+        trie = self._account_trie
+        if trie is None:
+            trie = MerklePatriciaTrie()
+            for address, account in self.accounts.items():
+                if not account.is_empty:
+                    trie.put(keccak256(address), account.rlp_encode())
+            self._account_trie = trie
+        return trie
+
     def commit(self) -> bytes:
         """Build the account trie and return the state root."""
-        if self._committed_root is not None:
-            return self._committed_root
-        trie = MerklePatriciaTrie()
-        for address, account in self.accounts.items():
-            if account.is_empty:
-                continue
-            trie.put(keccak256(address), account.rlp_encode())
-        self._account_trie = trie
-        self._committed_root = trie.root_hash()
-        return self._committed_root
+        return self._committed_trie().root_hash()
 
     # -- proofs (A6 defense surface) ------------------------------------
 
     def prove_account(self, address: Address) -> list[bytes]:
         """Merkle proof for the account record under the current root."""
-        self.commit()
-        assert self._account_trie is not None
-        return self._account_trie.prove(keccak256(address))
+        return self._committed_trie().prove(keccak256(address))
 
     def prove_storage(self, address: Address, key: int) -> list[bytes]:
         """Merkle proof for one storage slot under the account's root."""

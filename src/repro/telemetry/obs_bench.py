@@ -65,6 +65,7 @@ from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.slo import SloMonitor, default_slo_rules
 from repro.telemetry.tracer import TraceSampler
 from repro.telemetry.unified import (
+    TraceReconciliationError,
     counts_from_events,
     counts_from_span,
     counts_from_trace,
@@ -243,7 +244,11 @@ def _reconcile_leg(config: ObsBenchConfig, leg: str) -> dict:
                 span for span in tracer.spans[before:]
                 if span.name == "hevm.tx"
             ]
-            assert len(results) == 1 and len(tx_spans) == 1
+            if len(results) != 1 or len(tx_spans) != 1:
+                raise TraceReconciliationError(
+                    f"{leg}: one transaction ran as {len(results)} result(s) "
+                    f"under {len(tx_spans)} hevm.tx span(s)"
+                )
             _, node_trace, node_counts = node_ground_truth(service, tx)
             hevm_trace = from_struct_logs(struct_traces[0])
             root = reconcile_step_traces(

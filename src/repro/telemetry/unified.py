@@ -179,18 +179,23 @@ def merkle_proof(leaves: list[bytes], index: int) -> MerkleProof:
 
 def verify_merkle_proof(proof: MerkleProof, root: str) -> bool:
     """Does ``proof`` open its leaf against ``root``?  Pure hashing —
-    cost is ``proof.hash_ops`` sha256 calls, O(log n) in trace length."""
-    node = hashlib.sha256(_LEAF_DOMAIN + proof.leaf).digest()
-    for side, sibling in proof.path:
-        if side == "P":
-            if sibling != b"":
+    cost is ``proof.hash_ops`` sha256 calls, O(log n) in trace length.
+    The proof is the device's to shape: a path entry of the wrong arity
+    or type, like an unknown side tag, is a proof that does not verify."""
+    try:
+        node = hashlib.sha256(_LEAF_DOMAIN + proof.leaf).digest()
+        for side, sibling in proof.path:
+            if side == "P":
+                if sibling != b"":
+                    return False
+            elif side == "R":
+                node = hashlib.sha256(_NODE_DOMAIN + node + sibling).digest()
+            elif side == "L":
+                node = hashlib.sha256(_NODE_DOMAIN + sibling + node).digest()
+            else:
                 return False
-        elif side == "R":
-            node = hashlib.sha256(_NODE_DOMAIN + node + sibling).digest()
-        elif side == "L":
-            node = hashlib.sha256(_NODE_DOMAIN + sibling + node).digest()
-        else:
-            return False
+    except (TypeError, ValueError):
+        return False
     return node.hex() == root
 
 

@@ -93,6 +93,34 @@ def test_suspend_evicts_and_resume_restores(service, evalset):
         client.pre_execute(service, session, [tx])
 
 
+def test_close_scrubs_the_session_and_everything_after_is_typed(service, evalset):
+    client = _client(service, seed=b"\x0e")
+    session = client.connect(service)
+    hypervisor = session.device.hypervisor
+    tx = evalset.transactions[0]
+    client.pre_execute(service, session, [tx])
+
+    before = hypervisor.session_count
+    client.close(session)
+    assert hypervisor.session_count == before - 1
+    for operation in (
+        lambda: client.pre_execute(service, session, [tx]),
+        lambda: client.suspend(session),
+        lambda: client.close(session),
+    ):
+        with pytest.raises(UnknownSessionError):
+            operation()
+    assert hypervisor.session_count == before - 1
+
+    # A suspended session is already gone from the device: nothing to
+    # close there, and its ticket still redeems exactly once.
+    suspended = client.suspend(client.connect(service))
+    with pytest.raises(UnknownSessionError):
+        hypervisor.close_session(suspended.session_id)
+    client.close(client.resume(suspended))
+    assert hypervisor.session_count == before - 1
+
+
 def test_resume_costs_under_five_percent_of_connect(service):
     client = _client(service, seed=b"\x0b")
     clock = service.clock

@@ -106,6 +106,34 @@ def test_garbage_ciphertext_rejected(evalset):
         )
 
 
+def test_whatever_fails_mid_bundle_the_core_is_released_and_the_error_unchanged(
+    evalset, monkeypatch
+):
+    """The Hypervisor's one broad catch, pinned to the reason beside it:
+    not a fault the planes know how to type — a plain bug inside the
+    HEVM — and still the core goes back to the pool scrubbed, and the
+    caller sees the very exception that was raised, not a wrapper."""
+    service = _service(evalset, "raw")
+    client, session = _session(service)
+    hypervisor = session.device.hypervisor
+    boom = ZeroDivisionError("a bug inside the core")
+
+    def run_bundle(*args, **kwargs):
+        assert hypervisor.scheduler.idle_count == len(session.device.cores) - 1
+        raise boom
+
+    for core in session.device.cores:
+        monkeypatch.setattr(core, "run_bundle", run_bundle)
+    with pytest.raises(ZeroDivisionError) as excinfo:
+        client.pre_execute(service, session, [evalset.transactions[0]])
+    assert excinfo.value is boom
+    assert hypervisor.scheduler.idle_count == len(session.device.cores)
+    assert not any(core.busy for core in session.device.cores)
+    monkeypatch.undo()
+    report, _, _ = client.pre_execute(service, session, [evalset.transactions[0]])
+    assert report.traces[0].status == 1
+
+
 def test_cross_session_bundle_rejected(evalset):
     """A bundle sealed under session A cannot be submitted to session B."""
     service = _service(evalset)

@@ -6,8 +6,11 @@ ticket; whatever they send, the decoder returns a value that re-encodes
 to the input or raises its typed error — never ``ValueError``,
 ``TypeError``, ``IndexError``, ``struct.error`` or
 ``UnicodeDecodeError``.  The Node controls every byte of a Merkle proof
-and everything else that reaches ``rlp.decode``.  The remaining
-decoders of ROADMAP item 1 join by adding a row to ``DECODERS``.
+and everything else that reaches ``rlp.decode``; the host writes the
+32-byte message header the Hypervisor parses; the SP's disk holds the
+sealed journal records and checkpoints recovery reads back; and key
+material arrives from peers as SEC1 points and 64-byte signatures.  A
+new decoder joins by adding a row to ``DECODERS``.
 """
 
 import pytest
@@ -15,16 +18,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro import rlp
 from repro.crypto.keccak import keccak256
+from repro.crypto import ecc
 from repro.hypervisor.bundle_codec import (
     decode_bundle,
     decode_trace_report,
     encode_bundle,
     encode_trace_report,
 )
+from repro.hypervisor.messages import (
+    MessageError,
+    MessageHeader,
+    MessageType,
+    validate_and_admit,
+)
 from repro.hypervisor.resumption import TicketIntegrityError, TicketState
+from repro.recovery import journal
+from repro.recovery.state import RecoveryIntegrityError, TrustedState
 from repro.trie import MerklePatriciaTrie, ProofError, verify_proof
 from tests.hostile import assert_total, mutated
 from tests.property.test_prop_codecs import bundles, reports
+from tests.property.test_prop_journal_replay import records, sequences
 from tests.property.test_prop_rlp_trie import rlp_items
 
 ticket_states = st.builds(
@@ -40,6 +53,30 @@ ticket_states = st.builds(
     minted_at_us=st.floats(min_value=0.0, max_value=1e12),
 )
 
+# A header and the body it declares: ``MessageHeader.unpack`` as the
+# Hypervisor calls it, through its whole admission procedure.
+messages = st.binary(max_size=48).flatmap(
+    lambda body: st.tuples(
+        st.builds(
+            MessageHeader,
+            msg_type=st.sampled_from(list(MessageType)),
+            body_length=st.just(len(body)),
+            target_hevm=st.integers(0, 2**32 - 1),
+            sequence=st.integers(0, 2**64 - 1),
+        ),
+        st.just(body),
+    )
+)
+points = st.integers(1, ecc.N - 1).map(
+    lambda secret: ecc.PrivateKey(secret).public_key().point
+)
+signatures = st.builds(
+    ecc.Signature, r=st.integers(0, 2**256 - 1), s=st.integers(0, 2**256 - 1)
+)
+trusted_states = sequences.map(
+    lambda sequence: journal.replay(TrustedState(), sequence)
+)
+
 # name -> (valid values, encode, decode, typed errors)
 DECODERS = {
     "bundle": (bundles, encode_bundle, decode_bundle, rlp.DecodingError),
@@ -50,6 +87,21 @@ DECODERS = {
     "ticket_state": (
         ticket_states, TicketState.encode, TicketState.decode,
         TicketIntegrityError,
+    ),
+    "message_header": (
+        messages, lambda admitted: admitted[0].pack() + admitted[1],
+        validate_and_admit, MessageError,
+    ),
+    "journal_record": (
+        records, lambda record: journal.encode_record(*record),
+        journal.decode_record, RecoveryIntegrityError,
+    ),
+    "ecc_point": (
+        points, ecc.encode_point, ecc.decode_point, ecc.EccDecodingError
+    ),
+    "ecc_signature": (
+        signatures, ecc.Signature.to_bytes, ecc.Signature.from_bytes,
+        ecc.EccDecodingError,
     ),
 }
 
@@ -69,6 +121,49 @@ def test_decoder_is_total_on_mutated_encodings(name, data):
 def test_decoder_is_total_on_arbitrary_bytes(name, hostile):
     _, encode, decode, typed_errors = DECODERS[name]
     assert_total(decode, encode, hostile, typed_errors)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_checkpoint_decoder_is_total(data):
+    """``TrustedState.decode`` sits at the journal records' boundary (the
+    SP's disk, behind the same kind of seal) and answers the same way."""
+    hostile = data.draw(st.one_of(
+        mutated(trusted_states.map(TrustedState.encode)),
+        st.binary(max_size=96),
+    ))
+    assert_total(
+        TrustedState.decode, TrustedState.encode, hostile,
+        RecoveryIntegrityError,
+    )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(record=records, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_apply_record_is_total_on_a_payload_of_the_wrong_shape(record, data):
+    """A record can be canonical JSON and still not be a record: fields
+    missing or of any JSON type.  Replay applies it or refuses the boot
+    typed — never ``KeyError``/``TypeError``/``AttributeError``."""
+    kind, payload = record
+    hostile = dict(payload)
+    for key in data.draw(st.lists(st.sampled_from(sorted(payload)), max_size=2)):
+        if data.draw(st.booleans(), label=f"drop {key}"):
+            hostile.pop(key, None)
+        else:
+            hostile[key] = data.draw(json_values, label=key)
+    try:
+        journal.apply_record(TrustedState(), kind, hostile)
+    except RecoveryIntegrityError:
+        pass
 
 
 @given(

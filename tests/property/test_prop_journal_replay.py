@@ -34,6 +34,10 @@ access_records = st.builds(
     st.integers(min_value=0, max_value=2**32),
 )
 
+# A small id space, so ends land on sessions the sequence recorded —
+# before them, after them, twice, and on ones it never did.
+session_ids = st.integers(0, 5).map(lambda n: bytes([n]) * 8)
+
 session_records = st.builds(
     lambda sid, public, index, at: (
         journal.SESSION,
@@ -46,10 +50,15 @@ session_records = st.builds(
             )
         ),
     ),
-    st.binary(min_size=4, max_size=16),
+    session_ids,
     st.binary(min_size=1, max_size=65),
     st.integers(min_value=0, max_value=7),
     st.integers(min_value=0, max_value=10**9),
+)
+
+session_end_records = st.builds(
+    lambda sid: (journal.SESSION_END, journal.session_end_payload(sid)),
+    session_ids,
 )
 
 root_records = st.builds(
@@ -57,7 +66,10 @@ root_records = st.builds(
     st.binary(min_size=32, max_size=32),
 )
 
-records = st.one_of(lease_records, access_records, session_records, root_records)
+records = st.one_of(
+    lease_records, access_records, session_records, session_end_records,
+    root_records,
+)
 sequences = st.lists(records, max_size=12)
 
 

@@ -407,6 +407,20 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
 # One ORAM store: each decision keeps its single home
 # ----------------------------------------------------------------------
 
+def test_no_assert_statement_in_src():
+    """``python -O`` strips every ``assert``, so the ``-O`` CI leg proves
+    only that the suite passes without them — not that none guarded
+    anything.  In ``src/repro`` a check is a typed raise and a narrowing
+    is a restructuring; the grep is ROADMAP 1 (c)'s, docstrings included."""
+    offenders = [
+        f"{path.relative_to(REPO)}:{number}"
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.match(r"\s*assert ", line)
+    ]
+    assert offenders == []
+
+
 def test_one_oram_store_and_no_deleted_seam_grows_back():
     """Plain-text grep over ``src/repro``.  Outside ``repro/oram`` nothing
     reaches into an adapter's private client, prices an access itself or

@@ -104,6 +104,20 @@ class TestZeroRateIsInert:
             assert injector.plan.decisions(kind) == 0
 
 
+def test_a_duplicate_the_channel_accepts_twice_crashes_the_run():
+    """``dma-duplicate`` re-presents a message the channel just opened
+    and expects the replay check to refuse it.  A channel that opens it
+    again has a replay-protection hole: no typed fault for a policy to
+    absorb, the run dies on the spot."""
+    injector = FaultInjector(
+        FaultPlan(1, [FaultRule(FaultKind.DMA_DUPLICATE, 1.0)])
+    )
+    forgetful = SimpleNamespace(open=lambda message: b"opened again")
+    with pytest.raises(AssertionError, match="accepted twice"):
+        injector.after_channel_open(forgetful, object(), 0.0)
+    assert injector.plan.log == []  # nothing was absorbed
+
+
 class TestArmedLies:
     def test_result_tamper_flips_gas_in_result_and_trace(self):
         injector = _injector(1.0, kinds=(FaultKind.HEVM_RESULT_TAMPER,))

@@ -113,6 +113,16 @@ def test_hashlib_tier_is_openssl_exactly_when_cryptography_imports():
     assert fallback == ("AesGcmAead", "PrecomputedVerifier")
 
 
+def test_the_openssl_cipher_refuses_to_exist_without_openssl(monkeypatch):
+    """The registry never builds it then; whoever does gets told why,
+    not ``'NoneType' object is not callable``."""
+    from repro.crypto import suite
+
+    monkeypatch.setattr(suite, "HAVE_OPENSSL_AESGCM", False)
+    with pytest.raises(RuntimeError, match="cryptography package"):
+        suite.AcceleratedAesGcmAead(bytes(32))
+
+
 def test_default_backend_is_registered():
     assert DEFAULT_BACKEND in available_backends()
 

@@ -201,6 +201,33 @@ def test_ecrecover_precompile_garbage_returns_empty(backend, chain):
     assert result.return_data == b""
 
 
+def test_any_precompile_error_is_a_failed_call_that_burns_the_gas(
+    backend, chain, monkeypatch
+):
+    """The interpreter's broad catch, pinned to the reason beside it:
+    calldata is attacker-chosen, so whatever a precompile raises — here
+    not even a typed error — is a failed call: all gas burnt, the value
+    transfer reverted, the transaction itself still traced to the end."""
+    from repro.evm import interpreter
+
+    def broken(data):
+        raise ZeroDivisionError("a bug a crafted input reached")
+
+    monkeypatch.setitem(interpreter.PRECOMPILES, to_address(2), broken)
+    state = JournaledState(backend)
+    before = state.get_balance(ALICE)
+    result = execute_transaction(
+        state, chain,
+        Transaction(sender=ALICE, to=to_address(2), data=b"abc", value=5,
+                    gas_limit=100_000),
+        charge_fees=False,
+    )
+    assert not result.success and result.error == "precompile failure"
+    assert result.gas_used == 100_000 and result.return_data == b""
+    assert state.get_balance(ALICE) == before
+    assert state.get_balance(to_address(2)) == 0
+
+
 # -- tracers --------------------------------------------------------------------
 
 

@@ -15,7 +15,13 @@ from repro.faults import (
     SyncError,
 )
 from repro.hardware.timing import SimClock
-from repro.serving.gateway import GatewayRequest, ServiceExecutor
+from repro.serving.gateway import (
+    ExecutionFailure,
+    Gateway,
+    GatewayRequest,
+    RequestStatus,
+    ServiceExecutor,
+)
 from repro.serving.metrics import MetricsRegistry
 
 
@@ -154,12 +160,13 @@ class _ScriptedService:
 
 
 class _ScriptedSupervisor:
-    def __init__(self, log):
+    def __init__(self, log, repairs=True):
         self._log = log
+        self._repairs = repairs
 
     def intervene(self, error, device_index):
         self._log.append(("supervisor", type(error).__name__, device_index))
-        return True
+        return self._repairs
 
 
 def test_executor_applies_its_policies_in_one_fixed_order():
@@ -223,3 +230,52 @@ def test_executor_applies_its_policies_in_one_fixed_order():
     assert snapshot["gateway.failover"] == 3
     assert snapshot["recovery.recovered"] == 1
     assert executor.breakers[0].is_open and not executor.breakers[2].is_open
+
+
+def test_what_no_policy_claims_re_raises_as_is_and_the_front_door_keeps_serving():
+    """The serving path's two broad catches, pinned to the reasons
+    written beside them.  Executor: the retry policy and the supervisor
+    classify by type, and what neither claims — a plain bug — re-raises
+    as the very same object, now carrying the slot time its attempt
+    consumed.  Gateway: the front door must keep serving, so whatever
+    the executor raises becomes that request's FAILED record under the
+    exception's own name; the slot frees and the next request runs."""
+    boom = ZeroDivisionError("a bug, not a fault")
+    log = []
+    executor = ServiceExecutor(
+        _ScriptedService([boom], log),
+        RetryPolicy(),
+        metrics=MetricsRegistry(),
+        supervisor=_ScriptedSupervisor(log, repairs=False),
+    )
+    request = GatewayRequest(
+        request_id=1, session_id=b"s0", submitted_at_us=0.0,
+        device_index=0, payload=b"sealed",
+    )
+    with pytest.raises(ZeroDivisionError) as excinfo:
+        executor.execute(request, 0.0)
+    assert excinfo.value is boom and boom.service_us == 10.0
+    assert log == [("attempt", 0), ("supervisor", "ZeroDivisionError", 0)]
+    assert request.recovery.recovered_errors == []  # never counted as a fault
+    assert not executor.breakers[0].is_open
+
+    gateway = Gateway(
+        ServiceExecutor(
+            _ScriptedService([ZeroDivisionError("again"), "sealed-report"], [])
+        )
+    )
+    failed = gateway.submit(b"s0", b"sealed", device_index=0)
+    served = gateway.submit(b"s0", b"sealed", device_index=0)
+    assert gateway.drain() == [failed, served]
+    assert failed.status == RequestStatus.FAILED
+    assert failed.failure == ExecutionFailure(
+        error_type="ZeroDivisionError", cause_type="ZeroDivisionError",
+        message="again", attempts=1,
+    )
+    assert failed.service_us == 10.0 and failed.result is None
+    assert served.status == RequestStatus.COMPLETED
+    assert served.result == "sealed-report"
+    assert gateway.in_flight == 0 and gateway.queue_depth == 0
+    snapshot = gateway.metrics.snapshot()
+    assert snapshot["gateway.failed{cause=ZeroDivisionError}"] == 1
+    assert snapshot["gateway.completed"] == 1

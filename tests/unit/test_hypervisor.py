@@ -178,7 +178,7 @@ def test_channel_nonces_advance():
 def test_header_pack_unpack():
     header = MessageHeader(MessageType.USER_BUNDLE, 100, 2, 7)
     packed = header.pack()
-    assert len(packed) == HEADER_SIZE
+    assert len(packed) == HEADER_SIZE == 32  # the paper's fixed header
     assert MessageHeader.unpack(packed) == header
 
 
@@ -196,6 +196,7 @@ def test_admit_valid_message():
         lambda raw: b"\x00" * 4 + raw[4:],  # bad magic
         lambda raw: raw[:HEADER_SIZE] + b"extra" + raw[HEADER_SIZE:],  # length lie
         lambda raw: raw[:7] + bytes([99]) + raw[8:],  # unknown type
+        lambda raw: raw[:31] + b"\x01" + raw[32:],  # reserved bytes, unchecksummed
     ],
 )
 def test_admit_rejects_malformed(mutate):

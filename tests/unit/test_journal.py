@@ -115,6 +115,15 @@ def test_created_account_storage_starts_empty(journal):
     assert journal.get_storage(B, 0) == 0
 
 
+def test_an_undo_entry_of_an_unknown_kind_stops_the_revert(journal):
+    """Every mutation pushes its own undo entry; one the revert loop
+    does not know would be state it silently failed to restore."""
+    snapshot = journal.snapshot()
+    journal._journal.append(("bogus", to_address(1), None))
+    with pytest.raises(AssertionError, match="unknown journal entry bogus"):
+        journal.revert(snapshot)
+
+
 def test_code_hash_semantics(journal):
     from repro.crypto.keccak import keccak256
     from repro.state import EMPTY_CODE_HASH

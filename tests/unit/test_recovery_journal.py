@@ -5,7 +5,11 @@ import pytest
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.suite import CounterNonceSealer
 from repro.recovery import journal
-from repro.recovery.state import SessionRecord, TrustedState
+from repro.recovery.state import (
+    RecoveryIntegrityError,
+    SessionRecord,
+    TrustedState,
+)
 
 pytestmark = pytest.mark.recovery
 
@@ -31,8 +35,10 @@ def test_record_roundtrip_all_kinds():
             {b"k1": b"v1", b"k2": None}, {b"k1": 3, b"k2": None}, {0: 2, 5: 1}, 99
         ),
         journal.SESSION: journal.session_payload(_session_record()),
+        journal.SESSION_END: journal.session_end_payload(b"\x01" * 16),
         journal.ROOT: journal.root_payload(b"\xab" * 32),
     }
+    assert set(payloads) == set(journal.KINDS)
     for kind, payload in payloads.items():
         got_kind, got_payload = journal.decode_record(
             journal.encode_record(kind, payload)
@@ -43,9 +49,39 @@ def test_record_roundtrip_all_kinds():
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        journal.encode_record("bogus", {})
-    with pytest.raises(ValueError):
+        journal.encode_record("bogus", {})  # the trusted side's own bug
+    with pytest.raises(RecoveryIntegrityError):
         journal.decode_record(b'{"kind":"bogus","payload":{}}')
+    with pytest.raises(RecoveryIntegrityError):
+        journal.apply_record(TrustedState(), "bogus", {})
+
+
+@pytest.mark.parametrize("blob", [
+    b"", b"\xff", b"[]", b"{}", b"[" * 100_000,
+    b'{"kind":"lease","payload":[]}',
+    b'{"kind": "lease", "payload": {"until": 1}}',          # not canonical
+    b'{"extra":1,"kind":"lease","payload":{"until":1}}',
+], ids=["empty", "not-utf8", "a-list", "no-kind", "nested-100k",
+        "payload-not-an-object", "whitespace", "extra-key"])
+def test_a_record_that_is_not_a_canonical_encoding_is_refused_typed(blob):
+    with pytest.raises(RecoveryIntegrityError):
+        journal.decode_record(blob)
+
+
+@pytest.mark.parametrize("kind, payload", [
+    (journal.LEASE, {}),
+    (journal.LEASE, {"until": "soon"}),
+    (journal.ACCESS, {"stash": {}}),
+    (journal.ACCESS, {"stash": {"zz": None}, "positions": {},
+                      "versions": {}, "nonce": 1}),
+    (journal.SESSION, {"session_id": "00"}),
+    (journal.SESSION_END, {}),
+    (journal.SESSION_END, {"session_id": 7}),
+    (journal.ROOT, {"root": None}),
+])
+def test_a_short_or_mistyped_payload_is_refused_typed(kind, payload):
+    with pytest.raises(RecoveryIntegrityError):
+        journal.apply_record(TrustedState(), kind, payload)
 
 
 def test_encoding_is_deterministic():
@@ -110,6 +146,18 @@ def test_session_and_root_records():
     assert state.sync_root == b"\x11" * 32
 
 
+def test_session_end_removes_the_record_and_tolerates_its_absence():
+    record = _session_record(3)
+    end = journal.session_end_payload(record.session_id)
+    state = TrustedState()
+    journal.apply_record(state, journal.SESSION_END, end)  # never recorded
+    journal.apply_record(state, journal.SESSION, journal.session_payload(record))
+    journal.apply_record(state, journal.SESSION_END, end)
+    journal.apply_record(state, journal.SESSION_END, end)
+    assert state.sessions == {}
+    assert state.encode() == TrustedState().encode()
+
+
 def test_double_apply_is_idempotent():
     records = [
         (journal.LEASE, journal.lease_payload(256)),
@@ -120,6 +168,8 @@ def test_double_apply_is_idempotent():
             ),
         ),
         (journal.SESSION, journal.session_payload(_session_record())),
+        (journal.SESSION, journal.session_payload(_session_record(2))),
+        (journal.SESSION_END, journal.session_end_payload(bytes([2]) * 16)),
         (journal.ROOT, journal.root_payload(b"\x22" * 32)),
     ]
     once = journal.replay(TrustedState(), records)
@@ -152,6 +202,18 @@ def test_trusted_state_roundtrip():
 def test_trusted_state_none_root():
     state = TrustedState()
     assert TrustedState.decode(state.encode()).sync_root is None
+
+
+@pytest.mark.parametrize("blob", [
+    b"", b"\xff", b"[]", b"{}", b"[" * 100_000,
+    TrustedState().encode().replace(b'"block_size":1024', b'"block_size":1e400'),
+    TrustedState().encode().replace(b'"stash":{}', b'"stash":[]'),
+    TrustedState().encode().replace(b",", b", ", 1),           # not canonical
+], ids=["empty", "not-utf8", "a-list", "no-fields", "nested-100k",
+        "overflowing-number", "stash-not-an-object", "whitespace"])
+def test_a_checkpoint_that_is_not_a_canonical_encoding_is_refused_typed(blob):
+    with pytest.raises(RecoveryIntegrityError):
+        TrustedState.decode(blob)
 
 
 # ----------------------------------------------------------------------

@@ -230,6 +230,51 @@ def test_sessions_and_sync_root_survive_recovery():
     assert state.sync_root == b"\x07" * 32
 
 
+def _fake_session(n):
+    return SimpleNamespace(
+        session_id=bytes([n]) * 16,
+        user_public=SimpleNamespace(to_bytes=lambda: bytes([n]) * 65),
+        established_at_us=float(n),
+    )
+
+
+def test_an_ended_session_is_in_no_later_state_however_it_is_recovered():
+    """Suspend and close journal a session-end: the record leaves the
+    in-memory set, a state replayed from the journal, and the next
+    sealed checkpoint — ending one that was never recorded is harmless."""
+    server, client, device, store, manager = _deployment()
+    stays, ends = _fake_session(1), _fake_session(2)
+    manager.note_session(stays, device_index=0)
+    manager.note_session(ends, device_index=1)
+    manager.note_session_end(ends.session_id)
+    manager.note_session_end(b"\x09" * 16)
+    written = manager.records_written
+
+    assert set(manager.current_state().sessions) == {stays.session_id.hex()}
+    recovered, state, replayed = RecoveryManager.recover(device, store)
+    assert replayed == written == 4
+    assert set(state.sessions) == {stays.session_id.hex()}
+    assert set(recovered._sessions) == set(state.sessions)
+
+    manager.checkpoint()
+    _, state, replayed = RecoveryManager.recover(device, store)
+    assert replayed == 0 and set(state.sessions) == {stays.session_id.hex()}
+
+
+def test_arming_after_a_session_exists_is_refused():
+    manager = RecoveryManager(_device(), DurableStore(), oram_key=_KEY)
+    client = PathOramClient(OramServer(height=4), key=_KEY, block_size=64)
+    holding = SimpleNamespace(
+        hypervisor=SimpleNamespace(session_count=1, oram_key=_KEY)
+    )
+    service = SimpleNamespace(devices=[holding], shared_oram_client=client)
+    with pytest.raises(ValueError, match="before the first session"):
+        manager.attach(service)
+    assert client.recovery is None and manager.store.keys() == []
+    with pytest.raises(ValueError, match="attach the manager first"):
+        manager.checkpoint()
+
+
 def test_monotonic_counter_rejects_regression():
     counter = MonotonicCounter()
     counter.advance_to(10)
