@@ -11,13 +11,22 @@ Three adversary experiments with real system traces:
 3. **Swap-size recovery (A5).**  Mutual information between true frame
    page counts and the noised swap-bus counts, with and without the
    random pre-evict/pre-load noise.
+4. **Sync-interleaved uniformity (A7, delta sync).**  Block sync
+   read-modify-writes exactly the pages a block changed, and the block
+   is public — so the SP knows *which* logical pages each sync wrote.
+   The worst case for linkability is a user who then reads exactly
+   those pages.  Through the real service: the leaves the server sees
+   over such a run must be uniform, and a read must land on the leaf
+   its page was just written through no more often than chance.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core import HarDTAPEService, SecurityFeatures
 from repro.crypto.kdf import Drbg
+from repro.node import EthereumNode
 from repro.oram.client import PathOramClient
 from repro.oram.encrypted_store import EncryptedKvStore
 from repro.oram.server import OramServer
@@ -27,6 +36,9 @@ from repro.security.analysis import (
     size_leakage,
 )
 from repro.security.observer import AccessPatternObserver
+from repro.state import Account, Transaction, to_address
+from repro.state.backend import STORAGE_GROUP_SIZE
+from repro.workloads.contracts import erc20
 
 from conftest import record_result
 
@@ -80,8 +92,66 @@ def traces():
     return handle_trace, truth, oram_leaves, server.leaf_count
 
 
-def test_frequency_attack_and_uniformity(benchmark, traces):
+SYNC_ROUNDS = 80
+
+
+@pytest.fixture(scope="module")
+def sync_interleaved():
+    """(write leaf, read leaf) per page over ``SYNC_ROUNDS`` rounds of
+    "a block lands, it is delta-synced, the pages it wrote are read"."""
+    users = [to_address(0xA0 + index) for index in range(4)]
+    token = to_address(0x70CE)
+    node = EthereumNode(genesis_accounts={
+        **{user: Account(balance=10**20) for user in users},
+        token: Account(
+            code=erc20.erc20_runtime(),
+            storage={erc20.balance_slot(user): 10**9 for user in users},
+        ),
+    })
+    service = HarDTAPEService(
+        node, SecurityFeatures.from_level("full"), charge_fees=False
+    )
+    backend = service.devices[0].oram_backend
+    observer = AccessPatternObserver().attach(service.oram_server)
+    rng = Drbg(b"sec-sync-bench")
+    pairs = []
+    for round_no in range(SYNC_ROUNDS):
+        # Skewed like the frequency workload: one hot pair, three in four.
+        sender, peer = users[:2] if rng.randint(4) else users[2:]
+        node.add_block([Transaction(
+            sender=sender, to=token,
+            data=erc20.transfer_calldata(peer, 1 + round_no),
+        )])
+        service.sync_new_blocks()
+        written = observer.leaves
+        observer.clear()
+        # Read what the sync wrote, page for page and in its order.
+        for update in node.sync_updates_for(node.height):
+            backend.get_meta(update.address)
+            groups = {key // STORAGE_GROUP_SIZE: key for key in sorted(update.slots)}
+            for key in groups.values():
+                backend.get_storage(update.address, key)
+        read = observer.leaves
+        observer.clear()
+        assert len(written) == len(read) > 0
+        pairs += zip(written, read)
+    return pairs, service.oram_server.leaf_count
+
+
+def test_frequency_attack_and_uniformity(benchmark, traces, sync_interleaved):
     handle_trace, truth, oram_leaves, leaf_count = traces
+    sync_pairs, sync_leaf_count = sync_interleaved
+    sync_pvalue = path_uniformity_pvalue(
+        [leaf for pair in sync_pairs for leaf in pair], sync_leaf_count, bins=8
+    )
+    sync_repeats = sum(written == read for written, read in sync_pairs)
+    # A coarser link than the exact leaf: the same eighth of the tree.
+    eighth = sync_leaf_count // 8
+    sync_near = sum(
+        written // eighth == read // eighth for written, read in sync_pairs
+    )
+    near_chance = len(sync_pairs) / 8
+    near_sigma = (near_chance * 7 / 8) ** 0.5
 
     def attack():
         enc_acc = frequency_attack(handle_trace, truth)
@@ -128,6 +198,13 @@ def test_frequency_attack_and_uniformity(benchmark, traces):
         "|---|---|",
         f"| exact counts | {leak_plain:.2f} |",
         f"| with pre-evict/pre-load noise | {leak_noisy:.2f} |",
+        "",
+        f"Delta sync interleaved with reads of exactly the pages each sync "
+        f"wrote ({SYNC_ROUNDS} blocks, {len(sync_pairs)} page writes, as many "
+        f"reads): path uniformity chi-square p = {sync_pvalue:.3f}; a read "
+        f"landed in its write's eighth of the tree in {sync_near} pairs "
+        f"(chance: {near_chance:.0f} ± {near_sigma:.0f}) and on its very leaf "
+        f"in {sync_repeats} (chance: {len(sync_pairs) / sync_leaf_count:.2f})",
     ]
     record_result(
         "security_distinguisher", "§V empirical security experiments", lines
@@ -138,6 +215,10 @@ def test_frequency_attack_and_uniformity(benchmark, traces):
     assert pvalue > 0.01       # physical paths are uniform
     assert leak_plain == pytest.approx(1.0)
     assert leak_noisy < 0.8    # noise destroys most of the signal
+    assert sync_pvalue > 0.01  # a sync's writes and their reads: still uniform
+    # ... and unlinkable: a read is no nearer its write than chance.
+    assert abs(sync_near - near_chance) < 3 * near_sigma
+    assert sync_repeats <= 2
 
 
 @pytest.mark.sharding

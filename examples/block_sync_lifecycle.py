@@ -1,8 +1,8 @@
 """Block synchronization lifecycle, including a tampering SP.
 
-Workflow step 11: when new blocks land on-chain, HarDTAPE fetches the
-touched accounts from the (untrusted) Node, verifies Merkle proofs
-against the block's state root, and writes the pages into the ORAM.
+Workflow step 11: when new blocks land on-chain, HarDTAPE fetches what
+each block changed from the (untrusted) Node, verifies Merkle proofs
+against the block's state root, and writes the changed pages into the ORAM.
 This example advances the chain, syncs, shows pre-execution tracking the
 new tip — and then plays a malicious Node that serves a tampered balance,
 which the Hypervisor rejects (attack A6).
@@ -63,7 +63,8 @@ def main() -> None:
     ])
     target = node.height
     updates = node.sync_updates_for(target)
-    updates[0].account.balance += 10**18  # the lie
+    token = next(u for u in updates if u.address == population.token_a)
+    token.slots[erc20.balance_slot(peer)] += 10**18  # the lie
     state_root = node.block_at(target).block.header.state_root
     try:
         service.devices[0].hypervisor.sync_block(state_root, updates)

@@ -22,6 +22,7 @@ from repro.oram.server import OramServer
 from repro.oram.store import build_server
 from repro.telemetry.tracer import tracer_for
 from repro.core.device import DeviceConfig, HarDTAPEDevice
+from repro.state.account import Account
 from repro.state.blocks import BlockHeader
 from repro.state.world import WorldState
 
@@ -180,9 +181,11 @@ class HarDTAPEService:
                         if attempt == self.SYNC_RETRY_LIMIT:
                             raise
                         self.stats.sync_retries += 1
-            # Mirror into the untrusted prefetch/shadow copy.
+            # Mirror the Node's post-state into the untrusted shadow copy.
             for update in updates:
-                self._synced_state.accounts[update.address] = update.account.copy()
+                self._synced_state.accounts[update.address] = (
+                    executed.post_state.accounts.get(update.address, Account()).copy()
+                )
             self.synced_height = target
             self.stats.blocks_synced += 1
             synced += 1
@@ -193,10 +196,11 @@ class HarDTAPEService:
 
         The quarantine policy's answer to ``sync-equivocate``: after an
         audit exposes stale pre-execution, replaying the full update
-        history converges the ORAM onto the canonical tip (later blocks
-        rewrite any key an equivocated block touched) and leaves
-        ``last_verified_root`` at the tip's root.  Idempotent — replaying
-        honestly-synced blocks rewrites the same values.
+        history converges the ORAM onto the canonical tip (a delta is a
+        set of absolute assignments, so later blocks rewrite any page an
+        equivocated block touched) and leaves ``last_verified_root`` at
+        the tip's root.  Idempotent — replaying honestly-synced blocks
+        rewrites the same values.
         """
         device = self.devices[0]
         if device.oram_backend is None:
@@ -205,6 +209,12 @@ class HarDTAPEService:
         for height in range(1, self.synced_height + 1):
             executed = self.node.block_at(height)
             updates = self.node.sync_updates_for(height)
+            # The device holds the tip, not this block's parent, so a
+            # replayed block may prove a code hash it no longer holds:
+            # ship the code the block left unchanged as well.
+            for update in updates:
+                if update.code is None:
+                    update.code = executed.post_state.get_code(update.address)
             device.hypervisor.sync_block(
                 executed.block.header.state_root, updates
             )

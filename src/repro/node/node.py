@@ -36,6 +36,11 @@ class ExecutedBlock:
     pre_state: WorldState
     post_state: WorldState
     touched_accounts: set[Address] = field(default_factory=set)
+    # The block's sync delta, from its write sets: per account the
+    # storage keys whose value the block changed (every key it held, for
+    # a self-destructed one), and the accounts whose code it changed.
+    changed_slots: dict[Address, set[int]] = field(default_factory=dict)
+    changed_code: set[Address] = field(default_factory=set)
 
 
 class EthereumNode:
@@ -113,11 +118,18 @@ class EthereumNode:
         chain = self.chain_context(header)
         results: list[TransactionResult] = []
         touched: set[Address] = set()
+        written_slots: set[tuple[Address, int]] = set()
+        written_code: set[Address] = set()
         for tx in transactions:
             journal = JournaledState(working)
             result = execute_transaction(journal, chain, tx)
             results.append(result)
             write_set = result.write_set
+            written_slots.update(write_set.storage)
+            written_code.update(write_set.codes)
+            for address in write_set.deleted:  # SELFDESTRUCT clears all it held
+                held = working.accounts.get(address, Account()).storage
+                written_slots.update((address, key) for key in held)
             working.apply_writes(
                 write_set.balances,
                 write_set.nonces,
@@ -141,12 +153,21 @@ class EthereumNode:
             prev_randao=header.prev_randao,
             chain_id=header.chain_id,
         )
+        changed_slots: dict[Address, set[int]] = {}
+        for address, key in written_slots:
+            if working.get_storage(address, key) != pre_state.get_storage(address, key):
+                changed_slots.setdefault(address, set()).add(key)
         executed = ExecutedBlock(
             block=Block(sealed_header, list(transactions)),
             results=results,
             pre_state=pre_state,
             post_state=working,
             touched_accounts=touched,
+            changed_slots=changed_slots,
+            changed_code={
+                address for address in written_code
+                if working.get_code(address) != pre_state.get_code(address)
+            },
         )
         self._blocks.append(executed)
         self._block_hashes[sealed_header.number] = sealed_header.block_hash()
@@ -203,33 +224,28 @@ class EthereumNode:
     def get_proof(
         self, address: Address, storage_keys: list[int], block_number: int
     ) -> AccountUpdate:
-        """eth_getProof: account + storage proofs at a block."""
+        """eth_getProof: the account proof and the named slots, each with
+        its value and proof, at a block."""
         state = self.state_at(block_number)
-        account = state.accounts.get(address, Account()).copy()
         return AccountUpdate(
             address=address,
-            account=account,
             account_proof=state.prove_account(address),
+            slots={key: state.get_storage(address, key) for key in storage_keys},
             storage_proofs={
                 key: state.prove_storage(address, key) for key in storage_keys
             },
         )
 
     def sync_updates_for(self, block_number: int) -> list[AccountUpdate]:
-        """Everything a synchronizer needs to ingest ``block_number``."""
+        """What ``block_number`` changed, as a synchronizer ingests it:
+        per touched account the slots it wrote and, if set, its code."""
         executed = self.block_at(block_number)
         updates = []
         for address in sorted(executed.touched_accounts):
-            account = executed.post_state.accounts.get(address, Account()).copy()
-            updates.append(
-                AccountUpdate(
-                    address=address,
-                    account=account,
-                    account_proof=executed.post_state.prove_account(address),
-                    storage_proofs={
-                        key: executed.post_state.prove_storage(address, key)
-                        for key in account.storage
-                    },
-                )
+            update = self.get_proof(
+                address, sorted(executed.changed_slots.get(address, ())), block_number
             )
+            if address in executed.changed_code:
+                update.code = executed.post_state.get_code(address)
+            updates.append(update)
         return updates

@@ -3,8 +3,10 @@
 This is HarDTAPE's data path for world-state queries (workflow step 8):
 every account header, storage record, or code page read becomes exactly
 one Path ORAM access of one fixed-size page.  The adapter also handles
-block synchronization (step 11): bulk-loading committed world state into
-the ORAM after Merkle verification.
+block synchronization (step 11): after Merkle verification a block's
+delta costs one read-modify-write access per page it changed
+(``sync_delta``); state with no predecessor is bulk-loaded
+(``sync_account`` / ``sync_world``).
 
 A ``clock`` callable supplies simulated timestamps so the ORAM server's
 adversary-visible trace carries the timing the hardware model computes;
@@ -15,11 +17,12 @@ logical query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.oram import paging
 from repro.oram.client import PathOramClient
-from repro.state.account import Account, AccountMeta, Address
+from repro.state.account import EMPTY_CODE_HASH, Account, AccountMeta, Address
 from repro.state.backend import CODE_PAGE_SIZE
 
 if TYPE_CHECKING:  # hardware imports this module; CostModel is typing only
@@ -51,6 +54,10 @@ class QueryStats:
             + self.code_queries
             + self.prefetch_queries
         )
+
+
+class MissingCodeError(Exception):
+    """A delta proves a code hash the store does not hold and ships no code."""
 
 
 class ObliviousStateBackend:
@@ -184,6 +191,62 @@ class ObliviousStateBackend:
             self._client.write(page_key, page, sim_time_us=now)
         self._code_sizes[address] = code_size
         return len(pages)
+
+    def sync_delta(
+        self,
+        address: Address,
+        meta: AccountMeta,
+        slots: dict[int, int],
+        code: bytes | None,
+    ) -> int:
+        """Apply one account's verified block delta; returns page count.
+
+        One oblivious access per changed page, each a read-modify-write:
+        the account page (``meta.code_size`` is ignored: the size held
+        is kept while the code hash is the one held), every storage
+        group holding a changed slot (0 clears it), and the code pages
+        only under a new code hash.  A new, non-empty hash without
+        ``code`` raises :class:`MissingCodeError` after the account-page
+        access put back what it read, so nothing of the delta is written.
+        """
+        now = self._clock()
+        code_size: int | None = None
+        fresh_code = b""  # paged in only under a new code hash
+
+        def account_page(page: bytes | None) -> bytes | None:
+            nonlocal code_size, fresh_code
+            held = paging.decode_account_page(page)
+            if meta.code_hash == held.code_hash:
+                code_size = held.code_size
+            elif meta.code_hash == EMPTY_CODE_HASH:
+                code_size = 0
+            elif code is not None:
+                code_size, fresh_code = len(code), code
+            else:
+                return None
+            return paging.encode_account_page(
+                AccountMeta(meta.balance, meta.nonce, meta.code_hash, code_size)
+            )
+
+        self._client.access(
+            paging.account_page_key(address), sim_time_us=now, modify=account_page
+        )
+        if code_size is None:
+            raise MissingCodeError(
+                f"account {address.hex()} has a new code hash and no code"
+            )
+        groups: dict[bytes, dict[int, int]] = {}
+        for key in sorted(slots):
+            groups.setdefault(paging.storage_page_key(address, key), {})[key] = slots[key]
+        for page_key, changed in groups.items():
+            self._client.access(
+                page_key,
+                sim_time_us=now,
+                modify=partial(paging.patch_storage_page, slots=changed),
+            )
+        return 1 + len(groups) + self._write_pages(
+            address, code_size, paging.code_pages(address, fresh_code)
+        )
 
     def sync_world(self, accounts: dict[Address, Account]) -> int:
         """Bulk-load a whole committed world state; returns page count."""

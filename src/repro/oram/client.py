@@ -24,6 +24,7 @@ verification, so stale world state can never be served silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.kdf import Drbg
@@ -216,12 +217,20 @@ class PathOramClient:
         key: BlockKey,
         write_data: bytes | None = None,
         sim_time_us: float = 0.0,
+        modify: Callable[[bytes | None], bytes | None] | None = None,
     ) -> bytes | None:
         """One oblivious access: read (and optionally update) a block.
 
         Returns the block payload, or ``None`` when the key has never
         been written.  Every call costs exactly one path read and one
         path write regardless of the outcome.
+
+        ``modify`` makes the access a read-modify-write: it is handed
+        the payload just read (``None`` for an unwritten key) and
+        returns what to write (``None`` to leave the block alone).  It
+        runs after the whole path has authenticated and before the
+        eviction, so it must not raise — a caller with something to
+        refuse returns ``None`` and raises once the access is over.
         """
         self.stats.accesses += 1
         stalls_before = self.stats.stalls_absorbed
@@ -288,6 +297,8 @@ class PathOramClient:
                 stash[block_key] = payload
 
         result = self._stash.get(key)
+        if modify is not None:
+            write_data = modify(result)
         if write_data is not None:
             payload = write_data.ljust(self.block_size, b"\x00")
             if len(payload) > self.block_size:

@@ -251,8 +251,13 @@ class PyramidOramClient:
         key: BlockKey,
         write_data: bytes | None = None,
         sim_time_us: float = 0.0,
+        modify: Callable[[bytes | None], bytes | None] | None = None,
     ) -> bytes | None:
-        """One oblivious access: probe every level, then update the cache."""
+        """One oblivious access: probe every level, then update the cache.
+
+        ``modify`` is the path client's: handed the payload the probes
+        found, it returns what to write (``None`` to write nothing).
+        """
         if write_data is not None and len(write_data) > self.block_size:
             raise ValueError("write larger than the ORAM block size")
         self.stats.accesses += 1
@@ -271,6 +276,8 @@ class PyramidOramClient:
                 if found is _MISSING and kind != slot.KIND_DUMMY and blob_key == key:
                     found = payload if kind == slot.KIND_REAL else None
         result: bytes | None = None if found is _MISSING else found  # type: ignore[assignment]
+        if modify is not None:
+            write_data = modify(result)
         if write_data is not None:
             result = write_data.ljust(self.block_size, b"\x00")
             self._cache[key] = result

@@ -80,6 +80,29 @@ def decode_storage_record(page: bytes | None, key: int) -> int:
     return int.from_bytes(page[slot * 32:(slot + 1) * 32], "big")
 
 
+def patch_storage_page(page: bytes | None, slots: dict[int, int]) -> bytes:
+    """``page`` (``None`` = never written) with ``slots`` overwritten.
+
+    Every key belongs to the page's group; 0 clears a record.
+    """
+    out = bytearray(page) if page is not None else bytearray(PAGE_SIZE)
+    for key, value in slots.items():
+        slot = key % STORAGE_GROUP_SIZE
+        out[slot * 32:(slot + 1) * 32] = value.to_bytes(32, "big")
+    return bytes(out)
+
+
+def code_pages(address: Address, code: bytes) -> list[tuple[bytes, bytes]]:
+    """``code`` split into ``(page_key, page)`` in page order."""
+    return [
+        (
+            code_page_key(address, start // CODE_PAGE_SIZE),
+            code[start:start + CODE_PAGE_SIZE].ljust(CODE_PAGE_SIZE, b"\x00"),
+        )
+        for start in range(0, len(code), CODE_PAGE_SIZE)
+    ]
+
+
 def account_pages(address: Address, account: Account) -> list[tuple[bytes, bytes]]:
     """The one account -> pages walk: ``(page_key, page)`` in write order.
 
@@ -96,13 +119,7 @@ def account_pages(address: Address, account: Account) -> list[tuple[bytes, bytes
             storage_page_key(address, group * STORAGE_GROUP_SIZE),
             encode_storage_page(account.storage, group),
         ))
-    code = account.code
-    for start in range(0, len(code), CODE_PAGE_SIZE):
-        pages.append((
-            code_page_key(address, start // CODE_PAGE_SIZE),
-            code[start:start + CODE_PAGE_SIZE].ljust(CODE_PAGE_SIZE, b"\x00"),
-        ))
-    return pages
+    return pages + code_pages(address, account.code)
 
 
 @dataclass

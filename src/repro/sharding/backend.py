@@ -41,7 +41,7 @@ from repro.sharding.errors import (
     UnpinnedShardAccessError,
 )
 from repro.sharding.ring import ConsistentHashRing
-from repro.state.account import Account, Address
+from repro.state.account import Account, AccountMeta, Address
 
 
 def shard_key(master_key: bytes, shard_id: int) -> bytes:
@@ -176,9 +176,15 @@ class ShardRoutingClient:
         return self._last_shard
 
     def access(
-        self, key: bytes, write_data: bytes | None = None, sim_time_us: float = 0.0
+        self,
+        key: bytes,
+        write_data: bytes | None = None,
+        sim_time_us: float = 0.0,
+        modify: Callable[[bytes | None], bytes | None] | None = None,
     ) -> bytes | None:
-        return self._resolve(key).client.access(key, write_data, sim_time_us)
+        return self._resolve(key).client.access(
+            key, write_data, sim_time_us, modify
+        )
 
     def read(self, key: bytes, sim_time_us: float = 0.0) -> bytes | None:
         return self._resolve(key).client.read(key, sim_time_us=sim_time_us)
@@ -234,9 +240,9 @@ class ShardedObliviousStateBackend(ObliviousStateBackend):
 
     * :meth:`pinned` runs a block under a two-phase pin ticket covering
       exactly the shards its declared page keys touch.
-    * :meth:`sync_account` refuses to overwrite state on a pinned shard
-      (a sync racing an executing transaction is the consistency bug
-      the pin protocol exists to prevent).
+    * :meth:`sync_account` and :meth:`sync_delta` refuse to overwrite
+      state on a pinned shard (a sync racing an executing transaction is
+      the consistency bug the pin protocol exists to prevent).
     """
 
     def __init__(
@@ -296,15 +302,32 @@ class ShardedObliviousStateBackend(ObliviousStateBackend):
             for shard in self.fleet.shards.values()
         )
 
-    def sync_account(self, address: Address, account: Account) -> int:
-        pages = paging.account_pages(address, account)
-        touched = self.fleet.ring.shards_for(page_key for page_key, _ in pages)
-        for sid in touched:
+    def _refuse_pinned(self, page_keys: Iterable[bytes]) -> None:
+        """A sync must not write a page on a shard a transaction pinned."""
+        for sid in self.fleet.ring.shards_for(page_keys):
             if self.coordinator.is_pinned(sid):
                 holders = self.coordinator._pins[sid]
                 self.coordinator.stats.sync_conflicts += 1
                 raise ShardPinnedError(sid, holders[0])
+
+    def sync_account(self, address: Address, account: Account) -> int:
+        pages = paging.account_pages(address, account)
+        self._refuse_pinned(page_key for page_key, _ in pages)
         return self._write_pages(address, len(account.code), pages)
+
+    def sync_delta(
+        self,
+        address: Address,
+        meta: AccountMeta,
+        slots: dict[int, int],
+        code: bytes | None,
+    ) -> int:
+        self._refuse_pinned(
+            [paging.account_page_key(address)]
+            + [paging.storage_page_key(address, key) for key in slots]
+            + [page_key for page_key, _ in paging.code_pages(address, code or b"")]
+        )
+        return super().sync_delta(address, meta, slots, code)
 
     def sync_world(
         self, accounts: dict[Address, Account], state_root: bytes | None = None

@@ -27,7 +27,7 @@ from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
-from repro.state import Account, WorldState, to_address
+from repro.state import WorldState, to_address
 
 
 # -- attestation ---------------------------------------------------------------
@@ -313,85 +313,104 @@ def _world_with_account():
     return world, address
 
 
+def _honest_update(world, address):
+    return AccountUpdate(
+        address=address,
+        account_proof=world.prove_account(address),
+        slots={5: 50},
+        storage_proofs={5: world.prove_storage(address, 5)},
+        code=world.accounts[address].code,
+    )
+
+
 def test_sync_applies_verified_update():
     world, address = _world_with_account()
     root = world.commit()
     backend = _oram_backend()
     synchronizer = BlockSynchronizer(backend)
-    update = AccountUpdate(
-        address=address,
-        account=world.accounts[address].copy(),
-        account_proof=world.prove_account(address),
-        storage_proofs={5: world.prove_storage(address, 5)},
-    )
-    pages = synchronizer.apply_block(root, [update])
-    assert pages >= 3
+    pages = synchronizer.apply_block(root, [_honest_update(world, address)])
+    assert pages == 3  # the account page, one storage group, one code page
     assert backend.get_meta(address).balance == 1000
     assert backend.get_storage(address, 5) == 50
+    assert backend.get_code(address) == b"\x60\x01"
     assert synchronizer.stats.storage_slots_verified == 1
+
+    # The next block clears the slot and moves the balance: two pages,
+    # no code, and the record beside the cleared one is left alone.
+    world.apply_writes({}, {}, {(address, 6): 60}, {})
+    root = world.commit()
+    synchronizer.apply_block(root, [AccountUpdate(
+        address, world.prove_account(address),
+        slots={6: 60}, storage_proofs={6: world.prove_storage(address, 6)},
+    )])
+    world.apply_writes({address: 7}, {}, {(address, 5): 0}, {})
+    root = world.commit()
+    pages = synchronizer.apply_block(root, [AccountUpdate(
+        address, world.prove_account(address),
+        slots={5: 0}, storage_proofs={5: world.prove_storage(address, 5)},
+    )])
+    assert pages == 2
+    assert backend.get_meta(address) == world.get_meta(address)
+    assert backend.get_storage(address, 5) == 0
+    assert backend.get_storage(address, 6) == 60
+    assert backend.get_code(address) == b"\x60\x01"
+
+
+def _assert_rejected(synchronizer, backend, root, update, address):
+    with pytest.raises(SyncError):
+        synchronizer.apply_block(root, [update])
+    assert synchronizer.stats.proofs_rejected == 1
+    assert not backend.get_meta(address).exists  # nothing ingested
+    assert backend.get_storage(address, 5) == 0
 
 
 def test_sync_rejects_tampered_balance():
     world, address = _world_with_account()
     root = world.commit()
     backend = _oram_backend()
-    synchronizer = BlockSynchronizer(backend)
-    tampered = world.accounts[address].copy()
-    tampered.balance = 10**18  # SP lies about the balance
-    update = AccountUpdate(
-        address=address,
-        account=tampered,
-        account_proof=world.prove_account(address),
-    )
-    with pytest.raises(SyncError):
-        synchronizer.apply_block(root, [update])
-    assert not backend.get_meta(address).exists  # nothing ingested
+    update = _honest_update(world, address)
+    # The SP lies about the balance: the record it proves is another world's.
+    forked = world.copy()
+    forked.accounts[address].balance = 10**18
+    forked.commit()
+    update.account_proof = forked.prove_account(address)
+    _assert_rejected(BlockSynchronizer(backend), backend, root, update, address)
 
 
 def test_sync_rejects_tampered_code():
     world, address = _world_with_account()
     root = world.commit()
-    synchronizer = BlockSynchronizer(_oram_backend())
-    tampered = world.accounts[address].copy()
-    tampered.code = b"\x60\x66"  # malicious bytecode swap
-    update = AccountUpdate(
-        address=address,
-        account=tampered,
-        account_proof=world.prove_account(address),
-    )
-    with pytest.raises(SyncError):
-        synchronizer.apply_block(root, [update])
+    backend = _oram_backend()
+    update = _honest_update(world, address)
+    update.code = b"\x60\x66"  # malicious bytecode swap
+    _assert_rejected(BlockSynchronizer(backend), backend, root, update, address)
 
 
 def test_sync_rejects_tampered_storage():
     world, address = _world_with_account()
     root = world.commit()
-    synchronizer = BlockSynchronizer(_oram_backend())
-    tampered = world.accounts[address].copy()
-    tampered.storage[5] = 999
-    update = AccountUpdate(
-        address=address,
-        account=tampered,
-        account_proof=world.prove_account(address),
-        storage_proofs={},
-    )
-    # Storage mismatch changes the storage root -> account proof fails.
-    with pytest.raises(SyncError):
-        synchronizer.apply_block(root, [update])
+    # A proof that does carry 999 hangs from a different storage root
+    # than the one the account proof pins.
+    forked = world.copy()
+    forked.accounts[address].storage[5] = 999
+    for proof in (world.prove_storage(address, 5), forked.prove_storage(address, 5)):
+        backend = _oram_backend()
+        update = _honest_update(world, address)
+        update.slots[5], update.storage_proofs[5] = 999, proof
+        _assert_rejected(BlockSynchronizer(backend), backend, root, update, address)
 
 
 def test_sync_rejects_phantom_account():
     world, _ = _world_with_account()
     root = world.commit()
-    synchronizer = BlockSynchronizer(_oram_backend())
     phantom = to_address(0xFEED)
-    update = AccountUpdate(
-        address=phantom,
-        account=Account(balance=5),
-        account_proof=world.prove_account(phantom),  # non-membership proof
-    )
-    with pytest.raises(SyncError):
-        synchronizer.apply_block(root, [update])
+    proof = world.prove_account(phantom)  # non-membership proof
+    for claim in (
+        AccountUpdate(phantom, proof, slots={5: 5}, storage_proofs={5: []}),
+        AccountUpdate(phantom, proof, code=b"\x60\x01"),
+    ):
+        backend = _oram_backend()
+        _assert_rejected(BlockSynchronizer(backend), backend, root, claim, phantom)
 
 
 def test_security_features_levels():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.node import EthereumNode
 from repro.state import Account, Transaction, WorldState, to_address
-from repro.workloads.asm import assemble, push
+from repro.workloads.asm import assemble, deployer, push
 
 ALICE = to_address(0xA1)
 CONTRACT = to_address(0xCC)
@@ -97,28 +97,46 @@ def test_debug_trace_bad_index(node):
 
 def test_get_proof_verifies(node):
     node.add_block([Transaction(sender=ALICE, to=CONTRACT)])
-    update = node.get_proof(CONTRACT, [0], 1)
+    update = node.get_proof(CONTRACT, [0, 7], 1)
     root = node.block_at(1).block.header.state_root
     proven = WorldState.verify_account_proof(root, CONTRACT, update.account_proof)
     assert proven is not None
-    storage_value = WorldState.verify_storage_proof(
-        proven.storage_root, 0, update.storage_proofs[0]
-    )
-    assert storage_value == 1
+    assert update.slots == {0: 1, 7: 0} and update.code is None
+    for key, value in update.slots.items():
+        assert value == WorldState.verify_storage_proof(
+            proven.storage_root, key, update.storage_proofs[key]
+        )
 
 
 def test_sync_updates_cover_touched_accounts(node):
     node.add_block([Transaction(sender=ALICE, to=CONTRACT, value=3)])
-    updates = node.sync_updates_for(1)
-    addresses = {update.address for update in updates}
-    assert {ALICE, CONTRACT} <= addresses
+    updates = {update.address: update for update in node.sync_updates_for(1)}
+    assert {ALICE, CONTRACT} <= set(updates)
     root = node.block_at(1).block.header.state_root
-    for update in updates:
-        proven = WorldState.verify_account_proof(
-            root, update.address, update.account_proof
-        )
+    post = node.state_at(1)
+    for address, update in updates.items():
+        proven = WorldState.verify_account_proof(root, address, update.account_proof)
         if proven is not None:
-            assert proven.meta.balance == update.account.balance
+            assert proven.meta.balance == post.accounts[address].balance
+    # The delta names what the block wrote and nothing else: the counter
+    # slot with its proof, no slot of the plain sender, no bytecode.
+    assert updates[CONTRACT].slots == {0: 1}
+    assert set(updates[CONTRACT].storage_proofs) == {0}
+    assert not updates[ALICE].slots and not updates[ALICE].storage_proofs
+    assert all(update.code is None for update in updates.values())
+
+
+def test_sync_updates_ship_code_only_for_the_block_that_set_it(node):
+    runtime = assemble(push(1) + ["PUSH0", "SSTORE", "STOP"])
+    executed = node.add_block(
+        [Transaction(sender=ALICE, to=None, data=deployer(runtime))]
+    )
+    created = executed.results[0].created_address
+    node.add_block([Transaction(sender=ALICE, to=created)])
+    deployed = {update.address: update for update in node.sync_updates_for(1)}
+    called = {update.address: update for update in node.sync_updates_for(2)}
+    assert deployed[created].code == runtime
+    assert called[created].code is None and called[created].slots == {0: 1}
 
 
 def test_block_hash_lookup_in_chain_context(node):

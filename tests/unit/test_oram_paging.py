@@ -131,6 +131,99 @@ def test_sync_and_read_account(backend):
     assert backend.get_code(address) == account.code
 
 
+def _every_store(backend):
+    """The path backend, a pyramid one and a mixed two-shard fleet."""
+    from repro.oram.store import build_client, build_server
+    from repro.sharding.backend import (
+        ShardedObliviousStateBackend,
+        ShardedOramConfig,
+        ShardedOramFleet,
+    )
+
+    pyramid = build_client("pyramid", build_server("pyramid", height=6), b"p" * 32)
+    fleet = ShardedOramFleet(
+        ShardedOramConfig(
+            shard_count=2, oram_height=5, backend_overrides={1: "pyramid"}
+        ),
+        b"m" * 32,
+    )
+    return backend, ObliviousStateBackend(pyramid), ShardedObliviousStateBackend(fleet)
+
+
+def test_access_hands_modify_the_page_it_read(backend):
+    for store in _every_store(backend):
+        client, seen = store.client, []
+
+        def modify(page, write=None):
+            seen.append(page)
+            return write
+
+        assert client.access(b"k", modify=modify) is None  # read, write nothing
+        assert client.access(b"k", modify=lambda page: modify(page, b"one")) == (
+            b"one".ljust(1024, b"\x00")
+        )
+        client.access(b"k", modify=lambda page: modify(page, page[:3] + b"-two"))
+        assert client.access(b"k", modify=modify).rstrip(b"\x00") == b"one-two"
+        assert [page and page.rstrip(b"\x00") for page in seen] == [
+            None, None, b"one", b"one-two",
+        ]
+        assert client.read(b"k").rstrip(b"\x00") == b"one-two"
+
+
+def test_sync_delta_rewrites_only_the_pages_it_names(backend):
+    from repro.oram.adapter import MissingCodeError
+
+    address = to_address(0xAB)
+    code = b"\x60\x01" * 700
+    account = Account(balance=5, nonce=2, code=code, storage={3: 7, 4: 1, 40: 8, 99: 9})
+    for store in _every_store(backend):
+        store.sync_account(address, account)
+        writes = []
+        real_access = store.client.access
+
+        def access(key, write_data=None, sim_time_us=0.0, modify=None):
+            writes.append(key)
+            return real_access(key, write_data, sim_time_us, modify)
+
+        store.client.access = access
+        # A block moved the balance, cleared slot 3 and set 41: the account
+        # page and two storage groups; group 3 (slot 99) and the code stay.
+        meta = AccountMeta(6, 3, account.code_hash, -1)
+        assert store.sync_delta(address, meta, {41: 5, 3: 0}, None) == 3
+        assert writes == [
+            paging.account_page_key(address),
+            paging.storage_page_key(address, 0),
+            paging.storage_page_key(address, 32),
+        ]
+        assert store.get_meta(address) == AccountMeta(6, 3, account.code_hash, 1400)
+        assert [store.get_storage(address, key) for key in (3, 4, 40, 41, 99)] == [
+            0, 1, 8, 5, 9,
+        ]
+        assert store.get_code(address) == code
+
+        # A new code hash without the code: refused, the page put back.
+        other = Account(code=b"\x60\x02" * 100)
+        del writes[:]
+        with pytest.raises(MissingCodeError):
+            store.sync_delta(
+                address, AccountMeta(1, 1, other.code_hash, -1), {3: 1}, None
+            )
+        assert writes == [paging.account_page_key(address)]
+        assert store.get_meta(address).balance == 6
+        assert store.get_storage(address, 3) == 0
+        # With it: the account page and the code's one page.
+        assert store.sync_delta(
+            address, AccountMeta(1, 1, other.code_hash, -1), {}, other.code
+        ) == 2
+        assert store.get_code(address) == other.code
+        # The empty hash needs no code: the account is gone.
+        assert store.sync_delta(
+            address, AccountMeta(0, 0, EMPTY_CODE_HASH, -1), {99: 0}, None
+        ) == 2
+        assert not store.get_meta(address).exists
+        assert store.get_code(address) == b"" and store.get_storage(address, 99) == 0
+
+
 def test_absent_account_reads_empty(backend):
     address = to_address(0xCD)
     assert not backend.get_meta(address).exists

@@ -156,9 +156,23 @@ def test_two_phase_pin_scopes_access_and_blocks_sync():
         with pytest.raises(ShardPinnedError):
             backend.sync_account(addresses[0], accounts[addresses[0]])
         assert backend.coordinator.stats.sync_conflicts == 1
-    # Released: both the out-of-set read and the sync work again.
+        # A block delta is refused for the pages it is about to write.
+        meta = backend.get_meta(addresses[0])
+        with pytest.raises(ShardPinnedError):
+            backend.sync_delta(addresses[0], meta, {}, None)
+        group = next(
+            group for group in range(64)
+            if backend.shard_for_page(paging.storage_page_key(outside, 32 * group))
+            in pinned_shards
+        )
+        with pytest.raises(ShardPinnedError):
+            backend.sync_delta(outside, meta, {32 * group: 1}, None)
+        assert backend.coordinator.stats.sync_conflicts == 3
+    # Released: both the out-of-set read and the syncs work again.
     backend.get_meta(outside)
     backend.sync_account(addresses[0], accounts[addresses[0]])
+    assert backend.sync_delta(addresses[0], meta, {32 * group: 1}, None) == 2
+    assert backend.get_storage(addresses[0], 32 * group) == 1
 
 
 def test_pins_are_shared_and_ordered():

@@ -2,19 +2,26 @@
 
 Each gate counts calls through a monkeypatched counter, so it is exact
 by construction and reads the same on a loaded CI runner as on an idle
-laptop — no clock anywhere.  The numbers in comments are what the code
-before PR 19 did on the same input.
+laptop — no clock anywhere.  The "before" in comments is what the code
+did on the same input before the PR that added the gate (19: one trie
+build per account, one jumpdest scan per code; 22: delta sync).
 """
 
 import functools
 
 import pytest
 
+from repro.core import HarDTAPEService, SecurityFeatures
 from repro.evm.executor import execute_transaction
 from repro.evm.frame import ExecutionFrame, analyze_jumpdests
 from repro.node import EthereumNode
+from repro.oram import paging
+from repro.oram.client import PathOramClient
+from repro.state import Account, Transaction, to_address
+from repro.state.backend import STORAGE_GROUP_SIZE
 from repro.state.journal import JournaledState
 from repro.trie import MerklePatriciaTrie
+from repro.workloads.asm import assemble, deployer, push
 
 pytestmark = pytest.mark.perf
 
@@ -33,36 +40,132 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-def test_sync_updates_build_one_storage_trie_per_touched_account(
-    tiny_evalset, monkeypatch
-):
-    # The evaluation set's last block, re-executed on a node of its own
-    # so that no earlier test has warmed the state's tries.
-    source = tiny_evalset.node
-    node = EthereumNode(
+def _last_block_on_its_own_node(evalset) -> EthereumNode:
+    """The evaluation set's last block, about to be re-executed on a node
+    of its own so that no earlier test has warmed the state's tries."""
+    source = evalset.node
+    return EthereumNode(
         genesis_accounts=source.state_at(source.height - 1).accounts,
         chain_id=source.chain_id,
         coinbase=source.coinbase,
     )
-    executed = node.add_block(list(source.latest.block.transactions))
+
+
+def _changed_slots(executed) -> dict:
+    """What the block changed, by diffing whole accounts: the oracle for
+    the delta the node derives from its write sets."""
+    changed = {}
+    for address in executed.touched_accounts:
+        before = executed.pre_state.accounts.get(address, Account()).storage
+        after = executed.post_state.accounts.get(address, Account()).storage
+        keys = {
+            key for key in before.keys() | after.keys()
+            if before.get(key, 0) != after.get(key, 0)
+        }
+        if keys:
+            changed[address] = keys
+    return changed
+
+
+def _pages(executed, changed) -> int:
+    """Touched accounts + storage groups holding a changed slot."""
+    return len(executed.touched_accounts) + sum(
+        len({key // STORAGE_GROUP_SIZE for key in keys}) for keys in changed.values()
+    )
+
+
+def test_sync_updates_build_one_storage_trie_per_touched_account(
+    tiny_evalset, monkeypatch
+):
+    node = _last_block_on_its_own_node(tiny_evalset)
+    executed = node.add_block(list(tiny_evalset.node.latest.block.transactions))
     accounts = executed.post_state.accounts
+    changed = _changed_slots(executed)
     slots = [
         sum(1 for value in accounts[address].storage.values() if value)
-        for address in executed.touched_accounts
-        if address in accounts
+        for address in changed
     ]
     assert sum(slots) > max(slots) > 1  # several accounts, many slots each
 
     puts = _count_calls(monkeypatch, MerklePatriciaTrie, "put")
     updates = node.sync_updates_for(1)
-    assert sum(len(update.storage_proofs) for update in updates) == sum(slots)
-    # One put per slot of each touched account; before, one per slot
-    # *per slot proven* (the sum of squares).
+    # One proof per slot the block changed; before, one per slot held.
+    assert {
+        update.address: set(update.storage_proofs)
+        for update in updates if update.storage_proofs
+    } == changed
+    assert sum(len(keys) for keys in changed.values()) < sum(slots)
+    # One put per slot of each account with a changed slot; before PR 19,
+    # one per slot *per slot proven* (the sum of squares).
     assert len(puts) == sum(slots) < sum(count * count for count in slots)
     # The committed state keeps what it built: asking again builds nothing.
     node.sync_updates_for(1)
-    node.get_proof(max(accounts, key=lambda a: len(accounts[a].storage)), [0, 1], 1)
+    node.get_proof(max(changed, key=lambda a: len(accounts[a].storage)), [0, 1], 1)
     assert len(puts) == sum(slots)
+
+
+def test_block_sync_costs_one_access_per_changed_page(tiny_evalset, monkeypatch):
+    node = _last_block_on_its_own_node(tiny_evalset)
+    service = HarDTAPEService(
+        node, SecurityFeatures.from_level("full"), charge_fees=False
+    )
+    executed = node.add_block(list(tiny_evalset.node.latest.block.transactions))
+    changed = _changed_slots(executed)
+    assert not executed.changed_code
+    held = sum(
+        len(paging.account_pages(address, executed.post_state.accounts[address]))
+        for address in executed.touched_accounts
+        if address in executed.post_state.accounts
+    )
+
+    accesses = _count_calls(monkeypatch, PathOramClient, "access")
+    roots = _count_calls(monkeypatch, MerklePatriciaTrie, "root_hash")
+    updates = node.sync_updates_for(1)
+    del roots[:], accesses[:]  # the Node's own commitment is not the device's
+    synchronizer = service.devices[0].hypervisor.synchronizer
+    written = synchronizer.apply_block(executed.block.header.state_root, updates)
+    # Before: every page of every touched account (``held``), code included.
+    assert len(accesses) == written == _pages(executed, changed) < held
+    assert synchronizer.stats.storage_slots_verified == sum(
+        len(keys) for keys in changed.values()
+    )
+    assert not roots  # before: one full storage-root rebuild per account
+
+
+def test_a_new_code_hash_adds_its_code_pages_and_nothing_else(monkeypatch):
+    alice = to_address(0xA1)
+    runtime = assemble(push(1) + ["PUSH0", "SSTORE", "STOP"]).ljust(1500, b"\x00")
+    node = EthereumNode(genesis_accounts={alice: Account(balance=10**21)})
+    service = HarDTAPEService(
+        node, SecurityFeatures.from_level("full"), charge_fees=False
+    )
+    accesses = _count_calls(monkeypatch, PathOramClient, "access")
+    deployed = node.add_block(
+        [Transaction(sender=alice, to=None, data=deployer(runtime))]
+    )
+    service.sync_new_blocks()
+    # The sender, the coinbase and the new account, plus two code pages.
+    assert len(accesses) == len(deployed.touched_accounts) + 2
+    del accesses[:]
+    called = node.add_block(
+        [Transaction(sender=alice, to=deployed.results[0].created_address)]
+    )
+    service.sync_new_blocks()
+    assert len(accesses) == _pages(called, _changed_slots(called))
+    assert len(accesses) == len(called.touched_accounts) + 1
+
+
+def test_bootstrap_writes_every_account_pages_walk_in_state_order(
+    tiny_evalset, monkeypatch
+):
+    accesses = _count_calls(monkeypatch, PathOramClient, "access")
+    node = tiny_evalset.node
+    HarDTAPEService(node, SecurityFeatures.from_level("full"), charge_fees=False)
+    assert [args[1:3] for args in accesses] == [
+        page
+        for address, account in node.state_at(node.height).accounts.items()
+        for page in paging.account_pages(address, account)
+    ]
 
 
 def test_proofs_from_an_unchanged_trie_cost_one_commit(monkeypatch):
