@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
+from repro.evm.exceptions import OutOfGas
 from repro.evm.memory import Memory
 from repro.evm.opcodes import JUMPDEST, push_size
 from repro.evm.stack import Stack
@@ -82,8 +83,6 @@ class ExecutionFrame:
 
     def use_gas(self, amount: int) -> None:
         """Charge gas; raises OutOfGas when exhausted."""
-        from repro.evm.exceptions import OutOfGas
-
         if amount > self.gas:
             available = self.gas
             self.gas = 0

@@ -6,11 +6,18 @@ the opcode's static base gas before invoking the handler; handlers
 charge any dynamic gas themselves.  Handlers that change the program
 counter (jumps, halts) set ``frame.pc`` / ``frame.halted`` directly and
 return ``True`` so the loop skips its normal PC advance.
+
+:data:`STEP_TABLE` is the one place the static opcode metadata of
+:mod:`repro.evm.opcodes` meets the handlers: everything the dispatch
+loop needs that depends on nothing but the opcode byte, decoded once at
+import (the HEVM's decode stage, PAPER §IV-B) and not again per step.
 """
 
 from __future__ import annotations
 
 from typing import Callable
+
+from repro.evm import opcodes
 
 Handler = Callable[..., bool | None]
 
@@ -38,3 +45,12 @@ def _load_all() -> None:
 
 
 _load_all()
+
+# Row ``opcode`` = (handler, static gas, pc advance when the handler did
+# not jump); ``None`` exactly where the opcode is unassigned.
+STEP_TABLE: list[tuple[Handler, int, int] | None] = [
+    (DISPATCH[value], entry.base_gas, 1 + opcodes.push_size(value))
+    if (entry := opcodes.info(value)) is not None
+    else None
+    for value in range(256)
+]

@@ -13,10 +13,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from repro.evm import opcodes
-from repro.evm.exceptions import FrameError, OutOfGas
+from repro.evm.exceptions import FrameError, InvalidOpcode
 from repro.evm.frame import CALL_DEPTH_LIMIT, ExecutionFrame, Message
-from repro.evm.instructions import DISPATCH
+from repro.evm.instructions import STEP_TABLE
 from repro.evm.precompiles import PRECOMPILES
 from repro.evm.tracer import Tracer
 from repro.state.account import Address
@@ -190,11 +189,17 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def _run(self, frame: ExecutionFrame) -> str | None:
-        """Execute the frame to completion; returns an error string or None."""
+        """Execute the frame to completion; returns an error string or None.
+
+        Per step, in this order: the tracer sees the step (pc, gas and
+        stack as they are *before* it), the static gas is charged, the
+        handler runs, and the pc advances unless the handler moved it.
+        """
         frame.halted = False
         code = frame.code
         code_length = len(code)
-        tracer = self.tracer
+        on_step = self.tracer.on_step
+        table = STEP_TABLE
         try:
             while not frame.halted:
                 if frame.pc >= code_length:
@@ -202,21 +207,17 @@ class Interpreter:
                     frame.output = b""
                     break
                 opcode = code[frame.pc]
-                entry = opcodes.info(opcode)
-                if entry is None:
-                    from repro.evm.exceptions import InvalidOpcode
-
+                row = table[opcode]
+                if row is None:
                     raise InvalidOpcode(opcode)
-                tracer.on_step(frame, opcode)
-                frame.use_gas(entry.base_gas)
-                handler = DISPATCH[opcode]
-                jumped = handler(self, frame)
-                if not jumped:
-                    frame.pc += 1 + opcodes.push_size(opcode)
+                handler, base_gas, pc_advance = row
+                on_step(frame, opcode)
+                if base_gas > frame.gas:
+                    frame.use_gas(base_gas)  # raises OutOfGas, gas zeroed
+                frame.gas -= base_gas
+                if not handler(self, frame):
+                    frame.pc += pc_advance
         except FrameError as exc:
-            if isinstance(exc, OutOfGas):
-                frame.gas = 0
-            else:
-                frame.gas = 0
+            frame.gas = 0
             return type(exc).__name__ + ": " + str(exc)
         return None

@@ -179,3 +179,9 @@ def push_size(opcode: int) -> int:
 
 
 ALL_OPCODES = dict(_TABLE)
+
+# Group name by opcode byte, ``None`` where unassigned: what a tracer on
+# the per-step path indexes instead of ``info(opcode).group.value``.
+GROUP_NAMES: list[str | None] = [
+    _TABLE[value].group.value if value in _TABLE else None for value in range(256)
+]

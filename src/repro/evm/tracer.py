@@ -177,8 +177,7 @@ class CountingTracer(Tracer):
     def on_step(self, frame: ExecutionFrame, opcode: int) -> None:
         counts = self.counts
         counts.instructions += 1
-        entry = opcodes.info(opcode)
-        group = entry.group.value if entry else "invalid"
+        group = opcodes.GROUP_NAMES[opcode]
         counts.by_group[group] = counts.by_group.get(group, 0) + 1
         if frame.memory.size > counts.max_memory_bytes:
             counts.max_memory_bytes = frame.memory.size
@@ -210,14 +209,26 @@ class CountingTracer(Tracer):
 
 
 class MultiTracer(Tracer):
-    """Fan out hooks to several tracers."""
+    """Fan out hooks to several tracers.
+
+    ``on_step`` fires once per instruction, so who takes it is settled
+    here, once: a tracer that inherits the base no-op is left out, and a
+    single taker is bound in place of the fan-out.
+    """
 
     def __init__(self, *tracers: Tracer) -> None:
         self.tracers = list(tracers)
+        self._step_hooks = [
+            tracer.on_step
+            for tracer in tracers
+            if type(tracer).on_step is not Tracer.on_step
+        ]
+        if len(self._step_hooks) == 1:
+            self.on_step = self._step_hooks[0]
 
     def on_step(self, frame, opcode):
-        for tracer in self.tracers:
-            tracer.on_step(frame, opcode)
+        for hook in self._step_hooks:
+            hook(frame, opcode)
 
     def on_frame_enter(self, frame, kind):
         for tracer in self.tracers:

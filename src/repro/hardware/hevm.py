@@ -288,6 +288,21 @@ class HardwareBackend(StateBackend):
         return b"".join(pages)[:size]
 
 
+def step_costs_us(cost: CostModel) -> list[float | None]:
+    """What one step of each opcode costs under ``cost``, by opcode byte.
+
+    Built from the model as it is *now* (a run reads it once, up front):
+    perturbing ``cycles_per_group`` or ``hevm_cycle_us`` between runs
+    moves the next run's clock, and each entry is the very float
+    ``hevm_instruction_us`` returns, so the clock advances bit for bit
+    as it would asking per step.
+    """
+    return [
+        cost.hevm_instruction_us(group) if group is not None else None
+        for group in opcodes.GROUP_NAMES
+    ]
+
+
 class HardwareTracer(Tracer):
     """Drives the clock and the layer-2 model from interpreter events."""
 
@@ -297,11 +312,13 @@ class HardwareTracer(Tracer):
         cost: CostModel,
         l2: Layer2CallStack,
         breakdown: TimeBreakdown,
+        step_us: list[float | None],
         spill_page_cost_us: float | None = None,
         span_tracer=None,
     ) -> None:
         self._clock = clock
         self._cost = cost
+        self._step_us = step_us
         self._l2 = l2
         self._breakdown = breakdown
         self._spill_page_cost_us = spill_page_cost_us
@@ -309,9 +326,7 @@ class HardwareTracer(Tracer):
         self._frame_memory: list[int] = []
 
     def on_step(self, frame, opcode: int) -> None:
-        entry = opcodes.info(opcode)
-        group = entry.group.value if entry else "invalid"
-        dt = self._cost.hevm_instruction_us(group)
+        dt = self._step_us[opcode]
         self._clock.advance_us(dt)
         self._breakdown.execution_us += dt
         if self._frame_memory and frame.memory.size > self._frame_memory[-1]:
@@ -423,6 +438,7 @@ class HevmCore:
         self.busy = True
         stats = HevmRunStats()
         span_tracer = tracer_for(self.clock)
+        step_us = step_costs_us(self.cost)
         prefetcher = None
         if prefetch_enabled and code_via_oram and oram_backend is not None:
             prefetcher = CodePrefetcher(self._rng.fork(b"prefetch"))
@@ -468,7 +484,7 @@ class HevmCore:
                     else None
                 )
                 hw_tracer = HardwareTracer(
-                    self.clock, self.cost, self.l2, breakdown,
+                    self.clock, self.cost, self.l2, breakdown, step_us,
                     spill_page_cost_us=spill_cost,
                     span_tracer=span_tracer,
                 )

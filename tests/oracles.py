@@ -20,6 +20,15 @@ what these loops compute from the table.
 its definition, one fresh hash object per message and a byte-wise XOR:
 what every sealing path (single, batch, pre-keyed, vector XOR) must put
 on the wire.
+
+``reference_run`` is the interpreter's dispatch loop as it shipped
+before the per-opcode step table: ``opcodes.info`` per step,
+``use_gas`` for the static charge, ``DISPATCH`` for the handler,
+``push_size`` for the pc.  It shares the *handlers* with production, so
+it is an oracle for the loop — order of hook, gas, handler and pc;
+error strings; zeroed gas — and for nothing a handler computes: it is
+not the independent second opinion on the EVM that ROADMAP item 7 asks
+for.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ import hashlib
 
 from repro.crypto.ecc import G, INFINITY, N, P, InvalidSignature, Point, Signature
 from repro.crypto.keccak import _MASK64, _ROTATION, _ROUND_CONSTANTS
+from repro.evm import opcodes
+from repro.evm.exceptions import FrameError, InvalidOpcode, OutOfGas
+from repro.evm.instructions import DISPATCH
 
 
 def affine_add(p: Point, q: Point) -> Point:
@@ -162,3 +174,34 @@ def blake2_aead_seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"
     for part in (len(aad).to_bytes(8, "big"), aad, nonce, ciphertext):
         mac.update(part)
     return ciphertext + mac.digest()
+
+
+def reference_run(interpreter, frame) -> str | None:
+    """``Interpreter._run``: execute the frame, return an error string or None."""
+    frame.halted = False
+    code = frame.code
+    code_length = len(code)
+    tracer = interpreter.tracer
+    try:
+        while not frame.halted:
+            if frame.pc >= code_length:
+                # Implicit STOP past the end of code.
+                frame.output = b""
+                break
+            opcode = code[frame.pc]
+            entry = opcodes.info(opcode)
+            if entry is None:
+                raise InvalidOpcode(opcode)
+            tracer.on_step(frame, opcode)
+            frame.use_gas(entry.base_gas)
+            handler = DISPATCH[opcode]
+            jumped = handler(interpreter, frame)
+            if not jumped:
+                frame.pc += 1 + opcodes.push_size(opcode)
+    except FrameError as exc:
+        if isinstance(exc, OutOfGas):
+            frame.gas = 0
+        else:
+            frame.gas = 0
+        return type(exc).__name__ + ": " + str(exc)
+    return None

@@ -1,10 +1,12 @@
-"""Work done once: count gates on the sync path and the frame set-up.
+"""Work done once: count gates on the sync path, the frame set-up and the
+EVM step path.
 
 Each gate counts calls through a monkeypatched counter, so it is exact
 by construction and reads the same on a loaded CI runner as on an idle
 laptop — no clock anywhere.  The "before" in comments is what the code
 did on the same input before the PR that added the gate (19: one trie
-build per account, one jumpdest scan per code; 22: delta sync).
+build per account, one jumpdest scan per code; 22: delta sync; 23: the
+per-opcode step table).
 """
 
 import functools
@@ -12,14 +14,20 @@ import functools
 import pytest
 
 from repro.core import HarDTAPEService, SecurityFeatures
+from repro.evm import opcodes
 from repro.evm.executor import execute_transaction
 from repro.evm.frame import ExecutionFrame, analyze_jumpdests
+from repro.evm.instructions import DISPATCH, STEP_TABLE
+from repro.evm.tracer import CountingTracer, Tracer
+from repro.hardware.hevm import HardwareTracer, HevmCore
+from repro.hardware.timing import CostModel, SimClock
 from repro.node import EthereumNode
 from repro.oram import paging
 from repro.oram.client import PathOramClient
 from repro.state import Account, Transaction, to_address
 from repro.state.backend import STORAGE_GROUP_SIZE
 from repro.state.journal import JournaledState
+from repro.telemetry.unified import group_for_op
 from repro.trie import MerklePatriciaTrie
 from repro.workloads.asm import assemble, deployer, push
 
@@ -199,3 +207,94 @@ def test_jumpdest_scans_per_bundle_equal_its_distinct_codes(
     assert len(frames) > len(codes) > 1  # contracts are called again and again
     # One scan per distinct code; before, one per frame.
     assert (info.misses, info.hits) == (len(codes), len(frames) - len(codes))
+
+
+# -- the EVM step path -----------------------------------------------------
+
+
+def _raw_bundle(evalset, core, struct_trace=False):
+    """One 8-transaction bundle on ``core`` at level raw (no ORAM, no
+    fees): ``(per-tx breakdowns, per-tx struct logs)``."""
+    node = evalset.node
+    results, breakdowns, stats, struct_logs = core.run_bundle(
+        evalset.transactions[:8],
+        node.chain_context(node.latest.block.header),
+        node.state_at(node.height).copy(),
+        None,
+        storage_via_oram=False,
+        code_via_oram=False,
+        struct_trace=struct_trace,
+        charge_fees=False,
+    )
+    core.reset()
+    assert len(results) == 8 and not stats.aborted
+    return breakdowns, struct_logs
+
+
+def test_the_step_table_is_the_opcode_metadata_beside_its_handler():
+    for opcode in range(256):
+        entry = opcodes.info(opcode)
+        if entry is None:
+            assert STEP_TABLE[opcode] is None
+        else:
+            assert STEP_TABLE[opcode] == (
+                DISPATCH[opcode], entry.base_gas, 1 + opcodes.push_size(opcode)
+            )
+    assert len(STEP_TABLE) == len(opcodes.GROUP_NAMES) == 256
+    assert [group is None for group in opcodes.GROUP_NAMES] == [
+        row is None for row in STEP_TABLE
+    ]
+
+
+def test_a_step_looks_nothing_up_that_the_opcode_byte_already_decides(
+    tiny_evalset, monkeypatch
+):
+    steps = _count_calls(monkeypatch, HardwareTracer, "on_step")
+    info = _count_calls(monkeypatch, opcodes, "info")
+    push_size = _count_calls(monkeypatch, opcodes, "push_size")
+    is_push = _count_calls(monkeypatch, opcodes, "is_push")
+    priced = _count_calls(monkeypatch, CostModel, "hevm_instruction_us")
+    idle_hooks = _count_calls(monkeypatch, Tracer, "on_step")
+    _raw_bundle(tiny_evalset, HevmCore(0, SimClock(), CostModel()))
+    assert len(steps) > 1_000
+    # Before, per step: info twice (the loop, the hardware tracer),
+    # push_size and is_push once each, one hevm_instruction_us, and one
+    # base-class no-op for the call tracer, which has no use for steps.
+    assert (len(info), len(push_size), len(is_push), len(idle_hooks)) == (0, 0, 0, 0)
+    # One price list per bundle, read from the model the core holds now.
+    assert len(priced) == sum(group is not None for group in opcodes.GROUP_NAMES)
+
+
+def test_the_hardware_tracer_the_struct_log_and_the_count_see_the_same_steps(
+    tiny_evalset, monkeypatch
+):
+    steps = _count_calls(monkeypatch, HardwareTracer, "on_step")
+    _breakdowns, struct_logs = _raw_bundle(
+        tiny_evalset, HevmCore(0, SimClock(), CostModel()), struct_trace=True
+    )
+    node = tiny_evalset.node
+    state = JournaledState(node.state_at(node.height).copy())
+    chain = node.chain_context(node.latest.block.header)
+    counting = CountingTracer()
+    for tx in tiny_evalset.transactions[:8]:
+        execute_transaction(state, chain, tx, tracer=counting, charge_fees=False)
+    assert len(steps) == sum(map(len, struct_logs)) == counting.counts.instructions
+    assert sum(counting.counts.by_group.values()) == counting.counts.instructions
+
+
+def test_the_step_prices_follow_the_cost_model_the_core_holds_now(tiny_evalset):
+    """The price list is built per run from the core's model, never kept:
+    perturb two constants between runs (ROADMAP item 9 will) and the next
+    run's execution time is the per-step sum under the *new* constants,
+    to the last bit."""
+    core = HevmCore(0, SimClock(), CostModel())
+    before, _logs = _raw_bundle(tiny_evalset, core)
+    core.cost.cycles_per_group["arithmetic"] = 7.0
+    core.cost.hevm_cycle_us = 0.013
+    after, struct_logs = _raw_bundle(tiny_evalset, core, struct_trace=True)
+    for breakdown, logs in zip(after, struct_logs):
+        expected = 0.0
+        for row in logs:
+            expected += core.cost.hevm_instruction_us(group_for_op(row.op))
+        assert breakdown.execution_us.hex() == expected.hex()
+    assert sum(b.execution_us for b in after) > 1.3 * sum(b.execution_us for b in before)
