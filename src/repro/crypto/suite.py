@@ -42,9 +42,9 @@ def seal_blocks(cipher: AeadCipher, items: list[AeadItem]) -> list[bytes]:
     """Encrypt many ``(nonce, plaintext, aad)`` items under one cipher.
 
     Uses the cipher's native batch path when it has one (AES-GCM
-    vectorizes all CTR keystreams in a single pass; the memoized
-    wrapper records every sealed block) and falls back to per-item
-    :meth:`encrypt` otherwise.  Output is byte-identical either way.
+    vectorizes all CTR keystreams in a single pass) and falls back to
+    per-item :meth:`encrypt` otherwise.  Output is byte-identical
+    either way.
     """
     native = getattr(cipher, "seal_blocks", None)
     if native is not None:

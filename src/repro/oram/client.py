@@ -32,7 +32,7 @@ from repro.crypto.keccak import keccak_memo_stats
 from repro.crypto.suite import AeadCipher, Blake2Aead, open_blocks, seal_blocks
 from repro.oram import slot
 from repro.oram.server import OramServer, OramServerStall
-from repro.perf.memo import MemoizedAead
+from repro.perf.memo import MemoizedAead, MemoStats
 from repro.telemetry.tracer import tracer_for
 
 BlockKey = bytes
@@ -47,6 +47,9 @@ _MAX_STALLS_PER_ACCESS = 16
 # classifier walks versions downward only this far before giving up and
 # reporting plain corruption.
 _ROLLBACK_PROBE_LIMIT = 512
+
+# What a client without a decrypt memo reports: zeros, never written.
+_NO_MEMO_STATS = MemoStats()
 
 
 @dataclass
@@ -175,15 +178,16 @@ class PathOramClient:
         self.recovery = None
         self._rng = rng or Drbg(key, personalization=b"oram-client")
         self._cipher: AeadCipher = cipher_factory(key)
-        # Decrypt memoization (repro.perf): path reads mostly decrypt
-        # blocks this client itself sealed, so a bounded plaintext cache
-        # keyed by ciphertext identity removes the bulk-decrypt cost
-        # without changing any simulated result.  ``None``/``0``
-        # disables it (the pre-memo behaviour, bit for bit).
-        self.memo: MemoizedAead | None = None
-        if decrypt_memo_blocks:
-            self.memo = MemoizedAead(self._cipher, decrypt_memo_blocks)
-            self._cipher = self.memo
+        # Decrypt memoization (repro.perf): path reads mostly open blobs
+        # this client itself sealed and the server still holds, so a
+        # bounded table of those (blob, aad, plaintext) removes the
+        # bulk-decrypt cost without changing any simulated result.
+        # ``None``/``0`` disables it (the pre-memo behaviour, bit for
+        # bit).  Only the path read and the write-back go through it.
+        self.memo: MemoizedAead | None = (
+            MemoizedAead(self._cipher, decrypt_memo_blocks)
+            if decrypt_memo_blocks else None
+        )
         self._stash: dict[BlockKey, bytes] = {}
         self._nonce_counter = 0
         # Anti-rollback write counters, one per tree node (on-chip).
@@ -235,8 +239,10 @@ class PathOramClient:
         self.stats.accesses += 1
         stalls_before = self.stats.stalls_absorbed
         stall_us_before = self.stats.stall_us_absorbed
-        memo_hits_before = self.memo.stats.hits if self.memo else 0
-        memo_misses_before = self.memo.stats.misses if self.memo else 0
+        memo = self.memo
+        memo_stats = memo.stats if memo is not None else _NO_MEMO_STATS
+        memo_hits_before = memo_stats.hits
+        memo_misses_before = memo_stats.misses
         keccak_before = keccak_memo_stats()
         keccak_hits_before = keccak_before.hits
         keccak_misses_before = keccak_before.misses
@@ -267,26 +273,34 @@ class PathOramClient:
         # state — stash, position map, node versions — untouched, and a
         # retry starts from exactly the pre-access state.
         buckets = self._read_path_within_budget(scanned_leaf, sim_time_us)
-        items = []
+        blobs = []
         for node, node_blobs in buckets.items():
             aad = self._bucket_aad(node, self._node_versions.get(node, 0))
             for blob in node_blobs:
-                items.append((blob[:12], blob[12:], aad))
+                blobs.append((blob, aad))
         # One batch open for the whole path: every tag is verified
         # before any plaintext is used, so the all-or-nothing guarantee
-        # above holds exactly as in the slot-at-a-time path.  A tag
-        # failure is classified before it propagates: a blob that
-        # authenticates under an *older* pinned version is a rollback
-        # (stale-tree attack), everything else is plain corruption.
+        # above holds exactly as in the slot-at-a-time path (the memo
+        # answers for the blobs it recorded, byte-equal under the same
+        # AAD, and batch-opens the rest).  A tag failure is classified
+        # before it propagates: a blob that authenticates under an
+        # *older* pinned version is a rollback (stale-tree attack),
+        # everything else is plain corruption.
         try:
-            plains = open_blocks(self._cipher, items)
+            if memo is not None:
+                plains = memo.open_path(blobs)
+            else:
+                plains = open_blocks(
+                    self._cipher,
+                    [(blob[:12], blob[12:], aad) for blob, aad in blobs],
+                )
         except AuthenticationError:
             rollback = self._probe_rollback(buckets)
             if rollback is not None:
                 self.stats.rollbacks_detected += 1
                 raise rollback from None
             raise
-        self.stats.blocks_decrypted += len(items)
+        self.stats.blocks_decrypted += len(blobs)
         block_size = self.block_size
         stash = self._stash
         for plain in plains:
@@ -328,16 +342,15 @@ class PathOramClient:
                 nonce_counter=self._nonce_counter,
             )
         self._record_stash()
+        keccak_after = keccak_memo_stats()
         self.last_access = AccessSummary(
             stalls_absorbed=self.stats.stalls_absorbed - stalls_before,
             stall_us=self.stats.stall_us_absorbed - stall_us_before,
             stash_blocks=len(self._stash),
-            memo_hits=(self.memo.stats.hits - memo_hits_before) if self.memo else 0,
-            memo_misses=(
-                self.memo.stats.misses - memo_misses_before
-            ) if self.memo else 0,
-            keccak_hits=keccak_memo_stats().hits - keccak_hits_before,
-            keccak_misses=keccak_memo_stats().misses - keccak_misses_before,
+            memo_hits=memo_stats.hits - memo_hits_before,
+            memo_misses=memo_stats.misses - memo_misses_before,
+            keccak_hits=keccak_after.hits - keccak_hits_before,
+            keccak_misses=keccak_after.misses - keccak_misses_before,
         )
         return result
 
@@ -393,7 +406,8 @@ class PathOramClient:
         one is stale-but-genuine — only a server replaying an old tree
         snapshot can serve it.  Probes are bounded; an exhausted probe
         budget conservatively reports corruption.  Runs only on the
-        failure path, so honest runs never pay for it.
+        failure path, so honest runs never pay for it; probes use the
+        bare cipher and leave the decrypt memo as the failed open did.
         """
         probes = 0
         for node, node_blobs in buckets.items():
@@ -463,12 +477,16 @@ class PathOramClient:
                 filled += 1
         sealed = seal_blocks(self._cipher, items)
         self.stats.blocks_encrypted += len(items)
+        blobs = [nonce + body for (nonce, _plain, _aad), body in zip(items, sealed)]
         new_buckets: dict[int, list[bytes]] = {}
-        for node, (nonce, _body, _aad), blob in zip(slot_nodes, items, sealed):
-            new_buckets.setdefault(node, []).append(nonce + blob)
+        for node, blob in zip(slot_nodes, blobs):
+            new_buckets.setdefault(node, []).append(blob)
         for block_key in placed:
             del self._stash[block_key]
         self.server.write_path(leaf, new_buckets, sim_time_us)
+        if self.memo is not None:
+            # The very objects the server now holds: no second copy.
+            self.memo.remember(items, blobs)
 
     def _node_on_path(self, node: int, depth: int, leaf: int) -> bool:
         """Is ``node`` (at ``depth``) an ancestor of ``leaf``'s leaf node?"""
@@ -534,8 +552,10 @@ class PathOramClient:
 
         ``server`` is passed in so a digest can read the raw tree behind
         a fault wrapper.  Blobs are opened under the pinned per-node
-        versions without counting in client stats, so anything a bench
-        reports is untouched.
+        versions with the bare cipher — past the decrypt memo, whose
+        counters and entries a digest must not move — and without
+        counting in client stats, so anything a bench reports is
+        untouched.
         """
         content: dict[BlockKey, bytes] = {}
         for node, bucket in enumerate(server.snapshot_tree()):

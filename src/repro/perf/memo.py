@@ -1,32 +1,40 @@
-"""Decrypt memoization: a plaintext cache keyed by ciphertext identity.
+"""Decrypt memoization: the plaintext behind every wire blob still live.
 
-AEAD decryption is a pure function of ``(key, nonce, ciphertext, aad)``,
-and the Path ORAM access pattern makes it a pathologically repetitive
-one: every path read decrypts Z x (height+1) blocks, almost all of which
-are blocks *this same client* sealed on a previous write-back.
-:class:`MemoizedAead` wraps any :class:`~repro.crypto.suite.AeadCipher`
-and remembers, in a bounded LRU, the plaintext behind each ciphertext it
-has sealed or opened — so the steady-state path read costs hash lookups
-instead of bulk decryption.
+Every Path ORAM path read opens Z x (height+1) blocks, almost all of
+which *this same client* sealed on an earlier write-back.
+:class:`MemoizedAead` remembers, per nonce, the exact
+``nonce || ciphertext || tag`` object the client handed to the server
+together with the AAD and the plaintext it was sealed from, and serves a
+path read from that table — no hash, no keystream — wherever the server
+hands the same bytes back.
 
-Soundness: the cache key is a 128-bit BLAKE2b digest over the full
-``(nonce, aad, ciphertext)`` triple, and entries are inserted only from
-a successful seal or open under this cipher's key.  Any byte an SP
-tampers with — ciphertext, tag, or a replayed bucket whose AAD-bound
-version no longer matches — changes the lookup key, misses the cache,
-and falls through to real decryption, which rejects it exactly as the
-unwrapped cipher would.  The wrapper never changes what is encrypted or
-what appears on the wire; it is invisible to the adversary's view (see
-the observer-equivalence property test and ARCHITECTURE.md).
+Soundness: a hit requires the blob served now to equal the recorded one
+byte for byte *and* the AAD the client pins now (node, version) to equal
+the recorded one.  Decryption is a pure function of ``(key, nonce,
+ciphertext, aad)``, so on a hit the bare cipher would return exactly the
+recorded plaintext.  Anything else — a flipped byte in nonce, body or
+tag, a replayed bucket whose pinned version has moved on, a blob from
+elsewhere, an entry the bound pushed out — goes through the inner
+cipher's batch open and is accepted or rejected exactly as without the
+memo.  The blobs are public (the SP stores them), so comparing them
+needs no constant-time care.
+
+An entry is used at most once: a path read is always followed by a
+write-back of the same path, so once the *whole* path has authenticated
+the ciphertexts just read are about to be overwritten and their entries
+are dropped.  A failed open drops nothing — the access changed no client
+state and the server still holds those blobs, so the retry finds them.
+The table is bounded (oldest seal first); the wrapper never changes what
+is encrypted or what appears on the wire (see the observer-equivalence
+test, the tamper-equivalence property and ARCHITECTURE.md).
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 
-from repro.crypto.suite import AeadCipher, AeadItem, open_blocks, seal_blocks
+from repro.crypto.suite import AeadCipher, AeadItem, open_blocks
 
 
 @dataclass
@@ -40,104 +48,65 @@ class MemoStats:
 
 
 class MemoizedAead:
-    """An :class:`AeadCipher` wrapper with a bounded decrypt memo.
+    """The live-blob table beside an :class:`AeadCipher`.
 
-    ``capacity_blocks`` bounds the number of cached plaintexts (LRU
-    eviction); for the 1 KB ORAM block size the default ~4096 entries
-    cost a few MB — host-process memory, not simulated on-chip memory.
+    ``capacity_blocks`` bounds the entries; each holds references to the
+    blob the server stores and the slot body the client encoded, so a
+    live entry copies neither — host-process memory, not simulated
+    on-chip memory.
     """
 
     def __init__(self, inner: AeadCipher, capacity_blocks: int = 4096) -> None:
         if capacity_blocks <= 0:
             raise ValueError("memo capacity must be positive")
         self.inner = inner
-        self.nonce_size = inner.nonce_size
-        self.tag_size = inner.tag_size
         self.capacity_blocks = capacity_blocks
-        self._cache: OrderedDict[bytes, bytes] = OrderedDict()
+        # nonce -> (wire blob, aad, plaintext), oldest seal first.
+        self._live: dict[bytes, tuple[bytes, bytes, bytes]] = {}
         self.stats = MemoStats()
 
-    @staticmethod
-    def _key(nonce: bytes, data: bytes, aad: bytes) -> bytes:
-        digest = hashlib.blake2b(
-            len(aad).to_bytes(4, "big") + aad + nonce, digest_size=16
-        )
-        digest.update(data)
-        return digest.digest()
+    def remember(self, items: list[AeadItem], blobs: list[bytes]) -> None:
+        """Record a write-back: ``blobs[i]`` is the wire blob
+        (``nonce || inner seal``) of ``items[i] = (nonce, plaintext, aad)``."""
+        live = self._live
+        for (nonce, plaintext, aad), blob in zip(items, blobs):
+            live[nonce] = (blob, aad, plaintext)
+        self.stats.inserts += len(blobs)
+        excess = len(live) - self.capacity_blocks
+        if excess > 0:
+            for nonce in list(islice(live, excess)):
+                del live[nonce]
+            self.stats.evictions += excess
 
-    def _put(self, key: bytes, plaintext: bytes) -> None:
-        cache = self._cache
-        if key in cache:
-            cache.move_to_end(key)
-            cache[key] = plaintext
-            return
-        cache[key] = plaintext
-        self.stats.inserts += 1
-        if len(cache) > self.capacity_blocks:
-            cache.popitem(last=False)
-            self.stats.evictions += 1
+    def open_path(self, blobs: list[tuple[bytes, bytes]]) -> list[bytes]:
+        """Open one path read of ``(wire blob, aad)`` pairs.
 
-    # -- AeadCipher ------------------------------------------------------
-
-    def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        sealed = self.inner.encrypt(nonce, plaintext, aad)
-        self._put(self._key(nonce, sealed, aad), plaintext)
-        return sealed
-
-    def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
-        key = self._key(nonce, data, aad)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            self.stats.hits += 1
-            return cached
-        self.stats.misses += 1
-        plaintext = self.inner.decrypt(nonce, data, aad)
-        self._put(key, plaintext)
-        return plaintext
-
-    # -- batch paths -----------------------------------------------------
-
-    def seal_blocks(self, items: list[AeadItem]) -> list[bytes]:
-        sealed = seal_blocks(self.inner, items)
-        key, put = self._key, self._put
-        for (nonce, plaintext, aad), blob in zip(items, sealed):
-            put(key(nonce, blob, aad), plaintext)
-        return sealed
-
-    def open_blocks(self, items: list[AeadItem]) -> list[bytes]:
-        """Serve hits from the cache, batch-open only the misses.
-
-        Preserves the all-or-nothing contract: a bad block among the
-        misses raises from the inner batch open before any plaintext is
-        returned, and cached entries are by construction authentic.
+        Hits come from the table, the rest go through one inner batch
+        open — all tags first, so a bad block raises before any
+        plaintext is returned and before any entry is forgotten.
         """
-        cache, key_of = self._cache, self._key
+        live = self._live
+        nonce_size = self.inner.nonce_size
         out: list[bytes | None] = []
+        used: list[bytes] = []
         misses: list[AeadItem] = []
-        miss_slots: list[tuple[int, bytes]] = []
-        for item in items:
-            key = key_of(*item)
-            cached = cache.get(key)
-            if cached is not None:
-                cache.move_to_end(key)
+        miss_slots: list[int] = []
+        for blob, aad in blobs:
+            nonce = blob[:nonce_size]
+            entry = live.get(nonce)
+            if entry is not None and entry[0] == blob and entry[1] == aad:
+                used.append(nonce)
+                out.append(entry[2])
             else:
-                misses.append(item)
-                miss_slots.append((len(out), key))
-            out.append(cached)
-        self.stats.hits += len(items) - len(misses)
+                misses.append((nonce, blob[nonce_size:], aad))
+                miss_slots.append(len(out))
+                out.append(None)
+        self.stats.hits += len(used)
         self.stats.misses += len(misses)
         if misses:
-            opened = open_blocks(self.inner, misses)
-            for (slot, key), plaintext in zip(miss_slots, opened):
-                self._put(key, plaintext)
+            for slot, plaintext in zip(miss_slots, open_blocks(self.inner, misses)):
                 out[slot] = plaintext
+        for nonce in used:
+            # The same blob served twice in one bucket hits twice.
+            live.pop(nonce, None)
         return out  # type: ignore[return-value]
-
-    # -- introspection ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def clear(self) -> None:
-        self._cache.clear()

@@ -6,14 +6,16 @@ by construction and reads the same on a loaded CI runner as on an idle
 laptop — no clock anywhere.  The "before" in comments is what the code
 did on the same input before the PR that added the gate (19: one trie
 build per account, one jumpdest scan per code; 22: delta sync; 23: the
-per-opcode step table).
+per-opcode step table; 24: the live-blob decrypt memo).
 """
 
 import functools
+import hashlib
 
 import pytest
 
 from repro.core import HarDTAPEService, SecurityFeatures
+from repro.crypto.suite import Blake2Aead
 from repro.evm import opcodes
 from repro.evm.executor import execute_transaction
 from repro.evm.frame import ExecutionFrame, analyze_jumpdests
@@ -24,6 +26,8 @@ from repro.hardware.timing import CostModel, SimClock
 from repro.node import EthereumNode
 from repro.oram import paging
 from repro.oram.client import PathOramClient
+from repro.oram.server import OramServer
+from repro.perf.bench import PerfBenchConfig, _workload
 from repro.state import Account, Transaction, to_address
 from repro.state.backend import STORAGE_GROUP_SIZE
 from repro.state.journal import JournaledState
@@ -298,3 +302,44 @@ def test_the_step_prices_follow_the_cost_model_the_core_holds_now(tiny_evalset):
             expected += core.cost.hevm_instruction_us(group_for_op(row.op))
         assert breakdown.execution_us.hex() == expected.hex()
     assert sum(b.execution_us for b in after) > 1.3 * sum(b.execution_us for b in before)
+
+
+# -- the decrypt memo ------------------------------------------------------
+
+
+@pytest.mark.parametrize("capacity,hits", [(4096, 936), (64, 636)])
+def test_a_path_read_hashes_only_what_the_memo_missed(monkeypatch, capacity, hits):
+    """The perf-bench replay (BENCH_perf.json's 936 hits / 0 misses at
+    4,096 entries; 64 entries make the bound bite).  Before, every access
+    ran one BLAKE2b over each 1 KB block it sealed *and* each it looked
+    up — the memo's own key — on top of the cipher's hashing."""
+    config = PerfBenchConfig()
+    key = hashlib.blake2b(
+        config.seed.to_bytes(8, "big"), digest_size=32, person=b"perf-key"
+    ).digest()
+    server = OramServer(height=config.oram_height)
+    client = PathOramClient(server, key, decrypt_memo_blocks=capacity)
+    slots = (config.oram_height + 1) * server.bucket_size
+
+    digests = _count_calls(monkeypatch, hashlib, "blake2b")
+    keystreams = _count_calls(monkeypatch, hashlib, "shake_256")
+    tags = _count_calls(monkeypatch, Blake2Aead, "_tag")
+    opens = _count_calls(monkeypatch, Blake2Aead, "open_blocks")
+    for access_key, payload in _workload(config):
+        del keystreams[:], tags[:], opens[:]
+        client.access(access_key, payload)
+        last = client.last_access
+        # The inner cipher opens exactly the misses, in one batch ...
+        assert sum(len(items) for _cipher, items in opens) == last.memo_misses
+        assert len(opens) == (1 if last.memo_misses else 0)
+        # ... and a hit costs no hash: what is left is one keystream and
+        # one tag per slot sealed, plus the same per miss.
+        assert len(keystreams) == len(tags) == slots + last.memo_misses
+        # Live only: each entry *is* a blob object the server holds now.
+        stored = {id(blob) for bucket in server.snapshot_tree() for blob in bucket}
+        held = {id(blob) for blob, _aad, _plaintext in client.memo._live.values()}
+        assert held <= stored and len(held) == len(client.memo._live)
+        if capacity >= len(stored):
+            assert held == stored
+    assert not digests  # the tag continues a keyed state; nothing else hashed
+    assert (client.memo.stats.hits, client.memo.stats.misses) == (hits, 936 - hits)
