@@ -12,20 +12,17 @@ irrelevant here because adversary timing in the simulation is modeled by
 :mod:`repro.hardware.timing`, not by wall clock.
 
 CTR keystream generation is the simulator's hottest loop (64 block
-transforms per 1 KB ORAM block), so :meth:`AES.ctr_keystream` has two
-tuned paths: a numpy one that runs the T-table rounds as uint32 gathers
-over all counter blocks at once, and a scalar fallback with the rounds
-inlined and the output buffer preallocated.  Both produce bytes
-identical to a block-at-a-time reference (see
-``tests/unit/test_aes_gcm.py``).
+transforms per 1 KB ORAM block), so :meth:`AES.ctr_keystream` runs the
+T-table rounds as numpy uint32 gathers over all counter blocks at once,
+producing bytes identical to a block-at-a-time reference (see
+``tests/unit/test_aes_gcm.py``).  The secure channel of the default
+crypto tier runs in OpenSSL, so this cipher's remaining users are the
+``numpy`` and ``reference`` tiers and the perf-bench ORAM substrate.
 """
 
 from __future__ import annotations
 
-try:  # numpy is a declared dependency, but the scalar path keeps the
-    import numpy as _np  # module usable if it is ever absent.
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 # ---------------------------------------------------------------------------
 # S-box generation (from GF(2^8) arithmetic, so no magic tables are pasted).
@@ -114,9 +111,9 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
 
     One vector operation for the payloads the ORAM and layer-3 paths
     move — a 1 KB block, or a whole path's blocks joined — and big-int
-    arithmetic for short strings (tags, headers) or without numpy.
+    arithmetic for short strings (tags, headers).
     """
-    if _np is not None and len(a) >= _VECTOR_XOR_MIN_BYTES:
+    if len(a) >= _VECTOR_XOR_MIN_BYTES:
         return (
             _np.frombuffer(a, dtype=_np.uint8) ^ _np.frombuffer(b, dtype=_np.uint8)
         ).tobytes()
@@ -140,11 +137,6 @@ def _numpy_tables():
             _np.array(_SBOX, dtype=_np.uint32),
         )
     return _NP_TABLES
-
-
-# Below this many counter blocks the numpy dispatch overhead beats the
-# gather win; secure-channel headers stay on the scalar path.
-_VECTOR_MIN_BLOCKS = 4
 
 
 class AES:
@@ -245,80 +237,6 @@ class AES:
         if length <= 0:
             return b""
         blocks = (length + 15) // 16
-        if _np is not None and blocks >= _VECTOR_MIN_BLOCKS:
-            return self._ctr_keystream_vector(counter_block, length, blocks)
-        return self._ctr_keystream_scalar(counter_block, length, blocks)
-
-    def _ctr_keystream_scalar(
-        self, counter_block: bytes, length: int, blocks: int
-    ) -> bytes:
-        """Inlined-rounds CTR loop writing into a preallocated buffer.
-
-        The nonce prefix contributes three state words that are constant
-        across blocks, so they are mixed with the first round key once.
-        """
-        rk = self._round_keys
-        p0 = int.from_bytes(counter_block[0:4], "big") ^ rk[0]
-        p1 = int.from_bytes(counter_block[4:8], "big") ^ rk[1]
-        p2 = int.from_bytes(counter_block[8:12], "big") ^ rk[2]
-        rk3 = rk[3]
-        counter = int.from_bytes(counter_block[12:16], "big")
-        rounds_minus_1 = self._rounds - 1
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        sbox = _SBOX
-        out = bytearray(blocks * 16)
-        pos = 0
-        for _ in range(blocks):
-            s0, s1, s2, s3 = p0, p1, p2, counter ^ rk3
-            k = 4
-            for _ in range(rounds_minus_1):
-                n0 = (
-                    t0[(s0 >> 24) & 0xFF] ^ t1[(s1 >> 16) & 0xFF]
-                    ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ rk[k]
-                )
-                n1 = (
-                    t0[(s1 >> 24) & 0xFF] ^ t1[(s2 >> 16) & 0xFF]
-                    ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ rk[k + 1]
-                )
-                n2 = (
-                    t0[(s2 >> 24) & 0xFF] ^ t1[(s3 >> 16) & 0xFF]
-                    ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ rk[k + 2]
-                )
-                n3 = (
-                    t0[(s3 >> 24) & 0xFF] ^ t1[(s0 >> 16) & 0xFF]
-                    ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ rk[k + 3]
-                )
-                s0, s1, s2, s3 = n0, n1, n2, n3
-                k += 4
-            w0 = (
-                (sbox[(s0 >> 24) & 0xFF] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
-                | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]
-            ) ^ rk[k]
-            w1 = (
-                (sbox[(s1 >> 24) & 0xFF] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
-                | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]
-            ) ^ rk[k + 1]
-            w2 = (
-                (sbox[(s2 >> 24) & 0xFF] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
-                | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]
-            ) ^ rk[k + 2]
-            w3 = (
-                (sbox[(s3 >> 24) & 0xFF] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
-                | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]
-            ) ^ rk[k + 3]
-            out[pos:pos + 16] = (
-                (w0 << 96) | (w1 << 64) | (w2 << 32) | w3
-            ).to_bytes(16, "big")
-            pos += 16
-            counter = (counter + 1) & 0xFFFFFFFF
-        if length != len(out):
-            del out[length:]
-        return bytes(out)
-
-    def _ctr_keystream_vector(
-        self, counter_block: bytes, length: int, blocks: int
-    ) -> bytes:
-        """All counter blocks at once: rounds as uint32 table gathers."""
         np = _np
         rk = self._rk_vector
         if rk is None:
@@ -352,8 +270,7 @@ class AES:
 
         The batched seal/open path concentrates an entire ORAM path
         write — Z x (height+1) slots — into a single round computation,
-        which is where the numpy gathers actually amortize.  Falls back
-        to per-message :meth:`ctr_keystream` without numpy.
+        which is where the numpy gathers actually amortize.
         """
         if len(counter_blocks) != len(lengths):
             raise ValueError("counter_blocks and lengths differ in size")
@@ -361,11 +278,6 @@ class AES:
             return []
         block_counts = [(max(length, 0) + 15) // 16 for length in lengths]
         total = sum(block_counts)
-        if _np is None or total < _VECTOR_MIN_BLOCKS:
-            return [
-                self.ctr_keystream(cb, length)
-                for cb, length in zip(counter_blocks, lengths)
-            ]
         np = _np
         rk = self._rk_vector
         if rk is None:

@@ -5,27 +5,31 @@ units; the software analogue is a registry of interchangeable crypto
 *backends*, each a bundle of implementations for the three primitives
 on the hot path — Keccak-256 (trie nodes, sync roots, SHA3 opcodes),
 AES-GCM (secure channel, ORAM sealing), and ECDSA verification
-(channel signatures) — selected per
+(channel signatures, receipts, the attestation chain) — selected per
 :class:`~repro.core.device.DeviceConfig` exactly like ``oram_backend``.
 
 Three tiers register at import time:
 
-* ``reference`` — the pure-Python sponge, T-table AES-GCM and
-  table-free ECDSA verification; the ground truth every other tier is
-  gated against.
+* ``hashlib`` — the default: AES-GCM and secp256k1 ECDSA verification
+  in OpenSSL through the ``cryptography`` package (a hard dependency),
+  hashing through the lane-wise vector engine.  It is the software
+  stand-in for the paper's dedicated A.E.DMA silicon, and measured end
+  to end it is the fastest tier: a channel seal+open pair costs
+  microseconds instead of milliseconds and a verify needs no per-key
+  table (EXPERIMENTS ``TIER``).
 * ``numpy`` — lane-wise batch Keccak-f[1600]
   (:mod:`repro.crypto.keccak_numpy`), the vectorized T-table AES-GCM
   from PR 4, and ECDSA verification from per-key window tables.
-* ``hashlib`` — the stdlib/OpenSSL-accelerated tier: AES-GCM through
-  the ``cryptography`` package when present and ECDSA verification via
-  OpenSSL's secp256k1; hashing rides the vector engine.  Every
-  acceleration is *gated*: a container without ``cryptography`` still
-  registers this tier, falling back to the numpy implementations.
+* ``reference`` — the pure-Python sponge, T-table AES-GCM and
+  table-free ECDSA verification; the ground truth every other tier is
+  gated against.
 
-Every pure-Python ECDSA/ECDH path, in every tier, shares the one
-Jacobian group law of :mod:`repro.crypto.ecc`; the verifier tiers
-differ only in how ``u2 * Q`` is obtained (window walk per verify,
-per-key table, OpenSSL).
+Each tier has one code path: nothing inside a tier falls back to
+another.  RFC 6979 signing and ECDH stay pure Python in every tier
+(:mod:`repro.crypto.ecc`), and so does every pure-Python verify, on
+the one Jacobian group law; the verifier tiers differ only in how
+``u2 * Q`` is obtained (window walk per verify, per-key table,
+OpenSSL).
 
 The contract every backend must honour — and perf-bench's pairwise
 identity gate enforces — is **byte identity**: same wire bytes, same
@@ -35,15 +39,18 @@ may only change wall clock, never a single protocol byte.
 
 from __future__ import annotations
 
+from cryptography.exceptions import InvalidSignature as _OpensslInvalid
+from cryptography.hazmat.primitives import hashes as _hashes
+from cryptography.hazmat.primitives.asymmetric import ec as _ec
+from cryptography.hazmat.primitives.asymmetric.utils import (
+    Prehashed,
+    encode_dss_signature,
+)
+
 from repro.crypto import ecc
 from repro.crypto.ecc import InvalidSignature, PublicKey, Signature
 from repro.crypto.keccak import SpongeKeccakEngine, set_keccak_engine
-from repro.crypto.suite import (
-    HAVE_OPENSSL_AESGCM,
-    AcceleratedAesGcmAead,
-    AeadCipher,
-    AesGcmAead,
-)
+from repro.crypto.suite import AcceleratedAesGcmAead, AeadCipher, AesGcmAead
 
 
 class UnknownBackendError(ValueError):
@@ -132,6 +139,10 @@ class NumpyBackend(CryptoBackend):
         ecc.batch_verify(items)
 
 
+# A 32-byte digest is verified as-is (the SHA-256 label only fixes its size).
+_PREHASHED_ECDSA = _ec.ECDSA(Prehashed(_hashes.SHA256()))
+
+
 class _OpensslVerifier:
     """ECDSA verification through OpenSSL's secp256k1.
 
@@ -142,22 +153,12 @@ class _OpensslVerifier:
     """
 
     def __init__(self, public_key: PublicKey) -> None:
-        from cryptography.hazmat.primitives.asymmetric import ec as _ec
-
         self.public_key = public_key
         self._openssl_key = _ec.EllipticCurvePublicNumbers(
             public_key.point.x, public_key.point.y, _ec.SECP256K1()
         ).public_key()
 
     def verify(self, message_hash: bytes, signature: Signature) -> None:
-        from cryptography.exceptions import InvalidSignature as _OsslInvalid
-        from cryptography.hazmat.primitives import hashes as _hashes
-        from cryptography.hazmat.primitives.asymmetric import ec as _ec
-        from cryptography.hazmat.primitives.asymmetric.utils import (
-            Prehashed,
-            encode_dss_signature,
-        )
-
         if len(message_hash) != 32:
             raise ValueError("message hash must be 32 bytes")
         r, s = signature.r, signature.s
@@ -167,9 +168,9 @@ class _OpensslVerifier:
             self._openssl_key.verify(
                 encode_dss_signature(r, s),
                 message_hash,
-                _ec.ECDSA(Prehashed(_hashes.SHA256())),
+                _PREHASHED_ECDSA,
             )
-        except _OsslInvalid as exc:
+        except _OpensslInvalid as exc:
             raise InvalidSignature("r mismatch") from exc
 
     def verify_many(self, items: list[tuple[bytes, Signature]]) -> None:
@@ -178,30 +179,23 @@ class _OpensslVerifier:
 
 
 class HashlibBackend(NumpyBackend):
-    """The stdlib/OpenSSL-accelerated tier; numpy fallbacks when gated."""
+    """The OpenSSL tier (the default); hashing rides the vector engine."""
 
     name = "hashlib"
     description = (
-        "OpenSSL AES-GCM + secp256k1 ECDSA via `cryptography` "
-        "(numpy fallback when absent), lane-wise batch Keccak-f[1600]"
+        "OpenSSL AES-GCM + secp256k1 ECDSA verify via `cryptography`, "
+        "lane-wise batch Keccak-f[1600]"
     )
 
     def aead_factory(self, key: bytes) -> AeadCipher:
-        if HAVE_OPENSSL_AESGCM:
-            return AcceleratedAesGcmAead(key)
-        return AesGcmAead(key)
+        return AcceleratedAesGcmAead(key)
 
     def verifier(self, public_key: PublicKey):
-        if HAVE_OPENSSL_AESGCM:
-            return _OpensslVerifier(public_key)
-        return ecc.precomputed_verifier(public_key)
+        return _OpensslVerifier(public_key)
 
     def ecdsa_verify_many(
         self, items: list[tuple[PublicKey, bytes, Signature]]
     ) -> None:
-        if not HAVE_OPENSSL_AESGCM:
-            ecc.batch_verify(items)
-            return
         verifiers: dict[object, _OpensslVerifier] = {}
         for public_key, message_hash, signature in items:
             verifier = verifiers.get(public_key.point)
@@ -217,9 +211,9 @@ class HashlibBackend(NumpyBackend):
 
 _BACKENDS: dict[str, CryptoBackend] = {}
 
-# The tier new devices get unless their DeviceConfig says otherwise:
-# the numpy engine (the PR 4 production cipher plus batch hashing).
-DEFAULT_BACKEND = "numpy"
+# The tier new devices, channels and the process get unless told
+# otherwise: OpenSSL for the channel's AES-GCM and every signature check.
+DEFAULT_BACKEND = "hashlib"
 
 
 def register_backend(backend: CryptoBackend) -> CryptoBackend:

@@ -1,8 +1,10 @@
 """Pluggable authenticated-encryption suites.
 
 The real HarDTAPE uses AES-GCM hardware (the A.E.DMA units).  The
-functional simulation defaults to :class:`AesGcmAead` wherever protocol
-correctness is the point (secure channel, tamper tests).  For large
+functional simulation uses AES-GCM wherever protocol correctness is the
+point (secure channel, tamper tests): :class:`AcceleratedAesGcmAead`
+through OpenSSL in the default crypto tier, the wire-identical
+pure-Python :class:`AesGcmAead` in the others.  For large
 benchmark sweeps that perform tens of thousands of 1 KB ORAM *block*
 re-encryptions, :class:`Blake2Aead` provides the same interface and the
 same security *semantics in the simulation* (randomized ciphertexts,
@@ -16,6 +18,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 from typing import Protocol
+
+from cryptography.exceptions import InvalidTag as _InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM as _OpensslAesGcm
 
 from repro.crypto.aes import xor_bytes
 from repro.crypto.gcm import AesGcm, AuthenticationError
@@ -87,34 +92,24 @@ class AesGcmAead:
         return self._gcm.open_blocks(items)
 
 
-try:  # Optional acceleration: OpenSSL-backed AES-GCM via ``cryptography``.
-    from cryptography.exceptions import InvalidTag as _InvalidTag
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM as _OpensslAesGcm
-
-    HAVE_OPENSSL_AESGCM = True
-except ImportError:  # pragma: no cover - container without cryptography
-    _InvalidTag = None
-    _OpensslAesGcm = None
-    HAVE_OPENSSL_AESGCM = False
+# ``cryptography`` is a hard dependency: the default tier's channel runs
+# through it.  The constant is what the e2e ledger stamps into its
+# environment line.
+HAVE_OPENSSL_AESGCM = True
 
 
 class AcceleratedAesGcmAead:
-    """AES-GCM through OpenSSL (the ``hashlib``/stdlib-accelerated tier).
+    """AES-GCM through OpenSSL (the ``hashlib`` tier, the default).
 
     Wire-identical to :class:`AesGcmAead` — same ``ciphertext || tag``
     layout, same 12-byte nonces, same accept/reject decisions — which
     perf-bench's pairwise backend identity gate enforces on every run.
-    Only constructable when the :mod:`cryptography` package is present;
-    :func:`repro.crypto.backend.get_backend` falls back to the numpy
-    engine otherwise.
     """
 
     nonce_size = 12
     tag_size = 16
 
     def __init__(self, key: bytes) -> None:
-        if not HAVE_OPENSSL_AESGCM:  # the backend registry gates on it too
-            raise RuntimeError("cryptography package not available")
         self._aead = _OpensslAesGcm(key)
 
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.crypto.backend import active_backend
 from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
 from repro.crypto.puf import DeviceIdentity, Manufacturer, SimulatedPuf
 
@@ -120,13 +121,17 @@ def verify_boot_receipt(
     """User-side receipt check: endorsement chain + image signature.
 
     Raises :class:`~repro.crypto.ecc.InvalidSignature` (forged device,
-    attack A1) or :class:`SecureBootError` (wrong image).
+    attack A1) or :class:`SecureBootError` (wrong image).  The checks
+    are the user's, so they run on the process tier's verifier.
     """
     endorsement_message = Manufacturer.endorsement_message(
         receipt.serial, receipt.device_public
     )
-    manufacturer_public.verify(endorsement_message, receipt.endorsement)
-    receipt.device_public.verify(receipt.image_measurement, receipt.signature)
+    tier = active_backend()
+    tier.verifier(manufacturer_public).verify(endorsement_message, receipt.endorsement)
+    tier.verifier(receipt.device_public).verify(
+        receipt.image_measurement, receipt.signature
+    )
     if (
         expected_measurement is not None
         and receipt.image_measurement != expected_measurement

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.crypto.backend import active_backend
 from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
 from repro.crypto.kdf import hkdf_sha256
 from repro.hardware.csu import BootReceipt, SecureBootError, verify_boot_receipt
@@ -77,6 +78,9 @@ def verify_report(
     * device signature over the boot measurement (tampered image),
     * device signature binding the *fresh* session keys to this nonce
       (man-in-the-middle / replay).
+
+    Every signature check runs on the process tier's verifier: these
+    are the user's checks, and no device is in scope.
     """
     if report.user_nonce != user_nonce:
         raise AttestationError("nonce mismatch (replayed report?)")
@@ -87,7 +91,7 @@ def verify_report(
     except (InvalidSignature, SecureBootError) as exc:
         raise AttestationError(f"boot chain invalid: {exc}") from exc
     try:
-        report.boot_receipt.device_public.verify(
+        active_backend().verifier(report.boot_receipt.device_public).verify(
             report.signed_message(), report.signature
         )
     except InvalidSignature as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.backend import CryptoBackend, get_backend
+from repro.crypto.backend import DEFAULT_BACKEND, CryptoBackend, get_backend
 from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.keccak import keccak256
@@ -71,7 +71,7 @@ class SecureChannel:
     ) -> None:
         if isinstance(backend, str):
             backend = get_backend(backend)
-        self._backend = backend or get_backend("numpy")
+        self._backend = backend or get_backend(DEFAULT_BACKEND)
         if cipher_factory is None:
             cipher_factory = self._backend.aead_factory
         self._cipher = cipher_factory(session_key)

@@ -33,7 +33,7 @@ from repro.hypervisor.bundle_codec import (
     encode_trace_report,
     trace_from_result,
 )
-from repro.crypto.backend import get_backend
+from repro.crypto.backend import DEFAULT_BACKEND, get_backend
 from repro.hypervisor.channel import ChannelError, SealedMessage, SecureChannel
 from repro.hypervisor.resumption import TicketSealer, TicketState, ticket_header
 from repro.hypervisor.scheduler import HevmScheduler
@@ -164,7 +164,7 @@ class Hypervisor:
         oram_key: bytes | None = None,
         max_bundle_gas: int | None = 2_000_000_000,
         generation: int = 0,
-        crypto_backend: str = "numpy",
+        crypto_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self._csu = csu
         # Which CryptoBackend tier seals/verifies session channels

@@ -28,13 +28,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.crypto.ecc import (
-    InvalidSignature,
-    PrivateKey,
-    PublicKey,
-    Signature,
-    precomputed_verifier,
-)
+from repro.crypto.backend import active_backend
+from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
 from repro.crypto.kdf import Drbg
 from repro.telemetry.unified import (
     MerkleProof,
@@ -137,10 +132,11 @@ class SignedReceipt:
     def verify(self, verify_key: PublicKey) -> None:
         """Raises :class:`~repro.crypto.ecc.InvalidSignature` on forgery.
 
-        ``verify_key`` is the attested session key, for which the user's
-        channel has already built (and cached) a window table — reuse it.
-        Every field is the device's to choose: roots that are not hex
-        or a signature that is not an ``(r, s)`` pair are forgeries too.
+        The check is the user's, so it runs on the process tier
+        (:func:`~repro.crypto.backend.active_backend`), as the Keccak
+        engine does.  Every field is the device's to choose: roots that
+        are not hex or a signature that is not an ``(r, s)`` pair are
+        forgeries too.
         """
         signature = self.signature
         try:
@@ -150,7 +146,7 @@ class SignedReceipt:
             digest = self.signing_hash()
         except (TypeError, ValueError) as error:
             raise InvalidSignature(f"malformed receipt: {error}") from error
-        precomputed_verifier(verify_key).verify(digest, signature)
+        active_backend().verifier(verify_key).verify(digest, signature)
 
 
 def make_receipt(

@@ -282,8 +282,8 @@ def _run_backend(config: PerfBenchConfig, name: str) -> tuple[dict, float, str]:
             "keccak_hits": memo.hits,
             "keccak_misses": memo.misses,
         }
-        # What the tier resolved to on this host: without `cryptography`
-        # the hashlib tier is the numpy one, and the stdout line says so.
+        # The tier's AEAD and verifier classes, named beside its wall time
+        # on the stdout line.
         tier = get_backend(name)
         resolved = ", ".join(
             type(made).__name__

@@ -29,12 +29,18 @@ it is an oracle for the loop — order of hook, gas, handler and pc;
 error strings; zeroed gas — and for nothing a handler computes: it is
 not the independent second opinion on the EVM that ROADMAP item 7 asks
 for.
+
+``outcome_per_tier`` runs one check under each registered crypto tier,
+activated process-wide: the ``reference`` tier's table-free verify is
+the oracle, and every other tier must return what it returns or raise
+the same exception type with the same message.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from repro.crypto.backend import activate, active_backend, available_backends
 from repro.crypto.ecc import G, INFINITY, N, P, InvalidSignature, Point, Signature
 from repro.crypto.keccak import _MASK64, _ROTATION, _ROUND_CONSTANTS
 from repro.evm import opcodes
@@ -82,6 +88,23 @@ def affine_verify(point: Point, message_hash: bytes, signature: Signature) -> No
         raise InvalidSignature("verification produced infinity")
     if total.x % N != r:
         raise InvalidSignature("r mismatch")
+
+
+def outcome_per_tier(check) -> dict[str, tuple]:
+    """``check()`` under each process tier: ``("returned", value)`` or
+    ``(exception type, message)``, keyed by tier name."""
+    outcomes: dict[str, tuple] = {}
+    before = active_backend().name
+    try:
+        for name in available_backends():
+            activate(name)
+            try:
+                outcomes[name] = ("returned", check())
+            except Exception as error:
+                outcomes[name] = (type(error), str(error))
+    finally:
+        activate(before)
+    return outcomes
 
 
 def _rol(value: int, shift: int) -> int:

@@ -9,10 +9,10 @@ affine double-and-add (``tests/oracles.py``), and
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.crypto import ecc
-from repro.crypto.backend import available_backends, get_backend
+from repro.crypto.backend import _OpensslVerifier, available_backends, get_backend
 from repro.crypto.ecc import InvalidSignature, PrivateKey, Signature
 from repro.crypto.keccak import Keccak256, keccak256, keccak256_many
 from repro.hypervisor.channel import ChannelError, SecureChannel
@@ -180,3 +180,63 @@ def test_open_batch_rejects_before_releasing_any_plaintext():
     # replay watermark never moved, so the full valid batch still opens.
     assert opener.nonce_watermark == (0, 0)
     assert opener.open_batch(sealed) == [b"msg-0", b"msg-1", b"msg-2"]
+
+
+def _verdict(verify, message_hash, signature):
+    """``None`` for an accept, else the exception's type and message."""
+    try:
+        verify(message_hash, signature)
+    except (InvalidSignature, ValueError) as error:
+        return type(error), str(error)
+    return None
+
+
+@settings(max_examples=12)
+@given(
+    secret=st.integers(min_value=1, max_value=ecc.N - 1),
+    other=st.integers(min_value=1, max_value=ecc.N - 1),
+    digest=st.binary(min_size=32, max_size=32),
+    bit=st.integers(min_value=0, max_value=255),
+)
+def test_the_openssl_verifier_gives_the_table_free_verdict(secret, other, digest, bit):
+    """The default tier's verifier is OpenSSL; the oracle is the
+    table-free pure-Python verify.  Both accept, or both raise the same
+    type — for ``InvalidSignature`` the same out-of-range vs mismatch
+    message — on the honest signature, its high-s twin, every scalar
+    out of range, a flipped digest bit, the wrong key and a digest of
+    the wrong length."""
+    assume(other != secret)
+    key = PrivateKey(secret)
+    public = key.public_key()
+    honest = key.sign(digest)
+    flipped = bytearray(digest)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    cases = [
+        (public, digest, honest),
+        (public, digest, Signature(honest.r, ecc.N - honest.s)),
+        (public, bytes(flipped), honest),
+        (PrivateKey(other).public_key(), digest, honest),
+        (public, digest[:31], honest),
+        (public, digest + b"\x00", honest),
+    ]
+    for bad in (0, ecc.N, ecc.N + 1, 2**256):
+        cases.append((public, digest, Signature(bad, honest.s)))
+        cases.append((public, digest, Signature(honest.r, bad)))
+    verdicts = [
+        (
+            _verdict(point.verify, message_hash, signature),
+            _verdict(_OpensslVerifier(point).verify, message_hash, signature),
+        )
+        for point, message_hash, signature in cases
+    ]
+    for reference, openssl in verdicts:
+        assert openssl == reference
+    # The two accepts, and a refusal of every other case (a flipped bit
+    # or another key can match only by a 2^-256 accident).
+    assert [reference for reference, _ in verdicts[:2]] == [None, None]
+    assert all(reference is not None for reference, _ in verdicts[2:])
+    assert {reference for reference, _ in verdicts[2:]} <= {
+        (InvalidSignature, "r mismatch"),
+        (InvalidSignature, "signature scalars out of range"),
+        (ValueError, "message hash must be 32 bytes"),
+    }

@@ -298,12 +298,14 @@ def test_ci_bench_matrix_follows_the_registry():
         assert f'"{marker}: ' in pyproject
         assert config in ("", "--smoke")
     # The perf marker runs once, as the matrix's perf leg (no job of its
-    # own), on OpenSSL for the hashlib tier (the `accel` extra); tier-1
+    # own); every job installs `.[dev]`, and OpenSSL comes with the
+    # package itself (`cryptography` is a dependency, no extra); tier-1
     # also runs with asserts compiled out; the e2e ledger has its leg.
     assert "\n  perf:\n" not in workflow
     assert "run: python -m pytest -q -m ${{ matrix.marker }}" in workflow
-    assert 'accel = [\n    "cryptography",\n]' in pyproject
-    assert "matrix.bench == 'perf' && ',accel'" in workflow
+    assert 'dependencies = [\n    "numpy",\n    "cryptography",\n]' in pyproject
+    assert "accel" not in pyproject and "accel" not in workflow
+    assert workflow.count('pip install -e ".[dev]"') == 3
     assert "run: python -O -m pytest -x -q" in workflow
     assert "python3 benchmarks/e2e/run.py --smoke" in workflow
     assert "python -m pytest benchmarks/e2e -q" in workflow

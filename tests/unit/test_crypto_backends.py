@@ -87,40 +87,23 @@ def test_activate_roundtrip():
     assert active_backend().name == before
 
 
-def test_hashlib_tier_is_openssl_exactly_when_cryptography_imports():
-    """The tier falls back silently, so say out loud which one this
-    interpreter got: OpenSSL iff ``cryptography`` imports (CI's perf
-    legs install the ``accel`` extra so the pairwise gate compares two
-    different implementations, not numpy with itself)."""
-    import importlib.util
+def test_the_default_tier_is_openssl():
+    """One path per tier: the default resolves to OpenSSL for the AEAD
+    and the verifier, unconditionally (``cryptography`` is a
+    dependency), and the numpy tier stays its own implementation."""
+    from repro.crypto.backend import _OpensslVerifier
+    from repro.crypto.ecc import PrecomputedVerifier, PrivateKey
+    from repro.crypto.suite import AcceleratedAesGcmAead, AesGcmAead
 
-    from repro.crypto.ecc import PrivateKey
-
-    have = importlib.util.find_spec("cryptography") is not None
-    tier = get_backend("hashlib")
     key = PrivateKey.from_bytes(b"\x07" * 32).public_key()
-    resolved = (
-        type(tier.aead_factory(bytes(32))).__name__,
-        type(tier.verifier(key)).__name__,
-    )
-    numpy_tier = get_backend("numpy")
-    fallback = (
-        type(numpy_tier.aead_factory(bytes(32))).__name__,
-        type(numpy_tier.verifier(key)).__name__,
-    )
-    expected = ("AcceleratedAesGcmAead", "_OpensslVerifier") if have else fallback
-    assert resolved == expected
-    assert fallback == ("AesGcmAead", "PrecomputedVerifier")
 
+    def resolved(name):
+        tier = get_backend(name)
+        return type(tier.aead_factory(bytes(32))), type(tier.verifier(key))
 
-def test_the_openssl_cipher_refuses_to_exist_without_openssl(monkeypatch):
-    """The registry never builds it then; whoever does gets told why,
-    not ``'NoneType' object is not callable``."""
-    from repro.crypto import suite
-
-    monkeypatch.setattr(suite, "HAVE_OPENSSL_AESGCM", False)
-    with pytest.raises(RuntimeError, match="cryptography package"):
-        suite.AcceleratedAesGcmAead(bytes(32))
+    assert DEFAULT_BACKEND == "hashlib" == DeviceConfig().crypto_backend
+    assert resolved(DEFAULT_BACKEND) == (AcceleratedAesGcmAead, _OpensslVerifier)
+    assert resolved("numpy") == (AesGcmAead, PrecomputedVerifier)
 
 
 def test_default_backend_is_registered():

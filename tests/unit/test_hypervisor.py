@@ -1,9 +1,13 @@
 """Hypervisor components: attestation, channel, messages, scheduler, sync."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.crypto.ecc import PrivateKey
+from repro.crypto.backend import DEFAULT_BACKEND, _OpensslVerifier, get_backend
+from repro.crypto.ecc import N, PrivateKey, Signature
 from repro.crypto.puf import Manufacturer
+from repro.crypto.suite import AcceleratedAesGcmAead
 from repro.hardware.csu import BootImage, ConfigurationSecurityUnit
 from repro.hardware.hevm import HevmCore
 from repro.hardware.timing import CostModel, SimClock
@@ -23,11 +27,13 @@ from repro.hypervisor.messages import (
 )
 from repro.hypervisor.scheduler import HevmScheduler, SchedulingError
 from repro.hypervisor.sync import AccountUpdate, BlockSynchronizer, SyncError
-from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.hypervisor.hypervisor import Hypervisor, SecurityFeatures
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
 from repro.state import WorldState, to_address
+from repro.state.backend import DictBackend
+from tests.oracles import outcome_per_tier
 
 
 # -- attestation ---------------------------------------------------------------
@@ -89,12 +95,60 @@ def test_attestation_swapped_session_key_rejected():
     nonce = b"\x01" * 32
     report = build_report(receipt, device_key, session_key, dh_key, nonce)
     # A MITM substitutes their own DH share: the binding signature breaks.
-    from dataclasses import replace
-
     mitm_dh = PrivateKey.from_bytes(b"\x66" * 32)
     tampered = replace(report, dh_public=mitm_dh.public_key())
     with pytest.raises(AttestationError):
         verify_report(tampered, manufacturer.root_public_key, nonce)
+
+
+def _forgeries():
+    """The attestation forgeries, each ``(name, report, nonce it answers)``."""
+    manufacturer, receipt, device_key = _device()
+    session_key, dh_key = _fresh_keys()
+    nonce = b"\x01" * 32
+    honest = build_report(receipt, device_key, session_key, dh_key, nonce)
+    rogue_receipt, rogue_key = _rogue(Manufacturer(b"rogue"))
+    other_image = device_key.sign(BootImage("hv", b"other").measurement())
+    return manufacturer.root_public_key, [
+        ("honest", honest, nonce),
+        ("replayed nonce", honest, b"\x02" * 32),
+        ("forged endorsement",
+         build_report(rogue_receipt, rogue_key, session_key, dh_key, nonce), nonce),
+        ("wrong image signature", build_report(
+            replace(receipt, signature=other_image), device_key, session_key, dh_key, nonce
+        ), nonce),
+        ("image signature out of range", build_report(
+            replace(receipt, signature=Signature(N, 1)), device_key, session_key, dh_key,
+            nonce,
+        ), nonce),
+        ("wrong session binding",
+         replace(honest, dh_public=PrivateKey.from_bytes(b"\x66" * 32).public_key()),
+         nonce),
+    ]
+
+
+def test_attestation_forgeries_fail_alike_on_every_tier():
+    """The chain's three signature checks run on the process tier; every
+    tier accepts the honest report and refuses each forgery with the
+    reference tier's ``AttestationError`` and message."""
+    manufacturer_public, cases = _forgeries()
+    verdicts = {}
+    for name, report, nonce in cases:
+        outcomes = outcome_per_tier(
+            lambda: verify_report(report, manufacturer_public, nonce)
+        )
+        assert len(set(outcomes.values())) == 1, (name, outcomes)
+        verdicts[name] = outcomes["reference"]
+    assert verdicts == {
+        "honest": ("returned", None),
+        "replayed nonce": (AttestationError, "nonce mismatch (replayed report?)"),
+        "forged endorsement": (AttestationError, "boot chain invalid: r mismatch"),
+        "wrong image signature": (AttestationError, "boot chain invalid: r mismatch"),
+        "image signature out of range": (
+            AttestationError, "boot chain invalid: signature scalars out of range"
+        ),
+        "wrong session binding": (AttestationError, "session binding signature invalid"),
+    }
 
 
 def test_session_key_agreement():
@@ -134,8 +188,6 @@ def test_channel_roundtrip():
 def test_channel_tamper_detected():
     alice, bob = _channel_pair(sign=False)
     sealed = alice.seal(b"bundle bytes")
-    from dataclasses import replace
-
     bad = replace(sealed, ciphertext=sealed.ciphertext[:-1] + b"\x00")
     with pytest.raises(ChannelError):
         bob.open(bad)
@@ -144,8 +196,6 @@ def test_channel_tamper_detected():
 def test_channel_signature_enforced():
     alice, bob = _channel_pair(sign=True)
     sealed = alice.seal(b"bundle")
-    from dataclasses import replace
-
     unsigned = replace(sealed, signature=None)
     with pytest.raises(ChannelError):
         bob.open(unsigned)
@@ -161,6 +211,30 @@ def test_channel_wrong_signer_rejected():
     sealed = mallory.seal(b"fake bundle")
     with pytest.raises(ChannelError):
         bob.open(sealed)
+
+
+def test_a_channel_and_a_hypervisor_built_without_a_tier_get_the_default():
+    """Neither falls back to a hard-coded tier: both resolve
+    ``DEFAULT_BACKEND``, whose AEAD and verifier run in OpenSSL."""
+    tier = get_backend(DEFAULT_BACKEND)
+    expected = (AcceleratedAesGcmAead, _OpensslVerifier)
+    probe = PrivateKey.from_bytes(b"\x41" * 32).public_key()
+    assert (type(tier.aead_factory(b"\x55" * 32)), type(tier.verifier(probe))) == expected
+
+    alice, _bob = _channel_pair()
+    assert (type(alice._cipher), type(alice._peer_verifier)) == expected
+
+    puf, identity = Manufacturer(b"m").provision(b"serial")
+    hypervisor = Hypervisor(
+        ConfigurationSecurityUnit(puf, identity), BootImage("hv", b"fw"), _cores(1),
+        SimClock(), CostModel(), DictBackend(), None, SecurityFeatures.from_level("ES"),
+    )
+    assert hypervisor.crypto_backend is tier
+    report, session_key, dh_key = hypervisor.begin_attestation(b"\x07" * 32)
+    user = PrivateKey.from_bytes(b"\x43" * 32).public_key()
+    session_id = hypervisor.establish_session(report, session_key, dh_key, user, user)
+    channel = hypervisor._session(session_id).channel
+    assert (type(channel._cipher), type(channel._peer_verifier)) == expected
 
 
 def test_channel_nonces_advance():

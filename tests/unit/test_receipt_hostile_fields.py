@@ -24,6 +24,7 @@ from repro.hypervisor.receipts import (
     make_receipt,
 )
 from repro.telemetry.unified import MerkleProof, verify_merkle_proof
+from tests.oracles import outcome_per_tier
 from tests.unit.test_receipt_audit import BUNDLE_ID, _trace
 
 pytestmark = pytest.mark.byzantine
@@ -63,6 +64,17 @@ def test_a_receipt_of_hostile_fields_verifies_or_is_a_mismatch(
     signature, commitments, bundle_id
 ):
     receipt = SignedReceipt(bundle_id, commitments, signature)
+    # The check runs on the process tier: every tier refuses or accepts
+    # exactly what the table-free reference verify does, with the same
+    # exception type and message, down to the audit's mismatch detail.
+    for check in (
+        lambda: receipt.verify(KEY.public_key()),
+        lambda: ReceiptAuditor(samples_per_tx=1).audit(
+            BUNDLE_ID, receipt, TRACES, verify_key=KEY.public_key()
+        ),
+    ):
+        outcomes = outcome_per_tier(check)
+        assert len(set(outcomes.values())) == 1, outcomes
     try:
         receipt.verify(KEY.public_key())
     except InvalidSignature:

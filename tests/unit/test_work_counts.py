@@ -1,5 +1,5 @@
 """Work done once: count gates on the sync path, the frame set-up and the
-EVM step path.
+EVM step path, the decrypt memo and the crypto tier.
 
 Each gate counts calls through a monkeypatched counter, so it is exact
 by construction and reads the same on a loaded CI runner as on an idle
@@ -7,14 +7,21 @@ laptop — no clock anywhere.  The "before" in comments is what the code
 did on the same input before the PR that added the gate (19: one trie
 build per account, one jumpdest scan per code; 22: delta sync; 23: the
 per-opcode step table; 24: the live-blob decrypt memo).
+The crypto tier's gate pins its "before" as a second case: the numpy
+tier, the default before OpenSSL.
 """
 
 import functools
 import hashlib
+import sys
+from collections import OrderedDict
 
 import pytest
 
-from repro.core import HarDTAPEService, SecurityFeatures
+from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
+from repro.core.device import DeviceConfig
+from repro.crypto import ecc
+from repro.crypto.backend import DEFAULT_BACKEND, activate, active_backend
 from repro.crypto.suite import Blake2Aead
 from repro.evm import opcodes
 from repro.evm.executor import execute_transaction
@@ -343,3 +350,67 @@ def test_a_path_read_hashes_only_what_the_memo_missed(monkeypatch, capacity, hit
             assert held == stored
     assert not digests  # the tag continues a keyed state; nothing else hashed
     assert (client.memo.stats.hits, client.memo.stats.misses) == (hits, 936 - hits)
+
+
+# -- the crypto tier -------------------------------------------------------
+
+
+def _session_cycle(service, transactions, key_seed) -> None:
+    """connect -> bundle -> suspend -> resume -> bundle, with the user's
+    receipt check after each bundle (the e2e ``session_churn`` cycle)."""
+    client = PreExecutionClient(
+        service.manufacturer.root_public_key, rng_seed=key_seed
+    )
+
+    def bundle(session, transaction) -> None:
+        report, _, _ = client.pre_execute(service, session, [transaction])
+        receipt = session.device.hypervisor.receipt_for(report.bundle_id)
+        receipt.verify(session.peer_public)
+
+    session = client.connect(service)
+    bundle(session, transactions[0])
+    session = client.resume(client.suspend(session))
+    bundle(session, transactions[1])
+
+
+@pytest.mark.parametrize("tier,tables", [(DEFAULT_BACKEND, 0), ("numpy", 2)])
+def test_a_session_cycle_builds_no_verify_table_on_the_default_tier(
+    tiny_evalset, monkeypatch, tier, tables
+):
+    """Device and process on one tier.  On the default (OpenSSL) tier a
+    whole session cycle builds no ECDSA window table and runs no
+    table-free verify.  Before OpenSSL was the default, numpy was, and
+    it is pinned beside it: two window tables, one per new session key
+    (the user's and the hypervisor's).  Back then the attestation chain
+    also ran three table-free verifies per connect; it goes through the
+    process tier's verifier now, so the numpy tier runs none either."""
+    features = SecurityFeatures.from_level("ES")
+    features.receipts = True
+    service = HarDTAPEService(
+        tiny_evalset.node, features, charge_fees=False,
+        device_config=DeviceConfig(crypto_backend=tier),
+    )
+    transactions = list(tiny_evalset.transactions)
+    before = active_backend().name
+    activate(tier)
+    try:
+        # No verifier cached by an earlier test; one uncounted cycle
+        # caches what every session shares (the manufacturer's and the
+        # device's keys), and signing's process-wide G table exists.
+        monkeypatch.setattr(ecc, "_verifier_cache", OrderedDict())
+        ecc._g_table()
+        _session_cycle(service, transactions, b"\x31" * 32)
+        built = _count_calls(monkeypatch, ecc, "_window_table")
+        table_free: list = []
+        jac_mul = ecc._jac_mul
+
+        def counting(k, point):
+            if sys._getframe(1).f_code is ecc.PublicKey.verify.__code__:
+                table_free.append(point)  # not ECDH's scalar multiply
+            return jac_mul(k, point)
+
+        monkeypatch.setattr(ecc, "_jac_mul", counting)
+        _session_cycle(service, transactions, b"\x32" * 32)
+    finally:
+        activate(before)
+    assert (len(built), len(table_free)) == (tables, 0)
