@@ -141,7 +141,7 @@ def test_zero_rate_identity_across_crypto_backends(benchmark, evalset):
         lines,
     )
 
-    assert set(rows) >= {"reference", "numpy", "hashlib"}
+    assert set(rows) == {"reference", "hashlib"}
     for name, (unarmed, armed) in rows.items():
         assert armed.metrics == unarmed.metrics, name
         assert armed.injected_total == 0, name

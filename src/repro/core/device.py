@@ -67,8 +67,9 @@ class DeviceConfig:
     l3_oram: bool = False
     # Which registered CryptoBackend tier runs this device's secure
     # channel AEAD and signature verification (repro.crypto.backend):
-    # "reference", "numpy", or "hashlib".  Every tier is wire-identical;
-    # the knob trades wall clock only.
+    # "hashlib" (OpenSSL: AcceleratedAesGcmAead, _OpensslVerifier) or
+    # "reference" (pure Python: AesGcmAead, the peer PublicKey itself).
+    # Both tiers are wire-identical; the knob trades wall clock only.
     crypto_backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:

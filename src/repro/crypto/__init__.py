@@ -1,14 +1,18 @@
 """Cryptographic substrate for the HarDTAPE simulation.
 
-Everything is implemented from scratch in pure Python and validated
-against public test vectors: Keccak-256 (Ethereum's hash), AES-GCM,
-secp256k1 ECDSA/ECDH, HKDF, a deterministic DRBG, and a simulated PUF
-root of trust.
+Implemented from scratch and validated against public test vectors:
+Keccak-256 (Ethereum's hash), AES-GCM, secp256k1 ECDSA/ECDH, HKDF, a
+deterministic DRBG, and a simulated PUF root of trust.
 
-Hot-path primitives additionally come in registered *backend* tiers
-(:mod:`repro.crypto.backend`): the pure-Python reference, the numpy
-vectorized engine, and a stdlib/OpenSSL-accelerated tier — all
-provably byte-identical, selected per device config.
+Hot-path primitives come in two registered, byte-identical *backend*
+tiers (:mod:`repro.crypto.backend`), selected per device config:
+``hashlib``, the default, whose ``aead_factory(k)`` is an
+``AcceleratedAesGcmAead`` and whose ``verifier(q)`` an
+``_OpensslVerifier`` (both OpenSSL through ``cryptography``), hashing
+through the numpy lane-wise Keccak engine; and ``reference``, the
+pure-Python oracle, whose ``aead_factory(k)`` is an ``AesGcmAead`` and
+whose ``verifier(q)`` is the ``PublicKey`` ``q`` itself.  Signing and
+ECDH are pure Python in both.
 """
 
 from repro.crypto.aes import AES
@@ -18,7 +22,6 @@ from repro.crypto.ecc import (
     PrivateKey,
     PublicKey,
     Signature,
-    batch_verify,
 )
 from repro.crypto.gcm import AesGcm, AuthenticationError
 from repro.crypto.kdf import Drbg, hkdf_sha256
@@ -60,7 +63,6 @@ __all__ = [
     "activate",
     "active_backend",
     "available_backends",
-    "batch_verify",
     "get_backend",
     "hkdf_sha256",
 ]

@@ -1,4 +1,4 @@
-"""The pluggable CryptoBackend tier: one interface, three engines.
+"""The pluggable CryptoBackend tier: one interface, two engines.
 
 HarDTAPE offloads contract-processing primitives to dedicated hardware
 units; the software analogue is a registry of interchangeable crypto
@@ -7,29 +7,31 @@ on the hot path — Keccak-256 (trie nodes, sync roots, SHA3 opcodes),
 AES-GCM (secure channel, ORAM sealing), and ECDSA verification
 (channel signatures, receipts, the attestation chain) — selected per
 :class:`~repro.core.device.DeviceConfig` exactly like ``oram_backend``.
+A tier has three hooks, ``keccak_engine``, ``aead_factory`` and
+``verifier``; a verifier has one method, ``verify``.
 
-Three tiers register at import time:
+Two tiers register at import time:
+
+=============  ==========================  ===========================
+tier           ``type(aead_factory(k))``   ``type(verifier(q))``
+=============  ==========================  ===========================
+``hashlib``    ``AcceleratedAesGcmAead``   ``_OpensslVerifier``
+``reference``  ``AesGcmAead``              ``PublicKey`` (``q`` itself)
+=============  ==========================  ===========================
 
 * ``hashlib`` — the default: AES-GCM and secp256k1 ECDSA verification
   in OpenSSL through the ``cryptography`` package (a hard dependency),
-  hashing through the lane-wise vector engine.  It is the software
-  stand-in for the paper's dedicated A.E.DMA silicon, and measured end
-  to end it is the fastest tier: a channel seal+open pair costs
-  microseconds instead of milliseconds and a verify needs no per-key
-  table (EXPERIMENTS ``TIER``).
-* ``numpy`` — lane-wise batch Keccak-f[1600]
-  (:mod:`repro.crypto.keccak_numpy`), the vectorized T-table AES-GCM
-  from PR 4, and ECDSA verification from per-key window tables.
+  hashing through the lane-wise vector engine
+  (:mod:`repro.crypto.keccak_numpy`).  It is the software stand-in for
+  the paper's dedicated A.E.DMA silicon, and measured end to end it is
+  the fastest tier (EXPERIMENTS ``TIER``).
 * ``reference`` — the pure-Python sponge, T-table AES-GCM and
-  table-free ECDSA verification; the ground truth every other tier is
+  table-free ECDSA verification; the ground truth the other tier is
   gated against.
 
 Each tier has one code path: nothing inside a tier falls back to
-another.  RFC 6979 signing and ECDH stay pure Python in every tier
-(:mod:`repro.crypto.ecc`), and so does every pure-Python verify, on
-the one Jacobian group law; the verifier tiers differ only in how
-``u2 * Q`` is obtained (window walk per verify, per-key table,
-OpenSSL).
+another.  RFC 6979 signing and ECDH stay pure Python in both tiers
+(:mod:`repro.crypto.ecc`), on the one Jacobian group law.
 
 The contract every backend must honour — and perf-bench's pairwise
 identity gate enforces — is **byte identity**: same wire bytes, same
@@ -50,6 +52,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 from repro.crypto import ecc
 from repro.crypto.ecc import InvalidSignature, PublicKey, Signature
 from repro.crypto.keccak import SpongeKeccakEngine, set_keccak_engine
+from repro.crypto.keccak_numpy import VectorKeccakEngine
 from repro.crypto.suite import AcceleratedAesGcmAead, AeadCipher, AesGcmAead
 
 
@@ -91,52 +94,12 @@ class CryptoBackend:
         return AesGcmAead(key)
 
     def verifier(self, public_key: PublicKey):
-        """A per-peer-key message verifier (``verify``/``verify_many``)."""
-        return _ReferenceVerifier(public_key)
+        """A per-peer-key message verifier: an object with ``verify``.
 
-    def ecdsa_verify_many(
-        self, items: list[tuple[PublicKey, bytes, Signature]]
-    ) -> None:
-        """Verify many triples; raise on the first failure."""
-        for public_key, message_hash, signature in items:
-            public_key.verify(message_hash, signature)
-
-
-class _ReferenceVerifier:
-    """Sequential verification against one key, no per-key table."""
-
-    def __init__(self, public_key: PublicKey) -> None:
-        self.public_key = public_key
-
-    def verify(self, message_hash: bytes, signature: Signature) -> None:
-        self.public_key.verify(message_hash, signature)
-
-    def verify_many(self, items: list[tuple[bytes, Signature]]) -> None:
-        for message_hash, signature in items:
-            self.public_key.verify(message_hash, signature)
-
-
-class NumpyBackend(CryptoBackend):
-    """Vectorized tier: batch keccak lanes, T-table AES, per-key ECDSA tables."""
-
-    name = "numpy"
-    description = (
-        "lane-wise batch Keccak-f[1600], vectorized T-table AES-GCM, "
-        "per-key window-table ECDSA verify"
-    )
-
-    def keccak_engine(self):
-        from repro.crypto.keccak_numpy import VectorKeccakEngine
-
-        return VectorKeccakEngine()
-
-    def verifier(self, public_key: PublicKey):
-        return ecc.precomputed_verifier(public_key)
-
-    def ecdsa_verify_many(
-        self, items: list[tuple[PublicKey, bytes, Signature]]
-    ) -> None:
-        ecc.batch_verify(items)
+        The reference tier's verifier is the key itself:
+        :meth:`PublicKey.verify` is the table-free check.
+        """
+        return public_key
 
 
 # A 32-byte digest is verified as-is (the SHA-256 label only fixes its size).
@@ -173,12 +136,8 @@ class _OpensslVerifier:
         except _OpensslInvalid as exc:
             raise InvalidSignature("r mismatch") from exc
 
-    def verify_many(self, items: list[tuple[bytes, Signature]]) -> None:
-        for message_hash, signature in items:
-            self.verify(message_hash, signature)
 
-
-class HashlibBackend(NumpyBackend):
+class HashlibBackend(CryptoBackend):
     """The OpenSSL tier (the default); hashing rides the vector engine."""
 
     name = "hashlib"
@@ -187,22 +146,14 @@ class HashlibBackend(NumpyBackend):
         "lane-wise batch Keccak-f[1600]"
     )
 
+    def keccak_engine(self):
+        return VectorKeccakEngine()
+
     def aead_factory(self, key: bytes) -> AeadCipher:
         return AcceleratedAesGcmAead(key)
 
     def verifier(self, public_key: PublicKey):
         return _OpensslVerifier(public_key)
-
-    def ecdsa_verify_many(
-        self, items: list[tuple[PublicKey, bytes, Signature]]
-    ) -> None:
-        verifiers: dict[object, _OpensslVerifier] = {}
-        for public_key, message_hash, signature in items:
-            verifier = verifiers.get(public_key.point)
-            if verifier is None:
-                verifier = _OpensslVerifier(public_key)
-                verifiers[public_key.point] = verifier
-            verifier.verify(message_hash, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +187,6 @@ def get_backend(name: str) -> CryptoBackend:
 
 
 register_backend(CryptoBackend())  # "reference"
-register_backend(NumpyBackend())
 register_backend(HashlibBackend())
 
 _active = _BACKENDS[DEFAULT_BACKEND]

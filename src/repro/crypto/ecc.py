@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from collections import OrderedDict
 from dataclasses import dataclass
 
 # secp256k1 domain parameters.
@@ -199,17 +198,14 @@ def _scalar_mul(k: int, point: Point) -> Point:
 # ---------------------------------------------------------------------------
 # Fixed-window tables.
 #
-# ECDSA verification is two scalar multiplications: u1*G + u2*Q.  With
-# 4-bit fixed windows the doublings disappear: table[i][j] = (j << 4i) * Q
-# for i in 0..63, j in 0..15, and k*Q is the sum of at most 64 table
-# entries.  Tables hold *affine* points, so every lookup is a mixed
-# addition; they are built in Jacobian coordinates and normalised with
-# one batch inversion.  The G table is global (built once per process) and
-# serves signing, key generation and every verify; per-public-key tables
-# are what :class:`PrecomputedVerifier` and :func:`batch_verify` share
-# across the many verifies a channel or a bundle performs against the
-# same key — kept because the e2e ledger shows them ahead of table-free
-# verification on both the bundle and the session-churn workloads.
+# ``k * G`` with 4-bit fixed windows needs no doublings: table[i][j] =
+# (j << 4i) * G for i in 0..63, j in 0..15, and k*G is the sum of at most
+# 64 table entries.  Tables hold *affine* points, so every lookup is a
+# mixed addition; they are built in Jacobian coordinates and normalised
+# with one batch inversion.  The G table is global (built once per
+# process) and serves signing, key generation and the ``u1 * G`` half of
+# every pure-Python verify; ``u2 * Q`` is a window walk per verify, and no
+# tier builds a per-key table.
 # ---------------------------------------------------------------------------
 
 
@@ -421,10 +417,9 @@ def _check_r(point: _Jacobian, r: int) -> None:
 class PrecomputedVerifier:
     """ECDSA verification against one public key, tables built once.
 
-    A :class:`~repro.hypervisor.channel.SecureChannel` verifies every
-    incoming message against the same peer key, so the per-key window
-    table amortizes after a handful of messages.  Accept/reject
-    behaviour — including the exceptions raised — matches
+    No tier builds one any more; it stays because the e2e ledger's
+    traced repetition patches its ``verify`` and ``verify_many`` by name.
+    Accept/reject behaviour — including the exceptions raised — matches
     :meth:`PublicKey.verify` exactly; only the scalar-multiplication
     strategy for ``u2 * Q`` differs (64 table lookups instead of a
     256-doubling window walk), under the same group law.
@@ -445,48 +440,9 @@ class PrecomputedVerifier:
     def verify_many(
         self, items: list[tuple[bytes, Signature]]
     ) -> None:
-        """Verify every ``(message_hash, signature)`` pair or raise.
-
-        Raises on the first failing pair, before any caller-visible
-        side effects — the all-or-nothing contract batch channel opens
-        rely on.
-        """
+        """Verify every ``(message_hash, signature)`` pair; raise on the first bad one."""
         for message_hash, signature in items:
             self.verify(message_hash, signature)
-
-
-# Per-key verifier cache for batch verification: bounded so a stream of
-# one-shot keys cannot grow host memory without limit.
-_VERIFIER_CACHE_CAPACITY = 64
-_verifier_cache: "OrderedDict[Point, PrecomputedVerifier]" = OrderedDict()
-
-
-def precomputed_verifier(public_key: PublicKey) -> PrecomputedVerifier:
-    """Return a (cached) :class:`PrecomputedVerifier` for ``public_key``."""
-    cached = _verifier_cache.get(public_key.point)
-    if cached is not None:
-        _verifier_cache.move_to_end(public_key.point)
-        return cached
-    verifier = PrecomputedVerifier(public_key)
-    _verifier_cache[public_key.point] = verifier
-    if len(_verifier_cache) > _VERIFIER_CACHE_CAPACITY:
-        _verifier_cache.popitem(last=False)
-    return verifier
-
-
-def batch_verify(
-    items: list[tuple[PublicKey, bytes, Signature]]
-) -> None:
-    """Verify many ``(public_key, message_hash, signature)`` triples.
-
-    Shares precomputation two ways: the global fixed-base G table, and
-    one window table per *distinct* public key (bundle/channel-open
-    batches verify many messages under few keys).  Equivalent to
-    calling :meth:`PublicKey.verify` in a loop — same accepts, same
-    :class:`InvalidSignature` on the first failure (property-tested).
-    """
-    for public_key, message_hash, signature in items:
-        precomputed_verifier(public_key).verify(message_hash, signature)
 
 
 def recover_address(message_hash: bytes, signature: Signature, public_key: PublicKey) -> bytes:

@@ -4,7 +4,7 @@ The real HarDTAPE uses AES-GCM hardware (the A.E.DMA units).  The
 functional simulation uses AES-GCM wherever protocol correctness is the
 point (secure channel, tamper tests): :class:`AcceleratedAesGcmAead`
 through OpenSSL in the default crypto tier, the wire-identical
-pure-Python :class:`AesGcmAead` in the others.  For large
+pure-Python :class:`AesGcmAead` in the reference tier.  For large
 benchmark sweeps that perform tens of thousands of 1 KB ORAM *block*
 re-encryptions, :class:`Blake2Aead` provides the same interface and the
 same security *semantics in the simulation* (randomized ciphertexts,
@@ -126,15 +126,6 @@ class AcceleratedAesGcmAead:
             return self._aead.decrypt(nonce, data, aad)
         except _InvalidTag as exc:
             raise AuthenticationError("tag mismatch") from exc
-
-    def seal_blocks(self, items: list[AeadItem]) -> list[bytes]:
-        return [self.encrypt(nonce, pt, aad) for nonce, pt, aad in items]
-
-    def open_blocks(self, items: list[AeadItem]) -> list[bytes]:
-        # One authenticated decrypt per item: any bad tag raises before
-        # the list is returned, so no caller ever sees a partial batch —
-        # the same externally visible contract as the GCM batch path.
-        return [self.decrypt(nonce, data, aad) for nonce, data, aad in items]
 
 
 class Blake2Aead:

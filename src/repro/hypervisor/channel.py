@@ -8,13 +8,13 @@ why the paper's +80 ms signature overhead amortizes over bundle size.
 
 Which *implementations* run the AEAD and the signature check is a
 :class:`~repro.crypto.backend.CryptoBackend` choice (threaded from
-``DeviceConfig.crypto_backend``): every tier is wire-identical, so the
-two endpoints of one channel may even run different tiers.  The peer
-verification key is wrapped in the backend's verifier once at channel
-construction — for the precomputation tiers that builds the per-key
-window tables a message stream amortizes — and :meth:`open_batch`
-verifies a burst of queued messages through the backend's batched
-ECDSA path before any plaintext is released.
+``DeviceConfig.crypto_backend``): under ``hashlib``, the default, the
+cipher is an ``AcceleratedAesGcmAead`` and the peer verifier an
+``_OpensslVerifier``; under ``reference`` they are an ``AesGcmAead``
+and the peer ``PublicKey`` itself.  Both tiers are wire-identical, so
+the two endpoints of one channel may even run different tiers.  The
+peer verification key is wrapped in the tier's verifier once, at
+channel construction.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from repro.crypto.backend import DEFAULT_BACKEND, CryptoBackend, get_backend
 from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.keccak import keccak256
+
+
+# Counter nonces: the AES-GCM nonce size, big-endian.
+_NONCE_BYTES = 12
 
 
 class ChannelError(Exception):
@@ -66,20 +70,16 @@ class SecureChannel:
         own_signing_key: PrivateKey | None = None,
         peer_verify_key: PublicKey | None = None,
         sign_messages: bool = True,
-        cipher_factory=None,
         backend: CryptoBackend | str | None = None,
     ) -> None:
         if isinstance(backend, str):
             backend = get_backend(backend)
-        self._backend = backend or get_backend(DEFAULT_BACKEND)
-        if cipher_factory is None:
-            cipher_factory = self._backend.aead_factory
-        self._cipher = cipher_factory(session_key)
+        backend = backend or get_backend(DEFAULT_BACKEND)
+        self._cipher = backend.aead_factory(session_key)
         # Held only when this endpoint signs.
         self._signing_key = own_signing_key if sign_messages else None
-        self._peer_verify_key = peer_verify_key
         self._peer_verifier = (
-            self._backend.verifier(peer_verify_key)
+            backend.verifier(peer_verify_key)
             if peer_verify_key is not None
             else None
         )
@@ -115,7 +115,7 @@ class SecureChannel:
     def seal(self, plaintext: bytes, aad: bytes = b"") -> SealedMessage:
         """Encrypt (and sign) an outgoing message."""
         self._send_counter += 1
-        nonce = self._send_counter.to_bytes(12, "big")
+        nonce = self._send_counter.to_bytes(_NONCE_BYTES, "big")
         ciphertext = self._cipher.encrypt(nonce, plaintext, aad)
         signature = None
         if self._signing_key is not None:
@@ -138,6 +138,12 @@ class SecureChannel:
             raise ChannelError("bad message signature") from exc
 
     def _decrypt_in_order(self, message: SealedMessage, aad: bytes) -> bytes:
+        # The nonce is host-supplied: a wrong length is a bad message,
+        # refused before it is read as a counter or reaches the cipher.
+        if len(message.nonce) != _NONCE_BYTES:
+            raise ChannelError(
+                f"nonce is {len(message.nonce)} bytes, expected {_NONCE_BYTES}"
+            )
         counter = int.from_bytes(message.nonce, "big")
         if counter <= self._highest_received:
             raise ChannelError(
@@ -158,38 +164,3 @@ class SecureChannel:
         if self.sign_messages:
             self._check_signature(message)
         return self._decrypt_in_order(message, aad)
-
-    def open_batch(
-        self, messages: list[SealedMessage], aad: bytes = b""
-    ) -> list[bytes]:
-        """Verify-and-open a burst of queued messages.
-
-        All signatures are checked first — through the backend's batched
-        ECDSA path, which shares the per-key precomputation across the
-        whole burst — and only then are payloads decrypted, in nonce
-        order, under the usual strictly-increasing replay contract.  A
-        bad signature anywhere raises before *any* plaintext is
-        released or the replay watermark moves; decryption failures
-        behave exactly as a sequential :meth:`open` loop would.
-        Byte-identical to calling :meth:`open` in a loop on an
-        all-valid burst (property-tested).
-        """
-        if self.sign_messages:
-            if self._peer_verify_key is None:
-                raise ChannelError("no peer verification key pinned")
-            triples = []
-            for message in messages:
-                if message.signature is None:
-                    raise ChannelError("missing required signature")
-                triples.append(
-                    (
-                        self._peer_verify_key,
-                        keccak256(message.nonce + message.ciphertext),
-                        message.signature,
-                    )
-                )
-            try:
-                self._backend.ecdsa_verify_many(triples)
-            except InvalidSignature as exc:
-                raise ChannelError("bad message signature") from exc
-        return [self._decrypt_in_order(message, aad) for message in messages]

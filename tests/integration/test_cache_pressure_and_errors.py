@@ -106,6 +106,25 @@ def test_garbage_ciphertext_rejected(evalset):
         )
 
 
+def test_a_host_built_wrong_length_nonce_is_refused_at_level_e(evalset):
+    """Level E has no signatures, so a host-built message reaches the
+    cipher unless the channel refuses its 13-byte nonce first — as a
+    ``ChannelError``, with the device's watermark where it was."""
+    service = _service(evalset, "E")
+    client, session = _session(service)
+    hypervisor = service.devices[0].hypervisor
+    channel = hypervisor._session(session.session_id).channel
+    before = channel.nonce_watermark
+    bogus = SealedMessage(nonce=(99).to_bytes(13, "big"), ciphertext=b"\x00" * 64)
+    with pytest.raises(ChannelError, match="nonce is 13 bytes, expected 12"):
+        hypervisor.submit_bundle(
+            session.session_id, bogus, service.pending_chain_context()
+        )
+    assert channel.nonce_watermark == before
+    report, _, _ = client.pre_execute(service, session, [evalset.transactions[0]])
+    assert report.traces[0].status == 1
+
+
 def test_whatever_fails_mid_bundle_the_core_is_released_and_the_error_unchanged(
     evalset, monkeypatch
 ):

@@ -405,6 +405,29 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
     assert offenders == []
 
 
+def test_two_crypto_tiers_and_no_deleted_verify_seam_grows_back():
+    """Plain-text grep, like the one above.  The crypto registry is the
+    reference oracle and the OpenSSL default, a verifier has one method,
+    ``verify``, and the names of the deleted numpy tier and batch-verify
+    seam appear nowhere in the code trees."""
+    from repro.crypto.backend import available_backends
+
+    assert available_backends() == ("reference", "hashlib")
+    deleted = re.compile(
+        r"\b(?:NumpyBackend|precomputed_verifier|batch_verify|ecdsa_verify_many"
+        r"|open_batch|_verifier_cache|_ReferenceVerifier)\b"
+    )
+    offenders = [
+        f"{path.relative_to(REPO)}:{number}"
+        for tree in ("src", "tests", "benchmarks", "examples")
+        for path in (REPO / tree).rglob("*")
+        if path.suffix in (".py", ".md") and path != Path(__file__).resolve()
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if deleted.search(line)
+    ]
+    assert offenders == []
+
+
 # ----------------------------------------------------------------------
 # One ORAM store: each decision keeps its single home
 # ----------------------------------------------------------------------

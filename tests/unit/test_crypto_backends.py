@@ -45,8 +45,8 @@ KNOWN_VECTORS = [
 # ---------------------------------------------------------------------------
 
 
-def test_registry_lists_all_three_tiers():
-    assert set(available_backends()) == {"reference", "numpy", "hashlib"}
+def test_registry_lists_both_tiers():
+    assert available_backends() == ("reference", "hashlib")
     for name in available_backends():
         assert get_backend(name).name == name
 
@@ -90,9 +90,9 @@ def test_activate_roundtrip():
 def test_the_default_tier_is_openssl():
     """One path per tier: the default resolves to OpenSSL for the AEAD
     and the verifier, unconditionally (``cryptography`` is a
-    dependency), and the numpy tier stays its own implementation."""
+    dependency); the reference tier's verifier is the key itself."""
     from repro.crypto.backend import _OpensslVerifier
-    from repro.crypto.ecc import PrecomputedVerifier, PrivateKey
+    from repro.crypto.ecc import PrivateKey, PublicKey
     from repro.crypto.suite import AcceleratedAesGcmAead, AesGcmAead
 
     key = PrivateKey.from_bytes(b"\x07" * 32).public_key()
@@ -103,7 +103,8 @@ def test_the_default_tier_is_openssl():
 
     assert DEFAULT_BACKEND == "hashlib" == DeviceConfig().crypto_backend
     assert resolved(DEFAULT_BACKEND) == (AcceleratedAesGcmAead, _OpensslVerifier)
-    assert resolved("numpy") == (AesGcmAead, PrecomputedVerifier)
+    assert resolved("reference") == (AesGcmAead, PublicKey)
+    assert get_backend("reference").verifier(key) is key
 
 
 def test_default_backend_is_registered():
@@ -115,7 +116,7 @@ def test_default_backend_is_registered():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend_name", ["reference", "numpy", "hashlib"])
+@pytest.mark.parametrize("backend_name", ["reference", "hashlib"])
 @pytest.mark.parametrize("message,expected", KNOWN_VECTORS)
 def test_keccak_kat_per_backend_engine(backend_name, message, expected):
     engine = get_backend(backend_name).keccak_engine()
@@ -128,7 +129,7 @@ def test_keccak_kat_per_backend_engine(backend_name, message, expected):
     assert digests[0] == keccak256(b"filler-0")
 
 
-@pytest.mark.parametrize("backend_name", ["reference", "numpy", "hashlib"])
+@pytest.mark.parametrize("backend_name", ["reference", "hashlib"])
 def test_keccak256_under_each_activated_backend(backend_name):
     before = active_backend().name
     try:

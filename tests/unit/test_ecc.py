@@ -255,11 +255,8 @@ def _all_verdicts(public: PublicKey, digest: bytes, signature: Signature) -> lis
         _verdict(lambda: PrecomputedVerifier(public).verify(digest, signature)),
     ]
     for name in available_backends():
-        backend = get_backend(name)
-        verdicts.append(
-            _verdict(lambda: backend.ecdsa_verify_many([(public, digest, signature)]))
-        )
-        verdicts.append(_verdict(lambda: backend.verifier(public).verify(digest, signature)))
+        verifier = get_backend(name).verifier(public)
+        verdicts.append(_verdict(lambda: verifier.verify(digest, signature)))
     return verdicts
 
 

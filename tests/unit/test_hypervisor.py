@@ -4,8 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.crypto.backend import DEFAULT_BACKEND, _OpensslVerifier, get_backend
+from repro.crypto.backend import (
+    DEFAULT_BACKEND,
+    _OpensslVerifier,
+    available_backends,
+    get_backend,
+)
 from repro.crypto.ecc import N, PrivateKey, Signature
+from repro.crypto.keccak import keccak256
 from repro.crypto.puf import Manufacturer
 from repro.crypto.suite import AcceleratedAesGcmAead
 from repro.hardware.csu import BootImage, ConfigurationSecurityUnit
@@ -164,17 +170,19 @@ def test_session_key_agreement():
 # -- secure channel ---------------------------------------------------------------
 
 
-def _channel_pair(sign=True):
+_ALICE_KEY = PrivateKey.from_bytes(b"\x41" * 32)
+
+
+def _channel_pair(sign=True, backend=None):
     key = b"\x55" * 32
-    alice_key = PrivateKey.from_bytes(b"\x41" * 32)
     bob_key = PrivateKey.from_bytes(b"\x42" * 32)
     alice = SecureChannel(
-        key, own_signing_key=alice_key,
-        peer_verify_key=bob_key.public_key(), sign_messages=sign,
+        key, own_signing_key=_ALICE_KEY,
+        peer_verify_key=bob_key.public_key(), sign_messages=sign, backend=backend,
     )
     bob = SecureChannel(
         key, own_signing_key=bob_key,
-        peer_verify_key=alice_key.public_key(), sign_messages=sign,
+        peer_verify_key=_ALICE_KEY.public_key(), sign_messages=sign, backend=backend,
     )
     return alice, bob
 
@@ -244,6 +252,30 @@ def test_channel_nonces_advance():
     assert first.nonce != second.nonce
     assert bob.open(first) == b"a"
     assert bob.open(second) == b"b"
+
+
+@pytest.mark.parametrize("length", [0, 11, 13])
+@pytest.mark.parametrize("sign", [True, False], ids=["signed", "unsigned"])
+@pytest.mark.parametrize("tier", available_backends())
+def test_a_wrong_length_nonce_is_a_channel_error_and_moves_no_watermark(
+    tier, sign, length
+):
+    """The nonce is host-supplied.  One of the wrong length — even signed
+    by the genuine peer — is refused as a ``ChannelError`` before it is
+    read as a counter or reaches the cipher, and the watermark stays."""
+    alice, bob = _channel_pair(sign=sign, backend=tier)
+    assert bob.open(alice.seal(b"first")) == b"first"
+    sealed = alice.seal(b"bundle")
+    nonce = (5).to_bytes(length, "big") if length else b""
+    bad = replace(
+        sealed,
+        nonce=nonce,
+        signature=_ALICE_KEY.sign(keccak256(nonce + sealed.ciphertext)) if sign else None,
+    )
+    with pytest.raises(ChannelError, match=f"nonce is {length} bytes, expected 12"):
+        bob.open(bad)
+    assert bob.nonce_watermark == (0, 1)
+    assert bob.open(sealed) == b"bundle"
 
 
 # -- message protocol ----------------------------------------------------------------

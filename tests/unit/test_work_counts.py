@@ -7,14 +7,11 @@ laptop — no clock anywhere.  The "before" in comments is what the code
 did on the same input before the PR that added the gate (19: one trie
 build per account, one jumpdest scan per code; 22: delta sync; 23: the
 per-opcode step table; 24: the live-blob decrypt memo).
-The crypto tier's gate pins its "before" as a second case: the numpy
-tier, the default before OpenSSL.
 """
 
 import functools
 import hashlib
 import sys
-from collections import OrderedDict
 
 import pytest
 
@@ -373,17 +370,14 @@ def _session_cycle(service, transactions, key_seed) -> None:
     bundle(session, transactions[1])
 
 
-@pytest.mark.parametrize("tier,tables", [(DEFAULT_BACKEND, 0), ("numpy", 2)])
+@pytest.mark.parametrize("tier,tables", [(DEFAULT_BACKEND, 0)])
 def test_a_session_cycle_builds_no_verify_table_on_the_default_tier(
     tiny_evalset, monkeypatch, tier, tables
 ):
     """Device and process on one tier.  On the default (OpenSSL) tier a
     whole session cycle builds no ECDSA window table and runs no
-    table-free verify.  Before OpenSSL was the default, numpy was, and
-    it is pinned beside it: two window tables, one per new session key
-    (the user's and the hypervisor's).  Back then the attestation chain
-    also ran three table-free verifies per connect; it goes through the
-    process tier's verifier now, so the numpy tier runs none either."""
+    table-free verify: the channel's peer checks and the attestation
+    chain all go through the tier's verifier."""
     features = SecurityFeatures.from_level("ES")
     features.receipts = True
     service = HarDTAPEService(
@@ -394,10 +388,8 @@ def test_a_session_cycle_builds_no_verify_table_on_the_default_tier(
     before = active_backend().name
     activate(tier)
     try:
-        # No verifier cached by an earlier test; one uncounted cycle
-        # caches what every session shares (the manufacturer's and the
-        # device's keys), and signing's process-wide G table exists.
-        monkeypatch.setattr(ecc, "_verifier_cache", OrderedDict())
+        # One uncounted cycle warms what every session shares, and
+        # signing's process-wide G table exists.
         ecc._g_table()
         _session_cycle(service, transactions, b"\x31" * 32)
         built = _count_calls(monkeypatch, ecc, "_window_table")
