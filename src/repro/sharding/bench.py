@@ -23,7 +23,7 @@ gates:
    uniformity.  Sharding must not create a *smaller* anonymity set
    whose skew an adversary could read.
 4. **Mixed backends** — a fleet with pyramid shards among path shards
-   (per-shard selection, the ``backend_for_working_set`` trade-off)
+   (an ORAM backend chosen per shard through ``oram_backend``)
    returns bit-exact values for every read.
 
 Everything runs on one host process over virtual time; throughput is
