@@ -1,16 +1,14 @@
 """Pluggable authenticated-encryption suites.
 
-The real HarDTAPE uses AES-GCM hardware (the A.E.DMA units).  The
-functional simulation uses AES-GCM wherever protocol correctness is the
-point (secure channel, tamper tests): :class:`AcceleratedAesGcmAead`
-through OpenSSL in the default crypto tier, the wire-identical
-pure-Python :class:`AesGcmAead` in the reference tier.  For large
-benchmark sweeps that perform tens of thousands of 1 KB ORAM *block*
-re-encryptions, :class:`Blake2Aead` provides the same interface and the
-same security *semantics in the simulation* (randomized ciphertexts,
-integrity tag) at ~100x the speed; simulated time is charged by the
-hardware cost model either way, so the choice never affects reported
-numbers — only wall clock.
+The real HarDTAPE seals with AES-GCM hardware (the A.E.DMA units), and
+so does the simulation: every ORAM block, journal record, checkpoint and
+resumption ticket is sealed by :class:`AcceleratedAesGcmAead` (AES-GCM
+through OpenSSL), whatever crypto tier the channel runs on.  The
+pure-Python :class:`AesGcmAead` is its wire-identical oracle and the
+reference tier's channel cipher.  Simulated time is charged by the
+hardware cost model either way, so the cipher never affects reported
+simulated numbers — only wall clock.  :class:`Blake2Aead` is built by
+nothing; see its docstring.
 """
 
 from __future__ import annotations
@@ -129,16 +127,14 @@ class AcceleratedAesGcmAead:
 
 
 class Blake2Aead:
-    """Fast AEAD: SHAKE-256 keystream + keyed-BLAKE2b tag.
+    """SHAKE-256 keystream + keyed-BLAKE2b tag.
 
-    Functionally interchangeable with AES-GCM for the simulation; used
-    by default in the ORAM layer to keep wall-clock reasonable.
-
-    :meth:`seal_blocks` / :meth:`open_blocks` take a whole ORAM path at
-    once: the hashing is per block (it is what the bytes are), but the
-    bodies are XORed against their keystreams in one vector operation
-    for the batch.  Byte-identical to :meth:`encrypt` / :meth:`decrypt`
-    per item.
+    Nothing in the package constructs it: AES-GCM through OpenSSL
+    (:class:`AcceleratedAesGcmAead`) is faster and is the paper's
+    cipher.  It is kept only because the e2e ledger's
+    ``benchmarks/e2e/trace.py`` resolves ``encrypt``, ``decrypt`` and
+    ``open_blocks`` on it by name, and goes when the ledger reads spans
+    instead of that name table (ROADMAP item 4 (b)).
     """
 
     nonce_size = 12
@@ -167,8 +163,7 @@ class Blake2Aead:
         ciphertext = xor_bytes(plaintext, keystream)
         return ciphertext + self._tag(nonce, ciphertext, aad)
 
-    def _checked_ciphertext(self, nonce: bytes, data: bytes, aad: bytes) -> bytes:
-        """``data`` without its tag, once the tag has verified."""
+    def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
         if len(nonce) != self.nonce_size:
             raise ValueError("nonce must be 12 bytes")
         if len(data) < self.tag_size:
@@ -178,49 +173,10 @@ class Blake2Aead:
             data[-self.tag_size:], self._tag(nonce, ciphertext, aad)
         ):
             raise AuthenticationError("tag mismatch")
-        return ciphertext
-
-    def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
-        ciphertext = self._checked_ciphertext(nonce, data, aad)
         return xor_bytes(ciphertext, self._keystream(nonce, len(ciphertext)))
 
-    def _xor_keystreams(self, nonces: list[bytes], bodies: list[bytes]) -> list[bytes]:
-        """Each body XOR its nonce's keystream: one XOR for the batch."""
-        keystream = self._keystream
-        mixed = xor_bytes(
-            b"".join(bodies),
-            b"".join([keystream(nonce, len(body)) for nonce, body in zip(nonces, bodies)]),
-        )
-        out: list[bytes] = []
-        start = 0
-        for body in bodies:
-            end = start + len(body)
-            out.append(mixed[start:end])
-            start = end
-        return out
-
-    def seal_blocks(self, items: list[AeadItem]) -> list[bytes]:
-        """Batch seal, byte-identical to :meth:`encrypt` per item."""
-        nonces = [nonce for nonce, _plaintext, _aad in items]
-        if any(len(nonce) != self.nonce_size for nonce in nonces):
-            raise ValueError("nonce must be 12 bytes")
-        ciphertexts = self._xor_keystreams(
-            nonces, [plaintext for _nonce, plaintext, _aad in items]
-        )
-        tag = self._tag
-        return [
-            ciphertext + tag(nonce, ciphertext, aad)
-            for (nonce, _plaintext, aad), ciphertext in zip(items, ciphertexts)
-        ]
-
     def open_blocks(self, items: list[AeadItem]) -> list[bytes]:
-        """Batch open with the all-tags-first contract of the GCM path."""
-        checked = self._checked_ciphertext
-        ciphertexts = [checked(nonce, data, aad) for nonce, data, aad in items]
-        # Every tag has verified; only now is any plaintext produced.
-        return self._xor_keystreams(
-            [nonce for nonce, _data, _aad in items], ciphertexts
-        )
+        return [self.decrypt(nonce, data, aad) for nonce, data, aad in items]
 
 
 class CounterNonceSealer:
@@ -232,11 +188,12 @@ class CounterNonceSealer:
     instead of depending on persisted counter state — exactly what a
     sealer used to survive crashes must avoid.  The AAD binds each
     record to its role and position so the untrusted store cannot
-    splice records across kinds or epochs.
+    splice records across kinds or epochs.  The cipher is AES-GCM, so a
+    key must never see one sequence number twice (DESIGN.md §7.2).
     """
 
-    def __init__(self, key: bytes, cipher_factory=Blake2Aead) -> None:
-        self._cipher: AeadCipher = cipher_factory(key)
+    def __init__(self, key: bytes) -> None:
+        self._cipher = AcceleratedAesGcmAead(key)
 
     def seal(self, seq: int, plaintext: bytes, aad: bytes = b"") -> bytes:
         nonce = seq.to_bytes(self._cipher.nonce_size, "big")

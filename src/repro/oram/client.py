@@ -9,9 +9,16 @@ across accesses.
 
 Block wire format (all slots the same size)::
 
-    nonce (12) || AEAD( slot body )
+    nonce (12) || AES-GCM( slot body ) || tag (16)
 
-with the slot body laid out by :mod:`repro.oram.slot`.
+with the slot body laid out by :mod:`repro.oram.slot`.  The cipher is
+the paper's, AES-GCM through OpenSSL
+(:class:`~repro.crypto.suite.AcceleratedAesGcmAead`), shared with the
+Pyramid client so either protocol opens the other's slots;
+``cipher_factory`` exists only as a test seam.  The nonce is a
+monotonic 96-bit counter that survives a crash through the recovery
+plane's write-ahead lease, so no (key, nonce) pair is ever sealed twice
+(DESIGN.md §7.2).
 
 **Rollback protection** (hardening beyond the paper's §V-A6 claim):
 every bucket is authenticated against AAD ``node_index || version``,
@@ -29,7 +36,12 @@ from typing import Callable
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.kdf import Drbg
 from repro.crypto.keccak import keccak_memo_stats
-from repro.crypto.suite import AeadCipher, Blake2Aead, open_blocks, seal_blocks
+from repro.crypto.suite import (
+    AcceleratedAesGcmAead,
+    AeadCipher,
+    open_blocks,
+    seal_blocks,
+)
 from repro.oram import slot
 from repro.oram.server import OramServer, OramServerStall
 from repro.perf.memo import MemoizedAead, MemoStats
@@ -149,7 +161,7 @@ class PathOramClient:
         block_size: int = 1024,
         stash_limit: int | None = None,
         rng: Drbg | None = None,
-        cipher_factory=Blake2Aead,
+        cipher_factory=AcceleratedAesGcmAead,
         position_map: "PositionMapLike | None" = None,
         response_budget_us: float | None = None,
         decrypt_memo_blocks: int | None = 4096,

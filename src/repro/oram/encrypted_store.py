@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.crypto.suite import Blake2Aead
+from repro.crypto.suite import AcceleratedAesGcmAead
 
 
 @dataclass(slots=True)
@@ -37,7 +37,7 @@ class EncryptedKvStore:
 
     def __init__(self, key: bytes) -> None:
         self._handle_key = hashlib.blake2b(key, digest_size=32, person=b"handlederiv").digest()
-        self._cipher = Blake2Aead(key)
+        self._cipher = AcceleratedAesGcmAead(key)
         self._data: dict[bytes, bytes] = {}
         self._nonce = 0
         self.trace = EncryptedStoreTrace()

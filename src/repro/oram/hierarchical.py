@@ -31,7 +31,10 @@ Layout and protocol, concretely:
 
 Anti-rollback mirrors the path client: every slot's AEAD is bound to
 ``level || epoch || bucket``, so a server replaying an old level fails
-authentication instead of leaking stale state.
+authentication instead of leaking stale state.  Slots are sealed with
+the path client's cipher (AES-GCM through OpenSSL) under a monotonic
+96-bit counter nonce; a Pyramid client is never rebuilt under a key it
+has used, because Pyramid shards refuse recovery (DESIGN.md §7.2).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Callable
 import hashlib
 
 from repro.crypto.kdf import Drbg
-from repro.crypto.suite import AeadCipher, Blake2Aead
+from repro.crypto.suite import AcceleratedAesGcmAead, AeadCipher
 from repro.oram import slot
 from repro.oram.client import AccessSummary, BlockKey, ClientStats
 
@@ -172,7 +175,7 @@ class PyramidOramClient:
         block_size: int = 1024,
         cache_limit: int = 32,
         rng: Drbg | None = None,
-        cipher_factory=Blake2Aead,
+        cipher_factory=AcceleratedAesGcmAead,
         clock=None,
     ) -> None:
         if cache_limit < 2:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from repro.crypto.kdf import Drbg
-from repro.crypto.suite import Blake2Aead
+from repro.crypto.suite import AcceleratedAesGcmAead
 
 BATCH_SIZE = 3  # PANCAKE's query batching factor
 
@@ -60,7 +60,7 @@ class FrequencySmoothedStore:
         if total <= 0:
             raise ValueError("distribution must have positive mass")
         self._rng = rng or Drbg(key, personalization=b"pancake")
-        self._cipher = Blake2Aead(key)
+        self._cipher = AcceleratedAesGcmAead(key)
         self.batch_size = batch_size
         # Smoothing quantum: the smallest assumed probability.
         normalized = {

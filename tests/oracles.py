@@ -16,11 +16,6 @@ the round constants and the rotation table with production and nothing
 else: the folded rotation amounts and lane moves there must reproduce
 what these loops compute from the table.
 
-``blake2_aead_seal`` is ``Blake2Aead``'s wire format written out from
-its definition, one fresh hash object per message and a byte-wise XOR:
-what every sealing path (single, batch, pre-keyed, vector XOR) must put
-on the wire.
-
 ``reference_run`` is the interpreter's dispatch loop as it shipped
 before the per-opcode step table: ``opcodes.info`` per step,
 ``use_gas`` for the static charge, ``DISPATCH`` for the handler,
@@ -37,8 +32,6 @@ the same exception type with the same message.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 from repro.crypto.backend import activate, active_backend, available_backends
 from repro.crypto.ecc import G, INFINITY, N, P, InvalidSignature, Point, Signature
@@ -185,18 +178,6 @@ def in_memory_proof(trie, key: bytes) -> list[bytes]:
             break
         node = child
     return proof
-
-
-def blake2_aead_seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """``ciphertext || tag`` of ``repro.crypto.suite.Blake2Aead``."""
-    enc_key = hashlib.blake2b(key, digest_size=32, person=b"enc-key-deriv").digest()
-    mac_key = hashlib.blake2b(key, digest_size=32, person=b"mac-key-deriv").digest()
-    keystream = hashlib.shake_256(enc_key + nonce).digest(len(plaintext))
-    ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
-    mac = hashlib.blake2b(key=mac_key, digest_size=16)
-    for part in (len(aad).to_bytes(8, "big"), aad, nonce, ciphertext):
-        mac.update(part)
-    return ciphertext + mac.digest()
 
 
 def reference_run(interpreter, frame) -> str | None:

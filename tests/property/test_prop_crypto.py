@@ -6,8 +6,7 @@ import pytest
 
 from repro.crypto.gcm import AesGcm, AuthenticationError
 from repro.crypto.keccak import Keccak256, keccak256
-from repro.crypto.suite import Blake2Aead, xor_bytes
-from tests.oracles import blake2_aead_seal
+from repro.crypto.suite import AcceleratedAesGcmAead, AesGcmAead, xor_bytes
 
 settings.register_profile("crypto", deadline=None)
 settings.load_profile("crypto")
@@ -40,37 +39,63 @@ def test_gcm_roundtrip_with_aad(key, nonce, plaintext, aad):
     assert gcm.decrypt(nonce, gcm.encrypt(nonce, plaintext, aad), aad) == plaintext
 
 
-@given(
-    st.binary(min_size=32, max_size=32),
-    st.binary(min_size=12, max_size=12),
-    st.binary(max_size=2048),
+# The sealing cipher against its oracle.  ``AcceleratedAesGcmAead`` seals
+# every ORAM block, journal record, checkpoint and ticket; the pure-Python
+# ``AesGcmAead`` shares no code with it.  Bodies run from empty to 2 KB
+# with the 1 KB ORAM page drawn on purpose; keys are AES-128 and AES-256.
+_aead_keys = st.one_of(
+    st.binary(min_size=16, max_size=16), st.binary(min_size=32, max_size=32)
 )
-def test_blake2_aead_roundtrip(key, nonce, plaintext):
-    aead = Blake2Aead(key)
-    assert aead.decrypt(nonce, aead.encrypt(nonce, plaintext)) == plaintext
-
-
-@given(
-    st.binary(min_size=32, max_size=32),
-    st.binary(min_size=12, max_size=12),
-    st.binary(min_size=1, max_size=256),
-    st.integers(min_value=0, max_value=255),
-    st.integers(min_value=0),
+_aead_bodies = st.one_of(
+    st.binary(max_size=2048), st.binary(min_size=1024, max_size=1024)
 )
-@settings(max_examples=50)
-def test_blake2_aead_detects_any_flip(key, nonce, plaintext, xor_byte, position):
-    from repro.crypto.gcm import AuthenticationError
+_AES_GCM_CIPHERS = (AcceleratedAesGcmAead, AesGcmAead)
 
-    if xor_byte == 0:
-        return
-    aead = Blake2Aead(key)
-    sealed = bytearray(aead.encrypt(nonce, plaintext))
-    sealed[position % len(sealed)] ^= xor_byte
-    try:
-        recovered = aead.decrypt(nonce, bytes(sealed))
-    except AuthenticationError:
-        return
-    raise AssertionError(f"tamper not detected: {recovered!r}")
+
+@given(_aead_keys, st.binary(min_size=12, max_size=12), _aead_bodies,
+       st.binary(max_size=256))
+@settings(max_examples=60)
+def test_both_aes_gcm_ciphers_put_the_same_bytes_on_the_wire(key, nonce, body, aad):
+    fast, oracle = (cipher(key) for cipher in _AES_GCM_CIPHERS)
+    sealed = fast.encrypt(nonce, body, aad)
+    assert sealed == oracle.encrypt(nonce, body, aad)
+    assert len(sealed) == len(body) + 16
+    assert fast.decrypt(nonce, sealed, aad) == oracle.decrypt(nonce, sealed, aad) == body
+
+
+@given(_aead_keys, st.binary(min_size=12, max_size=12), _aead_bodies,
+       st.binary(max_size=256), st.data())
+@settings(max_examples=60)
+def test_one_flipped_bit_anywhere_is_refused_by_both(key, nonce, body, aad, data):
+    """Nonce, ciphertext body, tag or AAD: flip any single bit of what
+    the opener is handed and both ciphers raise ``AuthenticationError``."""
+    sealed = AcceleratedAesGcmAead(key).encrypt(nonce, body, aad)
+    parts = {"nonce": nonce, "body": sealed[:-16], "tag": sealed[-16:], "aad": aad}
+    field = data.draw(
+        st.sampled_from([name for name, value in parts.items() if value]),
+        label="field",
+    )
+    target = bytearray(parts[field])
+    bit = data.draw(st.integers(0, 8 * len(target) - 1), label="bit")
+    target[bit // 8] ^= 1 << (bit % 8)
+    flipped = dict(parts, **{field: bytes(target)})
+    for cipher in _AES_GCM_CIPHERS:
+        with pytest.raises(AuthenticationError):
+            cipher(key).decrypt(
+                flipped["nonce"], flipped["body"] + flipped["tag"], flipped["aad"]
+            )
+
+
+@given(_aead_keys, st.binary(max_size=32).filter(lambda n: len(n) != 12),
+       st.binary(max_size=64))
+@settings(max_examples=40)
+def test_a_nonce_that_is_not_96_bits_is_a_value_error_on_both(key, nonce, body):
+    sealed = AesGcmAead(key).encrypt(b"\x00" * 12, body)
+    for cipher in _AES_GCM_CIPHERS:
+        with pytest.raises(ValueError):
+            cipher(key).encrypt(nonce, body)
+        with pytest.raises(ValueError):
+            cipher(key).decrypt(nonce, sealed)
 
 
 # Up to 600 bytes: both sides of the length where xor_bytes switches
@@ -81,53 +106,3 @@ def test_xor_bytes_involution(data):
     mixed = xor_bytes(data, key)
     assert mixed == bytes(a ^ b for a, b in zip(data, key))
     assert xor_bytes(mixed, key) == data
-
-
-# Mixed lengths including empty and past the vector-XOR threshold; the
-# 1041-byte case is an ORAM slot body.
-_batch_items = st.lists(
-    st.tuples(
-        st.binary(min_size=12, max_size=12),
-        st.one_of(st.binary(max_size=300), st.binary(min_size=1041, max_size=1041)),
-        st.binary(max_size=24),
-    ),
-    max_size=8,
-)
-
-
-@given(st.binary(min_size=32, max_size=32), _batch_items)
-@settings(max_examples=80)
-def test_blake2_batch_paths_equal_the_single_ones(key, items):
-    aead = Blake2Aead(key)
-    sealed = aead.seal_blocks(items)
-    assert sealed == [aead.encrypt(*item) for item in items]
-    assert sealed == [blake2_aead_seal(key, *item) for item in items]
-    opened = aead.open_blocks(
-        [(nonce, blob, aad) for (nonce, _pt, aad), blob in zip(items, sealed)]
-    )
-    assert opened == [plaintext for _nonce, plaintext, _aad in items]
-
-
-@given(
-    st.binary(min_size=32, max_size=32),
-    _batch_items.filter(bool),
-    st.data(),
-)
-@settings(max_examples=80)
-def test_blake2_open_blocks_returns_nothing_if_any_byte_is_flipped(key, items, data):
-    aead = Blake2Aead(key)
-    batch = [
-        [nonce, blob, aad]
-        for (nonce, _pt, aad), blob in zip(items, aead.seal_blocks(items))
-    ]
-    victim = data.draw(st.integers(0, len(batch) - 1), label="item")
-    # Nonce, ciphertext||tag, or (when there is one) the AAD.
-    field = data.draw(
-        st.sampled_from([0, 1, 2] if batch[victim][2] else [0, 1]), label="field"
-    )
-    target = bytearray(batch[victim][field])
-    position = data.draw(st.integers(0, len(target) - 1), label="byte")
-    target[position] ^= data.draw(st.integers(1, 255), label="xor")
-    batch[victim][field] = bytes(target)
-    with pytest.raises(AuthenticationError):
-        aead.open_blocks([tuple(item) for item in batch])

@@ -1,14 +1,23 @@
 """Decrypt memoization: correctness, soundness, and observer-equivalence."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.crypto.suite import AesGcmAead, AuthenticationError, Blake2Aead
+from repro.crypto.suite import (
+    AcceleratedAesGcmAead,
+    AesGcmAead,
+    AuthenticationError,
+    Blake2Aead,
+)
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
 from repro.perf.memo import MemoizedAead
 from repro.perf.reference import ReferenceAesGcm
 
 KEY = b"m" * 32
+BENCH_PERF = Path(__file__).resolve().parents[2] / "BENCH_perf.json"
 
 
 def _nonce(counter: int) -> bytes:
@@ -32,13 +41,13 @@ def _flipped(blob: bytes, index: int) -> bytes:
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        MemoizedAead(Blake2Aead(KEY), capacity_blocks=0)
+        MemoizedAead(AcceleratedAesGcmAead(KEY), capacity_blocks=0)
     with pytest.raises(ValueError):
-        MemoizedAead(Blake2Aead(KEY), capacity_blocks=-1)
+        MemoizedAead(AcceleratedAesGcmAead(KEY), capacity_blocks=-1)
 
 
 def test_seal_populates_then_open_hits():
-    memo = MemoizedAead(Blake2Aead(KEY))
+    memo = MemoizedAead(AcceleratedAesGcmAead(KEY))
     blob = _seal(memo, 1, b"payload", b"aad")
     assert memo.open_path([(blob, b"aad")]) == [b"payload"]
     assert (memo.stats.hits, memo.stats.misses) == (1, 0)
@@ -47,7 +56,7 @@ def test_seal_populates_then_open_hits():
 def test_an_entry_is_used_once_then_forgotten():
     """The path just read is about to be overwritten, so its entries go;
     the same blob served again is opened for real (and still opens)."""
-    memo = MemoizedAead(Blake2Aead(KEY))
+    memo = MemoizedAead(AcceleratedAesGcmAead(KEY))
     blob = _seal(memo, 1, b"payload", b"aad")
     assert len(memo._live) == 1
     memo.open_path([(blob, b"aad")])
@@ -57,16 +66,16 @@ def test_an_entry_is_used_once_then_forgotten():
 
 
 def test_foreign_ciphertext_misses_and_is_not_kept():
-    memo = MemoizedAead(Blake2Aead(KEY))
+    memo = MemoizedAead(AcceleratedAesGcmAead(KEY))
     nonce = _nonce(2)
-    blob = nonce + Blake2Aead(KEY).encrypt(nonce, b"from elsewhere")
+    blob = nonce + AcceleratedAesGcmAead(KEY).encrypt(nonce, b"from elsewhere")
     for misses in (1, 2):  # a blob on a path being rewritten is not worth an entry
         assert memo.open_path([(blob, b"")]) == [b"from elsewhere"]
         assert (memo.stats.hits, memo.stats.misses, len(memo._live)) == (0, misses, 0)
 
 
 def test_oldest_seal_goes_first_at_the_bound():
-    memo = MemoizedAead(Blake2Aead(KEY), capacity_blocks=4)
+    memo = MemoizedAead(AcceleratedAesGcmAead(KEY), capacity_blocks=4)
     blobs = [_seal(memo, i, b"pt-%d" % i) for i in range(10)]
     assert len(memo._live) == 4
     assert (memo.stats.inserts, memo.stats.evictions) == (10, 6)
@@ -102,9 +111,9 @@ def test_a_replay_under_a_moved_version_misses_and_rejects():
 
 
 def test_open_blocks_serves_hits_and_batches_misses():
-    memo = MemoizedAead(Blake2Aead(KEY))
+    memo = MemoizedAead(AcceleratedAesGcmAead(KEY))
     known = _seal(memo, 4, b"known", b"a")
-    foreign = _nonce(5) + Blake2Aead(KEY).encrypt(_nonce(5), b"foreign", b"b")
+    foreign = _nonce(5) + AcceleratedAesGcmAead(KEY).encrypt(_nonce(5), b"foreign", b"b")
     assert memo.open_path([(known, b"a"), (foreign, b"b")]) == [b"known", b"foreign"]
     assert (memo.stats.hits, memo.stats.misses) == (1, 1)
 
@@ -125,13 +134,13 @@ def test_open_blocks_bad_tag_raises_before_returning():
 def test_the_same_blob_twice_in_one_read_hits_twice():
     """AEAD binds a slot to its bucket, not to its place in it: the bare
     cipher accepts a bucket holding one authentic blob twice, so must we."""
-    memo = MemoizedAead(Blake2Aead(KEY))
+    memo = MemoizedAead(AcceleratedAesGcmAead(KEY))
     blob = _seal(memo, 9, b"twice", b"a")
     assert memo.open_path([(blob, b"a"), (blob, b"a")]) == [b"twice", b"twice"]
     assert (memo.stats.hits, len(memo._live)) == (2, 0)
 
 
-def _run_oram(memo_blocks, cipher_factory=Blake2Aead, block_size=64,
+def _run_oram(memo_blocks, cipher_factory=AcceleratedAesGcmAead, block_size=64,
               accesses=60):
     server = OramServer(height=4)
     events = []
@@ -280,5 +289,8 @@ def test_replayed_access_sequence_has_the_pinned_memo_behaviour(capacity, expect
         client.access(access_key, payload)
     stats = client.memo.stats
     assert (stats.hits, stats.misses, stats.inserts, stats.evictions) == expected
-    # The memo is invisible on the wire: same ciphertext tree either way.
-    assert _digest_server(server) == "9adc75e48911f1616c67d35a20c44d37"
+    # The memo is invisible on the wire: same ciphertext tree either way,
+    # and the default client's tree is perf-bench's, whose cipher is the
+    # pure-Python AES-GCM oracle — one tree, pinned in one file.
+    digests = json.loads(BENCH_PERF.read_text())["oram"]["digests"]
+    assert _digest_server(server) == digests["server_buckets"]

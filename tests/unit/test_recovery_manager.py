@@ -154,7 +154,7 @@ def test_a_cipher_bug_at_boot_is_not_retyped_as_tampering(
 ):
     """Both unseal sites re-type what a sealer can raise
     (`AuthenticationError`, `ValueError`) and nothing else."""
-    from repro.crypto.suite import Blake2Aead
+    from repro.crypto.suite import AcceleratedAesGcmAead
 
     server, client, device, store, manager = _deployment()
     if write_journal:
@@ -167,8 +167,8 @@ def test_a_cipher_bug_at_boot_is_not_retyped_as_tampering(
             return original(self, nonce, data, aad)  # the checkpoint opens
         raise TypeError("stub cipher bug")
 
-    original = Blake2Aead.decrypt
-    monkeypatch.setattr(Blake2Aead, "decrypt", broken)
+    original = AcceleratedAesGcmAead.decrypt
+    monkeypatch.setattr(AcceleratedAesGcmAead, "decrypt", broken)
     with pytest.raises(TypeError, match="stub cipher bug"):
         RecoveryManager.recover(device, store)
     assert calls[-1].startswith(b"journal|" if write_journal else b"checkpoint|")

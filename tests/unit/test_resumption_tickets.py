@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from repro.crypto.kdf import hkdf_sha256
-from repro.crypto.suite import Blake2Aead
+from repro.crypto.suite import AcceleratedAesGcmAead
 from repro.hypervisor.channel import ChannelError, SecureChannel
 from repro.hypervisor.resumption import (
     TICKET_MAGIC,
@@ -145,12 +145,16 @@ def test_a_cipher_bug_is_not_retyped_as_tampering(monkeypatch):
     sealer = TicketSealer(KEY)
     ticket = sealer.mint(_state(), epoch=0)
 
+    calls = []
+
     def broken(self, nonce, data, aad=b""):
+        calls.append(aad)
         raise TypeError("stub cipher bug")
 
-    monkeypatch.setattr(Blake2Aead, "decrypt", broken)
+    monkeypatch.setattr(AcceleratedAesGcmAead, "decrypt", broken)
     with pytest.raises(TypeError, match="stub cipher bug"):
         sealer.redeem(ticket, current_epoch=0)
+    assert calls == [sealer._aad(0, 0)]  # the ticket cipher is the one patched
 
 
 def test_wrong_key_fails_integrity():

@@ -19,7 +19,7 @@ from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
 from repro.core.device import DeviceConfig
 from repro.crypto import ecc
 from repro.crypto.backend import DEFAULT_BACKEND, activate, active_backend
-from repro.crypto.suite import Blake2Aead
+from repro.crypto.suite import AcceleratedAesGcmAead
 from repro.evm import opcodes
 from repro.evm.executor import execute_transaction
 from repro.evm.frame import ExecutionFrame, analyze_jumpdests
@@ -314,9 +314,11 @@ def test_the_step_prices_follow_the_cost_model_the_core_holds_now(tiny_evalset):
 @pytest.mark.parametrize("capacity,hits", [(4096, 936), (64, 636)])
 def test_a_path_read_hashes_only_what_the_memo_missed(monkeypatch, capacity, hits):
     """The perf-bench replay (BENCH_perf.json's 936 hits / 0 misses at
-    4,096 entries; 64 entries make the bound bite).  Before, every access
-    ran one BLAKE2b over each 1 KB block it sealed *and* each it looked
-    up — the memo's own key — on top of the cipher's hashing."""
+    4,096 entries; 64 entries make the bound bite).  Every slot sealed is
+    one AES-GCM seal, every slot the memo missed is one AES-GCM open, a
+    hit costs nothing, and no hashlib hash runs at all.  Before, the ORAM
+    cipher was ``Blake2Aead``: each seal and each open was a SHAKE-256
+    keystream plus a keyed BLAKE2b tag."""
     config = PerfBenchConfig()
     key = hashlib.blake2b(
         config.seed.to_bytes(8, "big"), digest_size=32, person=b"perf-key"
@@ -327,25 +329,21 @@ def test_a_path_read_hashes_only_what_the_memo_missed(monkeypatch, capacity, hit
 
     digests = _count_calls(monkeypatch, hashlib, "blake2b")
     keystreams = _count_calls(monkeypatch, hashlib, "shake_256")
-    tags = _count_calls(monkeypatch, Blake2Aead, "_tag")
-    opens = _count_calls(monkeypatch, Blake2Aead, "open_blocks")
+    seals = _count_calls(monkeypatch, AcceleratedAesGcmAead, "encrypt")
+    opens = _count_calls(monkeypatch, AcceleratedAesGcmAead, "decrypt")
     for access_key, payload in _workload(config):
-        del keystreams[:], tags[:], opens[:]
+        del seals[:], opens[:]
         client.access(access_key, payload)
         last = client.last_access
-        # The inner cipher opens exactly the misses, in one batch ...
-        assert sum(len(items) for _cipher, items in opens) == last.memo_misses
-        assert len(opens) == (1 if last.memo_misses else 0)
-        # ... and a hit costs no hash: what is left is one keystream and
-        # one tag per slot sealed, plus the same per miss.
-        assert len(keystreams) == len(tags) == slots + last.memo_misses
+        assert len(seals) == slots == 24
+        assert len(opens) == last.memo_misses
         # Live only: each entry *is* a blob object the server holds now.
         stored = {id(blob) for bucket in server.snapshot_tree() for blob in bucket}
         held = {id(blob) for blob, _aad, _plaintext in client.memo._live.values()}
         assert held <= stored and len(held) == len(client.memo._live)
         if capacity >= len(stored):
             assert held == stored
-    assert not digests  # the tag continues a keyed state; nothing else hashed
+    assert not digests and not keystreams
     assert (client.memo.stats.hits, client.memo.stats.misses) == (hits, 936 - hits)
 
 
