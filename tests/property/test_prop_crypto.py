@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.gcm import AesGcm, AuthenticationError
 from repro.crypto.keccak import Keccak256, keccak256
-from repro.crypto.suite import AcceleratedAesGcmAead, AesGcmAead, xor_bytes
+from repro.crypto.suite import AcceleratedAesGcmAead, AesGcmAead, Blake2Aead, xor_bytes
 
 settings.register_profile("crypto", deadline=None)
 settings.load_profile("crypto")
@@ -84,6 +84,63 @@ def test_one_flipped_bit_anywhere_is_refused_by_both(key, nonce, body, aad, data
             cipher(key).decrypt(
                 flipped["nonce"], flipped["body"] + flipped["tag"], flipped["aad"]
             )
+
+
+# Blake2Aead seals nothing in the package, but it still has a public
+# encrypt/decrypt/open_blocks surface, so it keeps its tamper checks.
+@given(
+    st.binary(min_size=32, max_size=32),
+    st.binary(min_size=12, max_size=12),
+    st.binary(min_size=1, max_size=256),
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=0),
+)
+@settings(max_examples=50)
+def test_blake2_aead_detects_any_flip(key, nonce, plaintext, xor_byte, position):
+    if xor_byte == 0:
+        return
+    aead = Blake2Aead(key)
+    sealed = bytearray(aead.encrypt(nonce, plaintext))
+    sealed[position % len(sealed)] ^= xor_byte
+    try:
+        recovered = aead.decrypt(nonce, bytes(sealed))
+    except AuthenticationError:
+        return
+    raise AssertionError(f"tamper not detected: {recovered!r}")
+
+
+# Mixed lengths including empty and past the vector-XOR threshold; the
+# 1041-byte case is an ORAM slot body.
+_batch_items = st.lists(
+    st.tuples(
+        st.binary(min_size=12, max_size=12),
+        st.one_of(st.binary(max_size=300), st.binary(min_size=1041, max_size=1041)),
+        st.binary(max_size=24),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(st.binary(min_size=32, max_size=32), _batch_items, st.data())
+@settings(max_examples=80)
+def test_blake2_open_blocks_returns_nothing_if_any_byte_is_flipped(key, items, data):
+    aead = Blake2Aead(key)
+    batch = [[nonce, aead.encrypt(nonce, body, aad), aad] for nonce, body, aad in items]
+    assert aead.open_blocks([tuple(item) for item in batch]) == [
+        body for _nonce, body, _aad in items
+    ]
+    victim = data.draw(st.integers(0, len(batch) - 1), label="item")
+    # Nonce, ciphertext||tag, or (when there is one) the AAD.
+    field = data.draw(
+        st.sampled_from([0, 1, 2] if batch[victim][2] else [0, 1]), label="field"
+    )
+    target = bytearray(batch[victim][field])
+    position = data.draw(st.integers(0, len(target) - 1), label="byte")
+    target[position] ^= data.draw(st.integers(1, 255), label="xor")
+    batch[victim][field] = bytes(target)
+    with pytest.raises(AuthenticationError):
+        aead.open_blocks([tuple(item) for item in batch])
 
 
 @given(_aead_keys, st.binary(max_size=32).filter(lambda n: len(n) != 12),
