@@ -5,11 +5,16 @@ Ethereum uses the original Keccak submission (multi-rate padding byte
 :mod:`hashlib`'s ``sha3_256`` cannot be used.  This module implements
 Keccak-f[1600] from the reference specification in pure Python.
 
-The sponge is small enough to be readable and fast enough for the
-simulation workloads in this repository (contract hashing, trie nodes,
-SHA3 opcodes).  Results for frequently re-hashed byte strings are
-memoised by :func:`keccak256` through a bounded cache with explicit
-hit/miss accounting (:func:`keccak_memo_stats`).
+It is called only where Ethereum fixes Keccak-256: trie nodes and
+secure-trie keys, addresses, code hashes, the SHA3 opcode, block and
+transaction hashes (DESIGN §7.3 lists every call site).  The protocol's
+own digests — bundle ids, the channel's signed digest, session ids,
+receipts — are labelled SHA-256 from :mod:`hashlib`.  An account keeps
+its code hash beside its code, so bytecode is hashed once per code
+object, not on every state commit or bulk load.  Results for frequently
+re-hashed byte strings are memoised by :func:`keccak256` through a
+bounded cache with explicit hit/miss accounting
+(:func:`keccak_memo_stats`).
 
 The actual permutation work is delegated to a pluggable *engine*
 (:func:`set_keccak_engine`): the default is the pure-Python sponge
@@ -263,8 +268,8 @@ class KeccakMemoStats:
 
 
 # Small inputs (trie nodes, addresses, opcodes) share a deep cache; big
-# inputs (contract bytecode re-hashed on every state commit) get a
-# shallow one so memory stays bounded.
+# inputs (bytecode deployed or read inside a bundle, SHA3 over large
+# memory) get a shallow one so memory stays bounded.
 _SMALL_LIMIT = 1024
 _SMALL_CAPACITY = 65536
 _LARGE_CAPACITY = 256

@@ -11,13 +11,17 @@ status, balance transfers, storage modifications, logs.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro import rlp
-from repro.crypto.keccak import keccak256
 from repro.evm.executor import TransactionResult
 from repro.state.account import Address
 from repro.state.blocks import Transaction
+
+# Domain label of the bundle id: SHA-256 is the protocol's own hash, and
+# Keccak-256 stays where Ethereum fixes it (DESIGN §7.3).
+BUNDLE_ID_DOMAIN = b"hardtape.bundle-id.v1"
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,8 @@ class TransactionBundle:
     block_number: int  # the world-state version to simulate against
 
     def bundle_id(self) -> bytes:
-        return keccak256(encode_bundle(self))[:16]
+        """16 bytes of a labelled SHA-256 over the bundle's encoding."""
+        return hashlib.sha256(BUNDLE_ID_DOMAIN + encode_bundle(self)).digest()[:16]
 
 
 @dataclass

@@ -19,16 +19,25 @@ channel construction.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.crypto.backend import DEFAULT_BACKEND, CryptoBackend, get_backend
 from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
 from repro.crypto.gcm import AuthenticationError
-from repro.crypto.keccak import keccak256
 
 
 # Counter nonces: the AES-GCM nonce size, big-endian.
 _NONCE_BYTES = 12
+
+# Domain label of the signed message digest (DESIGN §7.3).
+CHANNEL_DIGEST_DOMAIN = b"hardtape.channel.v1"
+
+
+def message_digest(nonce: bytes, ciphertext: bytes) -> bytes:
+    """The 32 bytes a channel signature covers: a labelled SHA-256 over
+    the nonce and the ciphertext (GCM tag included)."""
+    return hashlib.sha256(CHANNEL_DIGEST_DOMAIN + nonce + ciphertext).digest()
 
 
 class ChannelError(Exception):
@@ -119,7 +128,7 @@ class SecureChannel:
         ciphertext = self._cipher.encrypt(nonce, plaintext, aad)
         signature = None
         if self._signing_key is not None:
-            signature = self._signing_key.sign(keccak256(nonce + ciphertext))
+            signature = self._signing_key.sign(message_digest(nonce, ciphertext))
         sealed = SealedMessage(nonce, ciphertext, signature)
         self.stats.messages_sealed += 1
         self.stats.bytes_sealed += sealed.wire_size
@@ -132,7 +141,7 @@ class SecureChannel:
             raise ChannelError("no peer verification key pinned")
         try:
             self._peer_verifier.verify(
-                keccak256(message.nonce + message.ciphertext), message.signature
+                message_digest(message.nonce, message.ciphertext), message.signature
             )
         except InvalidSignature as exc:
             raise ChannelError("bad message signature") from exc

@@ -513,10 +513,11 @@ class Hypervisor:
             bundle = decode_bundle(payload)
         except rlp.DecodingError as error:
             raise BundleRejected(f"malformed bundle: {error}") from error
+        bundle_id = bundle.bundle_id()
         active = tracer.active
         if active is not None:
             active.set(
-                bundle=bundle.bundle_id().hex()[:16],
+                bundle=bundle_id.hex()[:16],
                 transactions=len(bundle.transactions),
             )
 
@@ -571,7 +572,7 @@ class Hypervisor:
             raise
 
         report = TraceReport(
-            bundle_id=bundle.bundle_id(),
+            bundle_id=bundle_id,
             traces=[trace_from_result(result) for result in results],
             aborted=run_stats.aborted,
             abort_reason=run_stats.abort_reason,
@@ -584,13 +585,11 @@ class Hypervisor:
         # spans, and metrics are untouched — byte-identity preserved.
         if self.features.receipts:
             unified = tuple(from_struct_logs(logs) for logs in struct_logs)
-            receipt = make_receipt(
-                bundle.bundle_id(), unified, session.signing_key
-            )
+            receipt = make_receipt(bundle_id, unified, session.signing_key)
             if self.faults is not None:
                 receipt = self.faults.on_receipt(receipt, self.clock.now_us)
             if receipt is not None:
-                self._store_receipt(bundle.bundle_id(), receipt, unified)
+                self._store_receipt(bundle_id, receipt, unified)
 
         # Step 9: seal and send the trace.
         if self.features.encryption:

@@ -33,16 +33,33 @@ class Account:
 
     ``storage`` maps 256-bit keys to 256-bit values; zero-valued slots
     are treated as absent, matching Ethereum semantics.
+
+    The code hash is account state, as ``codeHash`` is in Ethereum's
+    account record: hashed the first time it is asked for and kept
+    beside the code object it was derived from, so a reassigned
+    ``code`` is re-hashed and an unchanged one never is.  ``copy()`` and
+    ``deepcopy`` carry it.
     """
 
     balance: int = 0
     nonce: int = 0
     code: bytes = b""
     storage: dict[StorageKey, StorageValue] = field(default_factory=dict)
+    # ``(code, keccak256(code))`` for the code last hashed.
+    _hashed_code: tuple[bytes, bytes] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def code_hash(self) -> bytes:
-        return keccak256(self.code) if self.code else EMPTY_CODE_HASH
+        code = self.code
+        if not code:
+            return EMPTY_CODE_HASH
+        hashed = self._hashed_code
+        # bytes equality is an identity check first, a memcmp after.
+        if hashed is None or hashed[0] != code:
+            hashed = self._hashed_code = (bytes(code), keccak256(code))
+        return hashed[1]
 
     @property
     def is_empty(self) -> bool:
@@ -50,7 +67,9 @@ class Account:
         return self.balance == 0 and self.nonce == 0 and not self.code
 
     def copy(self) -> "Account":
-        return Account(self.balance, self.nonce, self.code, dict(self.storage))
+        clone = Account(self.balance, self.nonce, self.code, dict(self.storage))
+        clone._hashed_code = self._hashed_code
+        return clone
 
     def storage_trie(self) -> MerklePatriciaTrie:
         """Build the storage trie (secure trie: hashed keys, no zero slots)."""

@@ -429,6 +429,82 @@ def test_two_crypto_tiers_and_no_deleted_verify_seam_grows_back():
     assert offenders == []
 
 
+def test_keccak_is_called_only_where_the_design_table_says():
+    """AST over ``src/repro`` against DESIGN §7.3's call-site table
+    (module -> class).  Keccak-256 is called only from the modules the
+    table lists, every listed module still calls it or is a protocol-own
+    row, and the protocol-own modules (the bundle id, the channel digest)
+    import no Keccak at all."""
+    import ast
+
+    design = (REPO / "DESIGN.md").read_text()
+    section = design.split("### 7.3 ", 1)[1].split("\n### ", 1)[0]
+    table = {
+        match.group(1): match.group(2).strip()
+        for match in re.finditer(
+            r"^\| `([\w/]+\.py)` \|.*\| ([^|]+) \|$", section, re.MULTILINE
+        )
+    }
+    protocol_own = {name for name, kind in table.items() if kind.startswith("protocol-own")}
+    assert protocol_own == {"hypervisor/bundle_codec.py", "hypervisor/channel.py"}
+    root = REPO / "src" / "repro"
+    trees = {
+        path.relative_to(root).as_posix(): ast.parse(path.read_text())
+        for path in sorted(root.rglob("*.py"))
+    }
+
+    def calls_keccak(tree) -> bool:
+        return any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("keccak256", "keccak256_many")
+            for node in ast.walk(tree)
+        )
+
+    callers = {
+        name for name, tree in trees.items()
+        if name != "crypto/keccak.py" and calls_keccak(tree)
+    }
+    assert callers == set(table) - protocol_own
+    for name in protocol_own:
+        imported = [
+            entry
+            for node in ast.walk(trees[name])
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for entry in [getattr(node, "module", None) or ""]
+            + [alias.name for alias in node.names]
+        ]
+        assert not [entry for entry in imported if "keccak" in entry], name
+
+
+def test_protocol_sha256_labels_are_prefix_free():
+    """Every labelled SHA-256 input in ``src/repro`` starts with a literal
+    label; no label is a prefix of another, so two labelled inputs never
+    coincide (DESIGN §7.3).  The bundle id and channel digest labels are
+    among them."""
+    from repro.hypervisor.bundle_codec import BUNDLE_ID_DOMAIN
+    from repro.hypervisor.channel import CHANNEL_DIGEST_DOMAIN
+
+    labels = set()
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        text = path.read_text()
+        labels.update(
+            re.findall(r'sha256\(\s*b"([^"]+)"', text)
+            + re.findall(r'^\w*DOMAIN = b"([^"]+)"', text, re.MULTILINE)
+        )
+    # a ``%d`` label is formatted: its literal prefix is what is fixed
+    labels = {
+        label.split("%")[0].encode().decode("unicode_escape").encode("latin-1")
+        for label in labels
+    }
+    assert {BUNDLE_ID_DOMAIN, CHANNEL_DIGEST_DOMAIN} <= labels
+    assert len(labels) >= 10
+    clashes = [
+        (a, b) for a in labels for b in labels if a != b and b.startswith(a)
+    ]
+    assert clashes == []
+
+
 # ----------------------------------------------------------------------
 # One ORAM store: each decision keeps its single home
 # ----------------------------------------------------------------------

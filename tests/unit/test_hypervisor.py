@@ -23,7 +23,7 @@ from repro.hypervisor.attestation import (
     derive_session_key,
     verify_report,
 )
-from repro.hypervisor.channel import ChannelError, SecureChannel
+from repro.hypervisor.channel import ChannelError, SecureChannel, message_digest
 from repro.hypervisor.messages import (
     HEADER_SIZE,
     MessageError,
@@ -270,11 +270,31 @@ def test_a_wrong_length_nonce_is_a_channel_error_and_moves_no_watermark(
     bad = replace(
         sealed,
         nonce=nonce,
-        signature=_ALICE_KEY.sign(keccak256(nonce + sealed.ciphertext)) if sign else None,
+        signature=_ALICE_KEY.sign(message_digest(nonce, sealed.ciphertext)) if sign else None,
     )
     with pytest.raises(ChannelError, match=f"nonce is {length} bytes, expected 12"):
         bob.open(bad)
     assert bob.nonce_watermark == (0, 1)
+    assert bob.open(sealed) == b"bundle"
+
+
+@pytest.mark.parametrize("tier", available_backends())
+def test_a_signature_over_the_former_keccak_digest_is_refused(tier):
+    """The channel signs a labelled SHA-256 digest.  The genuine peer's
+    signature over the Keccak-256 digest the channel used to sign is a
+    bad signature, refused before the cipher, and the watermark stays."""
+    alice, bob = _channel_pair(backend=tier)
+    sealed = alice.seal(b"bundle")
+    assert message_digest(sealed.nonce, sealed.ciphertext) != keccak256(
+        sealed.nonce + sealed.ciphertext
+    )
+    old = replace(
+        sealed,
+        signature=_ALICE_KEY.sign(keccak256(sealed.nonce + sealed.ciphertext)),
+    )
+    with pytest.raises(ChannelError, match="bad message signature"):
+        bob.open(old)
+    assert bob.nonce_watermark == (0, 0)
     assert bob.open(sealed) == b"bundle"
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
 from repro.core.device import DeviceConfig
-from repro.crypto import ecc
+from repro.crypto import ecc, keccak
 from repro.crypto.backend import DEFAULT_BACKEND, activate, active_backend
 from repro.crypto.suite import AcceleratedAesGcmAead
 from repro.evm import opcodes
@@ -182,6 +182,37 @@ def test_bootstrap_writes_every_account_pages_walk_in_state_order(
         for address, account in node.state_at(node.height).accounts.items()
         for page in paging.account_pages(address, account)
     ]
+
+
+def test_a_fresh_service_hashes_no_code_the_node_already_hashed(
+    tiny_evalset, monkeypatch
+):
+    """The bulk load reads each code hash the node's commit kept with
+    the account, so a cold memo sees no contract bytecode (before: every
+    contract over 1 KB went through the sponge again on every setup)."""
+    node = tiny_evalset.node
+    assert any(
+        len(account.code) > 1024
+        for account in node.state_at(node.height).accounts.values()
+    )
+    engine = keccak.keccak_engine()
+    lengths: list[int] = []
+
+    class Counting:
+        name = engine.name
+
+        def hash_one(self, data):
+            lengths.append(len(data))
+            return engine.hash_one(data)
+
+        def hash_many(self, items):
+            lengths.extend(len(data) for data in items)
+            return engine.hash_many(items)
+
+    keccak.reset_keccak_memo()
+    monkeypatch.setattr(keccak, "_ENGINE", Counting())
+    HarDTAPEService(node, SecurityFeatures.from_level("full"), charge_fees=False)
+    assert [n for n in lengths if n > 1024] == []
 
 
 def test_proofs_from_an_unchanged_trie_cost_one_commit(monkeypatch):
