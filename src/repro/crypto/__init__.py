@@ -8,11 +8,11 @@ Hot-path primitives come in two registered, byte-identical *backend*
 tiers (:mod:`repro.crypto.backend`), selected per device config:
 ``hashlib``, the default, whose ``aead_factory(k)`` is an
 ``AcceleratedAesGcmAead`` and whose ``verifier(q)`` an
-``_OpensslVerifier`` (both OpenSSL through ``cryptography``), hashing
-through the numpy lane-wise Keccak engine; and ``reference``, the
-pure-Python oracle, whose ``aead_factory(k)`` is an ``AesGcmAead`` and
-whose ``verifier(q)`` is the ``PublicKey`` ``q`` itself.  Signing and
-ECDH are pure Python in both.
+``_OpensslVerifier`` (both OpenSSL through ``cryptography``); and
+``reference``, the pure-Python oracle, whose ``aead_factory(k)`` is an
+``AesGcmAead`` and whose ``verifier(q)`` is the ``PublicKey`` ``q``
+itself.  Signing, ECDH and Keccak-256 are pure Python in both: hashing
+is one sponge behind :func:`keccak256`'s memo, not a tier choice.
 """
 
 from repro.crypto.aes import AES
@@ -28,7 +28,6 @@ from repro.crypto.kdf import Drbg, hkdf_sha256
 from repro.crypto.keccak import (
     Keccak256,
     keccak256,
-    keccak256_many,
     keccak_memo_stats,
 )
 from repro.crypto.puf import DeviceIdentity, Manufacturer, SimulatedPuf
@@ -51,7 +50,6 @@ __all__ = [
     "InvalidSignature",
     "Keccak256",
     "keccak256",
-    "keccak256_many",
     "keccak_memo_stats",
     "Manufacturer",
     "Point",

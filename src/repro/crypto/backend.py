@@ -2,13 +2,14 @@
 
 HarDTAPE offloads contract-processing primitives to dedicated hardware
 units; the software analogue is a registry of interchangeable crypto
-*backends*, each a bundle of implementations for the three primitives
-on the hot path — Keccak-256 (trie nodes, sync roots, SHA3 opcodes),
-AES-GCM (secure channel, ORAM sealing), and ECDSA verification
-(channel signatures, receipts, the attestation chain) — selected per
-:class:`~repro.core.device.DeviceConfig` exactly like ``oram_backend``.
-A tier has three hooks, ``keccak_engine``, ``aead_factory`` and
-``verifier``; a verifier has one method, ``verify``.
+*backends*, each a bundle of implementations for the two primitives
+that differ on the wire path — the secure channel's AES-GCM and ECDSA
+verification (channel signatures, receipts, the attestation chain) —
+selected per :class:`~repro.core.device.DeviceConfig` exactly like
+``oram_backend``.  A tier has two hooks, ``aead_factory`` and
+``verifier``; a verifier has one method, ``verify``.  Hashing is not a
+tier choice: every Keccak-256 is the one pure-Python sponge behind
+:func:`~repro.crypto.keccak.keccak256`'s memo.
 
 Two tiers register at import time:
 
@@ -20,14 +21,12 @@ tier           ``type(aead_factory(k))``   ``type(verifier(q))``
 =============  ==========================  ===========================
 
 * ``hashlib`` — the default: AES-GCM and secp256k1 ECDSA verification
-  in OpenSSL through the ``cryptography`` package (a hard dependency),
-  hashing through the lane-wise vector engine
-  (:mod:`repro.crypto.keccak_numpy`).  It is the software stand-in for
-  the paper's dedicated A.E.DMA silicon, and measured end to end it is
-  the fastest tier (EXPERIMENTS ``TIER``).
-* ``reference`` — the pure-Python sponge, T-table AES-GCM and
-  table-free ECDSA verification; the ground truth the other tier is
-  gated against.
+  in OpenSSL through the ``cryptography`` package (a hard dependency).
+  It is the software stand-in for the paper's dedicated A.E.DMA
+  silicon, and measured end to end it is the fastest tier
+  (EXPERIMENTS ``TIER``).
+* ``reference`` — T-table AES-GCM and table-free ECDSA verification;
+  the ground truth the other tier is gated against.
 
 Each tier has one code path: nothing inside a tier falls back to
 another.  RFC 6979 signing and ECDH stay pure Python in both tiers
@@ -51,8 +50,6 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 
 from repro.crypto import ecc
 from repro.crypto.ecc import InvalidSignature, PublicKey, Signature
-from repro.crypto.keccak import SpongeKeccakEngine, set_keccak_engine
-from repro.crypto.keccak_numpy import VectorKeccakEngine
 from repro.crypto.suite import AcceleratedAesGcmAead, AeadCipher, AesGcmAead
 
 
@@ -83,11 +80,6 @@ class CryptoBackend:
     """
 
     name = "reference"
-    description = "pure-Python sponge, T-table AES, table-free ECDSA verify"
-
-    def keccak_engine(self):
-        """The Keccak engine this backend installs process-wide."""
-        return SpongeKeccakEngine()
 
     def aead_factory(self, key: bytes) -> AeadCipher:
         """An AES-GCM cipher for the secure channel (wire-identical)."""
@@ -138,16 +130,9 @@ class _OpensslVerifier:
 
 
 class HashlibBackend(CryptoBackend):
-    """The OpenSSL tier (the default); hashing rides the vector engine."""
+    """The OpenSSL tier (the default)."""
 
     name = "hashlib"
-    description = (
-        "OpenSSL AES-GCM + secp256k1 ECDSA verify via `cryptography`, "
-        "lane-wise batch Keccak-f[1600]"
-    )
-
-    def keccak_engine(self):
-        return VectorKeccakEngine()
 
     def aead_factory(self, key: bytes) -> AeadCipher:
         return AcceleratedAesGcmAead(key)
@@ -193,26 +178,19 @@ _active = _BACKENDS[DEFAULT_BACKEND]
 
 
 def active_backend() -> CryptoBackend:
-    """The process-wide backend (hash engine + bench selection)."""
+    """The process-wide backend: the tier the user-side checks use."""
     return _active
 
 
 def activate(name: str) -> CryptoBackend:
-    """Switch the process-wide backend and install its Keccak engine.
+    """Switch the process-wide backend.
 
     Per-device AEAD/verifier choices are threaded through
-    ``DeviceConfig.crypto_backend``; the *hash* engine is necessarily
-    process-global (``keccak256`` has no device context), and this is
-    the one supported switch point.  Safe to call at any time: engines
-    are byte-identical, so in-flight state never becomes inconsistent.
+    ``DeviceConfig.crypto_backend``; the process tier is what the
+    user-side checks (the attestation chain, receipts) and perf-bench
+    read.  Safe to call at any time: tiers are byte-identical, so
+    in-flight state never becomes inconsistent.
     """
     global _active
-    backend = get_backend(name)
-    _active = backend
-    set_keccak_engine(backend.keccak_engine())
-    return backend
-
-
-# Install the default tier's engine at import so trie commits batch
-# through the vector engine out of the box.
-activate(DEFAULT_BACKEND)
+    _active = get_backend(name)
+    return _active

@@ -16,14 +16,9 @@ re-hashed byte strings are memoised by :func:`keccak256` through a
 bounded cache with explicit hit/miss accounting
 (:func:`keccak_memo_stats`).
 
-The actual permutation work is delegated to a pluggable *engine*
-(:func:`set_keccak_engine`): the default is the pure-Python sponge
-below; the registered crypto backends (:mod:`repro.crypto.backend`)
-install faster engines — notably the lane-wise numpy batch engine in
-:mod:`repro.crypto.keccak_numpy`, which :func:`keccak256_many` uses to
-hash many independent inputs per permutation sweep.  Every engine is
-byte-identical to the sponge (gated by tests and perf-bench), so the
-choice never changes a digest, only wall clock.
+There is one Keccak path: every digest is ``Keccak256(data).digest()``
+behind that memo.  Hashing is not a crypto-tier choice; the tiers of
+:mod:`repro.crypto.backend` differ only in the AEAD and the verifier.
 """
 
 from __future__ import annotations
@@ -45,17 +40,6 @@ _ROUND_CONSTANTS = (
     0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 )
 
-# Rotation offsets, indexed [x][y] per the Keccak reference (the numpy
-# engine builds its tables from these; the scalar rounds below have
-# them folded in).
-_ROTATION = (
-    (0, 36, 3, 41, 18),
-    (1, 44, 10, 45, 2),
-    (62, 6, 43, 15, 61),
-    (28, 55, 25, 21, 56),
-    (27, 20, 39, 8, 14),
-)
-
 _RATE_BYTES = 136  # 1088-bit rate for Keccak-256.
 
 
@@ -63,10 +47,10 @@ def _keccak_f1600(lanes: list[int]) -> None:
     """Apply the Keccak-f[1600] permutation to 25 lanes in place.
 
     ``lanes`` is indexed as ``lanes[x + 5 * y]``.  Straight-line: the 25
-    lanes live in locals for all 24 rounds, and each rotation offset of
-    ``_ROTATION`` and each lane move of pi is written out as a constant
-    (2.7x the looped reference form, which ``tests/oracles.py`` keeps as
-    the oracle this must equal).
+    lanes live in locals for all 24 rounds, and each rho rotation offset
+    and each lane move of pi is written out as a constant (2.7x the
+    looped reference form, which ``tests/oracles.py`` keeps, with the
+    rotation table, as the oracle this must equal).
     """
     mask = _MASK64
     (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
@@ -166,15 +150,6 @@ def _keccak_f1600(lanes: list[int]) -> None:
     )
 
 
-def pad_keccak(data: bytes) -> bytes:
-    """Multi-rate pad ``data`` to a whole number of 136-byte blocks."""
-    padded = bytearray(data)
-    padded.append(0x01)
-    padded.extend(b"\x00" * (-len(padded) % _RATE_BYTES))
-    padded[-1] ^= 0x80
-    return bytes(padded)
-
-
 class Keccak256:
     """Incremental Keccak-256 hasher with a hashlib-like interface."""
 
@@ -219,42 +194,6 @@ class Keccak256:
 
 
 # ---------------------------------------------------------------------------
-# Engine seam: who actually runs the permutation.
-# ---------------------------------------------------------------------------
-
-
-class SpongeKeccakEngine:
-    """The reference engine: the pure-Python sponge, one input at a time."""
-
-    name = "sponge"
-
-    def hash_one(self, data: bytes) -> bytes:
-        return Keccak256(data).digest()
-
-    def hash_many(self, items: list[bytes]) -> list[bytes]:
-        return [Keccak256(data).digest() for data in items]
-
-
-_ENGINE = SpongeKeccakEngine()
-
-
-def keccak_engine():
-    """Return the currently installed Keccak engine."""
-    return _ENGINE
-
-
-def set_keccak_engine(engine) -> None:
-    """Install ``engine`` (``hash_one``/``hash_many``) as the active engine.
-
-    Engines must be byte-identical to :class:`SpongeKeccakEngine`; the
-    crypto-backend registry is the supported way to switch
-    (:func:`repro.crypto.backend.activate`).
-    """
-    global _ENGINE
-    _ENGINE = engine
-
-
-# ---------------------------------------------------------------------------
 # Bounded memo cache with explicit accounting.
 # ---------------------------------------------------------------------------
 
@@ -292,68 +231,21 @@ def reset_keccak_memo() -> None:
     _memo_stats.misses = 0
 
 
-def _cache_for(data: bytes) -> tuple[OrderedDict[bytes, bytes], int]:
-    if len(data) <= _SMALL_LIMIT:
-        return _small_cache, _SMALL_CAPACITY
-    return _large_cache, _LARGE_CAPACITY
-
-
-def _memo_put(cache: OrderedDict[bytes, bytes], capacity: int,
-              data: bytes, digest: bytes) -> None:
-    cache[data] = digest
-    if len(cache) > capacity:
-        cache.popitem(last=False)
-
-
 def keccak256(data: bytes) -> bytes:
     """Return the Keccak-256 digest of ``data`` (Ethereum's hash function)."""
     data = bytes(data)
-    cache, capacity = _cache_for(data)
+    if len(data) <= _SMALL_LIMIT:
+        cache, capacity = _small_cache, _SMALL_CAPACITY
+    else:
+        cache, capacity = _large_cache, _LARGE_CAPACITY
     cached = cache.get(data)
     if cached is not None:
         cache.move_to_end(data)
         _memo_stats.hits += 1
         return cached
     _memo_stats.misses += 1
-    digest = _ENGINE.hash_one(data)
-    _memo_put(cache, capacity, data, digest)
+    digest = Keccak256(data).digest()
+    cache[data] = digest
+    if len(cache) > capacity:
+        cache.popitem(last=False)
     return digest
-
-
-def keccak256_many(items: list[bytes]) -> list[bytes]:
-    """Hash many independent inputs, batching misses through the engine.
-
-    The batch seam behind trie commits and sync-root computation: memo
-    hits are served directly, and the remaining inputs go to the active
-    engine's ``hash_many`` in one call — which the numpy engine turns
-    into lane-parallel permutation sweeps.  Byte-identical to calling
-    :func:`keccak256` in a loop (property-tested).
-    """
-    out: list[bytes | None] = []
-    misses: list[bytes] = []
-    miss_slots: dict[bytes, list[int]] = {}
-    for index, raw in enumerate(items):
-        data = bytes(raw)
-        cache, _capacity = _cache_for(data)
-        cached = cache.get(data)
-        if cached is not None:
-            cache.move_to_end(data)
-            _memo_stats.hits += 1
-            out.append(cached)
-            continue
-        _memo_stats.misses += 1
-        out.append(None)
-        slots = miss_slots.get(data)
-        if slots is None:
-            miss_slots[data] = [index]
-            misses.append(data)  # hash each distinct miss once
-        else:
-            slots.append(index)
-    if misses:
-        digests = _ENGINE.hash_many(misses)
-        for data, digest in zip(misses, digests):
-            cache, capacity = _cache_for(data)
-            _memo_put(cache, capacity, data, digest)
-            for slot in miss_slots[data]:
-                out[slot] = digest
-    return out  # type: ignore[return-value]

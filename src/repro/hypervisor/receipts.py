@@ -133,8 +133,8 @@ class SignedReceipt:
         """Raises :class:`~repro.crypto.ecc.InvalidSignature` on forgery.
 
         The check is the user's, so it runs on the process tier
-        (:func:`~repro.crypto.backend.active_backend`), as the Keccak
-        engine does.  Every field is the device's to choose: roots that
+        (:func:`~repro.crypto.backend.active_backend`), as the
+        attestation chain's check does.  Every field is the device's to choose: roots that
         are not hex or a signature that is not an ``(r, s)`` pair are
         forgeries too.
         """

@@ -503,9 +503,8 @@ def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
     speedup = top.aggregate_tps / runs[1].aggregate_tps if runs[1].aggregate_tps else 0.0
     distinguisher = _distinguisher_rows(top, config)
 
-    # Mixed fleet: pyramid on alternating shards, path on the rest —
-    # the per-shard selection backend_for_working_set drives in a real
-    # deployment, exercised explicitly here.
+    # Mixed fleet: pyramid on alternating shards, path on the rest, each
+    # shard's ORAM backend chosen explicitly through ``oram_backend``.
     overrides = {
         shard_id: "pyramid"
         for shard_id in range(1, MIXED_SHARD_COUNT, 2)

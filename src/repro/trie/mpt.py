@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro import rlp
-from repro.crypto.keccak import keccak256, keccak256_many
+from repro.crypto.keccak import keccak256
 from repro.trie.nibbles import (
     bytes_to_nibbles,
     common_prefix_length,
@@ -89,105 +89,43 @@ class MerklePatriciaTrie:
     def root_hash(self) -> bytes:
         """Commit the tree and return its Merkle root.
 
-        Hashing is *batched*: dirty nodes are grouped by height and each
-        height's RLP encodings go through one
-        :func:`~repro.crypto.keccak.keccak256_many` call, so the active
-        crypto backend can run many Keccak sponges per permutation sweep
-        (the trie/sync-root hot path).  Byte-identical to hashing node
-        by node — same digests, same node store.  An unchanged trie
-        answers from its last commitment.
+        The commit is one post-order walk (:meth:`_commit`): each node's
+        ref is its RLP when that is under 32 bytes, else its Keccak-256
+        digest, with the RLP stored under the digest.  A root is always
+        referred to by hash, so a short root is hashed and stored too.
+        An unchanged trie answers from its last commitment.
         """
         if self._committed_root is not None:
             return self._committed_root
         if self._root == _BLANK:
             root = EMPTY_ROOT
         else:
-            root = self._commit_batched(self._root)
-            if len(root) < 32:
-                # Too short to be hashed as a child, but a root is
-                # always referred to by hash and a proof starts there.
-                encoded, root = root, keccak256(root)
+            root = self._commit(self._root)
+            if isinstance(root, list):
+                encoded = rlp.encode(root)
+                root = keccak256(encoded)
                 self._store[root] = encoded
         self._committed_root = root
         return root
 
-    def _commit_batched(self, root: Node) -> bytes:
-        """Encode and hash the in-memory tree level by level.
-
-        A node's ref depends only on its children's refs, so all nodes
-        at the same *height* (leaves at height 0) can be hashed in one
-        batch once the previous height is done.
-        """
-        # Pass 1: collect in-memory list-nodes by height, children first.
-        heights: dict[int, int] = {}
-        by_height: dict[int, list[list]] = {}
-
-        def _list_children(node: list) -> list[list]:
-            if len(node) == 17:
-                return [
-                    child for child in node[:16]
-                    if isinstance(child, list)
-                ]
-            _path, is_leaf = hp_decode(node[0])
-            if not is_leaf and isinstance(node[1], list):
-                return [node[1]]
-            return []
-
-        stack: list[tuple[list, bool]] = [(root, False)] if isinstance(root, list) else []
-        while stack:
-            node, expanded = stack.pop()
-            if id(node) in heights:
-                continue
-            children = _list_children(node)
-            if expanded or not children:
-                height = 1 + max(
-                    (heights[id(child)] for child in children), default=-1
-                )
-                heights[id(node)] = height
-                by_height.setdefault(height, []).append(node)
-            else:
-                stack.append((node, True))
-                stack.extend((child, False) for child in children)
-        if not heights:
-            # Root is a bytes ref (already committed): nothing to hash.
-            return bytes(root)
-
-        # Pass 2: per height, encode against the already-committed
-        # children and batch-hash every encoding that needs a digest.
-        refs: dict[int, rlp.codec.RlpItem] = {}  # id(node) -> item to embed
-
-        def _child_item(child: Node) -> rlp.codec.RlpItem:
-            if isinstance(child, (bytes, bytearray)):
-                return bytes(child)
-            return refs[id(child)]
-
-        for height in sorted(by_height):
-            encoded_nodes: list[tuple[list, bytes]] = []
-            for node in by_height[height]:
-                if len(node) == 17:
-                    item = [_child_item(node[i]) for i in range(16)] + [node[16]]
-                else:
-                    _path, is_leaf = hp_decode(node[0])
-                    item = (
-                        [node[0], node[1]]
-                        if is_leaf
-                        else [node[0], _child_item(node[1])]
-                    )
-                encoded = rlp.encode(item)
-                if len(encoded) < 32:
-                    refs[id(node)] = rlp.decode(encoded)  # embed structurally
-                else:
-                    encoded_nodes.append((node, encoded))
-            if encoded_nodes:
-                digests = keccak256_many([enc for _n, enc in encoded_nodes])
-                for (node, encoded), digest in zip(encoded_nodes, digests):
-                    self._store[digest] = encoded
-                    refs[id(node)] = digest
-
-        root_item = refs[id(root)]
-        if isinstance(root_item, (bytes, bytearray)) and len(root_item) == 32:
-            return bytes(root_item)
-        return rlp.encode(root_item)
+    def _commit(self, node: Node) -> rlp.codec.RlpItem:
+        """Return the RLP item a parent embeds for ``node``: a 32-byte
+        ref as-is, a node whose RLP is under 32 bytes structurally, and
+        any other node as the digest its RLP is stored under."""
+        if isinstance(node, (bytes, bytearray)):
+            return bytes(node)
+        if len(node) == 17:
+            item = [self._commit(node[i]) for i in range(16)] + [node[16]]
+        elif hp_decode(node[0])[1]:  # leaf
+            item = [node[0], node[1]]
+        else:
+            item = [node[0], self._commit(node[1])]
+        encoded = rlp.encode(item)
+        if len(encoded) < 32:
+            return item
+        digest = keccak256(encoded)
+        self._store[digest] = encoded
+        return digest
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """Iterate ``(key, value)`` pairs in lexicographic key order."""

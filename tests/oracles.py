@@ -11,10 +11,17 @@ equal what this code computes.
 ``looped_keccak_f1600`` is the Keccak-f[1600] permutation as the
 reference specification writes it — theta, rho + pi, chi, iota as
 nested loops over a rotation table — the code ``repro.crypto.keccak``
-shipped before its rounds were written out straight-line.  It shares
-the round constants and the rotation table with production and nothing
-else: the folded rotation amounts and lane moves there must reproduce
-what these loops compute from the table.
+shipped before its rounds were written out straight-line.  It keeps
+the rotation table here, beside the only loops that read it, and shares
+the round constants with production and nothing else: the folded
+rotation amounts and lane moves there must reproduce what these loops
+compute from the table.
+
+``yellow_paper_trie`` is the Yellow Paper's appendix D ``TRIE(J)``
+computed straight from the sorted key/value set: no tree object, no
+put or delete, no code shared with ``repro.trie``.  The root and the
+hashed nodes a ``MerklePatriciaTrie`` commits must equal what it
+computes.
 
 ``reference_run`` is the interpreter's dispatch loop as it shipped
 before the per-opcode step table: ``opcodes.info`` per step,
@@ -33,9 +40,10 @@ the same exception type with the same message.
 
 from __future__ import annotations
 
+from repro import rlp
 from repro.crypto.backend import activate, active_backend, available_backends
 from repro.crypto.ecc import G, INFINITY, N, P, InvalidSignature, Point, Signature
-from repro.crypto.keccak import _MASK64, _ROTATION, _ROUND_CONSTANTS
+from repro.crypto.keccak import _MASK64, _ROUND_CONSTANTS, keccak256
 from repro.evm import opcodes
 from repro.evm.exceptions import FrameError, InvalidOpcode, OutOfGas
 from repro.evm.instructions import DISPATCH
@@ -100,6 +108,16 @@ def outcome_per_tier(check) -> dict[str, tuple]:
     return outcomes
 
 
+# Rotation offsets, indexed [x][y] per the Keccak reference.
+_ROTATION = (
+    (0, 36, 3, 41, 18),
+    (1, 44, 10, 45, 2),
+    (62, 6, 43, 15, 61),
+    (28, 55, 25, 21, 56),
+    (27, 20, 39, 8, 14),
+)
+
+
 def _rol(value: int, shift: int) -> int:
     """Rotate a 64-bit lane left by ``shift`` bits."""
     shift %= 64
@@ -136,6 +154,72 @@ def looped_keccak_f1600(lanes: list[int]) -> None:
         lanes[0] ^= round_constant
 
 
+def yellow_paper_trie(items: dict[bytes, bytes]) -> tuple[bytes, dict[bytes, bytes]]:
+    """``TRIE(J)`` of Yellow Paper appendix D over ``items``.
+
+    Returns the root and the node store it commits: the RLP of every node
+    referred to by hash, under its Keccak-256.  A node whose RLP is
+    under 32 bytes is embedded in its parent, except the root, which is
+    always hashed (and stored).  The empty set's root is
+    ``KEC(RLP(""))`` and stores nothing.
+    """
+    stored: dict[bytes, bytes] = {}
+    # J as (nibble key, value) pairs, sorted: the keys' longest shared
+    # prefix is then the one the first and last key share.
+    pairs = sorted(
+        (tuple(nibble for byte in key for nibble in (byte >> 4, byte & 15)), value)
+        for key, value in items.items()
+    )
+
+    def hex_prefix(nibbles: tuple[int, ...], leaf: bool) -> bytes:  # HP(x, t)
+        flag = 2 if leaf else 0
+        if len(nibbles) % 2:
+            nibbles = (flag + 1,) + nibbles
+        else:
+            nibbles = (flag, 0) + nibbles
+        return bytes(
+            16 * nibbles[k] + nibbles[k + 1] for k in range(0, len(nibbles), 2)
+        )
+
+    def n(subset: list, i: int):
+        """The node-composition function: what a parent embeds."""
+        if not subset:
+            return b""
+        node = c(subset, i)
+        encoded = rlp.encode(node)
+        if len(encoded) < 32:
+            return node
+        digest = keccak256(encoded)
+        stored[digest] = encoded
+        return digest
+
+    def c(subset: list, i: int) -> list:
+        """The structural composition of the pairs' keys from nibble ``i``."""
+        if len(subset) == 1:
+            (key, value), = subset
+            return [hex_prefix(key[i:], True), value]
+        first, last = subset[0][0], subset[-1][0]
+        j = i
+        while j < min(len(first), len(last)) and first[j] == last[j]:
+            j += 1
+        if j > i:
+            return [hex_prefix(first[i:j], False), n(subset, j)]
+        children = [
+            n([(key, value) for key, value in subset if len(key) > i and key[i] == x],
+              i + 1)
+            for x in range(16)
+        ]
+        here = [value for key, value in subset if len(key) == i]
+        return children + [here[0] if here else b""]
+
+    if not pairs:
+        return keccak256(rlp.encode(b"")), stored
+    encoded = rlp.encode(c(pairs, 0))
+    root = keccak256(encoded)
+    stored[root] = encoded
+    return root, stored
+
+
 def in_memory_proof(trie, key: bytes) -> list[bytes]:
     """The Merkle proof for ``key``, derived from the in-memory nodes.
 
@@ -144,8 +228,6 @@ def in_memory_proof(trie, key: bytes) -> list[bytes]:
     re-encode the whole subtree under every node on the path.  It never
     looks at the commitment, so it cannot be misled by a stale one.
     """
-    from repro import rlp
-    from repro.crypto.keccak import keccak256
     from repro.trie.nibbles import bytes_to_nibbles, common_prefix_length, hp_decode
 
     def to_rlp(node):

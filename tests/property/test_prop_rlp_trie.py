@@ -2,11 +2,12 @@
 
 import copy
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import rlp
 from repro.trie import MerklePatriciaTrie, verify_proof
-from tests.oracles import in_memory_proof
+from tests.oracles import in_memory_proof, yellow_paper_trie
 
 rlp_items = st.recursive(
     st.binary(max_size=70),
@@ -146,3 +147,55 @@ def test_commitment_never_outlives_the_tree_it_committed(operations):
     for key in list(model) + [b"\x00absent"]:
         assert trie.prove(key) == twin.prove(key) == in_memory_proof(trie, key)
         assert verify_proof(trie.root_hash(), key, trie.prove(key)) == model.get(key)
+
+
+# Keys over a four-byte alphabet share prefixes, end inside one another
+# (a branch's value slot) and split on both nibbles of a byte.
+oracle_keys = st.binary(max_size=3).map(
+    lambda raw: bytes(b"\x00\x01\x10\xab"[byte % 4] for byte in raw)
+)
+oracle_histories = st.lists(
+    st.tuples(
+        oracle_keys,
+        # None deletes; short values give embedded nodes and roots whose
+        # RLP is under 32 bytes, long ones hashed nodes.
+        st.one_of(
+            st.none(),
+            st.binary(min_size=1, max_size=3),
+            st.binary(min_size=30, max_size=40),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@pytest.mark.perf
+@given(oracle_histories, st.booleans())
+@example([(b"k", b"v")], False)  # one key, a root RLP of 4 bytes
+@example([(b"\x00", b"a"), (b"\x00\x01", b"b")], True)  # short branch root
+@example([(b"\xab" * 3, b"\x07" * 40)], True)  # one key, a hashed leaf root
+@example([(b"k", b"v"), (b"k", None)], True)  # back to the empty trie
+@settings(max_examples=150, deadline=None)
+def test_trie_commit_equals_the_yellow_paper_trie(history, commit_each_step):
+    """The root and node store of a put/delete history equal appendix
+    D's ``TRIE(J)`` over the final key/value set.  Committed once at
+    the end, the store holds exactly the oracle's hashed nodes;
+    committed after every step, each root matches and the final store
+    holds them among the older commits' nodes."""
+    trie = MerklePatriciaTrie()
+    model: dict[bytes, bytes] = {}
+    for key, value in history:
+        if value is None:
+            trie.delete(key)
+            model.pop(key, None)
+        else:
+            trie.put(key, value)
+            model[key] = value
+        if commit_each_step:
+            assert trie.root_hash() == yellow_paper_trie(model)[0]
+    root, nodes = yellow_paper_trie(model)
+    assert trie.root_hash() == root
+    if commit_each_step:
+        assert nodes.items() <= trie._store.items()
+    else:
+        assert trie._store == nodes

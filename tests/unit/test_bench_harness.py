@@ -385,7 +385,9 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
         r"|RequestStatus\.(?:EXPIRED|CANCELLED)"
         r"|\bdeadline_us(?:=|: float \| None)"
     )
-    # shard-bench's ring gate keeps its own ``min_speedup`` report key.
+    # shard-bench's ring gate keeps its own ``min_speedup`` report key:
+    # in that one file the key is blanked out, and the rest of each line
+    # is still searched.
     shard_bench = REPO / "src" / "repro" / "sharding" / "bench.py"
     sources = [
         path
@@ -399,9 +401,11 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
     offenders = [
         f"{path.relative_to(REPO)}:{number}"
         for path in sources
-        if path not in (Path(__file__).resolve(), shard_bench)
+        if path != Path(__file__).resolve()
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if deleted.search(line)
+        if deleted.search(
+            line.replace("min_speedup", "") if path == shard_bench else line
+        )
     ]
     assert offenders == []
 
@@ -409,14 +413,17 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
 def test_two_crypto_tiers_and_no_deleted_verify_seam_grows_back():
     """Plain-text grep, like the one above.  The crypto registry is the
     reference oracle and the OpenSSL default, a verifier has one method,
-    ``verify``, and the names of the deleted numpy tier and batch-verify
-    seam appear nowhere in the code trees."""
+    ``verify``, and the names of the deleted numpy tier, batch-verify
+    seam and Keccak engine seam appear nowhere in the code trees."""
     from repro.crypto.backend import available_backends
 
     assert available_backends() == ("reference", "hashlib")
     deleted = re.compile(
         r"\b(?:NumpyBackend|precomputed_verifier|batch_verify|ecdsa_verify_many"
-        r"|open_batch|_verifier_cache|_ReferenceVerifier)\b"
+        r"|open_batch|_verifier_cache|_ReferenceVerifier"
+        r"|VectorKeccakEngine|SpongeKeccakEngine|keccak_numpy|keccak256_many"
+        r"|set_keccak_engine|keccak_engine|hash_many|_commit_batched"
+        r"|pad_keccak)\b"
     )
     offenders = [
         f"{path.relative_to(REPO)}:{number}"
@@ -457,7 +464,7 @@ def test_keccak_is_called_only_where_the_design_table_says():
         return any(
             isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None))
-            in ("keccak256", "keccak256_many")
+            == "keccak256"
             for node in ast.walk(tree)
         )
 

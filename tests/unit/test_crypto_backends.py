@@ -1,7 +1,8 @@
 """The pluggable CryptoBackend tier: registry, validation, identity.
 
 Every registered backend must be a drop-in for every other one — same
-Keccak digests, same AEAD wire bytes, same ECDSA verdicts.  These tests
+AEAD wire bytes, same ECDSA verdicts — and Keccak-256, which is not a
+tier choice, must give the same digests whichever tier is active.  These tests
 pin that invariant with known-answer vectors and cross-backend checks;
 the perf plane (``perf-bench``) additionally gates whole-workload
 byte-identity pairwise.
@@ -20,7 +21,6 @@ from repro.crypto.backend import (
 )
 from repro.crypto.keccak import (
     keccak256,
-    keccak256_many,
     keccak_memo_stats,
     reset_keccak_memo,
 )
@@ -28,8 +28,8 @@ from repro.crypto.keccak import (
 # Ethereum Keccak-256 known answers (0x01 multi-rate padding, not NIST
 # SHA3).  The first two are the canonical published vectors; the
 # 200-byte message spans two rate-sized (136 B) blocks and is pinned
-# against the repo's KAT-validated scalar sponge, so a vectorized
-# engine with a broken multi-block absorb cannot pass.
+# against the repo's KAT-validated scalar sponge, so a broken
+# multi-block absorb cannot pass.
 KNOWN_VECTORS = [
     (b"", "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"),
     (b"abc", "4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45"),
@@ -112,21 +112,8 @@ def test_default_backend_is_registered():
 
 
 # ---------------------------------------------------------------------------
-# Keccak known answers, per backend engine
+# Keccak known answers under each active tier
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend_name", ["reference", "hashlib"])
-@pytest.mark.parametrize("message,expected", KNOWN_VECTORS)
-def test_keccak_kat_per_backend_engine(backend_name, message, expected):
-    engine = get_backend(backend_name).keccak_engine()
-    assert engine.hash_one(message).hex() == expected
-    # Bury the vector inside a mixed batch so the lane-wise engines
-    # cannot pass via a scalar fallback alone.
-    batch = [b"filler-%d" % i for i in range(7)] + [message] * 3
-    digests = engine.hash_many(batch)
-    assert [d.hex() for d in digests[-3:]] == [expected] * 3
-    assert digests[0] == keccak256(b"filler-0")
 
 
 @pytest.mark.parametrize("backend_name", ["reference", "hashlib"])
@@ -175,13 +162,6 @@ def test_keccak_memo_counters_track_hits_and_misses():
     stats = keccak_memo_stats()
     assert stats.misses == 1
     assert stats.hits == 1
-
-
-def test_keccak256_many_dedupes_within_a_batch():
-    reset_keccak_memo()
-    digests = keccak256_many([b"dup", b"dup", b"only"])
-    assert digests[0] == digests[1] == keccak256(b"dup")
-    assert digests[2] == keccak256(b"only")
 
 
 def test_access_summary_carries_keccak_counters():

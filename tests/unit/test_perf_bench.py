@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.bench.report import GateReport
-from repro.crypto.backend import get_backend
-from repro.crypto.keccak import Keccak256, SpongeKeccakEngine, keccak256
+from repro.crypto.backend import DEFAULT_BACKEND, active_backend, get_backend
+from repro.crypto.suite import AesGcmAead
 from repro.perf.bench import PerfBenchConfig, run_perf_bench
 
 
@@ -64,29 +64,27 @@ def test_perf_bench_summary_mentions_the_gate(report):
     assert "Verifier" not in text and "PublicKey" not in text
 
 
-class _OffByOneBitEngine(SpongeKeccakEngine):
-    """A tier whose every digest differs from the sponge in one bit."""
+class _OffByOneBitAead(AesGcmAead):
+    """A tier cipher whose every ciphertext differs from AES-GCM in one
+    bit, and which opens its own ciphertexts."""
 
-    def hash_one(self, data):
-        digest = super().hash_one(data)
-        return digest[:-1] + bytes([digest[-1] ^ 1])
+    def encrypt(self, nonce, plaintext, aad=b""):
+        sealed = super().encrypt(nonce, plaintext, aad)
+        return sealed[:-1] + bytes([sealed[-1] ^ 1])
 
-    def hash_many(self, items):
-        return [self.hash_one(data) for data in items]
+    def decrypt(self, nonce, data, aad=b""):
+        return super().decrypt(nonce, data[:-1] + bytes([data[-1] ^ 1]), aad)
 
 
 def test_a_diverging_tier_fails_with_a_named_gate(monkeypatch):
-    # The non-default tier, so the bench's own ``activate(previous)``
-    # reinstalls an honest engine; each later tier starts memo-cold.
-    monkeypatch.setattr(
-        get_backend("reference"), "keccak_engine", _OffByOneBitEngine
-    )
+    monkeypatch.setattr(get_backend("reference"), "aead_factory", _OffByOneBitAead)
     report = run_perf_bench(PerfBenchConfig.smoke())
     assert not report.passed
     (failure,) = report.gate_failures
     assert failure.startswith("crypto backends diverge pairwise (")
-    for digest in ("trie_roots", "batch_hashes"):
-        assert f"reference vs hashlib: {digest}" in failure
+    assert "reference vs hashlib: channel_wire" in failure
+    # The lying tier still opens what it sealed: only the wire diverges.
+    assert "channel_plaintexts" not in failure
     assert json.loads(report.to_json())["passed"] is False
-    # Nothing of the lying tier outlives the run.
-    assert keccak256(b"perf-bench") == Keccak256(b"perf-bench").digest()
+    # The bench hands the process tier back as it found it.
+    assert active_backend().name == DEFAULT_BACKEND

@@ -56,6 +56,27 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def _count_commit_walks(monkeypatch) -> list:
+    """Patch the trie's recursive commit to append to the returned list
+    once per walk ``root_hash`` enters, not once per node it visits."""
+    walks: list = []
+    original = MerklePatriciaTrie._commit
+    depth = 0
+
+    def counting(self, node):
+        nonlocal depth
+        if depth == 0:
+            walks.append(node)
+        depth += 1
+        try:
+            return original(self, node)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(MerklePatriciaTrie, "_commit", counting)
+    return walks
+
+
 def _last_block_on_its_own_node(evalset) -> EthereumNode:
     """The evaluation set's last block, about to be re-executed on a node
     of its own so that no earlier test has warmed the state's tries."""
@@ -195,22 +216,15 @@ def test_a_fresh_service_hashes_no_code_the_node_already_hashed(
         len(account.code) > 1024
         for account in node.state_at(node.height).accounts.values()
     )
-    engine = keccak.keccak_engine()
     lengths: list[int] = []
 
-    class Counting:
-        name = engine.name
-
-        def hash_one(self, data):
+    class Counting(keccak.Keccak256):
+        def __init__(self, data=b""):
             lengths.append(len(data))
-            return engine.hash_one(data)
-
-        def hash_many(self, items):
-            lengths.extend(len(data) for data in items)
-            return engine.hash_many(items)
+            super().__init__(data)
 
     keccak.reset_keccak_memo()
-    monkeypatch.setattr(keccak, "_ENGINE", Counting())
+    monkeypatch.setattr(keccak, "Keccak256", Counting)
     HarDTAPEService(node, SecurityFeatures.from_level("full"), charge_fees=False)
     assert [n for n in lengths if n > 1024] == []
 
@@ -220,7 +234,7 @@ def test_proofs_from_an_unchanged_trie_cost_one_commit(monkeypatch):
     keys = [b"key-%03d" % index for index in range(64)]
     for key in keys:
         trie.put(key, key * 5)
-    walks = _count_calls(monkeypatch, MerklePatriciaTrie, "_commit_batched")
+    walks = _count_commit_walks(monkeypatch)
     for key in keys:
         trie.prove(key)
         trie.root_hash()
