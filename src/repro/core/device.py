@@ -68,8 +68,10 @@ class DeviceConfig:
     # Which registered CryptoBackend tier runs this device's secure
     # channel AEAD and signature verification (repro.crypto.backend):
     # "hashlib" (OpenSSL: AcceleratedAesGcmAead, _OpensslVerifier) or
-    # "reference" (pure Python: AesGcmAead, the peer PublicKey itself).
-    # Both tiers are wire-identical; the knob trades wall clock only.
+    # "reference" (the pure-Python oracle: AesGcmAead, the peer
+    # PublicKey itself).  Both tiers are wire-identical; the knob trades
+    # wall clock only, and "reference" exists to be compared against.
+    # Every other seal (ORAM blocks, journal, tickets) is OpenSSL's.
     crypto_backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:

@@ -25,8 +25,10 @@ tier           ``type(aead_factory(k))``   ``type(verifier(q))``
   It is the software stand-in for the paper's dedicated A.E.DMA
   silicon, and measured end to end it is the fastest tier
   (EXPERIMENTS ``TIER``).
-* ``reference`` — T-table AES-GCM and table-free ECDSA verification;
-  the ground truth the other tier is gated against.
+* ``reference`` — block-at-a-time pure-Python AES-GCM and table-free
+  ECDSA verification; the ground truth the other tier is gated against.
+  Only tests, perf-bench and ``benchmarks/bench_fault_recovery.py``
+  select it.
 
 Each tier has one code path: nothing inside a tier falls back to
 another.  RFC 6979 signing and ECDH stay pure Python in both tiers

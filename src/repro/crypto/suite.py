@@ -1,14 +1,11 @@
 """Pluggable authenticated-encryption suites.
 
-The real HarDTAPE seals with AES-GCM hardware (the A.E.DMA units), and
-so does the simulation: every ORAM block, journal record, checkpoint and
-resumption ticket is sealed by :class:`AcceleratedAesGcmAead` (AES-GCM
-through OpenSSL), whatever crypto tier the channel runs on.  The
-pure-Python :class:`AesGcmAead` is its wire-identical oracle and the
-reference tier's channel cipher.  Simulated time is charged by the
-hardware cost model either way, so the cipher never affects reported
-simulated numbers — only wall clock.  :class:`Blake2Aead` is built by
-nothing; see its docstring.
+Every ORAM block, journal record, checkpoint and resumption ticket is
+sealed by :class:`AcceleratedAesGcmAead`, AES-GCM through OpenSSL — the
+simulation's A.E.DMA units — whatever crypto tier the channel runs on.
+:class:`AesGcmAead` is its pure-Python, wire-identical oracle.  The
+cipher moves wall clock only: simulated time comes from the cost model.
+:class:`Blake2Aead` is built by nothing; see its docstring.
 """
 
 from __future__ import annotations
@@ -20,12 +17,15 @@ from typing import Protocol
 from cryptography.exceptions import InvalidTag as _InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM as _OpensslAesGcm
 
-from repro.crypto.aes import xor_bytes
-from repro.crypto.gcm import AesGcm, AuthenticationError
+from repro.crypto.aes import AES, ghash, ghash_tables, xor_bytes
 
 # Batch items are (nonce, payload, aad) triples; payload is plaintext
 # for sealing and ciphertext||tag for opening.
 AeadItem = tuple[bytes, bytes, bytes]
+
+
+class AuthenticationError(Exception):
+    """Raised when an AEAD tag does not verify (tampered or wrong key)."""
 
 
 class AeadCipher(Protocol):
@@ -41,53 +41,53 @@ class AeadCipher(Protocol):
         ...
 
 
-def seal_blocks(cipher: AeadCipher, items: list[AeadItem]) -> list[bytes]:
-    """Encrypt many ``(nonce, plaintext, aad)`` items under one cipher.
-
-    Uses the cipher's native batch path when it has one (AES-GCM
-    vectorizes all CTR keystreams in a single pass) and falls back to
-    per-item :meth:`encrypt` otherwise.  Output is byte-identical
-    either way.
-    """
-    native = getattr(cipher, "seal_blocks", None)
-    if native is not None:
-        return native(items)
-    return [cipher.encrypt(nonce, pt, aad) for nonce, pt, aad in items]
-
-
-def open_blocks(cipher: AeadCipher, items: list[AeadItem]) -> list[bytes]:
-    """Verify-and-decrypt many ``(nonce, data, aad)`` items.
-
-    Like :func:`seal_blocks`, dispatches to a native batch
-    implementation when available.  Any authentication failure raises
-    before plaintexts are returned.
-    """
-    native = getattr(cipher, "open_blocks", None)
-    if native is not None:
-        return native(items)
-    return [cipher.decrypt(nonce, data, aad) for nonce, data, aad in items]
-
-
 class AesGcmAead:
-    """AES-GCM (the paper's cipher)."""
+    """AES-GCM in pure Python, block at a time (NIST SP 800-38D): CTR over
+    :meth:`AES.encrypt_block` and a table GHASH.  It serves nothing: it is
+    :class:`AcceleratedAesGcmAead`'s oracle and the reference tier's cipher."""
 
     nonce_size = 12
     tag_size = 16
 
     def __init__(self, key: bytes) -> None:
-        self._gcm = AesGcm(key)
+        self._aes = AES(key)
+        h = self._aes.encrypt_block(bytes(16))
+        self._tables = ghash_tables(int.from_bytes(h, "big"))
+
+    def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+        j0 = self._aes.encrypt_block(nonce + b"\x00\x00\x00\x01")
+        return xor_bytes(ghash(self._tables, aad, ciphertext).to_bytes(16, "big"), j0)
+
+    def _ctr(self, nonce: bytes, data: bytes) -> bytes:
+        counter_block = nonce + b"\x00\x00\x00\x02"
+        return xor_bytes(data, self._aes.ctr_keystream(counter_block, len(data)))
 
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        return self._gcm.encrypt(nonce, plaintext, aad)
+        if len(nonce) != self.nonce_size:
+            raise ValueError("nonce must be 12 bytes")
+        ciphertext = self._ctr(nonce, plaintext)
+        return ciphertext + self._tag(nonce, aad, ciphertext)
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
-        return self._gcm.decrypt(nonce, data, aad)
+        if len(nonce) != self.nonce_size:
+            raise ValueError("nonce must be 12 bytes")
+        if len(data) < self.tag_size:
+            raise AuthenticationError("message shorter than a tag")
+        ciphertext, tag = data[:-self.tag_size], data[-self.tag_size:]
+        if not hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
+            raise AuthenticationError("tag mismatch")
+        return self._ctr(nonce, ciphertext)
 
     def seal_blocks(self, items: list[AeadItem]) -> list[bytes]:
-        return self._gcm.seal_blocks(items)
+        """:meth:`encrypt` per item.  Nothing in the package calls it: it
+        is kept only because the e2e ledger's ``benchmarks/e2e/trace.py``
+        patches it by name, until that table drops it (ROADMAP 4 (a))."""
+        return [self.encrypt(nonce, pt, aad) for nonce, pt, aad in items]
 
     def open_blocks(self, items: list[AeadItem]) -> list[bytes]:
-        return self._gcm.open_blocks(items)
+        """:meth:`decrypt` per item (the first bad tag raises), kept for
+        the ledger's name table as :meth:`seal_blocks` is."""
+        return [self.decrypt(nonce, data, aad) for nonce, data, aad in items]
 
 
 # ``cryptography`` is a hard dependency: the default tier's channel runs
@@ -97,12 +97,10 @@ HAVE_OPENSSL_AESGCM = True
 
 
 class AcceleratedAesGcmAead:
-    """AES-GCM through OpenSSL (the ``hashlib`` tier, the default).
-
-    Wire-identical to :class:`AesGcmAead` — same ``ciphertext || tag``
-    layout, same 12-byte nonces, same accept/reject decisions — which
-    perf-bench's pairwise backend identity gate enforces on every run.
-    """
+    """AES-GCM through OpenSSL: every seal the package serves, and the
+    default (``hashlib``) tier's channel cipher.  Wire-identical to
+    :class:`AesGcmAead` — same ``ciphertext || tag`` bytes, same 12-byte
+    nonces, same accept/reject decisions (``test_prop_crypto.py``)."""
 
     nonce_size = 12
     tag_size = 16

@@ -9,7 +9,7 @@ here for one-stop imports:
 
 * :class:`~repro.hypervisor.channel.ChannelError` — authenticated-DMA
   tag / signature / replay failure on a channel message,
-* :class:`~repro.crypto.gcm.AuthenticationError` — AES-GCM tag failure
+* :class:`~repro.crypto.suite.AuthenticationError` — AES-GCM tag failure
   on an ORAM bucket or encrypted-store blob,
 * :class:`~repro.hypervisor.sync.SyncError` — Merkle proof rejection
   during block sync,
@@ -28,7 +28,7 @@ here for one-stop imports:
 
 from __future__ import annotations
 
-from repro.crypto.gcm import AuthenticationError
+from repro.crypto.suite import AuthenticationError
 from repro.hypervisor.attestation import AttestationError
 from repro.hypervisor.channel import ChannelError
 from repro.hypervisor.hypervisor import HypervisorCrashError, UnknownSessionError

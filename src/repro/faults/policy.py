@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.crypto.gcm import AuthenticationError
+from repro.crypto.suite import AuthenticationError
 from repro.faults.errors import (
     ChannelError,
     CircuitOpenError,

@@ -10,9 +10,10 @@ Which *implementations* run the AEAD and the signature check is a
 :class:`~repro.crypto.backend.CryptoBackend` choice (threaded from
 ``DeviceConfig.crypto_backend``): under ``hashlib``, the default, the
 cipher is an ``AcceleratedAesGcmAead`` and the peer verifier an
-``_OpensslVerifier``; under ``reference`` they are an ``AesGcmAead``
-and the peer ``PublicKey`` itself.  Both tiers are wire-identical, so
-the two endpoints of one channel may even run different tiers.  The
+``_OpensslVerifier``; under ``reference``, the pure-Python oracle that
+only tests and benches select, they are an ``AesGcmAead`` and the peer
+``PublicKey`` itself.  Both tiers are wire-identical, so the two
+endpoints of one channel may even run different tiers.  The
 peer verification key is wrapped in the tier's verifier once, at
 channel construction.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.crypto.backend import DEFAULT_BACKEND, CryptoBackend, get_backend
 from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
-from repro.crypto.gcm import AuthenticationError
+from repro.crypto.suite import AuthenticationError
 
 
 # Counter nonces: the AES-GCM nonce size, big-endian.

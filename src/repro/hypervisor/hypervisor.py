@@ -18,6 +18,7 @@ from functools import cached_property
 from repro import rlp
 from repro.crypto.ecc import PrivateKey, PublicKey
 from repro.crypto.kdf import Drbg, hkdf_sha256
+from repro.crypto.suite import AcceleratedAesGcmAead
 from repro.evm.interpreter import ChainContext
 from repro.hardware.csu import BootImage, BootReceipt, ConfigurationSecurityUnit
 from repro.hardware.hevm import HevmCore
@@ -710,8 +711,7 @@ class Hypervisor:
         if peer_dh.ecdh(own_dh.public_key()) != shared:
             raise ChannelError("ORAM key hand-off: the two ECDH sides disagree")
         wrap_key = hkdf_sha256(shared, info=b"oram-key-wrap")
-        from repro.crypto.suite import AesGcmAead
-
-        sealed = AesGcmAead(wrap_key).encrypt(b"\x00" * 12, self.oram_key)
-        other.oram_key = AesGcmAead(wrap_key).decrypt(b"\x00" * 12, sealed)
+        # A fresh ECDH key per call, so the zero nonce is never reused.
+        sealed = AcceleratedAesGcmAead(wrap_key).encrypt(b"\x00" * 12, self.oram_key)
+        other.oram_key = AcceleratedAesGcmAead(wrap_key).decrypt(b"\x00" * 12, sealed)
         self.clock.advance_us(self.cost.dhke_us)

@@ -32,8 +32,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.crypto.gcm import AuthenticationError
-from repro.crypto.suite import CounterNonceSealer
+from repro.crypto.suite import AuthenticationError, CounterNonceSealer
 
 TICKET_MAGIC = b"HTK1"
 _HEADER = struct.Struct(">4sQQ")  # magic, epoch, seq

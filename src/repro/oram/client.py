@@ -33,14 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.crypto.gcm import AuthenticationError
 from repro.crypto.kdf import Drbg
 from repro.crypto.keccak import keccak_memo_stats
 from repro.crypto.suite import (
     AcceleratedAesGcmAead,
     AeadCipher,
-    open_blocks,
-    seal_blocks,
+    AuthenticationError,
 )
 from repro.oram import slot
 from repro.oram.server import OramServer, OramServerStall
@@ -126,7 +124,7 @@ class OramTimeoutError(Exception):
 class RollbackDetectedError(Exception):
     """The SP served an authentic-but-stale bucket: a tree rollback.
 
-    Distinct from :class:`~repro.crypto.gcm.AuthenticationError` (plain
+    Distinct from :class:`~repro.crypto.suite.AuthenticationError` (plain
     tag corruption, a transient fault worth retrying): the failed bucket
     verified correctly under an *older* per-node version, which only a
     server replaying a pre-checkpoint snapshot of the tree can produce.
@@ -290,11 +288,10 @@ class PathOramClient:
             aad = self._bucket_aad(node, self._node_versions.get(node, 0))
             for blob in node_blobs:
                 blobs.append((blob, aad))
-        # One batch open for the whole path: every tag is verified
-        # before any plaintext is used, so the all-or-nothing guarantee
-        # above holds exactly as in the slot-at-a-time path (the memo
+        # Every tag on the path is verified before any plaintext is
+        # used, so the all-or-nothing guarantee above holds (the memo
         # answers for the blobs it recorded, byte-equal under the same
-        # AAD, and batch-opens the rest).  A tag failure is classified
+        # AAD, and opens the rest).  A tag failure is classified
         # before it propagates: a blob that authenticates under an
         # *older* pinned version is a rollback (stale-tree attack),
         # everything else is plain corruption.
@@ -302,10 +299,8 @@ class PathOramClient:
             if memo is not None:
                 plains = memo.open_path(blobs)
             else:
-                plains = open_blocks(
-                    self._cipher,
-                    [(blob[:12], blob[12:], aad) for blob, aad in blobs],
-                )
+                decrypt = self._cipher.decrypt
+                plains = [decrypt(blob[:12], blob[12:], aad) for blob, aad in blobs]
         except AuthenticationError:
             rollback = self._probe_rollback(buckets)
             if rollback is not None:
@@ -487,7 +482,8 @@ class PathOramClient:
                 items.append((self._next_nonce(), dummy, aad))
                 slot_nodes.append(node)
                 filled += 1
-        sealed = seal_blocks(self._cipher, items)
+        encrypt = self._cipher.encrypt
+        sealed = [encrypt(nonce, plain, aad) for nonce, plain, aad in items]
         self.stats.blocks_encrypted += len(items)
         blobs = [nonce + body for (nonce, _plain, _aad), body in zip(items, sealed)]
         new_buckets: dict[int, list[bytes]] = {}

@@ -1,8 +1,7 @@
 """Profile-guided performance substrate (ISSUE 4).
 
-Three independent levers over the repo's dominant wall-clock sink — the
-pure-Python AES-GCM/ORAM substrate — none of which changes a single
-simulated byte:
+Three independent levers over the repo's AES-GCM/ORAM substrate, none
+of which changes a single simulated byte:
 
 * :mod:`repro.perf.memo` — decrypt memoization: a bounded table of the
   wire blobs the client sealed and the server still holds, exploiting
@@ -12,13 +11,11 @@ simulated byte:
   for benchmark sweeps, with seed-ordered reduction;
 * :mod:`repro.perf.bench` — the ``perf-bench`` CLI's engine: the byte
   oracle for the substrate (ORAM digests, pairwise-identical
-  ``CryptoBackend`` tiers); :mod:`repro.perf.reference` keeps the
-  pre-optimization crypto as the tests' oracle.
+  ``CryptoBackend`` tiers).
 """
 
 from repro.perf.memo import MemoizedAead, MemoStats
 from repro.perf.parallel import run_parallel
-from repro.perf.reference import ReferenceAesGcm
 
 # bench imports the ORAM client, which imports repro.perf.memo; loading
 # it lazily (PEP 562) keeps ``import repro.oram.client`` acyclic.
@@ -38,7 +35,6 @@ __all__ = [
     "MemoizedAead",
     "PerfBenchConfig",
     "PerfBenchReport",
-    "ReferenceAesGcm",
     "run_parallel",
     "run_perf_bench",
 ]

@@ -3,8 +3,8 @@
 Two seeded workloads, digested:
 
 * **ORAM** — one deterministic access sequence over the paper's cipher
-  (:class:`~repro.crypto.suite.AesGcmAead`, vectorized batch keystreams
-  and table-local GHASH) with the decrypt memo enabled.  The read
+  (AES-GCM through OpenSSL, the client's default, as on every served
+  ORAM block) with the decrypt memo enabled.  The read
   plaintexts, the ciphertext tree the SP stores and the
   adversary-visible :class:`~repro.oram.server.PathAccessEvent` stream
   are digested, beside the memo's exact hit/miss counts.
@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field
 
 from repro.bench.report import GateReport
 from repro.crypto.kdf import Drbg
-from repro.crypto.suite import AesGcmAead
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer, PathAccessEvent
 
@@ -163,7 +162,6 @@ def _run_oram(config: PerfBenchConfig) -> dict:
         server,
         key,
         block_size=BLOCK_SIZE,
-        cipher_factory=AesGcmAead,
         decrypt_memo_blocks=MEMO_BLOCKS,
     )
     reads = hashlib.blake2b(digest_size=16)

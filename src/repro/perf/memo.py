@@ -15,7 +15,7 @@ ciphertext, aad)``, so on a hit the bare cipher would return exactly the
 recorded plaintext.  Anything else — a flipped byte in nonce, body or
 tag, a replayed bucket whose pinned version has moved on, a blob from
 elsewhere, an entry the bound pushed out — goes through the inner
-cipher's batch open and is accepted or rejected exactly as without the
+cipher's ``decrypt`` and is accepted or rejected exactly as without the
 memo.  The blobs are public (the SP stores them), so comparing them
 needs no constant-time care.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from repro.crypto.suite import AeadCipher, AeadItem, open_blocks
+from repro.crypto.suite import AeadCipher, AeadItem
 
 
 @dataclass
@@ -81,9 +81,10 @@ class MemoizedAead:
     def open_path(self, blobs: list[tuple[bytes, bytes]]) -> list[bytes]:
         """Open one path read of ``(wire blob, aad)`` pairs.
 
-        Hits come from the table, the rest go through one inner batch
-        open — all tags first, so a bad block raises before any
-        plaintext is returned and before any entry is forgotten.
+        Hits come from the table, the rest go through the inner
+        ``decrypt`` one by one — all of them first, so a bad block
+        raises before any plaintext is returned and before any entry is
+        forgotten.
         """
         live = self._live
         nonce_size = self.inner.nonce_size
@@ -104,7 +105,9 @@ class MemoizedAead:
         self.stats.hits += len(used)
         self.stats.misses += len(misses)
         if misses:
-            for slot, plaintext in zip(miss_slots, open_blocks(self.inner, misses)):
+            decrypt = self.inner.decrypt
+            opened = [decrypt(nonce, data, aad) for nonce, data, aad in misses]
+            for slot, plaintext in zip(miss_slots, opened):
                 out[slot] = plaintext
         for nonce in used:
             # The same blob served twice in one bucket hits twice.

@@ -34,8 +34,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from repro.crypto.kdf import Drbg, hkdf_sha256
-from repro.crypto.gcm import AuthenticationError
-from repro.crypto.suite import CounterNonceSealer
+from repro.crypto.suite import AuthenticationError, CounterNonceSealer
 from repro.oram.client import PathOramClient
 from repro.oram.store import build_client
 from repro.recovery import journal

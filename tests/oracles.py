@@ -32,6 +32,11 @@ error strings; zeroed gas — and for nothing a handler computes: it is
 not the independent second opinion on the EVM that ROADMAP item 7 asks
 for.
 
+``bit_serial_ghash_tables`` is GHASH's multiplication by the subkey
+as SP 800-38D's Algorithm 1 writes it, one bit of the block at a time:
+the definition the byte tables ``repro.crypto.aes.ghash_tables`` builds
+by linearity must equal entry by entry.
+
 ``outcome_per_tier`` runs one check under each registered crypto tier,
 activated process-wide: the ``reference`` tier's table-free verify is
 the oracle, and every other tier must return what it returns or raise
@@ -89,6 +94,24 @@ def affine_verify(point: Point, message_hash: bytes, signature: Signature) -> No
         raise InvalidSignature("verification produced infinity")
     if total.x % N != r:
         raise InvalidSignature("r mismatch")
+
+
+def bit_serial_gf128_mul(x: int, y: int) -> int:
+    """GF(2^128) product, GCM polynomial, bits reflected, bit by bit."""
+    result = 0
+    for i in range(127, -1, -1):
+        if (y >> i) & 1:
+            result ^= x
+        x = (x >> 1) ^ (0xE1 << 120) if x & 1 else x >> 1
+    return result
+
+
+def bit_serial_ghash_tables(h: int) -> list[list[int]]:
+    """The GHASH byte tables, one bit-serial product per entry."""
+    return [
+        [bit_serial_gf128_mul(value << (8 * (15 - byte_index)), h) for value in range(256)]
+        for byte_index in range(16)
+    ]
 
 
 def outcome_per_tier(check) -> dict[str, tuple]:

@@ -1,12 +1,18 @@
 """Property-based tests for the crypto substrate."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from repro.crypto.gcm import AesGcm, AuthenticationError
+from repro.crypto.kdf import Drbg
 from repro.crypto.keccak import Keccak256, keccak256
-from repro.crypto.suite import AcceleratedAesGcmAead, AesGcmAead, Blake2Aead, xor_bytes
+from repro.crypto.suite import (
+    AcceleratedAesGcmAead,
+    AesGcmAead,
+    AuthenticationError,
+    Blake2Aead,
+    xor_bytes,
+)
 
 settings.register_profile("crypto", deadline=None)
 settings.load_profile("crypto")
@@ -35,16 +41,19 @@ def test_keccak_injective_in_practice(a, b):
 )
 @settings(max_examples=40)
 def test_gcm_roundtrip_with_aad(key, nonce, plaintext, aad):
-    gcm = AesGcm(key)
+    gcm = AesGcmAead(key)
     assert gcm.decrypt(nonce, gcm.encrypt(nonce, plaintext, aad), aad) == plaintext
 
 
 # The sealing cipher against its oracle.  ``AcceleratedAesGcmAead`` seals
 # every ORAM block, journal record, checkpoint and ticket; the pure-Python
 # ``AesGcmAead`` shares no code with it.  Bodies run from empty to 2 KB
-# with the 1 KB ORAM page drawn on purpose; keys are AES-128 and AES-256.
+# with the 1 KB ORAM page drawn on purpose; keys are AES-128, -192 and
+# -256.
 _aead_keys = st.one_of(
-    st.binary(min_size=16, max_size=16), st.binary(min_size=32, max_size=32)
+    st.binary(min_size=16, max_size=16),
+    st.binary(min_size=24, max_size=24),
+    st.binary(min_size=32, max_size=32),
 )
 _aead_bodies = st.one_of(
     st.binary(max_size=2048), st.binary(min_size=1024, max_size=1024)
@@ -52,8 +61,26 @@ _aead_bodies = st.one_of(
 _AES_GCM_CIPHERS = (AcceleratedAesGcmAead, AesGcmAead)
 
 
+# Every block-boundary shape under every key size as explicit examples:
+# empty, partial, whole and multi-block bodies up to a 1 KB page plus a
+# partial block, with 0 to 10 bytes of AAD.
+_SHAPE_LENGTHS = (0, 1, 15, 16, 17, 48, 63, 64, 100, 1024, 1091)
+
+
+def _shape_examples(test):
+    rng = Drbg(b"gcm-equiv")
+    for key_size in (16, 24, 32):
+        for index, length in enumerate(_SHAPE_LENGTHS):
+            test = example(
+                bytes(range(key_size)), index.to_bytes(12, "big"),
+                rng.random_bytes(length), rng.random_bytes(index % 21),
+            )(test)
+    return test
+
+
 @given(_aead_keys, st.binary(min_size=12, max_size=12), _aead_bodies,
        st.binary(max_size=256))
+@_shape_examples
 @settings(max_examples=60)
 def test_both_aes_gcm_ciphers_put_the_same_bytes_on_the_wire(key, nonce, body, aad):
     fast, oracle = (cipher(key) for cipher in _AES_GCM_CIPHERS)
@@ -109,8 +136,8 @@ def test_blake2_aead_detects_any_flip(key, nonce, plaintext, xor_byte, position)
     raise AssertionError(f"tamper not detected: {recovered!r}")
 
 
-# Mixed lengths including empty and past the vector-XOR threshold; the
-# 1041-byte case is an ORAM slot body.
+# Mixed lengths including empty; the 1041-byte case is an ORAM slot
+# body.
 _batch_items = st.lists(
     st.tuples(
         st.binary(min_size=12, max_size=12),
@@ -155,8 +182,6 @@ def test_a_nonce_that_is_not_96_bits_is_a_value_error_on_both(key, nonce, body):
             cipher(key).decrypt(nonce, sealed)
 
 
-# Up to 600 bytes: both sides of the length where xor_bytes switches
-# from big-int arithmetic to one vector operation.
 @given(st.binary(max_size=600))
 def test_xor_bytes_involution(data):
     key = bytes((i * 7 + 3) % 256 for i in range(len(data)))

@@ -13,7 +13,7 @@ cipher decides everything else on both sides.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.gcm import AuthenticationError
+from repro.crypto.suite import AuthenticationError
 from repro.crypto.suite import AcceleratedAesGcmAead, AesGcmAead
 from repro.oram.client import PathOramClient, RollbackDetectedError
 from repro.oram.server import OramServer

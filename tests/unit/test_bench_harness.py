@@ -304,7 +304,8 @@ def test_ci_bench_matrix_follows_the_registry():
     # also runs with asserts compiled out; the e2e ledger has its leg.
     assert "\n  perf:\n" not in workflow
     assert "run: python -m pytest -q -m ${{ matrix.marker }}" in workflow
-    assert 'dependencies = [\n    "numpy",\n    "cryptography",\n]' in pyproject
+    assert 'dependencies = [\n    "cryptography",\n]' in pyproject
+    assert '    "numpy",\n    "scipy",\n]' in pyproject.split("dev = [", 1)[1]
     assert "accel" not in pyproject and "accel" not in workflow
     assert workflow.count('pip install -e ".[dev]"') == 3
     assert "run: python -O -m pytest -x -q" in workflow
@@ -333,6 +334,25 @@ def test_plane_packages_load_no_bench_module():
         "print(leaked)\n"
         "from repro.faults import run_chaos, ChaosConfig\n"
         "from repro.async_serving import run_c10k_bench\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert result.stdout.strip() == "[]", result.stdout
+
+
+def test_no_repro_module_imports_numpy():
+    """numpy is a dev extra, not a dependency: every ``repro`` module
+    imports in a fresh interpreter without it ever being loaded."""
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import repro\n"
+        "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if not module.name.endswith('__main__'):\n"
+        "        importlib.import_module(module.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -418,7 +438,8 @@ def test_two_crypto_tiers_and_no_deleted_verify_seam_grows_back():
     """Plain-text grep, like the one above.  The crypto registry is the
     reference oracle and the OpenSSL default, a verifier has one method,
     ``verify``, and the names of the deleted numpy tier, batch-verify
-    seam and Keccak engine seam appear nowhere in the code trees."""
+    seam, Keccak engine seam, vectorized AES-GCM and its frozen
+    reference copy appear nowhere in the code trees."""
     from repro.crypto.backend import available_backends
 
     assert available_backends() == ("reference", "hashlib")
@@ -427,7 +448,9 @@ def test_two_crypto_tiers_and_no_deleted_verify_seam_grows_back():
         r"|open_batch|_verifier_cache|_ReferenceVerifier"
         r"|VectorKeccakEngine|SpongeKeccakEngine|keccak_numpy|keccak256_many"
         r"|set_keccak_engine|keccak_engine|hash_many|_commit_batched"
-        r"|pad_keccak)\b"
+        r"|pad_keccak"
+        r"|ctr_keystream_many|_rounds_vector|_numpy_tables|ReferenceAesGcm"
+        r"|reference_ctr_keystream|_tag_from_ek|repro\.crypto\.gcm)\b"
     )
     offenders = [
         f"{path.relative_to(REPO)}:{number}"
@@ -550,7 +573,7 @@ def test_one_oram_store_and_no_deleted_seam_grows_back():
             re.compile(r"oram_access_us\((?!\*PAPER_ORAM_SHAPE\))"),
             {"hardware/timing.py"}),
         # FaultyOramServer( wraps a store, it does not build one;
-        # perf/bench.py is the one caller of ``cipher_factory``
+        # perf/bench.py builds the byte oracle's client and server itself
         "store built outside repro.oram.store": (
             re.compile(r"\b(PathOramClient|PyramidOramClient|OramServer"
                        r"|HierarchicalOramServer)\("),
@@ -607,7 +630,6 @@ def test_one_oram_store_and_no_deleted_seam_grows_back():
 _KEPT_WITHOUT_A_CALLER = {
     "evm/instructions/": "EVM functional completeness: opcode handlers "
                          "are registered by decorator, never called by name",
-    "perf/reference.py": "reference oracle the crypto tests compare against",
     "sharding/recovery.py": "machinery ROADMAP item 3 is about to fault-test",
     "AeDma": "paper artefact (§IV-B A.E.DMA; DESIGN §2)",
     "validate_and_admit": "paper artefact (§IV-B 32-byte header admission)",

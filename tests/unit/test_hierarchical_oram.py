@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.backend import UnknownBackendError
-from repro.crypto.gcm import AuthenticationError
+from repro.crypto.suite import AuthenticationError
 from repro.crypto.kdf import Drbg
 from repro.oram.client import PathOramClient
 from repro.oram.hierarchical import (

@@ -9,7 +9,7 @@ anti-rollback versions) exactly as it was, so a retry is always safe.
 
 import pytest
 
-from repro.crypto.gcm import AuthenticationError
+from repro.crypto.suite import AuthenticationError
 from repro.crypto.kdf import Drbg
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultRule, FaultyOramServer
 from repro.oram.client import OramTimeoutError, PathOramClient, RollbackDetectedError

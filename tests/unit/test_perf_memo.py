@@ -14,7 +14,6 @@ from repro.crypto.suite import (
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
 from repro.perf.memo import MemoizedAead
-from repro.perf.reference import ReferenceAesGcm
 
 KEY = b"m" * 32
 BENCH_PERF = Path(__file__).resolve().parents[2] / "BENCH_perf.json"
@@ -163,12 +162,12 @@ def _run_oram(memo_blocks, cipher_factory=AcceleratedAesGcmAead, block_size=64,
 @pytest.mark.parametrize("plain_factory, memo_factory, shape", [
     pytest.param(Blake2Aead, Blake2Aead, {}, id="Blake2Aead"),
     pytest.param(AesGcmAead, AesGcmAead, {}, id="AesGcmAead"),
-    # The pre-optimization substrate against today's, at the page size
-    # perf-bench digests: frozen block-at-a-time AES-GCM without a memo
-    # vs the batch AES-GCM behind one.
+    # The two AES-GCMs against each other, at the page size perf-bench
+    # digests: OpenSSL without a memo vs the pure-Python cipher behind
+    # one.
     pytest.param(
-        ReferenceAesGcm, AesGcmAead, {"block_size": 1024, "accesses": 24},
-        id="ReferenceAesGcm-vs-AesGcmAead-1KB",
+        AcceleratedAesGcmAead, AesGcmAead, {"block_size": 1024, "accesses": 24},
+        id="AcceleratedAesGcmAead-vs-AesGcmAead-1KB",
     ),
 ])
 def test_memoized_oram_is_observer_equivalent(plain_factory, memo_factory, shape):

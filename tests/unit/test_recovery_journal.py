@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.gcm import AuthenticationError
+from repro.crypto.suite import AuthenticationError
 from repro.crypto.suite import CounterNonceSealer
 from repro.recovery import journal
 from repro.recovery.state import (

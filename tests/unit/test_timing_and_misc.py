@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.gcm import AuthenticationError
+from repro.crypto.suite import AuthenticationError
 from repro.crypto.kdf import Drbg
 from repro.crypto.suite import AcceleratedAesGcmAead, AesGcmAead, Blake2Aead
 from repro.hardware.timing import CostModel
