@@ -1,10 +1,12 @@
 """Experiment S2 — fleet saturation curve (extends §VI-D).
 
 The paper derives the 25-HEVM-per-ORAM-server bound analytically
-(⌊630 µs / 25 µs⌋).  Here the same bound emerges from a discrete-event
-simulation: HEVM transaction profiles are *measured* from the real
-pipeline (a full-security service run), then a fleet of N such HEVMs
-shares one ORAM server and we sweep N until throughput stops scaling.
+(⌊630 µs / 25 µs⌋).  Here the same bound emerges from the fleet model:
+HEVM transaction profiles are *measured* from the real pipeline (a
+full-security service run), then a fleet of N such HEVMs — one
+closed-loop tenant per core behind ``model_gateway``, the gateway S4
+and serve-bench sweep — shares one ORAM server and we sweep N until
+throughput stops scaling.
 """
 
 from __future__ import annotations
@@ -12,15 +14,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core import HarDTAPEService, SecurityFeatures
-from repro.hardware.fleet import (
-    FleetSimulator,
-    profiles_from_breakdowns,
-    saturation_point,
-)
+from repro.hardware.fleet import profiles_from_breakdowns
+from repro.hardware.timing import CostModel
+from repro.serving import model_gateway, model_sessions, run_closed_loop
 
 from conftest import make_session, record_result
 
 SWEEP = [1, 2, 4, 8, 16, 32, 64, 128]
+TRANSACTIONS_PER_HEVM = 20
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +37,18 @@ def measured_profiles(evalset):
     return profiles_from_breakdowns(breakdowns)
 
 
+def _fleet_point(profiles, cores: int):
+    gateway = model_gateway(cores, CostModel())
+    report = run_closed_loop(
+        gateway, model_sessions(cores, profiles),
+        requests_per_session=TRANSACTIONS_PER_HEVM,
+    )
+    return report, gateway.executor.server, gateway.now_us
+
+
 def test_fleet_saturation(benchmark, measured_profiles):
-    sim = FleetSimulator(measured_profiles)
-    results = benchmark.pedantic(
-        lambda: sim.sweep(SWEEP, transactions_per_hevm=20),
+    points = benchmark.pedantic(
+        lambda: [_fleet_point(measured_profiles, cores) for cores in SWEEP],
         iterations=1,
         rounds=1,
     )
@@ -48,14 +57,19 @@ def test_fleet_saturation(benchmark, measured_profiles):
         "| HEVMs | throughput (tx/s) | per-HEVM tx/s | server util | queue wait (µs) |",
         "|---|---|---|---|---|",
     ]
-    for result in results:
+    tps = {}
+    utils = {}
+    for cores, (report, server, end_us) in zip(SWEEP, points):
+        assert report.completed == cores * TRANSACTIONS_PER_HEVM
+        tps[cores] = report.throughput_tps
+        utils[cores] = server.utilization(end_us)
         lines.append(
-            f"| {result.hevm_count} | {result.throughput_tps:.1f} "
-            f"| {result.throughput_tps / result.hevm_count:.2f} "
-            f"| {result.server_utilization:.0%} "
-            f"| {result.mean_queue_wait_us:.0f} |"
+            f"| {cores} | {tps[cores]:.1f} "
+            f"| {tps[cores] / cores:.2f} "
+            f"| {utils[cores]:.0%} "
+            f"| {server.mean_queue_wait_us:.0f} |"
         )
-    knee = saturation_point(results, threshold=0.9)
+    knee = next((c for c in SWEEP if utils[c] >= 0.9), SWEEP[-1])
     lines += [
         "",
         f"server saturates (util ≥ 90%) at ≈ {knee} HEVMs",
@@ -65,18 +79,12 @@ def test_fleet_saturation(benchmark, measured_profiles):
     ]
     record_result("fleet_saturation", "Fleet saturation (extends §VI-D)", lines)
 
-    by_count = {r.hevm_count: r for r in results}
     # Linear region: doubling HEVMs ~doubles throughput early on.
-    assert by_count[2].throughput_tps == pytest.approx(
-        2 * by_count[1].throughput_tps, rel=0.15
-    )
+    assert tps[2] == pytest.approx(2 * tps[1], rel=0.15)
     # Saturation region: the last doubling gains much less than 2x.
-    assert (
-        by_count[SWEEP[-1]].throughput_tps
-        < 1.5 * by_count[SWEEP[-2]].throughput_tps
-    )
+    assert tps[SWEEP[-1]] < 1.5 * tps[SWEEP[-2]]
     # The knee is the same order of magnitude as the paper's 25.
     assert 10 <= knee <= 150
     # Utilization is monotone in fleet size.
-    utils = [r.server_utilization for r in results]
-    assert utils == sorted(utils)
+    ordered = [utils[c] for c in SWEEP]
+    assert ordered == sorted(ordered)

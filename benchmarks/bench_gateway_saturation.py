@@ -1,8 +1,8 @@
-"""Experiment S3 — gateway saturation through the serving layer (§VI-D).
+"""Experiment S4 — gateway saturation through the serving layer (§VI-D).
 
-The fleet simulator (S2) shows the ORAM-server knee for bare HEVMs;
-this experiment reproduces the same knee *through the multi-tenant
-gateway*: closed-loop tenants drive ``FleetModelExecutor`` gateways at
+S2 sweeps HEVM transaction profiles measured from the real pipeline;
+this experiment drives the same fleet model (``model_gateway``) with
+the paper's synthetic full-load profile: closed-loop tenants at
 increasing fleet sizes, and throughput scales linearly until the shared
 ORAM server saturates — the paper's ⌊630 µs / 25 µs⌋ ≈ 25 full-load
 HEVMs.  An open-loop overload section then offers ~2× capacity and
@@ -18,12 +18,10 @@ pytestmark = pytest.mark.serving
 
 from repro.hardware.timing import CostModel
 from repro.serving import (
-    FleetModelExecutor,
-    Gateway,
-    GatewayConfig,
     QueueDepthShedPolicy,
     RejectReason,
     RequestStatus,
+    model_gateway,
     model_sessions,
     run_closed_loop,
     run_open_loop,
@@ -41,24 +39,17 @@ COST = CostModel(ethernet_rtt_us=0.0)
 
 
 def _closed_loop_point(cores: int, requests: int = REQUESTS_PER_SESSION):
-    executor = FleetModelExecutor(core_count=cores, cost=COST)
-    gateway = Gateway(executor, GatewayConfig(
-        max_queue_depth=4 * cores, max_in_flight_per_session=4,
-    ))
+    gateway = model_gateway(cores, COST)
     sessions = model_sessions(cores, synthetic_profiles(COST, "full-load"))
     report = run_closed_loop(
         gateway, sessions, requests_per_session=requests
     )
-    return report, executor.server.utilization(gateway.now_us)
+    return report, gateway.executor.server.utilization(gateway.now_us)
 
 
 def _overload_run(cores: int, seed: int = 7):
-    executor = FleetModelExecutor(core_count=cores, cost=COST)
-    gateway = Gateway(
-        executor,
-        GatewayConfig(max_queue_depth=4 * cores,
-                      max_in_flight_per_session=4),
-        admission=QueueDepthShedPolicy(shed_depth=2 * cores),
+    gateway = model_gateway(
+        cores, COST, admission=QueueDepthShedPolicy(shed_depth=2 * cores)
     )
     sessions = model_sessions(cores, synthetic_profiles(COST, "full-load"))
     capacity_rps = 1e6 / COST.oram_server_cpu_us / 16  # queries/s ÷ q-per-tx

@@ -1,9 +1,10 @@
-"""SP capacity planning with the fleet simulator (§VI-D in practice).
+"""SP capacity planning with the fleet model (§VI-D in practice).
 
 An SP wants to know: how many HarDTAPE chips can one ORAM server carry,
 and what response times will users see as the fleet grows?  This example
 measures real transaction profiles from the pipeline, then sweeps fleet
-sizes through the discrete-event model — the dynamic version of the
+sizes through the serving layer's model gateway (one closed-loop tenant
+per HEVM, all sharing one ORAM server) — the dynamic version of the
 paper's ⌊630 µs / 25 µs⌋ = 25 HEVMs/server bound.
 
 Run:  python examples/capacity_planning.py
@@ -12,11 +13,9 @@ Run:  python examples/capacity_planning.py
 from __future__ import annotations
 
 from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-from repro.hardware.fleet import (
-    FleetSimulator,
-    profiles_from_breakdowns,
-    saturation_point,
-)
+from repro.hardware.fleet import profiles_from_breakdowns
+from repro.hardware.timing import CostModel
+from repro.serving import model_gateway, model_sessions, run_closed_loop
 from repro.workloads import EvaluationSetConfig, build_evaluation_set
 
 ETHEREUM_TPS = 17.0
@@ -39,22 +38,28 @@ def main() -> None:
     print(f"  {len(profiles)} profiles; mean {mean_queries:.1f} ORAM "
           f"queries per transaction\n")
 
-    sim = FleetSimulator(profiles)
     print(f"{'HEVMs':>6} {'chips':>6} {'tx/s':>8} {'vs Mainnet':>11} "
           f"{'server util':>12} {'queue wait':>11}")
-    results = sim.sweep([3, 6, 12, 24, 48, 96, 144], transactions_per_hevm=15)
-    for result in results:
-        chips = result.hevm_count // 3
-        verdict = (
-            f"{result.throughput_tps / ETHEREUM_TPS:.0f}x"
-            if result.throughput_tps >= ETHEREUM_TPS else "below!"
+    sweep = [3, 6, 12, 24, 48, 96, 144]
+    knee = sweep[-1]
+    for hevms in sweep:
+        gateway = model_gateway(hevms, CostModel())
+        report = run_closed_loop(
+            gateway, model_sessions(hevms, profiles), requests_per_session=15
         )
-        print(f"{result.hevm_count:>6} {chips:>6} "
-              f"{result.throughput_tps:>8.1f} {verdict:>11} "
-              f"{result.server_utilization:>11.0%} "
-              f"{result.mean_queue_wait_us:>9.0f}µs")
+        server = gateway.executor.server
+        utilization = server.utilization(gateway.now_us)
+        if utilization >= 0.9:
+            knee = min(knee, hevms)
+        verdict = (
+            f"{report.throughput_tps / ETHEREUM_TPS:.0f}x"
+            if report.throughput_tps >= ETHEREUM_TPS else "below!"
+        )
+        print(f"{hevms:>6} {hevms // 3:>6} "
+              f"{report.throughput_tps:>8.1f} {verdict:>11} "
+              f"{utilization:>11.0%} "
+              f"{server.mean_queue_wait_us:>9.0f}µs")
 
-    knee = saturation_point(results, threshold=0.9)
     print(f"\nthe ORAM server saturates around {knee} HEVMs "
           f"({knee // 3} chips); beyond that, add servers, not chips.")
     print("(the paper's analytic bound for its measured 630 µs query gap "

@@ -203,10 +203,8 @@ def _bad_seed(seed: int) -> bool:
 def cmd_serve_bench(args) -> int:
     from repro.hardware.timing import CostModel
     from repro.serving import (
-        FleetModelExecutor,
-        Gateway,
-        GatewayConfig,
         QueueDepthShedPolicy,
+        model_gateway,
         model_sessions,
         run_open_loop,
         synthetic_profiles,
@@ -250,12 +248,8 @@ def cmd_serve_bench(args) -> int:
 
     if args.overload_rate > 0:
         cores = sweep[len(sweep) // 2]
-        executor = FleetModelExecutor(core_count=cores, cost=cost)
-        gateway = Gateway(
-            executor,
-            GatewayConfig(max_queue_depth=4 * cores,
-                          max_in_flight_per_session=4),
-            admission=QueueDepthShedPolicy(shed_depth=2 * cores),
+        gateway = model_gateway(
+            cores, cost, admission=QueueDepthShedPolicy(shed_depth=2 * cores)
         )
         report = run_open_loop(
             gateway, model_sessions(cores, profiles),

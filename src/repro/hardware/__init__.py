@@ -1,15 +1,11 @@
 """Hardware model: HEVM cores, 3-layer memory, timing, area, secure boot."""
 
 from repro.hardware.fleet import (
-    FleetResult,
-    FleetSimulator,
     OramServerLedger,
-    OramServerTimeline,
     TxProfile,
     full_load_profile,
     profile_finish_us,
     profiles_from_breakdowns,
-    saturation_point,
 )
 from repro.hardware.csu import (
     BootImage,
@@ -52,8 +48,6 @@ __all__ = [
     "CodeCache",
     "ConfigurationSecurityUnit",
     "CostModel",
-    "FleetResult",
-    "FleetSimulator",
     "FRAME_BASE_BYTES",
     "HEVM_COMPONENTS",
     "HardwareBackend",
@@ -65,7 +59,6 @@ __all__ = [
     "Layer2CallStack",
     "MemoryOverflowError",
     "OramServerLedger",
-    "OramServerTimeline",
     "PAGE_BYTES",
     "ResourceVector",
     "SHARED_COMPONENTS",
@@ -82,6 +75,5 @@ __all__ = [
     "profile_finish_us",
     "shared_resources",
     "profiles_from_breakdowns",
-    "saturation_point",
     "verify_boot_receipt",
 ]

@@ -15,9 +15,7 @@ def serve_bench_row(item: tuple[int, str, int, float, int]) -> tuple:
     cores, workload, seed, rtt_us, requests = item
     from repro.hardware.timing import CostModel
     from repro.serving import (
-        FleetModelExecutor,
-        Gateway,
-        GatewayConfig,
+        model_gateway,
         model_sessions,
         run_closed_loop,
         synthetic_profiles,
@@ -25,10 +23,7 @@ def serve_bench_row(item: tuple[int, str, int, float, int]) -> tuple:
 
     cost = CostModel(ethernet_rtt_us=rtt_us)
     profiles = synthetic_profiles(cost, kind=workload, seed=seed)
-    executor = FleetModelExecutor(core_count=cores, cost=cost)
-    gateway = Gateway(executor, GatewayConfig(
-        max_queue_depth=4 * cores, max_in_flight_per_session=4,
-    ))
+    gateway = model_gateway(cores, cost)
     report = run_closed_loop(
         gateway, model_sessions(cores, profiles),
         requests_per_session=requests,
@@ -37,7 +32,7 @@ def serve_bench_row(item: tuple[int, str, int, float, int]) -> tuple:
         cores,
         report.throughput_tps,
         report.throughput_tps / cores,
-        executor.server.utilization(gateway.now_us),
+        gateway.executor.server.utilization(gateway.now_us),
         report.latency_percentile_us(99) / 1000,
     )
 

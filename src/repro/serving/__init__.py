@@ -28,6 +28,7 @@ from repro.serving.loadgen import (
     LoadSession,
     arrival_times,
     load_report,
+    model_gateway,
     model_sessions,
     run_closed_loop,
     run_open_loop,
@@ -60,6 +61,7 @@ __all__ = [
     "VirtualReactor",
     "arrival_times",
     "load_report",
+    "model_gateway",
     "model_sessions",
     "run_closed_loop",
     "run_open_loop",

@@ -22,8 +22,9 @@ reactor are driven by whoever runs that.  Execution itself is pluggable:
   recovery plane in one fixed order;
 * :class:`FleetModelExecutor` prices synthetic
   :class:`~repro.hardware.fleet.TxProfile` load against the shared
-  :class:`~repro.hardware.fleet.OramServerTimeline`, reproducing the
-  §VI-D saturation knee at fleet scale without running bytecode.
+  :class:`~repro.hardware.fleet.OramServerLedger`, reproducing the
+  §VI-D saturation knee at fleet scale without running bytecode
+  (``loadgen.model_gateway`` builds that gateway).
 
 Layering: serving sits *above* ``core`` and observes ``hardware`` /
 ``hypervisor`` statistics; nothing below ever imports it.

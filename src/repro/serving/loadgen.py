@@ -27,7 +27,14 @@ from typing import Any, Callable, Iterator
 from repro.crypto.kdf import Drbg
 from repro.hardware.fleet import TxProfile, full_load_profile
 from repro.hardware.timing import CostModel
-from repro.serving.gateway import Gateway, GatewayRequest, RequestStatus
+from repro.serving.admission import AdmissionPolicy
+from repro.serving.gateway import (
+    FleetModelExecutor,
+    Gateway,
+    GatewayConfig,
+    GatewayRequest,
+    RequestStatus,
+)
 
 
 @dataclass
@@ -328,6 +335,8 @@ def model_sessions(
     Session *i* cycles through the profile list starting at offset *i*,
     so load mixes across tenants without shared mutable state.
     """
+    if not profiles:
+        raise ValueError("need at least one transaction profile")
     sessions = []
     for index in range(session_count):
         def make_payload(ordinal: int, offset: int = index) -> TxProfile:
@@ -340,3 +349,20 @@ def model_sessions(
             )
         )
     return sessions
+
+
+def model_gateway(
+    cores: int, cost: CostModel, admission: AdmissionPolicy | None = None
+) -> Gateway:
+    """The §VI-D fleet: ``cores`` HEVM slots sharing one ORAM server.
+
+    A :class:`FleetModelExecutor` gateway whose queue holds four
+    requests per core, four in flight per session.  The fleet sweeps
+    (S2, S4, serve-bench) price through it; read server utilization and
+    queue wait off ``gateway.executor.server``.
+    """
+    return Gateway(
+        FleetModelExecutor(core_count=cores, cost=cost),
+        GatewayConfig(max_queue_depth=4 * cores, max_in_flight_per_session=4),
+        admission=admission,
+    )

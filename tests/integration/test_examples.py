@@ -43,3 +43,15 @@ def test_frontrunning_privacy(capsys):
     out = _run_example("frontrunning_privacy", capsys)
     assert "frequency-analysis accuracy vs HarDTAPE: 0%" in out
     assert "frequency-analysis accuracy vs encrypted store: 100%" in out
+
+
+def test_hft_strategy_testing(capsys):
+    out = _run_example("hft_strategy_testing", capsys)
+    # Later swaps of one bundle hit warm layer-1 state: no ORAM time.
+    assert "per-tx ORAM ms: 31.8, 0.0, 0.0, 0.0, 0.0" in out
+    assert "chosen size: 10,000" in out
+
+
+def test_capacity_planning(capsys):
+    out = _run_example("capacity_planning", capsys)
+    assert "the ORAM server saturates around 144 HEVMs (48 chips)" in out

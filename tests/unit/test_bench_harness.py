@@ -368,20 +368,20 @@ def test_no_repro_module_imports_numpy():
 
 def test_one_event_loop_and_no_deleted_copy_grows_back():
     """Plain-text grep, like the CI matrix check above.  Event
-    scheduling on a heap lives in ``serving/reactor.py`` alone (the
-    gateway's priority *queue* is not an event loop and keeps its heap),
-    and the names the one-pipeline refactor deleted appear nowhere: not
-    in ``src``, ``tests``, ``benchmarks`` or ``examples``, and not in the
-    top-level documents, ``ROADMAP.md`` among them.  Only the two change
-    records exempted below are skipped, since they record what was
-    deleted."""
+    scheduling on a heap lives in ``serving/reactor.py`` alone, anywhere
+    in ``src/repro`` (the gateway's priority *queue* is not an event
+    loop and keeps its heap; the §VI-D fleet is priced through that
+    gateway, not by a simulator of its own), and the names the
+    one-pipeline refactor deleted appear nowhere: not in ``src``,
+    ``tests``, ``benchmarks`` or ``examples``, and not in the top-level
+    documents, ``ROADMAP.md`` among them.  Only the two change records
+    exempted below are skipped, since they record what was deleted."""
     heap_users = {
         path.relative_to(REPO / "src" / "repro").as_posix(): [
             line.strip() for line in path.read_text().splitlines()
             if "heapq.heap" in line
         ]
-        for plane in ("serving", "async_serving")
-        for path in sorted((REPO / "src" / "repro" / plane).glob("*.py"))
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
         if "heapq" in path.read_text()
     }
     assert set(heap_users) == {"serving/reactor.py", "serving/gateway.py"}
@@ -405,7 +405,10 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
         r"|gauge_max|note_span|note_metric|basic_blocks|decrypt_block"
         r"|get_logs|eth_getLogs|receipts_root|block_bloom|find_logs"
         r"|function_selector|encode_call|repeated_access_correlation"
-        r"|assemble_code|inter_arrival_us|CallDepthExceeded|is_precompile)\b"
+        r"|assemble_code|inter_arrival_us|CallDepthExceeded|is_precompile"
+        # the second §VI-D fleet model and its own event loop
+        r"|FleetSimulator|OramServerTimeline|FleetResult|saturation_point"
+        r"|run_stats_queries)\b"
         r"|RequestStatus\.(?:EXPIRED|CANCELLED)"
         r"|\bdeadline_us(?:=|: float \| None)"
     )
