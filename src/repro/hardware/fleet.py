@@ -59,6 +59,7 @@ class OramServerLedger:
     queue_wait_us: float = 0.0
     queries_served: int = 0
     _committed: dict[int, float] = field(default_factory=dict)
+    _floor: int = 0  # every bucket below this index is forgotten
 
     def serve(self, arrival_us: float) -> float:
         """Reserve one query's work; return its completion time."""
@@ -80,6 +81,27 @@ class OramServerLedger:
         completion = max(completion, arrival_us + self.service_us)
         self.queue_wait_us += completion - arrival_us - self.service_us
         return completion
+
+    def forget_before(self, time_us: float) -> None:
+        """Drop the buckets wholly behind ``time_us``.
+
+        The caller promises no query will arrive before ``time_us`` from
+        now on, so those buckets are never read again and dropping them
+        changes no completion time; without it the ledger grows with a
+        run's virtual length, not with its load.
+        """
+        floor = int(time_us // self.bucket_us)
+        if floor <= self._floor:
+            return
+        if floor - self._floor < len(self._committed):
+            for index in range(self._floor, floor):
+                self._committed.pop(index, None)
+        else:  # a long idle stretch: cheaper to keep what is left
+            self._committed = {
+                index: work for index, work in self._committed.items()
+                if index >= floor
+            }
+        self._floor = floor
 
     def utilization(self, duration_us: float) -> float:
         if duration_us <= 0:

@@ -372,6 +372,10 @@ class FleetModelExecutor:
     def execute(
         self, request: GatewayRequest, start_us: float
     ) -> tuple[float, Any]:
+        # A gateway dispatches at its reactor's now, which never goes
+        # back, and every query of a request arrives after its start: no
+        # later query can land in a bucket behind this ``start_us``.
+        self.server.forget_before(start_us)
         finish = profile_finish_us(request.payload, start_us, self.server, self.cost)
         return finish - start_us, None
 

@@ -9,6 +9,7 @@ from repro.core import (
     PreExecutionClient,
     SecurityFeatures,
 )
+from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
 from repro.state import Transaction
 from repro.workloads.contracts import erc20, rollup
 from tests.hostile import nested_lists
@@ -123,7 +124,6 @@ def test_wrong_message_shape_is_rejected_before_any_core_is_assigned(
     encrypting device, or a sealed message to a -raw one, is a typed
     refusal (not an `assert`, which `python -O` strips)."""
     from repro.hypervisor import BundleRejected
-    from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
 
     service = HarDTAPEService(
         evalset.node, SecurityFeatures.from_level(level), charge_fees=False
@@ -144,6 +144,13 @@ def test_wrong_message_shape_is_rejected_before_any_core_is_assigned(
     assert report.traces[0].status == 1
 
 
+def _one_transaction(**fields) -> bytes:
+    transaction = Transaction(
+        **{"sender": b"\x01" * 20, "to": b"\x02" * 20, "gas_limit": 21_000, **fields}
+    )
+    return encode_bundle(TransactionBundle((transaction,), block_number=0))
+
+
 @pytest.mark.parametrize("level", ["full", "raw"])
 @pytest.mark.parametrize(
     "payload",
@@ -154,8 +161,20 @@ def test_wrong_message_shape_is_rejected_before_any_core_is_assigned(
         # 60 KB of list prefixes: no size cap stops it (honest rollup
         # bundles are 39 KB), only the codec's depth bound.
         nested_lists(20_000),
+        # Well-formed RLP whose addresses are not 20 bytes (admitted and
+        # run before: the bundle completed).
+        _one_transaction(sender=b"\x01" * 3),
+        _one_transaction(sender=b""),
+        _one_transaction(to=b"\x02" * 25),
+        # A nonce needs its flag, and a flag is empty or 0x01.
+        rlp.encode([b"", [[b"\x01" * 20, b"", b"", b"", b"\x52\x08", b"", b"\x05", b""]]]),
+        rlp.encode([b"", [[b"\x01" * 20, b"", b"", b"", b"\x52\x08", b"", b"", b"\x02"]]]),
     ],
-    ids=["a-string", "one-field", "short-transaction", "nested-20000-deep"],
+    ids=[
+        "a-string", "one-field", "short-transaction", "nested-20000-deep",
+        "sender-3-bytes", "sender-empty", "to-25-bytes",
+        "nonce-without-its-flag", "nonce-flag-0x02",
+    ],
 )
 def test_malformed_bundle_is_rejected_before_any_core_is_assigned(
     evalset, level, payload

@@ -41,6 +41,14 @@ by linearity must equal entry by entry.
 activated process-wide: the ``reference`` tier's table-free verify is
 the oracle, and every other tier must return what it returns or raise
 the same exception type with the same message.
+
+``tree_encode_trace_report`` / ``tree_decode_trace_report`` are the
+trace-report codec as it shipped before it was written flat: build the
+nested lists and ``rlp.encode`` them; ``rlp.decode`` the bytes and walk
+the tree a second time to type it.  The flat codec must put the same
+bytes on the wire and read back the same value or refuse the same
+input — except an address that is not 20 bytes, which only the flat
+decoder refuses.
 """
 
 from __future__ import annotations
@@ -52,6 +60,15 @@ from repro.crypto.keccak import _MASK64, _ROUND_CONSTANTS, keccak256
 from repro.evm import opcodes
 from repro.evm.exceptions import FrameError, InvalidOpcode, OutOfGas
 from repro.evm.instructions import DISPATCH
+from repro.hypervisor.bundle_codec import (
+    TraceReport,
+    TransactionTrace,
+    _bytes,
+    _flag,
+    _list,
+    _records,
+    _uint,
+)
 
 
 def affine_add(p: Point, q: Point) -> Point:
@@ -314,3 +331,100 @@ def reference_run(interpreter, frame) -> str | None:
             frame.gas = 0
         return type(exc).__name__ + ": " + str(exc)
     return None
+
+
+def _text(item, what: str) -> str | None:
+    try:
+        return _bytes(item, what).decode() or None
+    except UnicodeDecodeError as error:
+        raise rlp.DecodingError(f"{what}: {error}") from error
+
+
+def _sorted_map(pairs: list[tuple], what: str) -> dict:
+    """``pairs`` as a dict, refusing any order ``sorted()`` would not emit."""
+    if any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
+        raise rlp.DecodingError(f"{what}: entries out of order or repeated")
+    return dict(pairs)
+
+
+def tree_encode_trace_report(report: TraceReport) -> bytes:
+    items = [
+        report.bundle_id,
+        b"\x01" if report.aborted else b"",
+        (report.abort_reason or "").encode(),
+        [
+            [
+                rlp.encode_uint(trace.status),
+                rlp.encode_uint(trace.gas_used),
+                trace.return_data,
+                (trace.error or "").encode(),
+                [
+                    [address, rlp.encode_uint(balance)]
+                    for address, balance in sorted(trace.balance_changes.items())
+                ],
+                [
+                    [address, rlp.encode_uint(key), rlp.encode_uint(value)]
+                    for (address, key), value in sorted(trace.storage_changes.items())
+                ],
+                [
+                    [address, [rlp.encode_uint(t) for t in topics], data]
+                    for address, topics, data in trace.logs
+                ],
+            ]
+            for trace in report.traces
+        ],
+    ]
+    return rlp.encode(items)
+
+
+def tree_decode_trace_report(data: bytes) -> TraceReport:
+    bundle_id, aborted, abort_reason, trace_items = _list(
+        rlp.decode(data), "trace report", 4
+    )
+    traces = []
+    for status, gas_used, return_data, error, balances, storages, logs in (
+        _records(trace_items, "trace", 7)
+    ):
+        traces.append(
+            TransactionTrace(
+                status=_uint(status, "status"),
+                gas_used=_uint(gas_used, "gas used"),
+                return_data=_bytes(return_data, "return data"),
+                error=_text(error, "error"),
+                balance_changes=_sorted_map(
+                    [
+                        (_bytes(address, "address"), _uint(balance, "balance"))
+                        for address, balance in _records(
+                            balances, "balance change", 2
+                        )
+                    ],
+                    "balance changes",
+                ),
+                storage_changes=_sorted_map(
+                    [
+                        (
+                            (_bytes(address, "address"), _uint(key, "storage key")),
+                            _uint(value, "storage value"),
+                        )
+                        for address, key, value in _records(
+                            storages, "storage change", 3
+                        )
+                    ],
+                    "storage changes",
+                ),
+                logs=[
+                    (
+                        _bytes(address, "log address"),
+                        [_uint(t, "topic") for t in _list(topics, "topics")],
+                        _bytes(log_data, "log data"),
+                    )
+                    for address, topics, log_data in _records(logs, "log", 3)
+                ],
+            )
+        )
+    return TraceReport(
+        bundle_id=_bytes(bundle_id, "bundle id"),
+        traces=traces,
+        aborted=_flag(aborted, "aborted flag"),
+        abort_reason=_text(abort_reason, "abort reason"),
+    )

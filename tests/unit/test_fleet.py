@@ -3,7 +3,7 @@ the model gateway, N HEVM slots sharing one ORAM-server ledger."""
 
 import pytest
 
-from repro.hardware.fleet import TxProfile, profiles_from_breakdowns
+from repro.hardware.fleet import TxProfile, full_load_profile, profiles_from_breakdowns
 from repro.hardware.timing import CostModel, TimeBreakdown
 from repro.serving import model_gateway, model_sessions, run_closed_loop
 
@@ -117,3 +117,16 @@ def test_mixed_profiles_round_robin():
     heavy = TxProfile(exec_us=10.0, oram_queries=9)
     _, server, _ = _run([light, heavy], 1, 10)
     assert server.queries_served == 5 * 1 + 5 * 9
+
+
+def test_the_ledger_keeps_only_the_buckets_a_later_query_can_reach():
+    """25 full-load HEVMs, 10,000 requests, ~13 s of virtual time.  The
+    ledger used to keep every 100 µs bucket the run touched (44,800 at
+    the end); now it holds about one request's span of them."""
+    cost = CostModel()
+    profile = full_load_profile(cost)
+    report, server, end_us = _run([profile], 25, 400, cost)
+    assert report.completed == 10_000
+    assert end_us / server.bucket_us > 100_000
+    request_span_us = (profile.oram_queries + 1) * 630.0
+    assert len(server._committed) <= 2 * request_span_us / server.bucket_us

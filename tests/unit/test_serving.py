@@ -311,6 +311,20 @@ def test_ledger_over_capacity_cascades():
     assert ledger.queue_wait_us > 0.0
 
 
+def test_forgetting_the_past_changes_no_completion():
+    """``forget_before`` drops only buckets no later arrival reads: the
+    same arrivals get the same completions with and without it, across
+    a cascade and a long idle jump."""
+    kept = OramServerLedger(service_us=60.0, bucket_us=100.0)
+    pruned = OramServerLedger(service_us=60.0, bucket_us=100.0)
+    for start in [0.0, 0.0, 30.0, 150.0, 150.0, 420.0, 5e6, 5e6 + 10.0]:
+        pruned.forget_before(start)
+        for offset in (0.0, 40.0, 250.0):
+            assert pruned.serve(start + offset) == kept.serve(start + offset)
+    assert len(pruned._committed) < len(kept._committed)
+    assert min(pruned._committed) >= int(5e6 // 100.0)
+
+
 def test_ledger_completion_never_beats_service_time():
     ledger = OramServerLedger(service_us=25.0, bucket_us=100.0)
     ledger.serve(0.0)

@@ -449,3 +449,46 @@ def test_a_session_cycle_builds_no_verify_table_on_the_default_tier(
     finally:
         activate(before)
     assert (len(built), len(table_free)) == (tables, 0)
+
+
+# -- the trace-report codec ------------------------------------------------
+
+
+def test_the_trace_report_codec_builds_no_rlp_tree(monkeypatch):
+    """The report is written and read flat: one ``encode_trace_report``
+    makes no ``rlp.encode`` call and one ``decode_trace_report`` no
+    ``rlp.decode`` call (before: one encode recursing once per item, one
+    decode per report and a second walk over its tree)."""
+    from repro import rlp
+    from repro.hypervisor.bundle_codec import (
+        TraceReport,
+        TransactionTrace,
+        decode_trace_report,
+        encode_trace_report,
+    )
+
+    address = b"\x0a" * 20
+    report = TraceReport(
+        bundle_id=b"\x01" * 16,
+        traces=[
+            TransactionTrace(
+                status=1,
+                gas_used=53_000,
+                return_data=b"\x00" * 64,
+                error="reverted",
+                balance_changes={address: 10**18},
+                storage_changes={(address, slot): slot + 1 for slot in range(40)},
+                logs=[(address, [2**255, 7], b"\x02" * 32)],
+            )
+        ],
+        aborted=True,
+        abort_reason="out of gas",
+    )
+    calls = [
+        _count_calls(monkeypatch, owner, name)
+        for owner in (rlp, rlp.codec)
+        for name in ("encode", "decode")
+    ]
+    encoded = encode_trace_report(report)
+    assert decode_trace_report(encoded) == report
+    assert [len(made) for made in calls] == [0, 0, 0, 0]
