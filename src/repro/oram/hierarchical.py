@@ -34,7 +34,7 @@ Anti-rollback mirrors the path client: every slot's AEAD is bound to
 authentication instead of leaking stale state.  Slots are sealed with
 the path client's cipher (AES-GCM through OpenSSL) under a monotonic
 96-bit counter nonce; a Pyramid client is never rebuilt under a key it
-has used, because Pyramid shards refuse recovery (DESIGN.md §7.2).
+has used, because nothing rebuilds a Pyramid client (DESIGN.md §7.2).
 """
 
 from __future__ import annotations
@@ -163,9 +163,9 @@ class PyramidOramClient:
     Interface-compatible with :class:`~repro.oram.client.PathOramClient`
     where the adapter seam needs it: ``block_size``, ``server``,
     ``stats``, ``last_access``, ``read``/``write``/``access``.  The
-    recovery journal seam (``.recovery``) exists but is never fed —
-    pyramid shards have no per-access stash delta to journal; they are
-    checkpointed wholesale or not at all (see ``repro.sharding``).
+    recovery journal seam (``.recovery``) exists but is never fed — a
+    pyramid client has no per-access stash delta to journal, and the
+    recovery plane arms Path clients only.
     """
 
     def __init__(

@@ -145,19 +145,10 @@ class RecoveryManager:
         self.reattach(service, client)
         self.checkpoint()
 
-    def attach_client(self, client: PathOramClient) -> None:
-        """Arm just the ORAM-client seam, without a service.
-
-        Sharded fleets run one manager per shard client; sessions and
-        sync roots are fleet-level concerns handled elsewhere, so only
-        the per-access journal hooks are wired here.
-        """
-        self._client = client
-        client.recovery = self
-
     def reattach(self, service, client: PathOramClient) -> None:
         """Re-arm the seams after a restart (same epoch, same journal)."""
-        self.attach_client(client)
+        self._client = client
+        client.recovery = self
         for index, device in enumerate(service.devices):
             # Session records carry the index of the device they are on.
             device.hypervisor.recovery = SimpleNamespace(

@@ -1,83 +1,10 @@
-"""Typed errors for the sharding plane.
-
-The fleet's failure model is *per shard*: one crashed ORAM store must
-never surface as a whole-fleet failure (the regression this module
-exists to prevent was a single-shard crash escalating into a generic
-``BundleFailedError`` that condemned every tenant).  Every error below
-carries the shard id it concerns so the serving layer, the recovery
-coordinator, and the benches can route around exactly the broken slice.
-"""
+"""Typed errors for the sharding plane."""
 
 from __future__ import annotations
 
 
 class ShardingError(Exception):
     """Base class for every sharding-plane failure."""
-
-
-class ShardUnavailableError(ShardingError):
-    """A page access routed to a shard that is crashed or detached.
-
-    Carries the shard id and the underlying cause so callers can retry
-    against the *same* shard after recovery — never by silently
-    re-routing the key (that would move state between ORAM trees and
-    break the obliviousness argument for the ring).
-    """
-
-    def __init__(self, shard_id: int, cause: BaseException | str | None = None) -> None:
-        detail = f": {cause}" if cause else ""
-        super().__init__(f"shard {shard_id} unavailable{detail}")
-        self.shard_id = shard_id
-        self.cause = cause
-
-
-class ShardPinnedError(ShardingError):
-    """A sync-root mutation raced an active two-phase pin.
-
-    Raised when something tries to move a shard's sync root while a
-    cross-shard transaction holds that shard pinned.  The mutation must
-    wait for the pin holder to commit and release.
-    """
-
-    def __init__(self, shard_id: int, ticket_id: int) -> None:
-        super().__init__(
-            f"shard {shard_id} sync root is pinned by ticket {ticket_id}"
-        )
-        self.shard_id = shard_id
-        self.ticket_id = ticket_id
-
-
-class UnpinnedShardAccessError(ShardingError):
-    """A pinned transaction touched a shard outside its declared set.
-
-    The two-phase protocol requires every touched shard to be pinned
-    *before* execution starts; reaching an undeclared shard mid-flight
-    means the read set was computed wrong and the transaction must be
-    re-planned, not silently widened.
-    """
-
-    def __init__(self, shard_id: int, ticket_id: int) -> None:
-        super().__init__(
-            f"ticket {ticket_id} accessed shard {shard_id} outside its pinned set"
-        )
-        self.shard_id = shard_id
-        self.ticket_id = ticket_id
-
-
-class UnsupportedShardBackendError(ShardingError):
-    """An operation requires a backend capability the shard lacks.
-
-    Today: per-access journaling (the recovery plane) is a Path ORAM
-    capability; pyramid shards checkpoint wholesale or not at all.
-    """
-
-    def __init__(self, shard_id: int, backend: str, operation: str) -> None:
-        super().__init__(
-            f"shard {shard_id} backend {backend!r} does not support {operation}"
-        )
-        self.shard_id = shard_id
-        self.backend = backend
-        self.operation = operation
 
 
 class RingConfigurationError(ShardingError):

@@ -78,28 +78,11 @@ class ConsistentHashRing:
             index = 0  # wrap around the circle
         return self._points[index][1]
 
-    def shards_for(self, keys: Iterable[bytes]) -> tuple[int, ...]:
-        """The distinct shards touched by a key set, sorted ascending.
-
-        Sorted order is the fleet-wide lock order for two-phase pins:
-        every transaction acquiring in this order makes pin cycles (and
-        so deadlocks) impossible.
-        """
-        return tuple(sorted({self.shard_for(key) for key in keys}))
-
     # -- topology ------------------------------------------------------
 
     @property
     def shard_ids(self) -> tuple[int, ...]:
         return self._shard_ids
-
-    @property
-    def vnodes(self) -> int:
-        return self._vnodes
-
-    @property
-    def seed(self) -> bytes:
-        return self._seed
 
     def with_shard(self, shard_id: int) -> "ConsistentHashRing":
         """A new ring with ``shard_id`` added; existing arcs unchanged."""
@@ -138,9 +121,3 @@ class ConsistentHashRing:
         for key in keys:
             counts[self.shard_for(key)] += 1
         return counts
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ConsistentHashRing(shards={self._shard_ids}, "
-            f"vnodes={self._vnodes}, digest={self.table_digest()[:12]})"
-        )

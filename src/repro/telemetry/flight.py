@@ -9,13 +9,13 @@ gate hashes exactly that.
 
 When a request terminates with one of the typed failures the planes
 treat as terminal (:class:`~repro.faults.errors.BundleFailedError`,
-:class:`~repro.hypervisor.resumption.StaleTicketError`,
-:class:`~repro.sharding.errors.ShardUnavailableError`), the recorder
-*seals* the session's ring into an immutable :class:`SealedDump` with a
-sha256 digest over its canonical JSON — deterministic down to the byte
-for a seeded run, so two identical runs produce identical dumps
-(property-tested).  Trigger matching is by exception *type name* so this
-module never imports the fault/sharding/hypervisor planes it observes.
+:class:`~repro.hypervisor.resumption.StaleTicketError` and the
+receipt-audit verdicts), the recorder *seals* the session's ring into
+an immutable :class:`SealedDump` with a sha256 digest over its
+canonical JSON — deterministic down to the byte for a seeded run, so
+two identical runs produce identical dumps (property-tested).  Trigger
+matching is by exception *type name* so this module never imports the
+fault/hypervisor/audit planes it observes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ SEAL_CAUSES = frozenset(
     {
         "BundleFailedError",
         "StaleTicketError",
-        "ShardUnavailableError",
         "ReceiptMismatchError",
         "ReceiptMissingError",
         "QuarantinedDeviceError",

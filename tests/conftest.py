@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.evm.interpreter import ChainContext
 from repro.state.account import to_address
@@ -14,6 +15,14 @@ from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 ALICE = to_address(0xA11CE)
 BOB = to_address(0xB0B)
 COINBASE = to_address(0xC01BA5E)
+
+# One profile for every property test, loaded before any test module is
+# collected: no wall-clock deadline (a property's speed is the host's,
+# not the code's), and examples drawn from a seed derived from each test,
+# so two runs of the suite try the same inputs.  A test's own
+# ``@settings`` still overrides either.
+settings.register_profile("repro", deadline=None, derandomize=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture

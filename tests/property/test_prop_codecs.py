@@ -1,4 +1,6 @@
-"""Property-based tests for the wire codecs (bundle, trace, header)."""
+"""Property-based tests for the wire codecs (bundle, trace, header),
+and hand-built refusal tables for the sealed ticket state and journal
+record beside the trace report's."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +22,9 @@ from repro.hypervisor.messages import (
     MessageHeader,
     MessageType,
 )
+from repro.hypervisor.resumption import TicketIntegrityError, TicketState
+from repro.recovery import journal
+from repro.recovery.state import RecoveryIntegrityError
 from repro.state.blocks import Transaction
 from tests.hostile import mutated
 from tests.oracles import tree_decode_trace_report, tree_encode_trace_report
@@ -264,6 +269,97 @@ def test_both_decoders_refuse_trailing_bytes():
         tree_decode_trace_report(encoded)
     with pytest.raises(rlp.DecodingError, match="trailing"):
         decode_trace_report(encoded)
+
+
+
+# ``TicketState`` is fixed fields then five length-prefixed blobs, the
+# ring digest (UTF-8) last.  Each edit below is one way a blob under the
+# ticket seal can disagree with that layout.
+TICKET = TicketState(
+    session_id=b"\x01" * 16, user_public=b"\x02" * 33,
+    hv_signing_secret=b"\x03" * 32, resumption_secret=b"\x04" * 32,
+    send_watermark=5, recv_watermark=6, shard_affinity=-1,
+    ring_digest="ring", minted_at_us=1.5,
+).encode()
+FIXED = 32      # four 8-byte fields ahead of the first length
+RING_LENGTH = len(TICKET) - len("ring") - 2
+
+
+def _ticket_length(at: int, value: int):
+    return lambda data: data[:at] + value.to_bytes(2, "big") + data[at + 2:]
+
+
+TICKET_REFUSALS = {
+    "empty": lambda data: b"",
+    "fixed-fields-truncated": lambda data: data[:FIXED - 1],
+    "no-length-fields": lambda data: data[:FIXED],
+    "a-length-field-truncated": lambda data: data[:FIXED + 1],
+    "last-blob-truncated": lambda data: data[:-1],
+    "a-trailing-byte": lambda data: data + b"\x00",
+    "a-length-past-the-end": _ticket_length(RING_LENGTH, len("ring") + 1),
+    "a-length-short-by-one": _ticket_length(FIXED, 15),
+    "a-length-of-zero": _ticket_length(FIXED, 0),
+    "ring-digest-not-utf8": lambda data: data[:RING_LENGTH] + b"\x00\x04\xff\xfeng",
+    "ring-digest-a-cut-utf8-sequence": lambda data: data[:RING_LENGTH] + b"\x00\x01\xc3",
+}
+
+
+def test_the_hand_built_ticket_state_decodes():
+    assert TicketState.decode(TICKET).encode() == TICKET
+
+
+@pytest.mark.parametrize(
+    "edit", list(TICKET_REFUSALS.values()), ids=list(TICKET_REFUSALS)
+)
+def test_ticket_state_decoder_refuses_each_malformed_state(edit):
+    with pytest.raises(TicketIntegrityError):
+        TicketState.decode(edit(TICKET))
+
+
+# A journal record is canonical JSON (sorted keys, no spaces, ASCII) of
+# ``{"kind", "payload"}``; every other spelling, shape or kind is refused.
+RECORD = journal.encode_record("root", journal.root_payload(b"\xab" * 2))
+RECORD_REFUSALS = {
+    "empty": b"",
+    "not-utf8": b"\xff",
+    "not-json": b'{"kind":',
+    "a-list": b"[]",
+    "a-string": b'"root"',
+    "kind-missing": b'{"payload":{"root":"abab"}}',
+    "payload-missing": b'{"kind":"root"}',
+    "kind-unknown": b'{"kind":"bogus","payload":{}}',
+    "kind-a-number": b'{"kind":1,"payload":{}}',
+    "payload-a-string": b'{"kind":"root","payload":"ab"}',
+    "payload-a-number": b'{"kind":"root","payload":1}',
+    "payload-a-list-of-pairs": b'{"kind":"root","payload":[["root","abab"]]}',
+    "keys-out-of-order": b'{"payload":{"root":"abab"},"kind":"root"}',
+    "a-space-after-a-colon": b'{"kind": "root","payload":{"root":"abab"}}',
+    "a-trailing-newline": RECORD + b"\n",
+    "a-utf8-bom": b"\xef\xbb\xbf" + RECORD,
+    "a-duplicate-key": b'{"kind":"root","kind":"root","payload":{"root":"abab"}}',
+    "an-extra-field": b'{"extra":0,"kind":"root","payload":{"root":"abab"}}',
+    "an-escaped-spelling": b'{"kind":"\\u0072oot","payload":{"root":"abab"}}',
+    "unescaped-non-ascii": b'{"kind":"root","payload":{"root":"\xc3\xa9"}}',
+    "an-exponent-spelling": b'{"kind":"lease","payload":{"until":1e0}}',
+    "a-leading-zero": b'{"kind":"lease","payload":{"until":01}}',
+    "an-integer-past-the-digit-limit":
+        b'{"kind":"lease","payload":{"until":' + b"1" * 5000 + b"}}",
+    "nesting-past-the-recursion-limit":
+        b'{"kind":"root","payload":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+}
+
+
+def test_the_hand_built_journal_record_decodes():
+    assert RECORD == b'{"kind":"root","payload":{"root":"abab"}}'
+    assert journal.decode_record(RECORD) == ("root", {"root": "abab"})
+
+
+@pytest.mark.parametrize(
+    "data", list(RECORD_REFUSALS.values()), ids=list(RECORD_REFUSALS)
+)
+def test_journal_record_decoder_refuses_each_malformed_record(data):
+    with pytest.raises(RecoveryIntegrityError):
+        journal.decode_record(data)
 
 
 @given(

@@ -14,9 +14,6 @@ from repro.crypto.suite import (
     xor_bytes,
 )
 
-settings.register_profile("crypto", deadline=None)
-settings.load_profile("crypto")
-
 
 @given(st.binary(max_size=512))
 def test_keccak_incremental_equals_oneshot(data):

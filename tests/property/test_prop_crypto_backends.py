@@ -16,8 +16,6 @@ from repro.crypto.ecc import InvalidSignature, PrivateKey, Signature
 from repro.crypto.keccak import Keccak256, keccak256
 from tests.oracles import affine_add, affine_scalar_mul
 
-settings.register_profile("crypto_backends", deadline=None)
-settings.load_profile("crypto_backends")
 
 @given(st.binary(max_size=600))
 def test_every_engine_matches_scalar_sponge(data):

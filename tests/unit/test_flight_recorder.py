@@ -57,7 +57,7 @@ class TestRing:
 class TestSealing:
     def test_seal_causes_are_the_typed_failures(self):
         assert SEAL_CAUSES == {
-            "BundleFailedError", "StaleTicketError", "ShardUnavailableError",
+            "BundleFailedError", "StaleTicketError",
             # Byzantine verdicts from the receipt-audit plane.
             "ReceiptMismatchError", "ReceiptMissingError",
             "QuarantinedDeviceError",

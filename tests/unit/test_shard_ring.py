@@ -30,13 +30,6 @@ def test_every_shard_owns_keys():
     assert sum(counts.values()) == 2000
 
 
-def test_shards_for_is_sorted_and_distinct():
-    ring = ConsistentHashRing(range(8))
-    touched = ring.shards_for(_keys(100))
-    assert list(touched) == sorted(set(touched))
-    assert all(sid in range(8) for sid in touched)
-
-
 def test_add_shard_moves_only_keys_onto_the_new_shard():
     small = ConsistentHashRing(range(4))
     big = small.with_shard(4)

@@ -1,4 +1,4 @@
-"""Unit tests for the sharded fleet, routing client, and pin protocol."""
+"""Unit tests for the sharded fleet and its routing client."""
 
 import hashlib
 
@@ -10,10 +10,6 @@ from repro.sharding import (
     ShardedObliviousStateBackend,
     ShardedOramConfig,
     ShardedOramFleet,
-    ShardPinnedError,
-    ShardUnavailableError,
-    SyncRootCoordinator,
-    UnpinnedShardAccessError,
     shard_key,
 )
 from repro.state.account import Account
@@ -40,6 +36,13 @@ def _accounts(n=6):
     return out
 
 
+def _per_shard_accesses(fleet):
+    return {
+        sid: shard.client.stats.accesses
+        for sid, shard in sorted(fleet.shards.items())
+    }
+
+
 def test_shard_keys_are_distinct_and_deterministic():
     keys = [shard_key(MASTER, sid) for sid in range(8)]
     assert len(set(keys)) == 8
@@ -49,7 +52,7 @@ def test_shard_keys_are_distinct_and_deterministic():
 
 def test_fleet_builds_one_store_per_shard():
     fleet = _fleet(4)
-    assert fleet.shard_ids == (0, 1, 2, 3)
+    assert sorted(fleet.shards) == [0, 1, 2, 3]
     servers = {id(shard.server) for shard in fleet.shards.values()}
     assert len(servers) == 4  # independent stores, no sharing
     assert {shard.key for shard in fleet.shards.values()} == {
@@ -77,9 +80,9 @@ def test_accesses_route_by_ring_and_round_trip():
     # Traffic landed on the ring-designated shards only.
     for address in accounts:
         page = paging.account_page_key(address)
-        owner = backend.shard_for_page(page)
+        owner = fleet.ring.shard_for(page)
         assert fleet.shards[owner].client.stats.accesses > 0
-    per_shard = backend.router.per_shard_accesses()
+    per_shard = _per_shard_accesses(fleet)
     assert sum(per_shard.values()) == backend.stats.total + _pages(accounts)
 
 
@@ -116,97 +119,6 @@ def test_single_shard_fleet_matches_unsharded_wire():
     assert fleet.shards[0].server.snapshot_tree() == server.snapshot_tree()
 
 
-def test_crash_is_a_typed_per_shard_error():
-    fleet = _fleet(4)
-    backend = ShardedObliviousStateBackend(fleet)
-    accounts = _accounts()
-    backend.sync_world(accounts)
-    victim_address = next(iter(accounts))
-    victim = backend.shard_for_page(paging.account_page_key(victim_address))
-    backend.router.mark_crashed(victim, "unit-test")
-    with pytest.raises(ShardUnavailableError) as err:
-        backend.get_meta(victim_address)
-    assert err.value.shard_id == victim
-    # Every other shard keeps serving.
-    for address in accounts:
-        if backend.shard_for_page(paging.account_page_key(address)) != victim:
-            backend.get_meta(address)
-    backend.router.mark_recovered(victim)
-    assert backend.get_meta(victim_address).balance == accounts[victim_address].balance
-
-
-def test_two_phase_pin_scopes_access_and_blocks_sync():
-    fleet = _fleet(4)
-    backend = ShardedObliviousStateBackend(fleet)
-    accounts = _accounts()
-    backend.sync_world(accounts)
-    addresses = sorted(accounts)
-    tx_pages = [paging.account_page_key(a) for a in addresses[:2]]
-    pinned_shards = backend.shards_for_pages(tx_pages)
-    outside = next(
-        a for a in addresses
-        if backend.shard_for_page(paging.account_page_key(a)) not in pinned_shards
-    )
-    with backend.pinned(tx_pages) as ticket:
-        assert ticket.shard_ids == pinned_shards
-        for a in addresses[:2]:
-            backend.get_meta(a)  # in-set access is fine
-        with pytest.raises(UnpinnedShardAccessError):
-            backend.get_meta(outside)
-        with pytest.raises(ShardPinnedError):
-            backend.sync_account(addresses[0], accounts[addresses[0]])
-        assert backend.coordinator.stats.sync_conflicts == 1
-        # A block delta is refused for the pages it is about to write.
-        meta = backend.get_meta(addresses[0])
-        with pytest.raises(ShardPinnedError):
-            backend.sync_delta(addresses[0], meta, {}, None)
-        group = next(
-            group for group in range(64)
-            if backend.shard_for_page(paging.storage_page_key(outside, 32 * group))
-            in pinned_shards
-        )
-        with pytest.raises(ShardPinnedError):
-            backend.sync_delta(outside, meta, {32 * group: 1}, None)
-        assert backend.coordinator.stats.sync_conflicts == 3
-    # Released: both the out-of-set read and the syncs work again.
-    backend.get_meta(outside)
-    backend.sync_account(addresses[0], accounts[addresses[0]])
-    assert backend.sync_delta(addresses[0], meta, {32 * group: 1}, None) == 2
-    assert backend.get_storage(addresses[0], 32 * group) == 1
-
-
-def test_pins_are_shared_and_ordered():
-    coordinator = SyncRootCoordinator((0, 1, 2, 3))
-    first = coordinator.pin((2, 0))
-    second = coordinator.pin((0, 3))  # overlapping pins coexist (reader-style)
-    assert first.shard_ids == (0, 2)  # ascending = fleet lock order
-    assert coordinator.pinned_shards() == (0, 2, 3)
-    coordinator.release(first)
-    assert coordinator.pinned_shards() == (0, 3)
-    coordinator.release(second)
-    with pytest.raises(ValueError):
-        coordinator.release(second)
-
-
-def test_note_root_refused_while_pinned():
-    coordinator = SyncRootCoordinator((0, 1))
-    ticket = coordinator.pin((1,))
-    coordinator.note_root(0, b"root-a")  # unpinned shard: fine
-    with pytest.raises(ShardPinnedError):
-        coordinator.note_root(1, b"root-a")
-    coordinator.release(ticket)
-    coordinator.note_root(1, b"root-a")
-    assert coordinator.root_of(1) == b"root-a"
-
-
-def test_sync_world_notes_roots_fleet_wide():
-    fleet = _fleet(2)
-    backend = ShardedObliviousStateBackend(fleet)
-    backend.sync_world(_accounts(3), state_root=b"R" * 32)
-    for sid in fleet.shard_ids:
-        assert backend.coordinator.root_of(sid) == b"R" * 32
-
-
 def test_mixed_backend_fleet_round_trips():
     fleet = _fleet(4, backend_overrides={1: "pyramid", 3: "pyramid"})
     backend = ShardedObliviousStateBackend(fleet)
@@ -215,8 +127,36 @@ def test_mixed_backend_fleet_round_trips():
     for address, account in accounts.items():
         assert backend.get_meta(address).nonce == account.nonce
         assert backend.get_storage(address, 0) == account.storage[0]
-    assert set(backend.router.per_shard_accesses()) == {0, 1, 2, 3}
+    # Both kinds of shard served traffic.
+    assert all(_per_shard_accesses(fleet).values())
 
+
+def test_block_delta_routes_each_page_to_its_owner():
+    """``sync_delta`` is read-modify-write (``access(key, modify=fn)``);
+    on a fleet each page's access goes to its ring owner, Path or
+    Pyramid alike."""
+    fleet = _fleet(4, backend_overrides={1: "pyramid", 3: "pyramid"})
+    backend = ShardedObliviousStateBackend(fleet)
+    accounts = _accounts()
+    backend.sync_world(accounts)
+    before = _per_shard_accesses(fleet)
+    address = sorted(accounts)[0]
+    meta = backend.get_meta(address)
+    # The account page and the two storage groups holding a changed slot.
+    assert backend.sync_delta(address, meta, {0: 7, 40: 0}, None) == 3
+    pages = [
+        paging.account_page_key(address),
+        paging.account_page_key(address),
+        paging.storage_page_key(address, 0),
+        paging.storage_page_key(address, 40),
+    ]
+    expected = dict(before)
+    for page in pages:
+        expected[fleet.ring.shard_for(page)] += 1
+    assert _per_shard_accesses(fleet) == expected
+    assert backend.get_storage(address, 0) == 7
+    assert backend.get_storage(address, 40) == 0
+    assert backend.get_meta(address).balance == accounts[address].balance
 
 def test_last_access_is_the_last_routed_shards_summary():
     """The router reports the shard that served the *last* access, not
@@ -226,16 +166,11 @@ def test_last_access_is_the_last_routed_shards_summary():
     keys = {0: [], 1: []}
     for index in range(64):
         key = b"page-%d" % index
-        keys[router.shard_for(key)].append(key)
+        keys[fleet.ring.shard_for(key)].append(key)
     for key in keys[0][:5]:
         router.write(key, b"busy")
     router.write(keys[1][0], b"last")
-    assert router.per_shard_accesses() == {0: 5, 1: 1}
+    assert _per_shard_accesses(fleet) == {0: 5, 1: 1}
     assert router.last_access is fleet.shards[1].client.last_access
     router.read(keys[0][0])
-    assert router.last_access is fleet.shards[0].client.last_access
-    # A refused access is not a served one.
-    router.mark_crashed(1, "test")
-    with pytest.raises(ShardUnavailableError):
-        router.read(keys[1][0])
     assert router.last_access is fleet.shards[0].client.last_access

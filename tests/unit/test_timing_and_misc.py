@@ -112,7 +112,7 @@ def test_decode_trace_report_rejects_garbage():
     from repro import rlp
     from repro.hypervisor.bundle_codec import decode_trace_report
 
-    with pytest.raises((rlp.DecodingError, ValueError)):
+    with pytest.raises(rlp.DecodingError):
         decode_trace_report(b"\x01\x02\x03")
 
 
