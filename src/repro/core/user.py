@@ -106,18 +106,17 @@ class PreExecutionClient:
         )
 
         user_session_key = self._fresh_key()
+        user_session_public = user_session_key.public_key()
         user_dh_key = self._fresh_key()
         session_id = device.hypervisor.establish_session(
             report,
             hv_session_key,
             hv_dh_key,
-            user_session_key.public_key(),
+            user_session_public,
             user_dh_key.public_key(),
         )
         transcript = (
-            nonce
-            + report.session_public.to_bytes()
-            + user_session_key.public_key().to_bytes()
+            nonce + report.session_public.to_bytes() + user_session_public.to_bytes()
         )
         aes_key = derive_session_key(user_dh_key, report.dh_public, transcript)
         channel = SecureChannel(

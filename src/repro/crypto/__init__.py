@@ -13,9 +13,9 @@ the default, whose ``aead_factory(k)`` is an ``AcceleratedAesGcmAead``
 and whose ``verifier(q)`` an ``_OpensslVerifier`` (both OpenSSL through
 ``cryptography``); and ``reference``, the pure-Python oracle, whose
 ``aead_factory(k)`` is an ``AesGcmAead`` and whose ``verifier(q)`` is
-the ``PublicKey`` ``q`` itself.  Signing, ECDH and Keccak-256 are pure
-Python in both: hashing is one sponge behind :func:`keccak256`'s memo,
-not a tier choice.
+the ``PublicKey`` ``q`` itself.  Signing and Keccak-256 are pure Python
+in both, and ECDH is OpenSSL in both: hashing is one sponge behind
+:func:`keccak256`'s memo, not a tier choice, and neither is ECDH.
 """
 
 from repro.crypto.aes import AES

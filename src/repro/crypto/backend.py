@@ -31,8 +31,9 @@ tier           ``type(aead_factory(k))``   ``type(verifier(q))``
   select it.
 
 Each tier has one code path: nothing inside a tier falls back to
-another.  RFC 6979 signing and ECDH stay pure Python in both tiers
-(:mod:`repro.crypto.ecc`), on the one Jacobian group law.
+another.  RFC 6979 signing stays pure Python in both tiers, on the
+one Jacobian group law, and ECDH is OpenSSL in both
+(:mod:`repro.crypto.ecc`); neither is a tier hook.
 
 The contract every backend must honour — and perf-bench's pairwise
 identity gate enforces — is **byte identity**: same wire bytes, same

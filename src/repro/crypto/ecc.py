@@ -8,17 +8,24 @@ secp256k1, so one curve serves both roles.
 Signatures here are deterministic (RFC 6979 style, using HMAC-SHA256) so
 that simulation runs are reproducible.
 
-All point arithmetic goes through one Jacobian group law (below); affine
-:class:`Point` values exist only at the module boundary — keys, wire
-encodings, table entries — and each result crossing it costs exactly one
-field inversion.  ``k * G`` always reads the global fixed-window G table.
+All pure-Python point arithmetic goes through one Jacobian group law
+(below); affine :class:`Point` values exist only at the module boundary —
+keys, wire encodings, table entries — and each result crossing it costs
+exactly one field inversion.  ``k * G`` always reads the global
+fixed-window G table, and a private key computes its public point once.
+
+ECDH is served by OpenSSL through ``cryptography`` (the rule the AEAD
+follows: OpenSSL serves, pure Python checks); the curve check on the peer
+stays here, and the Jacobian law is the oracle the tests hold it to.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from cryptography.hazmat.primitives.asymmetric import ec as _ec
 
 # secp256k1 domain parameters.
 P = 2**256 - 2**32 - 977
@@ -190,11 +197,6 @@ def _jac_mul(k: int, point: Point) -> _Jacobian:
     return acc
 
 
-def _scalar_mul(k: int, point: Point) -> Point:
-    """``k * point`` for an arbitrary point (ECDH, table-free verify)."""
-    return _to_affine(_jac_mul(k, point))
-
-
 # ---------------------------------------------------------------------------
 # Fixed-window tables.
 #
@@ -291,11 +293,23 @@ def decode_point(data: bytes) -> Point:
     return point
 
 
+_SECP256K1 = _ec.SECP256K1()
+_ECDH = _ec.ECDH()
+
+
+def _openssl_numbers(point: Point) -> _ec.EllipticCurvePublicNumbers:
+    return _ec.EllipticCurvePublicNumbers(point.x, point.y, _SECP256K1)
+
+
 @dataclass(frozen=True)
 class PrivateKey:
     """A secp256k1 private key with deterministic-ECDSA signing."""
 
     secret: int
+    # ``secret * G``, set by the first :meth:`public_key` call.
+    _public: PublicKey | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 1 <= self.secret < N:
@@ -307,7 +321,12 @@ class PrivateKey:
         return cls(value)
 
     def public_key(self) -> "PublicKey":
-        return PublicKey(fixed_base_mul(self.secret))
+        """``secret * G``: one fixed-base multiplication per key, ever."""
+        public = self._public
+        if public is None:
+            public = PublicKey(fixed_base_mul(self.secret))
+            object.__setattr__(self, "_public", public)
+        return public
 
     def _rfc6979_nonce(self, digest: bytes) -> int:
         """Deterministic per-message nonce (RFC 6979, HMAC-SHA256)."""
@@ -347,11 +366,19 @@ class PrivateKey:
             return Signature(r, s)
 
     def ecdh(self, peer: "PublicKey") -> bytes:
-        """Raw ECDH shared secret (x-coordinate, 32 bytes)."""
-        x = _scalar_mul(self.secret, peer.point).x
-        if x is None:
-            raise ValueError("ECDH produced the point at infinity")
-        return x.to_bytes(32, "big")
+        """Raw ECDH shared secret (x-coordinate, 32 bytes), in OpenSSL.
+
+        The peer is checked here first, so a point that bypassed
+        :class:`PublicKey` validation is refused with ``ValueError``
+        before OpenSSL sees it.  The OpenSSL key is built from the
+        memoised public numbers, which skips its own ``secret * G``.
+        """
+        if peer.point.is_infinity or not point_on_curve(peer.point):
+            raise ValueError("invalid ECDH peer key")
+        own = _ec.EllipticCurvePrivateNumbers(
+            self.secret, _openssl_numbers(self.public_key().point)
+        ).private_key()
+        return own.exchange(_ECDH, _openssl_numbers(peer.point).public_key())
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,16 @@ class AttestationReport:
     signature: Signature  # device key over (nonce || session pub || dh pub)
 
     def signed_message(self) -> bytes:
-        return hashlib.sha256(
-            b"hardtape-attest"
-            + self.user_nonce
-            + self.session_public.to_bytes()
-            + self.dh_public.to_bytes()
-        ).digest()
+        return _binding_digest(self.user_nonce, self.session_public, self.dh_public)
+
+
+def _binding_digest(
+    user_nonce: bytes, session_public: PublicKey, dh_public: PublicKey
+) -> bytes:
+    """What the device key signs: the fresh keys bound to the nonce."""
+    return hashlib.sha256(
+        b"hardtape-attest" + user_nonce + session_public.to_bytes() + dh_public.to_bytes()
+    ).digest()
 
 
 def build_report(
@@ -49,20 +53,16 @@ def build_report(
     user_nonce: bytes,
 ) -> AttestationReport:
     """Hypervisor side: assemble and sign the report."""
-    report = AttestationReport(
-        boot_receipt=boot_receipt,
-        session_public=session_key.public_key(),
-        dh_public=dh_key.public_key(),
-        user_nonce=user_nonce,
-        signature=Signature(1, 1),  # placeholder, replaced below
-    )
-    signature = device_key.sign(report.signed_message())
+    session_public = session_key.public_key()
+    dh_public = dh_key.public_key()
     return AttestationReport(
         boot_receipt=boot_receipt,
-        session_public=session_key.public_key(),
-        dh_public=dh_key.public_key(),
+        session_public=session_public,
+        dh_public=dh_public,
         user_nonce=user_nonce,
-        signature=signature,
+        signature=device_key.sign(
+            _binding_digest(user_nonce, session_public, dh_public)
+        ),
     )
 
 

@@ -1,11 +1,15 @@
 """Property-based tests for the wire codecs (bundle, trace, header),
-and hand-built refusal tables for the sealed ticket state and journal
-record beside the trace report's."""
+and hand-built refusal tables for the sealed ticket state, journal
+record, SEC1 point and ECDSA signature beside the trace report's."""
+
+import hashlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import rlp
+from repro.crypto import ecc
+from repro.crypto.ecc import GX, GY, P, EccDecodingError
 from repro.rlp.codec import encode_list
 from repro.hypervisor.bundle_codec import (
     TraceReport,
@@ -360,6 +364,70 @@ def test_the_hand_built_journal_record_decodes():
 def test_journal_record_decoder_refuses_each_malformed_record(data):
     with pytest.raises(RecoveryIntegrityError):
         journal.decode_record(data)
+
+
+# A SEC1 point is 0x04, then x and y as 32 bytes each, both below p and
+# on y^2 = x^3 + 7.  Each entry breaks one of those rules.  SMALL_X and
+# SMALL_Y are curve points with one coordinate small enough that it can
+# be spelled one byte short or with p added and still fit its field.
+SMALL_X = ecc.Point(1, 0x4218F20AE6C646B363DB68605822FB14264CA8D2587FDD6FBC750D587E76A7EE)
+SMALL_Y = ecc.Point(0x1FE1E5EF3FCEB5C135AB7741333CE5A6E80D68167653F6B2B24BCBCFAAAFF507, 1)
+
+
+def _sec1(x: int, y: int, prefix: bytes = b"\x04", y_width: int = 32) -> bytes:
+    return prefix + x.to_bytes(32, "big") + y.to_bytes(y_width, "big")
+
+
+POINT_REFUSALS = {
+    "empty": b"",
+    "prefix-0x00": _sec1(GX, GY, prefix=b"\x00"),
+    "prefix-0x02": _sec1(GX, GY, prefix=b"\x02"),
+    "prefix-0x03": _sec1(GX, GY, prefix=b"\x03"),
+    "64-bytes-y-a-byte-short": _sec1(SMALL_Y.x, SMALL_Y.y, y_width=31),
+    "66-bytes-y-a-byte-long": _sec1(GX, GY, y_width=33),
+    "x-equals-p": _sec1(P, GY),
+    "y-equals-p": _sec1(GX, P),
+    "x-plus-p": _sec1(SMALL_X.x + P, SMALL_X.y),
+    "y-plus-p": _sec1(SMALL_Y.x, SMALL_Y.y + P),
+    "y-plus-1": _sec1(GX, GY + 1),
+    "all-zeros": b"\x00" * 65,
+    "zero-coordinates": _sec1(0, 0),
+}
+
+
+@pytest.mark.parametrize("point", [ecc.G, SMALL_X, SMALL_Y], ids=["G", "small-x", "small-y"])
+def test_the_hand_built_points_decode(point):
+    assert ecc.decode_point(_sec1(point.x, point.y)) == point
+
+
+@pytest.mark.parametrize(
+    "data", list(POINT_REFUSALS.values()), ids=list(POINT_REFUSALS)
+)
+def test_point_decoder_refuses_each_malformed_point(data):
+    with pytest.raises(EccDecodingError):
+        ecc.decode_point(data)
+
+
+# A signature is r then s, 32 bytes each; the scalars' range is the
+# verifier's check, not the decoder's.
+SIGNATURE = ecc.PrivateKey(1).sign(hashlib.sha256(b"refusals").digest()).to_bytes()
+SIGNATURE_REFUSALS = {
+    "empty": b"",
+    "63-bytes": SIGNATURE[:-1],
+    "65-bytes": SIGNATURE + b"\x00",
+}
+
+
+def test_the_hand_built_signature_decodes():
+    assert ecc.Signature.from_bytes(SIGNATURE).to_bytes() == SIGNATURE
+
+
+@pytest.mark.parametrize(
+    "data", list(SIGNATURE_REFUSALS.values()), ids=list(SIGNATURE_REFUSALS)
+)
+def test_signature_decoder_refuses_each_malformed_signature(data):
+    with pytest.raises(EccDecodingError):
+        ecc.Signature.from_bytes(data)
 
 
 @given(

@@ -39,7 +39,7 @@ _points = st.integers(min_value=1, max_value=ecc.N - 1).map(
 @pytest.mark.parametrize("k", _EDGE_SCALARS)
 def test_fixed_base_mul_equals_double_and_add_on_edge_scalars(k):
     assert ecc.fixed_base_mul(k) == affine_scalar_mul(k, ecc.G)
-    assert ecc._scalar_mul(k, ecc.G) == affine_scalar_mul(k, ecc.G)
+    assert ecc._to_affine(ecc._jac_mul(k, ecc.G)) == affine_scalar_mul(k, ecc.G)
 
 
 @settings(max_examples=15)
@@ -51,14 +51,42 @@ def test_fixed_base_mul_equals_double_and_add(k):
 @settings(max_examples=15)
 @given(_scalars, _points)
 def test_scalar_mul_equals_double_and_add(k, point):
-    assert ecc._scalar_mul(k, point) == affine_scalar_mul(k, point)
+    assert ecc._to_affine(ecc._jac_mul(k, point)) == affine_scalar_mul(k, point)
+
+
+_secrets = st.one_of(
+    st.sampled_from([1, ecc.N - 1, 2**255]), st.integers(min_value=1, max_value=ecc.N - 1)
+)
 
 
 @settings(max_examples=15)
-@given(st.integers(min_value=1, max_value=ecc.N - 1), _points)
-def test_ecdh_equals_double_and_add(secret, point):
-    shared = PrivateKey(secret).ecdh(ecc.PublicKey(point))
-    assert shared == affine_scalar_mul(secret, point).x.to_bytes(32, "big")
+@given(_secrets, _secrets)
+def test_ecdh_equals_double_and_add(a, b):
+    """OpenSSL's ECDH equals the affine oracle, both ways round."""
+    key_a, key_b = PrivateKey(a), PrivateKey(b)
+    public_a, public_b = key_a.public_key(), key_b.public_key()
+    shared = key_a.ecdh(public_b)
+    assert shared == affine_scalar_mul(a, public_b.point).x.to_bytes(32, "big")
+    assert key_b.ecdh(public_a) == shared
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        ecc.Point(1, 2),
+        ecc.Point(ecc.GX, ecc.GY + 1),
+        ecc.INFINITY,
+        ecc.Point(ecc.GX + ecc.P, ecc.GY),
+    ],
+    ids=["off-curve", "y+1", "infinity", "x+P"],
+)
+def test_ecdh_refuses_an_unvalidated_peer_with_value_error(point):
+    # The point skips PublicKey.__post_init__, as a hostile caller could.
+    peer = object.__new__(ecc.PublicKey)
+    object.__setattr__(peer, "point", point)
+    with pytest.raises(ValueError) as caught:
+        PrivateKey(7).ecdh(peer)
+    assert type(caught.value) is ValueError
 
 
 @settings(max_examples=3)

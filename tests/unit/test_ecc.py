@@ -20,7 +20,7 @@ from repro.crypto.ecc import (
     _jac_add,
     _jac_add_affine,
     _jac_double,
-    _scalar_mul,
+    _jac_mul,
     _to_affine,
     decode_point,
     encode_point,
@@ -40,7 +40,7 @@ def test_generator_on_curve():
 
 def test_scalar_mul_matches_known_point():
     # 2*G for secp256k1 is a published constant.
-    double = _scalar_mul(2, G)
+    double = _to_affine(_jac_mul(2, G))
     assert double.x == int(
         "c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5", 16
     )
@@ -50,7 +50,7 @@ def test_scalar_mul_matches_known_point():
 
 
 def test_order_times_generator_is_infinity():
-    assert _scalar_mul(N, G).is_infinity
+    assert _to_affine(_jac_mul(N, G)).is_infinity
 
 
 def _jac(point: Point, z: int = 1):
@@ -61,7 +61,7 @@ def _jac(point: Point, z: int = 1):
 
 
 def test_point_add_inverse_is_infinity():
-    p = _scalar_mul(7, G)
+    p = _to_affine(_jac_mul(7, G))
     neg = Point(p.x, (-p.y) % P)
     assert _to_affine(_jac_add(_jac(p, 5), _jac(neg, 9))).is_infinity
     assert _to_affine(_jac_add_affine(_jac(p, 5), neg)).is_infinity
@@ -321,6 +321,8 @@ def test_modular_inversions_per_operation(monkeypatch):
     assert count(lambda: key.sign(digest)) == [N, P]  # one scalar, one field
     assert count(lambda: public.verify(digest, signature)) == [N, P]
     assert count(lambda: verifier.verify(digest, signature)) == [N, P]
-    assert count(lambda: key.ecdh(public)) == [P]
-    assert count(key.public_key) == [P]
+    assert count(lambda: key.ecdh(public)) == []  # OpenSSL does the curve work
+    fresh = PrivateKey.from_bytes(b"\x43" * 32)
+    assert count(fresh.public_key) == [P]  # secret * G, once ...
+    assert count(fresh.public_key) == []  # ... and then read off the key
     assert count(lambda: ecc._window_table(public.point)) == [P]

@@ -11,7 +11,6 @@ per-opcode step table; 24: the live-blob decrypt memo).
 
 import functools
 import hashlib
-import sys
 
 import pytest
 
@@ -419,8 +418,13 @@ def test_a_session_cycle_builds_no_verify_table_on_the_default_tier(
 ):
     """Device and process on one tier.  On the default (OpenSSL) tier a
     whole session cycle builds no ECDSA window table and runs no
-    table-free verify: the channel's peer checks and the attestation
-    chain all go through the tier's verifier."""
+    pure-Python scalar multiplication of an arbitrary point: the
+    channel's peer checks and the attestation chain go through the
+    tier's verifier, and both ECDHs through OpenSSL.  ``k * G`` runs
+    once per signature and once per fresh key whose public point is
+    read — the hypervisor's session and DH keys and the user's (before:
+    seven for those four, the report built twice and the user's session
+    public read twice, plus a ``_jac_mul`` per ECDH)."""
     features = SecurityFeatures.from_level("ES")
     features.receipts = True
     service = HarDTAPEService(
@@ -436,19 +440,14 @@ def test_a_session_cycle_builds_no_verify_table_on_the_default_tier(
         ecc._g_table()
         _session_cycle(service, transactions, b"\x31" * 32)
         built = _count_calls(monkeypatch, ecc, "_window_table")
-        table_free: list = []
-        jac_mul = ecc._jac_mul
-
-        def counting(k, point):
-            if sys._getframe(1).f_code is ecc.PublicKey.verify.__code__:
-                table_free.append(point)  # not ECDH's scalar multiply
-            return jac_mul(k, point)
-
-        monkeypatch.setattr(ecc, "_jac_mul", counting)
+        multiplied = _count_calls(monkeypatch, ecc, "_jac_mul")
+        fixed_base = _count_calls(monkeypatch, ecc, "fixed_base_mul")
+        signed = _count_calls(monkeypatch, ecc.PrivateKey, "sign")
         _session_cycle(service, transactions, b"\x32" * 32)
     finally:
         activate(before)
-    assert (len(built), len(table_free)) == (tables, 0)
+    assert (len(built), len(multiplied)) == (tables, 0)
+    assert signed and len(fixed_base) == 4 + len(signed)
 
 
 # -- the trace-report codec ------------------------------------------------
