@@ -19,7 +19,9 @@ import pytest
 from repro.evm.interpreter import ChainContext
 from repro.hardware.hevm import HevmCore
 from repro.hardware.timing import CostModel, SimClock
-from repro.state import BlockHeader, DictBackend, Transaction, to_address
+from repro.state.account import to_address
+from repro.state.backend import DictBackend
+from repro.state.blocks import BlockHeader, Transaction
 from repro.workloads.contracts import rollup
 
 from conftest import record_result

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HarDTAPEService, SecurityFeatures
+from repro.core.service import HarDTAPEService
 from repro.evm.executor import execute_transaction
+from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.state.journal import JournaledState
 
 from conftest import make_session, record_result

@@ -16,7 +16,8 @@ plane's acceptance criteria:
 from __future__ import annotations
 
 from repro.crypto.backend import available_backends
-from repro.faults import ChaosConfig, FaultKind, run_chaos, run_escalation
+from repro.faults.harness import ChaosConfig, run_chaos, run_escalation
+from repro.faults.plan import FaultKind
 
 from conftest import record_result
 

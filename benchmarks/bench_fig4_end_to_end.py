@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import GethSimulator
-from repro.core import HarDTAPEService, SecurityFeatures
+from repro.baselines.geth import GethSimulator
+from repro.core.service import HarDTAPEService
+from repro.hypervisor.hypervisor import SecurityFeatures
 from conftest import make_session, record_result
 
 PAPER_MS = {

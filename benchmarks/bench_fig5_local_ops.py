@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import GethSimulator, TscVeeSimulator
-from repro.evm import ChainContext
-from repro.hardware.timing import CostModel
-from repro.evm.tracer import CountingTracer
+from repro.baselines.geth import GethSimulator
+from repro.baselines.tscvee import TscVeeSimulator
 from repro.evm.executor import execute_transaction
-from repro.state import DictBackend, JournaledState, Transaction, to_address
+from repro.evm.interpreter import ChainContext
+from repro.evm.tracer import CountingTracer
+from repro.hardware.timing import CostModel
+from repro.state.account import to_address
+from repro.state.backend import DictBackend
+from repro.state.blocks import Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.asm import assemble, label, push, push_label
 from repro.workloads.contracts import erc20
 
@@ -99,7 +103,7 @@ def _hevm_local_time(backend, chain, tx) -> float:
 
 @pytest.fixture(scope="module")
 def figure5(platforms, header_chain=None):
-    from repro.state import BlockHeader
+    from repro.state.blocks import BlockHeader
 
     header = BlockHeader(
         number=1, parent_hash=b"\x00" * 32, state_root=b"\x00" * 32,
@@ -138,7 +142,7 @@ def figure5(platforms, header_chain=None):
 
 
 def test_figure5_local_operations(benchmark, figure5, platforms):
-    from repro.state import BlockHeader
+    from repro.state.blocks import BlockHeader
 
     header = BlockHeader(
         number=1, parent_hash=b"\x00" * 32, state_root=b"\x00" * 32,

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HarDTAPEService, SecurityFeatures
-from repro.state import Transaction
+from repro.core.service import HarDTAPEService
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.state.blocks import Transaction
 from repro.workloads.contracts.profile import profile_calldata
 
 from conftest import make_session, record_result

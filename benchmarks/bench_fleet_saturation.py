@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HarDTAPEService, SecurityFeatures
+from repro.core.service import HarDTAPEService
 from repro.hardware.fleet import profiles_from_breakdowns
 from repro.hardware.timing import CostModel
-from repro.serving import model_gateway, model_sessions, run_closed_loop
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.serving.loadgen import model_gateway, model_sessions, run_closed_loop
 
 from conftest import make_session, record_result
 

@@ -17,10 +17,9 @@ import pytest
 pytestmark = pytest.mark.serving
 
 from repro.hardware.timing import CostModel
-from repro.serving import (
-    QueueDepthShedPolicy,
-    RejectReason,
-    RequestStatus,
+from repro.serving.admission import QueueDepthShedPolicy, RejectReason
+from repro.serving.gateway import RequestStatus
+from repro.serving.loadgen import (
     model_gateway,
     model_sessions,
     run_closed_loop,

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evm import ChainContext, execute_transaction
+from repro.evm.executor import execute_transaction
+from repro.evm.interpreter import ChainContext
 from repro.evm.tracer import CountingTracer
 from repro.hardware.timing import CostModel
-from repro.state import BlockHeader, DictBackend, JournaledState, Transaction, to_address
+from repro.state.account import to_address
+from repro.state.backend import DictBackend
+from repro.state.blocks import BlockHeader, Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.asm import assemble, push
 
 from conftest import record_result

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HarDTAPEService, SecurityFeatures
+from repro.core.service import HarDTAPEService
+from repro.hypervisor.hypervisor import SecurityFeatures
 
 from conftest import make_session, record_result
 

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HarDTAPEService, SecurityFeatures
+from repro.core.service import HarDTAPEService
 from repro.crypto.kdf import Drbg
-from repro.node import EthereumNode
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.node.node import EthereumNode
 from repro.oram.client import PathOramClient
 from repro.oram.encrypted_store import EncryptedKvStore
 from repro.oram.server import OramServer
@@ -36,8 +37,9 @@ from repro.security.analysis import (
     size_leakage,
 )
 from repro.security.observer import AccessPatternObserver
-from repro.state import Account, Transaction, to_address
+from repro.state.account import Account, to_address
 from repro.state.backend import STORAGE_GROUP_SIZE
+from repro.state.blocks import Transaction
 from repro.workloads.contracts import erc20
 
 from conftest import record_result
@@ -233,10 +235,10 @@ def test_per_shard_distinguisher_fails_on_every_shard():
     import hashlib
     from collections import Counter
 
-    from repro.sharding import (
+    from repro.sharding.backend import (
+        ShardRoutingClient,
         ShardedOramConfig,
         ShardedOramFleet,
-        ShardRoutingClient,
     )
 
     rng = Drbg(b"sec-shard-bench")

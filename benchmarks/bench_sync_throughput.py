@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HarDTAPEService, SecurityFeatures
-from repro.workloads import EvaluationSetConfig, build_evaluation_set
+from repro.core.service import HarDTAPEService
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
 from conftest import record_result
 

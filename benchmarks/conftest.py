@@ -13,8 +13,10 @@ import pathlib
 
 import pytest
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-from repro.workloads import EvaluationSetConfig, build_evaluation_set
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

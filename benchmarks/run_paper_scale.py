@@ -24,9 +24,11 @@ import argparse
 import statistics
 import time
 
-from repro.baselines import GethSimulator
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-from repro.workloads import EvaluationSetConfig, build_evaluation_set
+from repro.baselines.geth import GethSimulator
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
 PAPER_MS = {"geth": 1.0, "raw": 1.5, "E": 4.4, "ES": 84.4, "ESO": 114.4,
             "full": 164.4}

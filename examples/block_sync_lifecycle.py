@@ -12,11 +12,13 @@ Run:  python examples/block_sync_lifecycle.py
 
 from __future__ import annotations
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.hypervisor.sync import SyncError
-from repro.state import Transaction
-from repro.workloads import EvaluationSetConfig, build_evaluation_set
+from repro.state.blocks import Transaction
 from repro.workloads.contracts import erc20
+from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
 
 def main() -> None:

@@ -12,11 +12,13 @@ Run:  python examples/capacity_planning.py
 
 from __future__ import annotations
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
 from repro.hardware.fleet import profiles_from_breakdowns
 from repro.hardware.timing import CostModel
-from repro.serving import model_gateway, model_sessions, run_closed_loop
-from repro.workloads import EvaluationSetConfig, build_evaluation_set
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.serving.loadgen import model_gateway, model_sessions, run_closed_loop
+from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
 ETHEREUM_TPS = 17.0
 

@@ -17,13 +17,15 @@ Run:  python examples/frontrunning_privacy.py
 
 from __future__ import annotations
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.oram.encrypted_store import EncryptedKvStore
 from repro.security.analysis import frequency_attack, path_uniformity_pvalue
 from repro.security.observer import AccessPatternObserver
-from repro.state import Transaction
-from repro.workloads import EvaluationSetConfig, build_evaluation_set
+from repro.state.blocks import Transaction
 from repro.workloads.contracts import erc20
+from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
 
 def main() -> None:

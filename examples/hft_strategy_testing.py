@@ -18,10 +18,12 @@ Run:  python examples/hft_strategy_testing.py
 
 from __future__ import annotations
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-from repro.state import Transaction
-from repro.workloads import EvaluationSetConfig, build_evaluation_set
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.state.blocks import Transaction
 from repro.workloads.contracts import dex
+from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
 
 def main() -> None:

@@ -9,9 +9,12 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-from repro.node import EthereumNode
-from repro.state import Account, Transaction, to_address
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.node.node import EthereumNode
+from repro.state.account import Account, to_address
+from repro.state.blocks import Transaction
 from repro.workloads.contracts import erc20
 
 

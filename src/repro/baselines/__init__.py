@@ -1,11 +1,1 @@
 """Comparison baselines: Geth (software node) and TSC-VEE (TrustZone VEE)."""
-
-from repro.baselines.geth import BaselineRun, GethSimulator
-from repro.baselines.tscvee import TscVeeSimulator, UnsupportedContractCall
-
-__all__ = [
-    "BaselineRun",
-    "GethSimulator",
-    "TscVeeSimulator",
-    "UnsupportedContractCall",
-]

@@ -12,8 +12,6 @@ difference on local-hit workloads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.geth import BaselineRun
 from repro.evm.executor import execute_transaction
 from repro.evm.interpreter import ChainContext

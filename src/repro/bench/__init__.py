@@ -14,8 +14,7 @@ share lives here:
 * :mod:`~repro.bench.registry` — the gated benches as data, from which
   the CLI generates its ``*-bench`` subcommands.
 
-Import the submodule that owns what you need; this package re-exports
-nothing, so the CLI can read the registry without loading the serving
-stack.  Only bench modules and the CLI import it — no plane's
-``__init__`` does, so ``import repro.serving`` never drags a bench in.
+Import the submodule that owns what you need: the CLI reads the
+registry without loading the serving stack.  Only bench modules and the
+CLI import this package, so no plane module drags a bench in.
 """

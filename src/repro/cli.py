@@ -30,8 +30,10 @@ import argparse
 import sys
 
 from repro.bench.registry import BENCHES, BenchSpec
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-from repro.workloads import EvaluationSetConfig, build_evaluation_set
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
 
 def _build_evalset(args) -> "object":
@@ -44,8 +46,9 @@ def _build_evalset(args) -> "object":
 
 
 def cmd_demo(args) -> int:
-    from repro.node import EthereumNode
-    from repro.state import Account, Transaction, to_address
+    from repro.node.node import EthereumNode
+    from repro.state.account import Account, to_address
+    from repro.state.blocks import Transaction
     from repro.workloads.contracts import erc20
 
     alice, bob, token = to_address(0xA1), to_address(0xB2), to_address(0x70CE)
@@ -140,7 +143,7 @@ def cmd_disasm(args) -> int:
     from repro.evm.disassembler import format_listing, selector_candidates
     from repro.workloads.contracts import dex, erc20, honeypot, rollup
     from repro.workloads.contracts.profile import profile_runtime
-    from repro.state import to_address
+    from repro.state.account import to_address
 
     library = {
         "erc20": erc20.erc20_runtime,
@@ -202,8 +205,8 @@ def _bad_seed(seed: int) -> bool:
 
 def cmd_serve_bench(args) -> int:
     from repro.hardware.timing import CostModel
-    from repro.serving import (
-        QueueDepthShedPolicy,
+    from repro.serving.admission import QueueDepthShedPolicy
+    from repro.serving.loadgen import (
         model_gateway,
         model_sessions,
         run_open_loop,

@@ -1,32 +1,1 @@
 """HarDTAPE's public API: device, service, and user client."""
-
-from repro.core.device import (
-    DeviceConfig,
-    HarDTAPEDevice,
-    RELEASE_IMAGE,
-    RELEASE_MEASUREMENT,
-)
-from repro.core.service import HarDTAPEService, NoIdleHevmError, ServiceStats
-from repro.core.user import PreExecutionClient, UserSession
-from repro.hypervisor.bundle_codec import (
-    TraceReport,
-    TransactionBundle,
-    TransactionTrace,
-)
-from repro.hypervisor.hypervisor import SecurityFeatures
-
-__all__ = [
-    "DeviceConfig",
-    "HarDTAPEDevice",
-    "HarDTAPEService",
-    "NoIdleHevmError",
-    "PreExecutionClient",
-    "RELEASE_IMAGE",
-    "RELEASE_MEASUREMENT",
-    "SecurityFeatures",
-    "ServiceStats",
-    "TraceReport",
-    "TransactionBundle",
-    "TransactionTrace",
-    "UserSession",
-]

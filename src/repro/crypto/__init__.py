@@ -17,52 +17,3 @@ the ``PublicKey`` ``q`` itself.  Signing and Keccak-256 are pure Python
 in both, and ECDH is OpenSSL in both: hashing is one sponge behind
 :func:`keccak256`'s memo, not a tier choice, and neither is ECDH.
 """
-
-from repro.crypto.aes import AES
-from repro.crypto.ecc import (
-    InvalidSignature,
-    Point,
-    PrivateKey,
-    PublicKey,
-    Signature,
-)
-from repro.crypto.kdf import Drbg, hkdf_sha256
-from repro.crypto.keccak import (
-    Keccak256,
-    keccak256,
-    keccak_memo_stats,
-)
-from repro.crypto.puf import DeviceIdentity, Manufacturer, SimulatedPuf
-from repro.crypto.suite import AuthenticationError
-from repro.crypto.backend import (
-    CryptoBackend,
-    UnknownBackendError,
-    activate,
-    active_backend,
-    available_backends,
-    get_backend,
-)
-
-__all__ = [
-    "AES",
-    "AuthenticationError",
-    "CryptoBackend",
-    "DeviceIdentity",
-    "Drbg",
-    "InvalidSignature",
-    "Keccak256",
-    "keccak256",
-    "keccak_memo_stats",
-    "Manufacturer",
-    "Point",
-    "PrivateKey",
-    "PublicKey",
-    "Signature",
-    "SimulatedPuf",
-    "UnknownBackendError",
-    "activate",
-    "active_backend",
-    "available_backends",
-    "get_backend",
-    "hkdf_sha256",
-]

@@ -19,7 +19,7 @@ from repro.evm.tracer import Tracer
 from repro.state.account import Address, to_address
 from repro.state.blocks import Transaction
 from repro.state.journal import JournaledState, WriteSet
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.crypto.keccak import keccak256
 
 

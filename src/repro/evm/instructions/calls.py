@@ -10,7 +10,7 @@ discarding it on REVERT.
 
 from __future__ import annotations
 
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.crypto.keccak import keccak256
 from repro.evm import gas, opcodes
 from repro.evm.exceptions import WriteProtection

@@ -24,93 +24,3 @@ Layering: ``faults`` sits *beside* ``serving`` above the substrates.
 Substrate modules never import it — they only expose inert seams
 (``.faults`` / ``.fault_hook`` attributes, ``None`` in production).
 """
-
-from repro.faults.errors import (
-    AttestationError,
-    AuthenticationError,
-    BundleFailedError,
-    ChannelError,
-    CircuitOpenError,
-    DmaDropError,
-    FailedOverError,
-    FaultError,
-    HevmCrashError,
-    HypervisorCrashError,
-    OramServerStall,
-    OramTimeoutError,
-    QuarantinedDeviceError,
-    ReceiptError,
-    ReceiptMismatchError,
-    ReceiptMissingError,
-    RollbackDetectedError,
-    SyncError,
-    UnknownSessionError,
-)
-from repro.faults.injector import FaultInjector, FaultyOramServer
-from repro.faults.plan import FaultKind, FaultPlan, FaultRule, InjectionRecord
-from repro.faults.policy import (
-    RECOVERABLE_ERRORS,
-    CircuitBreaker,
-    FailoverBundle,
-    QuarantinePolicy,
-    RecoveryOutcome,
-    RetryPolicy,
-)
-
-# The chaos harness drives the whole serving stack; loading it lazily
-# (PEP 562) keeps ``import repro.faults`` free of it.
-_HARNESS_EXPORTS = (
-    "SERVING_FAULT_KINDS",
-    "ChaosConfig",
-    "ChaosReport",
-    "run_chaos",
-    "run_escalation",
-)
-
-
-def __getattr__(name: str):
-    if name in _HARNESS_EXPORTS:
-        from repro.faults import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "RECOVERABLE_ERRORS",
-    "SERVING_FAULT_KINDS",
-    "AttestationError",
-    "AuthenticationError",
-    "BundleFailedError",
-    "ChannelError",
-    "ChaosConfig",
-    "ChaosReport",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "DmaDropError",
-    "FailedOverError",
-    "FailoverBundle",
-    "FaultError",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRule",
-    "FaultyOramServer",
-    "HevmCrashError",
-    "HypervisorCrashError",
-    "InjectionRecord",
-    "OramServerStall",
-    "OramTimeoutError",
-    "QuarantinePolicy",
-    "QuarantinedDeviceError",
-    "ReceiptError",
-    "ReceiptMismatchError",
-    "ReceiptMissingError",
-    "RecoveryOutcome",
-    "RollbackDetectedError",
-    "RetryPolicy",
-    "SyncError",
-    "UnknownSessionError",
-    "run_chaos",
-    "run_escalation",
-]

@@ -4,8 +4,8 @@ Every fault the plane can inject surfaces as a *typed* exception at the
 component boundary where the paper's Hypervisor would detect it — never
 as a generic crash — so recovery policies can dispatch on the type and
 metrics can account for every failure by name.  Detection errors that
-already exist in the substrates keep their homes and are re-exported
-here for one-stop imports:
+already exist in the substrates keep their homes; import each from the
+module that defines it:
 
 * :class:`~repro.hypervisor.channel.ChannelError` — authenticated-DMA
   tag / signature / replay failure on a channel message,
@@ -27,19 +27,6 @@ here for one-stop imports:
 """
 
 from __future__ import annotations
-
-from repro.crypto.suite import AuthenticationError
-from repro.hypervisor.attestation import AttestationError
-from repro.hypervisor.channel import ChannelError
-from repro.hypervisor.hypervisor import HypervisorCrashError, UnknownSessionError
-from repro.hypervisor.receipts import (
-    ReceiptError,
-    ReceiptMismatchError,
-    ReceiptMissingError,
-)
-from repro.hypervisor.sync import SyncError
-from repro.oram.client import OramTimeoutError, RollbackDetectedError
-from repro.oram.server import OramServerStall
 
 
 class FaultError(Exception):
@@ -131,25 +118,3 @@ class QuarantinedDeviceError(FaultError):
         self.from_device = from_device
         self.quarantined = tuple(quarantined)
 
-
-__all__ = [
-    "AttestationError",
-    "AuthenticationError",
-    "BundleFailedError",
-    "ChannelError",
-    "CircuitOpenError",
-    "DmaDropError",
-    "FailedOverError",
-    "FaultError",
-    "HevmCrashError",
-    "HypervisorCrashError",
-    "OramServerStall",
-    "OramTimeoutError",
-    "QuarantinedDeviceError",
-    "ReceiptError",
-    "ReceiptMismatchError",
-    "ReceiptMissingError",
-    "RollbackDetectedError",
-    "SyncError",
-    "UnknownSessionError",
-]

@@ -28,10 +28,10 @@ from repro.bench.stack import (
 )
 from repro.core.device import DeviceConfig
 from repro.core.user import PreExecutionClient
-from repro.faults.errors import AttestationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.faults.policy import FailoverBundle
+from repro.hypervisor.attestation import AttestationError
 from repro.serving.gateway import Gateway, GatewayConfig
 from repro.serving.loadgen import LoadReport, run_closed_loop
 from repro.serving.metrics import MetricsRegistry

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.crypto.ecc import Signature
-from repro.faults.errors import ChannelError, DmaDropError, HevmCrashError
+from repro.faults.errors import DmaDropError, HevmCrashError
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.hypervisor.channel import SealedMessage
+from repro.hypervisor.channel import ChannelError, SealedMessage
 from repro.oram.server import OramServer, OramServerStall
 
 

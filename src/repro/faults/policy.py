@@ -31,14 +31,14 @@ from typing import Mapping
 
 from repro.crypto.suite import AuthenticationError
 from repro.faults.errors import (
-    ChannelError,
     CircuitOpenError,
     DmaDropError,
     FailedOverError,
     HevmCrashError,
-    OramTimeoutError,
     QuarantinedDeviceError,
 )
+from repro.hypervisor.channel import ChannelError
+from repro.oram.client import OramTimeoutError
 
 # The transient, retry-safe failures.  Deliberate-tamper signals that
 # retrying cannot fix (SyncError from a forged proof chain,

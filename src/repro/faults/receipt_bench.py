@@ -60,11 +60,12 @@ from repro.hypervisor.receipts import (
     ReceiptMismatchError,
     ReceiptMissingError,
 )
-from repro.node import EthereumNode
+from repro.node.node import EthereumNode
 from repro.serving.gateway import Gateway, GatewayConfig, ServiceExecutor
 from repro.serving.loadgen import run_closed_loop
 from repro.serving.metrics import MetricsRegistry
-from repro.state import Account, Transaction, to_address
+from repro.state.account import Account, to_address
+from repro.state.blocks import Transaction
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.unified import (
     StepTraceRecord,

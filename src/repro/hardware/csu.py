@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.crypto.backend import active_backend
-from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
+from repro.crypto.ecc import PrivateKey, PublicKey, Signature
 from repro.crypto.puf import DeviceIdentity, Manufacturer, SimulatedPuf
 
 

@@ -174,11 +174,5 @@ def profiles_from_breakdowns(breakdowns):
         oram_us = breakdown.oram_storage_us + breakdown.oram_code_us
         queries = max(1, round(oram_us / access_us))
         exec_us = breakdown.execution_us + breakdown.other_us + breakdown.swap_us
-        profiles.append(
-            TxProfile(
-                exec_us=max(exec_us, 1.0),
-                oram_queries=queries,
-                fixed_us=breakdown.signature_us + breakdown.encryption_us,
-            )
-        )
+        profiles.append(TxProfile(exec_us=max(exec_us, 1.0), oram_queries=queries))
     return profiles

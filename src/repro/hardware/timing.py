@@ -100,7 +100,6 @@ class CostModel:
     # --- A.E.DMA (AES-GCM hardware) --------------------------------------
     aes_gcm_us_per_kb: float = 9.0
     aes_gcm_setup_us: float = 1.0
-    message_header_check_us: float = 0.8
     # Per-bundle fixed path through the Hypervisor: interrupt handling,
     # header validation, DMA programming, core activation and scrub.
     # Calibrated so -raw ≈ Geth + 0.5 ms (paper §VI-C).
@@ -211,8 +210,6 @@ class TimeBreakdown:
     """Per-transaction time, split the way Figure 4's bars are."""
 
     execution_us: float = 0.0
-    encryption_us: float = 0.0
-    signature_us: float = 0.0
     oram_storage_us: float = 0.0
     oram_code_us: float = 0.0
     swap_us: float = 0.0
@@ -222,8 +219,6 @@ class TimeBreakdown:
     def total_us(self) -> float:
         return (
             self.execution_us
-            + self.encryption_us
-            + self.signature_us
             + self.oram_storage_us
             + self.oram_code_us
             + self.swap_us
@@ -232,8 +227,6 @@ class TimeBreakdown:
 
     def add(self, other: "TimeBreakdown") -> None:
         self.execution_us += other.execution_us
-        self.encryption_us += other.encryption_us
-        self.signature_us += other.signature_us
         self.oram_storage_us += other.oram_storage_us
         self.oram_code_us += other.oram_code_us
         self.swap_us += other.swap_us

@@ -1,80 +1,1 @@
 """The Hypervisor firmware: attestation, channels, scheduling, sync."""
-
-from repro.hypervisor.attestation import (
-    AttestationError,
-    AttestationReport,
-    build_report,
-    derive_session_key,
-    verify_report,
-)
-from repro.hypervisor.bundle_codec import (
-    TraceReport,
-    TransactionBundle,
-    TransactionTrace,
-    decode_bundle,
-    decode_trace_report,
-    encode_bundle,
-    encode_trace_report,
-    trace_from_result,
-)
-from repro.hypervisor.channel import ChannelError, SealedMessage, SecureChannel
-from repro.hypervisor.hypervisor import (
-    BundleRejected,
-    Hypervisor,
-    HypervisorStats,
-    SecurityFeatures,
-    Session,
-)
-from repro.hypervisor.messages import (
-    AeDma,
-    HEADER_SIZE,
-    MessageError,
-    MessageHeader,
-    MessageType,
-    validate_and_admit,
-)
-from repro.hypervisor.scheduler import (
-    Assignment,
-    HevmScheduler,
-    SchedulerStats,
-    SchedulingError,
-)
-from repro.hypervisor.sync import AccountUpdate, BlockSynchronizer, SyncError, SyncStats
-
-__all__ = [
-    "AccountUpdate",
-    "BundleRejected",
-    "AeDma",
-    "Assignment",
-    "AttestationError",
-    "AttestationReport",
-    "BlockSynchronizer",
-    "ChannelError",
-    "HEADER_SIZE",
-    "HevmScheduler",
-    "Hypervisor",
-    "HypervisorStats",
-    "MessageError",
-    "MessageHeader",
-    "MessageType",
-    "SchedulerStats",
-    "SchedulingError",
-    "SealedMessage",
-    "SecureChannel",
-    "SecurityFeatures",
-    "Session",
-    "SyncError",
-    "SyncStats",
-    "TraceReport",
-    "TransactionBundle",
-    "TransactionTrace",
-    "build_report",
-    "decode_bundle",
-    "decode_trace_report",
-    "derive_session_key",
-    "encode_bundle",
-    "encode_trace_report",
-    "trace_from_result",
-    "validate_and_admit",
-    "verify_report",
-]

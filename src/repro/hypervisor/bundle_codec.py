@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.rlp.codec import STRING, encode_list, encode_string, read_header
 from repro.evm.executor import TransactionResult
 from repro.state.account import Address

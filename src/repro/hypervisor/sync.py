@@ -23,7 +23,7 @@ from repro.crypto.keccak import keccak256
 from repro.oram.adapter import MissingCodeError, ObliviousStateBackend
 from repro.state.account import EMPTY_META, WORD, AccountMeta, Address
 from repro.state.world import WorldState
-from repro.trie import EMPTY_ROOT, ProofError
+from repro.trie.mpt import EMPTY_ROOT, ProofError
 
 
 class SyncError(Exception):

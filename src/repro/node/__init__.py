@@ -1,5 +1,1 @@
 """Simulated Ethereum full node (chain, traces, proofs)."""
-
-from repro.node.node import EthereumNode, ExecutedBlock
-
-__all__ = ["EthereumNode", "ExecutedBlock"]

@@ -14,7 +14,7 @@ def serve_bench_row(item: tuple[int, str, int, float, int]) -> tuple:
     """One closed-loop serve-bench row: ``(cores, tps, per_hevm, util, p99_ms)``."""
     cores, workload, seed, rtt_us, requests = item
     from repro.hardware.timing import CostModel
-    from repro.serving import (
+    from repro.serving.loadgen import (
         model_gateway,
         model_sessions,
         run_closed_loop,
@@ -42,8 +42,8 @@ def chaos_rate_row(
 ) -> list[str]:
     """One chaos-bench fault rate: the report's summary lines."""
     rate, seed, devices, tenants, requests, blocks, txs_per_block = item
-    from repro.faults import ChaosConfig, run_chaos
-    from repro.workloads import EvaluationSetConfig, build_evaluation_set
+    from repro.faults.harness import ChaosConfig, run_chaos
+    from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
     evalset = build_evaluation_set(EvaluationSetConfig(
         blocks=blocks, txs_per_block=txs_per_block,
@@ -72,8 +72,10 @@ def paper_scale_level(
     level, blocks, txs_per_block, seed = item
     import time
 
-    from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-    from repro.workloads import EvaluationSetConfig, build_evaluation_set
+    from repro.core.service import HarDTAPEService
+    from repro.core.user import PreExecutionClient
+    from repro.hypervisor.hypervisor import SecurityFeatures
+    from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
     evalset = build_evaluation_set(EvaluationSetConfig(
         blocks=blocks, txs_per_block=txs_per_block, seed=seed,

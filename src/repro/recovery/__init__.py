@@ -11,22 +11,6 @@ every tenant.  Freshness of the store is pinned by the device's hardware
 monotonic counter; freshness of the SP's ORAM tree by the restored
 per-node version pins.
 
-``repro.recovery.bench`` is imported lazily (it pulls in the serving
-stack); everything else is re-exported here.
+``repro.recovery.bench`` pulls in the serving stack; nothing else in
+the plane does.
 """
-
-from repro.recovery.store import DurableStore
-from repro.recovery.state import SessionRecord, TrustedState
-from repro.recovery import journal
-from repro.recovery.manager import RecoveryIntegrityError, RecoveryManager
-from repro.recovery.supervisor import HypervisorSupervisor
-
-__all__ = [
-    "DurableStore",
-    "HypervisorSupervisor",
-    "RecoveryIntegrityError",
-    "RecoveryManager",
-    "SessionRecord",
-    "TrustedState",
-    "journal",
-]

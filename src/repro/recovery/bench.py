@@ -50,7 +50,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.faults.policy import FailoverBundle
 from repro.oram.client import RollbackDetectedError
-from repro.recovery.manager import RecoveryIntegrityError, RecoveryManager
+from repro.recovery.manager import RecoveryManager
+from repro.recovery.state import RecoveryIntegrityError
 from repro.recovery.store import DurableStore
 from repro.recovery.supervisor import HypervisorSupervisor
 from repro.serving.gateway import Gateway, GatewayConfig

@@ -382,4 +382,4 @@ class RecoveryManager:
         return client
 
 
-__all__ = ["RecoveryIntegrityError", "RecoveryManager"]
+__all__ = ["RecoveryManager"]

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from repro.hypervisor.hypervisor import HypervisorCrashError, UnknownSessionError
 from repro.oram.client import RollbackDetectedError
-from repro.recovery.manager import RecoveryIntegrityError, RecoveryManager
+from repro.recovery.manager import RecoveryManager
+from repro.recovery.state import RecoveryIntegrityError
 from repro.recovery.store import DurableStore
 from repro.telemetry.tracer import tracer_for
 

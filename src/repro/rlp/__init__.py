@@ -1,5 +1,1 @@
 """Recursive Length Prefix (RLP) serialization, per the Ethereum spec."""
-
-from repro.rlp.codec import DecodingError, decode, encode, encode_uint, decode_uint
-
-__all__ = ["DecodingError", "decode", "encode", "encode_uint", "decode_uint"]

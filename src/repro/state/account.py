@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.crypto.keccak import keccak256
-from repro.trie import MerklePatriciaTrie
+from repro.trie.mpt import MerklePatriciaTrie
 
 # keccak256(b"") — the code hash of every non-contract account.
 EMPTY_CODE_HASH = keccak256(b"")

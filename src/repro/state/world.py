@@ -8,11 +8,11 @@ Node plays during block synchronization.
 
 from __future__ import annotations
 
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.crypto.keccak import keccak256
 from repro.state.account import Account, AccountMeta, Address
 from repro.state.backend import DictBackend
-from repro.trie import MerklePatriciaTrie, verify_proof
+from repro.trie.mpt import MerklePatriciaTrie, verify_proof
 from dataclasses import dataclass
 
 

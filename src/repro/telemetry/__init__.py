@@ -13,45 +13,5 @@
 - :mod:`repro.telemetry.slo` — burn-rate SLO monitoring over metrics
   snapshots in virtual time.
 - :mod:`repro.telemetry.bench` / :mod:`repro.telemetry.obs_bench` —
-  the seeded bench harnesses (import them directly; they pull in the
-  serving stack).
+  the seeded bench harnesses (they pull in the serving stack).
 """
-
-from repro.telemetry.critical_path import (
-    RequestAttribution,
-    aggregate,
-    attribute,
-    attribute_all,
-    attribution_table,
-    request_roots,
-)
-from repro.telemetry.exporters import render_chrome_trace, render_prometheus
-from repro.telemetry.flight import (
-    SEAL_CAUSES,
-    FlightEntry,
-    FlightRecorder,
-    SealedDump,
-)
-from repro.telemetry.slo import SloAlert, SloMonitor, SloRule, default_slo_rules
-from repro.telemetry.tracer import (
-    NULL_TRACER,
-    Span,
-    SpanEvent,
-    TraceContext,
-    TraceSampler,
-    Tracer,
-    install_tracer,
-    tracer_for,
-    uninstall_tracer,
-)
-from repro.telemetry.unified import (
-    StepTraceRecord,
-    TraceReconciliationError,
-    UnifiedStepTrace,
-    counts_from_events,
-    counts_from_span,
-    counts_from_trace,
-    from_struct_logs,
-    reconcile_counts,
-    reconcile_step_traces,
-)

@@ -41,7 +41,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.async_serving.tier import ModelHandshakeEngine
-from repro.bench.tiers import run_model_tier, tier_open_loop
 from repro.bench.report import GateReport, identity_verdict
 from repro.bench.stack import (
     build_evalset,
@@ -53,9 +52,10 @@ from repro.bench.stack import (
     node_ground_truth,
     traced,
 )
+from repro.bench.tiers import run_model_tier, tier_open_loop
 from repro.serving.gateway import Gateway, GatewayConfig, ServiceExecutor
 from repro.serving.metrics import MetricsRegistry
-from repro.sharding import (
+from repro.sharding.backend import (
     ShardedObliviousStateBackend,
     ShardedOramConfig,
     ShardedOramFleet,

@@ -1,10 +1,1 @@
 """Merkle Patricia Trie — Ethereum's authenticated key-value structure."""
-
-from repro.trie.mpt import (
-    EMPTY_ROOT,
-    MerklePatriciaTrie,
-    ProofError,
-    verify_proof,
-)
-
-__all__ = ["EMPTY_ROOT", "MerklePatriciaTrie", "ProofError", "verify_proof"]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.crypto.keccak import keccak256
 from repro.trie.nibbles import (
     bytes_to_nibbles,
@@ -108,7 +108,7 @@ class MerklePatriciaTrie:
         self._committed_root = root
         return root
 
-    def _commit(self, node: Node) -> rlp.codec.RlpItem:
+    def _commit(self, node: Node) -> rlp.RlpItem:
         """Return the RLP item a parent embeds for ``node``: a 32-byte
         ref as-is, a node whose RLP is under 32 bytes structurally, and
         any other node as the digest its RLP is stored under."""
@@ -284,7 +284,7 @@ class MerklePatriciaTrie:
         return ref
 
     @staticmethod
-    def _decode_node(item: rlp.codec.RlpItem) -> Node:
+    def _decode_node(item: rlp.RlpItem) -> Node:
         if isinstance(item, (bytes, bytearray)):
             return bytes(item)
         return list(item)
@@ -340,7 +340,7 @@ def _lookup(
     :class:`ProofError`.
     """
     path = bytes_to_nibbles(key)
-    expected: rlp.codec.RlpItem = root
+    expected: rlp.RlpItem = root
     read: list[bytes] = []
 
     while True:

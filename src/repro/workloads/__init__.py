@@ -1,38 +1,1 @@
 """Workloads: EVM assembler, contract library, evaluation-set generator."""
-
-from repro.workloads.asm import assemble, deployer, label, push, push_label, raw
-from repro.workloads.distributions import (
-    BandSampler,
-    CALL_DEPTH_BANDS,
-    CODE_SIZE_BANDS,
-    INPUT_SIZE_BANDS,
-    STORAGE_KEY_BANDS,
-    summarize_bands,
-)
-from repro.workloads.generator import (
-    ContractPopulation,
-    EvaluationSet,
-    EvaluationSetConfig,
-    build_evaluation_set,
-    build_genesis,
-)
-
-__all__ = [
-    "BandSampler",
-    "CALL_DEPTH_BANDS",
-    "CODE_SIZE_BANDS",
-    "ContractPopulation",
-    "EvaluationSet",
-    "EvaluationSetConfig",
-    "INPUT_SIZE_BANDS",
-    "STORAGE_KEY_BANDS",
-    "assemble",
-    "build_evaluation_set",
-    "build_genesis",
-    "deployer",
-    "label",
-    "push",
-    "push_label",
-    "raw",
-    "summarize_bands",
-]

@@ -1,5 +1,1 @@
 """Hand-assembled EVM workload contracts."""
-
-from repro.workloads.contracts import dex, erc20, honeypot, multicall, profile, rollup
-
-__all__ = ["dex", "erc20", "honeypot", "multicall", "profile", "rollup"]

@@ -12,33 +12,26 @@ Covers the two resumption-specific acceptance criteria:
 
 import pytest
 
-from repro.core import (
-    HarDTAPEService,
-    PreExecutionClient,
-    SecurityFeatures,
-)
-from repro.faults.policy import FailoverBundle, RetryPolicy
-from repro.hardware.timing import CostModel
-from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
-from repro.hypervisor.hypervisor import UnknownSessionError
-from repro.hypervisor.resumption import StaleTicketError
-from repro.recovery.supervisor import HypervisorSupervisor
-from repro.serving import (
-    FleetModelExecutor,
-    Gateway,
-    GatewayConfig,
-    ShardSessionRouter,
-    VirtualReactor,
-    synthetic_profiles,
-)
-from repro.async_serving import (
+from repro.async_serving.tier import (
     AsyncServingConfig,
     AsyncServingTier,
     ModelHandshakeEngine,
     ServiceHandshakeEngine,
     ServiceTenant,
-    SessionState,
 )
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.faults.policy import FailoverBundle, RetryPolicy
+from repro.hardware.timing import CostModel
+from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
+from repro.hypervisor.hypervisor import SecurityFeatures, UnknownSessionError
+from repro.hypervisor.lifecycle import SessionState
+from repro.hypervisor.resumption import StaleTicketError
+from repro.recovery.supervisor import HypervisorSupervisor
+from repro.serving.gateway import FleetModelExecutor, Gateway, GatewayConfig
+from repro.serving.loadgen import synthetic_profiles
+from repro.serving.reactor import VirtualReactor
+from repro.serving.router import ShardSessionRouter
 
 pytestmark = pytest.mark.serving
 

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
 from repro.hypervisor.channel import ChannelError, SealedMessage
-from repro.state import Transaction
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.state.blocks import Transaction
 from repro.workloads.contracts import rollup
 from repro.workloads.contracts.profile import profile_calldata
 

@@ -9,7 +9,8 @@ no silent drops anywhere.
 
 import pytest
 
-from repro.faults import ChaosConfig, FaultKind, run_chaos
+from repro.faults.harness import ChaosConfig, run_chaos
+from repro.faults.plan import FaultKind
 
 pytestmark = pytest.mark.faults
 

@@ -9,9 +9,11 @@ match exactly.
 
 import pytest
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-from repro.evm.tracer import StructTracer
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
 from repro.evm.executor import execute_transaction
+from repro.evm.tracer import StructTracer
+from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.state.journal import JournaledState
 
 

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro import rlp
-from repro.core import (
-    DeviceConfig,
-    HarDTAPEService,
-    PreExecutionClient,
-    SecurityFeatures,
-)
+from repro.rlp import codec as rlp
+from repro.core.device import DeviceConfig
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
 from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
-from repro.state import Transaction
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.state.blocks import Transaction
 from repro.workloads.contracts import erc20, rollup
 from tests.hostile import nested_lists
 
@@ -92,7 +90,7 @@ def test_too_many_hevms_rejected(evalset):
 
 
 def test_gas_cap_rejects_dos_bundles(evalset):
-    from repro.hypervisor import BundleRejected
+    from repro.hypervisor.hypervisor import BundleRejected
 
     service = _service(evalset)
     hypervisor = service.devices[0].hypervisor
@@ -123,7 +121,7 @@ def test_wrong_message_shape_is_rejected_before_any_core_is_assigned(
     """The host chooses what it hands `submit_bundle`: raw bytes to an
     encrypting device, or a sealed message to a -raw one, is a typed
     refusal (not an `assert`, which `python -O` strips)."""
-    from repro.hypervisor import BundleRejected
+    from repro.hypervisor.hypervisor import BundleRejected
 
     service = HarDTAPEService(
         evalset.node, SecurityFeatures.from_level(level), charge_fees=False
@@ -184,7 +182,7 @@ def test_malformed_bundle_is_rejected_before_any_core_is_assigned(
     `ValueError: not enough values to unpack` before; for the deep one
     a `RecursionError`)."""
     from repro.faults.policy import RetryPolicy
-    from repro.hypervisor import BundleRejected
+    from repro.hypervisor.hypervisor import BundleRejected
 
     service = HarDTAPEService(
         evalset.node, SecurityFeatures.from_level(level), charge_fees=False
@@ -207,7 +205,7 @@ def test_exhausted_core_pool_is_a_typed_refusal(evalset):
     """Every core assigned elsewhere: `submit_bundle` raises the typed
     `SchedulingError` (an `assert` before — a `TypeError` under
     `python -O`) and takes nothing from the pool."""
-    from repro.hypervisor import SchedulingError
+    from repro.hypervisor.scheduler import SchedulingError
 
     service = _service(evalset)
     device = service.devices[0]

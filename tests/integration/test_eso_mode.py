@@ -3,8 +3,10 @@ prefetched memory — the intermediate point of Figure 4."""
 
 import pytest
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-from repro.state import Transaction
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.state.blocks import Transaction
 from repro.workloads.contracts.profile import profile_calldata
 
 

@@ -11,26 +11,24 @@ import json
 
 import pytest
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-from repro.hardware.timing import CostModel
-from repro.serving import (
-    FleetModelExecutor,
-    Gateway,
-    GatewayConfig,
-    ShardSessionRouter,
-    VirtualReactor,
-    synthetic_profiles,
-)
-from repro.serving.metrics import MetricsRegistry
-from repro.telemetry.exporters import render_chrome_trace, render_prometheus
-from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.tracer import install_tracer, uninstall_tracer
-from repro.async_serving import (
+from repro.async_serving.tier import (
     AsyncServingConfig,
     AsyncServingTier,
     ModelHandshakeEngine,
-    SessionState,
 )
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hardware.timing import CostModel
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.hypervisor.lifecycle import SessionState
+from repro.serving.gateway import FleetModelExecutor, Gateway, GatewayConfig
+from repro.serving.loadgen import synthetic_profiles
+from repro.serving.metrics import MetricsRegistry
+from repro.serving.reactor import VirtualReactor
+from repro.serving.router import ShardSessionRouter
+from repro.telemetry.exporters import render_chrome_trace, render_prometheus
+from repro.telemetry.flight import FlightRecorder
+from repro.telemetry.tracer import install_tracer, uninstall_tracer
 
 pytestmark = pytest.mark.observability
 

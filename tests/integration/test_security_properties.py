@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.security.analysis import (
     frequency_attack,
     path_uniformity_pvalue,
     size_leakage,
 )
 from repro.security.observer import AccessPatternObserver
-from repro.state import Transaction
+from repro.state.blocks import Transaction
 from repro.workloads.contracts import erc20, rollup
 
 

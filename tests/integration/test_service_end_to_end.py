@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core import (
-    HarDTAPEService,
-    PreExecutionClient,
-    SecurityFeatures,
-)
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
 from repro.crypto.puf import Manufacturer
+from repro.hardware.timing import CostModel
 from repro.hypervisor.attestation import AttestationError
-from repro.state import Transaction
+from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.state.blocks import Transaction
+from repro.telemetry.tracer import install_tracer, uninstall_tracer
 from repro.workloads.contracts import erc20
 
 
@@ -43,6 +43,36 @@ def test_connect_and_pre_execute(service, evalset):
     assert report.traces[0].status == 1
     assert elapsed > 0
     assert breakdowns[0].oram_storage_us > 0
+
+
+def test_an_opened_message_is_charged_at_the_verify_cost(evalset):
+    """Sign and verify are separate cost constants: with the verify
+    cost set apart from the signing cost, a bundle's ``channel.verify``
+    span and the Hypervisor's crypto time follow the verify constant."""
+    cost = CostModel(ecdsa_verify_us=7_000.0)
+    service = HarDTAPEService(
+        evalset.node, SecurityFeatures.from_level("full"), cost=cost, charge_fees=False
+    )
+    client = _client(service)
+    session = client.connect(service)
+    stats = session.device.hypervisor.stats
+    before = stats.crypto_time_us
+    tracer = install_tracer(service.clock)
+    try:
+        client.pre_execute(service, session, [evalset.transactions[0]])
+    finally:
+        uninstall_tracer(service.clock)
+    signatures = {
+        span.name: span.duration_us for span in tracer.spans if span.layer == "signature"
+    }
+    assert signatures == {"channel.verify": 7_000.0, "channel.sign": cost.ecdsa_sign_us}
+    aead_us = sum(
+        span.duration_us for span in tracer.spans
+        if span.name in ("channel.open", "channel.seal")
+    )
+    assert stats.crypto_time_us - before == pytest.approx(
+        aead_us + 7_000.0 + cost.ecdsa_sign_us
+    )
 
 
 def test_trace_matches_onchain_effects(service, evalset):

@@ -5,14 +5,17 @@ import copy
 import pytest
 
 from repro.bench.stack import node_ground_truth, world_digest
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
-from repro.faults import QuarantinePolicy, ReceiptMismatchError
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.faults.policy import QuarantinePolicy
 from repro.hypervisor.bundle_codec import TransactionBundle
 from repro.hypervisor.channel import SecureChannel
+from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.hypervisor.messages import AeDma, MessageError
-from repro.hypervisor.receipts import ReceiptAuditor
-from repro.node import EthereumNode
-from repro.state import Account, Transaction, to_address
+from repro.hypervisor.receipts import ReceiptAuditor, ReceiptMismatchError
+from repro.node.node import EthereumNode
+from repro.state.account import Account, to_address
+from repro.state.blocks import Transaction
 from repro.workloads.asm import assemble, push
 from repro.workloads.contracts import erc20
 
@@ -21,7 +24,7 @@ from repro.workloads.contracts import erc20
 def evalset():
     # A private evaluation set: this module GROWS the chain, so it must
     # not share the session-scoped fixture with other tests.
-    from repro.workloads import EvaluationSetConfig, build_evaluation_set
+    from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
     return build_evaluation_set(
         EvaluationSetConfig(blocks=2, txs_per_block=4, profile_contract_count=8)
@@ -296,8 +299,9 @@ def test_ae_dma_rejects_oversized_body():
 
 def test_deployer_handles_large_runtime(backend, chain):
     """Runtimes > 255 bytes force a wider PUSH in the init header."""
-    from repro.evm import execute_transaction
-    from repro.state import JournaledState, Transaction
+    from repro.evm.executor import execute_transaction
+    from repro.state.blocks import Transaction
+    from repro.state.journal import JournaledState
     from repro.workloads.asm import assemble, deployer, push
 
     from tests.conftest import ALICE

@@ -5,34 +5,20 @@ import pytest
 
 pytestmark = pytest.mark.serving
 
-from repro.core import (
-    HarDTAPEService,
-    NoIdleHevmError,
-    PreExecutionClient,
-    SecurityFeatures,
-)
-from repro.faults import (
-    FailoverBundle,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultRule,
-    RetryPolicy,
-)
+from repro.core.service import HarDTAPEService, NoIdleHevmError
+from repro.core.user import PreExecutionClient
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, FaultPlan, FaultRule
+from repro.faults.policy import FailoverBundle, RetryPolicy
 from repro.hypervisor.bundle_codec import (
     TransactionBundle,
     decode_trace_report,
     encode_bundle,
 )
-from repro.hypervisor.hypervisor import UnknownSessionError
-from repro.serving import (
-    Gateway,
-    GatewayConfig,
-    MetricsRegistry,
-    RejectReason,
-    RequestStatus,
-    ServiceExecutor,
-)
+from repro.hypervisor.hypervisor import SecurityFeatures, UnknownSessionError
+from repro.serving.admission import RejectReason
+from repro.serving.gateway import Gateway, GatewayConfig, RequestStatus, ServiceExecutor
+from repro.serving.metrics import MetricsRegistry
 
 
 def _service(evalset, **kwargs):

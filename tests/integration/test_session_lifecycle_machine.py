@@ -33,33 +33,28 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.async_serving import (
+from repro.async_serving.tier import (
     AsyncServingConfig,
     AsyncServingTier,
     ServiceHandshakeEngine,
     ServiceTenant,
-    SessionState,
 )
 from repro.bench.stack import build_service
 from repro.core.user import PreExecutionClient
 from repro.faults.policy import FailoverBundle, QuarantinePolicy, RetryPolicy
 from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
 from repro.hypervisor.channel import ChannelError
+from repro.hypervisor.lifecycle import SessionState
 from repro.hypervisor.receipts import ReceiptMismatchError
 from repro.hypervisor.resumption import TicketError
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.store import DurableStore
 from repro.recovery.supervisor import HypervisorSupervisor
+from repro.serving.gateway import Gateway, GatewayConfig, RequestStatus, ServiceExecutor
+from repro.serving.metrics import MetricsRegistry
+from repro.serving.reactor import VirtualReactor
+from repro.serving.router import ShardSessionRouter
 from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
-from repro.serving import (
-    Gateway,
-    GatewayConfig,
-    MetricsRegistry,
-    RequestStatus,
-    ServiceExecutor,
-    ShardSessionRouter,
-    VirtualReactor,
-)
 
 pytestmark = [pytest.mark.serving, pytest.mark.recovery]
 

@@ -7,12 +7,10 @@ backend, and the one option combination it refuses.
 
 import pytest
 
-from repro.core import (
-    DeviceConfig,
-    HarDTAPEService,
-    PreExecutionClient,
-    SecurityFeatures,
-)
+from repro.core.device import DeviceConfig
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
+from repro.hypervisor.hypervisor import SecurityFeatures
 
 pytestmark = pytest.mark.sharding
 

@@ -53,7 +53,7 @@ decoder refuses.
 
 from __future__ import annotations
 
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.crypto.backend import activate, active_backend, available_backends
 from repro.crypto.ecc import G, INFINITY, N, P, InvalidSignature, Point, Signature
 from repro.crypto.keccak import _MASK64, _ROUND_CONSTANTS, keccak256

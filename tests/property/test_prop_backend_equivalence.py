@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
-from repro.state import Account, DictBackend, to_address
+from repro.state.account import Account, to_address
+from repro.state.backend import DictBackend
 
 addresses = st.integers(min_value=1, max_value=6).map(to_address)
 

@@ -7,7 +7,7 @@ import hashlib
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.crypto import ecc
 from repro.crypto.ecc import GX, GY, P, EccDecodingError
 from repro.rlp.codec import encode_list

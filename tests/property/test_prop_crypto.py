@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
+from repro.crypto.aes import xor_bytes
 from repro.crypto.kdf import Drbg
 from repro.crypto.keccak import Keccak256, keccak256
 from repro.crypto.suite import (
@@ -11,7 +12,6 @@ from repro.crypto.suite import (
     AesGcmAead,
     AuthenticationError,
     Blake2Aead,
-    xor_bytes,
 )
 
 

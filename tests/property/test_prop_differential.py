@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.evm import ChainContext, execute_transaction
-from repro.state import (
-    BlockHeader,
-    DictBackend,
-    JournaledState,
-    Transaction,
-    to_address,
-)
+from repro.evm.executor import execute_transaction
+from repro.evm.interpreter import ChainContext
+from repro.state.account import to_address
+from repro.state.backend import DictBackend
+from repro.state.blocks import BlockHeader, Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.asm import assemble
 
 WORD = 2**256

@@ -4,16 +4,14 @@ ORAM vs dict, and the L2 ring's conservation invariants."""
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.kdf import Drbg
-from repro.evm import ChainContext, execute_transaction
+from repro.evm.executor import execute_transaction
+from repro.evm.interpreter import ChainContext
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
-from repro.state import (
-    BlockHeader,
-    DictBackend,
-    JournaledState,
-    Transaction,
-    to_address,
-)
+from repro.state.account import to_address
+from repro.state.backend import DictBackend
+from repro.state.blocks import BlockHeader, Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.asm import assemble, push
 
 WORD = 2**256

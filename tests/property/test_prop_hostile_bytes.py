@@ -16,9 +16,9 @@ new decoder joins by adding a row to ``DECODERS``.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import rlp
-from repro.crypto.keccak import keccak256
+from repro.rlp import codec as rlp
 from repro.crypto import ecc
+from repro.crypto.keccak import keccak256
 from repro.hypervisor.bundle_codec import (
     decode_bundle,
     decode_trace_report,
@@ -34,7 +34,7 @@ from repro.hypervisor.messages import (
 from repro.hypervisor.resumption import TicketIntegrityError, TicketState
 from repro.recovery import journal
 from repro.recovery.state import RecoveryIntegrityError, TrustedState
-from repro.trie import MerklePatriciaTrie, ProofError, verify_proof
+from repro.trie.mpt import MerklePatriciaTrie, ProofError, verify_proof
 from tests.hostile import assert_total, mutated
 from tests.property.test_prop_codecs import bundles, reports
 from tests.property.test_prop_journal_replay import records, sequences

@@ -5,8 +5,8 @@ import copy
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro import rlp
-from repro.trie import MerklePatriciaTrie, verify_proof
+from repro.rlp import codec as rlp
+from repro.trie.mpt import MerklePatriciaTrie, verify_proof
 from tests.oracles import in_memory_proof, yellow_paper_trie
 
 rlp_items = st.recursive(

@@ -15,7 +15,7 @@ key population, not just the benchmarked ones:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sharding import ConsistentHashRing
+from repro.sharding.ring import ConsistentHashRing
 
 pytestmark = pytest.mark.sharding
 

@@ -30,7 +30,10 @@ from repro.evm.tracer import CallTracer, MultiTracer, StructTracer
 from repro.hardware.hevm import HardwareTracer, step_costs_us
 from repro.hardware.memory_layers import Layer2CallStack
 from repro.hardware.timing import CostModel, SimClock, TimeBreakdown
-from repro.state import BlockHeader, DictBackend, JournaledState, to_address
+from repro.state.account import to_address
+from repro.state.backend import DictBackend
+from repro.state.blocks import BlockHeader
+from repro.state.journal import JournaledState
 from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 from tests.oracles import reference_run
 

@@ -5,29 +5,27 @@ from pathlib import Path
 
 import pytest
 
-from repro.hardware.timing import CostModel
-from repro.hypervisor import lifecycle
-from repro.serving import (
-    FleetModelExecutor,
-    Gateway,
-    GatewayConfig,
-    RejectReason,
-    RequestStatus,
-    ShardSessionRouter,
-    VirtualReactor,
-    synthetic_profiles,
-)
-from repro.serving.reactor import COMPLETION
-from repro.async_serving import (
+from repro.async_serving.tier import (
     AsyncServingConfig,
     AsyncServingTier,
     AsyncSession,
-    InvalidSessionTransition,
     ModelHandshakeEngine,
     SessionCapacityError,
     SessionClosedError,
-    SessionState,
 )
+from repro.hardware.timing import CostModel
+from repro.hypervisor import lifecycle
+from repro.hypervisor.lifecycle import InvalidSessionTransition, SessionState
+from repro.serving.admission import RejectReason
+from repro.serving.gateway import (
+    FleetModelExecutor,
+    Gateway,
+    GatewayConfig,
+    RequestStatus,
+)
+from repro.serving.loadgen import synthetic_profiles
+from repro.serving.reactor import COMPLETION, VirtualReactor
+from repro.serving.router import ShardSessionRouter
 
 pytestmark = pytest.mark.serving
 

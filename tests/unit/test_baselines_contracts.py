@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.baselines import GethSimulator, TscVeeSimulator, UnsupportedContractCall
-from repro.evm import execute_transaction
-from repro.state import JournaledState, Transaction, to_address
+from repro.baselines.geth import GethSimulator
+from repro.baselines.tscvee import TscVeeSimulator, UnsupportedContractCall
+from repro.evm.executor import execute_transaction
+from repro.state.account import to_address
+from repro.state.blocks import Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.contracts import dex, erc20, honeypot, rollup
 from repro.workloads.contracts.profile import profile_calldata, profile_runtime
 
@@ -119,7 +122,7 @@ def test_profile_contract_touches_requested_slots(backend, chain):
 
 
 def test_profile_contract_chain_depth(backend, chain):
-    from repro.evm import CallTracer
+    from repro.evm.tracer import CallTracer
 
     contracts = [to_address(0x51 + i) for i in range(4)]
     for address in contracts:
@@ -220,7 +223,7 @@ def test_rollup_batch_updates(backend, chain):
 
 
 def test_rollup_memory_grows_with_batch(backend, chain):
-    from repro.evm import CallTracer
+    from repro.evm.tracer import CallTracer
 
     contract = to_address(0x0110)
     backend.ensure(contract).code = rollup.rollup_runtime()

@@ -9,6 +9,7 @@ failed run, reports must serialize canonically, and the ORAM clients'
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -343,23 +344,34 @@ def test_committed_reports_carry_their_registry_tag():
 # Import hygiene
 # ----------------------------------------------------------------------
 
-def test_plane_packages_load_no_bench_module():
+def test_no_plane_module_loads_a_bench_module():
+    """Import every ``repro`` module that is not a bench or harness in
+    one fresh interpreter: no bench or harness comes with them.  The CLI
+    reads the bench registry (module paths as strings) to build its
+    subcommands, and that is the only bench module any plane loads."""
+    import pkgutil
+
+    import repro
+
+    names = [
+        module.name
+        for module in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not any(word in module.name for word in ("bench", "harness", "__main__"))
+    ]
     script = (
-        "import sys\n"
-        "import repro.serving, repro.async_serving, repro.faults\n"
-        "leaked = sorted(m for m in sys.modules\n"
-        "                if m.startswith('repro') and\n"
-        "                ('bench' in m or 'harness' in m))\n"
-        "print(leaked)\n"
-        "from repro.faults import run_chaos, ChaosConfig\n"
-        "from repro.async_serving import run_c10k_bench\n"
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.')\n"
+        "             and ('bench' in m or 'harness' in m)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
-    assert result.stdout.strip() == "[]", result.stdout
+    assert "repro.serving.gateway" in names and "repro.faults.policy" in names
+    assert result.stdout.strip() == str(["repro.bench", "repro.bench.registry"])
 
 
 def test_no_repro_module_imports_numpy():
@@ -379,6 +391,107 @@ def test_no_repro_module_imports_numpy():
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
     assert result.stdout.strip() == "[]", result.stdout
+
+
+def _module_paths() -> dict[str, Path]:
+    """Dotted name -> file of every module under ``src/repro``."""
+    paths = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        parts = path.relative_to(REPO / "src").with_suffix("").parts
+        paths[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return paths
+
+
+def _defined_names(body: list) -> set[str]:
+    """Names a module binds by ``def``, ``class`` or assignment (also
+    under a module-level ``if`` / ``try`` / ``with``), not by import."""
+    names: set[str] = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        for block in ("body", "orelse", "finalbody"):
+            names |= _defined_names(getattr(node, block, []))
+        for handler in getattr(node, "handlers", []):
+            names |= _defined_names(handler.body)
+    return names
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    """One import path per name.  (a) No package ``__init__`` under
+    ``src/repro`` binds a name by import, ``__all__`` or ``__getattr__``:
+    each holds its docstring (the root adds ``__version__``), except
+    ``evm/instructions/__init__.py``, whose dispatch table is real code.
+    (b) Every ``from repro.X import n`` in ``src``, ``tests``,
+    ``benchmarks`` and ``examples`` names a submodule of ``repro.X`` or a
+    name ``repro.X`` binds by ``def``, ``class`` or assignment."""
+    modules = _module_paths()
+    trees = {name: ast.parse(path.read_text()) for name, path in modules.items()}
+    offenders = []
+    for name, path in modules.items():
+        if path.name != "__init__.py" or name == "repro.evm.instructions":
+            continue
+        for node in ast.walk(trees[name]):
+            binds = (
+                isinstance(node, (ast.Import, ast.ImportFrom))
+                or isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+                or isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            )
+            if binds:
+                offenders.append(f"{path.relative_to(REPO)}:{node.lineno}: facade")
+    defined = {name: _defined_names(tree.body) for name, tree in trees.items()}
+    for tree in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((REPO / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                        and (node.module or "").split(".")[0] == "repro"):
+                    continue
+                for alias in node.names:
+                    if alias.name in defined.get(node.module, ()):
+                        continue
+                    if f"{node.module}.{alias.name}" in modules:
+                        continue
+                    offenders.append(
+                        f"{path.relative_to(REPO)}:{node.lineno}: "
+                        f"from {node.module} import {alias.name}"
+                    )
+    assert offenders == []
+
+
+def test_every_name_a_src_module_imports_is_used():
+    """ruff's F401 runs in CI only; this is its ``from ... import`` half
+    over ``src/repro``, stdlib ``ast`` alone.  A name counts as used
+    when it is read anywhere in the module, a quoted annotation
+    included; ``__future__`` imports and an import marked
+    ``# noqa: F401`` (a module loaded for its side effects) are exempt."""
+    def names(tree) -> set[str]:
+        return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+    offenders = []
+    for path in _module_paths().values():
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = names(tree)
+        for node in ast.walk(tree):
+            annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            for quoted in ast.walk(annotation) if annotation else ():
+                if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                    used |= names(ast.parse(quoted.value, mode="eval"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                if (alias.asname or alias.name) not in used:
+                    offenders.append(
+                        f"{path.relative_to(REPO)}:{node.lineno}: {alias.name}")
+    assert offenders == []
 
 
 # ----------------------------------------------------------------------
@@ -491,8 +604,6 @@ def test_keccak_is_called_only_where_the_design_table_says():
     table lists, every listed module still calls it or is a protocol-own
     row, and the protocol-own modules (the bundle id, the channel digest)
     import no Keccak at all."""
-    import ast
-
     design = (REPO / "DESIGN.md").read_text()
     section = design.split("### 7.3 ", 1)[1].split("\n### ", 1)[0]
     table = {
@@ -672,15 +783,12 @@ _KEPT_WITHOUT_A_CALLER = {
 
 def test_every_public_name_has_a_caller_or_a_reason_to_stay():
     """AST for the definitions, plain text for the references.  Every
-    public module-level function or class in ``src/repro``, and every
-    name in a package ``__all__``, is mentioned somewhere other than its
-    own definition and ``__init__`` re-exports — elsewhere in
+    public module-level function or class in ``src/repro`` is mentioned
+    somewhere other than its own definition — elsewhere in
     ``src/repro`` (its own module included: a record type its module
     returns is in use), in ``benchmarks/`` or in ``examples/`` — or sits
     in the keep-list with a reason.  ``tests/`` do not count: a
     capability only its own tests reach is what this guards against."""
-    import ast
-
     root = REPO / "src" / "repro"
     sources = {
         path.relative_to(root).as_posix(): path.read_text()
@@ -697,9 +805,6 @@ def test_every_public_name_has_a_caller_or_a_reason_to_stay():
                     public.setdefault(node.name, set()).add(name)
             elif isinstance(node, ast.Assign):
                 bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
-                if package and "__all__" in bound:
-                    for entry in ast.literal_eval(node.value):
-                        public.setdefault(entry, set()).add(name)
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 bound = [node.target.id]
             else:

@@ -1,10 +1,13 @@
 """CALL-RETURN semantics: subcalls, creates, static contexts, selfdestruct."""
 
 
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.crypto.keccak import keccak256
-from repro.evm import CallTracer, execute_transaction
-from repro.state import JournaledState, Transaction, to_address
+from repro.evm.executor import execute_transaction
+from repro.evm.tracer import CallTracer
+from repro.state.account import to_address
+from repro.state.blocks import Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.asm import assemble, deployer, push
 
 from tests.conftest import ALICE

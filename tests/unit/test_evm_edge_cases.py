@@ -1,8 +1,12 @@
 """Remaining EVM edge cases: block queries, copies, modular arithmetic."""
 
 
-from repro.evm import ChainContext, execute_transaction
-from repro.state import DictBackend, JournaledState, Transaction, to_address
+from repro.evm.executor import execute_transaction
+from repro.evm.interpreter import ChainContext
+from repro.state.account import to_address
+from repro.state.backend import DictBackend
+from repro.state.blocks import Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.asm import assemble, push
 
 from tests.conftest import ALICE
@@ -29,7 +33,7 @@ def test_blockhash_future_block_is_zero(backend, chain):
 
 
 def test_blockhash_too_old_is_zero(backend, header):
-    from repro.state import BlockHeader
+    from repro.state.blocks import BlockHeader
 
     high_header = BlockHeader(
         number=1000, parent_hash=b"\x00" * 32, state_root=b"\x00" * 32,
@@ -148,7 +152,7 @@ def test_callcode_transfers_to_self(backend, chain):
 
 
 def test_gas_opcode_decreases_monotonically(backend, chain):
-    from repro.evm import StructTracer
+    from repro.evm.tracer import StructTracer
 
     backend.ensure(TARGET).code = assemble(
         ["GAS", "POP"] * 5 + ["STOP"]

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.evm import execute_transaction
-from repro.state import JournaledState, Transaction, to_address
+from repro.evm.executor import execute_transaction
+from repro.state.account import to_address
+from repro.state.blocks import Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.asm import assemble, push
 
 from tests.conftest import ALICE

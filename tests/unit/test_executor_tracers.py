@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.evm import (
-    CountingTracer,
-    InvalidTransaction,
-    MultiTracer,
-    StructTracer,
-    execute_transaction,
-)
-from repro.state import JournaledState, Transaction, to_address
+from repro.evm.exceptions import InvalidTransaction
+from repro.evm.executor import execute_transaction
+from repro.evm.tracer import CountingTracer, MultiTracer, StructTracer
+from repro.state.account import to_address
+from repro.state.blocks import Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.asm import assemble, push
 
 from tests.conftest import ALICE, BOB, COINBASE

@@ -3,18 +3,17 @@ and the order the service executor applies them in."""
 
 import pytest
 
-from repro.faults import (
+from repro.faults.errors import CircuitOpenError, DmaDropError
+from repro.faults.policy import (
     CircuitBreaker,
-    CircuitOpenError,
-    DmaDropError,
     FailoverBundle,
-    HypervisorCrashError,
     QuarantinePolicy,
     RecoveryOutcome,
     RetryPolicy,
-    SyncError,
 )
 from repro.hardware.timing import SimClock
+from repro.hypervisor.hypervisor import HypervisorCrashError
+from repro.hypervisor.sync import SyncError
 from repro.serving.gateway import (
     ExecutionFailure,
     Gateway,

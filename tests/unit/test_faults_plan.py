@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultKind, FaultPlan, FaultRule
+from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 
 
 def test_rule_validation():

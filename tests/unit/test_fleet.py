@@ -5,7 +5,7 @@ import pytest
 
 from repro.hardware.fleet import TxProfile, full_load_profile, profiles_from_breakdowns
 from repro.hardware.timing import CostModel, TimeBreakdown
-from repro.serving import model_gateway, model_sessions, run_closed_loop
+from repro.serving.loadgen import model_gateway, model_sessions, run_closed_loop
 
 # A full-load HEVM profile: ~40 queries over ~80 ms of ORAM-bound work.
 FULL_LOAD = TxProfile(exec_us=2_000.0, oram_queries=40, fixed_us=0.0)
@@ -94,14 +94,13 @@ def test_profiles_from_breakdowns():
     access_us = cost.oram_access_us(12, 4, 1.0)
     breakdown = TimeBreakdown(
         execution_us=100.0,
-        signature_us=80_000.0,
         oram_storage_us=5 * access_us,
         oram_code_us=10 * access_us,
     )
     profiles = profiles_from_breakdowns([breakdown])
     assert len(profiles) == 1
     assert profiles[0].oram_queries == 15
-    assert profiles[0].fixed_us == 80_000.0
+    assert profiles[0].fixed_us == 0.0
 
 
 def test_empty_profiles_rejected():

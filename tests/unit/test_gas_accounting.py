@@ -6,8 +6,10 @@ match a real node — fails loudly.
 """
 
 
-from repro.evm import execute_transaction
-from repro.state import JournaledState, Transaction, to_address
+from repro.evm.executor import execute_transaction
+from repro.state.account import to_address
+from repro.state.blocks import Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.asm import assemble, label, push, push_label
 
 from tests.conftest import ALICE

@@ -77,7 +77,7 @@ def test_geth_faster_per_simple_op_than_hevm():
 
 
 def test_time_breakdown_totals():
-    breakdown = TimeBreakdown(execution_us=1.0, signature_us=2.0)
+    breakdown = TimeBreakdown(execution_us=1.0, swap_us=2.0)
     other = TimeBreakdown(oram_code_us=3.0)
     breakdown.add(other)
     assert breakdown.total_us == 6.0

@@ -24,6 +24,7 @@ from repro.hypervisor.attestation import (
     verify_report,
 )
 from repro.hypervisor.channel import ChannelError, SecureChannel, message_digest
+from repro.hypervisor.hypervisor import Hypervisor, SecurityFeatures
 from repro.hypervisor.messages import (
     HEADER_SIZE,
     MessageError,
@@ -33,12 +34,12 @@ from repro.hypervisor.messages import (
 )
 from repro.hypervisor.scheduler import HevmScheduler, SchedulingError
 from repro.hypervisor.sync import AccountUpdate, BlockSynchronizer, SyncError
-from repro.hypervisor.hypervisor import Hypervisor, SecurityFeatures
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
-from repro.state import WorldState, to_address
+from repro.state.account import to_address
 from repro.state.backend import DictBackend
+from repro.state.world import WorldState
 from tests.oracles import outcome_per_tier
 
 

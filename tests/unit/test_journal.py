@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.state import DictBackend, JournaledState, to_address
+from repro.state.account import to_address
+from repro.state.backend import DictBackend
+from repro.state.journal import JournaledState
 
 A = to_address(1)
 B = to_address(2)
@@ -126,7 +128,7 @@ def test_an_undo_entry_of_an_unknown_kind_stops_the_revert(journal):
 
 def test_code_hash_semantics(journal):
     from repro.crypto.keccak import keccak256
-    from repro.state import EMPTY_CODE_HASH
+    from repro.state.account import EMPTY_CODE_HASH
 
     assert journal.get_code_hash(B) == keccak256(b"\x60\x01")
     assert journal.get_code_hash(A) == EMPTY_CODE_HASH  # exists, no code

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.evm import CallTracer, execute_transaction
-from repro.state import JournaledState, Transaction, to_address
+from repro.evm.executor import execute_transaction
+from repro.evm.tracer import CallTracer
+from repro.state.account import to_address
+from repro.state.blocks import Transaction
+from repro.state.journal import JournaledState
 from repro.workloads.contracts import erc20
 from repro.workloads.contracts.multicall import (
     multicall_calldata,

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.node import EthereumNode
-from repro.state import Account, Transaction, WorldState, to_address
+from repro.node.node import EthereumNode
+from repro.state.account import Account, to_address
+from repro.state.blocks import Transaction
+from repro.state.world import WorldState
 from repro.workloads.asm import assemble, deployer, push
 
 ALICE = to_address(0xA1)

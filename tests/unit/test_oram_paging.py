@@ -2,14 +2,14 @@
 
 import pytest
 
+from repro.crypto.kdf import Drbg
 from repro.oram import paging
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
 from repro.oram.encrypted_store import EncryptedKvStore
 from repro.oram.prefetch import CodePrefetcher
 from repro.oram.server import OramServer
-from repro.crypto.kdf import Drbg
-from repro.state import Account, AccountMeta, EMPTY_CODE_HASH, to_address
+from repro.state.account import Account, AccountMeta, EMPTY_CODE_HASH, to_address
 
 
 @pytest.fixture

@@ -9,9 +9,10 @@ anti-rollback versions) exactly as it was, so a retry is always safe.
 
 import pytest
 
-from repro.crypto.suite import AuthenticationError
 from repro.crypto.kdf import Drbg
-from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultRule, FaultyOramServer
+from repro.crypto.suite import AuthenticationError
+from repro.faults.injector import FaultInjector, FaultyOramServer
+from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.oram.client import OramTimeoutError, PathOramClient, RollbackDetectedError
 from repro.oram.server import OramServer
 

@@ -5,19 +5,15 @@ import pytest
 from repro.core.device import DeviceConfig
 from repro.core.service import HarDTAPEService
 from repro.core.user import PreExecutionClient
-from repro.faults import (
-    BundleFailedError,
-    FailoverBundle,
-    QuarantinePolicy,
-    QuarantinedDeviceError,
-    ReceiptMismatchError,
-)
+from repro.faults.errors import BundleFailedError, QuarantinedDeviceError
+from repro.faults.policy import FailoverBundle, QuarantinePolicy
 from repro.hypervisor.bundle_codec import (
     TransactionBundle,
     decode_trace_report,
     encode_bundle,
 )
 from repro.hypervisor.hypervisor import SecurityFeatures
+from repro.hypervisor.receipts import ReceiptMismatchError
 from repro.serving.admission import RejectReason
 from repro.serving.gateway import (
     Gateway,

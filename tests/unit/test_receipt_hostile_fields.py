@@ -12,8 +12,10 @@ direction is the device's promise: the auditor picks the indices
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
+from repro.core.service import HarDTAPEService
+from repro.core.user import PreExecutionClient
 from repro.crypto.ecc import N, InvalidSignature, PrivateKey, Signature
+from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.hypervisor.receipts import (
     ReceiptAuditor,
     ReceiptError,

@@ -17,7 +17,8 @@ from repro.crypto.kdf import Drbg
 from repro.hardware.csu import MonotonicCounter
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
-from repro.recovery.manager import RecoveryIntegrityError, RecoveryManager
+from repro.recovery.manager import RecoveryManager
+from repro.recovery.state import RecoveryIntegrityError
 from repro.recovery.store import DurableStore
 
 pytestmark = pytest.mark.recovery

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.rlp.codec import MAX_NESTING_DEPTH, DecodingError
 from tests.hostile import nested_lists
 

@@ -2,27 +2,25 @@
 
 import pytest
 
+from repro.crypto.kdf import Drbg
 from repro.hardware.fleet import OramServerLedger, full_load_profile
 from repro.hardware.timing import CostModel
-from repro.crypto.kdf import Drbg
-from repro.serving import (
-    Counter,
+from repro.serving.admission import QueueDepthShedPolicy, RejectReason
+from repro.serving.gateway import (
     FleetModelExecutor,
-    Gauge,
     Gateway,
     GatewayConfig,
-    Histogram,
-    LoadSession,
-    MetricsRegistry,
-    QueueDepthShedPolicy,
-    RejectReason,
     RequestStatus,
+)
+from repro.serving.loadgen import (
+    LoadSession,
     arrival_times,
     model_sessions,
     run_closed_loop,
     run_open_loop,
     synthetic_profiles,
 )
+from repro.serving.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 pytestmark = pytest.mark.serving
 

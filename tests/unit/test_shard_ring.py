@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sharding import ConsistentHashRing, RingConfigurationError
+from repro.sharding.errors import RingConfigurationError
+from repro.sharding.ring import ConsistentHashRing
 
 pytestmark = pytest.mark.sharding
 

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.serving import (
-    Gateway,
-    GatewayConfig,
-    MetricsRegistry,
-    RequestStatus,
-    ShardSessionRouter,
-    VirtualReactor,
-)
+from repro.serving.gateway import Gateway, GatewayConfig, RequestStatus
+from repro.serving.metrics import MetricsRegistry
+from repro.serving.reactor import VirtualReactor
+from repro.serving.router import ShardSessionRouter
 
 pytestmark = [pytest.mark.sharding, pytest.mark.serving]
 

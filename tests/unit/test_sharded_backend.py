@@ -6,7 +6,7 @@ import pytest
 
 from repro.oram import paging
 from repro.security.observer import AccessPatternObserver
-from repro.sharding import (
+from repro.sharding.backend import (
     ShardedObliviousStateBackend,
     ShardedOramConfig,
     ShardedOramFleet,

@@ -7,7 +7,9 @@ from repro.evm.interpreter import ChainContext
 from repro.hardware.hevm import HevmCore
 from repro.hardware.memory_layers import Layer2CallStack, MemoryOverflowError
 from repro.hardware.timing import CostModel, SimClock
-from repro.state import BlockHeader, DictBackend, Transaction, to_address
+from repro.state.account import to_address
+from repro.state.backend import DictBackend
+from repro.state.blocks import BlockHeader, Transaction
 from repro.workloads.contracts import rollup
 
 ALICE = to_address(0xA1)

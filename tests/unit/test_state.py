@@ -3,15 +3,10 @@
 import pytest
 
 from repro.crypto.keccak import keccak256
-from repro.state import (
-    Account,
-    CODE_PAGE_SIZE,
-    DictBackend,
-    EMPTY_CODE_HASH,
-    WorldState,
-    to_address,
-)
-from repro.trie import EMPTY_ROOT, ProofError
+from repro.state.account import Account, EMPTY_CODE_HASH, to_address
+from repro.state.backend import CODE_PAGE_SIZE, DictBackend
+from repro.state.world import WorldState
+from repro.trie.mpt import EMPTY_ROOT, ProofError
 
 
 def test_to_address_normalization():

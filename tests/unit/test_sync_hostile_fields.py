@@ -18,7 +18,8 @@ from repro.hypervisor.sync import AccountUpdate, BlockSynchronizer, SyncError
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
-from repro.state import WorldState, to_address
+from repro.state.account import to_address
+from repro.state.world import WorldState
 
 CONTRACT, PLAIN, ABSENT = to_address(0xAB), to_address(0xCD), to_address(0xFEED)
 CODE = b"\x60\x01" * 600  # two code pages

@@ -101,7 +101,7 @@ def test_band_sampler_zero_weight_tail_still_total():
 
 
 def test_decode_bundle_rejects_garbage():
-    from repro import rlp
+    from repro.rlp import codec as rlp
     from repro.hypervisor.bundle_codec import decode_bundle
 
     with pytest.raises(rlp.DecodingError):
@@ -109,7 +109,7 @@ def test_decode_bundle_rejects_garbage():
 
 
 def test_decode_trace_report_rejects_garbage():
-    from repro import rlp
+    from repro.rlp import codec as rlp
     from repro.hypervisor.bundle_codec import decode_trace_report
 
     with pytest.raises(rlp.DecodingError):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import rlp
+from repro.rlp import codec as rlp
 from repro.crypto.keccak import keccak256
-from repro.trie import EMPTY_ROOT, MerklePatriciaTrie, ProofError, verify_proof
+from repro.trie.mpt import EMPTY_ROOT, MerklePatriciaTrie, ProofError, verify_proof
 from repro.trie.nibbles import (
     bytes_to_nibbles,
     common_prefix_length,

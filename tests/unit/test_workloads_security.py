@@ -55,7 +55,7 @@ def test_summarize_bands_fractions_sum():
 
 
 def test_evalset_deterministic(tiny_evalset):
-    from repro.workloads import EvaluationSetConfig, build_evaluation_set
+    from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
     again = build_evaluation_set(
         EvaluationSetConfig(blocks=3, txs_per_block=6, profile_contract_count=10)
