@@ -8,8 +8,6 @@ budget, and the tail must decay geometrically (the Path ORAM guarantee).
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.crypto.kdf import Drbg
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
@@ -40,21 +38,21 @@ def _run_trace() -> PathOramClient:
 
 def test_stash_occupancy(benchmark):
     client = benchmark.pedantic(_run_trace, iterations=1, rounds=1)
-    history = client.stats.stash_history
-    histogram = Counter(history)
+    histogram = client.stats.stash_sizes
+    accesses = sum(histogram.values())
     maximum = client.stats.max_stash_blocks
 
     lines = [
-        f"accesses: {len(history)}, distinct keys: {KEYS}",
+        f"accesses: {accesses}, distinct keys: {KEYS}",
         f"max stash occupancy: {maximum} blocks (paper budget ≈ 30 pages)",
         "",
         "| stash size | fraction of accesses |",
         "|---|---|",
     ]
     for size in sorted(histogram):
-        lines.append(f"| {size} | {histogram[size] / len(history):.3%} |")
+        lines.append(f"| {size} | {histogram[size] / accesses:.3%} |")
     record_result("ablation_stash", "Ablation — stash occupancy", lines)
 
     assert maximum <= 30  # fits the paper's 30-page on-chip budget
     # Geometric tail: occupancy 0/1 dominates.
-    assert (histogram[0] + histogram[1]) / len(history) > 0.5
+    assert (histogram[0] + histogram[1]) / accesses > 0.5

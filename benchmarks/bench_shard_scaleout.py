@@ -7,7 +7,6 @@ The ``repro.sharding`` acceptance criteria as a recorded benchmark:
 * aggregate throughput scales near-linearly — ≥ 6x at 8 shards;
 * every shard's physical leaf trace defeats the frequency attack and
   passes chi-square uniformity (obliviousness survives partitioning);
-* a mixed path+pyramid fleet returns bit-exact reads;
 * a shard add remaps ~K/N pages, nothing more.
 """
 
@@ -46,6 +45,5 @@ def test_shard_scaleout_gates(benchmark):
     for row in report.distinguisher:       # per-shard obliviousness
         assert row["frequency_accuracy"] == 0.0
         assert row["uniformity_pvalue"] > 0.01
-    assert report.mixed["ok"]              # pyramid shards bit-exact
     shards = report.ring["shards"]
     assert report.ring["remap_fraction"] <= 2.5 / shards

@@ -26,7 +26,7 @@ from repro.hypervisor.hypervisor import Hypervisor, SecurityFeatures
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
 from repro.oram.server import OramServer
-from repro.oram.store import build_client, check_backend
+from repro.oram.store import build_client
 from repro.state.backend import StateBackend
 
 # The shipping firmware image; its measurement is pinned by users.
@@ -43,24 +43,13 @@ class DeviceConfig:
 
     hevm_count: int = 3  # the XCZU15EV LUT budget allows three
     l2_bytes: int = 1024 * 1024
+    # Height of the Path ORAM tree holding the world state; the
+    # geometry every deployment shares lives in repro.oram.store.
     oram_height: int = 12
-    # Which ORAM protocol backs the world state: "path" (the paper's
-    # prototype) or "pyramid" (hierarchical layout; wins at small
-    # working sets).
-    # The names, and the geometry every deployment shares, live in
-    # repro.oram.store.
-    oram_backend: str = "path"
-    # On-chip top-cache bound for the pyramid backend (blocks); the
-    # hierarchical analogue of the path stash limit.
-    pyramid_cache_blocks: int = 32
     # Virtual-time budget for one ORAM path read; a server stalling past
     # it surfaces as a typed OramTimeoutError instead of a hang.  None
     # absorbs any finite stall (the pre-fault-plane behaviour).
     oram_response_budget_us: float | None = None
-    # §II-C recursion: store the position map in a smaller ORAM instead
-    # of fully on-chip (needed at real world-state scale; off by default
-    # because the flat map is faster at simulation scale).
-    recursive_position_map: bool = False
     # Oversized-frame handling: "abort" (paper) or "spill" (see
     # Layer2CallStack); l3_oram prices spills as full ORAM accesses.
     oversize_policy: str = "abort"
@@ -75,14 +64,11 @@ class DeviceConfig:
     crypto_backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
-        # Backend names are validated here, at construction, so a typo'd
+        # The tier name is validated here, at construction, so a typo'd
         # deployment dies with a typed error instead of failing deep in
         # device setup.
         if self.crypto_backend not in available_backends():
-            raise UnknownBackendError(
-                "crypto", self.crypto_backend, available_backends()
-            )
-        check_backend(self.oram_backend)
+            raise UnknownBackendError(self.crypto_backend, available_backends())
 
 
 class HarDTAPEDevice:
@@ -152,17 +138,10 @@ class HarDTAPEDevice:
                 client = oram_client
             else:
                 client = build_client(
-                    self.config.oram_backend,
                     oram_server,
                     oram_key,
                     rng=rng.fork(b"oram"),
                     response_budget_us=self.config.oram_response_budget_us,
-                    posmap_key=(
-                        puf.derive_key(b"posmap-key")
-                        if self.config.recursive_position_map
-                        else None
-                    ),
-                    pyramid_cache_blocks=self.config.pyramid_cache_blocks,
                 )
             self.oram_backend = ObliviousStateBackend(
                 client, clock=lambda: self.clock.now_us

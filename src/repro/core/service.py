@@ -17,7 +17,6 @@ from repro.hardware.timing import CostModel, SimClock, TimeBreakdown
 from repro.hypervisor.hypervisor import SecurityFeatures, UnknownSessionError
 from repro.hypervisor.sync import SyncError
 from repro.node.node import EthereumNode
-from repro.oram.hierarchical import HierarchicalOramServer
 from repro.oram.server import OramServer
 from repro.oram.store import build_server
 from repro.telemetry.tracer import tracer_for
@@ -72,9 +71,8 @@ class HarDTAPEService:
         device_config = device_config or DeviceConfig()
 
         need_oram = features.oram_storage or features.oram_code
-        self.oram_server: OramServer | HierarchicalOramServer | None = (
+        self.oram_server: OramServer | None = (
             build_server(
-                device_config.oram_backend,
                 height=device_config.oram_height,
                 query_cpu_us=self.cost.oram_server_cpu_us,
             )

@@ -5,11 +5,10 @@ units; the software analogue is a registry of interchangeable crypto
 *backends*, each a bundle of implementations for the two primitives
 that differ on the wire path — the secure channel's AES-GCM and ECDSA
 verification (channel signatures, receipts, the attestation chain) —
-selected per :class:`~repro.core.device.DeviceConfig` exactly like
-``oram_backend``.  A tier has two hooks, ``aead_factory`` and
-``verifier``; a verifier has one method, ``verify``.  Hashing is not a
-tier choice: every Keccak-256 is the one pure-Python sponge behind
-:func:`~repro.crypto.keccak.keccak256`'s memo.
+selected per :class:`~repro.core.device.DeviceConfig`.  A tier has two
+hooks, ``aead_factory`` and ``verifier``; a verifier has one method,
+``verify``.  Hashing is not a tier choice: every Keccak-256 is the one
+pure-Python sponge behind :func:`~repro.crypto.keccak.keccak256`'s memo.
 
 Two tiers register at import time:
 
@@ -57,19 +56,20 @@ from repro.crypto.suite import AcceleratedAesGcmAead, AeadCipher, AesGcmAead
 
 
 class UnknownBackendError(ValueError):
-    """A config named a backend that is not registered.
+    """A config named a crypto tier that is not registered.
 
     Raised *eagerly* — at :class:`~repro.core.device.DeviceConfig`
     construction — so a typo'd deployment dies with a typed error
     naming the known choices instead of failing deep inside device
-    setup.  ``kind`` is ``"crypto"`` or ``"oram"``.
+    setup.
     """
 
-    def __init__(self, kind: str, name: str, known: tuple[str, ...]) -> None:
+    kind = "crypto"
+
+    def __init__(self, name: str, known: tuple[str, ...]) -> None:
         super().__init__(
-            f"unknown {kind} backend {name!r}; registered: {', '.join(known)}"
+            f"unknown {self.kind} backend {name!r}; registered: {', '.join(known)}"
         )
-        self.kind = kind
         self.name = name
         self.known = known
 
@@ -170,7 +170,7 @@ def get_backend(name: str) -> CryptoBackend:
     """Look up a backend; raises :class:`UnknownBackendError`."""
     backend = _BACKENDS.get(name)
     if backend is None:
-        raise UnknownBackendError("crypto", name, available_backends())
+        raise UnknownBackendError(name, available_backends())
     return backend
 
 

@@ -105,11 +105,7 @@ class ObliviousStateBackend:
 
     @staticmethod
     def _client_cost_us(client, cost: CostModel) -> float:
-        """The only place a store's geometry meets the cost model.
-
-        Read per call, not cached: a pyramid store's ``height`` is its
-        active level count, which grows as levels are built.
-        """
+        """The only place a store's geometry meets the cost model."""
         server = client.server
         return cost.oram_access_us(
             server.height, server.bucket_size, client.block_size / 1024.0

@@ -13,8 +13,7 @@ Block wire format (all slots the same size)::
 
 with the slot body laid out by :mod:`repro.oram.slot`.  The cipher is
 the paper's, AES-GCM through OpenSSL
-(:class:`~repro.crypto.suite.AcceleratedAesGcmAead`), shared with the
-Pyramid client so either protocol opens the other's slots;
+(:class:`~repro.crypto.suite.AcceleratedAesGcmAead`);
 ``cipher_factory`` exists only as a test seam.  The nonce is a
 monotonic 96-bit counter that survives a crash through the recovery
 plane's write-ahead lease, so no (key, nonce) pair is ever sealed twice
@@ -30,6 +29,7 @@ verification, so stale world state can never be served silently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,7 +68,8 @@ class ClientStats:
 
     accesses: int = 0
     max_stash_blocks: int = 0
-    stash_history: list[int] = field(default_factory=list)
+    # stash size after an access -> how many accesses ended at it
+    stash_sizes: Counter[int] = field(default_factory=Counter)
     blocks_encrypted: int = 0
     blocks_decrypted: int = 0
     stalls_absorbed: int = 0
@@ -160,7 +161,6 @@ class PathOramClient:
         stash_limit: int | None = None,
         rng: Drbg | None = None,
         cipher_factory=AcceleratedAesGcmAead,
-        position_map: "PositionMapLike | None" = None,
         response_budget_us: float | None = None,
         decrypt_memo_blocks: int | None = 4096,
         clock=None,
@@ -202,9 +202,8 @@ class PathOramClient:
         self._nonce_counter = 0
         # Anti-rollback write counters, one per tree node (on-chip).
         self._node_versions: dict[int, int] = {}
-        self._positions: PositionMapLike = (
-            position_map if position_map is not None else DictPositionMap()
-        )
+        # The position map, on chip: block key -> leaf.
+        self._positions: dict[BlockKey, int] = {}
         self.stats = ClientStats()
         self.last_access = AccessSummary()
 
@@ -245,7 +244,14 @@ class PathOramClient:
         runs after the whole path has authenticated and before the
         eviction, so it must not raise — a caller with something to
         refuse returns ``None`` and raises once the access is over.
+
+        ``write_data`` longer than ``block_size`` is refused with
+        ``ValueError`` before any server I/O or state change; a
+        ``modify`` result that long leaves the block alone, so the
+        access completes as a plain read, and then raises.
         """
+        if write_data is not None and len(write_data) > self.block_size:
+            raise ValueError("write larger than block size")
         self.stats.accesses += 1
         stalls_before = self.stats.stalls_absorbed
         stall_us_before = self.stats.stall_us_absorbed
@@ -317,17 +323,17 @@ class PathOramClient:
             if block_key not in stash:
                 stash[block_key] = payload
 
-        result = self._stash.get(key)
+        result = stash.get(key)
+        oversized = False
         if modify is not None:
             write_data = modify(result)
+            if write_data is not None and len(write_data) > block_size:
+                write_data = None
+                oversized = True
         if write_data is not None:
-            payload = write_data.ljust(self.block_size, b"\x00")
-            if len(payload) > self.block_size:
-                raise ValueError("write larger than block size")
-            self._stash[key] = payload
-            result = payload
-        if key in self._stash:
-            self._positions.set(key, new_leaf)
+            result = stash[key] = write_data.ljust(block_size, b"\x00")
+        if key in stash:
+            self._positions[key] = new_leaf
 
         self._evict(scanned_leaf, sim_time_us)
         if sink is not None:
@@ -359,6 +365,8 @@ class PathOramClient:
             keccak_hits=keccak_after.hits - keccak_hits_before,
             keccak_misses=keccak_after.misses - keccak_misses_before,
         )
+        if oversized:
+            raise ValueError("write larger than block size")
         return result
 
     def _read_path_within_budget(
@@ -503,7 +511,7 @@ class PathOramClient:
 
     def _record_stash(self) -> None:
         size = len(self._stash)
-        self.stats.stash_history.append(size)
+        self.stats.stash_sizes[size] += 1
         if size > self.stats.max_stash_blocks:
             self.stats.max_stash_blocks = size
         if self.stash_limit is not None and size > self.stash_limit:
@@ -520,17 +528,9 @@ class PathOramClient:
         client: stash contents, position map, per-node version pins, and
         the AEAD nonce counter.  Keys (not AES material) only — the
         sealing layer encrypts the whole snapshot."""
-        if isinstance(self._positions, DictPositionMap):
-            positions = dict(self._positions._map)
-        else:  # recursive maps expose at least the stash-resident keys
-            positions = {
-                key: leaf
-                for key in self._stash
-                if (leaf := self._positions.get(key)) is not None
-            }
         return {
             "stash": dict(self._stash),
-            "positions": positions,
+            "positions": dict(self._positions),
             "node_versions": dict(self._node_versions),
             "nonce_counter": self._nonce_counter,
         }
@@ -538,9 +538,7 @@ class PathOramClient:
     def restore_trusted_state(self, state: dict) -> None:
         """Install a recovered snapshot (checkpoint + journal replay)."""
         self._stash = dict(state["stash"])
-        restored = DictPositionMap()
-        restored._map = dict(state["positions"])
-        self._positions = restored
+        self._positions = dict(state["positions"])
         self._node_versions = dict(state["node_versions"])
         self._nonce_counter = int(state["nonce_counter"])
 
@@ -552,7 +550,7 @@ class PathOramClient:
         stay monotone across the old sealed blobs the SP has seen.
         """
         self._stash = {}
-        self._positions = DictPositionMap()
+        self._positions = {}
         self._node_versions = {}
 
     def logical_content(self, server: OramServer) -> dict[BlockKey, bytes]:
@@ -588,29 +586,3 @@ class PathOramClient:
 
     def write(self, key: BlockKey, data: bytes, sim_time_us: float = 0.0) -> None:
         self.access(key, data, sim_time_us)
-
-
-class DictPositionMap:
-    """Plain on-chip position map (fine for simulation-scale states)."""
-
-    def __init__(self) -> None:
-        self._map: dict[BlockKey, int] = {}
-
-    def get(self, key: BlockKey) -> int | None:
-        return self._map.get(key)
-
-    def set(self, key: BlockKey, leaf: int) -> None:
-        self._map[key] = leaf
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-
-class PositionMapLike:
-    """Structural interface for position maps (dict-backed or recursive)."""
-
-    def get(self, key: BlockKey) -> int | None:  # pragma: no cover - protocol
-        raise NotImplementedError
-
-    def set(self, key: BlockKey, leaf: int) -> None:  # pragma: no cover
-        raise NotImplementedError

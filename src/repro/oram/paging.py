@@ -10,13 +10,10 @@ indistinguishable by size:
   layout,
 * **code pages** — contract bytecode split into 1 KB chunks.
 
-Page keys are namespaced byte strings; :class:`PageDirectory` densifies
-them to sequential integers when a recursive position map is in use.
+Page keys are namespaced byte strings.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.state.account import Account, AccountMeta, Address, EMPTY_CODE_HASH
 from repro.state.backend import CODE_PAGE_SIZE, STORAGE_GROUP_SIZE
@@ -121,29 +118,3 @@ def account_pages(address: Address, account: Account) -> list[tuple[bytes, bytes
         ))
     return pages + code_pages(address, account.code)
 
-
-@dataclass
-class PageDirectory:
-    """Densifies page keys to sequential ints for recursive posmaps.
-
-    The directory itself is small (one int per *touched* page) and, in
-    hardware, would live in the Hypervisor's on-chip memory alongside
-    the top recursion level.
-    """
-
-    next_id: int = 0
-
-    def __post_init__(self) -> None:
-        self._ids: dict[bytes, int] = {}
-
-    def id_for(self, page_key: bytes) -> int:
-        existing = self._ids.get(page_key)
-        if existing is not None:
-            return existing
-        assigned = self.next_id
-        self._ids[page_key] = assigned
-        self.next_id += 1
-        return assigned
-
-    def __len__(self) -> int:
-        return len(self._ids)

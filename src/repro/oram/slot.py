@@ -1,19 +1,18 @@
-"""The ORAM slot plaintext: one layout, shared by every protocol.
+"""The ORAM slot plaintext: one layout for every sealed bucket slot.
 
-Every slot an ORAM client seals — path bucket or pyramid level — is the
-same fixed-size body, so the SP cannot tell slots apart by length::
+Every slot the ORAM client seals is the same fixed-size body, so the SP
+cannot tell slots apart by length::
 
     kind (1) || key_len (2) || key, zero-padded to 64 || payload, zero-padded to block_size
 
 Dummies carry ``KIND_DUMMY`` and an empty key and payload; what is
-sealed around the body (nonce, AAD) is the protocol's business.
+sealed around the body (nonce, AAD) is the client's business.
 """
 
 from __future__ import annotations
 
 KIND_DUMMY = 0
 KIND_REAL = 1
-KIND_NEGATIVE = 2  # pyramid only: a cached "this key is absent" witness
 
 MAX_KEY_BYTES = 64
 _PAYLOAD_AT = 3 + MAX_KEY_BYTES

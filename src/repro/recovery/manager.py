@@ -354,13 +354,11 @@ class RecoveryManager:
     ) -> PathOramClient:
         """Build the successor ORAM client from a recovered state.
 
-        Only the path protocol journals per access, so the successor is
-        a path client.  Its RNG is salted by ``generation`` so it never
+        Its RNG is salted by ``generation`` so it never
         replays the eviction-randomness stream its predecessor already
         consumed against the same adversary-visible tree.
         """
         client = build_client(
-            "path",
             server,
             state.oram_key,
             block_size=state.block_size,

@@ -23,14 +23,13 @@ the resulting trace/metrics/wire/world-digest hashes are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.crypto.kdf import hkdf_sha256
 from repro.oram import paging
 from repro.oram.adapter import ObliviousStateBackend
 from repro.oram.client import PathOramClient
-from repro.oram.hierarchical import HierarchicalOramServer, PyramidOramClient
 from repro.oram.server import OramServer
 from repro.oram.store import build_client, build_server
 from repro.sharding.ring import ConsistentHashRing
@@ -51,19 +50,12 @@ def shard_key(master_key: bytes, shard_id: int) -> bytes:
 
 @dataclass
 class ShardedOramConfig:
-    """Fleet geometry: one ORAM store per shard, all identically sized.
-
-    Every shard runs the path protocol unless ``backend_overrides``
-    re-points it (e.g. a shard whose working set is small enough that
-    the hierarchical layout wins).
-    """
+    """Fleet geometry: one ORAM store per shard, all identically sized."""
 
     shard_count: int = 4
     oram_height: int = 9
     block_size: int = paging.PAGE_SIZE
     vnodes: int = 128
-    backend_overrides: dict[int, str] = field(default_factory=dict)
-    pyramid_cache_blocks: int = 32
 
 
 @dataclass
@@ -71,9 +63,8 @@ class OramShard:
     """One slice of the fleet: its store, its client, its key."""
 
     shard_id: int
-    backend: str
-    server: OramServer | HierarchicalOramServer
-    client: PathOramClient | PyramidOramClient
+    server: OramServer
+    client: PathOramClient
     key: bytes
 
 
@@ -100,17 +91,11 @@ class ShardedOramFleet:
 
     def _build_shard(self, shard_id: int, master_key: bytes) -> OramShard:
         key = shard_key(master_key, shard_id)
-        backend = self.config.backend_overrides.get(shard_id, "path")
-        server = build_server(backend, height=self.config.oram_height)
+        server = build_server(height=self.config.oram_height)
         client = build_client(
-            backend,
-            server,
-            key,
-            block_size=self.config.block_size,
-            clock=self._clock,
-            pyramid_cache_blocks=self.config.pyramid_cache_blocks,
+            server, key, block_size=self.config.block_size, clock=self._clock
         )
-        return OramShard(shard_id, backend, server, client, key)
+        return OramShard(shard_id, server, client, key)
 
     @property
     def block_size(self) -> int:

@@ -1,6 +1,6 @@
 """The shard scale-out benchmark (``shard-bench``).
 
-Four seeded, deterministic phases — the sharding plane's acceptance
+Three seeded, deterministic phases — the sharding plane's acceptance
 gates:
 
 1. **Identity** — the same seeded workload against the unsharded
@@ -22,9 +22,6 @@ gates:
    de-anonymize nothing, and the leaf histogram must pass chi-square
    uniformity.  Sharding must not create a *smaller* anonymity set
    whose skew an adversary could read.
-4. **Mixed backends** — a fleet with pyramid shards among path shards
-   (an ORAM backend chosen per shard through ``oram_backend``)
-   returns bit-exact values for every read.
 
 Everything runs on one host process over virtual time; throughput is
 the simulated fleet's, not the host's.
@@ -49,7 +46,6 @@ from repro.crypto.kdf import Drbg
 from repro.hardware.timing import SimClock
 from repro.oram import paging
 from repro.oram.adapter import ObliviousStateBackend
-from repro.oram.hierarchical import HierarchicalOramServer
 from repro.oram.store import build_client, build_server
 from repro.security.analysis import frequency_attack, path_uniformity_pvalue
 from repro.security.observer import AccessPatternObserver
@@ -82,8 +78,6 @@ VNODES = 256
 READ_COST_US = 60.0  # virtual time the driver charges per read
 MIN_SPEEDUP = 6.0
 MIN_PVALUE = 0.01
-MIXED_SHARD_COUNT = 4
-PYRAMID_CACHE_BLOCKS = 48
 
 
 @dataclass
@@ -149,38 +143,21 @@ def _workload_page_keys(
 
 def _tap_server(hasher, shard_id: int, server) -> None:
     """Hash every adversary-visible access event as it happens."""
-    if isinstance(server, HierarchicalOramServer):
 
-        def on_slot(event) -> None:
-            hasher.update(b"S" + shard_id.to_bytes(2, "big"))
-            hasher.update(event.level.to_bytes(2, "big"))
-            hasher.update(event.bucket.to_bytes(4, "big"))
-            hasher.update(struct.pack(">d", event.sim_time_us))
+    def on_path(event) -> None:
+        hasher.update(b"P" + shard_id.to_bytes(2, "big"))
+        hasher.update(event.leaf.to_bytes(4, "big"))
+        hasher.update(struct.pack(">d", event.sim_time_us))
 
-        server.add_observer(on_slot)
-    else:
-
-        def on_path(event) -> None:
-            hasher.update(b"P" + shard_id.to_bytes(2, "big"))
-            hasher.update(event.leaf.to_bytes(4, "big"))
-            hasher.update(struct.pack(">d", event.sim_time_us))
-
-        server.add_observer(on_path)
+    server.add_observer(on_path)
 
 
 def _fold_ciphertext(hasher, shard_id: int, server) -> None:
     """Fold the final at-rest ciphertext into the wire hash."""
     hasher.update(b"T" + shard_id.to_bytes(2, "big"))
-    if isinstance(server, HierarchicalOramServer):
-        for level, buckets in sorted(server.snapshot_levels().items()):
-            hasher.update(level.to_bytes(2, "big"))
-            for bucket in buckets:
-                for blob in bucket:
-                    hasher.update(blob)
-    else:
-        for bucket in server.snapshot_tree():
-            for blob in bucket:
-                hasher.update(blob)
+    for bucket in server.snapshot_tree():
+        for blob in bucket:
+            hasher.update(blob)
 
 
 # ----------------------------------------------------------------------
@@ -268,12 +245,6 @@ class _RunArtifacts:
         return max(self.per_shard_queries.values()) / self.total_queries
 
 
-def _server_queries(server) -> int:
-    if isinstance(server, HierarchicalOramServer):
-        return server.stats.bucket_reads
-    return server.stats.reads
-
-
 def _collect(
     tracer, registry, wire, shards: dict[int, tuple], mismatches: int, **traces
 ) -> _RunArtifacts:
@@ -281,7 +252,7 @@ def _collect(
     for shard_id, (_client, server) in sorted(shards.items()):
         _fold_ciphertext(wire, shard_id, server)
     queries = {
-        shard_id: _server_queries(server)
+        shard_id: server.stats.reads
         for shard_id, (_client, server) in sorted(shards.items())
     }
     return _RunArtifacts(
@@ -307,9 +278,9 @@ def _run_unsharded(config: ShardBenchConfig) -> _RunArtifacts:
     registry = MetricsRegistry()
     wire = hashlib.sha256()
     with traced(clock, TraceSampler(1.0, config.seed)) as tracer:
-        server = build_server("path", height=config.oram_height)
+        server = build_server(height=config.oram_height)
         _tap_server(wire, 0, server)
-        client = build_client("path", server, shard_key(_master_key(config), 0))
+        client = build_client(server, shard_key(_master_key(config), 0))
         backend = ObliviousStateBackend(client, clock=lambda: clock.now_us)
         accounts = _build_accounts(config)
         backend.sync_world(accounts)
@@ -317,11 +288,7 @@ def _run_unsharded(config: ShardBenchConfig) -> _RunArtifacts:
     return _collect(tracer, registry, wire, {0: (client, server)}, mismatches)
 
 
-def _run_fleet(
-    config: ShardBenchConfig,
-    shard_count: int,
-    backend_overrides: dict[int, str] | None = None,
-) -> _RunArtifacts:
+def _run_fleet(config: ShardBenchConfig, shard_count: int) -> _RunArtifacts:
     """One sharded run; collects per-shard traces for the gates."""
     clock = SimClock()
     registry = MetricsRegistry()
@@ -331,15 +298,12 @@ def _run_fleet(
             shard_count=shard_count,
             oram_height=config.oram_height,
             vnodes=VNODES,
-            backend_overrides=dict(backend_overrides or {}),
-            pyramid_cache_blocks=PYRAMID_CACHE_BLOCKS,
         )
         fleet = ShardedOramFleet(fleet_config, _master_key(config))
         observers: dict[int, AccessPatternObserver] = {}
         for shard_id, shard in sorted(fleet.shards.items()):
             _tap_server(wire, shard_id, shard.server)
-            if shard.backend == "path":
-                observers[shard_id] = AccessPatternObserver().attach(shard.server)
+            observers[shard_id] = AccessPatternObserver().attach(shard.server)
         backend = ShardedObliviousStateBackend(
             fleet, clock=lambda: clock.now_us
         )
@@ -431,7 +395,6 @@ class ShardBenchReport(GateReport):
     scaleout: list[dict]
     speedup: float
     distinguisher: list[dict]
-    mixed: dict
     ring: dict
 
     bench = "shard-scaleout"
@@ -461,10 +424,6 @@ class ShardBenchReport(GateReport):
             f"{max(row['frequency_accuracy'] for row in self.distinguisher):.2f}, "
             f"worst uniformity p-value {worst:.3f} across "
             f"{len(self.distinguisher)} shards"
-        )
-        lines.append(
-            f"mixed fleet ({self.mixed['backends']}): "
-            + ("all reads bit-exact" if self.mixed["ok"] else "MISMATCHES")
         )
         lines.append(
             f"ring: {self.ring['pages']} pages, add-shard remap "
@@ -502,21 +461,6 @@ def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
     top = runs[MAX_SHARDS]
     speedup = top.aggregate_tps / runs[1].aggregate_tps if runs[1].aggregate_tps else 0.0
     distinguisher = _distinguisher_rows(top, config)
-
-    # Mixed fleet: pyramid on alternating shards, path on the rest, each
-    # shard's ORAM backend chosen explicitly through ``oram_backend``.
-    overrides = {
-        shard_id: "pyramid"
-        for shard_id in range(1, MIXED_SHARD_COUNT, 2)
-    }
-    mixed_run = _run_fleet(config, MIXED_SHARD_COUNT, overrides)
-    mixed = {
-        "shards": MIXED_SHARD_COUNT,
-        "backends": "path+pyramid",
-        "pyramid_shards": sorted(overrides),
-        "mismatches": mixed_run.mismatches,
-        "ok": mixed_run.mismatches == 0,
-    }
 
     # Ring movement: adding shard N to an (N-1)-shard ring moves ~1/N
     # of the workload's pages and nothing else (measured, not assumed).
@@ -563,11 +507,6 @@ def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
                 f"shard {row['shard']}: leaf uniformity p-value "
                 f"{row['uniformity_pvalue']:.4f} <= {MIN_PVALUE}"
             )
-    if not mixed["ok"]:
-        failures.append(
-            f"mixed path+pyramid fleet returned {mixed['mismatches']} "
-            f"mismatched read(s)"
-        )
     if ring["remap_fraction"] > 2.5 / MAX_SHARDS:
         failures.append(
             f"ring remapped {ring['remap_fraction']:.1%} of pages on shard "
@@ -586,7 +525,6 @@ def run_shard_bench(config: ShardBenchConfig) -> ShardBenchReport:
         scaleout=scaleout,
         speedup=speedup,
         distinguisher=distinguisher,
-        mixed=mixed,
         ring=ring,
         gate_failures=failures,
     )

@@ -34,31 +34,6 @@ def _session(service):
     return client, client.connect(service)
 
 
-def test_recursive_position_map_end_to_end(evalset):
-    service = _service(evalset, recursive_position_map=True)
-    client, session = _session(service)
-    tx = evalset.transactions[0]
-    report, _, _ = client.pre_execute(service, session, [tx])
-    assert report.traces[0].status == 1
-    # The recursion actually ran: inner ORAM accesses happened.
-    oram = service.devices[0].oram_backend
-    assert oram._client._positions.inner_accesses > 0
-
-
-def test_recursive_and_flat_posmaps_agree(evalset):
-    flat = _service(evalset)
-    recursive = _service(evalset, recursive_position_map=True)
-    tx = evalset.transactions[1]
-    reports = []
-    for service in (flat, recursive):
-        client, session = _session(service)
-        report, _, _ = client.pre_execute(service, session, [tx])
-        reports.append(report.traces[0])
-    assert reports[0].gas_used == reports[1].gas_used
-    assert reports[0].return_data == reports[1].return_data
-    assert reports[0].storage_changes == reports[1].storage_changes
-
-
 def test_spill_device_completes_rollups(evalset):
     service = _service(evalset, oversize_policy="spill")
     client, session = _session(service)

@@ -68,7 +68,7 @@ def _outcome(client: PathOramClient, key: bytes, data: bytes | None):
 
 def _trusted(client: PathOramClient):
     return (
-        client._stash, client._positions._map, client._node_versions,
+        client._stash, client._positions, client._node_versions,
         client._nonce_counter, client.stats.blocks_decrypted,
         client.stats.blocks_encrypted, client.stats.rollbacks_detected,
     )

@@ -40,7 +40,6 @@ from repro.crypto.kdf import Drbg
 from repro.crypto.suite import Blake2Aead
 from repro.hardware.timing import SimClock
 from repro.oram.client import PathOramClient
-from repro.oram.hierarchical import HierarchicalOramServer, PyramidOramClient
 from repro.oram.server import OramServer
 from repro.serving.gateway import Gateway, GatewayConfig, ServiceExecutor
 from repro.serving.loadgen import run_closed_loop
@@ -217,16 +216,7 @@ def _path_world():
     return client, server
 
 
-def _pyramid_world():
-    server = HierarchicalOramServer()
-    client = PyramidOramClient(
-        server, hashlib.sha256(b"bench-harness-world").digest(),
-        block_size=_BLOCK, cache_limit=4,
-    )
-    return client, server
-
-
-@pytest.mark.parametrize("build", [_path_world, _pyramid_world])
+@pytest.mark.parametrize("build", [_path_world])
 def test_logical_content_is_the_world_the_writes_built(build):
     client, server = build()
     expected = _seeded_writes(client)
@@ -236,13 +226,6 @@ def test_logical_content_is_the_world_the_writes_built(build):
     assert content == expected  # last write wins, nothing extra
     assert b"page-99" not in content
     assert client.stats.blocks_decrypted == decrypted_before  # read-only
-
-
-def test_pyramid_content_spans_levels_not_just_the_cache():
-    client, server = _pyramid_world()
-    expected = _seeded_writes(client)
-    assert client.rebuilds > 0 and client.stats.max_stash_blocks < len(expected)
-    assert client.logical_content(server) == expected
 
 
 def test_path_world_digest_matches_the_parent_commit():
@@ -708,8 +691,7 @@ def test_one_oram_store_and_no_deleted_seam_grows_back():
         # FaultyOramServer( wraps a store, it does not build one;
         # perf/bench.py builds the byte oracle's client and server itself
         "store built outside repro.oram.store": (
-            re.compile(r"\b(PathOramClient|PyramidOramClient|OramServer"
-                       r"|HierarchicalOramServer)\("),
+            re.compile(r"\b(PathOramClient|OramServer)\("),
             {"perf/bench.py"}),
     }
     deleted = re.compile(
@@ -728,6 +710,11 @@ def test_one_oram_store_and_no_deleted_seam_grows_back():
         r"|begin_pinned|end_pinned|_active_ticket|self\._crashed\b"
         r"|per_shard_accesses|pin_transaction|_refuse_pinned|shard_for_page"
         r"|shards_for(?:_pages)?\(|attach_client|\bcoordinator="
+        # the Pyramid store, the recursive position map and the store choice
+        r"|PyramidOramClient|HierarchicalOramServer|RecursivePositionMap"
+        r"|DirectoryPositionMap|PageDirectory|DictPositionMap|PositionMapLike"
+        r"|KIND_NEGATIVE|backend_overrides|recursive_position_map|posmap_key"
+        r"|pyramid_cache_blocks|check_backend"
     )
     offenders = []
     paper_shape_users = []
@@ -748,7 +735,7 @@ def test_one_oram_store_and_no_deleted_seam_grows_back():
     assert "seal_blocks" not in vars(Blake2Aead)
     manager = (root / "recovery" / "manager.py").read_text()
     assert not re.search(r"(?<!self)\._client\b", manager)
-    # Path's dead slot helpers are gone; Pyramid's live ones use the codec.
+    # Path's dead slot helpers are gone.
     client = (root / "oram" / "client.py").read_text()
     assert not re.search(r"_encrypt_slot|_decrypt_slot|_dummy_slot", client)
     # ...and the slot layout is spelled in ``oram/slot.py`` alone.

@@ -65,13 +65,6 @@ def test_device_config_rejects_unknown_crypto_backend():
     assert excinfo.value.kind == "crypto"
 
 
-def test_device_config_rejects_unknown_oram_backend():
-    with pytest.raises(UnknownBackendError) as excinfo:
-        DeviceConfig(oram_backend="cuckoo")
-    assert excinfo.value.kind == "oram"
-    assert "path" in str(excinfo.value)
-
-
 def test_device_config_accepts_every_registered_backend():
     for name in available_backends():
         assert DeviceConfig(crypto_backend=name).crypto_backend == name

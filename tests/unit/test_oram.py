@@ -1,11 +1,13 @@
 """Path ORAM: server geometry, client protocol, obliviousness basics."""
 
+import copy
+
 import pytest
 
 from repro.crypto.kdf import Drbg
-from repro.oram.client import DictPositionMap, PathOramClient, StashOverflow
-from repro.oram.recursive import RecursivePositionMap
+from repro.oram.client import PathOramClient, StashOverflow
 from repro.oram.server import OramServer
+from repro.oram.store import BUCKET_SIZE, STASH_LIMIT_BLOCKS, build_client, build_server
 from repro.security.observer import AccessPatternObserver
 
 
@@ -78,6 +80,34 @@ def test_write_too_large_rejected(client):
         client.write(b"key1", b"x" * 257)
 
 
+def test_refused_write_leaves_server_and_client_untouched(server, client):
+    """An oversized write is refused before the path read: the SP sees
+    no access, and stash, position map and stats are as they were."""
+    client.write(b"key1", b"v1")
+    observer = AccessPatternObserver().attach(server)
+    server_stats = copy.deepcopy(server.stats)
+    client_stats = copy.deepcopy(client.stats)
+    stash, positions = dict(client._stash), dict(client._positions)
+    with pytest.raises(ValueError):
+        client.write(b"key1", b"x" * 257)
+    assert observer.events == []
+    assert server.stats == server_stats
+    assert client.stats == client_stats
+    assert client._stash == stash and client._positions == positions
+
+
+def test_oversized_modify_result_completes_as_a_read_then_raises(server, client):
+    """``modify`` runs mid-access, after the path read: an oversized
+    result leaves the block alone, the path is still written back, and
+    the refusal surfaces once the access is over."""
+    client.write(b"key1", b"v1")
+    reads, writes = server.stats.reads, server.stats.writes
+    with pytest.raises(ValueError):
+        client.access(b"key1", modify=lambda page: b"x" * 257)
+    assert (server.stats.reads, server.stats.writes) == (reads + 1, writes + 1)
+    assert client.read(b"key1")[:2] == b"v1"
+
+
 def test_many_keys_roundtrip(client):
     for i in range(80):
         client.write(b"key%d" % i, b"value%d" % i)
@@ -148,50 +178,16 @@ def test_remap_after_access(server):
     assert len(set(positions)) > 5
 
 
-# -- position maps ---------------------------------------------------------------
+# -- the store builders ---------------------------------------------------------
 
 
-def test_dict_position_map():
-    pm = DictPositionMap()
-    assert pm.get(b"k") is None
-    pm.set(b"k", 5)
-    assert pm.get(b"k") == 5
-    assert len(pm) == 1
-
-
-def test_recursive_position_map_roundtrip():
-    pm = RecursivePositionMap(capacity=512, key=b"r" * 32)
-    for i in range(0, 512, 37):
-        pm.set(i.to_bytes(8, "big"), i % 64)
-    for i in range(0, 512, 37):
-        assert pm.get(i.to_bytes(8, "big")) == i % 64
-    assert pm.get((1).to_bytes(8, "big")) is None
-
-
-def test_recursive_position_map_bounds():
-    pm = RecursivePositionMap(capacity=16, key=b"r" * 32)
-    with pytest.raises(KeyError):
-        pm.get((16).to_bytes(8, "big"))
-    with pytest.raises(KeyError):
-        pm.set((99).to_bytes(8, "big"), 0)
-
-
-def test_client_with_recursive_position_map():
-    server = OramServer(height=5)
-    pm = RecursivePositionMap(capacity=1024, key=b"r" * 32)
-
-    class IntKeyMap:
-        def get(self, key):
-            return pm.get(key)
-
-        def set(self, key, leaf):
-            pm.set(key, leaf)
-
-    client = PathOramClient(
-        server, key=b"k" * 32, block_size=64, position_map=IntKeyMap()
-    )
-    for i in range(20):
-        client.write(i.to_bytes(8, "big"), b"v%d" % i)
-    for i in range(20):
-        assert client.read(i.to_bytes(8, "big")).rstrip(b"\x00") == b"v%d" % i
-    assert pm.inner_accesses > 0
+def test_store_builders_share_one_geometry():
+    """``repro.oram.store`` builds both halves of the one store."""
+    server = build_server(height=5)
+    assert isinstance(server, OramServer)
+    assert (server.height, server.bucket_size) == (5, BUCKET_SIZE)
+    client = build_client(server, b"k" * 32, block_size=64)
+    assert isinstance(client, PathOramClient) and client.server is server
+    assert client.stash_limit == STASH_LIMIT_BLOCKS
+    client.write(b"a", b"1")
+    assert client.read(b"a").rstrip(b"\x00") == b"1"

@@ -61,15 +61,6 @@ def test_storage_page_roundtrip():
     assert paging.decode_storage_record(None, 5) == 0
 
 
-def test_page_directory_densifies():
-    directory = paging.PageDirectory()
-    a = directory.id_for(b"page-a")
-    b = directory.id_for(b"page-b")
-    assert (a, b) == (0, 1)
-    assert directory.id_for(b"page-a") == 0
-    assert len(directory) == 2
-
-
 def test_account_pages_walk_is_the_sync_write_sequence(backend):
     """Keys, bytes and order of the one account -> pages walk, spelled
     out the way ``sync_account`` wrote them before the walk existed;
@@ -132,22 +123,17 @@ def test_sync_and_read_account(backend):
 
 
 def _every_store(backend):
-    """The path backend, a pyramid one and a mixed two-shard fleet."""
-    from repro.oram.store import build_client, build_server
+    """The path backend and a two-shard fleet."""
     from repro.sharding.backend import (
         ShardedObliviousStateBackend,
         ShardedOramConfig,
         ShardedOramFleet,
     )
 
-    pyramid = build_client("pyramid", build_server("pyramid", height=6), b"p" * 32)
     fleet = ShardedOramFleet(
-        ShardedOramConfig(
-            shard_count=2, oram_height=5, backend_overrides={1: "pyramid"}
-        ),
-        b"m" * 32,
+        ShardedOramConfig(shard_count=2, oram_height=5), b"m" * 32
     )
-    return backend, ObliviousStateBackend(pyramid), ShardedObliviousStateBackend(fleet)
+    return backend, ShardedObliviousStateBackend(fleet)
 
 
 def test_access_hands_modify_the_page_it_read(backend):

@@ -95,7 +95,7 @@ def _client_state(client):
     """The trust state a failed access must leave untouched."""
     return (
         dict(client._stash),
-        dict(client._positions._map),
+        dict(client._positions),
         dict(client._node_versions),
     )
 

@@ -19,10 +19,8 @@ pytestmark = pytest.mark.sharding
 MASTER = hashlib.sha256(b"test-fleet-master").digest()
 
 
-def _fleet(shard_count=4, **overrides):
-    config = ShardedOramConfig(
-        shard_count=shard_count, oram_height=6, **overrides
-    )
+def _fleet(shard_count=4):
+    config = ShardedOramConfig(shard_count=shard_count, oram_height=6)
     return ShardedOramFleet(config, MASTER)
 
 
@@ -58,15 +56,6 @@ def test_fleet_builds_one_store_per_shard():
     assert {shard.key for shard in fleet.shards.values()} == {
         shard_key(MASTER, sid) for sid in range(4)
     }
-
-
-def test_backend_overrides_select_pyramid_per_shard():
-    fleet = _fleet(4, backend_overrides={2: "pyramid"})
-    assert [fleet.shards[sid].backend for sid in range(4)] == [
-        "path", "path", "pyramid", "path"
-    ]
-    with pytest.raises(ValueError):
-        _fleet(1, backend_overrides={0: "cuckoo"})
 
 
 def test_accesses_route_by_ring_and_round_trip():
@@ -119,23 +108,10 @@ def test_single_shard_fleet_matches_unsharded_wire():
     assert fleet.shards[0].server.snapshot_tree() == server.snapshot_tree()
 
 
-def test_mixed_backend_fleet_round_trips():
-    fleet = _fleet(4, backend_overrides={1: "pyramid", 3: "pyramid"})
-    backend = ShardedObliviousStateBackend(fleet)
-    accounts = _accounts(10)
-    backend.sync_world(accounts)
-    for address, account in accounts.items():
-        assert backend.get_meta(address).nonce == account.nonce
-        assert backend.get_storage(address, 0) == account.storage[0]
-    # Both kinds of shard served traffic.
-    assert all(_per_shard_accesses(fleet).values())
-
-
 def test_block_delta_routes_each_page_to_its_owner():
     """``sync_delta`` is read-modify-write (``access(key, modify=fn)``);
-    on a fleet each page's access goes to its ring owner, Path or
-    Pyramid alike."""
-    fleet = _fleet(4, backend_overrides={1: "pyramid", 3: "pyramid"})
+    on a fleet each page's access goes to its ring owner."""
+    fleet = _fleet(4)
     backend = ShardedObliviousStateBackend(fleet)
     accounts = _accounts()
     backend.sync_world(accounts)
