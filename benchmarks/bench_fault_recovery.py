@@ -15,7 +15,6 @@ plane's acceptance criteria:
 
 from __future__ import annotations
 
-from repro.crypto.backend import available_backends
 from repro.faults.harness import ChaosConfig, run_chaos, run_escalation
 from repro.faults.plan import FaultKind
 
@@ -96,58 +95,3 @@ def test_fault_recovery_escalation(benchmark, evalset):
     # Goodput can only degrade as the fault rate climbs to 10%.
     assert escalation[-1].goodput_tps <= escalation[0].goodput_tps
 
-
-def test_zero_rate_identity_across_crypto_backends(benchmark, evalset):
-    """The zero-rate byte-identity gate, swept over every crypto tier.
-
-    The fault plane predates the pluggable crypto backends; a backend
-    that diverged only under an armed (but silent) injector would fork
-    the wire without any other gate noticing.  So: for every registered
-    backend, an armed all-zero-rate run must reproduce that backend's
-    unarmed baseline — and because the backends are bit-compatible by
-    construction, all backends must agree with each other too.
-    """
-
-    def run():
-        return {
-            name: (
-                run_chaos(
-                    ChaosConfig(seed=SEED, fault_rate=0.0, armed=False,
-                                crypto_backend=name),
-                    evalset,
-                ),
-                run_chaos(
-                    ChaosConfig(seed=SEED, fault_rate=0.0,
-                                crypto_backend=name),
-                    evalset,
-                ),
-            )
-            for name in available_backends()
-        }
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
-
-    lines = [
-        "| backend | armed == unarmed | completed | goodput (tx/s) |",
-        "|---|---|---|---|",
-    ]
-    for name, (unarmed, armed) in rows.items():
-        lines.append(
-            f"| {name} | {armed.metrics == unarmed.metrics} "
-            f"| {armed.load.completed} | {armed.goodput_tps:.1f} |"
-        )
-    record_result(
-        "fault_recovery_backends",
-        "Zero-rate identity across crypto backends",
-        lines,
-    )
-
-    assert set(rows) == {"reference", "hashlib"}
-    for name, (unarmed, armed) in rows.items():
-        assert armed.metrics == unarmed.metrics, name
-        assert armed.injected_total == 0, name
-    # Backends are bit-compatible: every tier serves the same run.
-    baseline = next(iter(rows.values()))[1]
-    for name, (_, armed) in rows.items():
-        assert armed.metrics == baseline.metrics, name
-        assert armed.load.completed == baseline.load.completed, name

@@ -62,8 +62,8 @@ class BenchSpec:
 BENCHES: tuple[BenchSpec, ...] = (
     BenchSpec(
         "perf", "repro.perf.bench", "PerfBenchConfig", "run_perf_bench",
-        "byte oracle for the crypto/ORAM substrate: ORAM digests + pairwise "
-        "CryptoBackend tier identity (repro.perf)",
+        "byte oracle for the crypto/ORAM substrate: ORAM and crypto-path "
+        "digests (repro.perf)",
         default_seed=7,
     ),
     BenchSpec(

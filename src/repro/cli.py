@@ -10,7 +10,7 @@
     python -m repro.cli serve-bench         # gateway saturation sweep (§VI-D)
     python -m repro.cli chaos-bench         # fault injection + recovery sweep
     python -m repro.cli trace-bench         # traced run + critical-path table
-    python -m repro.cli perf-bench          # crypto/ORAM byte oracle: digests + tier identity
+    python -m repro.cli perf-bench          # crypto/ORAM byte oracle: digests + exact counts
     python -m repro.cli recovery-bench      # crash recovery + rollback gates
     python -m repro.cli shard-bench         # sharded-fleet scale-out gates
     python -m repro.cli c10k-bench          # 10k-session async tier + resumption gates

@@ -11,11 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.backend import (
-    DEFAULT_BACKEND,
-    UnknownBackendError,
-    available_backends,
-)
 from repro.crypto.kdf import Drbg
 from repro.crypto.puf import Manufacturer
 from repro.hardware.csu import BootImage, ConfigurationSecurityUnit, MonotonicCounter
@@ -54,21 +49,6 @@ class DeviceConfig:
     # Layer2CallStack); l3_oram prices spills as full ORAM accesses.
     oversize_policy: str = "abort"
     l3_oram: bool = False
-    # Which registered CryptoBackend tier runs this device's secure
-    # channel AEAD and signature verification (repro.crypto.backend):
-    # "hashlib" (OpenSSL: AcceleratedAesGcmAead, _OpensslVerifier) or
-    # "reference" (the pure-Python oracle: AesGcmAead, the peer
-    # PublicKey itself).  Both tiers are wire-identical; the knob trades
-    # wall clock only, and "reference" exists to be compared against.
-    # Every other seal (ORAM blocks, journal, tickets) is OpenSSL's.
-    crypto_backend: str = DEFAULT_BACKEND
-
-    def __post_init__(self) -> None:
-        # The tier name is validated here, at construction, so a typo'd
-        # deployment dies with a typed error instead of failing deep in
-        # device setup.
-        if self.crypto_backend not in available_backends():
-            raise UnknownBackendError(self.crypto_backend, available_backends())
 
 
 class HarDTAPEDevice:
@@ -156,7 +136,6 @@ class HarDTAPEDevice:
             oram_backend=self.oram_backend,
             features=features,
             oram_key=oram_key,
-            crypto_backend=self.config.crypto_backend,
         )
 
     @property
@@ -200,6 +179,5 @@ class HarDTAPEDevice:
             features=self.features,
             oram_key=oram_key,
             generation=self.restarts,
-            crypto_backend=self.config.crypto_backend,
         )
         return self.hypervisor

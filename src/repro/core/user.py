@@ -124,7 +124,6 @@ class PreExecutionClient:
             own_signing_key=user_session_key,
             peer_verify_key=report.session_public,
             sign_messages=device.hypervisor.features.signatures,
-            backend=device.hypervisor.crypto_backend,
         )
         return UserSession(
             device=device,
@@ -191,7 +190,6 @@ class PreExecutionClient:
             own_signing_key=suspended.signing_key,
             peer_verify_key=suspended.peer_public,
             sign_messages=device.hypervisor.features.signatures,
-            backend=device.hypervisor.crypto_backend,
         )
         channel.restore_nonce_watermark(
             suspended.send_watermark, suspended.recv_watermark

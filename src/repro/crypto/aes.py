@@ -13,8 +13,7 @@ irrelevant here because adversary timing in the simulation is modeled by
 
 Nothing served runs on it: OpenSSL seals every served byte
 (:class:`repro.crypto.suite.AcceleratedAesGcmAead`), and this cipher is
-the ``reference`` tier's, the pure-Python oracle OpenSSL is checked
-against.  CTR runs one block transform at a time and GHASH one table
+the pure-Python oracle OpenSSL is checked against.  CTR runs one block transform at a time and GHASH one table
 multiply per block.
 """
 

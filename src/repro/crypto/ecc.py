@@ -206,8 +206,8 @@ def _jac_mul(k: int, point: Point) -> _Jacobian:
 # mixed addition; they are built in Jacobian coordinates and normalised
 # with one batch inversion.  The G table is global (built once per
 # process) and serves signing, key generation and the ``u1 * G`` half of
-# every pure-Python verify; ``u2 * Q`` is a window walk per verify, and no
-# tier builds a per-key table.
+# every pure-Python verify; ``u2 * Q`` is a window walk per verify, and
+# nothing builds a per-key table.
 # ---------------------------------------------------------------------------
 
 
@@ -444,7 +444,7 @@ def _check_r(point: _Jacobian, r: int) -> None:
 class PrecomputedVerifier:
     """ECDSA verification against one public key, tables built once.
 
-    No tier builds one any more; it stays because the e2e ledger's
+    Nothing builds one any more; it stays because the e2e ledger's
     traced repetition patches its ``verify`` and ``verify_many`` by name.
     Accept/reject behaviour — including the exceptions raised — matches
     :meth:`PublicKey.verify` exactly; only the scalar-multiplication

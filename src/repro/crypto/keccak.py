@@ -17,8 +17,7 @@ bounded cache with explicit hit/miss accounting
 (:func:`keccak_memo_stats`).
 
 There is one Keccak path: every digest is ``Keccak256(data).digest()``
-behind that memo.  Hashing is not a crypto-tier choice; the tiers of
-:mod:`repro.crypto.backend` differ only in the AEAD and the verifier.
+behind that memo.
 """
 
 from __future__ import annotations

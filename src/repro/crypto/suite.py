@@ -2,7 +2,7 @@
 
 Every ORAM block, journal record, checkpoint and resumption ticket is
 sealed by :class:`AcceleratedAesGcmAead`, AES-GCM through OpenSSL — the
-simulation's A.E.DMA units — whatever crypto tier the channel runs on.
+simulation's A.E.DMA units — and so is every secure-channel message.
 :class:`AesGcmAead` is its pure-Python, wire-identical oracle.  The
 cipher moves wall clock only: simulated time comes from the cost model.
 :class:`Blake2Aead` is built by nothing; see its docstring.
@@ -44,7 +44,7 @@ class AeadCipher(Protocol):
 class AesGcmAead:
     """AES-GCM in pure Python, block at a time (NIST SP 800-38D): CTR over
     :meth:`AES.encrypt_block` and a table GHASH.  It serves nothing: it is
-    :class:`AcceleratedAesGcmAead`'s oracle and the reference tier's cipher."""
+    :class:`AcceleratedAesGcmAead`'s oracle."""
 
     nonce_size = 12
     tag_size = 16
@@ -90,15 +90,15 @@ class AesGcmAead:
         return [self.decrypt(nonce, data, aad) for nonce, data, aad in items]
 
 
-# ``cryptography`` is a hard dependency: the default tier's channel runs
-# through it.  The constant is what the e2e ledger stamps into its
+# ``cryptography`` is a hard dependency: the secure channel runs through
+# it.  The constant is what the e2e ledger stamps into its
 # environment line.
 HAVE_OPENSSL_AESGCM = True
 
 
 class AcceleratedAesGcmAead:
-    """AES-GCM through OpenSSL: every seal the package serves, and the
-    default (``hashlib``) tier's channel cipher.  Wire-identical to
+    """AES-GCM through OpenSSL: every seal the package serves, the
+    secure channel's included.  Wire-identical to
     :class:`AesGcmAead` — same ``ciphertext || tag`` bytes, same 12-byte
     nonces, same accept/reject decisions (``test_prop_crypto.py``)."""
 

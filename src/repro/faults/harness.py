@@ -73,11 +73,6 @@ class ChaosConfig:
     device_count: int = 2
     tenants: int = 4
     requests_per_tenant: int = 5
-    # Which CryptoBackend tier the fleet's channels run on.  The fault
-    # plane predates the pluggable backends, so the zero-rate identity
-    # gate sweeps every tier (bench_fault_recovery) — a backend that
-    # diverged under injected faults would silently fork the wire.
-    crypto_backend: str | None = None   # None: DeviceConfig's default
 
     def build_plan(self) -> FaultPlan:
         oram_kinds = (FaultKind.ORAM_STALL, FaultKind.ORAM_TAG_CORRUPT)
@@ -141,11 +136,6 @@ def run_chaos(config: ChaosConfig, evalset) -> ChaosReport:
         device_config=DeviceConfig(
             hevm_count=HEVMS_PER_DEVICE,
             oram_response_budget_us=ORAM_RESPONSE_BUDGET_US,
-            **(
-                {"crypto_backend": config.crypto_backend}
-                if config.crypto_backend is not None
-                else {}
-            ),
         ),
     )
     metrics = MetricsRegistry()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.crypto.backend import active_backend
+from repro.crypto.backend import _OpensslVerifier
 from repro.crypto.ecc import PrivateKey, PublicKey, Signature
 from repro.crypto.puf import DeviceIdentity, Manufacturer, SimulatedPuf
 
@@ -121,15 +121,16 @@ def verify_boot_receipt(
     """User-side receipt check: endorsement chain + image signature.
 
     Raises :class:`~repro.crypto.ecc.InvalidSignature` (forged device,
-    attack A1) or :class:`SecureBootError` (wrong image).  The checks
-    are the user's, so they run on the process tier's verifier.
+    attack A1) or :class:`SecureBootError` (wrong image).  Both
+    signature checks run on OpenSSL's verifier.
     """
     endorsement_message = Manufacturer.endorsement_message(
         receipt.serial, receipt.device_public
     )
-    tier = active_backend()
-    tier.verifier(manufacturer_public).verify(endorsement_message, receipt.endorsement)
-    tier.verifier(receipt.device_public).verify(
+    _OpensslVerifier(manufacturer_public).verify(
+        endorsement_message, receipt.endorsement
+    )
+    _OpensslVerifier(receipt.device_public).verify(
         receipt.image_measurement, receipt.signature
     )
     if (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.crypto.backend import active_backend
+from repro.crypto.backend import _OpensslVerifier
 from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
 from repro.crypto.kdf import hkdf_sha256
 from repro.hardware.csu import BootReceipt, SecureBootError, verify_boot_receipt
@@ -79,8 +79,8 @@ def verify_report(
     * device signature binding the *fresh* session keys to this nonce
       (man-in-the-middle / replay).
 
-    Every signature check runs on the process tier's verifier: these
-    are the user's checks, and no device is in scope.
+    Every signature check runs on OpenSSL's verifier
+    (:class:`~repro.crypto.backend._OpensslVerifier`), as the channel's does.
     """
     if report.user_nonce != user_nonce:
         raise AttestationError("nonce mismatch (replayed report?)")
@@ -91,7 +91,7 @@ def verify_report(
     except (InvalidSignature, SecureBootError) as exc:
         raise AttestationError(f"boot chain invalid: {exc}") from exc
     try:
-        active_backend().verifier(report.boot_receipt.device_public).verify(
+        _OpensslVerifier(report.boot_receipt.device_public).verify(
             report.signed_message(), report.signature
         )
     except InvalidSignature as exc:

@@ -6,16 +6,10 @@ encrypted and, when the signature feature is enabled (configurations
 -ES and above), ECDSA-signed: one signature per bundle/trace, which is
 why the paper's +80 ms signature overhead amortizes over bundle size.
 
-Which *implementations* run the AEAD and the signature check is a
-:class:`~repro.crypto.backend.CryptoBackend` choice (threaded from
-``DeviceConfig.crypto_backend``): under ``hashlib``, the default, the
-cipher is an ``AcceleratedAesGcmAead`` and the peer verifier an
-``_OpensslVerifier``; under ``reference``, the pure-Python oracle that
-only tests and benches select, they are an ``AesGcmAead`` and the peer
-``PublicKey`` itself.  Both tiers are wire-identical, so the two
-endpoints of one channel may even run different tiers.  The
-peer verification key is wrapped in the tier's verifier once, at
-channel construction.
+The cipher and the signature check run on the crypto path's one
+implementation, OpenSSL (:mod:`repro.crypto.backend`): an
+``AcceleratedAesGcmAead`` seals, and the peer verification key is
+wrapped in an ``_OpensslVerifier`` once, at channel construction.
 """
 
 from __future__ import annotations
@@ -23,9 +17,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.crypto.backend import DEFAULT_BACKEND, CryptoBackend, get_backend
+from repro.crypto.backend import _OpensslVerifier
 from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
-from repro.crypto.suite import AuthenticationError
+from repro.crypto.suite import AcceleratedAesGcmAead, AuthenticationError
 
 
 # Counter nonces: the AES-GCM nonce size, big-endian.
@@ -80,16 +74,12 @@ class SecureChannel:
         own_signing_key: PrivateKey | None = None,
         peer_verify_key: PublicKey | None = None,
         sign_messages: bool = True,
-        backend: CryptoBackend | str | None = None,
     ) -> None:
-        if isinstance(backend, str):
-            backend = get_backend(backend)
-        backend = backend or get_backend(DEFAULT_BACKEND)
-        self._cipher = backend.aead_factory(session_key)
+        self._cipher = AcceleratedAesGcmAead(session_key)
         # Held only when this endpoint signs.
         self._signing_key = own_signing_key if sign_messages else None
         self._peer_verifier = (
-            backend.verifier(peer_verify_key)
+            _OpensslVerifier(peer_verify_key)
             if peer_verify_key is not None
             else None
         )

@@ -34,7 +34,6 @@ from repro.hypervisor.bundle_codec import (
     encode_trace_report,
     trace_from_result,
 )
-from repro.crypto.backend import DEFAULT_BACKEND, get_backend
 from repro.hypervisor.channel import ChannelError, SealedMessage, SecureChannel
 from repro.hypervisor.resumption import TicketSealer, TicketState, ticket_header
 from repro.hypervisor.scheduler import HevmScheduler
@@ -165,13 +164,8 @@ class Hypervisor:
         oram_key: bytes | None = None,
         max_bundle_gas: int | None = 2_000_000_000,
         generation: int = 0,
-        crypto_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self._csu = csu
-        # Which CryptoBackend tier seals/verifies session channels
-        # (repro.crypto.backend).  Every tier is wire-identical, so the
-        # choice is invisible to users and to the byte-identity gates.
-        self.crypto_backend = get_backend(crypto_backend)
         self.boot_receipt: BootReceipt = csu.secure_boot(boot_image)
         self._device_key = PrivateKey.from_bytes(
             csu._puf.derive_key(b"device-key")  # re-derived on chip, as at boot
@@ -314,7 +308,6 @@ class Hypervisor:
             own_signing_key=signing_key,
             peer_verify_key=user_public,
             sign_messages=self.features.signatures,
-            backend=self.crypto_backend,
         )
         if watermark is not None:
             channel.restore_nonce_watermark(*watermark)

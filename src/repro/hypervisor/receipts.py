@@ -28,7 +28,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.crypto.backend import active_backend
+from repro.crypto.backend import _OpensslVerifier
 from repro.crypto.ecc import InvalidSignature, PrivateKey, PublicKey, Signature
 from repro.crypto.kdf import Drbg
 from repro.telemetry.unified import (
@@ -118,8 +118,7 @@ class SignedReceipt:
 
     ``commitments[i]`` is the Merkle root of transaction *i*'s
     :class:`UnifiedStepTrace`; the signature is RFC 6979 ECDSA by the
-    attested session signing key, so it is deterministic and
-    wire-identical across every crypto backend tier.
+    attested session signing key, so it is deterministic.
     """
 
     bundle_id: bytes
@@ -132,11 +131,10 @@ class SignedReceipt:
     def verify(self, verify_key: PublicKey) -> None:
         """Raises :class:`~repro.crypto.ecc.InvalidSignature` on forgery.
 
-        The check is the user's, so it runs on the process tier
-        (:func:`~repro.crypto.backend.active_backend`), as the
-        attestation chain's check does.  Every field is the device's to choose: roots that
-        are not hex or a signature that is not an ``(r, s)`` pair are
-        forgeries too.
+        The check runs on OpenSSL's verifier, as the attestation chain's
+        does.  Every field is the device's to choose: roots that are not
+        hex or a signature that is not an ``(r, s)`` pair are forgeries
+        too.
         """
         signature = self.signature
         try:
@@ -146,7 +144,7 @@ class SignedReceipt:
             digest = self.signing_hash()
         except (TypeError, ValueError) as error:
             raise InvalidSignature(f"malformed receipt: {error}") from error
-        active_backend().verifier(verify_key).verify(digest, signature)
+        _OpensslVerifier(verify_key).verify(digest, signature)
 
 
 def make_receipt(

@@ -10,6 +10,6 @@ of which changes a single simulated byte:
 * :mod:`repro.perf.parallel` — deterministic multiprocessing fan-out
   for benchmark sweeps, with seed-ordered reduction;
 * :mod:`repro.perf.bench` — the ``perf-bench`` CLI's engine: the byte
-  oracle for the substrate (ORAM digests, pairwise-identical
-  ``CryptoBackend`` tiers).
+  oracle for the substrate (ORAM digests, and the digests of one
+  trie/keccak/signed-channel replay on the OpenSSL path).
 """

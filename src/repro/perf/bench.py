@@ -8,23 +8,21 @@ Two seeded workloads, digested:
   plaintexts, the ciphertext tree the SP stores and the
   adversary-visible :class:`~repro.oram.server.PathAccessEvent` stream
   are digested, beside the memo's exact hit/miss counts.
-* **Crypto backends** — every registered
-  :class:`~repro.crypto.backend.CryptoBackend` tier replays one
-  trie/keccak/ECDSA workload; its four digests must agree pairwise
-  across tiers, and any divergence fails the bench.
+* **Crypto** — one trie/keccak/ECDSA workload: trie commits, a batch
+  of Keccak-256 digests and signed messages over the secure channel
+  (OpenSSL AES-GCM and verification), digested beside the Keccak
+  memo's exact hit/miss counts.
 
 The report holds digests and exact counts only, so a seeded run
 regenerates ``BENCH_perf.json`` byte for byte: a substrate rewrite is
 exact iff that file is unchanged.  Host time is measured by the
-``benchmarks/e2e`` ledger; the one wall-clock figure here is an ungated
-stdout line of per-tier seconds that never reaches the JSON.
+``benchmarks/e2e`` ledger.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.bench.report import GateReport
 from repro.crypto.kdf import Drbg
@@ -43,8 +41,7 @@ class PerfBenchConfig:
     oram_height: int = 5
     accesses: int = 48
     working_set: int = 24
-    # Shape of the trie/keccak/ECDSA workload each registered crypto
-    # backend replays for the pairwise byte-identity gate.
+    # Shape of the trie/keccak/ECDSA workload.
     trie_keys: int = 96
     trie_commit_rounds: int = 4
     hash_batch: int = 600
@@ -71,16 +68,8 @@ class PerfBenchReport(GateReport):
     workload: dict
     oram: dict
     backends: list[dict]
-    # Host seconds per tier, keyed "tier (resolved AEAD, verifier)", for
-    # the stdout line below; not a section.
-    tier_wall_s: dict[str, float] = field(default_factory=dict)
 
     bench = "perf"
-
-    def sections(self) -> dict:
-        sections = super().sections()
-        del sections["tier_wall_s"]
-        return sections
 
     def section_lines(self) -> list[str]:
         def short(digests: dict[str, str]) -> str:
@@ -96,7 +85,7 @@ class PerfBenchReport(GateReport):
             f"  oram digests: {short(self.oram['digests'])}",
             f"  decrypt memo: {self.oram['memo_hits']} hits / "
             f"{self.oram['memo_misses']} misses",
-            f"  crypto backends ({shape['trie_keys']} trie keys x "
+            f"  crypto ({shape['trie_keys']} trie keys x "
             f"{shape['trie_commit_rounds']} commits, "
             f"{shape['hash_batch']} batch hashes, "
             f"{shape['channel_messages']} signed messages):",
@@ -105,13 +94,6 @@ class PerfBenchReport(GateReport):
             f"    {side['backend']:<10} {short(side['digests'])}; keccak memo "
             f"{side['keccak_hits']} hits / {side['keccak_misses']} misses"
             for side in self.backends
-        )
-        lines.append(
-            "  tier wall seconds on this host (ungated, not in the JSON): "
-            + ", ".join(
-                f"{name} {seconds:.3f}"
-                for name, seconds in self.tier_wall_s.items()
-            )
         )
         return lines
 
@@ -179,17 +161,13 @@ def _run_oram(config: PerfBenchConfig) -> dict:
     }
 
 
-def _run_backend(config: PerfBenchConfig, name: str) -> tuple[dict, float, str]:
-    """Replay the seeded trie/keccak/ECDSA workload under one backend.
+def _run_crypto(config: PerfBenchConfig) -> dict:
+    """Replay the seeded trie/keccak/ECDSA workload; digest what it made.
 
-    Returns the tier's report section, the host seconds of the replay —
-    trie commits and hashing, which run the one Keccak path under every
-    tier, and the signature-checked channel opens, which the tiers
-    differ on — and the AEAD and verifier classes the tier resolved to.
-    Signing and sealing sit outside the timed region: RFC 6979 signing
-    is the same deterministic pure-Python code under every tier.
+    The section keeps the name ``hashlib`` the OpenSSL path had when the
+    channel's crypto was a choice of tiers, so the committed report
+    stays byte for byte.
     """
-    from repro.crypto.backend import activate, active_backend, get_backend
     from repro.crypto.ecc import PrivateKey
     from repro.crypto.keccak import (
         keccak256,
@@ -199,122 +177,82 @@ def _run_backend(config: PerfBenchConfig, name: str) -> tuple[dict, float, str]:
     from repro.hypervisor.channel import SecureChannel
     from repro.trie.mpt import MerklePatriciaTrie
 
-    previous = active_backend().name
-    activate(name)
-    # Each tier starts memo-cold so cached digests from an earlier tier
-    # can't mask a divergence in this one.
+    # Memo-cold, so the counts are the workload's own.
     reset_keccak_memo()
-    try:
-        rng = Drbg(config.seed.to_bytes(8, "big"), personalization=b"perf-backend")
-        pairs = [
-            (
-                b"acct-%06d" % rng.randint(1 << 20),
-                bytes([rng.randint(256)]) * (1 + rng.randint(96)),
-            )
-            for _ in range(config.trie_keys)
-        ]
-        hash_items = [
-            bytes([rng.randint(256)]) * (1 + rng.randint(200))
-            for _ in range(config.hash_batch)
-        ]
-        payloads = [
-            bytes([rng.randint(256)]) * (32 + rng.randint(160))
-            for _ in range(config.channel_messages)
-        ]
-
-        session_key = hashlib.blake2b(
-            config.seed.to_bytes(8, "big"), digest_size=32, person=b"bknd-key"
-        ).digest()
-        sealer_key = PrivateKey.from_bytes(b"\x11" * 31 + b"\x01")
-        opener_key = PrivateKey.from_bytes(b"\x22" * 31 + b"\x02")
-        sealer = SecureChannel(
-            session_key, own_signing_key=sealer_key,
-            peer_verify_key=opener_key.public_key(), backend=name,
+    rng = Drbg(config.seed.to_bytes(8, "big"), personalization=b"perf-backend")
+    pairs = [
+        (
+            b"acct-%06d" % rng.randint(1 << 20),
+            bytes([rng.randint(256)]) * (1 + rng.randint(96)),
         )
-        opener = SecureChannel(
-            session_key, own_signing_key=opener_key,
-            peer_verify_key=sealer_key.public_key(), backend=name,
-        )
-        sealed = [sealer.seal(payload) for payload in payloads]
-
-        trie = MerklePatriciaTrie()
-        rounds = max(1, config.trie_commit_rounds)
-        per_round = max(1, len(pairs) // rounds)
-        roots: list[bytes] = []
-
-        started = time.perf_counter()
-        for round_index in range(rounds):
-            for key, value in pairs[round_index * per_round:(round_index + 1) * per_round]:
-                trie.put(key, value)
-            roots.append(trie.root_hash())
-        batch_digests = [keccak256(item) for item in hash_items]
-        opened = [opener.open(message) for message in sealed]
-        wall_s = time.perf_counter() - started
-
-        def digest(chunks: list[bytes]) -> str:
-            acc = hashlib.blake2b(digest_size=16)
-            for chunk in chunks:
-                acc.update(len(chunk).to_bytes(4, "big"))
-                acc.update(chunk)
-            return acc.hexdigest()
-
-        wire = [
-            message.nonce + message.ciphertext + (
-                message.signature.to_bytes() if message.signature else b""
-            )
-            for message in sealed
-        ]
-        memo = keccak_memo_stats()
-        section = {
-            "backend": name,
-            "digests": {
-                "trie_roots": digest(roots),
-                "batch_hashes": digest(batch_digests),
-                "channel_wire": digest(wire),
-                "channel_plaintexts": digest(opened),
-            },
-            "keccak_hits": memo.hits,
-            "keccak_misses": memo.misses,
-        }
-        # The tier's AEAD and verifier classes, named beside its wall time
-        # on the stdout line.
-        tier = get_backend(name)
-        resolved = ", ".join(
-            type(made).__name__
-            for made in (
-                tier.aead_factory(session_key),
-                tier.verifier(sealer_key.public_key()),
-            )
-        )
-        return section, wall_s, resolved
-    finally:
-        activate(previous)
-
-
-def _pairwise_mismatches(sides: list[dict]) -> list[str]:
-    return [
-        f"{left['backend']} vs {right['backend']}: {name}"
-        for index, left in enumerate(sides)
-        for right in sides[index + 1:]
-        for name, value in left["digests"].items()
-        if value != right["digests"][name]
+        for _ in range(config.trie_keys)
     ]
+    hash_items = [
+        bytes([rng.randint(256)]) * (1 + rng.randint(200))
+        for _ in range(config.hash_batch)
+    ]
+    payloads = [
+        bytes([rng.randint(256)]) * (32 + rng.randint(160))
+        for _ in range(config.channel_messages)
+    ]
+
+    session_key = hashlib.blake2b(
+        config.seed.to_bytes(8, "big"), digest_size=32, person=b"bknd-key"
+    ).digest()
+    sealer_key = PrivateKey.from_bytes(b"\x11" * 31 + b"\x01")
+    opener_key = PrivateKey.from_bytes(b"\x22" * 31 + b"\x02")
+    sealer = SecureChannel(
+        session_key, own_signing_key=sealer_key,
+        peer_verify_key=opener_key.public_key(),
+    )
+    opener = SecureChannel(
+        session_key, own_signing_key=opener_key,
+        peer_verify_key=sealer_key.public_key(),
+    )
+    sealed = [sealer.seal(payload) for payload in payloads]
+
+    trie = MerklePatriciaTrie()
+    rounds = max(1, config.trie_commit_rounds)
+    per_round = max(1, len(pairs) // rounds)
+    roots: list[bytes] = []
+    for round_index in range(rounds):
+        for key, value in pairs[round_index * per_round:(round_index + 1) * per_round]:
+            trie.put(key, value)
+        roots.append(trie.root_hash())
+    batch_digests = [keccak256(item) for item in hash_items]
+    opened = [opener.open(message) for message in sealed]
+
+    def digest(chunks: list[bytes]) -> str:
+        acc = hashlib.blake2b(digest_size=16)
+        for chunk in chunks:
+            acc.update(len(chunk).to_bytes(4, "big"))
+            acc.update(chunk)
+        return acc.hexdigest()
+
+    wire = [
+        message.nonce + message.ciphertext + (
+            message.signature.to_bytes() if message.signature else b""
+        )
+        for message in sealed
+    ]
+    memo = keccak_memo_stats()
+    return {
+        "backend": "hashlib",
+        "digests": {
+            "trie_roots": digest(roots),
+            "batch_hashes": digest(batch_digests),
+            "channel_wire": digest(wire),
+            "channel_plaintexts": digest(opened),
+        },
+        "keccak_hits": memo.hits,
+        "keccak_misses": memo.misses,
+    }
 
 
 def run_perf_bench(config: PerfBenchConfig | None = None) -> PerfBenchReport:
-    from repro.crypto.backend import available_backends
-
     config = config or PerfBenchConfig()
     shape = asdict(config)
     seed = shape.pop("seed")
-    oram = _run_oram(config)
-    backends: list[dict] = []
-    tier_wall_s: dict[str, float] = {}
-    for name in available_backends():
-        section, wall_s, resolved = _run_backend(config, name)
-        backends.append(section)
-        tier_wall_s[f"{name} ({resolved})"] = wall_s
-    mismatches = _pairwise_mismatches(backends)
     return PerfBenchReport(
         seed=seed,
         workload={
@@ -323,11 +261,6 @@ def run_perf_bench(config: PerfBenchConfig | None = None) -> PerfBenchReport:
             "memo_blocks": MEMO_BLOCKS,
             "cipher": "aes-gcm",
         },
-        oram=oram,
-        backends=backends,
-        tier_wall_s=tier_wall_s,
-        gate_failures=(
-            [f"crypto backends diverge pairwise ({', '.join(mismatches)})"]
-            if mismatches else []
-        ),
+        oram=_run_oram(config),
+        backends=[_run_crypto(config)],
     )

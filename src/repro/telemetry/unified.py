@@ -101,24 +101,28 @@ class StepTraceRecord:
 
 
 
+def _merkle_levels(leaves: list[bytes]) -> list[list[bytes]]:
+    """Every level of the commitment tree, bottom-up: the leaf digests
+    first, the root alone last.  Pairs hash under the node domain; the
+    odd node out promotes unhashed."""
+    level = [hashlib.sha256(_LEAF_DOMAIN + leaf).digest() for leaf in leaves]
+    levels = [level]
+    while len(level) > 1:
+        nxt = [
+            hashlib.sha256(_NODE_DOMAIN + level[i] + level[i + 1]).digest()
+            for i in range(0, len(level) - 1, 2)
+        ]
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+        levels.append(level)
+    return levels
+
+
 def _merkle_root(leaves: list[bytes]) -> str:
     if not leaves:
         return hashlib.sha256(_EMPTY_DOMAIN).hexdigest()
-    level = [
-        hashlib.sha256(_LEAF_DOMAIN + leaf).digest() for leaf in leaves
-    ]
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(
-                hashlib.sha256(
-                    _NODE_DOMAIN + level[i] + level[i + 1]
-                ).digest()
-            )
-        if len(level) % 2:
-            nxt.append(level[-1])  # odd node promotes unhashed
-        level = nxt
-    return level[0].hex()
+    return _merkle_levels(leaves)[-1][0].hex()
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +133,7 @@ class MerkleProof:
     ``("L", digest)`` when the sibling is hashed on the left of the
     running node, ``("R", digest)`` when on the right, and ``("P", b"")``
     where the running node was the odd one out and promoted unhashed —
-    mirroring :func:`_merkle_root` exactly, domains included.
+    mirroring :func:`_merkle_levels` exactly, domains included.
     """
 
     index: int
@@ -148,32 +152,16 @@ def merkle_proof(leaves: list[bytes], index: int) -> MerkleProof:
         raise IndexError(
             f"leaf index {index} out of range for {len(leaves)} leaves"
         )
-    level = [
-        hashlib.sha256(_LEAF_DOMAIN + leaf).digest() for leaf in leaves
-    ]
     path: list[tuple[str, bytes]] = []
     pos = index
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(
-                hashlib.sha256(
-                    _NODE_DOMAIN + level[i] + level[i + 1]
-                ).digest()
-            )
-        odd = len(level) % 2
-        if odd:
-            nxt.append(level[-1])
-        if odd and pos == len(level) - 1:
+    for level in _merkle_levels(leaves)[:-1]:
+        if len(level) % 2 and pos == len(level) - 1:
             path.append(("P", b""))
-            pos = len(nxt) - 1
         elif pos % 2 == 0:
             path.append(("R", level[pos + 1]))
-            pos //= 2
         else:
             path.append(("L", level[pos - 1]))
-            pos //= 2
-        level = nxt
+        pos //= 2
     return MerkleProof(index=index, leaf=leaves[index], path=tuple(path))
 
 

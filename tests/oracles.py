@@ -37,10 +37,10 @@ as SP 800-38D's Algorithm 1 writes it, one bit of the block at a time:
 the definition the byte tables ``repro.crypto.aes.ghash_tables`` builds
 by linearity must equal entry by entry.
 
-``outcome_per_tier`` runs one check under each registered crypto tier,
-activated process-wide: the ``reference`` tier's table-free verify is
-the oracle, and every other tier must return what it returns or raise
-the same exception type with the same message.
+``outcome_on_both_verifiers`` runs one check and sends every signature
+check it makes through OpenSSL's verifier also through the table-free
+``PublicKey.verify`` — same key, hash and signature — which must accept
+or raise the same exception type with the same message.
 
 ``tree_encode_trace_report`` / ``tree_decode_trace_report`` are the
 trace-report codec as it shipped before it was written flat: build the
@@ -54,7 +54,7 @@ decoder refuses.
 from __future__ import annotations
 
 from repro.rlp import codec as rlp
-from repro.crypto.backend import activate, active_backend, available_backends
+from repro.crypto.backend import _OpensslVerifier
 from repro.crypto.ecc import G, INFINITY, N, P, InvalidSignature, Point, Signature
 from repro.crypto.keccak import _MASK64, _ROUND_CONSTANTS, keccak256
 from repro.evm import opcodes
@@ -131,21 +131,40 @@ def bit_serial_ghash_tables(h: int) -> list[list[int]]:
     ]
 
 
-def outcome_per_tier(check) -> dict[str, tuple]:
-    """``check()`` under each process tier: ``("returned", value)`` or
-    ``(exception type, message)``, keyed by tier name."""
-    outcomes: dict[str, tuple] = {}
-    before = active_backend().name
+def _outcome(call) -> tuple:
+    """``("returned", value)`` or ``(exception type, message)``."""
     try:
-        for name in available_backends():
-            activate(name)
-            try:
-                outcomes[name] = ("returned", check())
-            except Exception as error:
-                outcomes[name] = (type(error), str(error))
+        return "returned", call()
+    except Exception as error:
+        return type(error), str(error)
+
+
+def outcome_on_both_verifiers(check) -> tuple[tuple, int]:
+    """``check()``'s outcome and how many signature checks it made.
+
+    While ``check`` runs, each ``_OpensslVerifier.verify`` call first
+    asks the table-free ``PublicKey.verify`` of its key the same
+    question; the two verdicts must be the same accept, or the same
+    exception type with the same message."""
+    openssl_verify = _OpensslVerifier.verify
+    verdicts: list[tuple[tuple, tuple]] = []
+
+    def verify(self, message_hash, signature):
+        expected = _outcome(lambda: self.public_key.verify(message_hash, signature))
+        try:
+            openssl_verify(self, message_hash, signature)
+        except Exception as error:
+            verdicts.append(((type(error), str(error)), expected))
+            raise
+        verdicts.append((("returned", None), expected))
+
+    _OpensslVerifier.verify = verify
+    try:
+        outcome = _outcome(check)
     finally:
-        activate(before)
-    return outcomes
+        _OpensslVerifier.verify = openssl_verify
+    assert all(got == expected for got, expected in verdicts), verdicts
+    return outcome, len(verdicts)
 
 
 # Rotation offsets, indexed [x][y] per the Keccak reference.

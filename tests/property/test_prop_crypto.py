@@ -78,6 +78,9 @@ def _shape_examples(test):
 @given(_aead_keys, st.binary(min_size=12, max_size=12), _aead_bodies,
        st.binary(max_size=256))
 @_shape_examples
+# The inputs the channel's former cross-tier wire check sealed.
+@example(bytes(range(32)), b"\x00" * 11 + b"\x07",
+         b"pre-execution trace report" * 9, b"session-42")
 @settings(max_examples=60)
 def test_both_aes_gcm_ciphers_put_the_same_bytes_on_the_wire(key, nonce, body, aad):
     fast, oracle = (cipher(key) for cipher in _AES_GCM_CIPHERS)

@@ -1,4 +1,4 @@
-"""Properties of the CryptoBackend tier: accelerated == reference, always.
+"""Properties of the fast crypto paths: accelerated == reference, always.
 
 Every accelerated path must be an *exact rewrite* of the reference one:
 the memoised keccak equals the scalar sponge, every Jacobian scalar
@@ -123,8 +123,8 @@ def _verdict(verify, message_hash, signature):
     bit=st.integers(min_value=0, max_value=255),
 )
 def test_the_openssl_verifier_gives_the_table_free_verdict(secret, other, digest, bit):
-    """The default tier's verifier is OpenSSL; the oracle is the
-    table-free pure-Python verify.  Both accept, or both raise the same
+    """Every signature check runs on OpenSSL's verifier; the oracle is
+    the table-free pure-Python verify.  Both accept, or both raise the same
     type — for ``InvalidSignature`` the same out-of-range vs mismatch
     message — on the honest signature, its high-s twin, every scalar
     out of range, a flipped digest bit, the wrong key and a digest of

@@ -552,15 +552,17 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
     assert offenders == []
 
 
-def test_two_crypto_tiers_and_no_deleted_verify_seam_grows_back():
-    """Plain-text grep, like the one above.  The crypto registry is the
-    reference oracle and the OpenSSL default, a verifier has one method,
+def test_one_crypto_path_and_no_deleted_verify_seam_grows_back():
+    """Plain-text grep, like the one above.  A verifier has one method,
     ``verify``, and the names of the deleted numpy tier, batch-verify
     seam, Keccak engine seam, vectorized AES-GCM and its frozen
-    reference copy appear nowhere in the code trees."""
-    from repro.crypto.backend import available_backends
+    reference copy appear nowhere in the code trees.  The channel has
+    one crypto path: the tier registry and every setting that chose a
+    tier appear nowhere in ``src/repro``, and the one name left, the
+    e2e ledger's ``crypto_tier`` stamp, is the OpenSSL path's."""
+    from repro.crypto.backend import active_backend
 
-    assert available_backends() == ("reference", "hashlib")
+    assert active_backend().name == "hashlib"
     deleted = re.compile(
         r"\b(?:NumpyBackend|precomputed_verifier|batch_verify|ecdsa_verify_many"
         r"|open_batch|_verifier_cache|_ReferenceVerifier"
@@ -577,6 +579,17 @@ def test_two_crypto_tiers_and_no_deleted_verify_seam_grows_back():
         if path.suffix in (".py", ".md") and path != Path(__file__).resolve()
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if deleted.search(line)
+    ]
+    registry = re.compile(
+        r"\b(?:register_backend|available_backends|get_backend|activate\("
+        r"|CryptoBackend|HashlibBackend|DEFAULT_BACKEND|UnknownBackendError"
+        r"|crypto_backend)"
+    )
+    offenders += [
+        f"{path.relative_to(REPO)}:{number}"
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if registry.search(line)
     ]
     assert offenders == []
 

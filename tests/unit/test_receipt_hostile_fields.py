@@ -26,7 +26,7 @@ from repro.hypervisor.receipts import (
     make_receipt,
 )
 from repro.telemetry.unified import MerkleProof, verify_merkle_proof
-from tests.oracles import outcome_per_tier
+from tests.oracles import outcome_on_both_verifiers
 from tests.unit.test_receipt_audit import BUNDLE_ID, _trace
 
 pytestmark = pytest.mark.byzantine
@@ -66,17 +66,16 @@ def test_a_receipt_of_hostile_fields_verifies_or_is_a_mismatch(
     signature, commitments, bundle_id
 ):
     receipt = SignedReceipt(bundle_id, commitments, signature)
-    # The check runs on the process tier: every tier refuses or accepts
-    # exactly what the table-free reference verify does, with the same
-    # exception type and message, down to the audit's mismatch detail.
+    # The check runs on OpenSSL's verifier: every signature it is asked
+    # about, the table-free verify refuses or accepts alike, with the
+    # same exception type and message.
     for check in (
         lambda: receipt.verify(KEY.public_key()),
         lambda: ReceiptAuditor(samples_per_tx=1).audit(
             BUNDLE_ID, receipt, TRACES, verify_key=KEY.public_key()
         ),
     ):
-        outcomes = outcome_per_tier(check)
-        assert len(set(outcomes.values())) == 1, outcomes
+        outcome_on_both_verifiers(check)
     try:
         receipt.verify(KEY.public_key())
     except InvalidSignature:

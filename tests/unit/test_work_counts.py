@@ -14,11 +14,9 @@ import hashlib
 
 import pytest
 
-from repro.core.device import DeviceConfig
 from repro.core.service import HarDTAPEService
 from repro.core.user import PreExecutionClient
 from repro.crypto import ecc, keccak
-from repro.crypto.backend import DEFAULT_BACKEND, activate, active_backend
 from repro.crypto.suite import AcceleratedAesGcmAead
 from repro.evm import opcodes
 from repro.evm.executor import execute_transaction
@@ -415,41 +413,29 @@ def _session_cycle(service, transactions, key_seed) -> None:
     bundle(session, transactions[1])
 
 
-@pytest.mark.parametrize("tier,tables", [(DEFAULT_BACKEND, 0)])
-def test_a_session_cycle_builds_no_verify_table_on_the_default_tier(
-    tiny_evalset, monkeypatch, tier, tables
-):
-    """Device and process on one tier.  On the default (OpenSSL) tier a
-    whole session cycle builds no ECDSA window table and runs no
+def test_a_session_cycle_builds_no_verify_table(tiny_evalset, monkeypatch):
+    """A whole session cycle builds no ECDSA window table and runs no
     pure-Python scalar multiplication of an arbitrary point: the
-    channel's peer checks and the attestation chain go through the
-    tier's verifier, and both ECDHs through OpenSSL.  ``k * G`` runs
+    channel's peer checks and the attestation chain go through OpenSSL's
+    verifier, and both ECDHs through OpenSSL.  ``k * G`` runs
     once per signature and once per fresh key whose public point is
     read — the hypervisor's session and DH keys and the user's (before:
     seven for those four, the report built twice and the user's session
     public read twice, plus a ``_jac_mul`` per ECDH)."""
     features = SecurityFeatures.from_level("ES")
     features.receipts = True
-    service = HarDTAPEService(
-        tiny_evalset.node, features, charge_fees=False,
-        device_config=DeviceConfig(crypto_backend=tier),
-    )
+    service = HarDTAPEService(tiny_evalset.node, features, charge_fees=False)
     transactions = list(tiny_evalset.transactions)
-    before = active_backend().name
-    activate(tier)
-    try:
-        # One uncounted cycle warms what every session shares, and
-        # signing's process-wide G table exists.
-        ecc._g_table()
-        _session_cycle(service, transactions, b"\x31" * 32)
-        built = _count_calls(monkeypatch, ecc, "_window_table")
-        multiplied = _count_calls(monkeypatch, ecc, "_jac_mul")
-        fixed_base = _count_calls(monkeypatch, ecc, "fixed_base_mul")
-        signed = _count_calls(monkeypatch, ecc.PrivateKey, "sign")
-        _session_cycle(service, transactions, b"\x32" * 32)
-    finally:
-        activate(before)
-    assert (len(built), len(multiplied)) == (tables, 0)
+    # One uncounted cycle warms what every session shares, and signing's
+    # process-wide G table exists.
+    ecc._g_table()
+    _session_cycle(service, transactions, b"\x31" * 32)
+    built = _count_calls(monkeypatch, ecc, "_window_table")
+    multiplied = _count_calls(monkeypatch, ecc, "_jac_mul")
+    fixed_base = _count_calls(monkeypatch, ecc, "fixed_base_mul")
+    signed = _count_calls(monkeypatch, ecc.PrivateKey, "sign")
+    _session_cycle(service, transactions, b"\x32" * 32)
+    assert (len(built), len(multiplied)) == (0, 0)
     assert signed and len(fixed_base) == 4 + len(signed)
 
 
