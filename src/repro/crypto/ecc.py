@@ -10,9 +10,10 @@ that simulation runs are reproducible.
 
 All pure-Python point arithmetic goes through one Jacobian group law
 (below); affine :class:`Point` values exist only at the module boundary —
-keys, wire encodings, table entries — and each result crossing it costs
-exactly one field inversion.  ``k * G`` always reads the global
-fixed-window G table, and a private key computes its public point once.
+keys and wire encodings; table entries are bare ``(x, y)`` pairs — and
+each result crossing it costs exactly one field inversion.  ``k * G``
+always reads the global fixed-base G table, and a private key computes
+its public point once.
 
 ECDH is served by OpenSSL through ``cryptography`` (the rule the AEAD
 follows: OpenSSL serves, pure Python checks); the curve check on the peer
@@ -93,12 +94,9 @@ def _jac_double(p: _Jacobian) -> _Jacobian:
     return x3, (e * (d - x3) - 8 * c) % P, 2 * y1 * z1 % P
 
 
-def _jac_add_affine(p: _Jacobian, q: Point) -> _Jacobian:
-    """Mixed addition ``p + q`` for an affine ``q`` (a table entry)."""
+def _jac_add_affine(p: _Jacobian, x2: int, y2: int) -> _Jacobian:
+    """Mixed addition ``p + (x2, y2)`` for a finite affine point (a table entry)."""
     x1, y1, z1 = p
-    x2, y2 = q.x, q.y
-    if x2 is None or y2 is None:
-        return p
     if not z1:
         return x2, y2, 1
     z1z1 = z1 * z1 % P
@@ -147,29 +145,28 @@ def _to_affine(p: _Jacobian) -> Point:
     return Point(x * z_inv2 % P, y * z_inv2 * z_inv % P)
 
 
-def _batch_to_affine(points: list[_Jacobian]) -> list[Point]:
-    """Normalise many points with one inversion (Montgomery's trick)."""
+def _batch_to_affine(points: list[_Jacobian]) -> list[tuple[int, int]]:
+    """Normalise many finite points to ``(x, y)`` pairs with one
+    inversion (Montgomery's trick).  Consumes ``points``: each triple is
+    dropped as its pair is made, so the two lists never peak together."""
     prefix: list[int] = []
     product = 1
     for _x, _y, z in points:
         prefix.append(product)
-        if z:
-            product = product * z % P
+        product = product * z % P
     inverse = pow(product, -1, P)
-    out = [INFINITY] * len(points)
-    for index in range(len(points) - 1, -1, -1):
-        x, y, z = points[index]
-        if not z:
-            continue
-        z_inv = inverse * prefix[index] % P
+    out: list[tuple[int, int]] = []
+    while points:
+        x, y, z = points.pop()
+        z_inv = inverse * prefix.pop() % P
         inverse = inverse * z % P
         z_inv2 = z_inv * z_inv % P
-        out[index] = Point(x * z_inv2 % P, y * z_inv2 * z_inv % P)
+        out.append((x * z_inv2 % P, y * z_inv2 * z_inv % P))
+    out.reverse()
     return out
 
 
-_WINDOW_BITS = 4
-_WINDOWS = 256 // _WINDOW_BITS  # 64 windows cover any scalar < 2**256
+_WINDOW_BITS = 4  # the variable-base walk's window
 
 
 def _small_multiples(base: _Jacobian) -> list[_Jacobian]:
@@ -198,55 +195,75 @@ def _jac_mul(k: int, point: Point) -> _Jacobian:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-window tables.
+# Fixed-base tables.
 #
-# ``k * G`` with 4-bit fixed windows needs no doublings: table[i][j] =
-# (j << 4i) * G for i in 0..63, j in 0..15, and k*G is the sum of at most
-# 64 table entries.  Tables hold *affine* points, so every lookup is a
-# mixed addition; they are built in Jacobian coordinates and normalised
-# with one batch inversion.  The G table is global (built once per
-# process) and serves signing, key generation and the ``u1 * G`` half of
-# every pure-Python verify; ``u2 * Q`` is a window walk per verify, and
-# nothing builds a per-key table.
+# ``k * Q`` from a table needs no doublings.  ``k`` is read as 33 signed
+# 8-bit digits, each in -127..128: a byte above 128 becomes byte - 256
+# and carries 1 into the next byte, and the carry out of the top byte is
+# the 33rd digit.  table[i][j - 1] = (j << 8i) * Q for i in 0..32 and j
+# in 1..128, so ``k * Q`` is the sum of at most 33 entries, a negative
+# digit adding the entry with y negated.  Entries are bare affine
+# ``(x, y)`` pairs, not ``Point`` objects (less memory per entry), so
+# every lookup is a mixed addition; they are built in Jacobian
+# coordinates and normalised with one batch inversion.  The G table is
+# global (built once per process, about 30 ms) and serves signing, key
+# generation and the ``u1 * G`` half of every pure-Python verify;
+# ``u2 * Q`` is a window walk per verify, and nothing but
+# :class:`PrecomputedVerifier` builds a per-key table.
 # ---------------------------------------------------------------------------
 
+_TABLE_ROWS = 33  # one per byte of a scalar, plus the carry out of the top one
+_TABLE_WIDTH = 128  # digits 1..128; -127..-1 by negation
 
-def _window_table(point: Point) -> list[list[Point]]:
-    """Precompute ``table[i][j] = (j << 4i) * point`` for fixed windows."""
+_Table = list[list[tuple[int, int]]]
+
+
+def _window_table(point: Point) -> _Table:
+    """Precompute ``table[i][j - 1] = (j << 8i) * point``, j in 1..128."""
     x, y = point.x, point.y
     if x is None or y is None:
         raise ValueError("cannot build a window table for infinity")
     entries: list[_Jacobian] = []
     base: _Jacobian = (x, y, 1)
-    for _ in range(_WINDOWS):
-        row = _small_multiples(base)
+    for _ in range(_TABLE_ROWS):
+        # row[j - 1] = j * base: evens by doubling, odds by one addition.
+        row = [base]
+        for j in range(2, _TABLE_WIDTH + 1):
+            row.append(_jac_add(row[-1], base) if j & 1 else _jac_double(row[j // 2 - 1]))
         entries.extend(row)
-        # Shift the base by one window: 16 * base = 2 * (8 * base).
-        base = _jac_double(row[8])
-    width = 1 << _WINDOW_BITS
+        # Shift the base by one digit: 256 * base = 2 * (128 * base).
+        base = _jac_double(row[-1])
     affine = _batch_to_affine(entries)
-    return [affine[start:start + width] for start in range(0, len(affine), width)]
+    return [
+        affine[start:start + _TABLE_WIDTH]
+        for start in range(0, len(affine), _TABLE_WIDTH)
+    ]
 
 
-def _windowed_mul(
-    table: list[list[Point]], k: int, acc: _Jacobian = _JAC_INFINITY
-) -> _Jacobian:
-    """``acc + k * Q`` from Q's fixed-window table (mixed additions only)."""
+def _windowed_mul(table: _Table, k: int, acc: _Jacobian = _JAC_INFINITY) -> _Jacobian:
+    """``acc + k * Q`` from Q's fixed-base table (mixed additions only)."""
     k %= N
-    window = 0
-    while k:
-        nibble = k & 0xF
-        if nibble:
-            acc = _jac_add_affine(acc, table[window][nibble])
-        k >>= _WINDOW_BITS
-        window += 1
+    for row in table:
+        if not k:
+            break
+        digit = k & 0xFF
+        k >>= 8
+        if digit > _TABLE_WIDTH:
+            # The digit is byte - 256: add the entry for 256 - byte with
+            # y negated, and carry 1 into the next byte.
+            k += 1
+            x, y = row[255 - digit]
+            acc = _jac_add_affine(acc, x, P - y)
+        elif digit:
+            x, y = row[digit - 1]
+            acc = _jac_add_affine(acc, x, y)
     return acc
 
 
-_G_TABLE: list[list[Point]] | None = None
+_G_TABLE: _Table | None = None
 
 
-def _g_table() -> list[list[Point]]:
+def _g_table() -> _Table:
     global _G_TABLE
     if _G_TABLE is None:
         _G_TABLE = _window_table(G)
@@ -254,7 +271,7 @@ def _g_table() -> list[list[Point]]:
 
 
 def fixed_base_mul(k: int) -> Point:
-    """``k * G`` via the global fixed-window table."""
+    """``k * G`` via the global fixed-base table."""
     return _to_affine(_windowed_mul(_g_table(), k))
 
 
@@ -448,8 +465,8 @@ class PrecomputedVerifier:
     traced repetition patches its ``verify`` and ``verify_many`` by name.
     Accept/reject behaviour — including the exceptions raised — matches
     :meth:`PublicKey.verify` exactly; only the scalar-multiplication
-    strategy for ``u2 * Q`` differs (64 table lookups instead of a
-    256-doubling window walk), under the same group law.
+    strategy for ``u2 * Q`` differs (at most 33 table lookups instead of
+    a 256-doubling window walk), under the same group law.
     """
 
     def __init__(self, public_key: PublicKey) -> None:

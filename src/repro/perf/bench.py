@@ -17,6 +17,11 @@ The report holds digests and exact counts only, so a seeded run
 regenerates ``BENCH_perf.json`` byte for byte: a substrate rewrite is
 exact iff that file is unchanged.  Host time is measured by the
 ``benchmarks/e2e`` ledger.
+
+Three gates hold on any config: the opened channel plaintexts equal the
+sealed payloads, every block the ORAM client decrypted is one memo hit
+or one memo miss, and every access seals exactly one path, ``(height +
+1) x Z`` blocks.
 """
 
 from __future__ import annotations
@@ -132,8 +137,10 @@ def _digest_server(server: OramServer) -> str:
     return digest.hexdigest()
 
 
-def _run_oram(config: PerfBenchConfig) -> dict:
-    """Replay the seeded access sequence; digest everything it produced."""
+def _run_oram(config: PerfBenchConfig) -> tuple[dict, list[str]]:
+    """Replay the seeded access sequence; digest everything it produced.
+
+    Returns the report section and the ORAM gates' failures."""
     key = hashlib.blake2b(
         config.seed.to_bytes(8, "big"), digest_size=32, person=b"perf-key"
     ).digest()
@@ -150,19 +157,35 @@ def _run_oram(config: PerfBenchConfig) -> dict:
     for access_key, payload in _workload(config):
         result = client.access(access_key, payload)
         reads.update(result if result is not None else b"\x00")
-    return {
+    stats, memo = client.stats, client.memo.stats
+    failures = []
+    if memo.hits + memo.misses != stats.blocks_decrypted:
+        failures.append(
+            f"oram: decrypt memo hits + misses {memo.hits + memo.misses} "
+            f"!= blocks decrypted {stats.blocks_decrypted}"
+        )
+    sealed = config.accesses * (server.height + 1) * server.bucket_size
+    if stats.blocks_encrypted != sealed:
+        failures.append(
+            f"oram: blocks encrypted {stats.blocks_encrypted} "
+            f"!= accesses x (height + 1) x Z = {sealed}"
+        )
+    section = {
         "digests": {
             "reads": reads.hexdigest(),
             "server_buckets": _digest_server(server),
             "access_events": _digest_events(events),
         },
-        "memo_hits": client.memo.stats.hits,
-        "memo_misses": client.memo.stats.misses,
+        "memo_hits": memo.hits,
+        "memo_misses": memo.misses,
     }
+    return section, failures
 
 
-def _run_crypto(config: PerfBenchConfig) -> dict:
+def _run_crypto(config: PerfBenchConfig) -> tuple[dict, list[str]]:
     """Replay the seeded trie/keccak/ECDSA workload; digest what it made.
+
+    Returns the report section and the channel gate's failure, if any.
 
     The section keeps the name ``hashlib`` the OpenSSL path had when the
     channel's crypto was a choice of tiers, so the committed report
@@ -235,8 +258,11 @@ def _run_crypto(config: PerfBenchConfig) -> dict:
         )
         for message in sealed
     ]
+    failures = []
+    if opened != payloads:
+        failures.append("channel: opened plaintexts differ from the sealed payloads")
     memo = keccak_memo_stats()
-    return {
+    section = {
         "backend": "hashlib",
         "digests": {
             "trie_roots": digest(roots),
@@ -247,12 +273,15 @@ def _run_crypto(config: PerfBenchConfig) -> dict:
         "keccak_hits": memo.hits,
         "keccak_misses": memo.misses,
     }
+    return section, failures
 
 
 def run_perf_bench(config: PerfBenchConfig | None = None) -> PerfBenchReport:
     config = config or PerfBenchConfig()
     shape = asdict(config)
     seed = shape.pop("seed")
+    oram, oram_failures = _run_oram(config)
+    crypto, crypto_failures = _run_crypto(config)
     return PerfBenchReport(
         seed=seed,
         workload={
@@ -261,6 +290,7 @@ def run_perf_bench(config: PerfBenchConfig | None = None) -> PerfBenchReport:
             "memo_blocks": MEMO_BLOCKS,
             "cipher": "aes-gcm",
         },
-        oram=_run_oram(config),
-        backends=[_run_crypto(config)],
+        oram=oram,
+        backends=[crypto],
+        gate_failures=oram_failures + crypto_failures,
     )

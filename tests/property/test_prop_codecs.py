@@ -1,6 +1,7 @@
 """Property-based tests for the wire codecs (bundle, trace, header),
-and hand-built refusal tables for the sealed ticket state, journal
-record, SEC1 point and ECDSA signature beside the trace report's."""
+and hand-built refusal tables for the bundle, sealed ticket state,
+journal record, SEC1 point and ECDSA signature beside the trace
+report's."""
 
 import hashlib
 
@@ -275,6 +276,68 @@ def test_both_decoders_refuse_trailing_bytes():
         decode_trace_report(encoded)
 
 
+
+# A bundle is [block number, [transaction, ...]], each transaction the
+# eight fields below; the nonce rides with a 0x01 flag, or is empty with
+# an empty one.  Each entry breaks one rule and names the refusal.
+SENDER, TO = b"\x0c" * 20, b"\x0d" * 20
+
+
+def _bundle_tree() -> list:
+    transaction = [
+        SENDER, TO, b"\x05", b"\xca\xfe", b"\x52\x08", b"\x01", b"\x07", b"\x01",
+    ]
+    return [b"\x2a", [transaction]]
+
+
+def _bundle_edited(edit) -> bytes:
+    tree = _bundle_tree()
+    edit(tree)
+    return rlp.encode(tree)
+
+
+def _bundle_with(field, value) -> bytes:
+    """The bundle with its transaction's ``field`` replaced by ``value``."""
+    return _bundle_edited(_set((1, 0, field), value))
+
+
+BUNDLE_REFUSALS = {
+    "nonce-without-its-flag": (_bundle_with(7, b""), "a nonce without its flag"),
+    "nonce-flag-0x02": (_bundle_with(7, b"\x02"), "nonce flag: expected an empty or 0x01"),
+    "nonce-flag-a-list": (_bundle_with(7, []), "nonce flag: expected an empty or 0x01"),
+    "sender-19-bytes": (_bundle_with(0, SENDER[:19]), "sender: expected a 20-byte address"),
+    "sender-21-bytes": (_bundle_with(0, SENDER + b"\x00"), "sender: expected a 20-byte address"),
+    "to-19-bytes": (_bundle_with(1, TO[:19]), "to: expected a 20-byte address"),
+    "to-21-bytes": (_bundle_with(1, TO + b"\x00"), "to: expected a 20-byte address"),
+    "value-non-minimal": (_bundle_with(2, b"\x00\x05"), "non-minimal integer encoding"),
+    "gas-limit-non-minimal": (
+        _bundle_with(4, b"\x00\x52\x08"), "non-minimal integer encoding"
+    ),
+    "nonce-non-minimal": (_bundle_with(6, b"\x00\x07"), "non-minimal integer encoding"),
+    "transaction-of-7": (
+        _bundle_edited(lambda tree: tree[1][0].pop()), "transaction: expected a list of 8"
+    ),
+    "bundle-of-3": (
+        _bundle_edited(lambda tree: tree.append(b"")), "bundle: expected a list of 2"
+    ),
+    "trailing-bytes": (rlp.encode(_bundle_tree()) + b"\x80", "trailing bytes after RLP item"),
+}
+
+
+def test_the_hand_built_bundle_decodes():
+    encoded = rlp.encode(_bundle_tree())
+    bundle = decode_bundle(encoded)
+    (transaction,) = bundle.transactions
+    assert (bundle.block_number, transaction.nonce, transaction.to) == (42, 7, TO)
+    assert encode_bundle(bundle) == encoded
+
+
+@pytest.mark.parametrize(
+    "data, message", list(BUNDLE_REFUSALS.values()), ids=list(BUNDLE_REFUSALS)
+)
+def test_bundle_decoder_refuses_each_malformed_bundle(data, message):
+    with pytest.raises(rlp.DecodingError, match=message):
+        decode_bundle(data)
 
 # ``TicketState`` is fixed fields then five length-prefixed blobs, the
 # ring digest (UTF-8) last.  Each edit below is one way a blob under the

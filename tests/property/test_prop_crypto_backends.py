@@ -48,6 +48,35 @@ def test_fixed_base_mul_equals_double_and_add(k):
     assert ecc.fixed_base_mul(k) == affine_scalar_mul(k, ecc.G)
 
 
+# The G table reads ``k`` as signed 8-bit digits: a byte above 0x80 turns
+# negative and carries 1 upwards.  Each seam byte at every position, a
+# run of 0xFF that carries out of the top byte into the 33rd row, and
+# the small and order-adjacent scalars.
+_CARRY_INTO_ROW_33 = int("ff" * 15 + "00" * 17, 16)
+_SIGNED_DIGIT_EDGES = [
+    byte << (8 * position)
+    for position in range(32)
+    for byte in (0x7F, 0x80, 0x81, 0xFF)
+] + [
+    _CARRY_INTO_ROW_33, 2**248 - 1, int("81" * 32, 16),
+    1, 2, ecc.N - 1, ecc.N - 2, 2**255,
+]
+_edge_bytes = st.sampled_from([0x00, 0x01, 0x7F, 0x80, 0x81, 0xFE, 0xFF])
+
+
+@pytest.mark.parametrize("k", _SIGNED_DIGIT_EDGES, ids=hex)
+def test_fixed_base_mul_equals_double_and_add_on_signed_digit_edges(k):
+    assert ecc.fixed_base_mul(k) == affine_scalar_mul(k, ecc.G)
+
+
+@settings(max_examples=25)
+@given(st.lists(_edge_bytes, min_size=32, max_size=32))
+def test_fixed_base_mul_equals_double_and_add_on_seam_bytes(scalar_bytes):
+    """Every byte a digit seam, so carries chain through whole runs."""
+    k = int.from_bytes(bytes(scalar_bytes), "big")
+    assert ecc.fixed_base_mul(k) == affine_scalar_mul(k, ecc.G)
+
+
 @settings(max_examples=15)
 @given(_scalars, _points)
 def test_scalar_mul_equals_double_and_add(k, point):
@@ -93,17 +122,17 @@ def test_ecdh_refuses_an_unvalidated_peer_with_value_error(point):
 @given(_points)
 def test_every_window_table_entry_equals_double_and_add(point):
     table = ecc._window_table(point)
-    assert len(table) == 64
+    assert len(table) == 33
     base = point
     for row in table:
-        # row[j] = j * base, checked by the oracle's own running sum.
-        assert len(row) == 16
+        # row[j - 1] = j * base for j in 1..128, checked by the oracle's
+        # own running sum; each entry is a bare (x, y) pair.
+        assert len(row) == 128
         expected = ecc.INFINITY
-        assert row[0] == expected
-        for entry in row[1:]:
+        for entry in row:
             expected = affine_add(expected, base)
-            assert entry == expected
-        base = affine_add(expected, base)  # 16 * base
+            assert type(entry) is tuple and ecc.Point(*entry) == expected
+        base = affine_add(expected, expected)  # 256 * base
 
 
 def _verdict(verify, message_hash, signature):

@@ -64,12 +64,13 @@ def test_point_add_inverse_is_infinity():
     p = _to_affine(_jac_mul(7, G))
     neg = Point(p.x, (-p.y) % P)
     assert _to_affine(_jac_add(_jac(p, 5), _jac(neg, 9))).is_infinity
-    assert _to_affine(_jac_add_affine(_jac(p, 5), neg)).is_infinity
+    assert _to_affine(_jac_add_affine(_jac(p, 5), neg.x, neg.y)).is_infinity
 
 
 def test_group_law_matches_affine_oracle_on_every_branch():
     # Generic, P + P, P + (-P), and infinity on either side, for the
-    # doubling, the mixed and the full addition alike.
+    # doubling, the mixed and the full addition alike (the mixed one
+    # takes a table entry's coordinates, never infinity).
     a, b = affine_scalar_mul(7, G), affine_scalar_mul(11, G)
     neg_a = Point(a.x, (-a.y) % P)
     for p, q in [
@@ -77,7 +78,8 @@ def test_group_law_matches_affine_oracle_on_every_branch():
     ]:
         expected = affine_add(p, q)
         assert _to_affine(_jac_add(_jac(p, 3), _jac(q, 4))) == expected
-        assert _to_affine(_jac_add_affine(_jac(p, 3), q)) == expected
+        if not q.is_infinity:
+            assert _to_affine(_jac_add_affine(_jac(p, 3), q.x, q.y)) == expected
     assert _to_affine(_jac_double(_jac(a, 6))) == affine_add(a, a)
     assert _to_affine(_jac_double(_jac(INFINITY))).is_infinity
 

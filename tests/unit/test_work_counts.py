@@ -439,6 +439,31 @@ def test_a_session_cycle_builds_no_verify_table(tiny_evalset, monkeypatch):
     assert signed and len(fixed_base) == 4 + len(signed)
 
 
+def test_k_times_g_costs_at_most_33_mixed_additions(monkeypatch):
+    """``k * G`` reads the G table as 33 signed 8-bit digits: at most
+    one mixed addition per digit and no doubling, for a bare
+    ``fixed_base_mul`` and for the nonce of every RFC 6979 signature
+    (before: 4-bit windows, up to 64 additions)."""
+    ecc._g_table()
+    added = _count_calls(monkeypatch, ecc, "_jac_add_affine")
+    doubled = _count_calls(monkeypatch, ecc, "_jac_double")
+
+    def additions(operation) -> int:
+        added.clear()
+        operation()
+        return len(added)
+
+    # 0x81 in every byte: 32 negative digits and a carry into row 33.
+    assert additions(lambda: ecc.fixed_base_mul(int("81" * 32, 16))) == 33
+    for k in (1, 2, 2**255, ecc.N - 2, ecc.N - 1, int("ff" * 15 + "00" * 17, 16)):
+        assert additions(lambda: ecc.fixed_base_mul(k)) <= 33
+    key = ecc.PrivateKey.from_bytes(b"\x42" * 32)
+    for index in range(16):
+        digest = hashlib.sha256(b"nonce %d" % index).digest()
+        assert 0 < additions(lambda: key.sign(digest)) <= 33
+    assert not doubled
+
+
 # -- the trace-report codec ------------------------------------------------
 
 
