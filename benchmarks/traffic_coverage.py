@@ -26,7 +26,7 @@ import sys
 import threading
 
 SRC = pathlib.Path("src/repro")
-_BENCHES = ("perf", "recovery", "shard", "c10k", "obs", "receipt")
+_BENCHES = ("perf", "recovery", "c10k", "obs", "receipt")
 TRAFFIC: tuple[str, ...] = (
     "benchmarks/e2e/run.py --smoke",
     *(f"-m repro.cli {bench}-bench{smoke} --json-out {os.devnull}"

@@ -72,11 +72,6 @@ BENCHES: tuple[BenchSpec, ...] = (
         "crash/restart chaos + rollback-attack gates (repro.recovery)",
     ),
     BenchSpec(
-        "shard", "repro.sharding.bench", "ShardBenchConfig", "run_shard_bench",
-        "sharded ORAM fleet: identity, scale-out, per-shard "
-        "distinguisher (repro.sharding)",
-    ),
-    BenchSpec(
         "c10k", "repro.async_serving.bench", "C10kBenchConfig",
         "run_c10k_bench",
         "async serving tier: 10k concurrent sessions, resumption "

@@ -12,7 +12,6 @@
     python -m repro.cli trace-bench         # traced run + critical-path table
     python -m repro.cli perf-bench          # crypto/ORAM byte oracle: digests + exact counts
     python -m repro.cli recovery-bench      # crash recovery + rollback gates
-    python -m repro.cli shard-bench         # sharded-fleet scale-out gates
     python -m repro.cli c10k-bench          # 10k-session async tier + resumption gates
     python -m repro.cli obs-bench           # observability: identity, reconciliation, alerts
     python -m repro.cli receipt-bench       # signed receipts: Byzantine detection + quarantine gates

@@ -40,13 +40,11 @@ class ServiceStats:
     transactions_served: int = 0
     blocks_synced: int = 0
     total_service_time_us: float = 0.0
-    per_tx_breakdowns: list[TimeBreakdown] = field(default_factory=list)
-    # Fault-plane observability: re-fetches after a Merkle rejection and
-    # bundles bounced for naming a session this device never opened.
-    sync_retries: int = 0
+    # Every served transaction's breakdown, summed in serving order.
+    breakdown_total: TimeBreakdown = field(default_factory=TimeBreakdown)
+    # Fault-plane observability: bundles bounced for naming a session
+    # this device never opened.
     unknown_sessions: int = 0
-    # Recovery-plane observability: Hypervisor cold restarts survived.
-    hypervisor_restarts: int = 0
 
 
 class HarDTAPEService:
@@ -178,7 +176,6 @@ class HarDTAPEService:
                     except SyncError:
                         if attempt == self.SYNC_RETRY_LIMIT:
                             raise
-                        self.stats.sync_retries += 1
             # Mirror the Node's post-state into the untrusted shadow copy.
             for update in updates:
                 self._synced_state.accounts[update.address] = (
@@ -287,5 +284,6 @@ class HarDTAPEService:
         self.stats.bundles_served += 1
         self.stats.transactions_served += len(breakdowns)
         self.stats.total_service_time_us += elapsed
-        self.stats.per_tx_breakdowns.extend(breakdowns)
+        for breakdown in breakdowns:
+            self.stats.breakdown_total.add(breakdown)
         return sealed_out, elapsed, breakdowns, run_stats

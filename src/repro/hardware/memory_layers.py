@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.kdf import Drbg
 
@@ -58,14 +58,10 @@ class SwapEvent:
 
 @dataclass
 class L2Stats:
-    frames_pushed: int = 0
-    frames_popped: int = 0
     pages_swapped_out: int = 0
     pages_swapped_in: int = 0
-    noise_pages: int = 0
     peak_pages_used: int = 0
     peak_frame_depth: int = 0
-    swap_events: list[SwapEvent] = field(default_factory=list)
 
 
 class Layer2CallStack:
@@ -138,7 +134,6 @@ class Layer2CallStack:
         self._frame_pages.append(resident)
         self._frame_spilled_pages.append(spilled)
         self._frame_resident.append(True)
-        self.stats.frames_pushed += 1
         self.stats.peak_frame_depth = max(
             self.stats.peak_frame_depth, len(self._frame_pages)
         )
@@ -165,22 +160,16 @@ class Layer2CallStack:
         self._frame_pages.pop()
         spilled = self._frame_spilled_pages.pop()
         self._frame_resident.pop()
-        self.stats.frames_popped += 1
         events: list[SwapEvent] = []
         if spilled:
             # Read back spilled pages once (trace export / merge-up).
-            fill = SwapEvent("fill", spilled, spilled, sim_time_us)
-            self.stats.swap_events.append(fill)
-            events.append(fill)
+            events.append(SwapEvent("fill", spilled, spilled, sim_time_us))
         if self._frame_resident and not self._frame_resident[-1]:
             real = self._frame_pages[-1]
             noise = self._noise()
             self._frame_resident[-1] = True
             self.stats.pages_swapped_in += real
-            self.stats.noise_pages += noise
-            event = SwapEvent("in", real + noise, real, sim_time_us)
-            self.stats.swap_events.append(event)
-            events.append(event)
+            events.append(SwapEvent("in", real + noise, real, sim_time_us))
             events.extend(self._make_room(sim_time_us))
         return events
 
@@ -206,10 +195,8 @@ class Layer2CallStack:
     def _emit_spill(self, page_count: int, sim_time_us: float) -> list[SwapEvent]:
         if page_count <= 0:
             return []
-        event = SwapEvent("spill", page_count, page_count, sim_time_us)
-        self.stats.swap_events.append(event)
         self.stats.pages_swapped_out += page_count
-        return [event]
+        return [SwapEvent("spill", page_count, page_count, sim_time_us)]
 
     def _make_room(self, sim_time_us: float) -> list[SwapEvent]:
         """Dump bottom resident frames until the ring fits."""
@@ -225,10 +212,7 @@ class Layer2CallStack:
                 self._frame_resident[index] = False
                 used -= real
                 self.stats.pages_swapped_out += real
-                self.stats.noise_pages += noise
-                event = SwapEvent("out", real + noise, real, sim_time_us)
-                self.stats.swap_events.append(event)
-                events.append(event)
+                events.append(SwapEvent("out", real + noise, real, sim_time_us))
             index += 1
         return events
 

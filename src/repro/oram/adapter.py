@@ -9,9 +9,10 @@ delta costs one read-modify-write access per page it changed
 (``sync_account`` / ``sync_world``).
 
 A ``clock`` callable supplies simulated timestamps so the ORAM server's
-adversary-visible trace carries the timing the hardware model computes;
-``on_query`` lets the Hypervisor (prefetcher, cost model) hook each
-logical query.
+adversary-visible trace carries the timing the hardware model computes.
+``on_query`` is an optional tap called with ``(kind, page_key)`` on each
+logical query.  Nothing in the served path passes one: the HEVM tracer
+drives the code-page prefetcher and prices each access itself.
 """
 
 from __future__ import annotations

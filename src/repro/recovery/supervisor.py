@@ -139,7 +139,6 @@ class HypervisorSupervisor:
             # Fresh hypervisor/cores need re-arming; the shared client's
             # server re-wraps (arm_device skips double-wrapping).
             self._injector.arm_device(device)
-        service.stats.hypervisor_restarts += 1
         self.restarts += 1
         if self._metrics is not None:
             self._metrics.counter("recovery.restarts").inc()

@@ -2,8 +2,10 @@
 
 The threat model gives the SP the ORAM server's physical access trace
 (A7), the layer-3 swap bus (A5), and message timing.  The observer
-here collects the first; the swap-bus view is the call stack's own
-``stats.swap_events`` list.  The statistical attacks in
+here collects the first; the swap-bus view is the ``SwapEvent`` list
+that each ``Layer2CallStack`` push, pop or expansion returns (the
+HEVM tracer charges it and records it as ``l2.swap`` spans; the call
+stack keeps no history of it).  The statistical attacks in
 :mod:`repro.security.analysis` run against these real traces — the
 empirical counterpart of the paper's §V arguments.
 """

@@ -7,18 +7,28 @@ client, per-shard key derived from one master secret), and
 hash ring to exactly one shard, so the Hypervisor-facing API is
 unchanged while the physical traffic fans out.
 
-Obliviousness composes: each shard runs an unmodified ORAM protocol
-over its own key subspace, and the ring assignment is a public,
-data-independent function of the (already non-sensitive) page key —
-the adversary learns which *shard* serves an access, which it could
-compute itself, and nothing about which page within the shard.
+Each shard runs an unmodified ORAM protocol over its own key subspace,
+so within one shard nothing is learned about which page an access
+reads.  *Across* shards the fleet is not oblivious: a key's shard is a
+fixed function of the key, so an SP that sees more than one shard sees
+a repeated key as one shard repeated.  No served path builds a fleet
+(the paper's §VI-D scales by HEVM count behind one ORAM server), and
+its throughput bench is retired for that leak.
+
+The module stays while three callers still build a fleet: the e2e
+ledger (``workloads.sharding_probe`` imports it and ``trace.py``
+patches two of its methods), obs-bench's sharded reconciliation leg
+and SEC's per-shard leg.  It goes once the ledger drops its sharding
+rows (ROADMAP items 4 (a) and 20); the ring stays, for the session
+router.
 
 The 1-shard configuration is byte-identical to the unsharded baseline
 by construction: a single-shard ring routes every key to shard 0,
 whose client is built with exactly the parameters (and derived key) an
 unsharded deployment would use, so both issue the same access sequence
-to the same protocol state machine.  ``bench_shard_scaleout`` asserts
-the resulting trace/metrics/wire/world-digest hashes are equal.
+to the same protocol state machine.
+``tests/unit/test_sharded_backend.py`` checks the leaf sequence and the
+final tree bytes are equal.
 """
 
 from __future__ import annotations

@@ -162,13 +162,13 @@ def _reconcile(service: HarDTAPEService, buckets: dict[str, float]):
     counterpart (queueing, idle prefetch waits, the ~0-exclusive
     request/service/session wrappers) are reported but not reconciled.
     """
-    breakdowns = service.stats.per_tx_breakdowns
+    total = service.stats.breakdown_total
     model = {
-        "execution": sum(b.execution_us for b in breakdowns),
-        "oram_storage": sum(b.oram_storage_us for b in breakdowns),
-        "oram_code": sum(b.oram_code_us for b in breakdowns),
-        "swap": sum(b.swap_us for b in breakdowns),
-        "other": sum(b.other_us for b in breakdowns),
+        "execution": total.execution_us,
+        "oram_storage": total.oram_storage_us,
+        "oram_code": total.oram_code_us,
+        "swap": total.swap_us,
+        "other": total.other_us,
         # Channel AEAD + ECDSA, accumulated per bundle on each device.
         "encryption+signature": sum(
             d.hypervisor.stats.crypto_time_us for d in service.devices

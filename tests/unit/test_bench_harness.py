@@ -527,10 +527,6 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
         r"|RequestStatus\.(?:EXPIRED|CANCELLED)"
         r"|\bdeadline_us(?:=|: float \| None)"
     )
-    # shard-bench's ring gate keeps its own ``min_speedup`` report key:
-    # in that one file the key is blanked out, and the rest of each line
-    # is still searched.
-    shard_bench = REPO / "src" / "repro" / "sharding" / "bench.py"
     sources = [
         path
         for tree in ("src", "tests", "benchmarks", "examples")
@@ -545,9 +541,7 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
         for path in sources
         if path != Path(__file__).resolve()
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if (match := deleted.search(
-            line.replace("min_speedup", "") if path == shard_bench else line
-        ))
+        if (match := deleted.search(line))
     ]
     assert offenders == []
 
@@ -723,6 +717,8 @@ def test_one_oram_store_and_no_deleted_seam_grows_back():
         r"|begin_pinned|end_pinned|_active_ticket|self\._crashed\b"
         r"|per_shard_accesses|pin_transaction|_refuse_pinned|shard_for_page"
         r"|shards_for(?:_pages)?\(|attach_client|\bcoordinator="
+        # the retired scale-out bench
+        r"|ShardBenchConfig|run_shard_bench|repro\.sharding\.bench"
         # the Pyramid store, the recursive position map and the store choice
         r"|PyramidOramClient|HierarchicalOramServer|RecursivePositionMap"
         r"|DirectoryPositionMap|PageDirectory|DictPositionMap|PositionMapLike"

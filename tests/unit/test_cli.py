@@ -77,7 +77,7 @@ def _seeded_bench_commands() -> list[str]:
 
 
 def test_every_bench_takes_a_seed():
-    assert len(_seeded_bench_commands()) == 9
+    assert len(_seeded_bench_commands()) == 8
 
 
 @pytest.mark.parametrize("command", _seeded_bench_commands())
