@@ -17,7 +17,7 @@ import pytest
 pytestmark = pytest.mark.serving
 
 from repro.hardware.timing import CostModel
-from repro.serving.admission import QueueDepthShedPolicy, RejectReason
+from repro.serving.admission import RejectReason
 from repro.serving.gateway import RequestStatus
 from repro.serving.loadgen import (
     model_gateway,
@@ -47,16 +47,14 @@ def _closed_loop_point(cores: int, requests: int = REQUESTS_PER_SESSION):
 
 
 def _overload_run(cores: int, seed: int = 7):
-    gateway = model_gateway(
-        cores, COST, admission=QueueDepthShedPolicy(shed_depth=2 * cores)
-    )
+    gateway = model_gateway(cores, COST, shed_depth=2 * cores)
     sessions = model_sessions(cores, synthetic_profiles(COST, "full-load"))
     capacity_rps = 1e6 / COST.oram_server_cpu_us / 16  # queries/s ÷ q-per-tx
     return run_open_loop(
         gateway, sessions,
         rate_rps=2.0 * capacity_rps,
         total_requests=30 * cores,
-        seed=seed, pattern="poisson",
+        seed=seed,
     )
 
 

@@ -49,7 +49,6 @@ class TscVeeSimulator:
         backend: StateBackend,
         contract: Address,
         cost: CostModel | None = None,
-        prefetch_time_us: float = 1_200.0,
     ) -> None:
         self._backend = backend
         self._cost = cost or CostModel()
@@ -59,7 +58,7 @@ class TscVeeSimulator:
 
         self._allowed = {contract} | set(PRECOMPILES)
         self._state = JournaledState(backend)
-        self.prefetch_time_us = prefetch_time_us
+        self.prefetch_time_us = 1_200.0
         self._prefetched = False
 
     def execute(

@@ -35,6 +35,16 @@ from repro.hypervisor.hypervisor import SecurityFeatures
 from repro.workloads.generator import EvaluationSetConfig, build_evaluation_set
 
 
+def _bad_evalset_shape(args) -> bool:
+    """Reject (and say why; callers then exit 2) an evaluation set with
+    no transactions in it, before anything divides by their count."""
+    if min(args.blocks, args.txs_per_block) > 0:
+        return False
+    print("invalid evaluation-set shape: --blocks and --txs-per-block "
+          "must be positive", file=sys.stderr)
+    return True
+
+
 def _build_evalset(args) -> "object":
     config = EvaluationSetConfig(
         blocks=args.blocks,
@@ -73,6 +83,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_evalset(args) -> int:
+    if _bad_evalset_shape(args):
+        return 2
     evalset = _build_evalset(args)
     node = evalset.node
     print(f"evaluation set: seed={args.seed}, {node.height} blocks, "
@@ -92,6 +104,11 @@ def cmd_evalset(args) -> int:
 
 
 def cmd_figure4(args) -> int:
+    if _bad_evalset_shape(args):
+        return 2
+    if args.limit <= 0:
+        print(f"invalid --limit {args.limit}: must be positive", file=sys.stderr)
+        return 2
     evalset = _build_evalset(args)
     transactions = evalset.transactions[:args.limit]
     print(f"{'config':>10} {'mean ms':>9}  (over {len(transactions)} txs)")
@@ -110,6 +127,8 @@ def cmd_figure4(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if _bad_evalset_shape(args):
+        return 2
     evalset = _build_evalset(args)
     service = HarDTAPEService(
         evalset.node, SecurityFeatures.from_level("full"), charge_fees=False
@@ -204,7 +223,6 @@ def _bad_seed(seed: int) -> bool:
 
 def cmd_serve_bench(args) -> int:
     from repro.hardware.timing import CostModel
-    from repro.serving.admission import QueueDepthShedPolicy
     from repro.serving.loadgen import (
         model_gateway,
         model_sessions,
@@ -250,14 +268,12 @@ def cmd_serve_bench(args) -> int:
 
     if args.overload_rate > 0:
         cores = sweep[len(sweep) // 2]
-        gateway = model_gateway(
-            cores, cost, admission=QueueDepthShedPolicy(shed_depth=2 * cores)
-        )
+        gateway = model_gateway(cores, cost, shed_depth=2 * cores)
         report = run_open_loop(
             gateway, model_sessions(cores, profiles),
             rate_rps=args.overload_rate,
             total_requests=args.requests * cores,
-            seed=args.seed, pattern="poisson",
+            seed=args.seed,
         )
         print(f"\nopen-loop overload ({cores} HEVMs, "
               f"{args.overload_rate:g} req/s offered):")
@@ -285,6 +301,8 @@ def cmd_chaos_bench(args) -> int:
     if min(args.devices, args.tenants, args.requests) <= 0:
         print("invalid fleet/load shape: --devices, --tenants and --requests "
               "must be positive", file=sys.stderr)
+        return 2
+    if _bad_evalset_shape(args):
         return 2
 
     print(f"chaos sweep: seed={args.seed}, {args.devices} device(s), "
@@ -321,6 +339,8 @@ def cmd_trace_bench(args) -> int:
     if min(args.devices, args.tenants, args.requests) <= 0:
         print("invalid fleet/load shape: --devices, --tenants and --requests "
               "must be positive", file=sys.stderr)
+        return 2
+    if _bad_evalset_shape(args):
         return 2
 
     evalset = build_evaluation_set(EvaluationSetConfig(

@@ -64,7 +64,6 @@ class HarDTAPEDevice:
         clock: SimClock | None = None,
         cost: CostModel | None = None,
         config: DeviceConfig | None = None,
-        boot_image: BootImage = RELEASE_IMAGE,
         oram_key: bytes | None = None,
         oram_client: PathOramClient | None = None,
     ) -> None:
@@ -83,7 +82,6 @@ class HarDTAPEDevice:
         # Restart support (repro.recovery): the pieces a cold restart
         # reuses, plus the hardware monotonic counter that outlives the
         # firmware and pins the newest durable checkpoint.
-        self._boot_image = boot_image
         self._direct_backend = direct_backend
         self._oram_server = oram_server
         self.restarts = 0
@@ -128,7 +126,7 @@ class HarDTAPEDevice:
             )
         self.hypervisor = Hypervisor(
             csu=self.csu,
-            boot_image=boot_image,
+            boot_image=RELEASE_IMAGE,
             cores=self.cores,
             clock=self.clock,
             cost=self.cost,
@@ -170,7 +168,7 @@ class HarDTAPEDevice:
             )
         self.hypervisor = Hypervisor(
             csu=self.csu,
-            boot_image=self._boot_image,
+            boot_image=RELEASE_IMAGE,
             cores=self.cores,
             clock=self.clock,
             cost=self.cost,

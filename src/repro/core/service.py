@@ -96,8 +96,9 @@ class HarDTAPEService:
                 config=device_config,
                 oram_key=shared_oram_key,
                 # One deployment = one ORAM trust state: the first
-                # device's client (stash, position map, anti-rollback
-                # versions) is shared, like the key, over device DHKE.
+                # device's key and client (stash, position map,
+                # anti-rollback versions) are handed to every later device
+                # as it is built.
                 oram_client=shared_oram_client,
             )
             if shared_oram_key is None:

@@ -21,11 +21,8 @@ class Instruction:
     opcode: int
     mnemonic: str
     immediate: int | None = None  # PUSH payload
-    is_data: bool = False         # trailing non-code bytes
 
     def render(self) -> str:
-        if self.is_data:
-            return f"{self.offset:#06x}: DATA 0x{self.immediate:02x}"
         if self.immediate is not None:
             return f"{self.offset:#06x}: {self.mnemonic} 0x{self.immediate:x}"
         return f"{self.offset:#06x}: {self.mnemonic}"
@@ -58,11 +55,11 @@ def disassemble(code: bytes) -> list[Instruction]:
     return out
 
 
-def format_listing(code: bytes, annotate_jumpdests: bool = True) -> str:
-    """Human-readable disassembly listing."""
+def format_listing(code: bytes) -> str:
+    """Human-readable disassembly listing, jump targets marked."""
     from repro.evm.frame import analyze_jumpdests
 
-    valid = analyze_jumpdests(code) if annotate_jumpdests else frozenset()
+    valid = analyze_jumpdests(code)
     lines = []
     for instruction in disassemble(code):
         line = instruction.render()

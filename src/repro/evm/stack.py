@@ -41,11 +41,11 @@ class Stack:
         del self._items[-count:]
         return out
 
-    def peek(self, depth: int = 0) -> int:
-        """Read the item ``depth`` slots below the top without popping."""
-        if len(self._items) <= depth:
-            raise StackUnderflow(f"peek depth {depth} beyond stack")
-        return self._items[-1 - depth]
+    def peek(self) -> int:
+        """Read the top item without popping it."""
+        if not self._items:
+            raise StackUnderflow("peek on an empty stack")
+        return self._items[-1]
 
     def dup(self, n: int) -> None:
         """DUPn: push a copy of the n-th item (1-based from the top)."""

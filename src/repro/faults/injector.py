@@ -58,7 +58,7 @@ class FaultyOramServer:
 
     def read_path(self, leaf: int, sim_time_us: float = 0.0):
         plan = self._injector.plan
-        if plan.decide(FaultKind.ORAM_STALL, sim_time_us):
+        if plan.decide(FaultKind.ORAM_STALL):
             stall_us = plan.rule(FaultKind.ORAM_STALL).stall_us
             self._injector._fired(
                 FaultKind.ORAM_STALL,
@@ -68,7 +68,7 @@ class FaultyOramServer:
             )
             raise OramServerStall(stall_us)
         buckets = self._inner.read_path(leaf, sim_time_us)
-        if plan.decide(FaultKind.ORAM_TAG_CORRUPT, sim_time_us):
+        if plan.decide(FaultKind.ORAM_TAG_CORRUPT):
             for node in sorted(buckets):
                 if buckets[node]:
                     blobs = list(buckets[node])
@@ -140,7 +140,7 @@ class FaultInjector:
         self, message: SealedMessage, now_us: float
     ) -> SealedMessage:
         """Called on every inbound sealed bundle before ``channel.open``."""
-        if self.plan.decide(FaultKind.DMA_DROP, now_us):
+        if self.plan.decide(FaultKind.DMA_DROP):
             self._fired(
                 FaultKind.DMA_DROP,
                 "hypervisor.channel.receive",
@@ -148,7 +148,7 @@ class FaultInjector:
                 f"dropped message nonce={int.from_bytes(message.nonce, 'big')}",
             )
             raise DmaDropError("authenticated-DMA message lost in transit")
-        if self.plan.decide(FaultKind.DMA_CORRUPT, now_us):
+        if self.plan.decide(FaultKind.DMA_CORRUPT):
             self._fired(
                 FaultKind.DMA_CORRUPT,
                 "hypervisor.channel.receive",
@@ -169,7 +169,7 @@ class FaultInjector:
         as absorbed, and a failure to reject would be a protocol bug
         worth crashing the run over.
         """
-        if self.plan.decide(FaultKind.DMA_DUPLICATE, now_us):
+        if self.plan.decide(FaultKind.DMA_DUPLICATE):
             try:
                 channel.open(message)
             except ChannelError:
@@ -193,7 +193,7 @@ class FaultInjector:
     def on_hevm_tx(self, core, txs_completed: int) -> None:
         """Called before each transaction of a bundle starts on ``core``."""
         now_us = core.clock.now_us
-        if self.plan.decide(FaultKind.HEVM_CRASH, now_us):
+        if self.plan.decide(FaultKind.HEVM_CRASH):
             self._fired(
                 FaultKind.HEVM_CRASH,
                 f"hardware.hevm.core{core.core_id}",
@@ -205,7 +205,7 @@ class FaultInjector:
     # -- Hypervisor crash hooks -----------------------------------------
 
     def _maybe_crash(self, hypervisor, phase: str, now_us: float) -> None:
-        if self.plan.decide(FaultKind.HYPERVISOR_CRASH, now_us):
+        if self.plan.decide(FaultKind.HYPERVISOR_CRASH):
             error = hypervisor.crash(phase)
             self._fired(
                 FaultKind.HYPERVISOR_CRASH,
@@ -227,7 +227,7 @@ class FaultInjector:
 
     def on_attestation(self, report, now_us: float):
         """Called on every outbound attestation report."""
-        if self.plan.decide(FaultKind.ATTESTATION_FAIL, now_us):
+        if self.plan.decide(FaultKind.ATTESTATION_FAIL):
             self._fired(
                 FaultKind.ATTESTATION_FAIL,
                 "hypervisor.attestation",
@@ -242,7 +242,7 @@ class FaultInjector:
 
     def on_sync_root(self, state_root: bytes, now_us: float) -> bytes:
         """Called with the state root of every block about to be applied."""
-        if self.plan.decide(FaultKind.SYNC_STALE_HEADER, now_us):
+        if self.plan.decide(FaultKind.SYNC_STALE_HEADER):
             self._fired(
                 FaultKind.SYNC_STALE_HEADER,
                 "hypervisor.sync.apply_block",
@@ -263,7 +263,7 @@ class FaultInjector:
         it reports), so only comparison against node ground truth — the
         receipt audit — can expose it.
         """
-        if self.plan.decide(FaultKind.HEVM_RESULT_TAMPER, now_us) and results:
+        if self.plan.decide(FaultKind.HEVM_RESULT_TAMPER) and results:
             results[-1].gas_used ^= 0x1
             if struct_logs and struct_logs[-1]:
                 struct_logs[-1][-1].gas ^= 0x1
@@ -282,7 +282,7 @@ class FaultInjector:
         ``receipt-forge`` perturbs the signature — modeling a device
         whose signing key does not match its attested session identity.
         """
-        if self.plan.decide(FaultKind.RECEIPT_OMIT, now_us):
+        if self.plan.decide(FaultKind.RECEIPT_OMIT):
             self._fired(
                 FaultKind.RECEIPT_OMIT,
                 "hypervisor.bundle.receipt",
@@ -290,7 +290,7 @@ class FaultInjector:
                 "withheld the bundle receipt",
             )
             return None
-        if self.plan.decide(FaultKind.RECEIPT_FORGE, now_us):
+        if self.plan.decide(FaultKind.RECEIPT_FORGE):
             self._fired(
                 FaultKind.RECEIPT_FORGE,
                 "hypervisor.bundle.receipt",
@@ -310,7 +310,7 @@ class FaultInjector:
         internally consistent lie that only ground-truth receipt audits
         (or diverging world digests) can expose.
         """
-        if self.plan.decide(FaultKind.SYNC_EQUIVOCATE, now_us):
+        if self.plan.decide(FaultKind.SYNC_EQUIVOCATE):
             self._fired(
                 FaultKind.SYNC_EQUIVOCATE,
                 "core.service.sync_new_blocks",

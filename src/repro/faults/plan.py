@@ -16,7 +16,6 @@ at the same decision points, full stop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.crypto.kdf import Drbg
@@ -65,7 +64,6 @@ class FaultRule:
 
     ``rate`` is the per-decision-point firing probability.  ``max_fires``
     caps total injections (handy for "crash exactly once" tests);
-    ``after_us``/``until_us`` window the rule in virtual time;
     ``stall_us`` parameterizes how long an ``oram-stall`` holds the
     answer.
     """
@@ -73,8 +71,6 @@ class FaultRule:
     kind: str
     rate: float
     max_fires: int | None = None
-    after_us: float = 0.0
-    until_us: float = math.inf
     stall_us: float = 50_000.0
 
     def __post_init__(self) -> None:
@@ -102,10 +98,10 @@ class InjectionRecord:
 class FaultPlan:
     """Seeded, self-logging decision oracle for the injector.
 
-    ``decide(kind, now_us)`` is called at every decision point (every
+    ``decide(kind)`` is called at every decision point (every
     channel message, ORAM path read, transaction start, ...).  It draws
     from the kind's private DRBG stream whenever the kind is armed with
-    a nonzero rate — even when the time window or fire cap then vetoes
+    a nonzero rate — even when the fire cap then vetoes
     the injection — so the stream position stays a pure function of the
     decision count.  Kinds armed at rate 0 (and kinds with no rule) skip
     the draw entirely: a zero-rate plan perturbs *nothing*, which is why
@@ -156,15 +152,13 @@ class FaultPlan:
         raw = int.from_bytes(self._streams[kind].random_bytes(8), "big")
         return raw / 2.0**64
 
-    def decide(self, kind: str, now_us: float) -> bool:
+    def decide(self, kind: str) -> bool:
         """Should ``kind`` fire at this decision point?"""
         rule = self._rules.get(kind)
         if rule is None or rule.rate == 0.0:
             return False
         self._decisions[kind] += 1
         draw = self._uniform01(kind)  # always drawn: position == decision count
-        if not (rule.after_us <= now_us < rule.until_us):
-            return False
         if rule.max_fires is not None and self._fires[kind] >= rule.max_fires:
             return False
         if draw >= rule.rate:

@@ -58,24 +58,24 @@ RECOVERABLE_ERRORS: tuple[type[Exception], ...] = (
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry with exponential backoff in virtual time."""
+    """Bounded retry with exponential backoff in virtual time: the wait
+    doubles after each failure."""
 
     max_attempts: int = 3
     backoff_us: float = 200.0
-    multiplier: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("need at least one attempt")
-        if self.backoff_us < 0 or self.multiplier < 1.0:
-            raise ValueError("backoff must be non-negative, multiplier >= 1")
+        if self.backoff_us < 0:
+            raise ValueError("backoff must be non-negative")
 
     def is_recoverable(self, error: Exception) -> bool:
         return isinstance(error, RECOVERABLE_ERRORS)
 
     def backoff_for(self, failures: int) -> float:
         """Backoff after the ``failures``-th failure (1-based)."""
-        return self.backoff_us * self.multiplier ** (failures - 1)
+        return self.backoff_us * 2.0 ** (failures - 1)
 
 
 class CircuitBreaker:
@@ -86,7 +86,7 @@ class CircuitBreaker:
     virtual time passes, then one trial call is let through (half-open):
     success closes the breaker *and* resets the window to its base;
     a failed trial re-opens it with a **doubled** window (capped at
-    ``max_reset_us``), so a persistently sick device backs off
+    eight times the base), so a persistently sick device backs off
     geometrically instead of getting probed at a fixed cadence.
     """
 
@@ -95,18 +95,15 @@ class CircuitBreaker:
         target: str,
         failure_threshold: int = 5,
         reset_after_us: float = 1_000_000.0,
-        max_reset_us: float | None = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("need failure_threshold >= 1")
+        if reset_after_us < 0:
+            raise ValueError("need reset_after_us >= 0")
         self.target = target
         self.failure_threshold = failure_threshold
         self.reset_after_us = reset_after_us
-        self.max_reset_us = (
-            max_reset_us if max_reset_us is not None else reset_after_us * 8.0
-        )
-        if self.max_reset_us < reset_after_us:
-            raise ValueError("max_reset_us must be >= reset_after_us")
+        self.max_reset_us = reset_after_us * 8.0
         self._current_reset_us = reset_after_us
         self._consecutive_failures = 0
         self._open_until_us: float | None = None

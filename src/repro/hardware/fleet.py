@@ -18,6 +18,7 @@ virtual-time event loop: ``repro.serving.model_gateway``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.hardware.timing import PAPER_ORAM_SHAPE, CostModel
 
@@ -54,7 +55,7 @@ class OramServerLedger:
     # Bucket a few query-services wide: big enough to amortize the dict,
     # small enough that within-bucket serialization (all of a bucket's
     # work notionally starts at its head) stays close to true FIFO.
-    bucket_us: float = 100.0
+    bucket_us: ClassVar[float] = 100.0
     busy_us: float = 0.0
     queue_wait_us: float = 0.0
     queries_served: int = 0

@@ -61,6 +61,9 @@ from repro.telemetry.tracer import NULL_TRACER, tracer_for
 # Fixed per-frame layer-2 baseline: 32 KB stack + 1 KB frame state.
 FRAME_BASE_BYTES = 33 * 1024
 
+# Each ORAM query is issued after a uniform 0..120 µs pacing jitter.
+_PACING_MAX_US = 120
+
 
 @dataclass
 class HevmRunStats:
@@ -92,7 +95,6 @@ class HardwareBackend(StateBackend):
         code_cache: CodeCache,
         stats: HevmRunStats,
         pacing_rng: Drbg | None = None,
-        pacing_max_us: float = 120.0,
         span_tracer=None,
     ) -> None:
         self._clock = clock
@@ -109,7 +111,6 @@ class HardwareBackend(StateBackend):
         self._code_cache = code_cache
         self._stats = stats
         self._pacing_rng = pacing_rng
-        self._pacing_max_us = pacing_max_us
 
     # -- cost plumbing ---------------------------------------------------
 
@@ -122,7 +123,7 @@ class HardwareBackend(StateBackend):
         code and storage gap distributions indistinguishable.
         """
         if self._pacing_rng is not None:
-            dt = self._pacing_rng.randint(int(self._pacing_max_us) + 1)
+            dt = self._pacing_rng.randint(_PACING_MAX_US + 1)
             self._tracer.record("oram.pace", "other", float(dt))
             self._clock.advance_us(float(dt))
             self._breakdown.other_us += float(dt)

@@ -37,6 +37,9 @@ L1_PARTITIONS = {
 
 WORLD_STATE_CACHE_RECORDS = 64
 
+# A swap is padded with a uniform 0..8 noise pages.
+_NOISE_MAX_PAGES = 8
+
 
 class MemoryOverflowError(Exception):
     """A single execution frame outgrew half the layer-2 memory.
@@ -77,7 +80,6 @@ class Layer2CallStack:
         self,
         capacity_bytes: int = DEFAULT_L2_BYTES,
         rng: Drbg | None = None,
-        noise_max_pages: int = 8,
         noise_enabled: bool = True,
         oversize_policy: str = "abort",
     ) -> None:
@@ -96,7 +98,6 @@ class Layer2CallStack:
         self.capacity_pages = capacity_bytes // PAGE_BYTES
         self.frame_limit_pages = self.capacity_pages // 2
         self._rng = rng or Drbg(b"l2-default")
-        self.noise_max_pages = noise_max_pages
         self.noise_enabled = noise_enabled
         self.oversize_policy = oversize_policy
         # Frame stack: index 0 is the bottom (the tracer's virtual frame
@@ -122,7 +123,7 @@ class Layer2CallStack:
     def _noise(self) -> int:
         if not self.noise_enabled:
             return 0
-        return self._rng.randint(self.noise_max_pages + 1)
+        return self._rng.randint(_NOISE_MAX_PAGES + 1)
 
     # -- operations -----------------------------------------------------------
 

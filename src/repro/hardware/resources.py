@@ -84,8 +84,9 @@ def shared_resources() -> ResourceVector:
     return total
 
 
-def max_hevms(chip: ResourceVector = XCZU15EV) -> tuple[int, str]:
-    """How many HEVMs fit on ``chip``, and which resource binds first."""
+def max_hevms() -> tuple[int, str]:
+    """How many HEVMs fit on the XCZU15EV, and which resource binds first."""
+    chip = XCZU15EV
     per_hevm = hevm_resources()
     shared = shared_resources()
     budgets = {

@@ -199,9 +199,9 @@ class CostModel:
             + blocks_moved * self.aes_gcm_us_per_kb * block_kb / 8.0  # pipelined AES
         )
 
-    def page_swap_us(self, page_count: int, page_kb: float = 1.0) -> float:
-        """Encrypt + DMA a batch of layer-2 pages to/from layer 3."""
-        kb = page_count * page_kb
+    def page_swap_us(self, page_count: int) -> float:
+        """Encrypt + DMA a batch of 1 KB layer-2 pages to/from layer 3."""
+        kb = float(page_count)
         return self.aes_gcm_us(int(kb * 1024)) + self.dma_us_per_kb * kb
 
 

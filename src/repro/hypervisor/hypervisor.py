@@ -18,7 +18,6 @@ from functools import cached_property
 from repro.rlp import codec as rlp
 from repro.crypto.ecc import PrivateKey, PublicKey
 from repro.crypto.kdf import Drbg, hkdf_sha256
-from repro.crypto.suite import AcceleratedAesGcmAead
 from repro.evm.interpreter import ChainContext
 from repro.hardware.csu import BootImage, BootReceipt, ConfigurationSecurityUnit
 from repro.hardware.hevm import HevmCore
@@ -34,7 +33,7 @@ from repro.hypervisor.bundle_codec import (
     encode_trace_report,
     trace_from_result,
 )
-from repro.hypervisor.channel import ChannelError, SealedMessage, SecureChannel
+from repro.hypervisor.channel import SealedMessage, SecureChannel
 from repro.hypervisor.resumption import TicketSealer, TicketState, ticket_header
 from repro.hypervisor.scheduler import HevmScheduler
 from repro.hypervisor.sync import BlockSynchronizer
@@ -694,20 +693,3 @@ class Hypervisor:
         if self.recovery is not None:
             self.recovery.on_sync_root(state_root)
         return applied
-
-    # ------------------------------------------------------------------
-    # ORAM key hand-off between devices
-    # ------------------------------------------------------------------
-
-    def share_oram_key_with(self, other: "Hypervisor") -> None:
-        """Device-to-device DHKE transfer of the shared ORAM key."""
-        own_dh = PrivateKey.from_bytes(self._rng.random_bytes(32))
-        peer_dh = PrivateKey.from_bytes(other._rng.random_bytes(32))
-        shared = own_dh.ecdh(peer_dh.public_key())
-        if peer_dh.ecdh(own_dh.public_key()) != shared:
-            raise ChannelError("ORAM key hand-off: the two ECDH sides disagree")
-        wrap_key = hkdf_sha256(shared, info=b"oram-key-wrap")
-        # A fresh ECDH key per call, so the zero nonce is never reused.
-        sealed = AcceleratedAesGcmAead(wrap_key).encrypt(b"\x00" * 12, self.oram_key)
-        other.oram_key = AcceleratedAesGcmAead(wrap_key).decrypt(b"\x00" * 12, sealed)
-        self.clock.advance_us(self.cost.dhke_us)

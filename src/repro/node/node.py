@@ -51,11 +51,10 @@ class EthereumNode:
         genesis_accounts: dict[Address, Account] | None = None,
         chain_id: int = 1,
         coinbase: Address = to_address(0xC0FFEE),
-        block_interval_s: int = 12,
     ) -> None:
         self.chain_id = chain_id
         self.coinbase = coinbase
-        self.block_interval_s = block_interval_s
+        self.block_interval_s = 12  # Ethereum's slot time
         genesis_state = WorldState(
             {addr: acct.copy() for addr, acct in (genesis_accounts or {}).items()}
         )

@@ -11,12 +11,15 @@ delta costs one read-modify-write access per page it changed
 A ``clock`` callable supplies simulated timestamps so the ORAM server's
 adversary-visible trace carries the timing the hardware model computes.
 ``on_query`` is an optional tap called with ``(kind, page_key)`` on each
-logical query.  Nothing in the served path passes one: the HEVM tracer
-drives the code-page prefetcher and prices each access itself.
+logical query; the prefetch ablation sets it to record its trace.
+Nothing in the served path sets one: the HEVM tracer drives the
+code-page prefetcher and prices each access itself.  ``stats.log`` keeps
+only the most recent reads.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -39,13 +42,20 @@ class QueryRecord:
     sim_time_us: float
 
 
+# A device serves for its whole life: the log holds the latest reads
+# only, never one record per read forever.
+QUERY_LOG_RECORDS = 1024
+
+
 @dataclass
 class QueryStats:
     account_queries: int = 0
     storage_queries: int = 0
     code_queries: int = 0
     prefetch_queries: int = 0
-    log: list[QueryRecord] = field(default_factory=list)
+    log: deque[QueryRecord] = field(
+        default_factory=lambda: deque(maxlen=QUERY_LOG_RECORDS)
+    )
 
     @property
     def total(self) -> int:
@@ -76,7 +86,7 @@ class ObliviousStateBackend:
             )
         self._client = client
         self._clock = clock or (lambda: 0.0)
-        self._on_query = on_query
+        self.on_query = on_query
         self.stats = QueryStats()
         # Code sizes learned from account pages (needed to bound paging).
         self._code_sizes: dict[Address, int] = {}
@@ -118,8 +128,8 @@ class ObliviousStateBackend:
 
     def _query(self, kind: str, page_key: bytes) -> bytes | None:
         now = self._clock()
-        if self._on_query is not None:
-            self._on_query(kind, page_key)
+        if self.on_query is not None:
+            self.on_query(kind, page_key)
         page = self._client.read(page_key, sim_time_us=now)
         self.stats.log.append(QueryRecord(kind, page_key, now))
         if kind == "account":

@@ -52,7 +52,6 @@ class FrequencySmoothedStore:
         key: bytes,
         assumed_distribution: dict[bytes, float],
         rng: Drbg | None = None,
-        batch_size: int = BATCH_SIZE,
     ) -> None:
         if not assumed_distribution:
             raise ValueError("need a non-empty assumed distribution")
@@ -61,7 +60,7 @@ class FrequencySmoothedStore:
             raise ValueError("distribution must have positive mass")
         self._rng = rng or Drbg(key, personalization=b"pancake")
         self._cipher = AcceleratedAesGcmAead(key)
-        self.batch_size = batch_size
+        self.batch_size = BATCH_SIZE
         # Smoothing quantum: the smallest assumed probability.
         normalized = {
             k: p / total for k, p in assumed_distribution.items() if p > 0

@@ -36,24 +36,21 @@ class PrefetchPlanEntry:
     reason: str = "timer"
 
 
+# The gap estimate before any query is seen, and the weight each new
+# gap gets in the running (exponential moving) mean.
+_INITIAL_GAP_US = 630.0
+_EMA_ALPHA = 0.1
+
+
 class CodePrefetcher:
     """Randomized-interval code-page prefetch scheduler."""
 
-    def __init__(
-        self,
-        rng: Drbg,
-        initial_gap_us: float = 630.0,
-        ema_alpha: float = 0.1,
-        enabled: bool = True,
-    ) -> None:
+    def __init__(self, rng: Drbg) -> None:
         self._rng = rng
         self._pending: deque[tuple[Address, int]] = deque()
-        self._mean_gap_us = initial_gap_us
-        self._ema_alpha = ema_alpha
+        self._mean_gap_us = _INITIAL_GAP_US
         self._last_query_us = 0.0
         self._timer_deadline_us: float | None = None
-        self.enabled = enabled
-        self.issued: list[PrefetchPlanEntry] = []
 
     def queue_code_pages(self, address: Address, first: int, last: int) -> None:
         """Queue code pages ``first..last`` (inclusive) for prefetch."""
@@ -69,7 +66,7 @@ class CodePrefetcher:
 
     def _arm(self, now_us: float) -> None:
         """Arm the interval timer to ~half the average gap, randomized."""
-        if not self._pending or not self.enabled:
+        if not self._pending:
             self._timer_deadline_us = None
             return
         half = self._mean_gap_us / 2.0
@@ -87,7 +84,7 @@ class CodePrefetcher:
         """
         gap = now_us - self._last_query_us
         if 0 < gap <= 10 * self._mean_gap_us:
-            self._mean_gap_us += self._ema_alpha * (gap - self._mean_gap_us)
+            self._mean_gap_us += _EMA_ALPHA * (gap - self._mean_gap_us)
         self._last_query_us = now_us
         if self._timer_deadline_us is None:
             self._arm(now_us)
@@ -96,35 +93,32 @@ class CodePrefetcher:
         """Pop every prefetch whose timer expired by ``now_us``."""
         fired: list[PrefetchPlanEntry] = []
         while (
-            self.enabled
-            and self._pending
+            self._pending
             and self._timer_deadline_us is not None
             and self._timer_deadline_us <= now_us
         ):
             address, page_index = self._pending.popleft()
             entry = PrefetchPlanEntry(address, page_index, self._timer_deadline_us)
             fired.append(entry)
-            self.issued.append(entry)
             self._arm(self._timer_deadline_us)
         if not self._pending:
             self._timer_deadline_us = None
         return fired
 
-    def drain(self, now_us: float, gap_us: float | None = None) -> list[PrefetchPlanEntry]:
-        """Flush all pending pages, spaced by the (randomized) interval.
+    def drain(self, now_us: float) -> list[PrefetchPlanEntry]:
+        """Flush all pending pages, spaced by half the mean gap.
 
         Called when execution actually needs pages that have not fired
         yet — the HEVM stalls and the pages stream in at the same
         consistent cadence, so the trace still shows no burst.
         """
-        spacing = gap_us if gap_us is not None else self._mean_gap_us / 2.0
+        spacing = self._mean_gap_us / 2.0
         fired: list[PrefetchPlanEntry] = []
         time_cursor = now_us
         while self._pending:
             address, page_index = self._pending.popleft()
             entry = PrefetchPlanEntry(address, page_index, time_cursor, reason="drain")
             fired.append(entry)
-            self.issued.append(entry)
             time_cursor += spacing
         self._timer_deadline_us = None
         return fired

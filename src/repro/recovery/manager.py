@@ -48,6 +48,8 @@ from repro.recovery.store import DurableStore
 # Sequence numbers get 40 bits per epoch; the composite (epoch << 40 | seq)
 # is the sealer nonce, the NVRAM pin, and the total order over records.
 _SEQ_BITS = 40
+# NVRAM is leased ahead in chunks of this many sequence numbers.
+_LEASE_CHUNK = 256
 
 
 class RecoveryManager:
@@ -58,7 +60,6 @@ class RecoveryManager:
         device,
         store: DurableStore,
         checkpoint_interval: int = 8,
-        lease_chunk: int = 256,
         oram_key: bytes = b"",
     ) -> None:
         if checkpoint_interval < 1:
@@ -66,7 +67,6 @@ class RecoveryManager:
         self._device = device
         self.store = store
         self.checkpoint_interval = checkpoint_interval
-        self.lease_chunk = lease_chunk
         master = device.csu.derive_sealing_key(b"recovery")
         self._journal_sealer = CounterNonceSealer(
             hkdf_sha256(master, info=b"journal")
@@ -178,7 +178,7 @@ class RecoveryManager:
         needed = nonce_counter + count
         if needed <= self._leased_until:
             return
-        lease = needed + self.lease_chunk
+        lease = needed + _LEASE_CHUNK
         self._append(journal.LEASE, journal.lease_payload(lease))
         self._leased_until = lease
 
@@ -276,7 +276,6 @@ class RecoveryManager:
         device,
         store: DurableStore,
         checkpoint_interval: int = 8,
-        lease_chunk: int = 256,
     ) -> tuple["RecoveryManager", TrustedState, int]:
         """Verify the store, unseal the checkpoint, replay the journal.
 
@@ -284,7 +283,7 @@ class RecoveryManager:
         Raises :class:`RecoveryIntegrityError` on any freshness or
         integrity violation — a refused boot beats a rolled-back one.
         """
-        manager = cls(device, store, checkpoint_interval, lease_chunk)
+        manager = cls(device, store, checkpoint_interval)
         checkpoints = store.keys("checkpoint/")
         if not checkpoints:
             raise RecoveryIntegrityError("durable store holds no checkpoint")

@@ -45,7 +45,7 @@ from repro.faults.errors import (
 from repro.faults.policy import CircuitBreaker, RecoveryOutcome, RetryPolicy
 from repro.hardware.fleet import OramServerLedger, profile_finish_us
 from repro.hardware.timing import CostModel
-from repro.serving.admission import AdmissionPolicy, RejectReason
+from repro.serving.admission import RejectReason
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.reactor import COMPLETION, VirtualReactor
 from repro.telemetry.tracer import NULL_TRACER, TraceContext, Tracer, tracer_for
@@ -386,6 +386,14 @@ class GatewayConfig:
 
     max_queue_depth: int = 64
     max_in_flight_per_session: int = 4   # queued + running, per session
+    # Shed at this queue depth, before the hard bound: a queue that only
+    # rejects when *full* serves every admitted request with the worst
+    # wait, so shedding earlier trades rejects for bounded queueing delay.
+    shed_depth: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.shed_depth is not None and self.shed_depth < 1:
+            raise ValueError("need shed_depth >= 1")
 
 
 class Gateway:
@@ -395,7 +403,6 @@ class Gateway:
         self,
         executor: BundleExecutor,
         config: GatewayConfig | None = None,
-        admission: AdmissionPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         flight: Any = None,
@@ -404,7 +411,6 @@ class Gateway:
     ) -> None:
         self.executor = executor
         self.config = config or GatewayConfig()
-        self.admission = admission
         self.metrics = metrics or MetricsRegistry()
         self.tracer = NULL_TRACER if tracer is None else tracer
         # Optional repro.telemetry.flight.FlightRecorder: typed failures
@@ -428,7 +434,7 @@ class Gateway:
         self._terminal: list[GatewayRequest] = []
 
     # ------------------------------------------------------------------
-    # Load view (admission policies and the loadgen read these)
+    # Load view (the loadgen and the router read these)
     # ------------------------------------------------------------------
 
     @property
@@ -568,8 +574,9 @@ class Gateway:
         cap = self.config.max_in_flight_per_session
         if cap is not None and self.session_load(request.session_id) >= cap:
             return RejectReason.SESSION_LIMIT
-        if self.admission is not None:
-            return self.admission.admit(request, self)
+        shed = self.config.shed_depth
+        if shed is not None and self.queue_depth >= shed:
+            return RejectReason.SHED_QUEUE_DEPTH
         return None
 
     # ------------------------------------------------------------------

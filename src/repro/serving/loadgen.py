@@ -4,13 +4,11 @@ The §VI-D question — where does throughput stop scaling? — needs a
 workload *driver*, not just a workload: arrivals must keep coming while
 earlier requests are still queued.  Two canonical drivers:
 
-* **closed loop** — N sessions each keep a fixed number of requests in
-  flight, issuing the next one when the previous completes (think-time
-  optional).  Offered load adapts to capacity, so this traces the
-  saturation *throughput* curve.
-* **open loop** — arrivals fire at their scheduled times regardless of
-  completions (Poisson, uniform, or bursty inter-arrivals), so offered
-  load can exceed capacity.  This is the regime where queues grow, tails
+* **closed loop** — N sessions each keep one request in flight,
+  issuing the next one when the previous completes.  Offered load
+  adapts to capacity, so this traces the saturation *throughput* curve.
+* **open loop** — Poisson arrivals fire at their scheduled times
+  regardless of completions, so offered load can exceed capacity.  This is the regime where queues grow, tails
   stretch, and admission control earns its keep.
 
 All randomness flows from a seeded :class:`~repro.crypto.kdf.Drbg`, and
@@ -27,7 +25,6 @@ from typing import Any, Callable, Iterator
 from repro.crypto.kdf import Drbg
 from repro.hardware.fleet import TxProfile, full_load_profile
 from repro.hardware.timing import CostModel
-from repro.serving.admission import AdmissionPolicy
 from repro.serving.gateway import (
     FleetModelExecutor,
     Gateway,
@@ -124,35 +121,16 @@ class LoadReport:
 # Arrival processes
 # ----------------------------------------------------------------------
 
-def arrival_times(
-    rate_rps: float,
-    count: int,
-    rng: Drbg,
-    pattern: str = "poisson",
-    burst_len: int = 16,
-) -> Iterator[float]:
-    """Yield ``count`` absolute arrival times (µs) for the pattern.
-
-    ``poisson`` draws exponential gaps; ``uniform`` spaces arrivals
-    evenly; ``bursty`` alternates phases of ``burst_len`` arrivals at 2×
-    and ⅔× the nominal rate (mean gap preserved, variance up).
-    """
+def arrival_times(rate_rps: float, count: int, rng: Drbg) -> Iterator[float]:
+    """Yield ``count`` absolute Poisson arrival times (µs): exponential
+    gaps with mean ``1e6 / rate_rps``."""
     if rate_rps <= 0:
         raise ValueError("need a positive arrival rate")
-    if pattern not in ("poisson", "uniform", "bursty"):
-        raise ValueError(f"unknown arrival pattern {pattern!r}")
     mean_gap = 1e6 / rate_rps
     now = 0.0
-    for index in range(count):
-        if pattern == "uniform":
-            gap = mean_gap
-        else:
-            u = int.from_bytes(rng.random_bytes(7), "big") / float(1 << 56)
-            gap = -mean_gap * math.log(1.0 - u)
-            if pattern == "bursty":
-                in_burst = (index // burst_len) % 2 == 0
-                gap *= 0.5 if in_burst else 1.5
-        now += gap
+    for _ in range(count):
+        u = int.from_bytes(rng.random_bytes(7), "big") / float(1 << 56)
+        now += -mean_gap * math.log(1.0 - u)
         yield now
 
 
@@ -167,7 +145,6 @@ def run_open_loop(
     rate_rps: float,
     total_requests: int,
     seed: int = 1,
-    pattern: str = "poisson",
 ) -> LoadReport:
     """Fire arrivals at their scheduled times, round-robin over sessions.
 
@@ -193,7 +170,7 @@ def run_open_loop(
 
     ordinals = [0] * len(sessions)
     for index, at_us in enumerate(
-        arrival_times(rate_rps, total_requests, rng, pattern)
+        arrival_times(rate_rps, total_requests, rng)
     ):
         slot = index % len(sessions)
         reactor.call_at(start_us + at_us, arrive, sessions[slot], ordinals[slot])
@@ -207,13 +184,12 @@ def run_closed_loop(
     sessions: list[LoadSession],
     *,
     requests_per_session: int,
-    concurrency_per_session: int = 1,
-    think_time_us: float = 0.0,
 ) -> LoadReport:
-    """Each session keeps ``concurrency_per_session`` requests in flight.
+    """Each session keeps one request in flight and issues the next the
+    instant the previous one finishes.
 
     A rejection consumes the session's quota like a completion would, so
-    the run always terminates even under an always-shedding policy.
+    the run always terminates even when every submission is rejected.
     """
     start_us = gateway.now_us
     by_session = {session.session_id: session for session in sessions}
@@ -236,10 +212,10 @@ def run_closed_loop(
 
     def reissue(session: LoadSession, finished_at_us: float) -> None:
         if issued[session.session_id] < requests_per_session:
-            issue(session, finished_at_us + think_time_us)
+            issue(session, finished_at_us)
 
     for session in sessions:
-        for _ in range(min(concurrency_per_session, requests_per_session)):
+        if requests_per_session > 0:
             issue(session, start_us)
 
     while True:
@@ -352,17 +328,21 @@ def model_sessions(
 
 
 def model_gateway(
-    cores: int, cost: CostModel, admission: AdmissionPolicy | None = None
+    cores: int, cost: CostModel, shed_depth: int | None = None
 ) -> Gateway:
     """The §VI-D fleet: ``cores`` HEVM slots sharing one ORAM server.
 
     A :class:`FleetModelExecutor` gateway whose queue holds four
-    requests per core, four in flight per session.  The fleet sweeps
-    (S2, S4, serve-bench) price through it; read server utilization and
-    queue wait off ``gateway.executor.server``.
+    requests per core, four in flight per session, shedding at
+    ``shed_depth`` if given.  The fleet sweeps (S2, S4, serve-bench)
+    price through it; read server utilization and queue wait off
+    ``gateway.executor.server``.
     """
     return Gateway(
         FleetModelExecutor(core_count=cores, cost=cost),
-        GatewayConfig(max_queue_depth=4 * cores, max_in_flight_per_session=4),
-        admission=admission,
+        GatewayConfig(
+            max_queue_depth=4 * cores,
+            max_in_flight_per_session=4,
+            shed_depth=shed_depth,
+        ),
     )

@@ -10,7 +10,7 @@ the router never migrates a session except on explicit topology change
 (a new ring), exactly like page keys.
 
 The router is deliberately thin: it owns no queue and no event loop of
-its own — each gateway keeps its bounded queue and admission policy,
+its own — each gateway keeps its bounded queue and admission bounds,
 and all of them schedule completions on the one reactor they share
 (``router.reactor``; run *that* to advance the fleet) — so per-shard
 behaviour under load is *identical* to a single-gateway deployment.

@@ -166,9 +166,8 @@ class ShardedObliviousStateBackend(ObliviousStateBackend):
         self,
         fleet: ShardedOramFleet,
         clock: Callable[[], float] | None = None,
-        on_query: Callable[[str, bytes], None] | None = None,
     ) -> None:
-        super().__init__(ShardRoutingClient(fleet), clock, on_query)
+        super().__init__(ShardRoutingClient(fleet), clock)
         self.fleet = fleet
 
     @property

@@ -192,43 +192,3 @@ def test_devices_share_oram_key(evalset):
     key_a = service.devices[0].hypervisor.oram_key
     key_b = service.devices[1].hypervisor.oram_key
     assert key_a == key_b  # stateless ORAM shared across devices
-
-
-def test_oram_key_handoff_via_dhke(evalset):
-    from repro.crypto.puf import Manufacturer
-
-    service = HarDTAPEService(
-        evalset.node, SecurityFeatures.from_level("full"), charge_fees=False,
-        manufacturer=Manufacturer(b"deployment-one"),
-    )
-    other = HarDTAPEService(
-        evalset.node, SecurityFeatures.from_level("full"), charge_fees=False,
-        manufacturer=Manufacturer(b"deployment-two"),
-    )
-    assert (
-        service.devices[0].hypervisor.oram_key
-        != other.devices[0].hypervisor.oram_key
-    )
-    service.devices[0].hypervisor.share_oram_key_with(other.devices[0].hypervisor)
-    assert (
-        service.devices[0].hypervisor.oram_key
-        == other.devices[0].hypervisor.oram_key
-    )
-
-
-def test_oram_key_handoff_refuses_disagreeing_ecdh_sides(evalset, monkeypatch):
-    from repro.crypto.ecc import PrivateKey
-    from repro.hypervisor.channel import ChannelError
-
-    service = HarDTAPEService(
-        evalset.node, SecurityFeatures.from_level("full"), device_count=2,
-        charge_fees=False,
-    )
-    sender, receiver = (device.hypervisor for device in service.devices)
-    receiver_key = receiver.oram_key
-    # Each side derives its own secret: nothing may be wrapped under a key
-    # the peer does not hold (a typed error, not an ``assert`` -O strips).
-    monkeypatch.setattr(PrivateKey, "ecdh", lambda self, peer: self.secret.to_bytes(32, "big"))
-    with pytest.raises(ChannelError):
-        sender.share_oram_key_with(receiver)
-    assert receiver.oram_key == receiver_key

@@ -1,4 +1,4 @@
-"""Service-level block sync, A.E.DMA, service stats, deployer edges."""
+"""Service-level block sync, service stats, deployer edges."""
 
 import copy
 
@@ -9,9 +9,7 @@ from repro.core.service import HarDTAPEService
 from repro.core.user import PreExecutionClient
 from repro.faults.policy import QuarantinePolicy
 from repro.hypervisor.bundle_codec import TransactionBundle
-from repro.hypervisor.channel import SecureChannel
 from repro.hypervisor.hypervisor import SecurityFeatures
-from repro.hypervisor.messages import AeDma, MessageError
 from repro.hypervisor.receipts import ReceiptAuditor, ReceiptMismatchError
 from repro.node.node import EthereumNode
 from repro.state.account import Account, to_address
@@ -270,31 +268,6 @@ def test_service_stats_accumulate(evalset):
     assert service.stats.transactions_served == 3
     assert service.stats.total_service_time_us > 0
     assert service.stats.breakdown_total.total_us > 0
-
-
-def test_ae_dma_ingress_egress_accounting():
-    key = b"\x77" * 32
-    sender = SecureChannel(key, sign_messages=False)
-    receiver = SecureChannel(key, sign_messages=False)
-    dma = AeDma()
-    body = b"x" * 300
-    sealed = sender.seal(body)
-    plaintext = dma.ingress(receiver, sealed, expected_length=300)
-    assert plaintext == body
-    out = dma.egress(sender, b"trace bytes")
-    assert receiver.open(out) == b"trace bytes"
-    assert dma.transfers == 2
-    assert dma.bytes_moved == 300 + len(b"trace bytes")
-
-
-def test_ae_dma_rejects_oversized_body():
-    key = b"\x77" * 32
-    sender = SecureChannel(key, sign_messages=False)
-    receiver = SecureChannel(key, sign_messages=False)
-    dma = AeDma()
-    sealed = sender.seal(b"y" * 500)
-    with pytest.raises(MessageError):
-        dma.ingress(receiver, sealed, expected_length=100)
 
 
 def test_deployer_handles_large_runtime(backend, chain):

@@ -1,4 +1,4 @@
-"""Property-based tests for the wire codecs (bundle, trace, header),
+"""Property-based tests for the wire codecs (bundle, trace report),
 and hand-built refusal tables for the bundle, sealed ticket state,
 journal record, SEC1 point and ECDSA signature beside the trace
 report's."""
@@ -20,12 +20,6 @@ from repro.hypervisor.bundle_codec import (
     decode_trace_report,
     encode_bundle,
     encode_trace_report,
-)
-from repro.hypervisor.messages import (
-    HEADER_SIZE,
-    MessageError,
-    MessageHeader,
-    MessageType,
 )
 from repro.hypervisor.resumption import TicketIntegrityError, TicketState
 from repro.recovery import journal
@@ -521,37 +515,3 @@ def test_an_address_that_is_not_20_bytes_is_refused(report, size, data):
         decode_trace_report(encoded)
 
 
-headers = st.builds(
-    MessageHeader,
-    msg_type=st.sampled_from(list(MessageType)),
-    body_length=st.integers(min_value=0, max_value=4 * 1024 * 1024),
-    target_hevm=st.integers(min_value=0, max_value=255),
-    sequence=st.integers(min_value=0, max_value=2**60),
-)
-
-
-@given(headers)
-@settings(max_examples=100)
-def test_header_roundtrip(header):
-    packed = header.pack()
-    assert len(packed) == HEADER_SIZE
-    assert MessageHeader.unpack(packed) == header
-
-
-@given(
-    headers,
-    st.integers(min_value=0, max_value=HEADER_SIZE - 1),
-    st.integers(min_value=1, max_value=255),
-)
-@settings(max_examples=100)
-def test_header_bitflips_never_parse_silently(header, position, xor):
-    """Any single-byte corruption is either caught or changes nothing."""
-    packed = bytearray(header.pack())
-    packed[position] ^= xor
-    try:
-        parsed = MessageHeader.unpack(bytes(packed))
-    except MessageError:
-        return  # rejected: the desired outcome
-    # Only bit-flips inside the padding word can slip through unnoticed;
-    # everything that reaches the DMA must equal the original header.
-    assert parsed == header

@@ -6,8 +6,7 @@ ticket; whatever they send, the decoder returns a value that re-encodes
 to the input or raises its typed error — never ``ValueError``,
 ``TypeError``, ``IndexError``, ``struct.error`` or
 ``UnicodeDecodeError``.  The Node controls every byte of a Merkle proof
-and everything else that reaches ``rlp.decode``; the host writes the
-32-byte message header the Hypervisor parses; the SP's disk holds the
+and everything else that reaches ``rlp.decode``; the SP's disk holds the
 sealed journal records and checkpoints recovery reads back; and key
 material arrives from peers as SEC1 points and 64-byte signatures.  A
 new decoder joins by adding a row to ``DECODERS``.
@@ -24,12 +23,6 @@ from repro.hypervisor.bundle_codec import (
     decode_trace_report,
     encode_bundle,
     encode_trace_report,
-)
-from repro.hypervisor.messages import (
-    MessageError,
-    MessageHeader,
-    MessageType,
-    validate_and_admit,
 )
 from repro.hypervisor.resumption import TicketIntegrityError, TicketState
 from repro.recovery import journal
@@ -53,20 +46,6 @@ ticket_states = st.builds(
     minted_at_us=st.floats(min_value=0.0, max_value=1e12),
 )
 
-# A header and the body it declares: ``MessageHeader.unpack`` as the
-# Hypervisor calls it, through its whole admission procedure.
-messages = st.binary(max_size=48).flatmap(
-    lambda body: st.tuples(
-        st.builds(
-            MessageHeader,
-            msg_type=st.sampled_from(list(MessageType)),
-            body_length=st.just(len(body)),
-            target_hevm=st.integers(0, 2**32 - 1),
-            sequence=st.integers(0, 2**64 - 1),
-        ),
-        st.just(body),
-    )
-)
 points = st.integers(1, ecc.N - 1).map(
     lambda secret: ecc.PrivateKey(secret).public_key().point
 )
@@ -87,10 +66,6 @@ DECODERS = {
     "ticket_state": (
         ticket_states, TicketState.encode, TicketState.decode,
         TicketIntegrityError,
-    ),
-    "message_header": (
-        messages, lambda admitted: admitted[0].pack() + admitted[1],
-        validate_and_admit, MessageError,
     ),
     "journal_record": (
         records, lambda record: journal.encode_record(*record),

@@ -523,7 +523,12 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
         r"|assemble_code|inter_arrival_us|CallDepthExceeded|is_precompile"
         # the second §VI-D fleet model and its own event loop
         r"|FleetSimulator|OramServerTimeline|FleetResult|saturation_point"
-        r"|run_stats_queries)\b"
+        r"|run_stats_queries"
+        # the unserved §IV-C header module, the device-to-device key
+        # hand-off and the one-policy admission interface
+        r"|MessageHeader|MessageError|validate_and_admit|AeDma"
+        r"|share_oram_key_with|AdmissionPolicy|QueueDepthShedPolicy)\b"
+        r"|hypervisor[./]messages\b"
         r"|RequestStatus\.(?:EXPIRED|CANCELLED)"
         r"|\bdeadline_us(?:=|: float \| None)"
     )
@@ -767,8 +772,6 @@ def test_one_oram_store_and_no_deleted_seam_grows_back():
 _KEPT_WITHOUT_A_CALLER = {
     "evm/instructions/": "EVM functional completeness: opcode handlers "
                          "are registered by decorator, never called by name",
-    "AeDma": "paper artefact (§IV-B A.E.DMA; DESIGN §2)",
-    "validate_and_admit": "paper artefact (§IV-B 32-byte header admission)",
     "deployer": "helper the tests of kept behaviour drive (contract creation)",
     "mint_calldata": "helper the tests of kept behaviour drive (ERC-20 workload)",
     "total_supply_calldata": "helper the tests of kept behaviour drive (ERC-20 workload)",
@@ -839,5 +842,254 @@ def test_every_public_name_has_a_caller_or_a_reason_to_stay():
     stale = sorted(
         key for key in _KEPT_WITHOUT_A_CALLER
         if not key.endswith(("/", ".py")) and (key not in public or mentioned(key))
+    )
+    assert stale == []
+
+
+# ----------------------------------------------------------------------
+# Serve the traffic we have: no settable value only tests set
+# ----------------------------------------------------------------------
+
+# Settable values nothing in ``src/repro``, ``benchmarks/`` or
+# ``examples/`` sets, kept on purpose, one reason per row.  A key is
+# ``Callable(name=)`` for one value or ``Callable`` for every value of a
+# callable; ``Callable`` is a function, a class (its constructor, or its
+# dataclass fields) or ``Class.method``.  A value nothing sets and no
+# reason keeps is the constant production already runs with, not a row.
+_KEPT_UNSET = {
+    "CostModel": "ROADMAP 9's perturbation surface: paper-calibrated "
+                 "prices a what-if run sets (tests perturb them)",
+    "HarDTAPEService(cost=)": "the CostModel a what-if run prices with (ROADMAP 9)",
+    "HypervisorMemoryBudget": "§VI-A's Hypervisor memory figures, printed by "
+                              "`resources`; a what-if surface like CostModel's",
+    "EvaluationSetConfig": "the evaluation set's workload mix (§VI); a "
+                           "what-if surface like CostModel's",
+    "C10kBenchConfig(concurrency_target=)": "set by `c10k-bench --sessions` "
+                                            "through the registry's ExtraArg",
+    "TraceBenchConfig(hevms_per_device=)": "trace-bench's committed fleet shape",
+    "run_perf_bench(config=)": "the registry calls it by name as run(config)",
+    "DeviceConfig": "§IV-B's layer-2 size and the spill alternative the paper "
+                    "rejects, driven by the spill-policy tests",
+    "Hypervisor(max_bundle_gas=)": "the SP's gas cap (§IV-B anti-DoS); the "
+                                   "gas-cap tests set a strict one",
+    "HarDTAPEService(manufacturer=)": "test seam: deployments with distinct "
+                                      "roots of trust",
+    "PreExecutionClient(expected_measurement=)": "test seam: a measurement "
+                                                 "other than the release "
+                                                 "image's is refused",
+    "ConfigurationSecurityUnit.secure_boot(expected_measurement=)":
+        "test seam: secure boot refuses an image off the fused measurement",
+    "WorldStateCache(capacity_records=)": "test seam: a small layer-1 cache "
+                                          "forces evictions",
+    "CodeCache(capacity_bytes=)": "test seam: a small code cache forces "
+                                  "evictions",
+    "PathOramClient(cipher_factory=)": "test seam (oram/client.py docstring): "
+                                       "the memo tests swap the cipher",
+    "PathOramClient(stall_retry_backoff_us=)": "test seam: the stall-retry "
+                                               "tests charge a backoff",
+    "RecoveryManager(oram_key=)": "test seam: a manager on a bare device, "
+                                  "with no service to attach",
+    "EthereumNode(chain_id=)": "test seam: the work-count tests rebuild a "
+                               "node on another node's chain",
+    "EthereumNode(coinbase=)": "test seam: the work-count tests rebuild a "
+                               "node on another node's chain",
+    "VirtualReactor(start_us=)": "test seam: a reactor that starts at a "
+                                 "device clock's now",
+    "hkdf_sha256(length=)": "RFC 5869's output length L; its test vectors "
+                            "set it",
+    "Gateway(quarantine=)": "only tests set it: the gateway's degraded "
+                            "capacity under quarantine (ROADMAP 27)",
+    "ServiceExecutor(quarantine=)": "only tests set it: failover off a "
+                                    "quarantined device (ROADMAP 27)",
+    "LoadSession(priority=)": "only tests set a priority: the gateway's "
+                              "priority lanes (ROADMAP 27)",
+    "FaultPlan.uniform": "only tests call it: every kind armed at one rate "
+                         "(ROADMAP 27)",
+    "ShardSessionRouter(metrics=)": "the sharded plane stays only as the "
+                                    "ledger's probe target (ROADMAP 20)",
+    "ShardedOramConfig(vnodes=)": "the sharded plane stays only as the "
+                                  "ledger's probe target (ROADMAP 20)",
+    "ShardedOramFleet(clock=)": "the sharded plane stays only as the "
+                                "ledger's probe target (ROADMAP 20)",
+}
+
+
+def _targets(statement) -> list:
+    return getattr(statement, "targets", None) or [statement.target]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        ast.unparse(
+            decorator.func if isinstance(decorator, ast.Call) else decorator
+        ) == "dataclass"
+        for decorator in node.decorator_list
+    )
+
+
+def _field_is_a_value(statement: ast.AnnAssign) -> bool:
+    """An ``__init__`` field that is not a container the record fills."""
+    if "ClassVar" in ast.unparse(statement.annotation):
+        return False
+    value = statement.value
+    if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+        keywords = {kw.arg: kw.value for kw in value.keywords}
+        init = keywords.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            return False
+        return "default" in keywords
+    return True
+
+
+def _settable_values() -> list[tuple[str, str, str, int | None]]:
+    """``(key, callee, name, positional index)`` for every defaulted
+    parameter of a public ``src/repro`` callable and every field of a
+    public dataclass — all fields of a ``*Config``, the defaulted ones
+    of any other, less those the class's own methods assign (state, not
+    settings).  The callee is the name a call site spells."""
+    values = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                values += [
+                    (f"{node.name}({name}=)", node.name, name, index)
+                    for name, index in _defaulted(node.args, bound=False)
+                ]
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            if _is_dataclass(node):
+                own = {
+                    target.attr
+                    for statement in ast.walk(node)
+                    if isinstance(statement, (ast.Assign, ast.AugAssign))
+                    for target in _targets(statement)
+                    if isinstance(target, ast.Attribute)
+                    and ast.unparse(target.value) == "self"
+                }
+                fields = [
+                    statement for statement in node.body
+                    if isinstance(statement, ast.AnnAssign)
+                    and isinstance(statement.target, ast.Name)
+                    and _field_is_a_value(statement)
+                ]
+                values += [
+                    (f"{node.name}({name}=)", node.name, name, index)
+                    for index, statement in enumerate(fields)
+                    if not (name := statement.target.id).startswith("_")
+                    and name not in own
+                    and (statement.value is not None or node.name.endswith("Config"))
+                ]
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) or (
+                    method.name.startswith("_") and method.name != "__init__"
+                ):
+                    continue
+                static = any(
+                    ast.unparse(decorator) == "staticmethod"
+                    for decorator in method.decorator_list
+                )
+                if method.name == "__init__":
+                    callee, owner = node.name, node.name
+                else:
+                    callee, owner = method.name, f"{node.name}.{method.name}"
+                values += [
+                    (f"{owner}({name}=)", callee, name, index)
+                    for name, index in _defaulted(method.args, bound=not static)
+                ]
+    return values
+
+
+def _defaulted(args: ast.arguments, bound: bool) -> list[tuple[str, int | None]]:
+    """Defaulted parameter names with their index among the positional
+    arguments a call site passes (``None``: keyword-only)."""
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    return [
+        (argument.arg, index - bound)
+        for index, argument in enumerate(positional)
+        if index >= first_default
+    ] + [
+        (argument.arg, None)
+        for argument, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _settings() -> tuple[set, dict, set]:
+    """Where ``src/repro``, ``benchmarks/`` and ``examples/`` set values:
+    ``(callee, keyword)`` pairs (keywords of ``dict(...)`` and
+    ``replace(...)`` count for any callee), the most leading positional
+    arguments each callee is passed, and every attribute name assigned
+    on an object other than ``self``."""
+    keywords, positional, attributes = set(), {}, set()
+
+    def callee_of(func, enclosing):
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return enclosing if name == "cls" else name
+
+    def visit(node, enclosing=None):
+        if isinstance(node, ast.ClassDef):
+            enclosing = node.name
+        if isinstance(node, ast.Call):
+            callee, args = callee_of(node.func, enclosing), node.args
+            if callee == "partial" and args:
+                callee, args = callee_of(args[0], enclosing), args[1:]
+            for keyword in node.keywords:
+                if keyword.arg is not None:
+                    keywords.add((
+                        "*" if callee in ("dict", "replace") else callee,
+                        keyword.arg,
+                    ))
+            count = 0
+            for arg in args:
+                if isinstance(arg, ast.Starred):
+                    count = sys.maxsize
+                    break
+                count += 1
+            positional[callee] = max(positional.get(callee, 0), count)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in _targets(node):
+                attributes.update(
+                    part.attr for part in ast.walk(target)
+                    if isinstance(part, ast.Attribute)
+                    and ast.unparse(part.value) != "self"
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for tree in ("src/repro", "benchmarks", "examples"):
+        for path in sorted((REPO / tree).rglob("*.py")):
+            visit(ast.parse(path.read_text()))
+    return keywords, positional, attributes
+
+
+def test_every_settable_value_has_a_caller_or_a_reason_to_stay():
+    """AST only.  Every settable value (see ``_settable_values``) is set
+    somewhere in ``src/repro``, ``benchmarks/`` or ``examples/`` — by
+    keyword at a call of its callable (matched by name), by position,
+    or as an attribute assigned on some object — or sits in
+    ``_KEPT_UNSET`` with a reason.  ``tests/`` do not count: a value
+    only tests set doubles what tests must cover while no served
+    request takes the other path."""
+    keywords, positional, attributes = _settings()
+    unset = {
+        key for key, callee, name, index in _settable_values()
+        if (callee, name) not in keywords
+        and ("*", name) not in keywords
+        and name not in attributes
+        and (index is None or positional.get(callee, 0) <= index)
+    }
+
+    def kept(key: str) -> bool:
+        return key in _KEPT_UNSET or key.split("(")[0] in _KEPT_UNSET
+
+    assert sorted(key for key in unset if not kept(key)) == []
+    # The keep-list holds no entry that has since gained a setter or gone.
+    stale = sorted(
+        entry for entry in _KEPT_UNSET
+        if entry not in unset
+        and not any(key.split("(")[0] == entry for key in unset)
     )
     assert stale == []

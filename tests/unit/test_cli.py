@@ -91,6 +91,41 @@ def test_bench_rejects_bad_seed(command, capsys):
         assert "non-negative 64-bit integer" in err
 
 
+def _evalset_commands() -> list[str]:
+    """Every subcommand of the real parser that builds an evaluation set."""
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if hasattr(action, "choices") and action.choices
+    )
+    return sorted(
+        name for name, sub in subparsers.choices.items()
+        if "--blocks" in sub._option_string_actions
+    )
+
+
+@pytest.mark.parametrize("command", _evalset_commands())
+def test_an_empty_evaluation_set_is_a_typed_exit(command, capsys):
+    """No transactions to run is exit 2 and one line naming the flags,
+    not a ZeroDivisionError or an empty ``min()`` from deep in a run."""
+    for flag in ("--blocks", "--txs-per-block"):
+        for value in ("0", "-1"):
+            assert main([command, flag, value]) == 2
+            err = capsys.readouterr().err
+            assert "invalid evaluation-set shape" in err
+            assert "--blocks and --txs-per-block must be positive" in err
+
+
+def test_figure4_rejects_an_empty_limit(capsys):
+    assert _evalset_commands() == [
+        "chaos-bench", "evalset", "figure4", "trace", "trace-bench",
+    ]
+    for limit in ("0", "-1"):
+        assert main(["figure4", "--limit", limit]) == 2
+        assert f"invalid --limit {limit}: must be positive" in (
+            capsys.readouterr().err
+        )
+
+
 @pytest.mark.recovery
 def test_recovery_bench_smoke(capsys, tmp_path):
     out_path = tmp_path / "BENCH_recovery.json"

@@ -33,7 +33,7 @@ def test_plan_validation():
 def test_same_seed_reproduces_decisions_different_seed_differs():
     def run(seed):
         plan = FaultPlan.uniform(seed, 0.3)
-        return [plan.decide(FaultKind.DMA_DROP, float(i)) for i in range(200)]
+        return [plan.decide(FaultKind.DMA_DROP) for i in range(200)]
 
     assert run(7) == run(7)
     assert run(7) != run(8)
@@ -43,7 +43,7 @@ def test_streams_are_independent_across_kinds():
     """Whether kind X's Nth decision fires depends only on (seed, X, N) —
     not on how other kinds' decision points interleave with it."""
     solo = FaultPlan(5, [FaultRule(FaultKind.DMA_CORRUPT, 0.25)])
-    solo_decisions = [solo.decide(FaultKind.DMA_CORRUPT, 0.0) for _ in range(100)]
+    solo_decisions = [solo.decide(FaultKind.DMA_CORRUPT) for _ in range(100)]
 
     mixed = FaultPlan(5, [
         FaultRule(FaultKind.DMA_CORRUPT, 0.25),
@@ -51,36 +51,24 @@ def test_streams_are_independent_across_kinds():
     ])
     mixed_decisions = []
     for _ in range(100):
-        mixed.decide(FaultKind.HEVM_CRASH, 0.0)  # interleave another kind
-        mixed_decisions.append(mixed.decide(FaultKind.DMA_CORRUPT, 0.0))
+        mixed.decide(FaultKind.HEVM_CRASH)  # interleave another kind
+        mixed_decisions.append(mixed.decide(FaultKind.DMA_CORRUPT))
     assert mixed_decisions == solo_decisions
 
 
 def test_zero_rate_and_unarmed_kinds_never_fire_or_draw():
     plan = FaultPlan(3, [FaultRule(FaultKind.DMA_DROP, 0.0)])
-    assert not any(plan.decide(FaultKind.DMA_DROP, 0.0) for _ in range(50))
-    assert not any(plan.decide(FaultKind.HEVM_CRASH, 0.0) for _ in range(50))
+    assert not any(plan.decide(FaultKind.DMA_DROP) for _ in range(50))
+    assert not any(plan.decide(FaultKind.HEVM_CRASH) for _ in range(50))
     # No draws at rate 0: the armed-but-quiet plan perturbs nothing.
     assert plan.decisions(FaultKind.DMA_DROP) == 0
     assert plan.decisions(FaultKind.HEVM_CRASH) == 0
     assert plan.total_injected == 0
 
 
-def test_virtual_time_window_gates_firing():
-    plan = FaultPlan(9, [
-        FaultRule(FaultKind.DMA_DROP, 1.0, after_us=100.0, until_us=200.0)
-    ])
-    assert not plan.decide(FaultKind.DMA_DROP, 50.0)
-    assert plan.decide(FaultKind.DMA_DROP, 150.0)
-    assert not plan.decide(FaultKind.DMA_DROP, 250.0)
-    # Vetoed decisions still consumed their draw (position == count).
-    assert plan.decisions(FaultKind.DMA_DROP) == 3
-    assert plan.fires(FaultKind.DMA_DROP) == 1
-
-
 def test_max_fires_caps_injections():
     plan = FaultPlan(2, [FaultRule(FaultKind.HEVM_CRASH, 1.0, max_fires=2)])
-    fired = [plan.decide(FaultKind.HEVM_CRASH, 0.0) for _ in range(10)]
+    fired = [plan.decide(FaultKind.HEVM_CRASH) for _ in range(10)]
     assert fired == [True, True] + [False] * 8
     assert plan.fires(FaultKind.HEVM_CRASH) == 2
     assert plan.decisions(FaultKind.HEVM_CRASH) == 10

@@ -1,4 +1,4 @@
-"""Hypervisor components: attestation, channel, messages, scheduler, sync."""
+"""Hypervisor components: attestation, channel, scheduler, sync."""
 
 from dataclasses import replace
 
@@ -20,14 +20,6 @@ from repro.hypervisor.attestation import (
 )
 from repro.hypervisor.channel import ChannelError, SecureChannel, message_digest
 from repro.hypervisor.hypervisor import Hypervisor, SecurityFeatures
-from repro.hypervisor.messages import (
-    HEADER_SIZE,
-    MAX_BODY_SIZE,
-    MessageError,
-    MessageHeader,
-    MessageType,
-    validate_and_admit,
-)
 from repro.hypervisor.scheduler import HevmScheduler, SchedulingError
 from repro.hypervisor.sync import AccountUpdate, BlockSynchronizer, SyncError
 from repro.oram.adapter import ObliviousStateBackend
@@ -307,61 +299,6 @@ def test_a_signature_over_the_former_keccak_digest_is_refused(tier):
         bob.open(old)
     assert bob.nonce_watermark == (0, 0)
     assert bob.open(sealed) == b"bundle"
-
-
-# -- message protocol ----------------------------------------------------------------
-
-
-def test_header_pack_unpack():
-    header = MessageHeader(MessageType.USER_BUNDLE, 100, 2, 7)
-    packed = header.pack()
-    assert len(packed) == HEADER_SIZE == 32  # the paper's fixed header
-    assert MessageHeader.unpack(packed) == header
-
-
-def test_admit_valid_message():
-    header = MessageHeader(MessageType.TRACE_OUT, 5, 0, 1)
-    parsed, body = validate_and_admit(header.pack() + b"hello")
-    assert parsed.msg_type == MessageType.TRACE_OUT
-    assert body == b"hello"
-
-
-# Each mutation of an honest message, keyed by the refusal it must get:
-# the one check that catches it, not an earlier one.
-_MALFORMED = {
-    "short header": lambda raw: raw[:4],
-    "bad magic": lambda raw: b"\x00" * 4 + raw[4:],
-    "declared 5 body bytes, got 10":  # length lie
-        lambda raw: raw[:HEADER_SIZE] + b"extra" + raw[HEADER_SIZE:],
-    "unknown message type 99": lambda raw: raw[:7] + bytes([99]) + raw[8:],
-    "reserved header bytes are not zero":  # outside the checksum
-        lambda raw: raw[:31] + b"\x01" + raw[32:],
-}
-
-
-@pytest.mark.parametrize("mutate", _MALFORMED.values())
-def test_admit_rejects_malformed(mutate):
-    (refusal,) = [name for name, known in _MALFORMED.items() if known is mutate]
-    header = MessageHeader(MessageType.USER_BUNDLE, 5, 0, 1)
-    raw = header.pack() + b"hello"
-    with pytest.raises(MessageError, match=f"^{refusal}$"):
-        validate_and_admit(mutate(raw))
-
-
-def test_admit_rejects_checksum_mismatch():
-    header = MessageHeader(MessageType.USER_BUNDLE, 5, 0, 1)
-    raw = bytearray(header.pack() + b"hello")
-    raw[12] ^= 1  # flip a bit in the target field
-    with pytest.raises(MessageError, match="header checksum mismatch"):
-        validate_and_admit(bytes(raw))
-
-
-def test_oversized_body_rejected():
-    """A well-formed header (its checksum right) that declares one byte
-    more than the limit: only the length check can refuse it."""
-    raw = MessageHeader(MessageType.USER_BUNDLE, MAX_BODY_SIZE + 1, 0, 0).pack()
-    with pytest.raises(MessageError, match="exceeds limit"):
-        MessageHeader.unpack(raw)
 
 
 # -- scheduler ------------------------------------------------------------------------

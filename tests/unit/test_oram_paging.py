@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.kdf import Drbg
 from repro.oram import paging
-from repro.oram.adapter import ObliviousStateBackend
+from repro.oram.adapter import QUERY_LOG_RECORDS, ObliviousStateBackend
 from repro.oram.client import PathOramClient
 from repro.oram.encrypted_store import EncryptedKvStore
 from repro.oram.prefetch import CodePrefetcher
@@ -251,27 +251,31 @@ def test_clock_timestamps_recorded():
     backend = ObliviousStateBackend(client, clock=lambda: now["t"])
     now["t"] = 123.0
     backend.get_meta(to_address(1))
-    assert backend.stats.log[-1].sim_time_us == 123.0
+    (record,) = backend.stats.log
+    assert (record.kind, record.sim_time_us) == ("account", 123.0)
+    # The log keeps the latest reads only (ROADMAP item 24).
+    assert backend.stats.log.maxlen == QUERY_LOG_RECORDS
 
 
 # -- prefetcher ---------------------------------------------------------------------
 
 
 def test_prefetcher_spreads_pages():
-    prefetcher = CodePrefetcher(Drbg(b"p"), initial_gap_us=100.0)
+    prefetcher = CodePrefetcher(Drbg(b"p"))
     prefetcher.queue_code_pages(to_address(1), 1, 5)
     assert prefetcher.pending_count == 5
-    fired = prefetcher.due(10_000.0)
+    fired = prefetcher.due(100_000.0)
     assert len(fired) == 5
     times = [entry.fire_time_us for entry in fired]
     assert times == sorted(times)
     gaps = [b - a for a, b in zip(times, times[1:])]
-    # Gaps are randomized around half the mean gap: within (25, 75).
-    assert all(25.0 <= gap <= 75.0 for gap in gaps)
+    # Gaps are randomized around half the 630 µs starting mean gap:
+    # within [0.5, 1.5) of 315 µs.
+    assert all(157.5 <= gap < 472.5 for gap in gaps)
 
 
 def test_prefetcher_nothing_due_before_deadline():
-    prefetcher = CodePrefetcher(Drbg(b"p"), initial_gap_us=1000.0)
+    prefetcher = CodePrefetcher(Drbg(b"p"))
     prefetcher.queue_code_pages(to_address(1), 0, 3)
     assert prefetcher.due(1.0) == []
     assert prefetcher.pending_count == 4
@@ -280,20 +284,15 @@ def test_prefetcher_nothing_due_before_deadline():
 def test_prefetcher_drain_flushes_all():
     prefetcher = CodePrefetcher(Drbg(b"p"))
     prefetcher.queue_code_pages(to_address(1), 0, 9)
-    fired = prefetcher.drain(now_us=0.0, gap_us=50.0)
+    fired = prefetcher.drain(now_us=0.0)
     assert len(fired) == 10
     assert prefetcher.pending_count == 0
-    assert [e.fire_time_us for e in fired] == [i * 50.0 for i in range(10)]
-
-
-def test_prefetcher_disabled_never_fires():
-    prefetcher = CodePrefetcher(Drbg(b"p"), enabled=False)
-    prefetcher.queue_code_pages(to_address(1), 0, 3)
-    assert prefetcher.due(10**9) == []
+    # Spaced by half the mean gap, which no query has moved off 630 µs.
+    assert [e.fire_time_us for e in fired] == [i * 315.0 for i in range(10)]
 
 
 def test_prefetcher_adapts_mean_gap():
-    prefetcher = CodePrefetcher(Drbg(b"p"), initial_gap_us=1000.0, ema_alpha=0.5)
+    prefetcher = CodePrefetcher(Drbg(b"p"))
     before = prefetcher._mean_gap_us
     prefetcher.on_query(100.0)
     prefetcher.on_query(200.0)  # observed gap 100

@@ -1,11 +1,11 @@
-"""Serving layer: metrics, admission policies, gateway, load drivers."""
+"""Serving layer: metrics, admission, gateway, load drivers."""
 
 import pytest
 
 from repro.crypto.kdf import Drbg
 from repro.hardware.fleet import OramServerLedger, full_load_profile
 from repro.hardware.timing import CostModel
-from repro.serving.admission import QueueDepthShedPolicy, RejectReason
+from repro.serving.admission import RejectReason
 from repro.serving.gateway import (
     FleetModelExecutor,
     Gateway,
@@ -86,7 +86,7 @@ def test_registry_snapshot_is_flat_sorted_and_stable():
     assert registry.snapshot() == snap
 
 
-# -- admission policies ---------------------------------------------------------------
+# -- admission ---------------------------------------------------------------
 
 
 def _gateway(executor=None, **config):
@@ -97,8 +97,9 @@ def _gateway(executor=None, **config):
 def test_queue_depth_shed_policy():
     gateway = Gateway(
         StubExecutor(slot_count=1),
-        GatewayConfig(max_in_flight_per_session=16, max_queue_depth=16),
-        admission=QueueDepthShedPolicy(shed_depth=1),
+        GatewayConfig(
+            max_in_flight_per_session=16, max_queue_depth=16, shed_depth=1
+        ),
     )
     first = gateway.submit(b"s", None)    # runs (1 slot)
     second = gateway.submit(b"s", None)   # queues (depth 1)
@@ -110,7 +111,7 @@ def test_queue_depth_shed_policy():
 
 def test_policy_constructor_validation():
     with pytest.raises(ValueError):
-        QueueDepthShedPolicy(shed_depth=0)
+        GatewayConfig(shed_depth=0)
 
 
 # -- gateway lifecycle ----------------------------------------------------------------
@@ -195,23 +196,16 @@ def test_load_view():
 
 def test_arrival_patterns():
     rng = Drbg(b"\x01" * 8, personalization=b"test-arrivals")
-    uniform = list(arrival_times(1000.0, 4, rng, "uniform"))
-    assert uniform == pytest.approx([1000.0, 2000.0, 3000.0, 4000.0])
     rng_a = Drbg(b"\x02" * 8)
     rng_b = Drbg(b"\x02" * 8)
-    poisson_a = list(arrival_times(1000.0, 50, rng_a, "poisson"))
-    poisson_b = list(arrival_times(1000.0, 50, rng_b, "poisson"))
+    poisson_a = list(arrival_times(1000.0, 50, rng_a))
+    poisson_b = list(arrival_times(1000.0, 50, rng_b))
     assert poisson_a == poisson_b                    # seeded determinism
     assert poisson_a == sorted(poisson_a)
     mean_gap = poisson_a[-1] / len(poisson_a)
     assert 500.0 < mean_gap < 2000.0                 # ~1000 µs nominal
-    rng_c = Drbg(b"\x03" * 8)
-    bursty = list(arrival_times(1000.0, 64, rng_c, "bursty", burst_len=8))
-    assert len(bursty) == 64 and bursty == sorted(bursty)
     with pytest.raises(ValueError):
-        list(arrival_times(0.0, 1, rng, "poisson"))
-    with pytest.raises(ValueError):
-        list(arrival_times(1.0, 1, rng, "zipf"))
+        list(arrival_times(0.0, 1, rng))
 
 
 def test_closed_loop_completes_all_requests():
@@ -230,18 +224,15 @@ def test_closed_loop_completes_all_requests():
     assert report.throughput_tps == pytest.approx(10 / (500.0 / 1e6))
 
 
-def test_closed_loop_respects_concurrency_and_think_time():
+def test_closed_loop_keeps_one_request_in_flight_per_session():
     gateway = Gateway(StubExecutor(slot_count=4),
                       GatewayConfig(max_in_flight_per_session=4))
     sessions = [LoadSession(session_id=b"a", make_payload=lambda i: i)]
-    report = run_closed_loop(
-        gateway, sessions, requests_per_session=6,
-        concurrency_per_session=2, think_time_us=50.0,
-    )
+    report = run_closed_loop(gateway, sessions, requests_per_session=6)
     assert report.completed == 6
-    # 2 in flight, 100 µs service, 50 µs think between rounds:
-    # 3 service rounds + 2 think gaps = 400 µs.
-    assert report.duration_us == pytest.approx(400.0)
+    # Free slots go unused: one request at a time, each issued the
+    # instant the last finished, 6 × 100 µs of service back to back.
+    assert report.duration_us == pytest.approx(600.0)
 
 
 def test_open_loop_sheds_under_overload_with_typed_reasons():
@@ -299,7 +290,7 @@ def test_ledger_below_capacity_adds_no_wait():
 
 
 def test_ledger_over_capacity_cascades():
-    ledger = OramServerLedger(service_us=60.0, bucket_us=100.0)
+    ledger = OramServerLedger(service_us=60.0)
     first = ledger.serve(0.0)
     second = ledger.serve(0.0)   # same instant: bucket overflows forward
     assert first == pytest.approx(60.0)
@@ -313,8 +304,8 @@ def test_forgetting_the_past_changes_no_completion():
     """``forget_before`` drops only buckets no later arrival reads: the
     same arrivals get the same completions with and without it, across
     a cascade and a long idle jump."""
-    kept = OramServerLedger(service_us=60.0, bucket_us=100.0)
-    pruned = OramServerLedger(service_us=60.0, bucket_us=100.0)
+    kept = OramServerLedger(service_us=60.0)
+    pruned = OramServerLedger(service_us=60.0)
     for start in [0.0, 0.0, 30.0, 150.0, 150.0, 420.0, 5e6, 5e6 + 10.0]:
         pruned.forget_before(start)
         for offset in (0.0, 40.0, 250.0):
@@ -324,7 +315,7 @@ def test_forgetting_the_past_changes_no_completion():
 
 
 def test_ledger_completion_never_beats_service_time():
-    ledger = OramServerLedger(service_us=25.0, bucket_us=100.0)
+    ledger = OramServerLedger(service_us=25.0)
     ledger.serve(0.0)
     # Arrive mid-bucket: earlier committed work must not let this query
     # finish before arrival + service.
