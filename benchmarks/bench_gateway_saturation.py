@@ -17,8 +17,7 @@ import pytest
 pytestmark = pytest.mark.serving
 
 from repro.hardware.timing import CostModel
-from repro.serving.admission import RejectReason
-from repro.serving.gateway import RequestStatus
+from repro.serving.gateway import RejectReason, RequestStatus
 from repro.serving.loadgen import (
     model_gateway,
     model_sessions,

@@ -362,7 +362,6 @@ class AsyncServingTier:
         routing_id: bytes,
         payload: Any,
         *,
-        priority: int = 0,
         device_index: int | None = None,
         on_done: Callable[[GatewayRequest], None] | None = None,
     ) -> None:
@@ -382,21 +381,19 @@ class AsyncServingTier:
         session.last_activity_us = self.reactor.now_us
         self._cancel_suspend(session)
         if session.state == SessionState.ACTIVE:
-            self._dispatch(session, payload, priority, on_done)
+            self._dispatch(session, payload, on_done)
             return
         # Not ACTIVE: queue on the session.  HANDSHAKING or RESUMED has a
         # handshake in flight already; SUSPENDED starts its resume.
-        session.backlog.append((payload, priority, on_done))
+        session.backlog.append((payload, on_done))
         if session.state == SessionState.SUSPENDED:
             self._begin_resume(session)
 
-    def _dispatch(self, session: AsyncSession, payload: Any, priority: int,
-                  on_done) -> None:
+    def _dispatch(self, session: AsyncSession, payload: Any, on_done) -> None:
         session.in_flight += 1
         request = self.frontend.submit(
             session.routing_id,
             payload,
-            priority=priority,
             device_index=session.device_index,
             on_done=partial(self._absorb, session, on_done),
         )

@@ -127,16 +127,20 @@ def cmd_figure4(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if _bad_evalset_shape(args):
+    if (
+        _bad_evalset_shape(args)
+        or _below("--tx", args.tx, 0, "must be non-negative")
+        or _below("--steps", args.steps, 0, "must be non-negative")
+    ):
         return 2
     evalset = _build_evalset(args)
     service = HarDTAPEService(
         evalset.node, SecurityFeatures.from_level("full"), charge_fees=False
     )
-    if not 0 <= args.tx < len(evalset.transactions):
-        print(f"tx index out of range (0..{len(evalset.transactions) - 1})",
-              file=sys.stderr)
-        return 1
+    if args.tx >= len(evalset.transactions):
+        print(f"invalid --tx {args.tx}: tx index out of range "
+              f"(0..{len(evalset.transactions) - 1})", file=sys.stderr)
+        return 2
     tx = evalset.transactions[args.tx]
     device = service.devices[0]
     results, _, _, struct_traces = device.cores[0].run_bundle(
@@ -221,6 +225,15 @@ def _bad_seed(seed: int) -> bool:
     return True
 
 
+def _below(flag: str, value, floor, rule: str) -> bool:
+    """Reject (and say why; callers then exit 2) a number under its
+    floor — NaN included, since it compares below everything."""
+    if value >= floor:
+        return False
+    print(f"invalid {flag} {value}: {rule}", file=sys.stderr)
+    return True
+
+
 def cmd_serve_bench(args) -> int:
     from repro.hardware.timing import CostModel
     from repro.serving.loadgen import (
@@ -230,7 +243,14 @@ def cmd_serve_bench(args) -> int:
         synthetic_profiles,
     )
 
-    if _bad_seed(args.seed):
+    if (
+        _bad_seed(args.seed)
+        or _below("--requests", args.requests, 1, "must be positive")
+        or _below("--rtt-us", args.rtt_us, 0.0, "must be non-negative")
+        or _below("--overload-rate", args.overload_rate, 0.0,
+                  "must be non-negative (0 disables the overload leg)")
+        or _below("--workers", args.workers, 1, "must be at least 1")
+    ):
         return 2
     cost = CostModel(ethernet_rtt_us=args.rtt_us)
     profiles = synthetic_profiles(
@@ -302,7 +322,9 @@ def cmd_chaos_bench(args) -> int:
         print("invalid fleet/load shape: --devices, --tenants and --requests "
               "must be positive", file=sys.stderr)
         return 2
-    if _bad_evalset_shape(args):
+    if _bad_evalset_shape(args) or _below(
+        "--workers", args.workers, 1, "must be at least 1"
+    ):
         return 2
 
     print(f"chaos sweep: seed={args.seed}, {args.devices} device(s), "

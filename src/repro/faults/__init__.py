@@ -14,9 +14,10 @@ purpose and reproducibly:
   receive, ORAM path reads, HEVM transaction starts, attestation
   reports, sync roots);
 * :mod:`~repro.faults.policy` — *how it recovers*: the retry, circuit
-  breaker, failover-payload and quarantine policies that
-  :class:`~repro.serving.gateway.ServiceExecutor` applies, all typed
-  end to end;
+  breaker and failover-payload policies that
+  :class:`~repro.serving.gateway.ServiceExecutor` applies, and the
+  quarantine policy that heals a lying device's bundles, all typed end
+  to end;
 * :mod:`~repro.faults.harness` — the chaos harness driving serving-layer
   load under escalating fault rates (:func:`run_chaos`).
 

@@ -125,17 +125,6 @@ class FaultPlan:
         self._decisions: dict[str, int] = {kind: 0 for kind in FaultKind.ALL}
         self.log: list[InjectionRecord] = []
 
-    @classmethod
-    def uniform(
-        cls,
-        seed: int,
-        rate: float,
-        kinds: tuple[str, ...] = FaultKind.ALL,
-        **rule_kwargs,
-    ) -> "FaultPlan":
-        """Arm every ``kinds`` entry at the same ``rate``."""
-        return cls(seed, [FaultRule(kind, rate, **rule_kwargs) for kind in kinds])
-
     def rule(self, kind: str) -> FaultRule:
         """The armed rule for ``kind`` (``KeyError`` if none is)."""
         return self._rules[kind]

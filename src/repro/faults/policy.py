@@ -2,8 +2,8 @@
 
 The building blocks, each deterministic in virtual time, that
 :class:`~repro.serving.gateway.ServiceExecutor` applies in its one
-attempt loop (quarantine → breaker → attempt → retryable? else
-supervisor → backoff → failover):
+attempt loop (breaker → attempt → retryable? else supervisor →
+backoff → failover):
 
 * :class:`RetryPolicy` — how many attempts a bundle gets and how long
   (virtual µs, exponential) to back off between them.  Retrying is safe
@@ -213,14 +213,14 @@ class QuarantinePolicy:
 
     A failed receipt audit is not a transient fault — it is evidence.
     The policy's response, in order: **quarantine** the device (set
-    membership, metrics, flight-recorder seal — the gateway and the
-    service executor it was handed to consult the set), **repair** shared trust
+    membership, metrics, flight-recorder seal), **repair** shared trust
     state if the lie was an equivocated sync (full update replay via
     ``service.repair_sync``), and **heal** the victim bundle by
     re-executing it on a healthy device the tenant holds a session on.
-    The serving planes keep running degraded: quarantined devices'
-    slots are skipped and overflow sheds with a typed
-    ``quarantined-capacity`` reason instead of queueing forever.
+    Only ``heal`` steers by the set: the gateway and the service
+    executor never consult it, so whoever holds the policy decides
+    where traffic goes while a device is quarantined (``receipt-bench``
+    heals every caught lie, then releases the device).
 
     Deterministic and metrics-only on the happy path: a policy
     with nothing quarantined touches neither clock nor randomness, so
@@ -236,22 +236,6 @@ class QuarantinePolicy:
         self.releases = 0
         self.heals = 0
         self.resyncs = 0
-
-    # -- predicates -----------------------------------------------------
-
-    def is_quarantined(self, device_index: int) -> bool:
-        return device_index in self.quarantined
-
-    @property
-    def any_quarantined(self) -> bool:
-        return bool(self.quarantined)
-
-    def healthy_indices(self) -> list[int]:
-        return [
-            index
-            for index in range(len(self.service.devices))
-            if index not in self.quarantined
-        ]
 
     # -- state transitions ----------------------------------------------
 

@@ -4,8 +4,8 @@ The paper's SP runs HarDTAPE as a shared service: bundles "queue until
 an HEVM is idle" and throughput scales with HEVM count until the ORAM
 server bottlenecks (§VI-D).  This module turns the one-shot
 :class:`~repro.core.service.HarDTAPEService` into that shared service:
-many sessions submit concurrently, a bounded priority/FIFO queue
-absorbs bursts, and admission control sheds overload with typed reasons.
+many sessions submit concurrently, one bounded FIFO queue absorbs
+bursts, and admission control sheds overload with typed reasons.
 
 Concurrency is modeled in *virtual time*: every in-flight completion is
 an event on a :class:`~repro.serving.reactor.VirtualReactor`
@@ -32,7 +32,7 @@ Layering: serving sits *above* ``core`` and observes ``hardware`` /
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
@@ -40,15 +40,29 @@ from repro.faults.errors import (
     BundleFailedError,
     CircuitOpenError,
     FailedOverError,
-    QuarantinedDeviceError,
 )
 from repro.faults.policy import CircuitBreaker, RecoveryOutcome, RetryPolicy
 from repro.hardware.fleet import OramServerLedger, profile_finish_us
 from repro.hardware.timing import CostModel
-from repro.serving.admission import RejectReason
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.reactor import COMPLETION, VirtualReactor
 from repro.telemetry.tracer import NULL_TRACER, TraceContext, Tracer, tracer_for
+
+
+class RejectReason:
+    """Typed reasons a submission bounces at the front door.
+
+    Every submission is either admitted into the bounded queue or
+    rejected with one of these, which the client can act on: retry
+    elsewhere (queue full, shed) or reduce concurrency (in-flight cap).
+    ``Gateway._admission_reason`` is the one place that picks one.
+    """
+
+    QUEUE_FULL = "queue-full"                   # the gateway's bounded queue
+    SESSION_LIMIT = "session-in-flight-limit"   # per-session outstanding cap
+    SHED_QUEUE_DEPTH = "shed-queue-depth"       # load shedding threshold
+
+    ALL = (QUEUE_FULL, SESSION_LIMIT, SHED_QUEUE_DEPTH)
 
 
 class RequestStatus:
@@ -94,7 +108,6 @@ class GatewayRequest:
     request_id: int
     session_id: bytes
     submitted_at_us: float
-    priority: int = 0              # lower dispatches first; FIFO within a level
     device_index: int | None = None
     payload: Any = None
     status: str = RequestStatus.QUEUED
@@ -164,15 +177,14 @@ class ServiceExecutor:
     touched and a failure propagates as the raw typed error.  Policies
     join one attempt loop in one fixed order:
 
-    1. ``quarantine`` — a quarantined device is refused outright;
-    2. the device's circuit breaker — an open one is refused likewise;
-    3. the attempt;
-    4. on error: retryable under ``retry``?  If not, ``supervisor`` may
+    1. the device's circuit breaker — an open one is refused outright;
+    2. the attempt;
+    3. on error: retryable under ``retry``?  If not, ``supervisor`` may
        repair the world (cold-restart the Hypervisor, re-sync the ORAM)
        and declare it retryable; otherwise the error propagates;
-    5. backoff in virtual time;
-    6. failover to another device the payload holds a session on, with
-       an idle HEVM, that is not quarantined.
+    4. backoff in virtual time;
+    5. failover to another device the payload holds a session on, with
+       an idle HEVM.
 
     Failures consume virtual time (the failed attempts plus backoff), so
     a recovered bundle's service time honestly includes its recovery
@@ -191,15 +203,12 @@ class ServiceExecutor:
         metrics: MetricsRegistry | None = None,
         breaker_reset_us: float = 1_000_000.0,
         supervisor=None,
-        quarantine=None,
     ) -> None:
         self.service = service
         self.retry = retry
         self._metrics = metrics
         # ``repro.recovery.supervisor.HypervisorSupervisor`` or None.
         self._supervisor = supervisor
-        # ``repro.faults.policy.QuarantinePolicy`` or None.
-        self.quarantine = quarantine
         self.breakers = {
             index: CircuitBreaker(
                 f"device{index}", BREAKER_FAILURE_THRESHOLD, breaker_reset_us
@@ -213,8 +222,7 @@ class ServiceExecutor:
     def _run_once(self, request: GatewayRequest, device_index: int):
         payload = request.payload
         # Re-sealable payloads (FailoverBundle) seal late for whichever
-        # device the attempt lands on — failover and the quarantine
-        # re-route in ``Gateway.submit`` both rely on this.
+        # device the attempt lands on — failover relies on this.
         if hasattr(payload, "seal_for"):
             session_id = payload.session_for(device_index)
             sealed = payload.seal_for(device_index)
@@ -230,9 +238,7 @@ class ServiceExecutor:
         """Another device with an idle HEVM the payload can run on."""
         if not hasattr(payload, "seal_for"):
             return None  # single-session payload: nowhere else to go
-        allowed = set(payload.device_indices)
-        if self.quarantine is not None:
-            allowed -= self.quarantine.quarantined
+        allowed = payload.device_indices
         picked = self.service.try_pick_device()
         if picked is not None:
             index = self.service.devices.index(picked)
@@ -261,7 +267,6 @@ class ServiceExecutor:
         started_us = clock.now_us
         max_attempts = 1 if self.retry is None else self.retry.max_attempts
         outcome = request.recovery = RecoveryOutcome()
-        quarantine = self.quarantine
         current = request.device_index
         last_error: Exception | None = None
 
@@ -269,13 +274,9 @@ class ServiceExecutor:
             outcome.attempts += 1
             breaker = self.breakers[current]
             try:
-                if quarantine is not None and quarantine.is_quarantined(current):
-                    raise QuarantinedDeviceError(
-                        current, tuple(quarantine.quarantined)
-                    )
                 breaker.allow(clock.now_us)
                 result = self._run_once(request, current)
-            except (QuarantinedDeviceError, CircuitOpenError) as error:
+            except CircuitOpenError as error:
                 last_error = error  # refused, not a new device failure
             except Exception as error:
                 # Broad on purpose: the retry policy and the supervisor
@@ -406,7 +407,6 @@ class Gateway:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         flight: Any = None,
-        quarantine: Any = None,
         reactor: VirtualReactor | None = None,
     ) -> None:
         self.executor = executor
@@ -417,17 +417,13 @@ class Gateway:
         # seal the failing session's ring into a deterministic dump.
         # Pure bookkeeping — no clock or metric effects when armed.
         self.flight = flight
-        # Optional repro.faults.policy.QuarantinePolicy: quarantined
-        # devices' slots are skipped (degraded serving with shrunken
-        # capacity) and overflow sheds with a typed reason.  ``None``
-        # preserves the historical behaviour bit-for-bit.
-        self.quarantine = quarantine
         # Where completions are scheduled.  A private reactor is the
         # synchronous mode; gateways behind one router share theirs.
         self.reactor = VirtualReactor() if reactor is None else reactor
         self._sequence = 0
-        # (priority, sequence, request): FIFO within a priority level.
-        self._queue: list[tuple[int, int, GatewayRequest]] = []
+        # Oldest first: a request leaves it only for a slot that can
+        # take it, so one bound to a busy device lets later ones pass.
+        self._queue: deque[GatewayRequest] = deque()
         self._free_slots: list[int] = list(range(len(executor.slots)))
         self._in_flight = 0
         self._session_outstanding: dict[bytes, int] = {}
@@ -466,7 +462,6 @@ class Gateway:
         payload: Any,
         *,
         at_us: float | None = None,
-        priority: int = 0,
         device_index: int | None = None,
         on_done: Callable[[GatewayRequest], None] | None = None,
     ) -> GatewayRequest:
@@ -490,7 +485,6 @@ class Gateway:
             request_id=self._sequence,
             session_id=session_id,
             submitted_at_us=now,
-            priority=priority,
             device_index=device_index,
             payload=payload,
             on_done=on_done,
@@ -506,25 +500,14 @@ class Gateway:
                 attributes={
                     "request_id": request.request_id,
                     "session": session_id.hex(),
-                    "priority": request.priority,
+                    # There are no priority lanes; the constant stays
+                    # because the committed trace exports and
+                    # BENCH_recovery.json's trace_hash carry it, and
+                    # dropping it is a re-record of its own.
+                    "priority": 0,
                 },
             )
             request.trace = TraceContext(root=root)
-
-        # Degraded serving: a request bound to a quarantined device is
-        # re-routed onto a healthy device the payload holds a session on
-        # (FailoverBundle payloads re-seal per device); single-session
-        # payloads have nowhere else to go and shed typed below.
-        if (
-            self.quarantine is not None
-            and request.device_index is not None
-            and self.quarantine.is_quarantined(request.device_index)
-            and hasattr(request.payload, "seal_for")
-        ):
-            for index in request.payload.device_indices:
-                if not self.quarantine.is_quarantined(index):
-                    request.device_index = index
-                    break
 
         reason = self._admission_reason(request)
         if reason is not None:
@@ -548,29 +531,15 @@ class Gateway:
                 start_us=now,
                 parent=request.trace.root,
             )
-        heapq.heappush(self._queue, (request.priority, self._sequence, request))
+        self._queue.append(request)
         self._session_outstanding[session_id] = self.session_load(session_id) + 1
         self.metrics.gauge("gateway.queue_depth").set(len(self._queue))
         self._dispatch()
         return request
 
     def _admission_reason(self, request: GatewayRequest) -> str | None:
-        degraded = self.quarantine is not None and self.quarantine.any_quarantined
         if len(self._queue) >= self.config.max_queue_depth:
-            # Under quarantine the queue backs up *because* capacity
-            # shrank — name the real cause so clients distinguish
-            # degraded mode from ordinary overload.
-            if degraded:
-                return RejectReason.QUARANTINED_CAPACITY
             return RejectReason.QUEUE_FULL
-        if (
-            degraded
-            and request.device_index is not None
-            and self.quarantine.is_quarantined(request.device_index)
-        ):
-            # Still pointed at a quarantined device after re-routing:
-            # no healthy device holds a session for this payload.
-            return RejectReason.QUARANTINED_CAPACITY
         cap = self.config.max_in_flight_per_session
         if cap is not None and self.session_load(request.session_id) >= cap:
             return RejectReason.SESSION_LIMIT
@@ -650,12 +619,12 @@ class Gateway:
     def _dispatch(self) -> None:
         """Move queued requests onto free slots, oldest eligible first."""
         now = self.now_us
-        deferred: list[tuple[int, int, GatewayRequest]] = []
+        deferred: list[GatewayRequest] = []
         while self._queue and self._free_slots:
-            priority, sequence, request = heapq.heappop(self._queue)
+            request = self._queue.popleft()
             slot = self._take_slot(request.device_index)
             if slot is None:
-                deferred.append((priority, sequence, request))
+                deferred.append(request)
                 continue
             request.status = RequestStatus.RUNNING
             request.started_at_us = now
@@ -710,19 +679,12 @@ class Gateway:
             self.reactor.call_at(
                 now + service_us, self._complete, slot, request, rank=COMPLETION
             )
-        for entry in deferred:
-            heapq.heappush(self._queue, entry)
+        self._queue.extendleft(reversed(deferred))
         self.metrics.gauge("gateway.queue_depth").set(len(self._queue))
 
     def _take_slot(self, device_index: int | None) -> int | None:
         for position, slot in enumerate(self._free_slots):
             slot_device = self.executor.slots[slot]
-            if (
-                self.quarantine is not None
-                and slot_device is not None
-                and self.quarantine.is_quarantined(slot_device)
-            ):
-                continue  # degraded serving: quarantined slots sit idle
             if (
                 device_index is None
                 or slot_device is None

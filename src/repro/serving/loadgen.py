@@ -41,7 +41,6 @@ class LoadSession:
     session_id: bytes
     make_payload: Callable[[int], Any]   # request ordinal -> payload
     device_index: int | None = None
-    priority: int = 0
 
 
 @dataclass
@@ -163,7 +162,6 @@ def run_open_loop(
         frontend.submit(
             session.session_id,
             session.make_payload(ordinal),
-            priority=session.priority,
             device_index=session.device_index,
             on_done=outcomes.append,
         )
@@ -203,7 +201,6 @@ def run_closed_loop(
             session.session_id,
             session.make_payload(ordinal),
             at_us=max(at_us, gateway.now_us),
-            priority=session.priority,
             device_index=session.device_index,
         )
         if request.status == RequestStatus.REJECTED:

@@ -66,7 +66,6 @@ class ShardSessionRouter:
         payload: Any,
         *,
         at_us: float | None = None,
-        priority: int = 0,
         device_index: int | None = None,
         on_done: Callable[[GatewayRequest], None] | None = None,
     ) -> GatewayRequest:
@@ -76,7 +75,6 @@ class ShardSessionRouter:
             session_id,
             payload,
             at_us=at_us,
-            priority=priority,
             device_index=device_index,
             on_done=on_done,
         )

@@ -16,8 +16,13 @@ from repro.hypervisor.bundle_codec import (
     encode_bundle,
 )
 from repro.hypervisor.hypervisor import SecurityFeatures, UnknownSessionError
-from repro.serving.admission import RejectReason
-from repro.serving.gateway import Gateway, GatewayConfig, RequestStatus, ServiceExecutor
+from repro.serving.gateway import (
+    Gateway,
+    GatewayConfig,
+    RejectReason,
+    RequestStatus,
+    ServiceExecutor,
+)
 from repro.serving.metrics import MetricsRegistry
 
 

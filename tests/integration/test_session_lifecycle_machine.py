@@ -2,12 +2,12 @@
 
 One ``RuleBasedStateMachine`` over the real stack — ``HarDTAPEService``
 and its ``Hypervisor``s, an armed ``RecoveryManager``, a
-``HypervisorSupervisor``, a ``ServiceExecutor`` with retry and
-quarantine policies, and an ``AsyncServingTier(ServiceHandshakeEngine)``
-on a gateway or a shard router — drives every edge of the lifecycle
+``HypervisorSupervisor``, a ``ServiceExecutor`` with a retry policy,
+and an ``AsyncServingTier(ServiceHandshakeEngine)`` on a gateway or a
+shard router — drives every edge of the lifecycle
 ``repro.hypervisor.lifecycle`` declares, interleaved with the events
 that cut across it: hypervisor crash + restart (epoch bump), ring
-changes, device quarantine and release, checkpoints.
+changes, checkpoints.
 
 The model is what a session's *owner* knows: which sessions it opened,
 which device session ids ended by close or suspend, which tickets can
@@ -41,11 +41,10 @@ from repro.async_serving.tier import (
 )
 from repro.bench.stack import build_service
 from repro.core.user import PreExecutionClient
-from repro.faults.policy import FailoverBundle, QuarantinePolicy, RetryPolicy
+from repro.faults.policy import FailoverBundle, RetryPolicy
 from repro.hypervisor.bundle_codec import TransactionBundle, encode_bundle
 from repro.hypervisor.channel import ChannelError
 from repro.hypervisor.lifecycle import SessionState
-from repro.hypervisor.receipts import ReceiptMismatchError
 from repro.hypervisor.resumption import TicketError
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.store import DurableStore
@@ -135,14 +134,13 @@ class SessionLifecycle(RuleBasedStateMachine):
         service, self.store, manager = _recovery_stack()
         self.service = service
         metrics = MetricsRegistry()
-        self.quarantine = QuarantinePolicy(service, metrics)
         self.supervisor = HypervisorSupervisor(
             service, manager, self.store, metrics=metrics
         )
         self.supervisor.rejoin_callbacks.append(self._rejoin)
         self.executor = ServiceExecutor(
             service, RetryPolicy(), metrics=metrics,
-            supervisor=self.supervisor, quarantine=self.quarantine,
+            supervisor=self.supervisor,
         )
         self.reactor = VirtualReactor(start_us=service.clock.now_us)
         self.gateways = []
@@ -165,20 +163,6 @@ class SessionLifecycle(RuleBasedStateMachine):
         self.marks = {}           # rid -> (channel lineage, nonce watermark)
         self.submitted = self.dropped = self.undeliverable = 0
         self.outcomes = []
-        self.reached_quarantined = []
-
-        # The invariant "a quarantined device receives no dispatch",
-        # observed where dispatch lands.  (Raising here would be caught
-        # by the gateway's broad catch and become a FAILED request.)
-        submit_bundle = service.submit_bundle
-
-        def observed(device, session_id, sealed):
-            index = service.devices.index(device)
-            if self.quarantine.is_quarantined(index):
-                self.reached_quarantined.append((index, session_id))
-            return submit_bundle(device, session_id, sealed)
-
-        service.submit_bundle = observed
 
     # -- plumbing -------------------------------------------------------
 
@@ -189,7 +173,6 @@ class SessionLifecycle(RuleBasedStateMachine):
                 # One request per session in flight: at most two per
                 # device, so nothing ever waits in a queue for a slot.
                 GatewayConfig(max_in_flight_per_session=1),
-                quarantine=self.quarantine,
                 reactor=self.reactor,
             )
             for _ in range(shards)
@@ -358,14 +341,6 @@ class SessionLifecycle(RuleBasedStateMachine):
         self.tier.rebind_frontend(self._frontend(self.shards))
 
     @precondition(lambda self: self.tier.sessions)
-    @rule(device=st.integers(0, DEVICES - 1))
-    def quarantine_or_release(self, device):
-        if not self.quarantine.release(device):
-            assert self.quarantine.quarantine(
-                device, ReceiptMismatchError(b"\x00" * 16, "commitment")
-            )
-
-    @precondition(lambda self: self.tier.sessions)
     @rule()
     def checkpoint(self):
         self.manager.checkpoint()
@@ -476,10 +451,8 @@ class SessionLifecycle(RuleBasedStateMachine):
             session.suspend_timer is None for session in self.closed_records
         )
 
-        # The tier's count is its records; a quarantined device saw no
-        # dispatch; whatever failed, failed typed.
+        # The tier's count is its records; whatever failed, failed typed.
         assert tier.live_sessions == len(open_sessions)
-        assert self.reached_quarantined == []
         for request in self.outcomes:
             if request.status == RequestStatus.FAILED:
                 assert not hasattr(builtins, request.failure.cause_type)

@@ -16,11 +16,11 @@ from repro.async_serving.tier import (
 from repro.hardware.timing import CostModel
 from repro.hypervisor import lifecycle
 from repro.hypervisor.lifecycle import InvalidSessionTransition, SessionState
-from repro.serving.admission import RejectReason
 from repro.serving.gateway import (
     FleetModelExecutor,
     Gateway,
     GatewayConfig,
+    RejectReason,
     RequestStatus,
 )
 from repro.serving.loadgen import synthetic_profiles

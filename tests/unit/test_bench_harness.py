@@ -482,25 +482,21 @@ def test_every_name_a_src_module_imports_is_used():
 # ----------------------------------------------------------------------
 
 def test_one_event_loop_and_no_deleted_copy_grows_back():
-    """Plain-text grep, like the CI matrix check above.  Event
-    scheduling on a heap lives in ``serving/reactor.py`` alone, anywhere
-    in ``src/repro`` (the gateway's priority *queue* is not an event
-    loop and keeps its heap; the §VI-D fleet is priced through that
-    gateway, not by a simulator of its own), and the names the
-    one-pipeline refactor deleted appear nowhere: not in ``src``,
+    """Plain-text grep, like the CI matrix check above.  ``heapq`` is
+    used in ``serving/reactor.py`` alone, anywhere in ``src/repro``: the
+    one event loop schedules on it, the gateway's queue is one FIFO
+    deque, and the §VI-D fleet is priced through that gateway, not by a
+    simulator of its own.  The names the one-pipeline refactor deleted
+    appear nowhere: not in ``src``,
     ``tests``, ``benchmarks`` or ``examples``, and not in the top-level
     documents, ``ROADMAP.md`` among them.  Only the two change records
     exempted below are skipped, since they record what was deleted."""
     heap_users = {
-        path.relative_to(REPO / "src" / "repro").as_posix(): [
-            line.strip() for line in path.read_text().splitlines()
-            if "heapq.heap" in line
-        ]
+        path.relative_to(REPO / "src" / "repro").as_posix()
         for path in sorted((REPO / "src" / "repro").rglob("*.py"))
         if "heapq" in path.read_text()
     }
-    assert set(heap_users) == {"serving/reactor.py", "serving/gateway.py"}
-    assert all("self._queue" in line for line in heap_users["serving/gateway.py"])
+    assert heap_users == {"serving/reactor.py"}
 
     deleted = re.compile(
         r"ResilientServiceExecutor|ReattachableBundle|SessionDirectory"
@@ -527,8 +523,12 @@ def test_one_event_loop_and_no_deleted_copy_grows_back():
         # the unserved §IV-C header module, the device-to-device key
         # hand-off and the one-policy admission interface
         r"|MessageHeader|MessageError|validate_and_admit|AeDma"
-        r"|share_oram_key_with|AdmissionPolicy|QueueDepthShedPolicy)\b"
-        r"|hypervisor[./]messages\b"
+        r"|share_oram_key_with|AdmissionPolicy|QueueDepthShedPolicy"
+        # the gateway's degraded mode under quarantine and its module of
+        # reject reasons
+        r"|QUARANTINED_CAPACITY|healthy_indices|any_quarantined)\b"
+        r"|hypervisor[./]messages\b|serving[./]admission\b"
+        r"|FaultPlan\.uniform"
         r"|RequestStatus\.(?:EXPIRED|CANCELLED)"
         r"|\bdeadline_us(?:=|: float \| None)"
     )
@@ -897,14 +897,6 @@ _KEPT_UNSET = {
                                  "device clock's now",
     "hkdf_sha256(length=)": "RFC 5869's output length L; its test vectors "
                             "set it",
-    "Gateway(quarantine=)": "only tests set it: the gateway's degraded "
-                            "capacity under quarantine (ROADMAP 27)",
-    "ServiceExecutor(quarantine=)": "only tests set it: failover off a "
-                                    "quarantined device (ROADMAP 27)",
-    "LoadSession(priority=)": "only tests set a priority: the gateway's "
-                              "priority lanes (ROADMAP 27)",
-    "FaultPlan.uniform": "only tests call it: every kind armed at one rate "
-                         "(ROADMAP 27)",
     "ShardSessionRouter(metrics=)": "the sharded plane stays only as the "
                                     "ledger's probe target (ROADMAP 20)",
     "ShardedOramConfig(vnodes=)": "the sharded plane stays only as the "

@@ -54,7 +54,7 @@ class TestDerivedRegistry:
 
 
 def _injector(rate: float, kinds=BYZANTINE) -> FaultInjector:
-    return FaultInjector(FaultPlan.uniform(seed=1, rate=rate, kinds=kinds))
+    return FaultInjector(FaultPlan(1, [FaultRule(kind, rate) for kind in kinds]))
 
 
 def _results():

@@ -37,8 +37,10 @@ def test_trace_prints_opcodes(capsys):
 def test_trace_rejects_bad_index(capsys):
     assert main([
         "trace", "--blocks", "1", "--txs-per-block", "2", "--tx", "99",
-    ]) == 1
-    assert "out of range" in capsys.readouterr().err
+    ]) == 2
+    assert "invalid --tx 99: tx index out of range (0..1)" in (
+        capsys.readouterr().err
+    )
 
 
 def test_resources_table(capsys):
@@ -89,6 +91,43 @@ def test_bench_rejects_bad_seed(command, capsys):
         err = capsys.readouterr().err
         assert f"invalid --seed {seed}" in err
         assert "non-negative 64-bit integer" in err
+
+
+def _subparsers() -> dict:
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if hasattr(action, "choices") and action.choices
+    )
+    return subparsers.choices
+
+
+# A flag value no run can mean, and the reason its refusal names.
+_NONSENSE = [
+    (["serve-bench", "--requests", "0"], "invalid --requests 0: must be positive"),
+    (["serve-bench", "--rtt-us", "-5"], "invalid --rtt-us -5.0: must be non-negative"),
+    (["serve-bench", "--overload-rate", "-1"],
+     "invalid --overload-rate -1.0: must be non-negative"),
+    (["trace", "--steps", "-1"], "invalid --steps -1: must be non-negative"),
+    (["trace", "--tx", "-1"], "invalid --tx -1: must be non-negative"),
+] + [
+    ([command, "--workers", workers], f"invalid --workers {workers}: must be at least 1")
+    for command, sub in sorted(_subparsers().items())
+    if "--workers" in sub._option_string_actions
+    for workers in ("0", "-3")
+]
+
+
+@pytest.mark.parametrize("argv, reason", _NONSENSE, ids=" ".join)
+def test_a_nonsense_flag_value_is_a_typed_exit(argv, reason, capsys):
+    """Exit 2 with the reason on stderr, as a bad ``--seed`` is: not a
+    run of 0.0 tx/s, a negative RTT priced, a leg silently skipped, a
+    serial run for a worker count under one, or a step count that
+    slices from the end."""
+    assert argv[-2] in _subparsers()[argv[0]]._option_string_actions
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert reason in captured.err
+    assert captured.out == ""
 
 
 def _evalset_commands() -> list[str]:
@@ -220,3 +259,31 @@ def test_bench_stdout_is_byte_identical_to_the_pinned_run(argv, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[argv], out
+
+
+# The two files ``trace-bench --seed 7`` exports (seeded virtual time
+# and sampler draws only).  To regenerate:
+# ``PYTHONPATH=src python -m repro.cli trace-bench --seed 7
+# --trace-out trace.json --metrics-out metrics.prom``, then
+# ``sha256sum trace.json metrics.prom``.
+_TRACE_EXPORT_SHA256 = {
+    # the Chrome trace JSON (--trace-out)
+    "trace.json":
+        "a8d87c13e6ea5905d87475ab4633d8fbe9cf42916841cf841b2253e9003b35a3",
+    # the Prometheus text exposition (--metrics-out)
+    "metrics.prom":
+        "0da032a32c0da49fdc99e19007c7b041f68e091c370f1e9fe66304a7d8a14876",
+}
+
+
+def test_trace_bench_exports_are_byte_identical_to_the_pinned_run(tmp_path, capsys):
+    trace, metrics = tmp_path / "trace.json", tmp_path / "metrics.prom"
+    assert main([
+        "trace-bench", "--seed", "7",
+        "--trace-out", str(trace), "--metrics-out", str(metrics),
+    ]) == 0
+    capsys.readouterr()
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (trace, metrics)
+    } == _TRACE_EXPORT_SHA256

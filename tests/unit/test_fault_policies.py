@@ -7,7 +7,6 @@ from repro.faults.errors import CircuitOpenError, DmaDropError
 from repro.faults.policy import (
     CircuitBreaker,
     FailoverBundle,
-    QuarantinePolicy,
     RecoveryOutcome,
     RetryPolicy,
 )
@@ -163,8 +162,8 @@ class _ScriptedSupervisor:
 
 
 def test_executor_applies_its_policies_in_one_fixed_order():
-    """One request through retry → open breaker → failover → quarantined-
-    target exclusion → supervisor intervention, in that order."""
+    """One request through retry → open breaker → failover → supervisor
+    intervention, in that order."""
     log = []
     service = _ScriptedService(
         [
@@ -175,14 +174,11 @@ def test_executor_applies_its_policies_in_one_fixed_order():
         log,
     )
     metrics = MetricsRegistry()
-    quarantine = QuarantinePolicy(service)
-    quarantine.quarantine(1, RuntimeError("audit verdict"))
     executor = ServiceExecutor(
         service,
         RetryPolicy(max_attempts=6, backoff_us=100.0),
         metrics=metrics,
         supervisor=_ScriptedSupervisor(log),
-        quarantine=quarantine,
     )
     for _ in range(4):  # device 0 is one failure short of tripping
         executor.breakers[0].record_failure(0.0)
@@ -200,21 +196,21 @@ def test_executor_applies_its_policies_in_one_fixed_order():
     assert result == "sealed-report"
     assert log == [
         # 1: retryable, and the failure that opens device 0's breaker;
-        #    failover skips quarantined device 1 for device 2.
+        #    failover moves the bundle to device 1.
         ("attempt", 0),
         # 2: not retryable — only now is the supervisor asked; it repairs,
         #    and the bundle fails over back to device 0...
-        ("attempt", 2),
-        ("supervisor", "HypervisorCrashError", 2),
+        ("attempt", 1),
+        ("supervisor", "HypervisorCrashError", 1),
         # 3: ...whose open breaker refuses without touching the device,
-        # 4: so the retry lands on device 2 again, and succeeds.
-        ("attempt", 2),
+        # 4: so the retry lands on device 1 again, and succeeds.
+        ("attempt", 1),
     ]
     outcome = request.recovery
     assert (outcome.attempts, outcome.retries) == (4, 3)
     assert outcome.recovered_errors == ["DmaDropError", "HypervisorCrashError"]
     assert outcome.backoff_us == 100.0 + 200.0 + 400.0
-    assert (outcome.failover.from_device, outcome.failover.to_device) == (0, 2)
+    assert (outcome.failover.from_device, outcome.failover.to_device) == (0, 1)
     assert isinstance(outcome.failover.cause, CircuitOpenError)
     assert service_us == 3 * 10.0 + outcome.backoff_us
     snapshot = metrics.snapshot()
@@ -222,7 +218,7 @@ def test_executor_applies_its_policies_in_one_fixed_order():
     assert snapshot["recovery.retries"] == 3
     assert snapshot["gateway.failover"] == 3
     assert snapshot["recovery.recovered"] == 1
-    assert executor.breakers[0].is_open and not executor.breakers[2].is_open
+    assert executor.breakers[0].is_open and not executor.breakers[1].is_open
 
 
 def test_what_no_policy_claims_re_raises_as_is_and_the_front_door_keeps_serving():

@@ -32,7 +32,7 @@ def test_plan_validation():
 
 def test_same_seed_reproduces_decisions_different_seed_differs():
     def run(seed):
-        plan = FaultPlan.uniform(seed, 0.3)
+        plan = FaultPlan(seed, [FaultRule(kind, 0.3) for kind in FaultKind.ALL])
         return [plan.decide(FaultKind.DMA_DROP) for i in range(200)]
 
     assert run(7) == run(7)
@@ -75,7 +75,9 @@ def test_max_fires_caps_injections():
 
 
 def test_uniform_constructor_arms_every_kind():
-    plan = FaultPlan.uniform(4, 0.1)
+    """A plan armed on every kind at one rate, built from one rule per
+    kind, hands each kind's rule back."""
+    plan = FaultPlan(4, [FaultRule(kind, 0.1) for kind in FaultKind.ALL])
     for kind in FaultKind.ALL:
         rule = plan.rule(kind)
         assert rule is not None and rule.rate == 0.1

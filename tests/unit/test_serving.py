@@ -5,11 +5,11 @@ import pytest
 from repro.crypto.kdf import Drbg
 from repro.hardware.fleet import OramServerLedger, full_load_profile
 from repro.hardware.timing import CostModel
-from repro.serving.admission import RejectReason
 from repro.serving.gateway import (
     FleetModelExecutor,
     Gateway,
     GatewayConfig,
+    RejectReason,
     RequestStatus,
 )
 from repro.serving.loadgen import (
@@ -128,20 +128,6 @@ def test_dispatch_runs_immediately_when_slots_free():
     assert request.status == RequestStatus.COMPLETED
     assert request.result == ("ran", request.request_id)
     assert request.latency_us == pytest.approx(100.0)
-
-
-def test_fifo_within_priority_and_priority_preempts_fifo():
-    executor = StubExecutor(slot_count=1)
-    gateway = Gateway(executor, GatewayConfig(max_in_flight_per_session=16))
-    running = gateway.submit(b"s", None)            # occupies the slot
-    low_first = gateway.submit(b"s", None, priority=5)
-    low_second = gateway.submit(b"s", None, priority=5)
-    high = gateway.submit(b"s", None, priority=0)   # submitted last
-    order = [request.request_id for request in gateway.drain()]
-    assert order == [
-        running.request_id, high.request_id,
-        low_first.request_id, low_second.request_id,
-    ]
 
 
 def test_queue_bound_rejects_and_session_cap_rejects():
