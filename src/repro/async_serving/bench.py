@@ -51,7 +51,8 @@ from repro.telemetry.tracer import TraceSampler
 
 # The identity scenario's real-pipeline world and offered load.
 IDENTITY_RATE_RPS = 40.0
-# The C10K scenario's model-mode fleet.
+# The C10K scenario: concurrent sessions held, on a model-mode fleet.
+CONCURRENCY_TARGET = 10_000
 SHARDS = 8
 CORES_PER_SHARD = 64
 OPEN_WINDOW_US = 2_000_000.0
@@ -66,8 +67,6 @@ class C10kBenchConfig:
     # -- identity scenario (real pipeline, small) ----------------------
     identity_tenants: int = 3
     identity_requests: int = 9
-    # -- C10K scenario (model mode, sharded fleet) ---------------------
-    concurrency_target: int = 10_000
     # -- determinism + epoch scenarios (small model runs) --------------
     determinism_sessions: int = 256
     epoch_sessions: int = 64
@@ -223,11 +222,11 @@ def run_c10k_bench(config: C10kBenchConfig) -> C10kBenchReport:
     )
 
     # 2. C10K.
-    c10k = _run_model_tier(config, session_count=config.concurrency_target)
+    c10k = _run_model_tier(config, session_count=CONCURRENCY_TARGET)
     tm = c10k.tier_metrics
-    expected_resumes = config.concurrency_target * ROUNDS
+    expected_resumes = CONCURRENCY_TARGET * ROUNDS
     c10k_obj = {
-        "target": config.concurrency_target,
+        "target": CONCURRENCY_TARGET,
         "peak_live": c10k.peak_live,
         "live_at_end": c10k.live_at_end,
         "shards": SHARDS,
@@ -244,10 +243,10 @@ def run_c10k_bench(config: C10kBenchConfig) -> C10kBenchReport:
         "resumed_p99_us": tm.get("tier.handshake_resumed_us.p99", 0.0),
         "digest": c10k.digest,
     }
-    if c10k.peak_live < config.concurrency_target:
+    if c10k.peak_live < CONCURRENCY_TARGET:
         failures.append(
             f"c10k: peaked at {c10k.peak_live} concurrent sessions, "
-            f"target {config.concurrency_target}"
+            f"target {CONCURRENCY_TARGET}"
         )
     if c10k_obj["resumed"] != expected_resumes:
         failures.append(

@@ -27,17 +27,23 @@ refuses as :class:`~repro.hypervisor.resumption.StaleTicketError`
 (restart since mint) falls back to a full handshake — typed, counted,
 never retried as a transient fault.
 
+A session's shard is the router's to decide, every time: the tier
+keeps no copy of it (nor does the ticket), so a ring change reroutes a
+woken session's next request with nothing to re-derive.  The shard the
+tier's spans and flight notes carry is asked of the router when they
+are written.
+
 Tier events (arrivals, handshake completions, idle timers) and the
 frontend's completions are events on one reactor, ordered by its rank
 rule (completions due at T run before an arrival at T), and every
-dispatched request reports back through its ``on_done``; ``run()`` is
-just "run the reactor to idle".  With idle eviction off and pure
-payload factories, a seeded open-loop run *through* the tier is
-byte-identical to the same :func:`repro.serving.loadgen.run_open_loop`
-straight at the gateway — the tier keeps its own metrics registry and
-adds no spans to the frontend's tracer, so the gateway's trace, metrics,
-wire bytes, and the world digest all hash equal (the ``c10k-bench``
-identity gate).
+dispatched request reports back through its ``on_done`` — the tier
+keeps no record of it; ``run()`` is just "run the reactor to idle".
+With idle eviction off and pure payload factories, a seeded open-loop
+run *through* the tier is byte-identical to the same
+:func:`repro.serving.loadgen.run_open_loop` straight at the gateway —
+the tier keeps its own metrics registry and adds no spans to the
+frontend's tracer, so the gateway's trace, metrics, wire bytes, and the
+world digest all hash equal (the ``c10k-bench`` identity gate).
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from repro.crypto.kdf import Drbg, hkdf_sha256
 from repro.hardware.timing import CostModel
 from repro.hypervisor.resumption import StaleTicketError, TicketSealer, TicketState
 from repro.serving.gateway import Gateway, GatewayRequest, RequestStatus
-from repro.serving.loadgen import LoadReport, load_report
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.router import ShardSessionRouter
 from repro.telemetry.tracer import tracer_for
@@ -72,8 +77,6 @@ class AsyncSession:
     state: str = SessionState.HANDSHAKING
     last_activity_us: float = 0.0
     device_index: int | None = None
-    shard_affinity: int = -1
-    ring_digest: str = ""
     # Engine-specific handles: the live client session while the device
     # holds one, the suspended (ticket) state while SUSPENDED.
     live: Any = None
@@ -143,8 +146,6 @@ class ModelHandshakeEngine:
             resumption_secret=self._rng.random_bytes(32),
             send_watermark=0,
             recv_watermark=0,
-            shard_affinity=session.shard_affinity,
-            ring_digest=session.ring_digest,
         )
         session.parked = self._sealer.mint(state, epoch=self.epoch)
         session.live = None
@@ -202,11 +203,7 @@ class ServiceHandshakeEngine:
 
     def suspend(self, session: AsyncSession) -> None:
         tenant = self._tenant(session)
-        session.parked = tenant.client.suspend(
-            session.live,
-            shard_affinity=session.shard_affinity,
-            ring_digest=session.ring_digest,
-        )
+        session.parked = tenant.client.suspend(session.live)
         session.live = None
 
     def resume(self, session: AsyncSession) -> None:
@@ -260,18 +257,12 @@ class AsyncServingTier:
         self.flight = flight
         self.sessions: dict[bytes, AsyncSession] = {}
         self.peak_live = 0
-        self.outcomes: list[GatewayRequest] = []
 
     @property
     def live_sessions(self) -> int:
         """What counts against ``max_sessions``: every record the tier
         holds (a CLOSED one is dropped on the spot)."""
         return len(self.sessions)
-
-    @property
-    def _router(self) -> ShardSessionRouter | None:
-        frontend = self.frontend
-        return frontend if isinstance(frontend, ShardSessionRouter) else None
 
     @property
     def _tracer(self):
@@ -305,17 +296,17 @@ class AsyncServingTier:
             raise SessionCapacityError(self.config.max_sessions)
         now = self.reactor.now_us
         session = AsyncSession(routing_id=routing_id, last_activity_us=now)
-        self._pin_to_ring(session)
         self.sessions[routing_id] = session
         self.peak_live = max(self.peak_live, self.live_sessions)
         self.metrics.gauge("tier.live_sessions").set(self.live_sessions)
+        shard = self._shard_of(session)
         self._tracer.record(
             "tier.admit", "async", 0.0,
             session=routing_id.hex()[:16],
-            shard=session.shard_affinity,
+            shard=shard,
             live=self.live_sessions,
         )
-        self._note(session, "tier.admit", shard=session.shard_affinity)
+        self._note(session, "tier.admit", shard=shard)
         return session
 
     def open_session(self, routing_id: bytes) -> AsyncSession:
@@ -407,7 +398,6 @@ class AsyncServingTier:
         """A dispatched request left the frontend (shed at its door
         included): account it, and re-arm idle eviction if that left
         the session with nothing queued or in flight."""
-        self.outcomes.append(request)
         if request.status == RequestStatus.REJECTED:
             self._note(
                 session, "tier.dispatch_rejected",
@@ -455,8 +445,6 @@ class AsyncServingTier:
         )
 
     def _begin_resume(self, session: AsyncSession) -> None:
-        if self._pin_to_ring(session):
-            self.metrics.counter("tier.affinity_rederived").inc()
         try:
             self.engine.resume(session)
         except StaleTicketError as stale:
@@ -483,7 +471,7 @@ class AsyncServingTier:
         session.transition(SessionState.RESUMED, self.reactor.now_us)
         self._handshake_in_flight(
             session, "resumed", self.engine.resume_us,
-            shard=session.shard_affinity,
+            shard=self._shard_of(session),
         )
 
     def _finish_handshake(self, session: AsyncSession, kind: str,
@@ -537,29 +525,23 @@ class AsyncServingTier:
         session.transition(SessionState.SUSPENDED, self.reactor.now_us)
         session.suspends += 1
         self.metrics.counter("tier.suspended").inc()
+        shard = self._shard_of(session)
         self._tracer.record(
             "tier.suspend", "async", 0.0,
             session=session.routing_id.hex()[:16],
-            shard=session.shard_affinity,
+            shard=shard,
             suspends=session.suspends,
         )
-        self._note(session, "tier.suspend", shard=session.shard_affinity)
+        self._note(session, "tier.suspend", shard=shard)
 
-    # -- shard affinity -------------------------------------------------
+    # -- topology -------------------------------------------------------
 
-    def _pin_to_ring(self, session: AsyncSession) -> bool:
-        """At admission and at every wake-up (resume or stale-ticket
-        fallback): the pin is sticky unless the ring it was derived on
-        changed.  True when it was (re-)derived."""
-        router = self._router
-        if router is None:
-            return False
-        current = router.ring.table_digest()
-        if session.ring_digest == current:
-            return False
-        session.shard_affinity = router.shard_for_session(session.routing_id)
-        session.ring_digest = current
-        return True
+    def _shard_of(self, session: AsyncSession) -> int:
+        """The shard the router places ``session`` on; -1 behind a lone
+        gateway.  Asked afresh each time, never stored."""
+        if isinstance(self.frontend, ShardSessionRouter):
+            return self.frontend.shard_for_session(session.routing_id)
+        return -1
 
     def rebind_frontend(self, frontend: Gateway | ShardSessionRouter) -> None:
         """Swap the frontend (topology change).  Callers drain first:
@@ -577,10 +559,6 @@ class AsyncServingTier:
 
     def load_metrics(self) -> dict[str, float]:
         return self.frontend.load_metrics()
-
-    def load_report(self, start_us: float) -> LoadReport:
-        """Every outcome so far, in the shape ``run_open_loop`` returns."""
-        return load_report(list(self.outcomes), self.load_metrics(), start_us)
 
 
 __all__ = [

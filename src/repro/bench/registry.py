@@ -1,7 +1,7 @@
 """The gated benches, as data.
 
 ``repro.cli`` generates one ``<name>-bench`` subcommand per entry
-(``--seed/--smoke/--json-out`` plus the entry's extra flags) and runs
+(``--seed/--smoke/--json-out``, nothing else) and runs
 them all through one handler; CI's ``bench`` matrix and the committed
 ``BENCH_<name>.json`` files follow the same names.  Bench modules are
 named by dotted path and imported on first use, so building the parser
@@ -15,23 +15,6 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class ExtraArg:
-    """A flag beyond the common three; a value other than ``default``
-    overrides ``config_field``."""
-
-    flag: str
-    config_field: str
-    type: type
-    default: object
-    help: str
-
-    @property
-    def dest(self) -> str:
-        """The attribute argparse stores the flag's value under."""
-        return self.flag.lstrip("-").replace("-", "_")
-
-
-@dataclass(frozen=True)
 class BenchSpec:
     name: str
     module: str
@@ -39,7 +22,6 @@ class BenchSpec:
     run: str
     help: str
     default_seed: int = 1
-    extra_args: tuple[ExtraArg, ...] = ()
 
     @property
     def command(self) -> str:
@@ -77,10 +59,6 @@ BENCHES: tuple[BenchSpec, ...] = (
         "async serving tier: 10k concurrent sessions, resumption "
         "cost + identity gates (repro.async_serving); --smoke keeps the "
         "10k gate and shrinks the side scenarios",
-        extra_args=(
-            ExtraArg("--sessions", "concurrency_target", int, 0,
-                     "override the concurrency target"),
-        ),
     ),
     BenchSpec(
         "obs", "repro.telemetry.obs_bench", "ObsBenchConfig", "run_obs_bench",

@@ -20,7 +20,7 @@ from repro.async_serving.tier import (
 )
 from repro.hardware.timing import CostModel
 from repro.serving.gateway import FleetModelExecutor, Gateway, GatewayConfig
-from repro.serving.loadgen import run_open_loop, synthetic_profiles
+from repro.serving.loadgen import load_report, run_open_loop, synthetic_profiles
 from repro.serving.reactor import VirtualReactor
 from repro.serving.router import ShardSessionRouter
 
@@ -85,13 +85,15 @@ def run_model_tier(
         flight=flight,
     )
     profiles = synthetic_profiles(cost, "mixed", count=16, seed=seed)
+    outcomes = []
 
     def open_and_submit(rid: bytes, ordinal: int) -> None:
         tier.open_session(rid)
-        tier.submit(rid, profiles[ordinal % len(profiles)])
+        burst(rid, ordinal)
 
     def burst(rid: bytes, ordinal: int) -> None:
-        tier.submit(rid, profiles[ordinal % len(profiles)])
+        tier.submit(rid, profiles[ordinal % len(profiles)],
+                    on_done=outcomes.append)
 
     stride = open_window_us / session_count
     for index in range(session_count):
@@ -118,4 +120,4 @@ def run_model_tier(
             reactor.call_at(tick * observe_every_us, observe)
     start_us = reactor.now_us
     tier.run()
-    return tier, tier.load_report(start_us)
+    return tier, load_report(outcomes, tier.load_metrics(), start_us)

@@ -423,10 +423,6 @@ def cmd_registry_bench(args) -> int:
         config = config_class.smoke(seed=args.seed)
     else:
         config = config_class(seed=args.seed)
-    for extra in spec.extra_args:
-        value = getattr(args, extra.dest)
-        if value != extra.default:
-            setattr(config, extra.config_field, value)
     report = run(config)
     for line in report.summary_lines():
         print(line)
@@ -550,9 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         bench.add_argument("--seed", type=int, default=spec.default_seed)
         bench.add_argument("--smoke", action="store_true",
                            help="CI-sized run (same gates, faster)")
-        for extra in spec.extra_args:
-            bench.add_argument(extra.flag, type=extra.type,
-                               default=extra.default, help=extra.help)
         bench.add_argument("--json-out", default="",
                            help=f"write the {spec.artifact} report here")
         bench.set_defaults(func=cmd_registry_bench, bench=spec)

@@ -137,20 +137,12 @@ class PreExecutionClient:
     # Session resumption (repro.async_serving)
     # ------------------------------------------------------------------
 
-    def suspend(
-        self,
-        session: UserSession,
-        *,
-        shard_affinity: int = -1,
-        ring_digest: str = "",
-    ) -> SuspendedSession:
+    def suspend(self, session: UserSession) -> SuspendedSession:
         """Park a session: the hypervisor seals it into a ticket and
         evicts it; the client keeps the ticket and resumption secret."""
         hypervisor = session.device.hypervisor
         ticket, sealed_secret = hypervisor.mint_resumption_ticket(
-            session.session_id,
-            shard_affinity=shard_affinity,
-            ring_digest=ring_digest,
+            session.session_id
         )
         if hypervisor.features.encryption:
             secret = session.channel.open(sealed_secret)

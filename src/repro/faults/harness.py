@@ -97,7 +97,6 @@ class ChaosReport:
     injected_by_kind: dict[str, int]
     recovered: int                 # completed only thanks to retry/failover
     failed_over: int               # completed on a different device
-    attestation_retries: int
     metrics: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -143,18 +142,14 @@ def run_chaos(config: ChaosConfig, evalset) -> ChaosReport:
     if config.armed:
         FaultInjector(plan, metrics).arm_service(service)
 
-    attestation_retries = 0
-
     def connect(client: PreExecutionClient, service, device):
         """Attest one device, retrying past injected attestation failures."""
-        nonlocal attestation_retries
         for attempt in range(_CONNECT_ATTEMPTS):
             try:
                 return client.connect(service, device)
             except AttestationError:
                 if attempt == _CONNECT_ATTEMPTS - 1:
                     raise
-                attestation_retries += 1
         raise AssertionError("unreachable")
 
     # Each tenant attests a session on *every* device so bundles can
@@ -191,7 +186,6 @@ def run_chaos(config: ChaosConfig, evalset) -> ChaosReport:
         injected_by_kind=injected_by_kind,
         recovered=recovered,
         failed_over=failed_over,
-        attestation_retries=attestation_retries,
         metrics=metrics.snapshot(),
     )
 

@@ -232,8 +232,6 @@ class QuarantinePolicy:
         self._metrics = metrics
         self._flight = flight
         self.quarantined: set[int] = set()
-        self.quarantines = 0
-        self.releases = 0
         self.heals = 0
         self.resyncs = 0
 
@@ -253,7 +251,6 @@ class QuarantinePolicy:
             return False
         now_us = self.service.clock.now_us
         self.quarantined.add(device_index)
-        self.quarantines += 1
         cause_name = type(cause).__name__
         if self._metrics is not None:
             self._metrics.counter("quarantine.quarantined").inc()
@@ -278,7 +275,6 @@ class QuarantinePolicy:
         if device_index not in self.quarantined:
             return False
         self.quarantined.discard(device_index)
-        self.releases += 1
         if self._metrics is not None:
             self._metrics.counter(
                 "quarantine.released", device=str(device_index)

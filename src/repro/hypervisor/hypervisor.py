@@ -357,11 +357,7 @@ class Hypervisor:
         return TicketSealer(self._csu.derive_sealing_key(b"resumption-ticket"))
 
     def mint_resumption_ticket(
-        self,
-        session_id: bytes,
-        *,
-        shard_affinity: int = -1,
-        ring_digest: str = "",
+        self, session_id: bytes
     ) -> tuple[bytes, SealedMessage | bytes]:
         """Seal a session into a ticket; returns ``(ticket, sealed_secret)``.
 
@@ -375,14 +371,13 @@ class Hypervisor:
         self._require_alive()
         session = self._session(session_id)
         secret = self._rng.random_bytes(32)
-        # Session/tenant/shard metadata on the span makes suspended
+        # Session/tenant metadata on the span makes suspended
         # sessions distinguishable in the Chrome-trace timeline; the
         # authenticated epoch/seq land after the mint below.
         mint_span = tracer_for(self.clock).record(
             "session.ticket_mint", "session", self.cost.ticket_mint_us,
             session=session_id.hex()[:16],
             tenant=session.user_public.to_bytes().hex()[:16],
-            shard=shard_affinity,
         )
         self.clock.advance_us(self.cost.ticket_mint_us)
         if self.features.encryption:
@@ -399,9 +394,6 @@ class Hypervisor:
             resumption_secret=secret,
             send_watermark=sent,
             recv_watermark=received,
-            shard_affinity=shard_affinity,
-            ring_digest=ring_digest,
-            minted_at_us=self.clock.now_us,
         )
         ticket = self.ticket_sealer.mint(state, epoch=self.generation)
         epoch, seq = ticket_header(ticket)
@@ -429,7 +421,6 @@ class Hypervisor:
             "session.resume", "session", self.cost.ticket_resume_us,
             resumed_from=state.session_id.hex()[:16],
             tenant=state.user_public.hex()[:16],
-            shard=state.shard_affinity,
             epoch=epoch,
             seq=seq,
         )

@@ -9,13 +9,14 @@ layered pVM attestation flow it inspired, is to attest the platform
 once and derive cheap per-session credentials from that root of trust.
 
 Here the hypervisor seals the whole session state — channel key
-material (via a fresh resumption secret), both signing identities, the
-channel nonce watermark, and the session's shard affinity — into an
-opaque **ticket** under a CSU-derived key (PUF-bound, re-derivable on
-every boot of the same chip, never available off-package).  The user
-holds the ticket; the hypervisor holds *nothing* — the session is
-evicted, which is what lets one process keep 10k+ logical sessions
-alive without 10k channel objects.
+material (via a fresh resumption secret), both signing identities and
+the channel nonce watermark — into an opaque **ticket** under a
+CSU-derived key (PUF-bound, re-derivable on every boot of the same
+chip, never available off-package).  The user holds the ticket; the
+hypervisor holds *nothing* — the session is evicted, which is what
+lets one process keep 10k+ logical sessions alive without 10k channel
+objects.  Where the session is served next is not the ticket's to say:
+the shard router places every request afresh.
 
 Anti-rollback binding: the ticket's AAD binds the hypervisor
 ``generation`` (the cold-restart counter the recovery plane already
@@ -102,18 +103,11 @@ class TicketState:
     resumption_secret: bytes    # 32-byte PSK the resumed channel re-keys from
     send_watermark: int         # hypervisor-side channel counters at suspend
     recv_watermark: int
-    shard_affinity: int = -1    # serving-tier shard pin (-1: unsharded)
-    ring_digest: str = ""       # session-ring identity the affinity was derived on
-    minted_at_us: float = 0.0
 
     def encode(self) -> bytes:
-        ring = self.ring_digest.encode()
-        parts = [
-            struct.pack(">qqqd", self.send_watermark, self.recv_watermark,
-                        self.shard_affinity, self.minted_at_us),
-        ]
+        parts = [struct.pack(">qq", self.send_watermark, self.recv_watermark)]
         for blob in (self.session_id, self.user_public,
-                     self.hv_signing_secret, self.resumption_secret, ring):
+                     self.hv_signing_secret, self.resumption_secret):
             parts.append(struct.pack(">H", len(blob)))
             parts.append(blob)
         return b"".join(parts)
@@ -123,16 +117,15 @@ class TicketState:
         """Inverse of :meth:`encode`; anything else is a
         :class:`TicketIntegrityError`, never a ``struct.error``."""
         try:
-            send, recv, affinity, minted = struct.unpack_from(">qqqd", data, 0)
-            offset = struct.calcsize(">qqqd")
+            send, recv = struct.unpack_from(">qq", data, 0)
+            offset = struct.calcsize(">qq")
             blobs = []
-            for _ in range(5):
+            for _ in range(4):
                 (length,) = struct.unpack_from(">H", data, offset)
                 offset += 2
                 blobs.append(data[offset:offset + length])
                 offset += length
-            ring_digest = blobs[4].decode()
-        except (struct.error, UnicodeDecodeError) as error:
+        except struct.error as error:
             raise TicketIntegrityError(
                 f"malformed ticket state: {error}"
             ) from error
@@ -147,9 +140,6 @@ class TicketState:
             resumption_secret=blobs[3],
             send_watermark=send,
             recv_watermark=recv,
-            shard_affinity=affinity,
-            ring_digest=ring_digest,
-            minted_at_us=minted,
         )
 
 

@@ -49,7 +49,6 @@ class ServerStats:
 
     reads: int = 0
     writes: int = 0
-    bytes_moved: int = 0
     busy_time_us: float = 0.0
 
 
@@ -112,12 +111,7 @@ class OramServer:
         self._notify(leaf, nodes, sim_time_us)
         self.stats.reads += 1
         self.stats.busy_time_us += self.query_cpu_us
-        out = {}
-        for node in nodes:
-            bucket = self._buckets[node]
-            self.stats.bytes_moved += sum(len(blob) for blob in bucket)
-            out[node] = list(bucket)
-        return out
+        return {node: list(self._buckets[node]) for node in nodes}
 
     def write_path(
         self, leaf: int, buckets: dict[int, list[bytes]], sim_time_us: float = 0.0
@@ -137,7 +131,6 @@ class OramServer:
                     f"bucket must have exactly {self.bucket_size} slots, "
                     f"got {len(bucket)}"
                 )
-            self.stats.bytes_moved += sum(len(blob) for blob in bucket)
             self._buckets[node] = list(bucket)
 
     def capacity_blocks(self) -> int:

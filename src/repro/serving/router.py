@@ -1,13 +1,17 @@
 """Shard-aware session routing: spread tenants across the gateway fleet.
 
 One :class:`~repro.serving.gateway.Gateway` fronts each shard's
-serving stack; the router pins every session to a shard with the same
-consistent-hash construction the state plane uses (its own hash
+serving stack; the router places every session on a shard with the
+same consistent-hash construction the state plane uses (its own hash
 domain, so tenant placement and page placement stay independent).
 Stickiness matters twice over: a tenant's session keys live on one
 device fleet, and its working set warms one shard's ORAM stash — so
 the router never migrates a session except on explicit topology change
 (a new ring), exactly like page keys.
+
+:meth:`ShardSessionRouter.submit` decides the shard on every request
+and nothing stores the answer — not the async tier, not a resumption
+ticket — so no copy of it can outlive a ring change.
 
 The router is deliberately thin: it owns no queue and no event loop of
 its own — each gateway keeps its bounded queue and admission bounds,
@@ -21,7 +25,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.serving.gateway import Gateway, GatewayRequest
-from repro.serving.metrics import MetricsRegistry
 from repro.sharding.ring import ConsistentHashRing
 
 SESSION_RING_SEED = b"hardtape-session-ring"
@@ -31,12 +34,7 @@ SESSION_RING_VNODES = 64
 class ShardSessionRouter:
     """Maps session ids to shards; submits to the owning gateway."""
 
-    def __init__(
-        self,
-        gateways: dict[int, Gateway],
-        *,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, gateways: dict[int, Gateway]) -> None:
         if not gateways:
             raise ValueError("a router needs at least one gateway")
         self._gateways = dict(sorted(gateways.items()))
@@ -51,7 +49,6 @@ class ShardSessionRouter:
             vnodes=SESSION_RING_VNODES,
             seed=SESSION_RING_SEED,
         )
-        self.metrics = metrics
 
     # -- placement -----------------------------------------------------
 
@@ -70,23 +67,17 @@ class ShardSessionRouter:
         on_done: Callable[[GatewayRequest], None] | None = None,
     ) -> GatewayRequest:
         """``Gateway.submit`` on the session's shard."""
-        shard_id = self.shard_for_session(session_id)
-        request = self._gateways[shard_id].submit(
+        return self._gateways[self.shard_for_session(session_id)].submit(
             session_id,
             payload,
             at_us=at_us,
             device_index=device_index,
             on_done=on_done,
         )
-        if self.metrics is not None:
-            self.metrics.counter("router.submitted", shard=shard_id).inc()
-        return request
 
     def load_metrics(self) -> dict[str, float]:
-        """The snapshot a load report carries: the router's own registry
-        when it has one, else every gateway's under a ``shard<N>.`` prefix."""
-        if self.metrics is not None:
-            return self.metrics.snapshot()
+        """The snapshot a load report carries: every gateway's under a
+        ``shard<N>.`` prefix."""
         return {
             f"shard{shard_id}.{key}": value
             for shard_id, gateway in self._gateways.items()

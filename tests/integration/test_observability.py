@@ -135,7 +135,7 @@ def test_tier_spans_never_touch_a_frontend_tracer(service):
 
 
 # ---------------------------------------------------------------------
-# S2: ticket mint/resume spans carry session/tenant/shard/epoch/seq
+# S2: ticket mint/resume spans carry session/tenant/epoch/seq
 # ---------------------------------------------------------------------
 
 def test_mint_and_resume_spans_carry_identity_metadata(service):
@@ -155,7 +155,8 @@ def test_mint_and_resume_spans_carry_identity_metadata(service):
         mint, resume = mints[0].attributes, resumes[0].attributes
         assert mint["session"] == session.session_id.hex()[:16]
         assert len(mint["tenant"]) == 16
-        assert mint["shard"] == -1          # unsharded suspend
+        # Placement is the router's: the device's spans carry no shard.
+        assert "shard" not in mint and "shard" not in resume
         assert (mint["epoch"], mint["seq"]) == (0, 0)
         # The resume names the same ticket and the same tenant, so a
         # resumed session is attributable in the timeline (S2).

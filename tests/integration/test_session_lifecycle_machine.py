@@ -163,6 +163,8 @@ class SessionLifecycle(RuleBasedStateMachine):
         self.marks = {}           # rid -> (channel lineage, nonce watermark)
         self.submitted = self.dropped = self.undeliverable = 0
         self.outcomes = []
+        # rid -> the gateway a woken session's next request must land on
+        self.woken = {}
 
     # -- plumbing -------------------------------------------------------
 
@@ -177,7 +179,12 @@ class SessionLifecycle(RuleBasedStateMachine):
             )
             for _ in range(shards)
         ]
+        for gateway in fresh:
+            gateway.submit = functools.partial(
+                self._landed, gateway, gateway.submit
+            )
         self.gateways.extend(fresh)
+        self.shard_gateways = fresh
         if shards == 1:
             return fresh[0]
         return ShardSessionRouter(dict(enumerate(fresh)))
@@ -206,6 +213,13 @@ class SessionLifecycle(RuleBasedStateMachine):
                 session.live = tenant.client.connect(self.service, device)
                 tenant.sessions[device_index] = session.live
                 self.lineage[rid] += 1
+
+    def _landed(self, gateway, submit, rid, *args, **kwargs):
+        """Every dispatch reaches a gateway through here: the first one
+        after a wake-up is checked against the router's placement."""
+        expected = self.woken.pop(rid, gateway)
+        assert gateway is expected
+        return submit(rid, *args, **kwargs)
 
     def _deliver(self, rid, request):
         self.outcomes.append(request)
@@ -268,9 +282,10 @@ class SessionLifecycle(RuleBasedStateMachine):
             assert session.state == SessionState.RESUMED
         self.dead_tickets.append((self.tenants[rid].device_index, ticket))
         if self.shards > 1:
+            # The request waits on the session's handshake; once it
+            # finishes, the request lands where the router places rid.
             router = self.tier.frontend
-            assert session.ring_digest == router.ring.table_digest()
-            assert session.shard_affinity == router.shard_for_session(rid)
+            self.woken[rid] = self.shard_gateways[router.shard_for_session(rid)]
         self._advance(then)
 
     def _close(self, candidates, pick):
@@ -280,6 +295,7 @@ class SessionLifecycle(RuleBasedStateMachine):
             self.ended.add(session.live.session_id)
         self.dropped += len(session.backlog)
         self.closed_records.append(session)
+        self.woken.pop(rid, None)  # its queued requests go with it
         self.tier.close_session(rid)
         self.tier.close_session(rid)  # idempotent
         self.marks.pop(rid, None)
@@ -363,6 +379,7 @@ class SessionLifecycle(RuleBasedStateMachine):
         for gateway in self.gateways:
             assert gateway.in_flight == 0 and gateway.queue_depth == 0
         assert len(self.outcomes) == self.submitted - self.dropped
+        assert not self.woken  # every woken session's request landed
         assert self.tier.live_sessions == len(self.tier.sessions)
         for session in self.tier.sessions.values():
             assert session.state == SessionState.SUSPENDED

@@ -333,17 +333,16 @@ def test_bundle_decoder_refuses_each_malformed_bundle(data, message):
     with pytest.raises(rlp.DecodingError, match=message):
         decode_bundle(data)
 
-# ``TicketState`` is fixed fields then five length-prefixed blobs, the
-# ring digest (UTF-8) last.  Each edit below is one way a blob under the
-# ticket seal can disagree with that layout.
+# ``TicketState`` is two 8-byte counters then four length-prefixed
+# blobs, the resumption secret last.  Each edit below is one way a blob
+# under the ticket seal can disagree with that layout.
 TICKET = TicketState(
     session_id=b"\x01" * 16, user_public=b"\x02" * 33,
     hv_signing_secret=b"\x03" * 32, resumption_secret=b"\x04" * 32,
-    send_watermark=5, recv_watermark=6, shard_affinity=-1,
-    ring_digest="ring", minted_at_us=1.5,
+    send_watermark=5, recv_watermark=6,
 ).encode()
-FIXED = 32      # four 8-byte fields ahead of the first length
-RING_LENGTH = len(TICKET) - len("ring") - 2
+FIXED = 16      # two 8-byte counters ahead of the first length
+SECRET_LENGTH = len(TICKET) - 32 - 2
 
 
 def _ticket_length(at: int, value: int):
@@ -357,11 +356,9 @@ TICKET_REFUSALS = {
     "a-length-field-truncated": lambda data: data[:FIXED + 1],
     "last-blob-truncated": lambda data: data[:-1],
     "a-trailing-byte": lambda data: data + b"\x00",
-    "a-length-past-the-end": _ticket_length(RING_LENGTH, len("ring") + 1),
+    "a-length-past-the-end": _ticket_length(SECRET_LENGTH, 32 + 1),
     "a-length-short-by-one": _ticket_length(FIXED, 15),
     "a-length-of-zero": _ticket_length(FIXED, 0),
-    "ring-digest-not-utf8": lambda data: data[:RING_LENGTH] + b"\x00\x04\xff\xfeng",
-    "ring-digest-a-cut-utf8-sequence": lambda data: data[:RING_LENGTH] + b"\x00\x01\xc3",
 }
 
 

@@ -41,9 +41,6 @@ ticket_states = st.builds(
     resumption_secret=st.binary(max_size=32),
     send_watermark=st.integers(min_value=0, max_value=2**40),
     recv_watermark=st.integers(min_value=0, max_value=2**40),
-    shard_affinity=st.integers(min_value=-1, max_value=64),
-    ring_digest=st.text(max_size=12),
-    minted_at_us=st.floats(min_value=0.0, max_value=1e12),
 )
 
 points = st.integers(1, ecc.N - 1).map(

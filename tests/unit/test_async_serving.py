@@ -1,5 +1,6 @@
 """The async serving plane: reactor, session state machine, tier."""
 
+import functools
 import re
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from repro.serving.gateway import (
 from repro.serving.loadgen import synthetic_profiles
 from repro.serving.reactor import COMPLETION, VirtualReactor
 from repro.serving.router import ShardSessionRouter
+from repro.telemetry.flight import FlightRecorder
 
 pytestmark = pytest.mark.serving
 
@@ -253,15 +255,15 @@ def test_tier_submit_to_unknown_session_is_typed():
 def test_tier_backlogs_during_handshake_then_flushes():
     tier, profiles = _tier(suspend_after_us=None)
     session = tier.open_session(b"a")
-    tier.submit(b"a", profiles[0])
-    tier.submit(b"a", profiles[1])
+    done = []
+    tier.submit(b"a", profiles[0], on_done=done.append)
+    tier.submit(b"a", profiles[1], on_done=done.append)
     assert session.state == SessionState.HANDSHAKING
     assert len(session.backlog) == 2
     tier.run()
     assert session.state == SessionState.ACTIVE
     assert not session.backlog
-    report = tier.load_report(0.0)
-    assert report.completed == 2 and report.failed == 0
+    assert [request.status for request in done] == [RequestStatus.COMPLETED] * 2
     snap = tier.metrics.snapshot()
     assert snap["tier.full_handshakes"] == 1
     assert snap["tier.handshake_full_us.p50"] == FULL_US
@@ -270,12 +272,14 @@ def test_tier_backlogs_during_handshake_then_flushes():
 def test_tier_suspends_idle_sessions_and_resumes_on_traffic():
     tier, profiles = _tier(suspend_after_us=1000.0)
     session = tier.open_session(b"a")
-    tier.submit(b"a", profiles[0])
+    done = []
+    tier.submit(b"a", profiles[0], on_done=done.append)
     tier.run()
     assert session.state == SessionState.SUSPENDED
     assert session.parked is not None  # a real sealed ticket
 
-    tier.submit(b"a", profiles[1])    # wakes it: one-round-trip resume
+    # Traffic wakes it: a one-round-trip resume.
+    tier.submit(b"a", profiles[1], on_done=done.append)
     assert session.state == SessionState.RESUMED
     tier.run()
     snap = tier.metrics.snapshot()
@@ -283,19 +287,20 @@ def test_tier_suspends_idle_sessions_and_resumes_on_traffic():
     assert snap["tier.suspended"] >= 1
     assert snap["tier.handshake_resumed_us.p50"] == COST.ticket_resume_us
     assert COST.ticket_resume_us <= 0.05 * FULL_US
-    assert tier.load_report(0.0).completed == 2
+    assert [request.status for request in done] == [RequestStatus.COMPLETED] * 2
 
 
 def test_tier_epoch_bump_falls_back_typed_not_retried():
     tier, profiles = _tier(suspend_after_us=1000.0)
     engine = tier.engine
     session = tier.open_session(b"a")
-    tier.submit(b"a", profiles[0])
+    done = []
+    tier.submit(b"a", profiles[0], on_done=done.append)
     tier.run()
     assert session.state == SessionState.SUSPENDED
 
     engine.advance_epoch()            # model hypervisor restart
-    tier.submit(b"a", profiles[1])
+    tier.submit(b"a", profiles[1], on_done=done.append)
     # Stale ticket: back to HANDSHAKING, full handshake in flight.
     assert session.state == SessionState.HANDSHAKING
     assert session.parked is None     # the dead ticket is dropped
@@ -305,7 +310,7 @@ def test_tier_epoch_bump_falls_back_typed_not_retried():
     # Never satisfied by the dead ticket: no resume was ever recorded.
     assert snap.get("tier.resumed", 0) == 0
     assert snap["tier.full_handshakes"] == 2
-    assert tier.load_report(0.0).completed == 2
+    assert [request.status for request in done] == [RequestStatus.COMPLETED] * 2
 
 
 def test_tier_close_releases_capacity():
@@ -342,13 +347,19 @@ def test_a_request_in_flight_at_close_reports_to_the_record_it_left():
 def test_tier_seeded_run_is_deterministic():
     def run_once():
         tier, profiles = _tier(suspend_after_us=500.0)
+        done = []
         for i in range(8):
             rid = b"s%02d" % i
             tier.reactor.call_at(i * 10.0, tier.open_session, rid)
-            tier.reactor.call_at(i * 10.0 + 2000.0, tier.submit, rid,
-                                 profiles[i % len(profiles)])
+            tier.reactor.call_at(
+                i * 10.0 + 2000.0,
+                functools.partial(tier.submit, on_done=done.append),
+                rid, profiles[i % len(profiles)],
+            )
         tier.run()
-        return tier.metrics.snapshot(), tier.load_report(0.0).completed
+        return tier.metrics.snapshot(), [
+            (request.session_id, request.finished_at_us) for request in done
+        ]
 
     assert run_once() == run_once()
 
@@ -362,8 +373,10 @@ def test_tier_rearms_idle_eviction_after_a_shed_dispatch():
         config=AsyncServingConfig(suspend_after_us=1000.0),
     )
     session = tier.adopt_session(b"a")
-    tier.submit(b"a", synthetic_profiles(COST, "mixed", count=1, seed=7)[0])
-    (shed,) = tier.outcomes
+    done = []
+    tier.submit(b"a", synthetic_profiles(COST, "mixed", count=1, seed=7)[0],
+                on_done=done.append)
+    (shed,) = done
     assert shed.status == RequestStatus.REJECTED
     assert shed.reject_reason == RejectReason.QUEUE_FULL
     assert session.in_flight == 0 and session.suspend_timer is not None
@@ -372,15 +385,41 @@ def test_tier_rearms_idle_eviction_after_a_shed_dispatch():
 
 
 def test_tier_derives_shard_affinity_from_router():
+    """The shard the tier's flight notes carry is the frontend's answer
+    when each note is written: the ring's shard behind a router, the new
+    ring's after a ring change, and -1 once behind a lone gateway."""
     reactor = VirtualReactor()
-    gateways = {
-        shard: Gateway(
-            FleetModelExecutor(2, COST), GatewayConfig(), reactor=reactor
-        )
-        for shard in range(4)
-    }
-    router = ShardSessionRouter(gateways)
-    tier = AsyncServingTier(router, ModelHandshakeEngine(COST, seed=7))
-    session = tier.open_session(b"pinned")
-    assert session.shard_affinity == router.shard_for_session(b"pinned")
-    assert session.ring_digest == router.ring.table_digest()
+
+    def gateway():
+        return Gateway(FleetModelExecutor(2, COST), GatewayConfig(),
+                       reactor=reactor)
+
+    small = ShardSessionRouter({shard: gateway() for shard in range(2)})
+    big = ShardSessionRouter({shard: gateway() for shard in range(8)})
+    rid = next(
+        rid for rid in (b"user-%02d" % i for i in range(64))
+        if small.shard_for_session(rid) != big.shard_for_session(rid)
+    )
+    flight = FlightRecorder()
+    tier = AsyncServingTier(
+        small, ModelHandshakeEngine(COST, seed=7),
+        config=AsyncServingConfig(suspend_after_us=1000.0), flight=flight,
+    )
+    (profile,) = synthetic_profiles(COST, "mixed", count=1, seed=7)
+    tier.open_session(rid)
+    for frontend in (small, big, gateway()):
+        if frontend is not small:
+            tier.rebind_frontend(frontend)
+        tier.submit(rid, profile)
+        tier.run()
+
+    on_small, on_big = small.shard_for_session(rid), big.shard_for_session(rid)
+    assert [
+        (entry.name, dict(entry.data)["shard"])
+        for entry in flight.ring_of(rid)
+        if "shard" in dict(entry.data)
+    ] == [
+        ("tier.admit", on_small), ("tier.suspend", on_small),
+        ("tier.handshake_begin", on_big), ("tier.suspend", on_big),
+        ("tier.handshake_begin", -1), ("tier.suspend", -1),
+    ]

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.async_serving import bench as c10k_bench
 from repro.cli import build_parser, main
 
 
@@ -109,6 +110,8 @@ _NONSENSE = [
      "invalid --overload-rate -1.0: must be non-negative"),
     (["trace", "--steps", "-1"], "invalid --steps -1: must be non-negative"),
     (["trace", "--tx", "-1"], "invalid --tx -1: must be non-negative"),
+    # No flag sizes the C10K run: the target is the bench's constant.
+    (["c10k-bench", "--sessions", "-5"], "unrecognized arguments: --sessions -5"),
 ] + [
     ([command, "--workers", workers], f"invalid --workers {workers}: must be at least 1")
     for command, sub in sorted(_subparsers().items())
@@ -122,9 +125,14 @@ def test_a_nonsense_flag_value_is_a_typed_exit(argv, reason, capsys):
     """Exit 2 with the reason on stderr, as a bad ``--seed`` is: not a
     run of 0.0 tx/s, a negative RTT priced, a leg silently skipped, a
     serial run for a worker count under one, or a step count that
-    slices from the end."""
-    assert argv[-2] in _subparsers()[argv[0]]._option_string_actions
-    assert main(argv) == 2
+    slices from the end — nor a flag no run reads."""
+    known = argv[-2] in _subparsers()[argv[0]]._option_string_actions
+    assert known != reason.startswith("unrecognized arguments")
+    try:
+        code = main(argv)
+    except SystemExit as refused:  # argparse's own refusal
+        code = refused.code
+    assert code == 2
     captured = capsys.readouterr()
     assert reason in captured.err
     assert captured.out == ""
@@ -180,13 +188,13 @@ def test_recovery_bench_smoke(capsys, tmp_path):
 
 
 @pytest.mark.serving
-def test_c10k_bench_smoke_scaled_down(capsys, tmp_path):
-    # --sessions scales the concurrency scenario so the unit suite stays
-    # fast; the full 10k gate runs in bench_c10k / the CI c10k job.
+def test_c10k_bench_smoke_scaled_down(capsys, tmp_path, monkeypatch):
+    # A smaller concurrency target keeps the unit suite fast; the full
+    # 10k gate runs in bench_c10k / the CI c10k job.
+    monkeypatch.setattr(c10k_bench, "CONCURRENCY_TARGET", 64)
     out_path = tmp_path / "BENCH_c10k.json"
     assert main([
-        "c10k-bench", "--smoke", "--sessions", "64",
-        "--json-out", str(out_path),
+        "c10k-bench", "--smoke", "--json-out", str(out_path),
     ]) == 0
     out = capsys.readouterr().out
     assert "all gates passed" in out

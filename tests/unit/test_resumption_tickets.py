@@ -30,9 +30,6 @@ def _state(**overrides) -> TicketState:
         resumption_secret=b"\x04" * 32,
         send_watermark=7,
         recv_watermark=5,
-        shard_affinity=3,
-        ring_digest="ring-v1",
-        minted_at_us=1234.5,
     )
     fields.update(overrides)
     return TicketState(**fields)
@@ -48,7 +45,9 @@ def test_state_codec_roundtrip():
 
 
 def test_state_codec_defaults_roundtrip():
-    state = _state(shard_affinity=-1, ring_digest="", minted_at_us=0.0)
+    """The model engine's shape: empty key blobs, counters at zero."""
+    state = _state(user_public=b"", hv_signing_secret=b"",
+                   send_watermark=0, recv_watermark=0)
     assert TicketState.decode(state.encode()) == state
 
 
@@ -124,14 +123,13 @@ def test_forged_epoch_header_fails_aad_binding():
     [
         b"\x00" * 8,                                  # shorter than the fixed part
         _state().encode()[:-3],                       # last blob cut short
-        _state().encode()[:32] + b"\xff\xff",          # a length past the end
-        _state(ring_digest="").encode()[:-2] + b"\x00\x01\xff",  # not UTF-8
+        _state().encode()[:16] + b"\xff\xff",          # a length past the end
     ],
-    ids=["short", "truncated", "length-lie", "non-utf8-ring"],
+    ids=["short", "truncated", "length-lie"],
 )
 def test_sealed_but_malformed_state_is_an_integrity_error(body):
     """Authentic seal, hostile body: still `TicketIntegrityError`, not a
-    `struct.error` / `UnicodeDecodeError` out of the decoder."""
+    `struct.error` out of the decoder."""
     sealer = TicketSealer(KEY)
     header = sealer.mint(_state(), epoch=0)[:20]   # epoch 0, seq 0
     forged = header + sealer._sealer.seal(0, body, aad=sealer._aad(0, 0))

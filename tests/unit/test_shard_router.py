@@ -3,7 +3,6 @@
 import pytest
 
 from repro.serving.gateway import Gateway, GatewayConfig, RequestStatus
-from repro.serving.metrics import MetricsRegistry
 from repro.serving.reactor import VirtualReactor
 from repro.serving.router import ShardSessionRouter
 
@@ -23,7 +22,7 @@ class StubExecutor:
         return self.service_us, ("ran", request.request_id)
 
 
-def _router(shard_count=4, metrics=None):
+def _router(shard_count=4):
     reactor = VirtualReactor()
     gateways = {
         sid: Gateway(
@@ -31,7 +30,7 @@ def _router(shard_count=4, metrics=None):
         )
         for sid in range(shard_count)
     }
-    return ShardSessionRouter(gateways, metrics=metrics), gateways
+    return ShardSessionRouter(gateways), gateways
 
 
 def _sessions(n):
@@ -62,8 +61,7 @@ def test_session_and_page_rings_are_independent_domains():
 
 
 def test_submit_routes_to_owning_gateway_and_counts():
-    registry = MetricsRegistry()
-    router, gateways = _router(metrics=registry)
+    router, gateways = _router()
     done = []
     requests = [
         router.submit(s, payload=i, on_done=done.append)
@@ -79,10 +77,9 @@ def test_submit_routes_to_owning_gateway_and_counts():
     for session in _sessions(12):
         counts[router.shard_for_session(session)] += 1
     assert executed == counts  # each request ran on its session's shard
-    snapshot = registry.snapshot()
+    snapshot = router.load_metrics()
     for sid, count in counts.items():
-        if count:
-            assert snapshot[f"router.submitted{{shard={sid}}}"] == count
+        assert snapshot.get(f"shard{sid}.gateway.submitted", 0) == count
 
 
 def test_submit_has_the_gateway_signature():
