@@ -19,7 +19,7 @@ KEYS = 300
 
 
 def _run_trace() -> PathOramClient:
-    server = OramServer(height=10)
+    server = OramServer(height=10, block_size=64)
     client = PathOramClient(
         server, key=b"stash-bench" + b"\x00" * 21, block_size=64,
         rng=Drbg(b"stash"),

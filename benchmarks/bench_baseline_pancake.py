@@ -71,7 +71,7 @@ def test_pancake_vs_oram(benchmark):
         false_positives = hot_shifted - victim_replicas
 
         # Regime 3: identical shift against Path ORAM.
-        server = OramServer(height=8)
+        server = OramServer(height=8, block_size=64)
         observer = AccessPatternObserver().attach(server)
         client = PathOramClient(server, key=b"o" * 32, block_size=64,
                                 rng=Drbg(b"oram"))

@@ -80,7 +80,7 @@ def traces():
     ]
 
     # (b) Path ORAM store, same workload.
-    server = OramServer(height=9)
+    server = OramServer(height=9, block_size=64)
     observer = AccessPatternObserver().attach(server)
     client = PathOramClient(server, key=b"o" * 32, block_size=64,
                             rng=rng.fork(b"oram"))

@@ -71,14 +71,12 @@ class FaultyOramServer:
         if plan.decide(FaultKind.ORAM_TAG_CORRUPT):
             for node in sorted(buckets):
                 if buckets[node]:
-                    blobs = list(buckets[node])
-                    blobs[0] = _flip_low_bit(blobs[0])
-                    buckets[node] = blobs
+                    buckets[node] = _flip_low_bit(buckets[node])
                     self._injector._fired(
                         FaultKind.ORAM_TAG_CORRUPT,
                         "oram.server.read_path",
                         sim_time_us,
-                        f"corrupted one slot of node {node}",
+                        f"corrupted the bucket of node {node}",
                     )
                     break
         return buckets

@@ -3,15 +3,16 @@
 The client lives inside the trusted Hypervisor (paper §IV-D): it keeps
 the stash and the position map on-chip and turns each logical page
 access into one uniformly random root-to-leaf path read plus an
-identically shaped path write.  Block ciphertexts are re-encrypted with
-fresh nonces on every write-back, so the SP cannot correlate contents
-across accesses.
+identically shaped path write.  Every bucket on the path is re-encrypted
+with a fresh nonce on every write-back, so the SP cannot correlate
+contents across accesses.
 
-Block wire format (all slots the same size)::
+Bucket wire format (every bucket the same size)::
 
-    nonce (12) || AES-GCM( slot body ) || tag (16)
+    nonce (12) || AES-GCM( slot body x Z ) || tag (16)
 
-with the slot body laid out by :mod:`repro.oram.slot`.  The cipher is
+one AES-GCM message per bucket, the Z slot bodies laid out by
+:mod:`repro.oram.slot` and joined in order.  The cipher is
 the paper's, AES-GCM through OpenSSL
 (:class:`~repro.crypto.suite.AcceleratedAesGcmAead`);
 ``cipher_factory`` exists only as a test seam.  The nonce is a
@@ -24,7 +25,10 @@ every bucket is authenticated against AAD ``node_index || version``,
 where the version is a per-node write counter kept in trusted client
 memory (8 bytes x node count — ~64 KB at height 12, on-chip scale).
 An SP replaying an older (individually valid) bucket fails AEAD
-verification, so stale world state can never be served silently.
+verification, so stale world state can never be served silently.  One
+tag covers all Z slots of a bucket, so the SP cannot rearrange, drop or
+substitute slots inside one either (DESIGN.md §7.4), and a node this
+client has written must serve a bucket of the one fixed length.
 """
 
 from __future__ import annotations
@@ -166,6 +170,11 @@ class PathOramClient:
         clock=None,
         stall_retry_backoff_us: float = 0.0,
     ) -> None:
+        if server.block_size != block_size:
+            raise ValueError(
+                f"server stores {server.block_size}-byte blocks, "
+                f"client asked for {block_size}"
+            )
         self.server = server
         self.block_size = block_size
         self.stash_limit = stash_limit
@@ -188,16 +197,20 @@ class PathOramClient:
         self.recovery = None
         self._rng = rng or Drbg(key, personalization=b"oram-client")
         self._cipher: AeadCipher = cipher_factory(key)
-        # Decrypt memoization (repro.perf): path reads mostly open blobs
-        # this client itself sealed and the server still holds, so a
-        # bounded table of those (blob, aad, plaintext) removes the
-        # bulk-decrypt cost without changing any simulated result.
+        # Decrypt memoization (repro.perf): path reads mostly open
+        # buckets this client itself sealed and the server still holds,
+        # so a bounded table of those (blob, aad, slot bodies) removes
+        # the bulk-decrypt cost without changing any simulated result.
         # ``None``/``0`` disables it (the pre-memo behaviour, bit for
         # bit).  Only the path read and the write-back go through it.
         self.memo: MemoizedAead | None = (
-            MemoizedAead(self._cipher, decrypt_memo_blocks)
+            MemoizedAead(
+                self._cipher, decrypt_memo_blocks, server.bucket_size, block_size
+            )
             if decrypt_memo_blocks else None
         )
+        # Every dummy slot this client seals is this one body object.
+        self._dummy = slot.encode(slot.KIND_DUMMY, b"", b"", block_size)
         self._stash: dict[BlockKey, bytes] = {}
         self._nonce_counter = 0
         # Anti-rollback write counters, one per tree node (on-chip).
@@ -268,13 +281,11 @@ class PathOramClient:
         keys_before: set[BlockKey] = set()
         if sink is not None:
             # Write-ahead nonce lease: reserve (durably) every nonce this
-            # access could possibly consume *before* any ciphertext hits
-            # the wire, so a crash at any later point can never lead the
-            # recovered client to re-issue a used nonce.
-            sink.reserve_nonces(
-                self._nonce_counter,
-                (self.server.height + 1) * self.server.bucket_size,
-            )
+            # access could possibly consume — one per path bucket —
+            # *before* any ciphertext hits the wire, so a crash at any
+            # later point can never lead the recovered client to re-issue
+            # a used nonce.
+            sink.reserve_nonces(self._nonce_counter, self.server.height + 1)
             keys_before = set(self._stash)
 
         old_leaf = self._positions.get(key)
@@ -289,39 +300,29 @@ class PathOramClient:
         # state — stash, position map, node versions — untouched, and a
         # retry starts from exactly the pre-access state.
         buckets = self._read_path_within_budget(scanned_leaf, sim_time_us)
-        blobs = []
-        for node, node_blobs in buckets.items():
-            aad = self._bucket_aad(node, self._node_versions.get(node, 0))
-            for blob in node_blobs:
-                blobs.append((blob, aad))
         # Every tag on the path is verified before any plaintext is
-        # used, so the all-or-nothing guarantee above holds (the memo
-        # answers for the blobs it recorded, byte-equal under the same
-        # AAD, and opens the rest).  A tag failure is classified
-        # before it propagates: a blob that authenticates under an
-        # *older* pinned version is a rollback (stale-tree attack),
-        # everything else is plain corruption.
+        # used, so the all-or-nothing guarantee above holds.  A failure
+        # is classified before it propagates: a bucket that
+        # authenticates under an *older* pinned version is a rollback
+        # (stale-tree attack), everything else is plain corruption.
         try:
-            if memo is not None:
-                plains = memo.open_path(blobs)
-            else:
-                decrypt = self._cipher.decrypt
-                plains = [decrypt(blob[:12], blob[12:], aad) for blob, aad in blobs]
+            opened = self._open_path(buckets)
         except AuthenticationError:
             rollback = self._probe_rollback(buckets)
             if rollback is not None:
                 self.stats.rollbacks_detected += 1
                 raise rollback from None
             raise
-        self.stats.blocks_decrypted += len(blobs)
+        self.stats.blocks_decrypted += len(opened) * self.server.bucket_size
         block_size = self.block_size
         stash = self._stash
-        for plain in plains:
-            if plain[0] != slot.KIND_REAL:
-                continue
-            _kind, block_key, payload = slot.decode(plain, block_size)
-            if block_key not in stash:
-                stash[block_key] = payload
+        for bodies in opened:
+            for body in bodies:
+                if body[0] != slot.KIND_REAL:
+                    continue
+                _kind, block_key, payload = slot.decode(body, block_size)
+                if block_key not in stash:
+                    stash[block_key] = payload
 
         result = stash.get(key)
         oversized = False
@@ -369,9 +370,41 @@ class PathOramClient:
             raise ValueError("write larger than block size")
         return result
 
+    def _open_path(self, buckets: dict[int, bytes]) -> list[tuple[bytes, ...]]:
+        """Authenticate and open a path read, root first, into the slot
+        bodies of each bucket.
+
+        A bucket is one AES-GCM message under its node's pinned
+        ``(node, version)``: the memo answers for the buckets it
+        recorded, byte-equal under the same AAD, and the cipher opens
+        the rest.  Only a node never written (version 0) may be empty;
+        a bucket of any other length than the one fixed length fails
+        like a bad tag.
+        """
+        versions = self._node_versions
+        size = self.server.bucket_bytes
+        sealed: list[tuple[bytes, bytes]] = []
+        for node, blob in buckets.items():
+            version = versions.get(node, 0)
+            if len(blob) != size:
+                if not blob and not version:
+                    continue
+                raise AuthenticationError(
+                    f"node {node} served a bucket of {len(blob)} bytes"
+                )
+            sealed.append((blob, self._bucket_aad(node, version)))
+        if self.memo is not None:
+            return self.memo.open_path(sealed)
+        decrypt = self._cipher.decrypt
+        block_size = self.block_size
+        return [
+            slot.split(decrypt(blob[:12], blob[12:], aad), block_size)
+            for blob, aad in sealed
+        ]
+
     def _read_path_within_budget(
         self, leaf: int, sim_time_us: float
-    ) -> dict[int, list[bytes]]:
+    ) -> dict[int, bytes]:
         """One path read with stall absorption and a timeout bound.
 
         A stalled server answers nothing; the client re-issues the read
@@ -411,98 +444,95 @@ class PathOramClient:
         tracer_for(self._clock).record("oram.stall", "oram_storage", amount_us)
         self._clock.advance_us(amount_us)
 
-    def _probe_rollback(self, buckets: dict[int, list[bytes]]) -> (
+    def _probe_rollback(self, buckets: dict[int, bytes]) -> (
         "RollbackDetectedError | None"
     ):
         """Classify a path-read AEAD failure: rollback or corruption?
 
-        For every blob that fails under the pinned (current) version,
-        walk older versions downward; a blob that authenticates under
+        For every bucket that fails under the pinned (current) version,
+        walk older versions downward; a bucket that authenticates under
         one is stale-but-genuine — only a server replaying an old tree
-        snapshot can serve it.  Probes are bounded; an exhausted probe
+        snapshot can serve it.  An empty bucket at a written node is the
+        node as it was before its first write, version 0.  A bucket of
+        any other wrong length is corruption: every genuine bucket has
+        the one fixed length.  Probes are bounded; an exhausted probe
         budget conservatively reports corruption.  Runs only on the
         failure path, so honest runs never pay for it; probes use the
         bare cipher and leave the decrypt memo as the failed open did.
         """
         probes = 0
-        for node, node_blobs in buckets.items():
+        size = self.server.bucket_bytes
+        decrypt = self._cipher.decrypt
+        for node, blob in buckets.items():
             expected = self._node_versions.get(node, 0)
-            aad_now = self._bucket_aad(node, expected)
-            for blob in node_blobs:
-                nonce, data = blob[:12], blob[12:]
+            if len(blob) != size:
+                if not blob and expected:
+                    return RollbackDetectedError(node, expected, 0)
+                continue
+            nonce, data = blob[:12], blob[12:]
+            try:
+                decrypt(nonce, data, self._bucket_aad(node, expected))
+                continue  # this bucket is fine; the failure is elsewhere
+            except AuthenticationError:
+                pass
+            for version in range(expected - 1, -1, -1):
+                probes += 1
+                if probes > _ROLLBACK_PROBE_LIMIT:
+                    return None
                 try:
-                    self._cipher.decrypt(nonce, data, aad_now)
-                    continue  # this blob is fine; the failure is elsewhere
+                    decrypt(nonce, data, self._bucket_aad(node, version))
                 except AuthenticationError:
-                    pass
-                for version in range(expected - 1, -1, -1):
-                    probes += 1
-                    if probes > _ROLLBACK_PROBE_LIMIT:
-                        return None
-                    try:
-                        self._cipher.decrypt(
-                            nonce, data, self._bucket_aad(node, version)
-                        )
-                    except AuthenticationError:
-                        continue
-                    return RollbackDetectedError(node, expected, version)
+                    continue
+                return RollbackDetectedError(node, expected, version)
         return None
 
     def _evict(self, leaf: int, sim_time_us: float) -> None:
-        """Greedy write-back: place stash blocks as deep as possible."""
+        """Greedy write-back: place stash blocks as deep as possible.
+
+        Each bucket — deepest first, its reals in stash order, then
+        dummies — is sealed as one AES-GCM message under one fresh
+        counter nonce and its new ``(node, version)`` AAD.
+        """
         path = self.server.path_nodes(leaf)
         z = self.server.bucket_size
+        block_size = self.block_size
+        stash = self._stash
+        positions = self._positions
+        encrypt = self._cipher.encrypt
         placed: set[BlockKey] = set()
-        # Slot bodies are collected in the exact order the slot-at-a-time
-        # code sealed them — deepest bucket first, stash-order reals,
-        # then dummies — and nonces are drawn from the counter in that
-        # same order, so the batched write-back puts byte-identical
-        # ciphertexts on the wire.
-        slot_nodes: list[int] = []
-        items: list[tuple[bytes, bytes, bytes]] = []
-        dummy = slot.encode(slot.KIND_DUMMY, b"", b"", self.block_size)
+        new_buckets: dict[int, bytes] = {}
+        sealed: list[tuple[bytes, bytes, tuple[bytes, ...]]] = []
         for depth in range(len(path) - 1, -1, -1):
             node = path[depth]
             version = self._node_versions.get(node, 0) + 1
             self._node_versions[node] = version
             aad = self._bucket_aad(node, version)
-            filled = 0
-            for block_key, payload in self._stash.items():
-                if filled >= z:
+            bodies: list[bytes] = []
+            for block_key, payload in stash.items():
+                if len(bodies) >= z:
                     break
                 if block_key in placed:
                     continue
-                block_leaf = self._positions.get(block_key)
+                block_leaf = positions.get(block_key)
                 if block_leaf is None:
                     continue
                 if self._node_on_path(node, depth, block_leaf):
-                    items.append((
-                        self._next_nonce(),
-                        slot.encode(
-                            slot.KIND_REAL, block_key, payload, self.block_size
-                        ),
-                        aad,
-                    ))
-                    slot_nodes.append(node)
+                    bodies.append(
+                        slot.encode(slot.KIND_REAL, block_key, payload, block_size)
+                    )
                     placed.add(block_key)
-                    filled += 1
-            while filled < z:
-                items.append((self._next_nonce(), dummy, aad))
-                slot_nodes.append(node)
-                filled += 1
-        encrypt = self._cipher.encrypt
-        sealed = [encrypt(nonce, plain, aad) for nonce, plain, aad in items]
-        self.stats.blocks_encrypted += len(items)
-        blobs = [nonce + body for (nonce, _plain, _aad), body in zip(items, sealed)]
-        new_buckets: dict[int, list[bytes]] = {}
-        for node, blob in zip(slot_nodes, blobs):
-            new_buckets.setdefault(node, []).append(blob)
+            bodies.extend([self._dummy] * (z - len(bodies)))
+            nonce = self._next_nonce()
+            blob = nonce + encrypt(nonce, b"".join(bodies), aad)
+            new_buckets[node] = blob
+            sealed.append((blob, aad, tuple(bodies)))
+        self.stats.blocks_encrypted += z * len(path)
         for block_key in placed:
-            del self._stash[block_key]
+            del stash[block_key]
         self.server.write_path(leaf, new_buckets, sim_time_us)
         if self.memo is not None:
             # The very objects the server now holds: no second copy.
-            self.memo.remember(items, blobs)
+            self.memo.remember(sealed)
 
     def _node_on_path(self, node: int, depth: int, leaf: int) -> bool:
         """Is ``node`` (at ``depth``) an ancestor of ``leaf``'s leaf node?"""
@@ -557,20 +587,21 @@ class PathOramClient:
         """Every real block in ``server``'s tree, stash overlaid, by key.
 
         ``server`` is passed in so a digest can read the raw tree behind
-        a fault wrapper.  Blobs are opened under the pinned per-node
+        a fault wrapper.  Buckets are opened under the pinned per-node
         versions with the bare cipher — past the decrypt memo, whose
         counters and entries a digest must not move — and without
         counting in client stats, so anything a bench reports is
         untouched.
         """
         content: dict[BlockKey, bytes] = {}
-        for node, bucket in enumerate(server.snapshot_tree()):
+        block_size = self.block_size
+        for node, blob in enumerate(server.snapshot_tree()):
+            if not blob:
+                continue
             aad = self._bucket_aad(node, self._node_versions.get(node, 0))
-            for blob in bucket:
-                kind, key, payload = slot.decode(
-                    self._cipher.decrypt(blob[:12], blob[12:], aad),
-                    self.block_size,
-                )
+            plain = self._cipher.decrypt(blob[:12], blob[12:], aad)
+            for body in slot.split(plain, block_size):
+                kind, key, payload = slot.decode(body, block_size)
                 if kind == slot.KIND_REAL:
                     content[key] = payload
         for key, payload in self._stash.items():

@@ -1,11 +1,13 @@
 """The Path ORAM server: untrusted bucket-tree storage run by the SP.
 
-The server stores opaque encrypted *blocks* in a complete binary tree of
-buckets and answers path reads/writes.  Everything it observes — which
-physical paths are touched, when, and the (identical-looking)
-ciphertexts — is recorded through an observer hook so the security
-benchmarks can play the adversary (attack A7) with exactly the server's
-view and nothing more.
+The server stores one opaque ciphertext per bucket of a complete binary
+tree and answers path reads/writes.  A bucket's ciphertext seals all Z
+of its slots at once (:mod:`repro.oram.slot`), so every stored bucket is
+the same fixed length and says nothing of how many real blocks it holds.
+Everything the server observes — which physical paths are touched, when,
+and the (identical-looking) ciphertexts — is recorded through an
+observer hook so the security benchmarks can play the adversary (attack
+A7) with exactly the server's view and nothing more.
 
 Per the paper's scalability analysis (§VI-D), the server charges a fixed
 CPU cost per query so the 25 µs/query capacity bound can be measured.
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+from repro.oram import slot
 
 
 class OramServerStall(Exception):
@@ -56,25 +60,30 @@ class OramServer:
     """Heap-indexed complete binary tree of buckets holding ciphertexts.
 
     Nodes are numbered 1..2^(height+1)-1; leaves are
-    ``2^height + leaf``.  Each bucket holds exactly ``bucket_size``
-    ciphertext slots (dummies included), so bucket contents are always
-    the same shape on the wire.
+    ``2^height + leaf``.  A written bucket is one ciphertext of exactly
+    ``bucket_bytes`` bytes — ``bucket_size`` slots of ``block_size``
+    payload bytes, dummies included, sealed together — so bucket
+    contents are always the same shape on the wire.  A bucket never
+    written is ``b""``.
     """
 
     def __init__(
         self,
         height: int,
         bucket_size: int = 4,
+        block_size: int = 1024,
         query_cpu_us: float = 25.0,
     ) -> None:
         if height < 0:
             raise ValueError("height must be non-negative")
         self.height = height
         self.bucket_size = bucket_size
+        self.block_size = block_size
+        self.bucket_bytes = slot.bucket_bytes(bucket_size, block_size)
         self.query_cpu_us = query_cpu_us
         self.leaf_count = 1 << height
         node_count = (1 << (height + 1))  # index 0 unused
-        self._buckets: list[list[bytes]] = [[] for _ in range(node_count)]
+        self._buckets: list[bytes] = [b""] * node_count
         self.stats = ServerStats()
         self._observers: list[Callable[[PathAccessEvent], None]] = []
         self._op_index = 0
@@ -105,33 +114,37 @@ class OramServer:
 
     # -- storage protocol --------------------------------------------------
 
-    def read_path(self, leaf: int, sim_time_us: float = 0.0) -> dict[int, list[bytes]]:
-        """Return the bucket contents of every node on the path to ``leaf``."""
+    def read_path(self, leaf: int, sim_time_us: float = 0.0) -> dict[int, bytes]:
+        """Return the bucket ciphertext of every node on the path to ``leaf``."""
         nodes = self.path_nodes(leaf)
         self._notify(leaf, nodes, sim_time_us)
         self.stats.reads += 1
         self.stats.busy_time_us += self.query_cpu_us
-        return {node: list(self._buckets[node]) for node in nodes}
+        buckets = self._buckets
+        return {node: buckets[node] for node in nodes}
 
     def write_path(
-        self, leaf: int, buckets: dict[int, list[bytes]], sim_time_us: float = 0.0
+        self, leaf: int, buckets: dict[int, bytes], sim_time_us: float = 0.0
     ) -> None:
         """Replace the buckets along the path to ``leaf``.
 
-        Every written bucket must hold exactly ``bucket_size`` slots —
-        the shape invariant that makes all writes look identical.
+        Every written bucket must be one ciphertext of exactly
+        ``bucket_bytes`` bytes — the shape invariant that makes all
+        writes look identical.  The write is checked whole before any
+        bucket is stored.
         """
         nodes = set(self.path_nodes(leaf))
-        self.stats.writes += 1
         for node, bucket in buckets.items():
             if node not in nodes:
                 raise ValueError(f"node {node} is not on the path to leaf {leaf}")
-            if len(bucket) != self.bucket_size:
+            if not isinstance(bucket, bytes) or len(bucket) != self.bucket_bytes:
                 raise ValueError(
-                    f"bucket must have exactly {self.bucket_size} slots, "
-                    f"got {len(bucket)}"
+                    f"bucket must be one ciphertext of {self.bucket_bytes} bytes"
                 )
-            self._buckets[node] = list(bucket)
+        self.stats.writes += 1
+        stored = self._buckets
+        for node, bucket in buckets.items():
+            stored[node] = bucket
 
     def capacity_blocks(self) -> int:
         """Total real-block capacity of the tree."""
@@ -141,17 +154,20 @@ class OramServer:
     # Adversary/recovery tree manipulation
     # ------------------------------------------------------------------
 
-    def snapshot_tree(self) -> list[list[bytes]]:
+    def snapshot_tree(self) -> list[bytes]:
         """Copy out every bucket — what a malicious SP squirrels away."""
-        return [list(bucket) for bucket in self._buckets]
+        return list(self._buckets)
 
-    def restore_tree(self, snapshot: list[list[bytes]]) -> None:
-        """Overwrite the tree with an earlier snapshot (rollback attack)."""
+    def restore_tree(self, snapshot: list[bytes]) -> None:
+        """Overwrite the tree with an earlier snapshot (rollback attack).
+
+        The snapshot is stored as given: an SP that restores a tampered
+        tree is exactly what the client's checks are for."""
         if len(snapshot) != len(self._buckets):
             raise ValueError("snapshot geometry mismatch")
-        self._buckets = [list(bucket) for bucket in snapshot]
+        self._buckets = list(snapshot)
 
     def reset_tree(self) -> None:
         """Drop every stored bucket (the client's re-sync policy rebuilds
         the tree from verified chain state)."""
-        self._buckets = [[] for _ in self._buckets]
+        self._buckets = [b""] * len(self._buckets)

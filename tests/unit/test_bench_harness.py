@@ -208,7 +208,7 @@ def _seeded_writes(client) -> dict[bytes, bytes]:
 
 
 def _path_world():
-    server = OramServer(height=4)
+    server = OramServer(height=4, block_size=_BLOCK)
     client = PathOramClient(
         server, hashlib.sha256(b"bench-harness-world").digest(),
         block_size=_BLOCK,

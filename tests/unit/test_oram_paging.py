@@ -238,7 +238,7 @@ def test_prefetch_query_kind(backend):
 
 
 def test_block_size_mismatch_rejected():
-    server = OramServer(height=4)
+    server = OramServer(height=4, block_size=512)
     client = PathOramClient(server, key=b"x" * 32, block_size=512)
     with pytest.raises(ValueError):
         ObliviousStateBackend(client)

@@ -19,7 +19,7 @@ from repro.oram.server import OramServer
 
 @pytest.fixture
 def oram():
-    server = OramServer(height=5)
+    server = OramServer(height=5, block_size=64)
     client = PathOramClient(server, key=b"k" * 32, block_size=64, rng=Drbg(b"r"))
     return server, client
 
@@ -28,12 +28,14 @@ def test_tampered_bucket_detected(oram):
     server, client = oram
     client.write(b"key", b"value")
     # The SP flips a byte in some stored ciphertext.
-    for node, bucket in enumerate(server._buckets):
+    tree = server.snapshot_tree()
+    for node, bucket in enumerate(tree):
         if bucket:
-            blob = bytearray(bucket[0])
+            blob = bytearray(bucket)
             blob[-1] ^= 1
-            server._buckets[node][0] = bytes(blob)
+            tree[node] = bytes(blob)
             break
+    server.restore_tree(tree)
     with pytest.raises(AuthenticationError):
         for _ in range(64):  # touch enough paths to hit the bad bucket
             client.read(b"key")
@@ -45,12 +47,12 @@ def test_rollback_of_bucket_detected(oram):
     server, client = oram
     client.write(b"key", b"v1")
     # SP snapshots the entire tree now...
-    snapshot = [list(bucket) for bucket in server._buckets]
+    snapshot = server.snapshot_tree()
     # ...the client keeps writing (versions advance)...
     client.write(b"key", b"v2")
     client.write(b"other", b"x")
     # ...and the SP rolls the tree back to the stale snapshot.
-    server._buckets = [list(bucket) for bucket in snapshot]
+    server.restore_tree(snapshot)
     with pytest.raises(RollbackDetectedError) as excinfo:
         for _ in range(64):
             client.read(b"key")
@@ -65,12 +67,12 @@ def test_swapping_buckets_between_nodes_detected(oram):
     node index is part of the AAD)."""
     server, client = oram
     client.write(b"key", b"value")
-    populated = [i for i, bucket in enumerate(server._buckets) if bucket]
+    tree = server.snapshot_tree()
+    populated = [i for i, bucket in enumerate(tree) if bucket]
     if len(populated) >= 2:
         a, b = populated[0], populated[1]
-        server._buckets[a], server._buckets[b] = (
-            server._buckets[b], server._buckets[a],
-        )
+        tree[a], tree[b] = tree[b], tree[a]
+        server.restore_tree(tree)
         with pytest.raises(AuthenticationError):
             for _ in range(64):
                 client.read(b"key")
@@ -105,7 +107,7 @@ def _armed(server, rule, seed=11):
 
 
 def test_injected_stall_past_budget_times_out_atomically():
-    server = OramServer(height=5)
+    server = OramServer(height=5, block_size=64)
     client = PathOramClient(
         server, key=b"k" * 32, block_size=64, rng=Drbg(b"r"),
         response_budget_us=10_000.0,
@@ -131,7 +133,7 @@ def test_injected_stall_past_budget_times_out_atomically():
 
 
 def test_injected_stall_within_budget_is_absorbed():
-    server = OramServer(height=5)
+    server = OramServer(height=5, block_size=64)
     client = PathOramClient(
         server, key=b"k" * 32, block_size=64, rng=Drbg(b"r"),
         response_budget_us=50_000.0,
@@ -148,7 +150,7 @@ def test_injected_stall_within_budget_is_absorbed():
 
 
 def test_injected_tag_corruption_aborts_access_atomically():
-    server = OramServer(height=5)
+    server = OramServer(height=5, block_size=64)
     client = PathOramClient(server, key=b"k" * 32, block_size=64, rng=Drbg(b"r"))
     for i in range(8):
         client.write(b"key%d" % i, b"v%d" % i)
@@ -172,7 +174,7 @@ def test_retry_backoff_counts_toward_budget_and_waited_us():
     charge the owning clock — not vanish into unaccounted limbo."""
     from repro.hardware.timing import SimClock
 
-    server = OramServer(height=5)
+    server = OramServer(height=5, block_size=64)
     clock = SimClock()
     client = PathOramClient(
         server, key=b"k" * 32, block_size=64, rng=Drbg(b"r"),
@@ -198,7 +200,7 @@ def test_retry_backoff_counts_toward_budget_and_waited_us():
 def test_absorbed_stalls_charge_the_clock():
     from repro.hardware.timing import SimClock
 
-    server = OramServer(height=5)
+    server = OramServer(height=5, block_size=64)
     clock = SimClock()
     client = PathOramClient(
         server, key=b"k" * 32, block_size=64, rng=Drbg(b"r"),

@@ -105,7 +105,7 @@ def test_oram_resists_the_same_shift():
     from repro.oram.server import OramServer
     from repro.security.observer import AccessPatternObserver
 
-    server = OramServer(height=7)
+    server = OramServer(height=7, block_size=64)
     observer = AccessPatternObserver().attach(server)
     client = PathOramClient(server, key=b"o" * 32, block_size=64, rng=Drbg(b"c"))
     for key in KEYS:

@@ -39,7 +39,7 @@ def _device():
 
 def _deployment(checkpoint_interval=100):
     """A journaling ORAM client over a fake device, no service needed."""
-    server = OramServer(height=4)
+    server = OramServer(height=4, block_size=64)
     client = PathOramClient(server, key=_KEY, block_size=64, rng=Drbg(b"r"))
     device = _device()
     store = DurableStore()
@@ -264,7 +264,7 @@ def test_an_ended_session_is_in_no_later_state_however_it_is_recovered():
 
 def test_arming_after_a_session_exists_is_refused():
     manager = RecoveryManager(_device(), DurableStore(), oram_key=_KEY)
-    client = PathOramClient(OramServer(height=4), key=_KEY, block_size=64)
+    client = PathOramClient(OramServer(height=4, block_size=64), key=_KEY, block_size=64)
     holding = SimpleNamespace(
         hypervisor=SimpleNamespace(session_count=1, oram_key=_KEY)
     )

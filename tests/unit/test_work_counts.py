@@ -356,21 +356,20 @@ def test_the_step_prices_follow_the_cost_model_the_core_holds_now(tiny_evalset):
 # -- the decrypt memo ------------------------------------------------------
 
 
-@pytest.mark.parametrize("capacity,hits", [(4096, 936), (64, 636)])
+@pytest.mark.parametrize("capacity,hits", [(4096, 234), (64, 159)])
 def test_a_path_read_hashes_only_what_the_memo_missed(monkeypatch, capacity, hits):
-    """The perf-bench replay (BENCH_perf.json's 936 hits / 0 misses at
-    4,096 entries; 64 entries make the bound bite).  Every slot sealed is
-    one AES-GCM seal, every slot the memo missed is one AES-GCM open, a
-    hit costs nothing, and no hashlib hash runs at all.  Before, the ORAM
-    cipher was ``Blake2Aead``: each seal and each open was a SHAKE-256
-    keystream plus a keyed BLAKE2b tag."""
+    """The perf-bench replay (BENCH_perf.json's 234 hits / 0 misses at
+    4,096 blocks; 64 blocks make the bound bite).  A bucket is one
+    AES-GCM message: every access seals exactly ``height + 1`` of them,
+    every bucket the memo missed is one AES-GCM open, a hit costs
+    nothing, and no hashlib hash runs at all.  Sealed a slot at a time,
+    the same access cost ``(height + 1) x Z`` = 24 seals."""
     config = PerfBenchConfig()
     key = hashlib.blake2b(
         config.seed.to_bytes(8, "big"), digest_size=32, person=b"perf-key"
     ).digest()
     server = OramServer(height=config.oram_height)
     client = PathOramClient(server, key, decrypt_memo_blocks=capacity)
-    slots = (config.oram_height + 1) * server.bucket_size
 
     digests = _count_calls(monkeypatch, hashlib, "blake2b")
     keystreams = _count_calls(monkeypatch, hashlib, "shake_256")
@@ -380,16 +379,38 @@ def test_a_path_read_hashes_only_what_the_memo_missed(monkeypatch, capacity, hit
         del seals[:], opens[:]
         client.access(access_key, payload)
         last = client.last_access
-        assert len(seals) == slots == 24
+        assert len(seals) == config.oram_height + 1 == 6
         assert len(opens) == last.memo_misses
-        # Live only: each entry *is* a blob object the server holds now.
-        stored = {id(blob) for bucket in server.snapshot_tree() for blob in bucket}
-        held = {id(blob) for blob, _aad, _plaintext in client.memo._live.values()}
+        # Live only: each entry *is* a bucket object the server holds now.
+        stored = {id(blob) for blob in server.snapshot_tree() if blob}
+        held = {id(blob) for blob, _aad, _bodies in client.memo._live.values()}
         assert held <= stored and len(held) == len(client.memo._live)
-        if capacity >= len(stored):
+        if client.memo.capacity_buckets >= len(stored):
             assert held == stored
     assert not digests and not keystreams
-    assert (client.memo.stats.hits, client.memo.stats.misses) == (hits, 936 - hits)
+    assert (client.memo.stats.hits, client.memo.stats.misses) == (hits, 234 - hits)
+    assert client.stats.blocks_encrypted == 48 * 6 * server.bucket_size
+
+
+def test_without_the_memo_a_path_read_opens_each_written_bucket_once(monkeypatch):
+    """Memo off, the cipher opens every bucket on the path read that the
+    client has written before — one AES-GCM open per bucket, never one
+    per slot — and seals every bucket of the path once."""
+    config = PerfBenchConfig()
+    server = OramServer(height=config.oram_height)
+    events = []
+    server.add_observer(events.append)
+    client = PathOramClient(server, b"w" * 32, decrypt_memo_blocks=None)
+    seals = _count_calls(monkeypatch, AcceleratedAesGcmAead, "encrypt")
+    opens = _count_calls(monkeypatch, AcceleratedAesGcmAead, "decrypt")
+    for access_key, payload in _workload(config):
+        tree = server.snapshot_tree()
+        del seals[:], opens[:]
+        client.access(access_key, payload)
+        path = events[-1].node_indices
+        assert len(opens) == sum(1 for node in path if tree[node])
+        assert len(seals) == len(path) == config.oram_height + 1
+    assert len(opens) == config.oram_height + 1  # a warm tree: the whole path
 
 
 # -- the crypto tier -------------------------------------------------------
